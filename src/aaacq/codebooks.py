@@ -5,8 +5,36 @@ weight distribution and per-column activation importance.  Learning
 alternates a per-group table assignment (each group of `sel_size` weights
 picks the table with lower importance-weighted reconstruction error) with
 importance-weighted scalar k-means refinement of each table.  Final tables
-are rounded to BF16, the assignment is recomputed, and codes are emitted as
+are rounded to BF16, the assignment is recomputed, and codes emitted as
 nearest-entry indices under each group's selected table.
+
+Every step needs the nearest-entry code of many values under a table, and
+the values never change within a layer: only the tables move.  So the
+normalized weights are sorted once per layer, and each outer round splits
+that order into each table's members, still sorted.  The nearest-entry
+cells of a sorted table are intervals (Max 1960; Lloyd 1982), so each
+distinct entry's cell is a contiguous run of the sorted values, cut at the
+midpoints between neighbouring distinct entries.  A code pass is then one
+`searchsorted` of the M - 1 midpoints into the sorted values, a `np.repeat`
+of the run labels and one scatter back to the values' own layout, instead of
+a binary search per value.  The number of numpy calls per pass does not
+grow with the value count.
+
+The runs are exact, not approximate.  A value farther from every midpoint
+than a small window (a few ulps of the largest magnitude among values and
+entries) is nearer its run's entry by more than the rounding of `|v - t|`
+can undo.  Values inside a window go through `recon_codes`, so its
+first-minimum tie rule decides them.  When two distinct entries lie within a
+few windows of each other, or the magnitudes approach overflow, every value
+goes through `recon_codes`.  Codes therefore equal `recon_codes` value for
+value, which the tests check on adversarial tables.
+
+Summation order does not follow the sort: the Lloyd sums (`np.bincount`),
+the cell errors and the per-group errors are taken over the values in their
+own row-major layout; only the search uses the sorted order.  Summing in
+sorted order (with `np.add.reduceat`, say) would save the scatter but rounds
+differently, so the float64 tables, the objective trace and in the end the
+packed bytes would depend on the sort.
 """
 
 from __future__ import annotations
@@ -17,7 +45,7 @@ import numpy as np
 
 from .errors import LayoutError, UnsupportedConfigError, ValidationError
 from .grids import SCALE_MODES, BaseFormat, compute_scales, round_bf16
-from .quantizers import expand_groups, normalize, recon_codes
+from .quantizers import check_table, expand_groups, normalize, recon_codes
 from .tensors import LayerBundle
 
 
@@ -123,11 +151,126 @@ def init_tables(w_norm, table_size: int) -> tuple[np.ndarray, np.ndarray]:
     return t0, t1
 
 
-def _group_errors(w_norm, col_importance, table0, table1, sel_size):
+# ---------------------------------------------------------------------------
+# Nearest-entry cells of a fixed value set
+# ---------------------------------------------------------------------------
+
+# Half-width of the window around each midpoint, relative to the largest
+# magnitude among the values and entries.  Rounding moves each distance
+# |v - t| by at most 2**-52 of that magnitude and a computed midpoint by at
+# most 2**-53, so any half-width above 3 * 2**-53 of it leaves every value
+# outside the windows on its exact side; 2**-47 is over twenty times that.
+# The absolute term covers halving in the subnormal range.  Magnitudes above
+# _MAGNITUDE_MAX take the fallback, so no bound overflows.
+_WINDOW_REL = 2.0 ** -47
+_WINDOW_ABS = 2.0 ** -1070
+_MAGNITUDE_MAX = 2.0 ** 1000
+_NONE = np.zeros(0, dtype=np.intp)
+
+
+def _cell_runs(table: np.ndarray, values: np.ndarray):
+    """The codes `recon_codes(table, values)` of ascending `values`, as runs.
+
+    Returns `(labels, counts, lo, hi)`: the codes are `labels` repeated
+    `counts` times, except in the windows `values[lo[j]:hi[j]]`, whose codes
+    `recon_codes` gives.
+
+    Each distinct entry's cell is a contiguous run of the sorted values, cut
+    at the midpoints between neighbouring distinct entries.  Every value more
+    than a window's half-width from all midpoints is nearer its run's entry
+    than any other by more than the rounding of `|v - t|` can undo, so that
+    entry (its first index, for duplicates) is what the first-minimum argmin
+    picks.  When two distinct entries lie within a few windows of each
+    other, one window spans all the values.
+    """
+    n = values.size
+    if n == 0:
+        return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), _NONE, _NONE
+    first = np.flatnonzero(np.concatenate(([True], table[1:] != table[:-1])))
+    distinct = table[first]
+    big = max(abs(values[0]), abs(values[-1]), abs(table[0]), abs(table[-1]))
+    half = big * _WINDOW_REL + _WINDOW_ABS
+    if not (
+        big < _MAGNITUDE_MAX
+        and (distinct[1:] - distinct[:-1]).min(initial=np.inf) > 4 * half
+    ):
+        everything = np.array([n])
+        return first[:1], everything, np.zeros(1, dtype=np.intp), everything
+    mid = 0.5 * distinct[:-1] + 0.5 * distinct[1:]
+    lo = values.searchsorted(mid - half, side="left")
+    hi = values.searchsorted(mid + half, side="right")
+    edges = np.concatenate(([0], lo, [n]))
+    return first, edges[1:] - edges[:-1], lo, hi
+
+
+class _SortedCells:
+    """Fixed values, sorted once, for repeated nearest-entry searches.
+
+    The values are laid out as consecutive parts, each searched under its
+    own table and held here in ascending order.  `codes(tables)` equals
+    `recon_codes` of each part under its table, in the values' own layout,
+    but costs a boundary search per table, one `np.repeat` and one scatter
+    instead of a search per value.
+    """
+
+    def __init__(self, sorted_values, order, shape, parts, source=None):
+        self.sorted = sorted_values
+        self.order = order     # flat position in the layout of each sorted value
+        self.shape = shape
+        self.parts = parts     # sizes of the consecutive parts of the layout
+        self.source = source   # flat position in the split values of each value
+
+    @classmethod
+    def of(cls, values) -> "_SortedCells":
+        v = np.asarray(values, dtype=np.float64)
+        order = np.argsort(v, axis=None)
+        return cls(v.ravel()[order], order, v.shape, (v.size,))
+
+    def split(self, mask) -> "_SortedCells":
+        """The values laid out as `values[~mask]` followed by `values[mask]`."""
+        # np.flatnonzero is branch-free; boolean indexing with a mask as
+        # irregular as `member[self.order]` is several times slower.
+        member = np.asarray(mask, dtype=bool).ravel()
+        source = np.concatenate((np.flatnonzero(~member), np.flatnonzero(member)))
+        position = np.empty(member.size, dtype=np.intp)
+        position[source] = np.arange(member.size)
+        in1 = member[self.order]
+        regroup = np.concatenate((np.flatnonzero(~in1), np.flatnonzero(in1)))
+        n1 = np.count_nonzero(member)
+        return _SortedCells(
+            self.sorted[regroup], position[self.order[regroup]], (member.size,),
+            (member.size - n1, n1), source,
+        )
+
+    def codes(self, tables) -> np.ndarray:
+        """Codes of each part under its own table, offset by the table's
+        position in `tables`, which stacks one table per part."""
+        stack = np.asarray(tables, dtype=np.float64).reshape(len(self.parts), -1)
+        labels, counts, fixes = [], [], []
+        start = 0
+        for j, size in enumerate(self.parts):
+            table = check_table(stack[j])
+            offset = j * table.size
+            first, count, lo, hi = _cell_runs(table, self.sorted[start:start + size])
+            labels.append(first + offset)
+            counts.append(count)
+            fixes.append((table, offset, start + lo, hi - lo))
+            start += size
+        codes = np.repeat(np.concatenate(labels), np.concatenate(counts))
+        for table, offset, lo, width in fixes:
+            if width.any():
+                idx = np.repeat(lo - np.cumsum(width) + width, width) + np.arange(width.sum())
+                codes[idx] = recon_codes(table, self.sorted[idx]) + offset
+        out = np.empty(codes.size, dtype=np.intp)
+        out[self.order] = codes
+        return out.reshape(self.shape)
+
+
+def _group_errors(w_norm, col_importance, table0, codes0, table1, codes1, sel_size):
     """Weighted and unweighted per-group squared errors under both tables."""
     n, k = w_norm.shape
-    se0 = (w_norm - np.asarray(table0, dtype=np.float64)[recon_codes(table0, w_norm)]) ** 2
-    se1 = (w_norm - np.asarray(table1, dtype=np.float64)[recon_codes(table1, w_norm)]) ** 2
+    se0 = (w_norm - np.asarray(table0, dtype=np.float64)[codes0]) ** 2
+    se1 = (w_norm - np.asarray(table1, dtype=np.float64)[codes1]) ** 2
     shape = (n, k // sel_size, sel_size)
     i_row = np.asarray(col_importance, dtype=np.float64)
     e0w = (se0 * i_row).reshape(shape).sum(axis=2)
@@ -157,14 +300,20 @@ def select_tables(w_norm, col_importance, table0, table1, sel_size: int) -> np.n
         raise LayoutError(
             f"column count {w.shape[1]} is not divisible by selection group size {sel_size}"
         )
-    e0w, e1w, e0u, e1u = _group_errors(w, col_importance, table0, table1, sel_size)
+    cells = _SortedCells.of(w)
+    e0w, e1w, e0u, e1u = _group_errors(
+        w, col_importance, table0, cells.codes(table0), table1, cells.codes(table1), sel_size
+    )
     return _decide(e0w, e1w, e0u, e1u, col_importance, sel_size)
 
 
-def _lloyd_step(table, values, weights, codes):
-    """One weighted centroid update; cells with zero total weight keep their entry."""
+def _lloyd_step(table, weighted_values, weights, codes):
+    """One weighted centroid update; cells with zero total weight keep their entry.
+
+    `weighted_values` is `weights * values`, formed once per member set.
+    """
     m = table.size
-    num = np.bincount(codes, weights=weights * values, minlength=m)
+    num = np.bincount(codes, weights=weighted_values, minlength=m)
     den = np.bincount(codes, weights=weights, minlength=m)
     return np.where(den > 0, num / np.where(den > 0, den, 1.0), table)
 
@@ -175,19 +324,24 @@ def kmeans_update(table, values, weights, n_inner: int) -> np.ndarray:
     Runs `n_inner` Lloyd iterations, assigning each member to its nearest
     entry (ties toward the lower index) and moving each entry to the weighted
     centroid of its cell.  Entries with empty or zero-weight cells are kept.
-    The returned table is sorted ascending.
+    The table is sorted before the first search and after every step, so
+    the returned table is sorted ascending.
     """
-    t = np.asarray(table, dtype=np.float64).copy()
+    t = np.sort(np.asarray(table, dtype=np.float64))
     v = np.asarray(values, dtype=np.float64).ravel()
     w = np.asarray(weights, dtype=np.float64).ravel()
+    wv = w * v
+    cells = _SortedCells.of(v)
     for _ in range(n_inner):
-        t = _lloyd_step(t, v, w, recon_codes(t, v))
-    return np.sort(t)
+        t = np.sort(_lloyd_step(t, wv, w, cells.codes(t)))
+    return t
 
 
-def _cell_error(table, values, weights, codes):
+def _cell_error(table, values, weights, codes, split):
+    """Weighted squared error, summed separately before and after `split`."""
     d = values - np.asarray(table, dtype=np.float64)[codes]
-    return float((weights * d * d).sum())
+    e = weights * d * d
+    return float(e[:split].sum()) + float(e[split:].sum())
 
 
 def learn(
@@ -231,36 +385,44 @@ def learn(
     if not imp.any():
         imp = np.ones(k, dtype=np.float64)
 
-    t0, t1 = init_tables(w_norm, table_size)
-    imp_wide = np.broadcast_to(imp, (n, k))
+    cells = _SortedCells.of(w_norm)
+    # Quantiles are order statistics, so the sorted copy gives the same tables.
+    t0, t1 = init_tables(cells.sorted, table_size)
     trace = []
 
     for _ in range(cfg.n_outer):
-        e0w, e1w, e0u, e1u = _group_errors(w_norm, imp, t0, t1, cfg.sel_size)
+        e0w, e1w, e0u, e1u = _group_errors(
+            w_norm, imp, t0, cells.codes(t0), t1, cells.codes(t1), cfg.sel_size
+        )
         sigma = _decide(e0w, e1w, e0u, e1u, imp, cfg.sel_size)
         trace.append(float(np.where(sigma, e1w, e0w).sum()))
 
         member1 = expand_groups(sigma, cfg.sel_size).astype(bool)
-        v0, i0 = w_norm[~member1], imp_wide[~member1]
-        v1, i1 = w_norm[member1], imp_wide[member1]
-        codes0 = recon_codes(t0, v0)
-        codes1 = recon_codes(t1, v1)
+        # Both tables' members side by side: table 1's codes are offset by
+        # the table size, so one pass serves both.
+        members = cells.split(member1)
+        v = w_norm.ravel()[members.source]
+        i = imp[members.source % k]
+        wv = i * v
+        t = np.concatenate((t0, t1))
+        codes = members.codes(t)
         for _ in range(cfg.n_inner):
-            t0 = _lloyd_step(t0, v0, i0, codes0)
-            t1 = _lloyd_step(t1, v1, i1, codes1)
-            codes0 = recon_codes(t0, v0)
-            codes1 = recon_codes(t1, v1)
-            trace.append(
-                _cell_error(t0, v0, i0, codes0) + _cell_error(t1, v1, i1, codes1)
-            )
-        t0 = np.sort(t0)
-        t1 = np.sort(t1)
+            # A centroid can round past an untouched neighbour (a constant
+            # cell, say), so each table is re-sorted before the next search.
+            t = np.sort(_lloyd_step(t, wv, i, codes).reshape(2, -1), axis=1).ravel()
+            codes = members.codes(t)
+            trace.append(_cell_error(t, v, i, codes, members.parts[0]))
+        t0, t1 = t.reshape(2, -1)
+        # Free this round's member arrays before the next full-layer pass.
+        del members, v, i, wv, codes
 
     t0 = round_bf16(t0).astype(np.float32)
     t1 = round_bf16(t1).astype(np.float32)
-    sigma = select_tables(w_norm, imp, t0, t1, cfg.sel_size)
+    codes0, codes1 = cells.codes(t0), cells.codes(t1)
+    e0w, e1w, e0u, e1u = _group_errors(w_norm, imp, t0, codes0, t1, codes1, cfg.sel_size)
+    sigma = _decide(e0w, e1w, e0u, e1u, imp, cfg.sel_size)
     member1 = expand_groups(sigma, cfg.sel_size).astype(bool)
-    codes = np.where(member1, recon_codes(t1, w_norm), recon_codes(t0, w_norm))
+    codes = np.where(member1, codes1, codes0)
     return LearnResult(
         table0=t0,
         table1=t1,

@@ -28,13 +28,21 @@ def normalize(weights: np.ndarray, scales: np.ndarray, group_size: int) -> np.nd
 # Nearest-entry reconstruction
 # ---------------------------------------------------------------------------
 
+def check_table(table: np.ndarray) -> np.ndarray:
+    """A reconstruction table as float64; raises unless it is non-decreasing."""
+    t = np.asarray(table, dtype=np.float64)
+    if (t[1:] < t[:-1]).any():
+        raise ValidationError("reconstruction table must be non-decreasing")
+    return t
+
+
 def recon_codes(table: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Index of the nearest table entry per value, ties toward the lower index.
 
     The table must be non-decreasing.  Implemented with a sorted search but
     guaranteed to match an exhaustive argmin with first-minimum tie-breaking.
     """
-    t = np.asarray(table, dtype=np.float64)
+    t = check_table(table)
     v = np.asarray(values, dtype=np.float64)
     pos = np.searchsorted(t, v, side="left")
     lo = np.clip(pos - 1, 0, t.size - 1)

@@ -9,7 +9,7 @@ from aaacq.cli import main
 from aaacq.grids import INT4, NVFP4
 from aaacq.packfmt import read_pack
 from aaacq.quantizers import dequantize_rtn, rtn_quantize
-from aaacq.tensors import load_tensor_archive, read_tensors
+from aaacq.tensors import load_tensor_archive, read_tensors, write_tensors
 
 
 def run(*argv):
@@ -73,6 +73,17 @@ class TestQuantize:
         for _, p in read_pack(out):
             assert not p.has_bitset and p.group_size == 16 and p.sel_size == 16
             assert p.table_size == 15
+
+    def test_constant_layer(self, tmp_path):
+        # Every weight in a group is its absmax, so a learned table collapses
+        # onto one value and Lloyd steps must keep it sorted.
+        src = tmp_path / "const.safetensors"
+        write_tensors(src, {"c.weight": np.full((4, 64), 0.37, dtype=np.float32)})
+        out = tmp_path / "m.aaacq"
+        assert run("quantize", src, "--out", out, "--method", "aaac",
+                   "--format", "int4", "-g", "16") == 0
+        [(name, _)] = read_pack(out)
+        assert name == "c"
 
     def test_selection_coarser_than_scale_fails(self, tmp_path, archive):
         out = tmp_path / "m.aaacq"

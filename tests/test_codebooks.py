@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aaacq import codebooks
 from aaacq.codebooks import (
     AaacConfig,
+    _SortedCells,
     importance,
     init_tables,
     kmeans_update,
@@ -139,6 +143,113 @@ class TestSelectTables:
         sigma = select_tables(w, imp, t0, t1, 2)
         assert sigma[0, 0] == 1  # decided by unweighted errors
         assert sigma[0, 1] == 0
+
+
+# Magnitudes from subnormal to near-overflow; 4e35 is what clamped E4M3
+# scales leave in normalized weights.
+_SCALES = [1.0, 2.0 ** -1060, 1e-300, 1e30, 4e35, 1e300]
+
+
+@st.composite
+def tables_and_values(draw):
+    """A sorted table and values aimed at the boundary search's weak spots:
+    duplicate entries, entries a few ulps apart (below the window guard),
+    values on entries and on midpoints, signed zeros and huge magnitudes."""
+    scale = draw(st.sampled_from(_SCALES))
+    unit = st.floats(-8, 8, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+    entries = [x * scale for x in draw(st.lists(unit, min_size=1, max_size=16))]
+    for x in draw(st.lists(st.sampled_from(entries), max_size=3)):
+        ulps = draw(st.integers(0, 4))
+        for _ in range(ulps):
+            x = float(np.nextafter(x, np.inf))
+        entries.append(x)
+    table = np.sort(np.asarray(entries, dtype=np.float64))
+
+    mids = 0.5 * table[:-1] + 0.5 * table[1:]
+    # Within a few ulps of the largest entry from a midpoint, rounding can
+    # tie |v - t| for two entries; the first-minimum rule then decides.
+    ulp = np.abs(table).max() * 2.0 ** -53
+    near = (mids[:, np.newaxis] + ulp * np.asarray([-4, -2, -1, 1, 2, 4])).ravel()
+    special = np.concatenate([
+        table, mids, (table[:-1] + table[1:]) / 2, near,
+        np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf), [0.0, -0.0],
+    ])
+    special = special[np.isfinite(special)]
+    picks = draw(st.lists(st.sampled_from(special.tolist()), max_size=12))
+    free = draw(st.lists(st.floats(-1e307, 1e307), max_size=6))
+    scaled = draw(st.lists(unit, max_size=12))
+    values = draw(st.permutations(picks + free + [x * scale * 1.5 for x in scaled]))
+    return table, np.asarray(values, dtype=np.float64)
+
+
+class TestSortedCells:
+    @given(tables_and_values())
+    @settings(max_examples=400, deadline=None)
+    def test_codes_match_recon_codes(self, case):
+        table, values = case
+        got = _SortedCells.of(values).codes(table)
+        assert got.dtype == np.intp
+        assert got.tolist() == recon_codes(table, values).tolist()
+
+    @given(tables_and_values(), tables_and_values(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_split_codes_match_recon_codes_per_part(self, case0, case1, rnd):
+        # Members of table 1 come after those of table 0; their codes are
+        # offset by the table size.
+        (t0, values), (t1, _) = case0, case1
+        m = max(t0.size, t1.size)
+        t0 = np.concatenate([t0, np.full(m - t0.size, t0[-1])])
+        t1 = np.concatenate([t1, np.full(m - t1.size, t1[-1])])
+        mask = np.asarray([rnd.random() < 0.5 for _ in range(values.size)], dtype=bool)
+        cells = _SortedCells.of(values).split(mask)
+        assert cells.parts == (int((~mask).sum()), int(mask.sum()))
+        assert values[cells.source].tolist() == values[~mask].tolist() + values[mask].tolist()
+        want = np.concatenate([recon_codes(t0, values[~mask]), recon_codes(t1, values[mask]) + m])
+        assert cells.codes(np.concatenate([t0, t1])).tolist() == want.tolist()
+
+    def test_two_dimensional_layout(self):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((6, 40))
+        table = np.sort(rng.standard_normal(15))
+        got = _SortedCells.of(values).codes(table)
+        assert got.shape == values.shape
+        assert np.array_equal(got, recon_codes(table, values))
+
+    def test_empty_and_single_value_sets(self):
+        table = np.asarray([-1.0, 0.0, 0.0, 2.0])
+        assert _SortedCells.of(np.zeros(0)).codes(table).tolist() == []
+        assert _SortedCells.of(np.asarray([1.0])).codes(table).tolist() == [1]
+        assert _SortedCells.of(np.asarray([-0.0])).codes(table).tolist() == [1]
+
+    @pytest.fixture()
+    def searched(self, monkeypatch):
+        """Sizes of the value sets the code pass hands to recon_codes."""
+        sizes = []
+
+        def spy(table, values):
+            sizes.append(np.asarray(values).size)
+            return recon_codes(table, values)
+
+        monkeypatch.setattr(codebooks, "recon_codes", spy)
+        return sizes
+
+    def test_only_window_values_are_searched(self, searched):
+        table = np.asarray([-1.0, 0.0, 0.0, 1.0])  # a duplicate is no small gap
+        values = np.asarray([-0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 0.9])
+        got = _SortedCells.of(values).codes(table)
+        assert got.tolist() == recon_codes(table, values).tolist()
+        assert searched == [2]  # the two values on midpoints
+
+    def test_gaps_below_the_guard_search_every_value(self, searched):
+        table = np.asarray([1.0, np.nextafter(1.0, 2.0), 3.0])
+        values = np.linspace(-4.0, 4.0, 33)
+        got = _SortedCells.of(values).codes(table)
+        assert got.tolist() == recon_codes(table, values).tolist()
+        assert searched == [33]
+
+    def test_decreasing_table_is_rejected(self):
+        with pytest.raises(ValidationError):
+            _SortedCells.of(np.zeros(3)).codes(np.asarray([0.0, 1.0, 0.5]))
 
 
 class TestKmeansUpdate:

@@ -1,0 +1,89 @@
+"""Golden SHA-256 digests of the learner's outputs on pinned inputs.
+
+The `.aaacq` bytes written by `aaacq quantize --method aaac` and the float64
+objective traces of `learn` are pinned bit for bit.  A change to the learner
+that moves any of these digests changes what the program produces; such a
+change needs its own justification and a new pin, never a silent update.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from aaacq.cli import main
+from aaacq.codebooks import AaacConfig, learn
+from aaacq.grids import get_format
+from aaacq.tensors import load_tensor_archive
+
+ARCHIVES = {
+    "mixture": ["--kind", "mixture"],
+    # absmax / 6 exceeds E4M3's 448, so the clamped scales leave normalized
+    # weights near 1e34.
+    "huge": ["--kind", "gaussian", "--sigma", "1e36"],
+}
+
+CONFIGS = {
+    "nvfp4": ("mixture", ["--format", "nvfp4"]),
+    "int4-g128-s16": ("mixture", ["--format", "int4", "-g", "128", "-S", "16"]),
+    "nvfp4-e4m3": ("mixture", ["--format", "nvfp4", "--scale-mode", "emulate-e4m3"]),
+    "nvfp4-e4m3-huge": ("huge", ["--format", "nvfp4", "--scale-mode", "emulate-e4m3"]),
+}
+
+PACK_SHA256 = {
+    "nvfp4": "74eab692f08994370d510587e5cfeb1513598bf8ae22fdff544fc076354ad507",
+    "int4-g128-s16": "01bd259628909905553059b0ed13dabf5dbad40a86ec984cdd931122dbd6ba32",
+    "nvfp4-e4m3": "0567ba6cbcc477a0448a7dd579410d4f32324b7040b39e49ffd6bb95cf282f6b",
+    "nvfp4-e4m3-huge": "4611da3ee4731eae82c217b3d028e5c66462ba37833b7663dc9cf39fef9eea24",
+}
+
+TRACE_SHA256 = {
+    "nvfp4": "edc193d30c2305314d0ced07783f1561df6ac2421cb8619ff67952a0bcd67a59",
+    "int4-g128-s16": "f567c5dde6c20d830d7d1883ea3205bbd9509931c2dbaab25d9880a786e79192",
+    "nvfp4-e4m3": "dab761fc027e47e9e3378393823bfc9516da5c71284039f1866b156284bff4b9",
+    "nvfp4-e4m3-huge": "fb1b19e55cac16ec70d36852cefc3f8ee06408ec4883e19b5a5142f7301f1127",
+}
+
+
+def run(*argv):
+    return main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="module")
+def archives(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for name, flags in ARCHIVES.items():
+        paths[name] = root / f"{name}.safetensors"
+        assert run("synth", "--out", paths[name], "--layers", "3", *flags,
+                   "-N", "16", "-K", "512", "-T", "32", "--seed", "11") == 0
+    return paths
+
+
+def _learn_config(flags):
+    fmt = get_format(flags[flags.index("--format") + 1])
+    g = int(flags[flags.index("-g") + 1]) if "-g" in flags else fmt.group_size
+    s = int(flags[flags.index("-S") + 1]) if "-S" in flags else g
+    mode = flags[flags.index("--scale-mode") + 1] if "--scale-mode" in flags else "exact-bf16"
+    return AaacConfig(fmt=fmt, group_size=g, sel_size=s, scale_mode=mode)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_pack_bytes(tmp_path, archives, name):
+    source, flags = CONFIGS[name]
+    out = tmp_path / "m.aaacq"
+    assert run("quantize", archives[source], "--out", out, "--method", "aaac",
+               "--threads", "1", *flags) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PACK_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_trace_bytes(archives, name):
+    source, flags = CONFIGS[name]
+    cfg = _learn_config(flags)
+    digest = hashlib.sha256()
+    for bundle in load_tensor_archive(archives[source]):
+        trace = learn(bundle, cfg).trace
+        assert trace.dtype == np.float64
+        digest.update(trace.tobytes())
+    assert digest.hexdigest() == TRACE_SHA256[name]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aaacq.errors import CorruptionError, LayoutError
+from aaacq.errors import CorruptionError, LayoutError, ValidationError
 from aaacq.grids import INT4, NVFP4, base_table, compute_scales
 from aaacq.quantizers import (
     dequantize,
@@ -64,6 +64,10 @@ class TestRecon:
     def test_matches_brute_force_property(self, entries, x):
         table = np.sort(np.asarray(entries, dtype=np.float64))
         assert recon(table, x) == brute_force_recon(table, x)
+
+    def test_decreasing_table_is_rejected(self):
+        with pytest.raises(ValidationError):
+            recon_codes(np.asarray([0.0, 1.0, 0.5]), np.asarray([0.2]))
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(1)

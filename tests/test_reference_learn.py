@@ -17,7 +17,7 @@ from test_grids import bf16_positive_grid, nearest_tie_even
 
 from aaacq.codebooks import AaacConfig, importance, learn
 from aaacq.grids import INT4, NVFP4
-from aaacq.tensors import SynthSpec, synth_layer
+from aaacq.tensors import LayerBundle, SynthSpec, synth_layer
 
 BF16_GRID, _BF16_PATTERNS = bf16_positive_grid()
 
@@ -167,6 +167,25 @@ def test_learn_matches_reference_without_activations():
     t0, t1, sel, codes, scales = reference_learn(
         bundle.weights, [1.0] * 64, INT4, 16, 1, 2
     )
+    assert res.table0.tolist() == t0
+    assert res.table1.tolist() == t1
+    assert res.selection.tolist() == sel
+    assert res.codes.tolist() == codes
+
+
+@pytest.mark.parametrize("value", [0.37, -1.5, 3e-3])
+@pytest.mark.parametrize("fmt", [INT4, NVFP4], ids=["int4", "nvfp4"])
+def test_constant_layer_matches_reference(fmt, value):
+    # Every weight normalizes to one value, so quantile init gives tables of
+    # equal entries and a cell's centroid can round one ulp past untouched
+    # ones: the learner must keep its tables sorted between Lloyd steps.
+    w = np.full((4, 64), value, dtype=np.float32)
+    cfg = AaacConfig(fmt=fmt, group_size=16, sel_size=16)
+    res = learn(LayerBundle("const", w), cfg, col_importance=np.ones(64))
+    t0, t1, sel, codes, scales = reference_learn(
+        w, [1.0] * 64, fmt, 16, cfg.n_outer, cfg.n_inner
+    )
+    assert np.array_equal(res.scales, np.asarray(scales, dtype=np.float32))
     assert res.table0.tolist() == t0
     assert res.table1.tolist() == t1
     assert res.selection.tolist() == sel
