@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebooks import AaacConfig, importance, learn, weighted_error
+from .codebooks import AaacConfig, layer_importance, learn, weighted_error
 from .errors import UndefinedGapError, ValidationError
 from .grids import E4M3_MAX, round_e4m3
 from .packfmt import selection_overhead_bpw
@@ -179,8 +179,11 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_method(bundle: LayerBundle, method: str, cfg: AaacConfig):
-    """Quantize one layer with one method; returns (reconstruction, table_size, sel_size)."""
+def _run_method(bundle: LayerBundle, method: str, cfg: AaacConfig, col_importance=None):
+    """Quantize one layer with one method; returns (reconstruction, table_size, sel_size).
+
+    `col_importance`, when given, is the layer's `layer_importance`.
+    """
     w = bundle.weights
     if method == "rtn":
         codes, scales = rtn_quantize(w, cfg.fmt, cfg.group_size, cfg.scale_mode)
@@ -195,7 +198,7 @@ def _run_method(bundle: LayerBundle, method: str, cfg: AaacConfig):
         w_hat = dequantize(codes, scales, t0, t1, bits, cfg.group_size, cfg.group_size)
         return w_hat, t0.size, cfg.group_size
     if method == "aaac":
-        res = learn(bundle, cfg)
+        res = learn(bundle, cfg, col_importance)
         w_hat = dequantize(
             res.codes, res.scales, res.table0, res.table1,
             res.selection, cfg.group_size, cfg.sel_size,
@@ -212,17 +215,17 @@ def layer_metrics(
     sel_size: int,
     table_size: int,
     output_activations: np.ndarray | None = None,
+    col_importance: np.ndarray | None = None,
 ) -> LayerMetrics:
     """Metrics for one reconstructed layer.
 
-    Importance weighting always uses the bundle's calibration activations;
+    Importance weighting always uses the bundle's calibration activations
+    (`layer_importance`, or `col_importance` when the caller has it already);
     `output_activations` substitutes the activations used for the output-MSE
     metric (for simulated low-precision inference).
     """
     w = bundle.weights
-    imp = importance(bundle.activations) if bundle.activations is not None else np.ones(w.shape[1])
-    if not imp.any():
-        imp = np.ones(w.shape[1])
+    imp = layer_importance(bundle) if col_importance is None else col_importance
     x_out = output_activations if output_activations is not None else bundle.activations
     d = w.astype(np.float64) - w_hat.astype(np.float64)
     return LayerMetrics(
@@ -257,23 +260,26 @@ def compare(
         if m not in METHODS:
             raise ValidationError(f"unknown method {m!r}; supported: {list(METHODS)}")
 
-    tasks = [
-        (method, bundle)
-        for method in sorted(set(methods))
-        for bundle in sorted(bundles, key=lambda b: b.name)
-    ]
+    ordered = sorted(bundles, key=lambda b: b.name)
+    tasks = [(method, i) for method in sorted(set(methods)) for i in range(len(ordered))]
 
     def evaluate(task):
-        method, bundle = task
-        w_hat, table_size, sel_size = _run_method(bundle, method, cfg)
-        return layer_metrics(bundle, method, w_hat, cfg.group_size, sel_size, table_size)
+        method, i = task
+        bundle, imp = ordered[i], importances[i]
+        w_hat, table_size, sel_size = _run_method(bundle, method, cfg, imp)
+        return layer_metrics(
+            bundle, method, w_hat, cfg.group_size, sel_size, table_size, col_importance=imp
+        )
 
+    # Each layer's importance is computed once and shared by its methods.
     if threads > 1 and len(tasks) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
+            importances = list(pool.map(layer_importance, ordered))
             rows = list(pool.map(evaluate, tasks))
     else:
+        importances = [layer_importance(b) for b in ordered]
         rows = [evaluate(t) for t in tasks]
 
     aggregates: dict[str, dict[str, float | None]] = {}

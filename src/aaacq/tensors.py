@@ -11,6 +11,7 @@ same number of input columns.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -105,16 +106,19 @@ def read_tensors(path) -> dict[str, np.ndarray]:
         if name == "__metadata__":
             continue
         try:
-            dtype = entry["dtype"]
+            dtype = str(entry["dtype"])
             shape = tuple(int(d) for d in entry["shape"])
             start, end = (int(v) for v in entry["data_offsets"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: malformed header entry for {name!r}") from exc
         if dtype not in _DTYPE_SIZES:
             raise UnsupportedDtypeError(
                 f"{path}: tensor {name!r} has unsupported dtype {dtype!r}"
             )
-        nbytes = int(np.prod(shape, dtype=np.int64)) * _DTYPE_SIZES[dtype]
+        if any(d < 0 for d in shape):
+            raise FormatError(f"{path}: tensor {name!r} has negative dimensions {list(shape)}")
+        # Python ints: a product of huge dimensions must not wrap around.
+        nbytes = math.prod(shape) * _DTYPE_SIZES[dtype]
         if start < 0 or end > len(payload) or end - start != nbytes:
             raise FormatError(
                 f"{path}: tensor {name!r} offsets [{start}, {end}) are inconsistent "

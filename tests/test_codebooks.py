@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aaacq import codebooks
 from aaacq.codebooks import (
     AaacConfig,
+    _Members,
     _SortedCells,
     importance,
     init_tables,
@@ -191,22 +192,6 @@ class TestSortedCells:
         assert got.dtype == np.intp
         assert got.tolist() == recon_codes(table, values).tolist()
 
-    @given(tables_and_values(), tables_and_values(), st.randoms(use_true_random=False))
-    @settings(max_examples=200, deadline=None)
-    def test_split_codes_match_recon_codes_per_part(self, case0, case1, rnd):
-        # Members of table 1 come after those of table 0; their codes are
-        # offset by the table size.
-        (t0, values), (t1, _) = case0, case1
-        m = max(t0.size, t1.size)
-        t0 = np.concatenate([t0, np.full(m - t0.size, t0[-1])])
-        t1 = np.concatenate([t1, np.full(m - t1.size, t1[-1])])
-        mask = np.asarray([rnd.random() < 0.5 for _ in range(values.size)], dtype=bool)
-        cells = _SortedCells.of(values).split(mask)
-        assert cells.parts == (int((~mask).sum()), int(mask.sum()))
-        assert values[cells.source].tolist() == values[~mask].tolist() + values[mask].tolist()
-        want = np.concatenate([recon_codes(t0, values[~mask]), recon_codes(t1, values[mask]) + m])
-        assert cells.codes(np.concatenate([t0, t1])).tolist() == want.tolist()
-
     def test_two_dimensional_layout(self):
         rng = np.random.default_rng(7)
         values = rng.standard_normal((6, 40))
@@ -252,6 +237,133 @@ class TestSortedCells:
             _SortedCells.of(np.zeros(3)).codes(np.asarray([0.0, 1.0, 0.5]))
 
 
+@st.composite
+def moved_table(draw, table):
+    """`table` after one move of each entry: kept, nudged a few ulps (into or
+    out of the small-gap fallback), shifted, doubled (across 2**1000 for
+    tables of scale 1e300), set to a neighbour (a duplicate appears, or
+    moves from one distinct entry to another; a nudge or shift of a
+    duplicate makes it disappear) or set to a signed zero."""
+    out = table.copy()
+    big = float(np.abs(table).max()) or 1.0
+    for j in range(out.size):
+        kind = draw(st.sampled_from(["keep", "ulps", "shift", "double", "dup", "next", "zero"]))
+        if kind == "ulps":
+            for _ in range(draw(st.integers(1, 4))):
+                out[j] = np.nextafter(out[j], draw(st.sampled_from([-np.inf, np.inf])))
+        elif kind == "shift":
+            out[j] += draw(st.floats(-0.25, 0.25)) * big
+        elif kind == "double":
+            out[j] *= 2.0
+        elif kind == "dup" and j:
+            out[j] = out[j - 1]
+        elif kind == "next" and j + 1 < out.size:
+            out[j] = table[j + 1]
+        elif kind == "zero":
+            out[j] = draw(st.sampled_from([0.0, -0.0]))
+    out = out[np.isfinite(out)]
+    return np.sort(out) if out.size == table.size else table
+
+
+class TestMembers:
+    @staticmethod
+    def want(tables, values, mask):
+        m = tables.shape[1]
+        return np.concatenate(
+            [recon_codes(tables[0], values[~mask]), recon_codes(tables[1], values[mask]) + m]
+        )
+
+    @given(tables_and_values(), tables_and_values(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_moved_codes_match_recon_codes_per_table(self, case0, case1, data):
+        # Members of table 1 come after those of table 0; their codes are
+        # offset by the table size.  After any sequence of moves the kept
+        # codes equal a fresh search of each table's members.
+        (t0, values), (t1, _) = case0, case1
+        m = max(t0.size, t1.size)
+        t0 = np.concatenate([t0, np.full(m - t0.size, t0[-1])])
+        t1 = np.concatenate([t1, np.full(m - t1.size, t1[-1])])
+        tables = np.stack([t0, t1])
+        # Either table may have no members.
+        split = data.draw(st.sampled_from(["none", "all", "some"]))
+        if split == "some":
+            picks = data.draw(st.lists(st.booleans(), min_size=values.size, max_size=values.size))
+        else:
+            picks = [split == "all"] * values.size
+        mask = np.asarray(picks, dtype=bool)
+        cells = _SortedCells.of(values)
+        members = _Members(cells, mask, tables, [cells.codes(t) for t in tables])
+        assert members.split == int((~mask).sum())
+        assert values[members.source].tolist() == values[~mask].tolist() + values[mask].tolist()
+        assert members.codes.tolist() == self.want(tables, values, mask).tolist()
+        for _ in range(data.draw(st.integers(1, 4))):
+            tables = np.stack([data.draw(moved_table(t)) for t in tables])
+            members.move(tables)
+            assert members.codes.tolist() == self.want(tables, values, mask).tolist()
+
+    @pytest.fixture()
+    def searched(self, monkeypatch):
+        """Sizes of the value sets handed to recon_codes."""
+        sizes = []
+
+        def spy(table, values):
+            sizes.append(np.asarray(values).size)
+            return recon_codes(table, values)
+
+        monkeypatch.setattr(codebooks, "recon_codes", spy)
+        return sizes
+
+    def test_a_move_searches_only_window_values(self, searched):
+        values = np.linspace(-2.0, 2.0, 401)  # steps of 0.01
+        mask = np.zeros(values.size, dtype=bool)
+        mask[1::2] = True
+        cells = _SortedCells.of(values)
+        tables = np.asarray([[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
+        members = _Members(cells, mask, tables, [cells.codes(t) for t in tables])
+        searched.clear()
+        # Table 0's midpoints move from -0.5 to -0.44 and from 0.5 to 0.56.
+        # Of the values crossed, only -0.44 and 0.56, both of table 0, lie
+        # on a new midpoint; the rest get their new cell's label.  Table 1
+        # stays put, and its windows hold only -0.5 and 0.5, of table 0.
+        tables = np.asarray([[-1.0, 0.12, 1.0], [-1.0, 0.0, 1.0]])
+        members.move(tables)
+        assert members.codes.tolist() == self.want(tables, values, mask).tolist()
+        assert searched == [2]
+
+    def test_changed_entry_structure_takes_a_full_pass(self, searched):
+        values = np.linspace(-2.0, 2.0, 41)
+        mask = np.zeros(values.size, dtype=bool)
+        cells = _SortedCells.of(values)
+        tables = np.asarray([[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
+        members = _Members(cells, mask, tables, [cells.codes(t) for t in tables])
+        tables = np.asarray([[-1.0, -1.0, 1.0], [-1.0, 0.0, 1.0]])  # a duplicate appears
+        members.move(tables)
+        assert members.codes.tolist() == self.want(tables, values, mask).tolist()
+        searched.clear()
+        # Still two distinct entries, but the cell of 1.0 is now labelled 1.
+        tables = np.asarray([[-1.0, 1.0, 1.0], [-1.0, 0.0, 1.0]])
+        members.move(tables)
+        assert members.codes.tolist() == self.want(tables, values, mask).tolist()
+        assert searched == [1]  # a full pass: only 0.0, on the midpoint, is searched
+
+    def test_learn_inner_steps_search_a_small_share(self, searched, monkeypatch):
+        full = []
+        codes = _SortedCells.codes
+
+        def counted(cells, table):
+            full.append(cells.sorted.size)
+            return codes(cells, table)
+
+        monkeypatch.setattr(_SortedCells, "codes", counted)
+        bundle = make_bundle(1, rows=64, cols=512)
+        learn(bundle, AaacConfig.for_format(NVFP4, n_outer=2, n_inner=4))
+        # Full passes only for the assignment steps and the final codes: the
+        # inner steps rewrite codes in place and hand recon_codes only the
+        # values in a window, never a whole member set.
+        assert len(full) == 2 * 2 + 2
+        assert all(size < bundle.weights.size // 20 for size in searched)
+
+
 class TestKmeansUpdate:
     def test_singleton_cells(self):
         t = kmeans_update([0.4, 0.6], [0.0, 1.0], [1.0, 1.0], 1)
@@ -279,6 +391,20 @@ class TestKmeansUpdate:
             5,
         )
         assert (np.diff(t) >= 0).all()
+
+    @given(tables_and_values(), st.integers(1, 5), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_plain_lloyd_loop(self, case, n_inner, rnd):
+        table, values = case
+        assume(np.isfinite(np.abs(values).sum()))
+        weights = np.asarray([rnd.choice([0.0, 0.5, rnd.random()]) for _ in values])
+        t = table
+        for _ in range(n_inner):
+            codes = recon_codes(t, values)
+            num = np.bincount(codes, weights=weights * values, minlength=t.size)
+            den = np.bincount(codes, weights=weights, minlength=t.size)
+            t = np.sort(np.where(den > 0, num / np.where(den > 0, den, 1.0), t))
+        assert kmeans_update(table, values, weights, n_inner).tolist() == t.tolist()
 
     def test_objective_non_increasing_per_iteration(self):
         rng = np.random.default_rng(6)

@@ -1,7 +1,8 @@
-"""Golden SHA-256 digests of the learner's outputs on pinned inputs.
+"""Golden SHA-256 digests of the program's outputs on pinned inputs.
 
-The `.aaacq` bytes written by `aaacq quantize --method aaac` and the float64
-objective traces of `learn` are pinned bit for bit.  A change to the learner
+The `.aaacq` bytes written by `aaacq quantize` (aaac, rtn and if4), the
+float64 objective traces of `learn` and the `aaacq compare --json` report
+bytes are pinned bit for bit.  A change to the learner
 that moves any of these digests changes what the program produces; such a
 change needs its own justification and a new pin, never a silent update.
 """
@@ -43,6 +44,34 @@ TRACE_SHA256 = {
     "nvfp4-e4m3": "dab761fc027e47e9e3378393823bfc9516da5c71284039f1866b156284bff4b9",
     "nvfp4-e4m3-huge": "fb1b19e55cac16ec70d36852cefc3f8ee06408ec4883e19b5a5142f7301f1127",
 }
+
+
+# Fixed-grid packs: the learner is bypassed.
+FIXED_GRID = {
+    "rtn-nvfp4": ("mixture", "rtn", ["--format", "nvfp4"]),
+    "rtn-int4-g128": ("mixture", "rtn", ["--format", "int4", "-g", "128"]),
+    "rtn-nvfp4-e4m3-huge": ("huge", "rtn", ["--format", "nvfp4", "--scale-mode", "emulate-e4m3"]),
+    "if4-nvfp4": ("mixture", "if4", ["--format", "nvfp4"]),
+    "if4-nvfp4-e4m3-huge": ("huge", "if4", ["--format", "nvfp4", "--scale-mode", "emulate-e4m3"]),
+}
+
+FIXED_GRID_PACK_SHA256 = {
+    "rtn-nvfp4": "88ee7d217f77af8bf690e678a7d7089ef1cab7e84effd2837a6aa9bbf33a44ea",
+    "rtn-int4-g128": "e174e7f1f9a4107cf334846b2c1948feae02ccf7ac805858790a476643e7ca1d",
+    "rtn-nvfp4-e4m3-huge": "9d1b7102f9b4fe532bba2c24c6f75497c748eb159c1f2418f3900d021a7fce74",
+    "if4-nvfp4": "dd1a226bc6620688daf2a08ac1e7c146d33a664232ff3a6a5456bfd10bed7b19",
+    "if4-nvfp4-e4m3-huge": "06cd8b1e07961c62cd517d71fdf0b78a05c794e932c8e41fd8b71eff4b72baf6",
+}
+
+# `compare --json` with the default methods rtn,if4,aaac on the mixture
+# archive; the report must not depend on the thread count.
+COMPARE_JSON_SHA256 = {
+    "nvfp4": "551596b37483f2c3bcffc48a0339156ee98f16fbe1fa69d3f3df1fe3905343c5",
+    "int4-g128-s16": "ad3da8596d7639eccc74cb2c86e0eb6f477818562e5e4eee3e6f9460c938f24e",
+}
+
+# `compare --json` with no archive: the built-in pinned suite, seed 0.
+PINNED_SUITE_COMPARE_SHA256 = "d0c0b90425462e0a90cb6797057bb1af6214f0729380166c57eac6600b2a40ff"
 
 
 def run(*argv):
@@ -87,3 +116,28 @@ def test_trace_bytes(archives, name):
         assert trace.dtype == np.float64
         digest.update(trace.tobytes())
     assert digest.hexdigest() == TRACE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_GRID))
+def test_fixed_grid_pack_bytes(tmp_path, archives, name):
+    source, method, flags = FIXED_GRID[name]
+    out = tmp_path / "m.aaacq"
+    assert run("quantize", archives[source], "--out", out, "--method", method,
+               "--threads", "1", *flags) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXED_GRID_PACK_SHA256[name]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(COMPARE_JSON_SHA256))
+def test_compare_json_bytes(tmp_path, archives, name, threads):
+    out = tmp_path / "compare.json"
+    assert run("compare", archives["mixture"], "--json", "--out", out,
+               "--threads", threads, *CONFIGS[name][1]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COMPARE_JSON_SHA256[name]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pinned_suite_compare_json_bytes(capsys, threads):
+    assert run("compare", "--json", "--threads", threads) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SUITE_COMPARE_SHA256

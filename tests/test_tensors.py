@@ -1,11 +1,15 @@
 """Archive round trips, pairing rules, and synthetic layer generation."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aaacq
 from aaacq.errors import (
     FormatError,
     PairingError,
@@ -166,6 +170,54 @@ class TestArchiveIO:
         )
         with pytest.raises(FormatError):
             read_tensors(path)
+
+    # Both shapes pass a byte count that is a product in int64: (-2) * (-2)
+    # is 4, and 2**62 * 4 wraps to 0.
+    BAD_SHAPES = {
+        "negative": ([-2, -2], [0, 16], 16),
+        "wrapping": ([2 ** 62, 4], [0, 0], 0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+    def test_bad_shape_is_a_format_error(self, tmp_path, case):
+        shape, offsets, size = self.BAD_SHAPES[case]
+        path = tmp_path / "a.safetensors"
+        write_raw_archive(
+            path, {"q.weight": {"dtype": "F32", "shape": shape, "data_offsets": offsets}},
+            b"\x00" * size,
+        )
+        with pytest.raises(FormatError):
+            read_tensors(path)
+
+    @pytest.mark.parametrize("entry, error", [
+        ({"dtype": ["F32"], "shape": [1], "data_offsets": [0, 4]}, UnsupportedDtypeError),
+        ({"dtype": "F32", "shape": [float("inf")], "data_offsets": [0, 4]}, FormatError),
+        ({"dtype": "F32", "shape": [1], "data_offsets": [0, float("inf")]}, FormatError),
+    ])
+    def test_malformed_entry_is_rejected(self, tmp_path, entry, error):
+        path = tmp_path / "a.safetensors"
+        write_raw_archive(path, {"q.weight": entry}, b"\x00" * 4)
+        with pytest.raises(error):
+            read_tensors(path)
+
+    @pytest.mark.parametrize("case", sorted(BAD_SHAPES))
+    def test_cli_exits_1_on_bad_shape(self, tmp_path, case):
+        shape, offsets, size = self.BAD_SHAPES[case]
+        path = tmp_path / "a.safetensors"
+        write_raw_archive(
+            path, {"q.weight": {"dtype": "F32", "shape": shape, "data_offsets": offsets}},
+            b"\x00" * size,
+        )
+        src = os.path.dirname(os.path.dirname(aaacq.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "aaacq.cli", "quantize", str(path),
+             "--out", str(tmp_path / "m.aaacq"), "--method", "rtn"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_non_2d_weight_rejected(self, tmp_path):
         path = tmp_path / "a.safetensors"
