@@ -11,67 +11,31 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
-import numpy as np
-
-from . import codebooks, metrics, packfmt, quantizers, tensors
+from . import codebooks, metrics, packfmt, tensors
 from .errors import AaacqError, PairingError, ValidationError
-from .grids import base_table, get_format
+from .grids import get_format
+from .metrics import parallel_map as _parallel_map
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved flags for one command invocation."""
-
-    fmt_name: str
-    group_size: int
-    sel_size: int
-    n_outer: int
-    n_inner: int
-    scale_mode: str
-    seed: int
-    threads: int
-
-    def aaac_config(self) -> codebooks.AaacConfig:
-        return codebooks.AaacConfig(
-            fmt=get_format(self.fmt_name),
-            group_size=self.group_size,
-            sel_size=self.sel_size,
-            n_outer=self.n_outer,
-            n_inner=self.n_inner,
-            scale_mode=self.scale_mode,
-        )
-
-
-def _resolve_config(args) -> RunConfig:
-    fmt = get_format(args.format)
-    group_size = args.group_size if args.group_size else fmt.group_size
-    sel_size = args.sel_size if args.sel_size else group_size
+def _resolve_config(args) -> tuple[codebooks.AaacConfig, int]:
+    """The learner configuration and worker thread count the flags ask for."""
     env_threads = os.environ.get("AAAC_THREADS", "")
     try:
         threads = int(env_threads) if env_threads else 0
     except ValueError:
         raise ValidationError(f"AAAC_THREADS must be an integer, got {env_threads!r}")
-    threads = threads or args.threads or os.cpu_count() or 1
-    return RunConfig(
-        fmt_name=fmt.kind,
+    fmt = get_format(args.format)
+    group_size = args.group_size or fmt.group_size
+    cfg = codebooks.AaacConfig(
+        fmt=fmt,
         group_size=group_size,
-        sel_size=sel_size,
+        sel_size=args.sel_size or group_size,
         n_outer=args.iters_outer,
         n_inner=args.iters_inner,
         scale_mode=args.scale_mode,
-        seed=args.seed,
-        threads=threads,
     )
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    return cfg, threads or args.threads or os.cpu_count() or 1
 
 
 def _log(msg: str) -> None:
@@ -96,52 +60,27 @@ def _check_paths(inputs=(), outputs=()) -> None:
 # ---------------------------------------------------------------------------
 
 def _quantize_layer(bundle: tensors.LayerBundle, method: str, cfg) -> packfmt.PackedLayer:
-    w = bundle.weights
-    if method == "rtn":
-        codes, scales = quantizers.rtn_quantize(w, cfg.fmt, cfg.group_size, cfg.scale_mode)
-        table = base_table(cfg.fmt)
-        zeros = np.zeros((w.shape[0], w.shape[1] // cfg.group_size), dtype=np.uint8)
-        return packfmt.pack(
-            table, table, zeros, codes, scales,
-            kind=cfg.fmt.kind, group_size=cfg.group_size, sel_size=cfg.group_size,
-            method="rtn",
-        )
-    if method == "if4":
-        codes, scales, bits = quantizers.if4_quantize(w, cfg.group_size, cfg.scale_mode)
-        t0, t1 = quantizers.if4_tables()
-        return packfmt.pack(
-            t0, t1, bits, codes, scales,
-            kind="nvfp4", group_size=cfg.group_size, sel_size=cfg.group_size,
-            method="if4",
-        )
-    if method == "aaac":
-        res = codebooks.learn(bundle, cfg)
+    """`quantize`'s task: one layer's pack, with the layer named in any error."""
+    try:
+        packed, trace = metrics.quantize_layer(bundle, method, cfg)
+    except AaacqError as exc:
+        raise AaacqError(f"layer {bundle.name!r}: {exc}") from exc
+    if trace is not None:
         _log(
-            f"  {bundle.name}: objective {res.trace[0]:.6e} -> {res.trace[-1]:.6e} "
-            f"({res.trace.size} steps)"
+            f"  {bundle.name}: objective {trace[0]:.6e} -> {trace[-1]:.6e} "
+            f"({trace.size} steps)"
         )
-        return packfmt.pack(
-            res.table0, res.table1, res.selection, res.codes, res.scales,
-            kind=cfg.fmt.kind, group_size=cfg.group_size, sel_size=cfg.sel_size,
-            method="aaac",
-        )
-    raise ValidationError(f"unknown method {method!r}; supported: {list(metrics.METHODS)}")
+    return packed
 
 
 def cmd_quantize(args) -> int:
     _check_paths(inputs=[args.archive], outputs=[args.out])
-    run = _resolve_config(args)
-    cfg = run.aaac_config()
+    cfg, threads = _resolve_config(args)
     bundles = tensors.load_tensor_archive(args.archive)
     started = time.perf_counter()
-
-    def work(bundle):
-        try:
-            return bundle.name, _quantize_layer(bundle, args.method, cfg)
-        except AaacqError as exc:
-            raise AaacqError(f"layer {bundle.name!r}: {exc}") from exc
-
-    results = _parallel_map(work, bundles, run.threads)
+    results = _parallel_map(
+        lambda b: (b.name, _quantize_layer(b, args.method, cfg)), bundles, threads
+    )
     packfmt.write_pack(args.out, sorted(results, key=lambda item: item[0]))
     _log(
         f"quantized {len(results)} layers with {args.method} "
@@ -153,12 +92,7 @@ def cmd_quantize(args) -> int:
 def cmd_dequantize(args) -> int:
     _check_paths(inputs=[args.pack], outputs=[args.out])
     layers = packfmt.read_pack(args.pack)
-    out = {}
-    for name, p in layers:
-        t0, t1, sel, codes, scales = packfmt.unpack(p)
-        out[name + ".weight"] = quantizers.dequantize(
-            codes, scales, t0, t1, sel, p.group_size, p.sel_size
-        )
+    out = {name + ".weight": metrics.reconstruct(p) for name, p in layers}
     tensors.write_tensors(args.out, out)
     _log(f"dequantized {len(layers)} layers -> {args.out}")
     return 0
@@ -187,34 +121,11 @@ def cmd_eval(args) -> int:
         if name not in bundles:
             raise PairingError(f"packed layer {name!r} has no weights in {args.archive}")
         bundle = bundles[name]
-        t0, t1, sel, codes, scales = packfmt.unpack(p)
-        if (p.rows, p.cols) != bundle.weights.shape:
-            raise PairingError(
-                f"packed layer {name!r} shape {(p.rows, p.cols)} does not match "
-                f"archive shape {bundle.weights.shape}"
-            )
-        w_hat = quantizers.dequantize(codes, scales, t0, t1, sel, p.group_size, p.sel_size)
         x_out = None
         if args.w4a8 and bundle.activations is not None:
             x_out = metrics.simulate_w4a8(bundle.activations)
-        rows.append(
-            metrics.layer_metrics(
-                bundle, p.method, w_hat, p.group_size, p.sel_size, p.table_size,
-                output_activations=x_out,
-            )
-        )
-    rows.sort(key=lambda r: (r.method, r.layer))
-    aggregates = {}
-    for method in sorted({r.method for r in rows}):
-        mrows = [r for r in rows if r.method == method]
-        out_vals = [r.output_mse for r in mrows if r.output_mse is not None]
-        aggregates[method] = {
-            "mse": float(np.mean([r.mse for r in mrows])),
-            "weighted_err": float(np.mean([r.weighted_err for r in mrows])),
-            "output_mse": float(np.mean(out_vals)) if len(out_vals) == len(mrows) else None,
-            "bpw": float(np.mean([r.bpw for r in mrows])),
-        }
-    _emit_report(metrics.EvalReport(rows=tuple(rows), aggregates=aggregates), args)
+        rows.append(metrics.score(bundle, p, output_activations=x_out))
+    _emit_report(metrics.report(rows), args)
     return 0
 
 
@@ -239,17 +150,16 @@ def _pinned_suite(seed: int) -> list[tensors.LayerBundle]:
 
 def cmd_compare(args) -> int:
     _check_paths(inputs=[args.archive] if args.archive else [], outputs=[args.out])
-    run = _resolve_config(args)
-    cfg = run.aaac_config()
+    cfg, threads = _resolve_config(args)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ValidationError("no methods given")
     if args.archive:
         bundles = tensors.load_tensor_archive(args.archive)
     else:
-        bundles = _pinned_suite(run.seed)
+        bundles = _pinned_suite(args.seed)
     started = time.perf_counter()
-    report = metrics.compare(bundles, methods, cfg, threads=run.threads)
+    report = metrics.compare(bundles, methods, cfg, threads=threads)
     _log(f"compared {len(bundles)} layers in {time.perf_counter() - started:.2f}s")
     _emit_report(report, args)
     return 0

@@ -1,5 +1,9 @@
 """Quality measurement: reconstruction errors, gap recovery, W4A8 simulation.
 
+It also holds the one per-layer quantize path (`quantize_layer`, used by the
+`quantize` and `compare` commands) and the one scoring path (`score`, which
+decodes a packed layer as `eval` does), so `compare` measures what ships.
+
 Gap recovery summarizes a method against the round-to-nearest baseline as
 the percentage of the quantization-induced degradation it removes relative
 to full precision.  At desk scale the full-precision reconstruction error is
@@ -12,21 +16,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codebooks import AaacConfig, layer_importance, learn, weighted_error
-from .errors import UndefinedGapError, ValidationError
-from .grids import E4M3_MAX, round_e4m3
-from .packfmt import selection_overhead_bpw
-from .quantizers import (
-    dequantize,
-    dequantize_rtn,
-    if4_quantize,
-    if4_tables,
-    rtn_quantize,
-)
+from .errors import PairingError, UndefinedGapError, ValidationError
+from .grids import E4M3_MAX, base_table, round_e4m3
+from .packfmt import PackedLayer, pack, selection_overhead_bpw, unpack
+from .quantizers import dequantize, if4_quantize, if4_tables, rtn_quantize
 from .tensors import LayerBundle
 
 METHODS = ("rtn", "if4", "aaac")
@@ -179,32 +178,72 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_method(bundle: LayerBundle, method: str, cfg: AaacConfig, col_importance=None):
-    """Quantize one layer with one method; returns (reconstruction, table_size, sel_size).
+def parallel_map(fn, items, threads: int) -> list:
+    """`[fn(item) for item in items]`, on `threads` worker threads when there are several."""
+    if threads <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
-    `col_importance`, when given, is the layer's `layer_importance`.
+
+def quantize_layer(bundle: LayerBundle, method: str, cfg: AaacConfig, col_importance=None):
+    """Quantize one layer with one method; returns (packed layer, learner trace).
+
+    The trace is None for rtn and if4.  `col_importance`, when given, is the
+    layer's `layer_importance`.
     """
     w = bundle.weights
+    sel_size, kind, trace = cfg.group_size, cfg.fmt.kind, None
     if method == "rtn":
         codes, scales = rtn_quantize(w, cfg.fmt, cfg.group_size, cfg.scale_mode)
-        return (
-            dequantize_rtn(codes, scales, cfg.fmt, cfg.group_size),
-            cfg.fmt.table_size,
-            cfg.group_size,
-        )
-    if method == "if4":
-        codes, scales, bits = if4_quantize(w, cfg.group_size, cfg.scale_mode)
+        t0 = t1 = base_table(cfg.fmt)
+        sel = np.zeros((w.shape[0], w.shape[1] // cfg.group_size), dtype=np.uint8)
+    elif method == "if4":
+        codes, scales, sel = if4_quantize(w, cfg.group_size, cfg.scale_mode)
         t0, t1 = if4_tables()
-        w_hat = dequantize(codes, scales, t0, t1, bits, cfg.group_size, cfg.group_size)
-        return w_hat, t0.size, cfg.group_size
-    if method == "aaac":
+        kind = "nvfp4"
+    elif method == "aaac":
         res = learn(bundle, cfg, col_importance)
-        w_hat = dequantize(
-            res.codes, res.scales, res.table0, res.table1,
-            res.selection, cfg.group_size, cfg.sel_size,
+        t0, t1, sel, codes, scales = res.table0, res.table1, res.selection, res.codes, res.scales
+        sel_size, trace = cfg.sel_size, res.trace
+    else:
+        raise ValidationError(f"unknown method {method!r}; supported: {list(METHODS)}")
+    packed = pack(
+        t0, t1, sel, codes, scales,
+        kind=kind, group_size=cfg.group_size, sel_size=sel_size, method=method,
+    )
+    return packed, trace
+
+
+def reconstruct(p: PackedLayer) -> np.ndarray:
+    """The weights a packed layer decodes to."""
+    t0, t1, selection, codes, scales = unpack(p)
+    return dequantize(codes, scales, t0, t1, selection, p.group_size, p.sel_size)
+
+
+def score(
+    bundle: LayerBundle,
+    p: PackedLayer,
+    output_activations: np.ndarray | None = None,
+    col_importance: np.ndarray | None = None,
+) -> LayerMetrics:
+    """`layer_metrics` of a packed layer against the layer it was quantized from."""
+    w_hat = reconstruct(p)
+    if w_hat.shape != bundle.weights.shape:
+        raise PairingError(
+            f"packed layer {bundle.name!r} shape {w_hat.shape} does not match "
+            f"archive shape {bundle.weights.shape}"
         )
-        return w_hat, cfg.fmt.table_size, cfg.sel_size
-    raise ValidationError(f"unknown method {method!r}; supported: {list(METHODS)}")
+    return layer_metrics(
+        bundle, p.method, w_hat, p.group_size, p.sel_size, p.table_size,
+        output_activations=output_activations, col_importance=col_importance,
+    )
+
+
+def _run_method(bundle: LayerBundle, method: str, cfg: AaacConfig, col_importance=None):
+    """`compare`'s task: quantize one layer with one method and score the pack."""
+    packed, _ = quantize_layer(bundle, method, cfg, col_importance)
+    return score(bundle, packed, col_importance=col_importance)
 
 
 def layer_metrics(
@@ -240,50 +279,18 @@ def layer_metrics(
     )
 
 
-def compare(
-    bundles: list[LayerBundle],
-    methods,
-    cfg: AaacConfig,
-    threads: int = 1,
-) -> EvalReport:
-    """Quantize every layer with every requested method and report metrics.
+def report(rows) -> EvalReport:
+    """Assemble per-layer rows into a report.
 
     Rows are ordered by method then layer name; aggregates are means over
-    layers.  When rtn is among the methods, a gap-recovery block compares
-    each other method's aggregate weighted error against the rtn aggregate
-    with the full-precision error fixed at zero.  Layer evaluations are
-    independent and run on `threads` workers; the report is assembled in
-    order either way.
+    layers.  When rtn is among several methods, a gap-recovery block
+    compares each other method's aggregate weighted error against the rtn
+    aggregate with the full-precision error fixed at zero.
     """
-    methods = [m.lower() for m in methods]
-    for m in methods:
-        if m not in METHODS:
-            raise ValidationError(f"unknown method {m!r}; supported: {list(METHODS)}")
-
-    ordered = sorted(bundles, key=lambda b: b.name)
-    tasks = [(method, i) for method in sorted(set(methods)) for i in range(len(ordered))]
-
-    def evaluate(task):
-        method, i = task
-        bundle, imp = ordered[i], importances[i]
-        w_hat, table_size, sel_size = _run_method(bundle, method, cfg, imp)
-        return layer_metrics(
-            bundle, method, w_hat, cfg.group_size, sel_size, table_size, col_importance=imp
-        )
-
-    # Each layer's importance is computed once and shared by its methods.
-    if threads > 1 and len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            importances = list(pool.map(layer_importance, ordered))
-            rows = list(pool.map(evaluate, tasks))
-    else:
-        importances = [layer_importance(b) for b in ordered]
-        rows = [evaluate(t) for t in tasks]
-
+    rows = sorted(rows, key=lambda r: (r.method, r.layer))
+    methods = sorted({r.method for r in rows})
     aggregates: dict[str, dict[str, float | None]] = {}
-    for method in sorted(set(methods)):
+    for method in methods:
         mrows = [r for r in rows if r.method == method]
         out_vals = [r.output_mse for r in mrows if r.output_mse is not None]
         aggregates[method] = {
@@ -294,11 +301,31 @@ def compare(
         }
 
     recovery = None
-    others = sorted(set(methods) - {"rtn"})
-    if "rtn" in methods and others and aggregates["rtn"]["weighted_err"] > 0:
+    others = [m for m in methods if m != "rtn"]
+    if "rtn" in aggregates and others and aggregates["rtn"]["weighted_err"] > 0:
         rtn_err = aggregates["rtn"]["weighted_err"]
-        recovery = {
-            m: gap_recovery(0.0, rtn_err, aggregates[m]["weighted_err"])
-            for m in others
-        }
+        recovery = {m: gap_recovery(0.0, rtn_err, aggregates[m]["weighted_err"]) for m in others}
     return EvalReport(rows=tuple(rows), aggregates=aggregates, recovery=recovery)
+
+
+def compare(
+    bundles: list[LayerBundle],
+    methods,
+    cfg: AaacConfig,
+    threads: int = 1,
+) -> EvalReport:
+    """Quantize every layer with every requested method and `report` the packs' metrics.
+
+    Each row scores the packed layer `quantize` would write, decoded the way
+    `eval` decodes it.  Layer evaluations are independent and run on
+    `threads` workers; the report is the same either way.
+    """
+    methods = sorted({m.lower() for m in methods})
+    for m in methods:
+        if m not in METHODS:
+            raise ValidationError(f"unknown method {m!r}; supported: {list(METHODS)}")
+
+    # Each layer's importance is computed once and shared by its methods.
+    importances = parallel_map(layer_importance, bundles, threads)
+    tasks = [(b, m, cfg, imp) for m in methods for b, imp in zip(bundles, importances)]
+    return report(parallel_map(lambda task: _run_method(*task), tasks, threads))

@@ -82,6 +82,10 @@ def _widen(raw: bytes, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
     return np.ascontiguousarray(arr.reshape(shape).astype(np.float32))
 
 
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)  # bools are not
+
+
 def read_tensors(path) -> dict[str, np.ndarray]:
     """Read all tensors from a safetensors container, widened to float32."""
     with open(path, "rb") as fh:
@@ -95,7 +99,7 @@ def read_tensors(path) -> dict[str, np.ndarray]:
         )
     try:
         header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, overlong ints, deep nesting
         raise FormatError(f"{path}: malformed JSON header at byte 8: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header at byte 8 is not a JSON object")
@@ -106,11 +110,12 @@ def read_tensors(path) -> dict[str, np.ndarray]:
         if name == "__metadata__":
             continue
         try:
-            dtype = str(entry["dtype"])
-            shape = tuple(int(d) for d in entry["shape"])
-            start, end = (int(v) for v in entry["data_offsets"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            dtype, shape, offsets = str(entry["dtype"]), entry["shape"], entry["data_offsets"]
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"{path}: malformed header entry for {name!r}") from exc
+        if not (_int_list(shape) and _int_list(offsets) and len(offsets) == 2):
+            raise FormatError(f"{path}: header entry for {name!r} needs integer shape and offsets")
+        shape, (start, end) = tuple(shape), offsets
         if dtype not in _DTYPE_SIZES:
             raise UnsupportedDtypeError(
                 f"{path}: tensor {name!r} has unsupported dtype {dtype!r}"
@@ -124,7 +129,10 @@ def read_tensors(path) -> dict[str, np.ndarray]:
                 f"{path}: tensor {name!r} offsets [{start}, {end}) are inconsistent "
                 f"with payload size {len(payload)} at byte {8 + header_len + max(start, 0)}"
             )
-        tensors[name] = _widen(payload[start:end], dtype, shape)
+        try:
+            tensors[name] = _widen(payload[start:end], dtype, shape)
+        except ValueError as exc:  # e.g. more dimensions than numpy supports
+            raise FormatError(f"{path}: tensor {name!r} shape {list(shape)}: {exc}") from exc
     return tensors
 
 
@@ -168,7 +176,7 @@ def load_tensor_archive(path) -> list[LayerBundle]:
             layer = name[: -len(_CALIB_SUFFIX)]
             if arr.ndim < 2:
                 raise PairingError(f"{path}: calibration tensor {name!r} is not at least 2-D")
-            calibs[layer] = arr.reshape(-1, arr.shape[-1])
+            calibs[layer] = arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1])
 
     orphans = sorted(set(calibs) - set(weights))
     if orphans:

@@ -237,6 +237,26 @@ class TestCompare:
         assert len(lines) == 3  # header + 2 layers
 
 
+    @pytest.mark.parametrize("method", ["rtn", "if4", "aaac"])
+    @pytest.mark.parametrize("flags", [
+        ("--format", "nvfp4"),
+        ("--format", "int4", "-g", "128", "-S", "16"),
+    ], ids=["nvfp4", "int4-g128-s16"])
+    def test_scores_what_quantize_ships(self, tmp_path, archive, method, flags):
+        # Every compare row equals, field for field, the eval row of the pack
+        # quantize writes with the same flags.
+        compared, pack_path, evaluated = (
+            tmp_path / "compare.json", tmp_path / "m.aaacq", tmp_path / "eval.json"
+        )
+        assert run("compare", archive, "--methods", method, "--json",
+                   "--out", compared, *flags) == 0
+        assert run("quantize", archive, "--out", pack_path, "--method", method, *flags) == 0
+        assert run("eval", pack_path, archive, "--json", "--out", evaluated) == 0
+        rows = json.loads(compared.read_text())["layers"]
+        assert len(rows) == 2
+        assert rows == json.loads(evaluated.read_text())["layers"]
+
+
 class TestEndToEndDeterminism:
     def test_full_pipeline_twice(self, tmp_path):
         outputs = []

@@ -8,9 +8,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import aaacq
 from aaacq.errors import (
+    AaacqError,
     FormatError,
     PairingError,
     UnsupportedDtypeError,
@@ -27,13 +30,14 @@ from aaacq.tensors import (
 )
 
 
-def write_raw_archive(path, entries, payload: bytes):
+def raw_archive(entries, payload: bytes) -> bytes:
     header = json.dumps(entries).encode()
     header += b" " * (-len(header) % 8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        fh.write(payload)
+    return struct.pack("<Q", len(header)) + header + payload
+
+
+def write_raw_archive(path, entries, payload: bytes):
+    path.write_bytes(raw_archive(entries, payload))
 
 
 class TestArchiveIO:
@@ -155,6 +159,16 @@ class TestArchiveIO:
         with pytest.raises(FormatError, match="byte 8"):
             read_tensors(path)
 
+    @pytest.mark.parametrize("header", [
+        b'{"q": ' + b"9" * 5000 + b"}",  # beyond Python's int digit limit
+        b"[" * 100_000 + b"]" * 100_000,  # deeper than the JSON decoder recurses
+    ])
+    def test_unparsable_header_is_a_format_error(self, tmp_path, header):
+        path = tmp_path / "bad.safetensors"
+        path.write_bytes(struct.pack("<Q", len(header)) + header)
+        with pytest.raises(FormatError, match="byte 8"):
+            read_tensors(path)
+
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "tiny.safetensors"
         path.write_bytes(b"\x01\x02")
@@ -193,12 +207,30 @@ class TestArchiveIO:
         ({"dtype": ["F32"], "shape": [1], "data_offsets": [0, 4]}, UnsupportedDtypeError),
         ({"dtype": "F32", "shape": [float("inf")], "data_offsets": [0, 4]}, FormatError),
         ({"dtype": "F32", "shape": [1], "data_offsets": [0, float("inf")]}, FormatError),
+        ({"dtype": "F32", "shape": "1", "data_offsets": [0, 4]}, FormatError),
+        ({"dtype": "F32", "shape": [1.5], "data_offsets": [0, 4]}, FormatError),
+        ({"dtype": "F32", "shape": [True], "data_offsets": [0, 4]}, FormatError),
+        ({"dtype": "F32", "shape": [1], "data_offsets": "04"}, FormatError),
+        ({"dtype": "F32", "shape": [1], "data_offsets": [0.9, 4.2]}, FormatError),
+        # Shapes numpy cannot hold, though their byte count matches.
+        ({"dtype": "F32", "shape": [1] * 100, "data_offsets": [0, 4]}, FormatError),
+        ({"dtype": "F32", "shape": [0, 2 ** 70], "data_offsets": [0, 0]}, FormatError),
     ])
     def test_malformed_entry_is_rejected(self, tmp_path, entry, error):
         path = tmp_path / "a.safetensors"
         write_raw_archive(path, {"q.weight": entry}, b"\x00" * 4)
         with pytest.raises(error):
             read_tensors(path)
+
+    @pytest.mark.parametrize("shape", [[4, 0], [0, 0]])
+    def test_calibration_without_columns_is_a_pairing_error(self, tmp_path, shape):
+        path = tmp_path / "a.safetensors"
+        write_raw_archive(path, {
+            "q.calib": {"dtype": "F32", "shape": shape, "data_offsets": [0, 0]},
+            "q.weight": {"dtype": "F32", "shape": [1, 4], "data_offsets": [0, 16]},
+        }, b"\x00" * 16)
+        with pytest.raises(PairingError):
+            load_tensor_archive(path)
 
     @pytest.mark.parametrize("case", sorted(BAD_SHAPES))
     def test_cli_exits_1_on_bad_shape(self, tmp_path, case):
@@ -224,6 +256,104 @@ class TestArchiveIO:
         write_tensors(path, {"q.weight": np.ones((2, 2, 2), np.float32)})
         with pytest.raises(PairingError):
             load_tensor_archive(path)
+
+
+# One tensor of each dtype, a calibration tensor with a leading batch
+# dimension, and metadata: 64 payload bytes.
+FUZZ_ENTRIES = {
+    "__metadata__": {"format": "pt"},
+    "a.weight": {"dtype": "F32", "shape": [2, 4], "data_offsets": [0, 32]},
+    "a.calib": {"dtype": "F16", "shape": [1, 3, 4], "data_offsets": [32, 56]},
+    "b.weight": {"dtype": "BF16", "shape": [1, 4], "data_offsets": [56, 64]},
+}
+FUZZ_PAYLOAD = bytes(
+    np.linspace(-1, 1, 8, dtype="<f4").tobytes()
+    + np.linspace(0, 2, 12, dtype="<f2").tobytes()
+    + (np.linspace(-3, 3, 4, dtype="<f4").view("<u4") >> 16).astype("<u2").tobytes()
+)
+
+_DTYPE_BYTES = {"F32": 4, "F16": 2, "BF16": 2}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2 ** 70), 2 ** 70)
+    | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+class TestReadFuzz:
+    """Mutated archives load or raise an AaacqError, never anything else."""
+
+    def test_unmutated_archive_loads(self, tmp_path):
+        path = tmp_path / "a.safetensors"
+        path.write_bytes(raw_archive(FUZZ_ENTRIES, FUZZ_PAYLOAD))
+        bundles = load_tensor_archive(path)
+        assert [(b.name, b.weights.shape) for b in bundles] == [("a", (2, 4)), ("b", (1, 4))]
+        assert bundles[0].activations.shape == (3, 4)
+
+    @staticmethod
+    def _load(path, blob):
+        path.write_bytes(blob)
+        try:
+            load_tensor_archive(path)
+        except AaacqError:
+            pass
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        edits=st.lists(st.tuples(st.integers(0, 10 ** 4), st.integers(0, 255)), max_size=6),
+        insert=st.tuples(st.integers(0, 10 ** 4), st.binary(max_size=8)),
+        cut=st.integers(0, 10 ** 4),
+    )
+    def test_mutated_bytes(self, tmp_path, edits, insert, cut):
+        blob = bytearray(raw_archive(FUZZ_ENTRIES, FUZZ_PAYLOAD))
+        for pos, value in edits:
+            blob[pos % len(blob)] = value
+        pos, extra = insert
+        blob[pos % len(blob):pos % len(blob)] = extra
+        self._load(tmp_path / "a.safetensors", bytes(blob[: max(cut, 1)]))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        edits=st.lists(st.tuples(
+            st.sampled_from(sorted(FUZZ_ENTRIES)),
+            st.sampled_from(["dtype", "shape", "data_offsets", None]),
+            json_values | st.lists(st.integers(-1, 4), max_size=4),
+        ), min_size=1, max_size=3),
+        payload_cut=st.integers(0, len(FUZZ_PAYLOAD)),
+    )
+    def test_mutated_header_fields(self, tmp_path, edits, payload_cut):
+        entries = json.loads(json.dumps(FUZZ_ENTRIES))
+        for name, field, value in edits:
+            if field is None:
+                entries[name] = value
+            elif isinstance(entries[name], dict):
+                entries[name][field] = value
+        self._load(tmp_path / "a.safetensors", raw_archive(entries, FUZZ_PAYLOAD[:payload_cut]))
+
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        tensors=st.dictionaries(
+            st.sampled_from(["a.weight", "a.calib", "b.weight", "b.calib", "c"]),
+            st.tuples(st.sampled_from(sorted(_DTYPE_BYTES)),
+                      st.lists(st.integers(0, 4), max_size=4)),
+            max_size=4,
+        ),
+        data=st.data(),
+    )
+    def test_well_formed_random_tensors(self, tmp_path, tensors, data):
+        entries, offset = {}, 0
+        for name, (dtype, shape) in sorted(tensors.items()):
+            end = offset + _DTYPE_BYTES[dtype] * int(np.prod(shape))
+            entries[name] = {"dtype": dtype, "shape": shape, "data_offsets": [offset, end]}
+            offset = end
+        payload = data.draw(st.binary(min_size=offset, max_size=offset))
+        self._load(tmp_path / "a.safetensors", raw_archive(entries, payload))
 
 
 class TestLayerBundle:
