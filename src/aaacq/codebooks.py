@@ -25,8 +25,10 @@ entries) is nearer its run's entry by more than the rounding of `|v - t|`
 can undo.  Values inside a window go through `recon_codes`, so its
 first-minimum tie rule decides them.  When two distinct entries lie within a
 few windows of each other, or the magnitudes approach overflow, every value
-goes through `recon_codes`.  Codes therefore equal `recon_codes` value for
-value, which the tests check on adversarial tables.
+goes through `recon_codes`.  The distinct entries, midpoints, window and
+fallback are `quantizers._cells`, the one definition `recon_codes` also
+searches by.  Codes therefore equal `recon_codes` value for value, which the
+tests check on adversarial tables.
 
 Inside an outer round each table's members keep their codes from one Lloyd
 step to the next (`_Members`); the first codes are gathered from the
@@ -59,7 +61,7 @@ import numpy as np
 
 from .errors import LayoutError, UnsupportedConfigError, ValidationError
 from .grids import SCALE_MODES, BaseFormat, compute_scales, round_bf16
-from .quantizers import check_table, expand_groups, normalize, recon_codes
+from .quantizers import _cells, check_table, expand_groups, normalize, recon_codes
 from .tensors import LayerBundle
 
 
@@ -80,6 +82,11 @@ class AaacConfig:
     scale_mode: str = "exact-bf16"
 
     def __post_init__(self):
+        if self.group_size < 1 or self.sel_size < 1:
+            raise ValidationError(
+                f"group sizes must be positive, got scale group size {self.group_size} "
+                f"and selection group size {self.sel_size}"
+            )
         if self.sel_size > self.group_size:
             raise UnsupportedConfigError(
                 f"selection group size {self.sel_size} exceeds scale group size "
@@ -183,16 +190,6 @@ def init_tables(w_norm, table_size: int) -> tuple[np.ndarray, np.ndarray]:
 # Nearest-entry cells of a fixed value set
 # ---------------------------------------------------------------------------
 
-# Half-width of the window around each midpoint, relative to the largest
-# magnitude among the values and entries.  Rounding moves each distance
-# |v - t| by at most 2**-52 of that magnitude and a computed midpoint by at
-# most 2**-53, so any half-width above 3 * 2**-53 of it leaves every value
-# outside the windows on its exact side; 2**-47 is over twenty times that.
-# The absolute term covers halving in the subnormal range.  Magnitudes above
-# _MAGNITUDE_MAX take the fallback, so no bound overflows.
-_WINDOW_REL = 2.0 ** -47
-_WINDOW_ABS = 2.0 ** -1070
-_MAGNITUDE_MAX = 2.0 ** 1000
 _NONE = np.zeros(0, dtype=np.intp)
 
 
@@ -214,17 +211,11 @@ def _cell_runs(table: np.ndarray, values: np.ndarray):
     n = values.size
     if n == 0:
         return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp), _NONE, _NONE
-    first = np.flatnonzero(np.concatenate(([True], table[1:] != table[:-1])))
-    distinct = table[first]
     big = max(abs(values[0]), abs(values[-1]), abs(table[0]), abs(table[-1]))
-    half = big * _WINDOW_REL + _WINDOW_ABS
-    if not (
-        big < _MAGNITUDE_MAX
-        and (distinct[1:] - distinct[:-1]).min(initial=np.inf) > 4 * half
-    ):
+    first, mid, half = _cells(table, big)
+    if mid is None:
         everything = np.array([n])
         return first[:1], everything, np.zeros(1, dtype=np.intp), everything
-    mid = 0.5 * distinct[:-1] + 0.5 * distinct[1:]
     lo = values.searchsorted(mid - half, side="left")
     hi = values.searchsorted(mid + half, side="right")
     edges = np.concatenate(([0], lo, [n]))

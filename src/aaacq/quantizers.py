@@ -3,6 +3,19 @@
 A quantized layer is a code matrix (one 4-bit index per weight), a strictly
 positive scale per group of contiguous in-row weights, and one or two
 reconstruction tables.  Dequantization is table[code] * scale.
+
+Nearest-entry search is the one cell search every method shares.  The cells
+of a sorted scalar table are intervals (Max 1960; Lloyd 1982), cut at the
+midpoints between neighbouring distinct entries, so a value's code is its
+entry's first index, found by counting the midpoints at or below it.  That
+count is exact outside a small window around each midpoint (a few ulps of
+the largest magnitude among values and entries): there the nearer entry wins
+by more than the rounding of `|v - t|` can undo.  Values inside a window go
+through an exhaustive search whose first-minimum rule decides ties.  When
+two distinct entries lie within a few windows of each other, or magnitudes
+approach overflow or are not finite, every value does (the fallback).
+`_cells` holds this definition; `recon_codes` applies it to values in any
+order, and `codebooks` to values sorted once per layer.
 """
 
 from __future__ import annotations
@@ -18,10 +31,18 @@ def expand_groups(per_group: np.ndarray, size: int) -> np.ndarray:
     return np.repeat(per_group, size, axis=1)
 
 
+def _grouped(a: np.ndarray, size: int) -> np.ndarray:
+    """A (rows, cols) array viewed as (rows, cols / size, size) groups."""
+    rows, cols = a.shape
+    return a.reshape(rows, cols // size, size)
+
+
 def normalize(weights: np.ndarray, scales: np.ndarray, group_size: int) -> np.ndarray:
     """Weights divided by their group scales, in float64."""
-    w = np.asarray(weights, dtype=np.float64)
-    return w / expand_groups(scales.astype(np.float64), group_size)
+    w = np.array(weights, dtype=np.float64)  # a copy, divided in place
+    grouped = _grouped(w, group_size)
+    grouped /= scales.astype(np.float64)[:, :, np.newaxis]
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -36,14 +57,41 @@ def check_table(table: np.ndarray) -> np.ndarray:
     return t
 
 
-def recon_codes(table: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Index of the nearest table entry per value, ties toward the lower index.
+# Half-width of the window around each midpoint, relative to the largest
+# magnitude among the values and entries.  Rounding moves each distance
+# |v - t| by at most 2**-52 of that magnitude and a computed midpoint by at
+# most 2**-53, so any half-width above 3 * 2**-53 of it leaves every value
+# outside the windows on its exact side; 2**-47 is over twenty times that.
+# The absolute term covers halving in the subnormal range.  Magnitudes above
+# _MAGNITUDE_MAX take the fallback, so no bound overflows.
+_WINDOW_REL = 2.0 ** -47
+_WINDOW_ABS = 2.0 ** -1070
+_MAGNITUDE_MAX = 2.0 ** 1000
 
-    The table must be non-decreasing.  Implemented with a sorted search but
-    guaranteed to match an exhaustive argmin with first-minimum tie-breaking.
+
+def _cells(table: np.ndarray, big):
+    """The nearest-entry cells of a sorted `table` for values up to `big`.
+
+    Returns `(first, mid, half)`: the first index of each distinct entry, the
+    midpoints between neighbouring distinct entries and the window
+    half-width around each.  `mid` is None on the fallback, when distinct
+    entries lie within 4 windows of each other or `big` (the largest
+    magnitude among values and entries) is not below `_MAGNITUDE_MAX`, NaN
+    included; then every value needs the exhaustive search.
     """
-    t = check_table(table)
-    v = np.asarray(values, dtype=np.float64)
+    first = np.flatnonzero(np.concatenate(([True], table[1:] != table[:-1])))
+    distinct = table[first]
+    half = big * _WINDOW_REL + _WINDOW_ABS
+    if not (
+        big < _MAGNITUDE_MAX
+        and (distinct[1:] - distinct[:-1]).min(initial=np.inf) > 4 * half
+    ):
+        return first, None, half
+    return first, 0.5 * distinct[:-1] + 0.5 * distinct[1:], half
+
+
+def _recon_exact(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`recon_codes` by a binary search and a first-minimum tie walk per value."""
     pos = np.searchsorted(t, v, side="left")
     lo = np.clip(pos - 1, 0, t.size - 1)
     hi = np.clip(pos, 0, t.size - 1)
@@ -66,6 +114,41 @@ def recon_codes(table: np.ndarray, values: np.ndarray) -> np.ndarray:
                 i -= 1
             flat_idx[j] = i
     return idx
+
+
+def recon_codes(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index of the nearest table entry per value, ties toward the lower index.
+
+    The table must be non-decreasing.  Equals an exhaustive argmin with
+    first-minimum tie-breaking: each value's run (how many midpoints lie at
+    or below it, less a window) picks its entry, and only values inside a
+    window, or every value on the fallback, are searched exhaustively.
+    """
+    t = check_table(table)
+    v = np.asarray(values, dtype=np.float64)
+    # A 0-d input gives a scalar, as np.searchsorted does.
+    return _recon_flat(t, v.reshape(-1)).reshape(v.shape)[()]
+
+
+def _recon_flat(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`recon_codes` of 1-D values under a checked table."""
+    if v.size == 0 or t.size < 2:
+        return _recon_exact(t, v)
+    # v.max() first: Python's max keeps a leading NaN, so NaN takes the fallback.
+    first, mid, half = _cells(t, max(v.max(), -v.min(), abs(t[0]), abs(t[-1])))
+    if mid is None:
+        return _recon_exact(t, v)
+    # A value is in window run - 1 or in none: midpoints are 4 windows apart.
+    run = np.zeros(v.size, dtype=np.min_scalar_type(mid.size))
+    above = np.empty(v.size, dtype=bool)
+    for x in mid - half:
+        np.greater_equal(v, x, out=above)
+        run += above
+    codes = first[run]
+    window = np.flatnonzero(v <= np.concatenate(([-np.inf], mid + half))[run])
+    if window.size:
+        codes[window] = _recon_exact(t, v[window])
+    return codes
 
 
 def recon_values(table: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -124,10 +207,12 @@ def dequantize(
         raise CorruptionError(
             f"code {int(codes.max())} out of range for {t0.size}-entry tables"
         )
-    sel = expand_groups(np.asarray(selection, dtype=bool), sel_size)
-    values = np.where(sel, t1[codes], t0[codes])
-    w_hat = values * expand_groups(scales.astype(np.float64), group_size)
-    return w_hat.astype(np.float32)
+    # One gather from both tables side by side: table 1's codes offset by M.
+    offset = t0.size * np.asarray(selection, dtype=bool)
+    values = np.concatenate((t0, t1))[_grouped(codes, sel_size) + offset[:, :, np.newaxis]]
+    w_hat = _grouped(values.reshape(codes.shape), group_size)
+    w_hat *= scales.astype(np.float64)[:, :, np.newaxis]
+    return w_hat.reshape(codes.shape).astype(np.float32)
 
 
 def dequantize_rtn(
@@ -153,20 +238,21 @@ def if4_quantize(
     format_bits) with format bit 1 marking groups stored under INT4.
     """
     w = np.asarray(weights, dtype=np.float32)
-    n, k = w.shape
     codes_f, scales_f = rtn_quantize(w, NVFP4, group_size, scale_mode)
     codes_i, scales_i = rtn_quantize(w, INT4, group_size, scale_mode)
 
     w_hat_f = dequantize_rtn(codes_f, scales_f, NVFP4, group_size)
     w_hat_i = dequantize_rtn(codes_i, scales_i, INT4, group_size)
+    w64 = w.astype(np.float64)
 
     def group_sse(w_hat):
-        d = (w.astype(np.float64) - w_hat.astype(np.float64)) ** 2
-        return d.reshape(n, k // group_size, group_size).sum(axis=2)
+        d = (w64 - w_hat.astype(np.float64)) ** 2
+        return _grouped(d, group_size).sum(axis=2)
 
     int4_wins = group_sse(w_hat_i) < group_sse(w_hat_f)
-    wins_wide = expand_groups(int4_wins, group_size)
-    codes = np.where(wins_wide, codes_i, codes_f).astype(np.uint8)
+    codes = np.where(
+        int4_wins[:, :, np.newaxis], _grouped(codes_i, group_size), _grouped(codes_f, group_size)
+    ).reshape(w.shape).astype(np.uint8)
     scales = np.where(int4_wins, scales_i, scales_f)
     return codes, scales, int4_wins.astype(np.uint8)
 

@@ -69,17 +69,19 @@ class LayerBundle:
 # Archive reading / writing
 # ---------------------------------------------------------------------------
 
-def _widen(raw: bytes, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+def _widen(raw, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A float32 array of its own (one copy) from the raw little-endian bytes."""
     if dtype == "F32":
-        arr = np.frombuffer(raw, dtype="<f4")
+        arr = np.frombuffer(raw, dtype="<f4").astype(np.float32)
     elif dtype == "F16":
         arr = np.frombuffer(raw, dtype="<f2").astype(np.float32)
     elif dtype == "BF16":
         bits = np.frombuffer(raw, dtype="<u2").astype(np.uint32)
-        arr = (bits << 16).view(np.float32)
+        bits <<= 16
+        arr = bits.view(np.float32)
     else:
         raise UnsupportedDtypeError(f"unsupported tensor dtype {dtype!r} (expected F32/F16/BF16)")
-    return np.ascontiguousarray(arr.reshape(shape).astype(np.float32))
+    return arr.reshape(shape)
 
 
 def _int_list(value) -> bool:
@@ -104,7 +106,7 @@ def read_tensors(path) -> dict[str, np.ndarray]:
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header at byte 8 is not a JSON object")
 
-    payload = blob[8 + header_len :]
+    payload = memoryview(blob)[8 + header_len :]  # slices share the blob; _widen copies
     tensors: dict[str, np.ndarray] = {}
     for name, entry in header.items():
         if name == "__metadata__":

@@ -1,10 +1,14 @@
 """Command-line behavior: structure, determinism, and error reporting."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import aaacq
 from aaacq.cli import main
 from aaacq.grids import INT4, NVFP4
 from aaacq.packfmt import read_pack
@@ -89,6 +93,22 @@ class TestQuantize:
         out = tmp_path / "m.aaacq"
         assert run("quantize", archive, "--out", out, "--method", "aaac",
                    "-S", "256", "-g", "128", "--format", "int4") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--method", "rtn", "-g", "-16"],
+        ["--method", "aaac", "-g", "-16"],
+        ["--method", "aaac", "-g", "16", "-S", "-4"],
+    ])
+    def test_non_positive_group_size_exits_1(self, tmp_path, archive, flags):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(aaacq.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "aaacq.cli", "quantize", str(archive),
+             "--out", str(tmp_path / "m.aaacq"), *flags],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
     def test_rtn_and_if4_methods(self, tmp_path, archive):
         for method in ("rtn", "if4"):

@@ -448,6 +448,11 @@ class TestConfig:
         with pytest.raises(ValidationError):
             AaacConfig(fmt=NVFP4, group_size=16, sel_size=16, n_outer=0)
 
+    @pytest.mark.parametrize("group_size, sel_size", [(0, 0), (0, 16), (-16, -16), (16, -4), (16, 0)])
+    def test_non_positive_group_sizes_rejected(self, group_size, sel_size):
+        with pytest.raises(ValidationError):
+            AaacConfig(fmt=NVFP4, group_size=group_size, sel_size=sel_size)
+
     def test_scale_mode_validated_early(self):
         with pytest.raises(ValidationError):
             AaacConfig(fmt=NVFP4, group_size=16, sel_size=16, scale_mode="fp16")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aaacq import quantizers
 from aaacq.errors import CorruptionError, LayoutError, ValidationError
 from aaacq.grids import INT4, NVFP4, base_table, compute_scales
 from aaacq.quantizers import (
@@ -76,6 +77,122 @@ class TestRecon:
         codes = recon_codes(table, xs)
         for x, c in zip(xs, codes):
             assert int(c) == brute_force_recon(table, x)[0]
+
+
+def brute_force_codes(table, values):
+    """First-minimum argmin of |v - t| per value, over every entry."""
+    flat = np.asarray(values, dtype=np.float64).reshape(-1)
+    return np.argmin(np.abs(flat[:, np.newaxis] - table[np.newaxis, :]), axis=1)
+
+
+# Magnitudes from subnormal to near-overflow; every |v - t| stays finite.
+_SCALES = [1.0, 2.0 ** -1060, 1e-300, 1e30, 1e300]
+
+
+@st.composite
+def search_cases(draw):
+    """A sorted table and values of any shape aimed at the midpoint search:
+    duplicate and ulp-close entries (the fallback), tables of more than 255
+    entries, values on and a few ulps off midpoints, signed zeros and
+    magnitudes from 2**-1060 to 1e307."""
+    scale = draw(st.sampled_from(_SCALES))
+    unit = st.floats(-8, 8, allow_nan=False) | st.sampled_from([0.0, -0.0, 1.0, -1.0])
+    if draw(st.booleans()):
+        entries = draw(st.lists(unit, min_size=1, max_size=16))
+    else:
+        m = draw(st.integers(250, 320))
+        seed = draw(st.integers(0, 2**32 - 1))
+        entries = np.random.default_rng(seed).uniform(-8, 8, m).tolist()
+    entries = [x * scale for x in entries]
+    for x in draw(st.lists(st.sampled_from(entries), max_size=3)):
+        for _ in range(draw(st.integers(0, 4))):
+            x = float(np.nextafter(x, np.inf))
+        entries.append(x)
+    table = np.sort(np.asarray(entries, dtype=np.float64))
+
+    mids = 0.5 * table[:-1] + 0.5 * table[1:]
+    ulp = np.abs(table).max() * 2.0 ** -53
+    near = (mids[:, np.newaxis] + ulp * np.asarray([-4, -2, -1, 1, 2, 4])).ravel()
+    special = np.concatenate([
+        table, mids, near, np.nextafter(mids, np.inf), np.nextafter(mids, -np.inf),
+        [0.0, -0.0],
+    ])
+    special = special[np.isfinite(special)]
+    picks = draw(st.lists(st.sampled_from(special.tolist()), max_size=24))
+    free = draw(st.lists(st.floats(-1e307, 1e307), max_size=6))
+    scaled = draw(st.lists(unit, max_size=12))
+    values = np.asarray(
+        draw(st.permutations(picks + free + [x * scale * 1.5 for x in scaled])),
+        dtype=np.float64,
+    )
+    shape = draw(st.sampled_from(["flat", "rows", "scalar", "empty"]))
+    if shape == "rows" and values.size % 2 == 0:
+        values = values.reshape(2, -1)
+    elif shape == "scalar" and values.size:
+        values = values[0].reshape(())
+    elif shape == "empty":
+        values = np.zeros(draw(st.sampled_from([(0,), (0, 3), (3, 0)])))
+    return table, values
+
+
+class TestReconSearch:
+    @given(search_cases())
+    @settings(max_examples=500, deadline=None)
+    def test_matches_brute_force_argmin(self, case):
+        table, values = case
+        got = recon_codes(table, values)
+        assert np.shape(got) == values.shape
+        assert np.asarray(got).dtype == np.intp
+        assert np.asarray(got).reshape(-1).tolist() == brute_force_codes(table, values).tolist()
+
+    def test_tables_past_the_counter_width(self):
+        # 299 midpoints: a one-byte run counter would wrap above the 255th.
+        rng = np.random.default_rng(8)
+        table = np.sort(rng.uniform(-8, 8, 300))
+        values = np.concatenate([rng.uniform(-9, 9, 2000), table, 0.5 * table[:-1] + 0.5 * table[1:]])
+        assert recon_codes(table, values).tolist() == brute_force_codes(table, values).tolist()
+
+    def test_non_finite_values_keep_their_codes(self):
+        table = np.asarray([0.0, 1.0])
+        values = np.asarray([np.nan, np.inf, -np.inf, 0.2])
+        assert recon_codes(table, values).tolist() == [1, 0, 0, 0]
+
+    @pytest.fixture()
+    def exact(self, monkeypatch):
+        """The value sets the midpoint search hands to the exhaustive search."""
+        handed = []
+        real = quantizers._recon_exact
+
+        def spy(table, values):
+            handed.append(np.array(values))
+            return real(table, values)
+
+        monkeypatch.setattr(quantizers, "_recon_exact", spy)
+        return handed
+
+    @pytest.mark.parametrize("fmt", [NVFP4, INT4])
+    def test_rtn_searches_only_window_values(self, exact, fmt):
+        rng = np.random.default_rng(9)
+        w = rng.laplace(0.0, 1.0, (64, 512)).astype(np.float32)
+        # Scale 1 in the first nvfp4 group puts three weights on midpoints.
+        w[0, :4] = [0.25, -0.75, 1.25, 0.0]
+        w[0, 4:16] = 6.0
+        codes, scales = rtn_quantize(w, fmt, fmt.group_size)
+        w_norm = normalize(w, scales, fmt.group_size).ravel()
+        t = base_table(fmt)
+        mids = 0.5 * t[:-1] + 0.5 * t[1:]
+        half = max(np.abs(w_norm).max(), np.abs(t).max()) * 2.0 ** -47 + 2.0 ** -1070
+        in_window = (np.abs(w_norm[:, np.newaxis] - mids) <= half).any(axis=1)
+        handed = np.concatenate(exact) if exact else np.zeros(0)
+        assert sorted(handed.tolist()) == sorted(w_norm[in_window].tolist())
+        assert handed.size < w.size // 100
+        assert codes.ravel().tolist() == brute_force_codes(t, w_norm).tolist()
+
+    def test_close_entries_search_every_value(self, exact):
+        table = np.asarray([1.0, np.nextafter(1.0, 2.0), 3.0])
+        values = np.linspace(-4.0, 4.0, 33)
+        assert recon_codes(table, values).tolist() == brute_force_codes(table, values).tolist()
+        assert [v.size for v in exact] == [33]
 
 
 class TestRtn:
