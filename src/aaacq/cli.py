@@ -19,12 +19,15 @@ from .metrics import parallel_map as _parallel_map
 
 
 def _resolve_config(args) -> tuple[codebooks.AaacConfig, int]:
-    """The learner configuration and worker thread count the flags ask for."""
+    """The learner configuration and worker count the flags ask for."""
     env_threads = os.environ.get("AAAC_THREADS", "")
     try:
         threads = int(env_threads) if env_threads else 0
     except ValueError:
         raise ValidationError(f"AAAC_THREADS must be an integer, got {env_threads!r}")
+    for source, value in (("AAAC_THREADS", threads), ("--threads", args.threads)):
+        if value < 0:
+            raise ValidationError(f"{source} must be 0 (all cores) or positive, got {value}")
     fmt = get_format(args.format)
     group_size = args.group_size or fmt.group_size
     cfg = codebooks.AaacConfig(
@@ -79,7 +82,8 @@ def cmd_quantize(args) -> int:
     bundles = tensors.load_tensor_archive(args.archive)
     started = time.perf_counter()
     results = _parallel_map(
-        lambda b: (b.name, _quantize_layer(b, args.method, cfg)), bundles, threads
+        lambda b: (b.name, _quantize_layer(b, args.method, cfg)), bundles, threads,
+        forks=lambda b: metrics.runs_forked(args.method, b),
     )
     packfmt.write_pack(args.out, sorted(results, key=lambda item: item[0]))
     _log(
@@ -226,7 +230,8 @@ def _add_quant_flags(p: argparse.ArgumentParser) -> None:
                    help="scale storage rounding (default exact-bf16)")
     p.add_argument("--seed", type=int, default=0, help="seed for synthetic inputs")
     p.add_argument("--threads", type=int, default=0,
-                   help="worker threads for per-layer work (default: all cores; "
+                   help="workers for per-layer work: threads, or forked processes "
+                        "for aaac on small layers (default: all cores; "
                         "AAAC_THREADS overrides)")
 
 

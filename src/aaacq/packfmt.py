@@ -223,6 +223,8 @@ def unpack(p: PackedLayer):
         raise CorruptionError("selection bitset flag inconsistent with the group sizes")
     t0 = bf16_decode(p.table0_bits)
     t1 = bf16_decode(p.table1_bits)
+    if not (np.isfinite(t0).all() and np.isfinite(t1).all()):
+        raise CorruptionError("codebook entries must decode finite")
 
     scale_bits = np.asarray(p.scale_bits, dtype=np.uint16)
     if scale_bits.size != count // p.group_size:

@@ -184,6 +184,9 @@ def rtn_quantize(
     return codes, scales
 
 
+_FLT_MAX = float(np.finfo(np.float32).max)
+
+
 def dequantize(
     codes: np.ndarray,
     scales: np.ndarray,
@@ -196,7 +199,8 @@ def dequantize(
     """Reconstruct weights: the selected table's entry times the group scale.
 
     `selection` holds one bit per selection group of `sel_size` contiguous
-    in-row weights choosing table0 (0) or table1 (1).
+    in-row weights choosing table0 (0) or table1 (1).  Products beyond
+    float32's range saturate at its largest finite value.
     """
     t0 = np.asarray(table0, dtype=np.float64)
     t1 = np.asarray(table1, dtype=np.float64)
@@ -209,9 +213,16 @@ def dequantize(
         )
     # One gather from both tables side by side: table 1's codes offset by M.
     offset = t0.size * np.asarray(selection, dtype=bool)
-    values = np.concatenate((t0, t1))[_grouped(codes, sel_size) + offset[:, :, np.newaxis]]
+    both = np.concatenate((t0, t1))
+    values = both[_grouped(codes, sel_size) + offset[:, :, np.newaxis]]
     w_hat = _grouped(values.reshape(codes.shape), group_size)
     w_hat *= scales.astype(np.float64)[:, :, np.newaxis]
+    # A BF16 scale rounded up can carry an entry past float32's range; only
+    # groups whose scale times the largest entry does are saturated.
+    peak = np.abs(both).max(initial=0.0)
+    if scales.size and float(scales.max()) * peak > _FLT_MAX:
+        hot = scales.astype(np.float64) * peak > _FLT_MAX
+        w_hat[hot] = np.clip(w_hat[hot], -_FLT_MAX, _FLT_MAX)
     return w_hat.reshape(codes.shape).astype(np.float32)
 
 

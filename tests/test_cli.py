@@ -170,6 +170,17 @@ class TestQuantize:
                    "--format", "int4", "-S", "16") == 0
         assert out.read_bytes() == baseline.read_bytes()
 
+    @pytest.mark.parametrize("env, flag", [("", "-3"), ("-1", "2"), ("-1", "0")])
+    def test_negative_worker_count_is_rejected(self, monkeypatch, tmp_path, capsys,
+                                               archive, env, flag):
+        monkeypatch.setenv("AAAC_THREADS", env)
+        capsys.readouterr()
+        for command in (["quantize", archive, "--out", tmp_path / "m.aaacq"], ["compare"]):
+            assert run(*command, "--threads", flag) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "must be 0 (all cores) or positive" in err
+        assert not (tmp_path / "m.aaacq").exists()
+
 
 class TestDequantize:
     def test_round_trip_matches_library(self, tmp_path, archive):

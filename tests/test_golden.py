@@ -97,12 +97,16 @@ def _learn_config(flags):
     return AaacConfig(fmt=fmt, group_size=g, sel_size=s, scale_mode=mode)
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_pack_bytes(tmp_path, archives, name):
+# Two threads send these small layers to forked workers; the pack is the same.
+@pytest.mark.parametrize("name, threads", [
+    pytest.param(name, threads, id=name if threads == 1 else f"{name}-threads{threads}")
+    for name in sorted(CONFIGS) for threads in (1, 2)
+])
+def test_pack_bytes(tmp_path, archives, name, threads):
     source, flags = CONFIGS[name]
     out = tmp_path / "m.aaacq"
     assert run("quantize", archives[source], "--out", out, "--method", "aaac",
-               "--threads", "1", *flags) == 0
+               "--threads", threads, *flags) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PACK_SHA256[name]
 
 

@@ -1,11 +1,16 @@
 """Packed layer layout, sign-bit selection storage, and container parsing."""
 
+import dataclasses
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aaacq.errors import (
+    AaacqError,
     CorruptionError,
     LayoutError,
     UnsupportedConfigError,
@@ -13,6 +18,8 @@ from aaacq.errors import (
 )
 from aaacq.grids import INT4, NVFP4, base_table, bf16_bits, round_bf16
 from aaacq.packfmt import (
+    _HEADER,
+    MAGIC,
     PackedLayer,
     layer_from_bytes,
     layer_to_bytes,
@@ -25,6 +32,7 @@ from aaacq.packfmt import (
     unpack,
     write_pack,
 )
+from aaacq.metrics import reconstruct
 from aaacq.quantizers import dequantize
 
 
@@ -318,6 +326,17 @@ class TestCorruption:
             with pytest.raises(CorruptionError):
                 unpack(broken)
 
+    def test_nonfinite_table_entry(self):
+        rng = np.random.default_rng(20)
+        t0, t1, sel, codes, scales = random_layer(rng, 1, 32, 16, 16, 16)
+        p = pack(t0, t1, sel, codes, scales, kind="int4", group_size=16, sel_size=16)
+        for table in ("table0_bits", "table1_bits"):
+            for bad_bits in (0x7F80, 0xFF80, 0x7FC1):  # +inf, -inf, NaN
+                bits = getattr(p, table).copy()
+                bits[-1] = bad_bits
+                broken = dataclasses.replace(p, **{table: bits})
+                with pytest.raises(CorruptionError, match="codebook"):
+                    unpack(broken)
 
     def test_mutation_fuzz_raises_only_corruption_errors(self):
         rng = np.random.default_rng(18)
@@ -393,3 +412,57 @@ class TestContainer:
         assert np.array_equal(u0, u1)
         assert (usel == 0).all()
         assert p.method == "rtn" and p.table_size == 15
+
+
+def _fuzz_container():
+    """A two-layer container (sign-bit selection, then a bitset) and where
+    each layer's CRC and payload lie in it."""
+    rng = np.random.default_rng(21)
+    layers = []
+    for name, (g, s) in (("signs", (16, 16)), ("bitset", (128, 16))):
+        t0, t1, sel, codes, scales = random_layer(rng, 2, 256, g, s, 16)
+        layers.append((name, pack(t0, t1, sel, codes, scales,
+                                  kind="int4", group_size=g, sel_size=s)))
+    raw = model_to_bytes(layers)
+    spans, offset = [], len(MAGIC) + 6
+    for name, _ in layers:
+        crc_at = offset + 2 + len(name) + _HEADER.size
+        _, _, offset = layer_from_bytes(raw, offset)
+        spans.append((crc_at, crc_at + 4, offset))
+    return raw, spans
+
+
+FUZZ_RAW, FUZZ_SPANS = _fuzz_container()
+FUZZ_PAYLOAD = [i for _, start, end in FUZZ_SPANS for i in range(start, end)]
+FUZZ_WORDS = FUZZ_PAYLOAD[::2]  # payloads have even lengths
+# BF16 words at the edges: largest finite, smallest subnormal, infinities, NaN, -0.
+EXTREME_WORDS = [0x7F7F, 0xFF7F, 0x0001, 0x7F80, 0xFF80, 0x7FC1, 0x8000]
+
+
+class TestPayloadFuzz:
+    """Payload bytes mutated under a valid CRC decode or raise an AaacqError."""
+
+    def test_unmutated_container_decodes(self):
+        for _, p in model_from_bytes(FUZZ_RAW):
+            assert np.isfinite(reconstruct(p)).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edits=st.lists(st.tuples(st.integers(0, len(FUZZ_PAYLOAD) - 1), st.integers(0, 255)),
+                       max_size=8),
+        words=st.lists(st.tuples(st.integers(0, len(FUZZ_WORDS) - 1),
+                                 st.sampled_from(EXTREME_WORDS)), max_size=4),
+    )
+    def test_mutated_payload_with_fresh_crc(self, edits, words):
+        blob = bytearray(FUZZ_RAW)
+        for i, value in edits:
+            blob[FUZZ_PAYLOAD[i]] = value
+        for i, word in words:
+            blob[FUZZ_WORDS[i]:FUZZ_WORDS[i] + 2] = struct.pack("<H", word)
+        for crc_at, start, end in FUZZ_SPANS:
+            blob[crc_at:start] = struct.pack("<I", zlib.crc32(bytes(blob[start:end])))
+        try:
+            for _, p in model_from_bytes(bytes(blob)):
+                reconstruct(p)
+        except AaacqError:
+            pass

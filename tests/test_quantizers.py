@@ -1,13 +1,18 @@
 """Nearest-entry reconstruction, RTN, IF4, and dequantization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aaacq import quantizers
+from aaacq.codebooks import AaacConfig
 from aaacq.errors import CorruptionError, LayoutError, ValidationError
-from aaacq.grids import INT4, NVFP4, base_table, compute_scales
+from aaacq.grids import INT4, NVFP4, base_table, compute_scales, get_format
+from aaacq.metrics import quantize_layer, reconstruct
+from aaacq.packfmt import unpack
 from aaacq.quantizers import (
     dequantize,
     dequantize_rtn,
@@ -19,6 +24,7 @@ from aaacq.quantizers import (
     recon_codes,
     rtn_quantize,
 )
+from aaacq.tensors import LayerBundle
 
 
 def brute_force_recon(table, value):
@@ -271,6 +277,29 @@ class TestDequantize:
         with pytest.raises(CorruptionError):
             dequantize(codes, np.ones((1, 1), np.float32), t, t,
                        np.zeros((1, 1), np.uint8), 2, 2)
+
+    @pytest.mark.parametrize("method, fmt", [
+        ("rtn", "nvfp4"), ("rtn", "int4"), ("if4", "nvfp4"), ("if4", "int4"), ("aaac", "int4"),
+    ])
+    def test_near_flt_max_weights_saturate(self, method, fmt):
+        # BF16 scales round up, so an entry times its scale can pass FLT_MAX
+        # for weights near it; those groups decode to +-FLT_MAX, not inf.
+        big = float(np.finfo(np.float32).max)
+        rng = np.random.default_rng(23)
+        w = (rng.uniform(-1, 1, (2, 256)) * big).astype(np.float32)
+        w[:, ::16] = np.float32(big)
+        bundle = LayerBundle("big", w, rng.standard_normal((8, 256)).astype(np.float32))
+        base = get_format(fmt)
+        cfg = AaacConfig(fmt=base, group_size=16 if fmt == "nvfp4" else 128, sel_size=16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            packed, _ = quantize_layer(bundle, method, cfg)
+            w_hat = reconstruct(packed)
+        t0, t1, sel, codes, scales = unpack(packed)
+        exact = np.where(sel.repeat(packed.sel_size, axis=1), t1[codes], t0[codes]).astype(float)
+        exact *= scales.astype(np.float64).repeat(packed.group_size, axis=1)
+        assert np.abs(exact).max() > big  # the case this test is about
+        assert np.array_equal(w_hat, np.clip(exact, -big, big).astype(np.float32))
 
 
 class TestIf4:
