@@ -7,6 +7,7 @@ and timing go to standard error so reports stay byte-stable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -76,18 +77,43 @@ def _quantize_layer(bundle: tensors.LayerBundle, method: str, cfg) -> packfmt.Pa
     return packed
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file that becomes `path` only if the block completes.
+
+    It is written beside `path` and renamed onto it at the end, so `path`
+    never holds a partial output; on any failure it is removed and an
+    existing `path` is left as it was.
+    """
+    tmp = os.path.join(
+        os.path.dirname(os.path.abspath(path)),
+        f".{os.path.basename(path)}.{os.getpid()}.tmp",
+    )
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def cmd_quantize(args) -> int:
     _check_paths(inputs=[args.archive], outputs=[args.out])
     cfg, threads = _resolve_config(args)
-    bundles = tensors.load_tensor_archive(args.archive)
     started = time.perf_counter()
-    results = _parallel_map(
-        lambda b: (b.name, _quantize_layer(b, args.method, cfg)), bundles, threads,
-        forks=lambda b: metrics.runs_forked(args.method, b),
-    )
-    packfmt.write_pack(args.out, sorted(results, key=lambda item: item[0]))
+    with tensors.TensorArchive(args.archive) as archive, _replacing(args.out) as fh:
+        writer = packfmt.PackWriter(fh, len(archive.layers))
+        # Each task reads its own layer; packs are written in layer order as they finish.
+        _parallel_map(
+            lambda layer: (layer.name, _quantize_layer(archive.load(layer), args.method, cfg)),
+            archive.layers, threads,
+            forks=lambda layer: metrics.runs_forked(args.method, layer),
+            consume=lambda item: writer.write(*item),
+        )
     _log(
-        f"quantized {len(results)} layers with {args.method} "
+        f"quantized {len(archive.layers)} layers with {args.method} "
         f"in {time.perf_counter() - started:.2f}s -> {args.out}"
     )
     return 0
@@ -95,10 +121,13 @@ def cmd_quantize(args) -> int:
 
 def cmd_dequantize(args) -> int:
     _check_paths(inputs=[args.pack], outputs=[args.out])
-    layers = packfmt.read_pack(args.pack)
-    out = {name + ".weight": metrics.reconstruct(p) for name, p in layers}
-    tensors.write_tensors(args.out, out)
-    _log(f"dequantized {len(layers)} layers -> {args.out}")
+    with packfmt.PackReader(args.pack) as pack, _replacing(args.out) as fh:
+        entries = {e.name + ".weight": e for e in pack.layers}
+        tensors.stream_tensors(
+            fh, {name: (e.rows, e.cols) for name, e in entries.items()},
+            lambda name: metrics.reconstruct(pack.read(entries[name])),
+        )
+    _log(f"dequantized {len(entries)} layers -> {args.out}")
     return 0
 
 
@@ -118,17 +147,18 @@ def _emit_report(report: metrics.EvalReport, args) -> None:
 
 def cmd_eval(args) -> int:
     _check_paths(inputs=[args.pack, args.archive], outputs=[args.out])
-    layers = packfmt.read_pack(args.pack)
-    bundles = {b.name: b for b in tensors.load_tensor_archive(args.archive)}
-    rows = []
-    for name, p in layers:
-        if name not in bundles:
-            raise PairingError(f"packed layer {name!r} has no weights in {args.archive}")
-        bundle = bundles[name]
-        x_out = None
-        if args.w4a8 and bundle.activations is not None:
-            x_out = metrics.simulate_w4a8(bundle.activations)
-        rows.append(metrics.score(bundle, p, output_activations=x_out))
+    with packfmt.PackReader(args.pack) as pack, tensors.TensorArchive(args.archive) as archive:
+        layers = {layer.name: layer for layer in archive.layers}
+        for e in pack.layers:
+            if e.name not in layers:
+                raise PairingError(f"packed layer {e.name!r} has no weights in {args.archive}")
+        rows = []
+        for e in pack.layers:
+            bundle = archive.load(layers[e.name])
+            x_out = None
+            if args.w4a8 and bundle.activations is not None:
+                x_out = metrics.simulate_w4a8(bundle.activations)
+            rows.append(metrics.score(bundle, pack.read(e), output_activations=x_out))
     _emit_report(metrics.report(rows), args)
     return 0
 

@@ -199,9 +199,12 @@ _FORK_CHUNKS = 4
 _batch = None
 
 
-def runs_forked(method: str, bundle: LayerBundle) -> bool:
-    """Whether a pooled task quantizing `bundle` with `method` goes to a forked worker."""
-    return method == "aaac" and bundle.weights.size < _FORK_BELOW
+def runs_forked(method: str, layer) -> bool:
+    """Whether a pooled task quantizing `layer` with `method` goes to a forked worker.
+
+    `layer` is a `LayerBundle` or a not yet loaded `tensors.LayerEntry`.
+    """
+    return method == "aaac" and layer.rows * layer.cols < _FORK_BELOW
 
 
 def _init_worker(fn, items) -> None:
@@ -214,7 +217,7 @@ def _run_forked(index: int):
     return fn(items[index])
 
 
-def _fork_map(fn, items: list, workers: int) -> list:
+def _fork_map(fn, items: list, workers: int, each) -> None:
     # Imported here: loading multiprocessing adds about 15 ms to every command.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -226,40 +229,61 @@ def _fork_map(fn, items: list, workers: int) -> list:
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker, initargs=(fn, items),
         ) as pool:
-            return list(pool.map(_run_forked, range(len(items)), chunksize=chunk))
+            for i, result in enumerate(pool.map(_run_forked, range(len(items)), chunksize=chunk)):
+                each(i, result)
     except BrokenProcessPool as exc:
         raise AaacqError(f"a worker process died: {exc}") from exc
 
 
-def _thread_map(fn, items: list, workers: int) -> list:
+def _thread_map(fn, items: list, workers: int, each) -> None:
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        for i, result in enumerate(pool.map(fn, items)):
+            each(i, result)
 
 
-def parallel_map(fn, items, threads: int, forks=None) -> list:
+def _serial_map(fn, items: list, workers: int, each) -> None:
+    for i, item in enumerate(items):
+        each(i, fn(item))
+
+
+def parallel_map(fn, items, threads: int, forks=None, consume=None) -> list:
     """`[fn(item) for item in items]`, on up to `threads` workers when there are several.
 
     Workers are threads, or forked processes for the items `forks(item)`
     picks when the platform can fork and no other thread is alive; those run
     first, as one batch, and return their results by pickle.  No pool starts
     more workers than it has items, and a batch of one item runs in-process.
+
+    With `consume`, each result is passed to `consume(result)` in the
+    calling thread, in item order, as soon as every earlier item's result
+    has been, and the list holds what `consume` returns.  Results that
+    arrive before their turn, as the forked batch's can, wait in a buffer.
     """
     items = list(items)
+    results = [None] * len(items)
+    waiting = {}
+    done = 0
+
+    def arrive(i, result):
+        nonlocal done
+        waiting[i] = result
+        while done in waiting:
+            result = waiting.pop(done)
+            results[done] = result if consume is None else consume(result)
+            done += 1
+
     if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        _serial_map(fn, items, 1, arrive)
+        return results
     # Forking is only safe while no other thread can hold a lock.
     can_fork = _CAN_FORK and forks is not None and threading.active_count() == 1
     picked = [can_fork and bool(forks(item)) for item in items]
-    results = [None] * len(items)
     for route, pool_map in ((True, _fork_map), (False, _thread_map)):
         indices = [i for i, p in enumerate(picked) if p == route]
         batch = [items[i] for i in indices]
         if len(batch) <= 1:
-            out = [fn(item) for item in batch]
-        else:
-            out = pool_map(fn, batch, min(threads, len(batch)))
-        for i, result in zip(indices, out):
-            results[i] = result
+            pool_map = _serial_map
+        pool_map(fn, batch, min(threads, len(batch)), lambda j, result: arrive(indices[j], result))
     return results
 
 

@@ -23,10 +23,18 @@ informational method tag (0 unspecified, 1 rtn, 2 if4, 3 aaac).
 
 A container is the magic "AAACQ\\0", a u16 version, a u32 layer count, and
 the layer payloads in order.  Layer names must be unique.
+
+Neither side needs the whole container in memory.  `PackWriter` writes the
+count up front and then one layer at a time; `PackReader` checks every
+header first, skipping the payloads, and then reads one layer at a time
+with positional reads.  `write_pack`, `read_pack`, `model_to_bytes` and
+`model_from_bytes` are whole-container wrappers over the same code.
 """
 
 from __future__ import annotations
 
+import io
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -40,6 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .grids import bf16_bits, bf16_decode
+from .tensors import pread_into
 
 MAGIC = b"AAACQ\x00"
 VERSION = 1
@@ -295,33 +304,65 @@ def layer_to_bytes(name: str, p: PackedLayer) -> bytes:
 
 
 class _Reader:
-    """Bounds-checked cursor over a byte buffer; truncation raises, never crashes."""
+    """Bounds-checked cursor over a byte buffer; truncation raises, never crashes.
+
+    Every take is checked against the end before anything is read, so a
+    length field claiming more bytes than remain allocates nothing.
+    """
 
     def __init__(self, buf: bytes, offset: int = 0):
         self.buf = buf
         self.offset = offset
+        self.end = len(buf)
 
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.buf):
+    def _read(self, start: int, n: int):
+        return self.buf[start : start + n]
+
+    def skip(self, n: int) -> None:
+        if self.offset + n > self.end:
             raise CorruptionError(
                 f"truncated stream: wanted {n} bytes at offset {self.offset}, "
-                f"have {len(self.buf) - self.offset}"
+                f"have {self.end - self.offset}"
             )
-        out = self.buf[self.offset : self.offset + n]
         self.offset += n
-        return out
+
+    def take(self, n: int):
+        self.skip(n)
+        return self._read(self.offset - n, n)
 
     def unpack(self, st: struct.Struct):
         return st.unpack(self.take(st.size))
 
 
-def layer_from_reader(r: _Reader) -> tuple[str, PackedLayer]:
+class _FileReader(_Reader):
+    """The same cursor over bytes [offset, end) of an open file, read with `pread`."""
+
+    def __init__(self, fd: int, offset: int, end: int):
+        self.fd = fd
+        self.offset = offset
+        self.end = end
+
+    def _read(self, start: int, n: int) -> bytearray:
+        buf = bytearray(n)
+        if pread_into(self.fd, buf, start) < n:
+            raise CorruptionError(f"file ends before byte {start + n}")
+        return buf
+
+
+def _layer_header(r: _Reader):
+    """Parse and check the layer header at the cursor.
+
+    Returns (name, (kind, rows, cols, group_size, sel_size, table_size,
+    flags), crc, section sizes before padding), leaving the cursor at the
+    payload.
+    """
     (name_len,) = r.unpack(struct.Struct("<H"))
     try:
         name = r.take(name_len).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorruptionError(f"layer name is not valid UTF-8: {exc}") from exc
-    kind, rows, cols, group_size, sel_size, table_size, flags = r.unpack(_HEADER)
+    fields = r.unpack(_HEADER)
+    kind, rows, cols, group_size, sel_size, table_size, flags = fields
     if kind not in KIND_NAMES:
         raise CorruptionError(f"layer {name!r}: unknown format kind {kind}")
     if rows < 1 or cols < 1 or table_size < 1 or table_size > 16:
@@ -338,15 +379,21 @@ def layer_from_reader(r: _Reader) -> tuple[str, PackedLayer]:
     sizes = [4 * table_size, 2 * (count // group_size), -(-count // 2)]
     if flags & FLAG_BITSET:
         sizes.append(-(-(count // sel_size) // 8))
-    payload_len = sum(_pad16(s) for s in sizes)
-    payload = r.take(payload_len)
+    return name, fields, crc, sizes
+
+
+def layer_from_reader(r: _Reader) -> tuple[str, PackedLayer]:
+    name, fields, crc, sizes = _layer_header(r)
+    kind, rows, cols, group_size, sel_size, table_size, flags = fields
+    payload = r.take(sum(_pad16(s) for s in sizes))
     if zlib.crc32(payload) != crc:
         raise CorruptionError(f"layer {name!r}: payload CRC mismatch")
 
+    view = memoryview(payload)
     cursor = 0
     raw_sections = []
     for s in sizes:
-        raw_sections.append(payload[cursor : cursor + s])
+        raw_sections.append(view[cursor : cursor + s])
         cursor += _pad16(s)
 
     tables = np.frombuffer(raw_sections[0], dtype="<u2")
@@ -361,8 +408,8 @@ def layer_from_reader(r: _Reader) -> tuple[str, PackedLayer]:
         table0_bits=tables[:table_size].copy(),
         table1_bits=tables[table_size:].copy(),
         scale_bits=np.frombuffer(raw_sections[1], dtype="<u2").copy(),
-        code_bytes=raw_sections[2],
-        bitset=raw_sections[3] if flags & FLAG_BITSET else None,
+        code_bytes=bytes(raw_sections[2]),
+        bitset=bytes(raw_sections[3]) if flags & FLAG_BITSET else None,
     )
     return name, p
 
@@ -373,33 +420,105 @@ def layer_from_bytes(buf: bytes, offset: int = 0) -> tuple[str, PackedLayer, int
     return name, p, r.offset
 
 
-def model_to_bytes(layers: list[tuple[str, PackedLayer]]) -> bytes:
-    names = [name for name, _ in layers]
-    if len(set(names)) != len(names):
-        raise ValidationError("layer names in a packed model must be unique")
-    out = [MAGIC, struct.pack("<HI", VERSION, len(layers))]
-    out.extend(layer_to_bytes(name, p) for name, p in layers)
-    return b"".join(out)
+@dataclass(frozen=True)
+class PackEntry:
+    """One layer's name, shape and byte range [start, end) in a container."""
+
+    name: str
+    rows: int
+    cols: int
+    start: int
+    end: int
 
 
-def model_from_bytes(buf: bytes) -> list[tuple[str, PackedLayer]]:
-    r = _Reader(buf)
+def _scan(r: _Reader) -> list[PackEntry]:
+    """Check a container's header and every layer header, skipping the payloads."""
     if r.take(len(MAGIC)) != MAGIC:
         raise CorruptionError("bad magic; not an .aaacq container")
     version, count = r.unpack(struct.Struct("<HI"))
     if version != VERSION:
         raise CorruptionError(f"unsupported container version {version}")
-    layers = []
+    entries = []
     seen = set()
     for _ in range(count):
-        name, p = layer_from_reader(r)
+        start = r.offset
+        name, fields, _, sizes = _layer_header(r)
+        r.skip(sum(_pad16(s) for s in sizes))
         if name in seen:
             raise CorruptionError(f"duplicate layer name {name!r}")
         seen.add(name)
-        layers.append((name, p))
-    if r.offset != len(buf):
-        raise CorruptionError(f"{len(buf) - r.offset} trailing bytes after the last layer")
-    return layers
+        entries.append(PackEntry(name, fields[1], fields[2], start, r.offset))
+    if r.offset != r.end:
+        raise CorruptionError(f"{r.end - r.offset} trailing bytes after the last layer")
+    return entries
+
+
+class PackWriter:
+    """Writes an .aaacq container to a binary file one layer at a time.
+
+    The container header, with the layer count, goes out first; the caller
+    then writes exactly `count` layers, in the order they are to be stored.
+    """
+
+    def __init__(self, fh, count: int):
+        self._fh = fh
+        self._names = set()
+        fh.write(MAGIC + struct.pack("<HI", VERSION, count))
+
+    def write(self, name: str, p: PackedLayer) -> None:
+        if name in self._names:
+            raise ValidationError("layer names in a packed model must be unique")
+        self._names.add(name)
+        self._fh.write(layer_to_bytes(name, p))
+
+
+class PackReader:
+    """An open .aaacq file whose layers are read one at a time.
+
+    Opening checks the container and every layer header, skipping the
+    payloads, and lists the layers in file order (`layers`); `read` then
+    reads, CRC-checks and parses one layer.  No read reaches past the end
+    the headers imply or past the file, so a corrupt length field costs no
+    allocation.  Close it, or use it as a context manager.
+    """
+
+    def __init__(self, path):
+        self._file = open(path, "rb", buffering=0)
+        try:
+            fd = self._file.fileno()
+            self.layers = _scan(_FileReader(fd, 0, os.fstat(fd).st_size))
+        except BaseException:
+            self._file.close()
+            raise
+
+    def read(self, entry: PackEntry) -> PackedLayer:
+        name, p = layer_from_reader(_FileReader(self._file.fileno(), entry.start, entry.end))
+        if name != entry.name:
+            raise CorruptionError(f"layer {entry.name!r} changed since the pack was opened")
+        return p
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def model_to_bytes(layers: list[tuple[str, PackedLayer]]) -> bytes:
+    buf = io.BytesIO()
+    writer = PackWriter(buf, len(layers))
+    for name, p in layers:
+        writer.write(name, p)
+    return buf.getvalue()
+
+
+def model_from_bytes(buf: bytes) -> list[tuple[str, PackedLayer]]:
+    return [
+        (e.name, layer_from_reader(_Reader(buf, e.start))[1]) for e in _scan(_Reader(buf))
+    ]
 
 
 def write_pack(path, layers: list[tuple[str, PackedLayer]]) -> None:
@@ -408,5 +527,5 @@ def write_pack(path, layers: list[tuple[str, PackedLayer]]) -> None:
 
 
 def read_pack(path) -> list[tuple[str, PackedLayer]]:
-    with open(path, "rb") as fh:
-        return model_from_bytes(fh.read())
+    with PackReader(path) as pack:
+        return [(e.name, pack.read(e)) for e in pack.layers]

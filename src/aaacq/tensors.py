@@ -6,12 +6,20 @@ and the raw payload.  Only f32/f16/bf16 tensors are accepted and everything
 is widened to float32 on load.  Layers pair by name convention: a 2-D tensor
 `<layer>.weight` optionally joined by `<layer>.calib` activations with the
 same number of input columns.
+
+Reading never holds the whole file.  `TensorArchive` checks the header and
+the pairing once, then reads one layer's tensors at a time with positional
+reads at their offsets (not `mmap`, whose pages would count toward the
+reader's resident memory); `read_tensors` and `load_tensor_archive` read
+every tensor through the same path.  `stream_tensors` writes the header
+first and then one tensor at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -27,7 +35,7 @@ from .errors import (
 _WEIGHT_SUFFIX = ".weight"
 _CALIB_SUFFIX = ".calib"
 
-_DTYPE_SIZES = {"F32": 4, "F16": 2, "BF16": 2}
+_DTYPES = {"F32": np.dtype("<f4"), "F16": np.dtype("<f2"), "BF16": np.dtype("<u2")}
 
 
 @dataclass(frozen=True)
@@ -69,45 +77,81 @@ class LayerBundle:
 # Archive reading / writing
 # ---------------------------------------------------------------------------
 
-def _widen(raw, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A float32 array of its own (one copy) from the raw little-endian bytes."""
-    if dtype == "F32":
-        arr = np.frombuffer(raw, dtype="<f4").astype(np.float32)
-    elif dtype == "F16":
-        arr = np.frombuffer(raw, dtype="<f2").astype(np.float32)
-    elif dtype == "BF16":
-        bits = np.frombuffer(raw, dtype="<u2").astype(np.uint32)
-        bits <<= 16
-        arr = bits.view(np.float32)
-    else:
-        raise UnsupportedDtypeError(f"unsupported tensor dtype {dtype!r} (expected F32/F16/BF16)")
-    return arr.reshape(shape)
+@dataclass(frozen=True)
+class TensorEntry:
+    """One tensor's header entry: dtype, shape and where its bytes lie in the file."""
+
+    name: str
+    dtype: str
+    shape: tuple[int, ...]
+    offset: int  # absolute file offset of the first byte
+    nbytes: int
+
+
+@dataclass(frozen=True)
+class LayerEntry:
+    """A layer's weight tensor and optional calibration tensor, not yet read."""
+
+    name: str
+    weight: TensorEntry
+    calib: TensorEntry | None
+
+    @property
+    def rows(self) -> int:
+        return self.weight.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.weight.shape[1]
+
+
+def pread_into(fd: int, buf, offset: int) -> int:
+    """Fill the writable buffer `buf` from `fd` at `offset`; returns the bytes read.
+
+    Fewer than `buf` holds only at end of file.  A positional read leaves the
+    file position alone, so threads and forked workers can share one
+    descriptor.
+    """
+    view = memoryview(buf).cast("B")
+    done = 0
+    while done < len(view):
+        n = os.preadv(fd, [view[done:]], offset + done)
+        if n == 0:
+            break
+        done += n
+    return done
 
 
 def _int_list(value) -> bool:
     return isinstance(value, list) and all(type(v) is int for v in value)  # bools are not
 
 
-def read_tensors(path) -> dict[str, np.ndarray]:
-    """Read all tensors from a safetensors container, widened to float32."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8:
+def _parse_header(path, fd: int) -> dict[str, TensorEntry]:
+    """Read and check an archive's header: every tensor's entry, in header order.
+
+    Everything that can make a tensor unreadable is rejected here, before
+    any tensor is read.
+    """
+    size = os.fstat(fd).st_size
+    head = os.pread(fd, 8, 0)
+    if len(head) < 8:
         raise FormatError(f"{path}: truncated container, no header length at byte 0")
-    (header_len,) = struct.unpack_from("<Q", blob, 0)
-    if 8 + header_len > len(blob):
-        raise FormatError(
-            f"{path}: header length {header_len} at byte 0 exceeds file size {len(blob)}"
-        )
+    (header_len,) = struct.unpack("<Q", head)
+    if 8 + header_len > size:
+        raise FormatError(f"{path}: header length {header_len} at byte 0 exceeds file size {size}")
+    raw = bytearray(header_len)
+    if pread_into(fd, raw, 8) < header_len:
+        raise FormatError(f"{path}: file shrank while its header at byte 8 was read")
     try:
-        header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, overlong ints, deep nesting
         raise FormatError(f"{path}: malformed JSON header at byte 8: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header at byte 8 is not a JSON object")
 
-    payload = memoryview(blob)[8 + header_len :]  # slices share the blob; _widen copies
-    tensors: dict[str, np.ndarray] = {}
+    base = 8 + header_len
+    payload_size = size - base
+    entries: dict[str, TensorEntry] = {}
     for name, entry in header.items():
         if name == "__metadata__":
             continue
@@ -118,83 +162,158 @@ def read_tensors(path) -> dict[str, np.ndarray]:
         if not (_int_list(shape) and _int_list(offsets) and len(offsets) == 2):
             raise FormatError(f"{path}: header entry for {name!r} needs integer shape and offsets")
         shape, (start, end) = tuple(shape), offsets
-        if dtype not in _DTYPE_SIZES:
+        if dtype not in _DTYPES:
             raise UnsupportedDtypeError(
                 f"{path}: tensor {name!r} has unsupported dtype {dtype!r}"
             )
         if any(d < 0 for d in shape):
             raise FormatError(f"{path}: tensor {name!r} has negative dimensions {list(shape)}")
         # Python ints: a product of huge dimensions must not wrap around.
-        nbytes = math.prod(shape) * _DTYPE_SIZES[dtype]
-        if start < 0 or end > len(payload) or end - start != nbytes:
+        nbytes = math.prod(shape) * _DTYPES[dtype].itemsize
+        if start < 0 or end > payload_size or end - start != nbytes:
             raise FormatError(
                 f"{path}: tensor {name!r} offsets [{start}, {end}) are inconsistent "
-                f"with payload size {len(payload)} at byte {8 + header_len + max(start, 0)}"
+                f"with payload size {payload_size} at byte {base + max(start, 0)}"
             )
-        try:
-            tensors[name] = _widen(payload[start:end], dtype, shape)
+        try:  # numpy's own check of the float32 array the tensor widens to, unallocated
+            np.broadcast_to(np.float32(0), shape)
         except ValueError as exc:  # e.g. more dimensions than numpy supports
             raise FormatError(f"{path}: tensor {name!r} shape {list(shape)}: {exc}") from exc
-    return tensors
+        entries[name] = TensorEntry(name, dtype, shape, base + start, nbytes)
+    return entries
 
 
-def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write float32 tensors into a safetensors container (deterministic bytes)."""
-    entries = {}
-    payload = bytearray()
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(np.asarray(tensors[name], dtype=np.float32))
-        start = len(payload)
-        payload += arr.tobytes()
-        entries[name] = {
-            "dtype": "F32",
-            "shape": list(arr.shape),
-            "data_offsets": [start, len(payload)],
-        }
-    header = json.dumps(entries, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    header += b" " * (-len(header) % 8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        fh.write(bytes(payload))
+def _read_tensor(path, fd: int, t: TensorEntry, shape=None) -> np.ndarray:
+    """One tensor read at its offset and widened to a float32 array of its own."""
+    raw = np.empty(t.nbytes // _DTYPES[t.dtype].itemsize, dtype=_DTYPES[t.dtype])
+    if pread_into(fd, raw.view(np.uint8), t.offset) < t.nbytes:
+        raise FormatError(f"{path}: file ends inside tensor {t.name!r} at byte {t.offset}")
+    if t.dtype == "BF16":
+        bits = raw.astype(np.uint32)
+        bits <<= 16
+        arr = bits.view(np.float32)
+    else:
+        arr = raw.astype(np.float32, copy=False)
+    return arr.reshape(t.shape if shape is None else shape)
 
 
-def load_tensor_archive(path) -> list[LayerBundle]:
-    """Load layer bundles from an archive, pairing `.weight` with `.calib`.
-
-    Calibration tensors may carry leading batch/sequence dimensions; they are
-    collapsed to (tokens, cols).  Returns bundles sorted by layer name.
-    """
-    tensors = read_tensors(path)
-    weights = {}
-    calibs = {}
-    for name, arr in tensors.items():
+def _pair_layers(path, entries: dict[str, TensorEntry]) -> list[LayerEntry]:
+    """Pair `<layer>.weight` with `<layer>.calib` entries; layers sorted by name."""
+    weights, calibs = {}, {}
+    for name, t in entries.items():
         if name.endswith(_WEIGHT_SUFFIX):
-            layer = name[: -len(_WEIGHT_SUFFIX)]
-            if arr.ndim != 2:
+            if len(t.shape) != 2:
                 raise PairingError(f"{path}: weight tensor {name!r} is not 2-D")
-            weights[layer] = arr
+            weights[name[: -len(_WEIGHT_SUFFIX)]] = t
         elif name.endswith(_CALIB_SUFFIX):
-            layer = name[: -len(_CALIB_SUFFIX)]
-            if arr.ndim < 2:
+            if len(t.shape) < 2:
                 raise PairingError(f"{path}: calibration tensor {name!r} is not at least 2-D")
-            calibs[layer] = arr.reshape(math.prod(arr.shape[:-1]), arr.shape[-1])
+            calibs[name[: -len(_CALIB_SUFFIX)]] = t
 
     orphans = sorted(set(calibs) - set(weights))
     if orphans:
         raise PairingError(f"{path}: calibration tensors without weights for {orphans}")
 
-    bundles = []
+    layers = []
     for layer in sorted(weights):
-        w = weights[layer]
-        x = calibs.get(layer)
-        if x is not None and x.shape[1] != w.shape[1]:
+        w, x = weights[layer], calibs.get(layer)
+        if x is not None and x.shape[-1] != w.shape[1]:
             raise PairingError(
                 f"{path}: layer {layer!r} pairs weight cols {w.shape[1]} "
-                f"with calibration cols {x.shape[1]}"
+                f"with calibration cols {x.shape[-1]}"
             )
-        bundles.append(LayerBundle(layer, w, x))
-    return bundles
+        layers.append(LayerEntry(layer, w, x))
+    return layers
+
+
+class TensorArchive:
+    """An open archive whose layers are read one at a time.
+
+    Opening reads and checks the header and pairs the layers (`layers`,
+    sorted by name); `load` then reads and widens only one layer's tensors,
+    with positional reads, so threads and forked workers can each load their
+    own layer from the one open file.  Close it, or use it as a context
+    manager.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._file = open(path, "rb", buffering=0)
+        try:
+            self.layers = _pair_layers(path, _parse_header(path, self._file.fileno()))
+        except BaseException:
+            self._file.close()
+            raise
+
+    def load(self, layer: LayerEntry) -> LayerBundle:
+        """One layer's bundle.  Calibration tensors may carry leading
+        batch/sequence dimensions; they are collapsed to (tokens, cols)."""
+        fd = self._file.fileno()
+        w = _read_tensor(self.path, fd, layer.weight)
+        x = None
+        if layer.calib is not None:
+            *lead, cols = layer.calib.shape
+            x = _read_tensor(self.path, fd, layer.calib, (math.prod(lead), cols))
+        return LayerBundle(layer.name, w, x)
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def read_tensors(path) -> dict[str, np.ndarray]:
+    """Read all tensors from a safetensors container, widened to float32."""
+    with open(path, "rb", buffering=0) as fh:
+        fd = fh.fileno()
+        return {name: _read_tensor(path, fd, t) for name, t in _parse_header(path, fd).items()}
+
+
+def load_tensor_archive(path) -> list[LayerBundle]:
+    """Every layer bundle of an archive, loaded at once and sorted by layer name."""
+    with TensorArchive(path) as archive:
+        return [archive.load(layer) for layer in archive.layers]
+
+
+def stream_tensors(fh, shapes: dict[str, tuple[int, ...]], produce) -> None:
+    """Write float32 tensors into a safetensors container on `fh`, one at a time.
+
+    The header goes out first, from `shapes` alone; then each tensor, in
+    sorted-name order, is `produce(name)` and is written before the next is
+    asked for.  The bytes depend only on the tensors.
+    """
+    names = sorted(shapes)
+    entries, offset = {}, 0
+    for name in names:
+        nbytes = 4 * math.prod(shapes[name])
+        entries[name] = {
+            "dtype": "F32",
+            "shape": list(shapes[name]),
+            "data_offsets": [offset, offset + nbytes],
+        }
+        offset += nbytes
+    header = json.dumps(entries, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header += b" " * (-len(header) % 8)
+    fh.write(struct.pack("<Q", len(header)))
+    fh.write(header)
+    for name in names:
+        arr = np.ascontiguousarray(produce(name), dtype="<f4")
+        if arr.shape != tuple(shapes[name]):
+            raise ValidationError(
+                f"tensor {name!r} has shape {arr.shape}, not the header's {tuple(shapes[name])}"
+            )
+        fh.write(arr.reshape(-1).view(np.uint8))
+
+
+def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
+    """Write float32 tensors into a safetensors container (deterministic bytes)."""
+    with open(path, "wb") as fh:
+        stream_tensors(fh, {name: np.shape(arr) for name, arr in tensors.items()},
+                       tensors.__getitem__)
 
 
 def save_tensor_archive(path, bundles: list[LayerBundle]) -> None:

@@ -2,11 +2,12 @@
 
 import dataclasses
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aaacq.errors import (
@@ -21,6 +22,7 @@ from aaacq.packfmt import (
     _HEADER,
     MAGIC,
     PackedLayer,
+    PackReader,
     layer_from_bytes,
     layer_to_bytes,
     model_from_bytes,
@@ -466,3 +468,91 @@ class TestPayloadFuzz:
                 reconstruct(p)
         except AaacqError:
             pass
+
+
+# Where each mutable header field of the first FUZZ_RAW layer lies: the
+# container's layer count, then the layer's name length and its `_HEADER`
+# fields (kind, rows, cols, scale group, selection group, table size, flags).
+_LAYER0 = len(MAGIC) + 6
+_NAME0 = len("signs")  # the first layer's name
+HEADER_FIELDS = {
+    "count": (len(MAGIC) + 2, "<I"),
+    "name_len": (_LAYER0, "<H"),
+    "kind": (_LAYER0 + 2 + _NAME0, "<B"),
+    "rows": (_LAYER0 + 3 + _NAME0, "<I"),
+    "cols": (_LAYER0 + 7 + _NAME0, "<I"),
+    "group_size": (_LAYER0 + 11 + _NAME0, "<H"),
+    "sel_size": (_LAYER0 + 13 + _NAME0, "<H"),
+    "table_size": (_LAYER0 + 15 + _NAME0, "<B"),
+    "flags": (_LAYER0 + 16 + _NAME0, "<B"),
+}
+_NEAR_LIMITS = [0, 1, 2, 3, 15, 16, 17, 255, 256, 2 ** 16 - 1, 2 ** 31, 2 ** 32 - 2, 2 ** 32 - 1]
+
+
+def _field_value(field):
+    bits = 8 * struct.calcsize(HEADER_FIELDS[field][1])
+    limit = 2 ** bits - 1
+    return st.integers(0, limit) | st.sampled_from([v for v in _NEAR_LIMITS if v <= limit])
+
+
+def _decode_all(path, blob):
+    """What `model_from_bytes` and the streaming reader make of a blob: the
+    layers' wire bytes, or the error class.  Only an AaacqError may escape."""
+    outcomes = []
+    try:
+        outcomes.append([layer_to_bytes(n, p) for n, p in model_from_bytes(blob)])
+    except AaacqError as exc:
+        outcomes.append(type(exc))
+    path.write_bytes(blob)
+    try:
+        with PackReader(path) as pack:
+            outcomes.append([layer_to_bytes(e.name, pack.read(e)) for e in pack.layers])
+    except AaacqError as exc:
+        outcomes.append(type(exc))
+    return outcomes
+
+
+class TestHeaderFuzz:
+    """Mutated header fields and lengths fail with an AaacqError, never anything
+    else, through the whole-buffer and the streaming reader alike."""
+
+    def test_unmutated_container_reads_back(self, tmp_path):
+        whole, streamed = _decode_all(tmp_path / "m.aaacq", FUZZ_RAW)
+        assert whole == streamed and len(whole) == 2
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        edits=st.lists(
+            st.sampled_from(sorted(HEADER_FIELDS)).flatmap(
+                lambda f: st.tuples(st.just(f), _field_value(f))),
+            min_size=1, max_size=4,
+        ),
+        cut=st.none() | st.integers(0, len(FUZZ_RAW)),
+    )
+    def test_mutated_header_fields(self, tmp_path, edits, cut):
+        blob = bytearray(FUZZ_RAW)
+        for field, value in edits:
+            at, fmt = HEADER_FIELDS[field]
+            struct.pack_into(fmt, blob, at, value)
+        whole, streamed = _decode_all(tmp_path / "m.aaacq", bytes(blob[:cut]))
+        assert whole == streamed
+
+    def test_huge_layer_fails_before_reading(self, tmp_path):
+        # A (2^32 - 1) x (2^32 - 1) layer with one-weight groups claims about
+        # 2^65 payload bytes; rejecting it must not allocate them.
+        header = _HEADER.pack(0, 2 ** 32 - 1, 2 ** 32 - 1, 1, 1, 16, 0)
+        blob = (MAGIC + struct.pack("<HI", 1, 1) + struct.pack("<H", 4) + b"huge"
+                + header + struct.pack("<I", 0) + b"\x00" * 64)
+        path = tmp_path / "huge.aaacq"
+        path.write_bytes(blob)
+        for read in (lambda: model_from_bytes(blob), lambda: layer_from_bytes(blob, 12),
+                     lambda: read_pack(path), lambda: PackReader(path).close()):
+            tracemalloc.start()
+            try:
+                with pytest.raises(CorruptionError, match="truncated"):
+                    read()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20

@@ -22,6 +22,7 @@ from aaacq.errors import (
 from aaacq.tensors import (
     LayerBundle,
     SynthSpec,
+    TensorArchive,
     load_tensor_archive,
     read_tensors,
     save_tensor_archive,
@@ -292,13 +293,48 @@ class TestReadFuzz:
         assert [(b.name, b.weights.shape) for b in bundles] == [("a", (2, 4)), ("b", (1, 4))]
         assert bundles[0].activations.shape == (3, 4)
 
+    def test_eager_and_lazy_loads_agree(self, tmp_path):
+        # F32 weights, F16 activations with a batch dimension, BF16 weights.
+        path = tmp_path / "a.safetensors"
+        path.write_bytes(raw_archive(FUZZ_ENTRIES, FUZZ_PAYLOAD))
+        f16 = np.frombuffer(FUZZ_PAYLOAD[32:56], dtype="<f2").astype(np.float32)
+        bf16 = (np.frombuffer(FUZZ_PAYLOAD[56:], dtype="<u2").astype(np.uint32) << 16)
+        want = {
+            "a": (np.frombuffer(FUZZ_PAYLOAD[:32], dtype="<f4").reshape(2, 4), f16.reshape(3, 4)),
+            "b": (bf16.view(np.float32).reshape(1, 4), None),
+        }
+        eager = load_tensor_archive(path)
+        with TensorArchive(path) as archive:
+            lazy = [archive.load(layer) for layer in reversed(archive.layers)][::-1]
+        for got in (eager, lazy):
+            assert [b.name for b in got] == sorted(want)
+            for b in got:
+                w, x = want[b.name]
+                assert b.weights.dtype == np.float32 and np.array_equal(b.weights, w)
+                assert (b.activations is None) == (x is None)
+                if x is not None:
+                    assert b.activations.dtype == np.float32
+                    assert np.array_equal(b.activations, x)
+
     @staticmethod
-    def _load(path, blob):
-        path.write_bytes(blob)
+    def _outcome(load):
         try:
-            load_tensor_archive(path)
-        except AaacqError:
-            pass
+            return [(b.name, b.weights.tobytes(), None if b.activations is None
+                     else (b.activations.shape, b.activations.tobytes())) for b in load()]
+        except AaacqError as exc:
+            return type(exc)
+
+    @classmethod
+    def _load(cls, path, blob):
+        # Eager, then per layer (open, then load each layer): only an
+        # AaacqError may escape either, and both end the same way.
+        path.write_bytes(blob)
+
+        def lazy():
+            with TensorArchive(path) as archive:
+                return [archive.load(layer) for layer in archive.layers]
+
+        assert cls._outcome(lambda: load_tensor_archive(path)) == cls._outcome(lazy)
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
