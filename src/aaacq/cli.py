@@ -54,6 +54,8 @@ def _check_paths(inputs=(), outputs=()) -> None:
     for path in outputs:
         if path is None:
             continue
+        if os.path.isdir(path) or not os.path.basename(path):
+            raise ValidationError(f"output path names a directory: {path}")
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise ValidationError(f"output directory does not exist: {parent}")
@@ -65,10 +67,8 @@ def _check_paths(inputs=(), outputs=()) -> None:
 
 def _quantize_layer(bundle: tensors.LayerBundle, method: str, cfg) -> packfmt.PackedLayer:
     """`quantize`'s task: one layer's pack, with the layer named in any error."""
-    try:
+    with metrics.naming_layer(bundle.name):
         packed, trace = metrics.quantize_layer(bundle, method, cfg)
-    except AaacqError as exc:
-        raise AaacqError(f"layer {bundle.name!r}: {exc}") from exc
     if trace is not None:
         _log(
             f"  {bundle.name}: objective {trace[0]:.6e} -> {trace[-1]:.6e} "
@@ -188,13 +188,15 @@ def cmd_compare(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if not methods:
         raise ValidationError("no methods given")
-    if args.archive:
-        bundles = tensors.load_tensor_archive(args.archive)
-    else:
-        bundles = _pinned_suite(args.seed)
     started = time.perf_counter()
-    report = metrics.compare(bundles, methods, cfg, threads=threads)
-    _log(f"compared {len(bundles)} layers in {time.perf_counter() - started:.2f}s")
+    if args.archive:
+        with tensors.TensorArchive(args.archive) as archive:
+            layers = archive.layers
+            report = metrics.compare(layers, methods, cfg, threads, load=archive.load)
+    else:
+        layers = _pinned_suite(args.seed)
+        report = metrics.compare(layers, methods, cfg, threads)
+    _log(f"compared {len(layers)} layers in {time.perf_counter() - started:.2f}s")
     _emit_report(report, args)
     return 0
 
@@ -258,7 +260,6 @@ def _add_quant_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale-mode", default="exact-bf16",
                    choices=["exact-bf16", "emulate-e4m3"],
                    help="scale storage rounding (default exact-bf16)")
-    p.add_argument("--seed", type=int, default=0, help="seed for synthetic inputs")
     p.add_argument("--threads", type=int, default=0,
                    help="workers for per-layer work: threads, or forked processes "
                         "for aaac on small layers (default: all cores; "
@@ -319,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input archive (omit to use a pinned synthetic suite)")
     p.add_argument("--methods", default="rtn,if4,aaac",
                    help="comma-separated subset of rtn,if4,aaac")
+    p.add_argument("--seed", type=int, default=0, help="seed of the pinned synthetic suite")
     _add_quant_flags(p)
     _add_report_flags(p)
     p.set_defaults(func=cmd_compare)

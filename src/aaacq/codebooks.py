@@ -324,27 +324,26 @@ class _Members:
             self.codes[self.position[flat]] = codes + j * self.size
 
 
-def _group_errors(w_norm, col_importance, table0, codes0, table1, codes1, sel_size):
-    """Weighted and unweighted per-group squared errors under both tables."""
+def _assign(cells, w_norm, col_importance, table0, table1, sel_size):
+    """The assignment step: (codes under table 0, under table 1, each group's table, objective).
+
+    A group takes the table with lower weighted squared error (ties keep
+    table 0), or lower unweighted error when its columns carry no importance;
+    the objective sums every group's weighted error under its table.
+    """
     n, k = w_norm.shape
+    shape = (n, k // sel_size, sel_size)
+    imp = np.asarray(col_importance, dtype=np.float64)
+    codes0, codes1 = cells.codes(table0), cells.codes(table1)
     se0 = (w_norm - np.asarray(table0, dtype=np.float64)[codes0]) ** 2
     se1 = (w_norm - np.asarray(table1, dtype=np.float64)[codes1]) ** 2
-    shape = (n, k // sel_size, sel_size)
-    i_row = np.asarray(col_importance, dtype=np.float64)
-    e0w = (se0 * i_row).reshape(shape).sum(axis=2)
-    e1w = (se1 * i_row).reshape(shape).sum(axis=2)
+    e0w = (se0 * imp).reshape(shape).sum(axis=2)
+    e1w = (se1 * imp).reshape(shape).sum(axis=2)
     e0u = se0.reshape(shape).sum(axis=2)
     e1u = se1.reshape(shape).sum(axis=2)
-    return e0w, e1w, e0u, e1u
-
-
-def _decide(e0w, e1w, e0u, e1u, col_importance, sel_size):
-    # Ties keep table 0.  Groups whose columns carry zero total importance
-    # fall back to the unweighted comparison.
-    i_groups = np.asarray(col_importance, dtype=np.float64).reshape(-1, sel_size).sum(axis=1)
-    dead = i_groups == 0
-    sigma = np.where(dead[np.newaxis, :], e1u < e0u, e1w < e0w)
-    return sigma.astype(np.uint8)
+    dead = imp.reshape(-1, sel_size).sum(axis=1) == 0
+    sigma = np.where(dead[np.newaxis, :], e1u < e0u, e1w < e0w).astype(np.uint8)
+    return codes0, codes1, sigma, float(np.where(sigma, e1w, e0w).sum())
 
 
 def select_tables(w_norm, col_importance, table0, table1, sel_size: int) -> np.ndarray:
@@ -358,11 +357,7 @@ def select_tables(w_norm, col_importance, table0, table1, sel_size: int) -> np.n
         raise LayoutError(
             f"column count {w.shape[1]} is not divisible by selection group size {sel_size}"
         )
-    cells = _SortedCells.of(w)
-    e0w, e1w, e0u, e1u = _group_errors(
-        w, col_importance, table0, cells.codes(table0), table1, cells.codes(table1), sel_size
-    )
-    return _decide(e0w, e1w, e0u, e1u, col_importance, sel_size)
+    return _assign(_SortedCells.of(w), w, col_importance, table0, table1, sel_size)[2]
 
 
 def _lloyd_step(table, weighted_values, weights, codes):
@@ -466,15 +461,13 @@ def learn(
     trace = []
 
     for _ in range(cfg.n_outer):
-        codes0, codes1 = cells.codes(t0), cells.codes(t1)
-        e0w, e1w, e0u, e1u = _group_errors(w_norm, imp, t0, codes0, t1, codes1, cfg.sel_size)
-        sigma = _decide(e0w, e1w, e0u, e1u, imp, cfg.sel_size)
-        trace.append(float(np.where(sigma, e1w, e0w).sum()))
+        codes0, codes1, sigma, objective = _assign(cells, w_norm, imp, t0, t1, cfg.sel_size)
+        trace.append(objective)
 
         member1 = expand_groups(sigma, cfg.sel_size)
         t = np.stack((t0, t1))
         members = _Members(cells, member1, t, (codes0, codes1))
-        del codes0, codes1, e0w, e1w, e0u, e1u
+        del codes0, codes1
         v = w_norm.ravel()[members.source]
         i = imp[members.source % k]
         for t in _lloyd_steps(members, t, v, i, cfg.n_inner):
@@ -485,9 +478,7 @@ def learn(
 
     t0 = round_bf16(t0).astype(np.float32)
     t1 = round_bf16(t1).astype(np.float32)
-    codes0, codes1 = cells.codes(t0), cells.codes(t1)
-    e0w, e1w, e0u, e1u = _group_errors(w_norm, imp, t0, codes0, t1, codes1, cfg.sel_size)
-    sigma = _decide(e0w, e1w, e0u, e1u, imp, cfg.sel_size)
+    codes0, codes1, sigma, _ = _assign(cells, w_norm, imp, t0, t1, cfg.sel_size)
     member1 = expand_groups(sigma, cfg.sel_size).astype(bool)
     codes = np.where(member1, codes1, codes0)
     return LearnResult(

@@ -13,6 +13,7 @@ exactly zero, so recovery over a layer suite reduces to
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -272,19 +273,25 @@ def parallel_map(fn, items, threads: int, forks=None, consume=None) -> list:
             results[done] = result if consume is None else consume(result)
             done += 1
 
-    if threads <= 1 or len(items) <= 1:
-        _serial_map(fn, items, 1, arrive)
-        return results
     # Forking is only safe while no other thread can hold a lock.
-    can_fork = _CAN_FORK and forks is not None and threading.active_count() == 1
+    can_fork = _CAN_FORK and threads > 1 and forks is not None and threading.active_count() == 1
     picked = [can_fork and bool(forks(item)) for item in items]
     for route, pool_map in ((True, _fork_map), (False, _thread_map)):
         indices = [i for i, p in enumerate(picked) if p == route]
         batch = [items[i] for i in indices]
-        if len(batch) <= 1:
+        if len(batch) <= 1 or threads <= 1:
             pool_map = _serial_map
         pool_map(fn, batch, min(threads, len(batch)), lambda j, result: arrive(indices[j], result))
     return results
+
+
+@contextlib.contextmanager
+def naming_layer(name: str):
+    """Every per-layer task's context: an `AaacqError` raised in it names the layer."""
+    try:
+        yield
+    except AaacqError as exc:
+        raise AaacqError(f"layer {name!r}: {exc}") from exc
 
 
 def quantize_layer(bundle: LayerBundle, method: str, cfg: AaacConfig, col_importance=None):
@@ -410,28 +417,26 @@ def report(rows) -> EvalReport:
 
 
 def compare(
-    bundles: list[LayerBundle],
-    methods,
-    cfg: AaacConfig,
-    threads: int = 1,
+    bundles: list, methods, cfg: AaacConfig, threads: int = 1, load=lambda layer: layer
 ) -> EvalReport:
     """Quantize every layer with every requested method and `report` the packs' metrics.
 
     Each row scores the packed layer `quantize` would write, decoded the way
-    `eval` decodes it.  Layer evaluations are independent and run on
-    `threads` workers (`runs_forked` picks the forked ones); the report is
-    the same either way.
+    `eval` decodes it.  One task per layer loads it with `load`, computes its
+    importance once and runs every method, on one of `threads` workers
+    (forked where `runs_forked` picks a method); the report is the same either way.
     """
     methods = sorted({m.lower() for m in methods})
     for m in methods:
         if m not in METHODS:
             raise ValidationError(f"unknown method {m!r}; supported: {list(METHODS)}")
 
-    # Each layer's importance is computed once and shared by its methods.
-    importances = parallel_map(layer_importance, bundles, threads)
-    tasks = [(b, m, cfg, imp) for m in methods for b, imp in zip(bundles, importances)]
-    rows = parallel_map(
-        lambda task: _run_method(*task), tasks, threads,
-        forks=lambda task: runs_forked(task[1], task[0]),
-    )
-    return report(rows)
+    def layer_rows(layer):
+        bundle = load(layer)
+        with naming_layer(bundle.name):
+            imp = layer_importance(bundle)
+            return [_run_method(bundle, m, cfg, imp) for m in methods]
+
+    per_layer = parallel_map(layer_rows, bundles, threads,
+                             forks=lambda layer: any(runs_forked(m, layer) for m in methods))
+    return report([row for rows in per_layer for row in rows])

@@ -136,6 +136,12 @@ class TestQuantize:
         assert run("quantize", tmp_path / "nope.safetensors",
                    "--out", tmp_path / "no-dir" / "m.aaacq") == 1
 
+    def test_seed_is_not_a_quantize_flag(self, tmp_path, archive):
+        # Only compare's pinned suite is seeded.
+        with pytest.raises(SystemExit) as exc:
+            run("quantize", archive, "--out", tmp_path / "m.aaacq", "--seed", "1")
+        assert exc.value.code == 2
+
     def test_weight_only_archive(self, tmp_path):
         from aaacq.tensors import LayerBundle, save_tensor_archive
 
@@ -180,6 +186,28 @@ class TestQuantize:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "must be 0 (all cores) or positive" in err
         assert not (tmp_path / "m.aaacq").exists()
+
+
+def test_directory_as_output_fails_before_work(tmp_path, capsys, archive):
+    pack_path = tmp_path / "m.aaacq"
+    assert run("quantize", archive, "--out", pack_path, "--method", "rtn") == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept").write_bytes(b"kept")
+    capsys.readouterr()
+    for command in (
+        ["quantize", archive, "--method", "rtn"],
+        ["compare", archive, "--methods", "rtn"],
+        ["eval", pack_path, archive],
+        ["synth"],
+        ["dequantize", pack_path],
+    ):
+        for path in (out, f"{tmp_path / 'new'}{os.sep}"):
+            assert run(*command, "--out", path) == 1, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, (command, err)
+        assert sorted(os.listdir(tmp_path)) == ["layers.safetensors", "m.aaacq", "out"]
+        assert os.listdir(out) == ["kept"] and (out / "kept").read_bytes() == b"kept"
 
 
 class TestDequantize:

@@ -78,12 +78,18 @@ class TestRoute:
 
     @needs_fork
     def test_compare_forks_only_learner_tasks(self, spy):
-        metrics.compare(suite(), ["rtn", "if4", "aaac"], AaacConfig.for_format(NVFP4), threads=2)
+        cfg, parent = AaacConfig.for_format(NVFP4), str(os.getpid())
+        metrics.compare(suite(), ["rtn", "if4", "aaac"], cfg, threads=2)
         calls = spy()
         assert len(calls) == 9
-        parent = str(os.getpid())
-        for method, _, pid in calls:
-            assert (pid != parent) == (method == "aaac"), calls
+        pids = {}
+        for _, layer, pid in calls:
+            pids.setdefault(layer, set()).add(pid)
+        # With aaac requested, every method of a small layer runs in one forked worker.
+        assert all(len(p) == 1 and parent not in p for p in pids.values()), calls
+        metrics.compare(suite(), ["rtn"], cfg, threads=2)
+        rtn_calls = set(spy()) - set(calls)
+        assert len(rtn_calls) == 3 and {pid for *_, pid in rtn_calls} == {parent}
 
     @needs_fork
     def test_quantize_forks_learner_layers(self, spy, archive, tmp_path):
@@ -160,7 +166,7 @@ class TestWorkerCount:
 
     def test_compare_caps_workers_at_the_task_count(self, archive):
         assert run("compare", archive, "--methods", "rtn", "--threads", "8") == 0
-        assert Recorder.sizes == [3, 3]  # importances, then the rtn tasks
+        assert Recorder.sizes == [3]  # one task per layer
 
 
 @needs_fork
@@ -177,14 +183,15 @@ class TestForkedFailures:
 
     def test_learner_error_reads_as_on_threads(self, tmp_path, capsys):
         arch = self.odd_archive(tmp_path / "odd.safetensors")
-        errors = []
-        for threads in ("1", "2"):
-            assert run("quantize", arch, "--out", tmp_path / "m.aaacq", "--method", "aaac",
-                       "--format", "nvfp4", "--threads", threads) == 1
-            errors.append([line for line in capsys.readouterr().err.splitlines()
-                           if line.startswith("error: ")])
-        assert errors[0] == errors[1]
-        assert len(errors[0]) == 1 and errors[0][0].startswith("error: layer 'odd-a': ")
+        for command in (["quantize", arch, "--out", tmp_path / "m.aaacq", "--method", "aaac"],
+                        ["compare", arch]):
+            errors = []
+            for threads in ("1", "2"):
+                assert run(*command, "--format", "nvfp4", "--threads", threads) == 1
+                errors.append([line for line in capsys.readouterr().err.splitlines()
+                               if line.startswith("error: ")])
+            assert errors[0] == errors[1], command
+            assert len(errors[0]) == 1 and errors[0][0].startswith("error: layer 'odd-a': ")
 
     def test_dead_worker_is_an_aaacq_error(self, monkeypatch, archive, tmp_path, capsys):
         parent, real = os.getpid(), metrics.quantize_layer

@@ -46,6 +46,8 @@ def test_peak_memory_does_not_grow_with_the_layer_count(tmp_path):
                                     "--threads", "1"),
             "eval": _peak_bytes("eval", pack, arch, "--json", "--out", report),
             "dequantize": _peak_bytes("dequantize", pack, "--out", d / "d.safetensors"),
+            "compare": _peak_bytes("compare", arch, "--methods", "rtn", "--threads", "1",
+                                   "--json", "--out", d / "c.json"),
         }
     for command in peaks[8]:
         assert peaks[16][command] - peaks[8][command] < LAYER_BYTES, (command, peaks)
