@@ -59,6 +59,10 @@ def _check_paths(inputs=(), outputs=()) -> None:
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise ValidationError(f"output directory does not exist: {parent}")
+        # Outputs replace their file, so an output that is an input destroys it.
+        for source in inputs:
+            if os.path.exists(path) and os.path.samefile(path, source):
+                raise ValidationError(f"output {path} is the input {source}")
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,21 @@ row-major order; only the search uses the sorted order.  Summing in sorted
 order (with `np.add.reduceat`, say) would save the scatter but rounds
 differently, so the float64 tables, the objective trace and in the end the
 packed bytes would depend on the sort.
+
+Memory follows the layer's size in a few bytes per weight, and no step
+makes a full-size temporary it does not keep.  Members are whole selection
+groups, so `_Members` keeps its layout as one entry per group (the groups
+in member order and each group's place in it), not an index per value.
+Sorted positions are int32 below 2**31 values.  The assignment step takes
+uint8 codes and one float64 buffer that holds each table's errors in turn.
+Within an outer round the member values and importances are gathered group
+row by group row, the normalized weights are freed (the member values are
+the same numbers) and rebuilt from them by one scatter before the next
+assignment, and the cell errors of every inner step go into one buffer,
+filled in chunks that stay in cache.  Per weight, an inner step then holds
+the sorted values (8 bytes), their positions (4), the member codes (8), the
+member values, importances and their products (24) and the error buffer
+(8): about 53 bytes, under 14 times the float32 layer in all.
 """
 
 from __future__ import annotations
@@ -192,6 +207,17 @@ def init_tables(w_norm, table_size: int) -> tuple[np.ndarray, np.ndarray]:
 
 _NONE = np.zeros(0, dtype=np.intp)
 
+# Flat positions below this fit in int32, half the bytes of intp.
+_NARROW_BELOW = 2**31
+
+# Values per chunk of an elementwise pass; a chunk's float64 scratch stays in cache.
+_CHUNK = 1 << 15
+
+
+def _chunks(n: int):
+    """Slices that cut `range(n)` into chunks of `_CHUNK`."""
+    return (slice(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK))
+
 
 def _cell_runs(table: np.ndarray, values: np.ndarray):
     """The codes `recon_codes(table, values)` of ascending `values`, as runs.
@@ -233,7 +259,8 @@ class _SortedCells:
 
     `codes(table)` equals `recon_codes(table, values)` in the values' own
     layout, but costs a boundary search, one `np.repeat` and one scatter
-    instead of a search per value.
+    instead of a search per value.  `order` is int32 below `_NARROW_BELOW`
+    values and intp from there on.
     """
 
     def __init__(self, sorted_values, order, shape):
@@ -245,53 +272,77 @@ class _SortedCells:
     def of(cls, values) -> "_SortedCells":
         v = np.asarray(values, dtype=np.float64)
         order = np.argsort(v, axis=None)
-        return cls(v.ravel()[order], order, v.shape)
+        sorted_values = v.ravel()[order]
+        if v.size < _NARROW_BELOW:
+            order = order.astype(np.int32)
+        return cls(sorted_values, order, v.shape)
 
     def runs(self, table):
         """`_cell_runs` of all the sorted values under `table`."""
         return _cell_runs(check_table(table), self.sorted)
 
-    def codes(self, table) -> np.ndarray:
+    def codes(self, table, dtype=np.intp) -> np.ndarray:
+        """The codes under `table`, as `dtype`, which must hold the table's indices."""
         first, counts, lo, hi = self.runs(table)
-        codes = np.repeat(first, counts)
+        codes = np.repeat(first.astype(dtype), counts)
         if (hi > lo).any():
             idx = _spans(lo, hi)
             codes[idx] = recon_codes(table, self.sorted[idx])
-        out = np.empty(codes.size, dtype=np.intp)
+        out = np.empty(codes.size, dtype=dtype)
         out[self.order] = codes
         return out.reshape(self.shape)
 
 
 class _Members:
-    """Values split between tables, with each value's code under its own table.
+    """Values split between tables by group, with each value's code under its own table.
 
-    Table 0's members come first, then table 1's, each part in the values'
-    row-major order; the codes of table `j` are offset by `j` times the
-    table size, so one `np.bincount` serves every table.  `move(tables)`
-    brings the codes up to date after the tables move, rewriting only the
-    values whose code can have changed.
+    The values fall into groups of `sel_size` consecutive ones in row-major
+    order, a layer's selection groups, and `member1` says per group whether
+    it belongs to table 1.  `groups` lists table 0's groups, then table 1's,
+    each part in row-major order, and the members are the values of those
+    groups in that order: member `m` is value `groups[m // S] * S + m % S`,
+    and value `f` is member `gpos[f // S] * S + f % S`.  That is two entries
+    per group instead of two indices per value.  The codes of table `j` are
+    offset by `j` times the table size, so one `np.bincount` serves every
+    table.  `move(tables)` brings the codes up to date after the tables
+    move, rewriting only the values whose code can have changed.
     """
 
-    def __init__(self, cells: _SortedCells, member1, tables, full_codes):
+    def __init__(self, cells: _SortedCells, member1, tables, full_codes, sel_size=1):
         part = np.asarray(member1, dtype=bool).ravel()
         self.cells = cells
         self.part = part
+        self.sel_size = sel_size
         self.size = tables.shape[1]
         # np.flatnonzero is branch-free; boolean indexing with a mask as
         # irregular as a selection is several times slower.
-        self.source = np.concatenate((np.flatnonzero(~part), np.flatnonzero(part)))
-        self.split = part.size - np.count_nonzero(part)
-        self.position = np.empty(part.size, dtype=np.intp)  # inverse of source
-        self.position[self.source] = np.arange(part.size)
-        self.codes = np.empty(part.size, dtype=np.intp)
+        self.groups = np.concatenate((np.flatnonzero(~part), np.flatnonzero(part)))
+        self.split = (part.size - np.count_nonzero(part)) * sel_size
+        self.gpos = np.empty(part.size, dtype=np.intp)  # inverse of groups
+        self.gpos[self.groups] = np.arange(part.size)
+        self.codes = np.empty(part.size * sel_size, dtype=np.intp)
         self.runs = [cells.runs(t) for t in tables]
         for j, codes in enumerate(full_codes):
             self._gather(j, codes)
 
+    def gather(self, values) -> np.ndarray:
+        """`values`, one per value in the layout, in member order, whole groups at a time."""
+        return np.asarray(values).reshape(-1, self.sel_size)[self.groups].reshape(-1)
+
+    def scatter(self, values, shape) -> np.ndarray:
+        """The inverse of `gather`: member-ordered `values` in a new array of `shape`."""
+        out = np.empty(shape, dtype=values.dtype)
+        out.reshape(-1, self.sel_size)[self.groups] = values.reshape(-1, self.sel_size)
+        return out
+
     def _gather(self, j, codes):
         """Table `j`'s member codes, taken from `codes` of every value."""
+        cut = self.split // self.sel_size
+        groups = self.groups[:cut] if j == 0 else self.groups[cut:]
         part = slice(self.split) if j == 0 else slice(self.split, None)
-        self.codes[part] = codes.ravel()[self.source[part]] + j * self.size
+        self.codes[part] = codes.reshape(-1, self.sel_size)[groups].reshape(-1)
+        if j:
+            self.codes[part] += j * self.size
 
     def move(self, tables) -> None:
         """Recode after each table `j` moved to `tables[j]`.
@@ -304,7 +355,7 @@ class _Members:
         not, or either table is on the fallback (one window, one label),
         the table takes a full pass.
         """
-        order = self.cells.order
+        order, size = self.cells.order, self.sel_size
         for j, table in enumerate(tables):
             old, new = self.runs[j], self.cells.runs(table)
             self.runs[j] = new
@@ -313,15 +364,15 @@ class _Members:
                 self._gather(j, self.cells.codes(table))
                 continue
             idx = _spans(np.minimum(old[2], lo), np.maximum(old[3], hi))
-            flat = order[idx]
-            mine = self.part[flat] == j
-            idx, flat = idx[mine], flat[mine]
+            group, offset = np.divmod(order[idx], size)
+            mine = self.part[group] == j
+            idx, group, offset = idx[mine], group[mine], offset[mine]
             run = lo.searchsorted(idx, side="right")
             codes = first[run]
             window = hi.searchsorted(idx, side="right") < run
             if window.any():
                 codes[window] = recon_codes(table, self.cells.sorted[idx[window]])
-            self.codes[self.position[flat]] = codes + j * self.size
+            self.codes[self.gpos[group] * size + offset] = codes + j * self.size
 
 
 def _assign(cells, w_norm, col_importance, table0, table1, sel_size):
@@ -334,16 +385,23 @@ def _assign(cells, w_norm, col_importance, table0, table1, sel_size):
     n, k = w_norm.shape
     shape = (n, k // sel_size, sel_size)
     imp = np.asarray(col_importance, dtype=np.float64)
-    codes0, codes1 = cells.codes(table0), cells.codes(table1)
-    se0 = (w_norm - np.asarray(table0, dtype=np.float64)[codes0]) ** 2
-    se1 = (w_norm - np.asarray(table1, dtype=np.float64)[codes1]) ** 2
-    e0w = (se0 * imp).reshape(shape).sum(axis=2)
-    e1w = (se1 * imp).reshape(shape).sum(axis=2)
-    e0u = se0.reshape(shape).sum(axis=2)
-    e1u = se1.reshape(shape).sum(axis=2)
+    se = np.empty((n, k))  # one table's squared errors at a time
+    flat = se.reshape(-1)
+    codes, e_w, e_u = [], [], []
+    for table in (table0, table1):
+        c = cells.codes(table, np.uint8)
+        t, c_flat = np.asarray(table, dtype=np.float64), c.reshape(-1)
+        for s in _chunks(flat.size):  # take widens its indices to intp, a chunk at a time
+            t.take(c_flat[s], out=flat[s], mode="clip")
+        np.subtract(w_norm, se, out=se)
+        np.square(se, out=se)
+        e_u.append(se.reshape(shape).sum(axis=2))
+        se *= imp
+        e_w.append(se.reshape(shape).sum(axis=2))
+        codes.append(c)
     dead = imp.reshape(-1, sel_size).sum(axis=1) == 0
-    sigma = np.where(dead[np.newaxis, :], e1u < e0u, e1w < e0w).astype(np.uint8)
-    return codes0, codes1, sigma, float(np.where(sigma, e1w, e0w).sum())
+    sigma = np.where(dead[np.newaxis, :], e_u[1] < e_u[0], e_w[1] < e_w[0]).astype(np.uint8)
+    return codes[0], codes[1], sigma, float(np.where(sigma, e_w[1], e_w[0]).sum())
 
 
 def select_tables(w_norm, col_importance, table0, table1, sel_size: int) -> np.ndarray:
@@ -406,14 +464,22 @@ def kmeans_update(table, values, weights, n_inner: int) -> np.ndarray:
     return t[0]
 
 
-def _cell_error(table, values, weights, codes, split):
-    """Weighted squared error, summed separately before and after `split`."""
-    # `weights * d * d`, with two fewer full-size temporaries.
-    d = np.asarray(table, dtype=np.float64).take(codes)
-    np.subtract(values, d, out=d)
-    e = weights * d
-    e *= d
-    return float(e[:split].sum()) + float(e[split:].sum())
+def _cell_error(table, values, weights, codes, split, out):
+    """Weighted squared error, summed separately before and after `split`.
+
+    Each value's `weights * d * d` goes to `out`, a chunk at a time, so the
+    only other scratch is one chunk of `d`.
+    """
+    d = np.empty(min(codes.size, _CHUNK))
+    for s in _chunks(codes.size):
+        c = d[: s.stop - s.start]
+        # mode="clip" writes straight to `out=`; "raise" fills a copy first.
+        table.take(codes[s], out=c, mode="clip")
+        np.subtract(values[s], c, out=c)
+        e = out[s]
+        np.multiply(weights[s], c, out=e)
+        e *= c
+    return float(out[:split].sum()) + float(out[split:].sum())
 
 
 def learn(
@@ -459,33 +525,38 @@ def learn(
     # Quantiles are order statistics, so the sorted copy gives the same tables.
     t0, t1 = init_tables(cells.sorted, table_size)
     trace = []
+    sel = cfg.sel_size
 
     for _ in range(cfg.n_outer):
-        codes0, codes1, sigma, objective = _assign(cells, w_norm, imp, t0, t1, cfg.sel_size)
+        codes0, codes1, sigma, objective = _assign(cells, w_norm, imp, t0, t1, sel)
         trace.append(objective)
 
-        member1 = expand_groups(sigma, cfg.sel_size)
         t = np.stack((t0, t1))
-        members = _Members(cells, member1, t, (codes0, codes1))
+        members = _Members(cells, sigma, t, (codes0, codes1), sel)
         del codes0, codes1
-        v = w_norm.ravel()[members.source]
-        i = imp[members.source % k]
+        # The member values are w_norm's values, so w_norm is freed for the
+        # inner steps and rebuilt from them for the next assignment.
+        v = members.gather(w_norm)
+        del w_norm
+        # A group's importances are those of its columns, in any row.
+        i = imp.reshape(-1, sel)[members.groups % (k // sel)].reshape(-1)
+        errors = np.empty(v.size)
         for t in _lloyd_steps(members, t, v, i, cfg.n_inner):
-            trace.append(_cell_error(t.ravel(), v, i, members.codes, members.split))
+            trace.append(_cell_error(t.ravel(), v, i, members.codes, members.split, errors))
         t0, t1 = t
-        # Free this round's member arrays before the next full-layer pass.
-        del members, v, i
+        del i, errors
+        w_norm = members.scatter(v, (n, k))
+        del members, v
 
     t0 = round_bf16(t0).astype(np.float32)
     t1 = round_bf16(t1).astype(np.float32)
-    codes0, codes1, sigma, _ = _assign(cells, w_norm, imp, t0, t1, cfg.sel_size)
-    member1 = expand_groups(sigma, cfg.sel_size).astype(bool)
-    codes = np.where(member1, codes1, codes0)
+    codes0, codes1, sigma, _ = _assign(cells, w_norm, imp, t0, t1, sel)
+    codes = np.where(expand_groups(sigma, sel).astype(bool), codes1, codes0)
     return LearnResult(
         table0=t0,
         table1=t1,
         selection=sigma,
-        codes=codes.astype(np.uint8),
+        codes=codes,
         scales=scales,
         trace=np.asarray(trace, dtype=np.float64),
     )

@@ -210,6 +210,32 @@ def test_directory_as_output_fails_before_work(tmp_path, capsys, archive):
         assert os.listdir(out) == ["kept"] and (out / "kept").read_bytes() == b"kept"
 
 
+def test_output_that_is_an_input_fails_before_work(tmp_path, capsys, archive):
+    pack_path = tmp_path / "m.aaacq"
+    assert run("quantize", archive, "--out", pack_path, "--method", "rtn") == 0
+    # The same file under another name, too: a hard link and a relative path.
+    link = tmp_path / "link.aaacq"
+    os.link(pack_path, link)
+    relative = os.path.relpath(archive)
+    inputs = {path: path.read_bytes() for path in (archive, pack_path)}
+    capsys.readouterr()
+    for command, outs in (
+        (["eval", pack_path, archive, "--json"], [pack_path, archive, link]),
+        (["compare", archive, "--methods", "rtn", "--json"], [archive, relative]),
+        (["quantize", archive, "--method", "rtn"], [archive, relative]),
+        (["dequantize", pack_path], [pack_path, link]),
+    ):
+        for out in outs:
+            assert run(*command, "--out", out) == 1, (command, out)
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err, (command, err)
+            assert "is the input" in err, err
+    for path, data in inputs.items():
+        assert path.read_bytes() == data
+    assert sorted(os.listdir(tmp_path)) == ["layers.safetensors", "link.aaacq", "m.aaacq"]
+    assert run("eval", pack_path, archive, "--json") == 0
+
+
 class TestDequantize:
     def test_round_trip_matches_library(self, tmp_path, archive):
         pack_path = tmp_path / "m.aaacq"

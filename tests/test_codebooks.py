@@ -1,6 +1,8 @@
 """Importance, quantile init, table selection, weighted k-means, and learn."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from aaacq import codebooks
 from aaacq.codebooks import (
     AaacConfig,
+    LearnResult,
     _Members,
     _SortedCells,
     importance,
@@ -294,7 +297,7 @@ class TestMembers:
         cells = _SortedCells.of(values)
         members = _Members(cells, mask, tables, [cells.codes(t) for t in tables])
         assert members.split == int((~mask).sum())
-        assert values[members.source].tolist() == values[~mask].tolist() + values[mask].tolist()
+        assert members.gather(values).tolist() == values[~mask].tolist() + values[mask].tolist()
         assert members.codes.tolist() == self.want(tables, values, mask).tolist()
         for _ in range(data.draw(st.integers(1, 4))):
             tables = np.stack([data.draw(moved_table(t)) for t in tables])
@@ -350,9 +353,9 @@ class TestMembers:
         full = []
         codes = _SortedCells.codes
 
-        def counted(cells, table):
+        def counted(cells, table, *dtype):
             full.append(cells.sorted.size)
-            return codes(cells, table)
+            return codes(cells, table, *dtype)
 
         monkeypatch.setattr(_SortedCells, "codes", counted)
         bundle = make_bundle(1, rows=64, cols=512)
@@ -362,6 +365,41 @@ class TestMembers:
         # values in a window, never a whole member set.
         assert len(full) == 2 * 2 + 2
         assert all(size < bundle.weights.size // 20 for size in searched)
+
+
+class TestWorkingSet:
+    def test_learn_peak_is_at_most_15_times_the_layer(self):
+        bundle = make_bundle(0, rows=256, cols=2048, tokens=64)
+        imp = codebooks.layer_importance(bundle)
+        cfg = AaacConfig.for_format(NVFP4)
+        learn(make_bundle(1), cfg)  # first-call imports are not the layer's working set
+        tracemalloc.start()
+        try:
+            learn(bundle, cfg, col_importance=imp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # About 53 bytes per weight: see the module docstring.
+        assert peak <= 15 * bundle.weights.nbytes
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            AaacConfig.for_format(NVFP4, sel_size=8, n_outer=2, n_inner=4),
+            AaacConfig.for_format(INT4, group_size=128, sel_size=16, n_outer=2, n_inner=4),
+        ],
+        ids=["nvfp4-S8", "int4-g128-S16"],
+    )
+    def test_wide_positions_learn_the_same(self, cfg, monkeypatch):
+        bundle = make_bundle(2, rows=16, cols=256)
+        assert _SortedCells.of(bundle.weights).order.dtype == np.int32
+        narrow = learn(bundle, cfg)
+        monkeypatch.setattr(codebooks, "_NARROW_BELOW", 0)
+        assert _SortedCells.of(bundle.weights).order.dtype == np.intp
+        wide = learn(bundle, cfg)
+        for f in dataclasses.fields(LearnResult):
+            a, b = getattr(narrow, f.name), getattr(wide, f.name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
 
 
 class TestKmeansUpdate:

@@ -15,6 +15,7 @@ import pytest
 
 from test_grids import bf16_positive_grid, nearest_tie_even
 
+from aaacq import codebooks
 from aaacq.codebooks import AaacConfig, importance, learn
 from aaacq.grids import INT4, NVFP4
 from aaacq.tensors import LayerBundle, SynthSpec, synth_layer
@@ -190,3 +191,77 @@ def test_constant_layer_matches_reference(fmt, value):
     assert res.table1.tolist() == t1
     assert res.selection.tolist() == sel
     assert res.codes.tolist() == codes
+
+
+# Edge cases for the learner's group-indexed members: layers whose members
+# are all of one group, of no group for one table, or of extreme magnitudes.
+
+def assert_matches_reference(w, imp, fmt, sel_size, n_outer=2, n_inner=4):
+    """`learn` on `w` equals `reference_learn` bit for bit; returns its result."""
+    cfg = AaacConfig(fmt=fmt, group_size=16, sel_size=sel_size, n_outer=n_outer, n_inner=n_inner)
+    res = learn(LayerBundle("edge", w), cfg, col_importance=np.asarray(imp, dtype=np.float64))
+    t0, t1, sel, codes, scales = reference_learn(
+        w, [float(v) for v in imp], fmt, sel_size, n_outer, n_inner
+    )
+
+    def bits(values):
+        return np.asarray(values, dtype=np.float32).view(np.uint32).tolist()
+
+    assert bits(res.scales) == bits(scales)
+    assert bits(res.table0) == bits(t0)
+    assert bits(res.table1) == bits(t1)
+    assert res.selection.tolist() == sel
+    assert res.codes.tolist() == codes
+    return res
+
+
+@pytest.mark.parametrize("fmt", [INT4, NVFP4], ids=["int4", "nvfp4"])
+def test_all_zero_layer_matches_reference(fmt):
+    w = np.zeros((4, 64), dtype=np.float32)
+    res = assert_matches_reference(w, [1.0] * 64, fmt, 16)
+    assert not res.codes.any() and not res.table0.any() and not res.table1.any()
+
+
+@pytest.mark.parametrize("fmt", [INT4, NVFP4], ids=["int4", "nvfp4"])
+def test_subnormal_layer_matches_reference(fmt):
+    # Exact float32 subnormals, each group's absmax from one ulp (its scale
+    # underflows to zero before the bump) up to just below the normal range.
+    rng = np.random.default_rng(4)
+    top = 2 ** rng.integers(0, 23, size=(4, 4, 1))
+    w = (rng.integers(-top, top, size=(4, 4, 16), endpoint=True) * 2.0**-149).astype(np.float32)
+    w = w.reshape(4, 64)
+    w[0, :16] = np.float32(2.0**-149)
+    assert (np.abs(w) < np.finfo(np.float32).tiny).all() and w.any()
+    imp = importance(synth_layer(SynthSpec("gaussian", 1, 64, 8, seed=4)).activations)
+    assert_matches_reference(w, imp, fmt, 16)
+
+
+@pytest.mark.parametrize("fmt", [INT4, NVFP4], ids=["int4", "nvfp4"])
+def test_single_group_layer_matches_reference(fmt):
+    w = synth_layer(SynthSpec("mixture", 1, 16, 8, seed=5)).weights
+    res = assert_matches_reference(w, np.linspace(0.5, 2.0, 16), fmt, 16)
+    assert res.selection.shape == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "fmt,seed,chosen", [(NVFP4, 2, [1, 1, 1]), (INT4, 0, [0, 1, 0])], ids=["nvfp4", "int4"]
+)
+def test_one_sided_selection_matches_reference(fmt, seed, chosen, monkeypatch):
+    # Every group holds the same values under the same importances, so every
+    # assignment sends all groups to one table and leaves the other none:
+    # table 0 in every round, or each table in turn.
+    rng = np.random.default_rng(seed)
+    w = np.tile(rng.standard_normal(16).astype(np.float32), (4, 4))
+    imp = np.tile(rng.uniform(0.25, 2.0, 16), 4)
+    selections = []
+    assign = codebooks._assign
+
+    def spy(*args):
+        out = assign(*args)
+        selections.append(out[2])
+        return out
+
+    monkeypatch.setattr(codebooks, "_assign", spy)
+    assert_matches_reference(w, imp, fmt, 16)
+    assert all(s.min() == s.max() for s in selections)
+    assert [int(s.flat[0]) for s in selections] == chosen
