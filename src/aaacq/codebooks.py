@@ -177,8 +177,17 @@ def weighted_error(
     weights: np.ndarray, reconstructed: np.ndarray, col_importance: np.ndarray
 ) -> float:
     """Importance-weighted squared reconstruction error in weight units."""
-    d = np.asarray(weights, dtype=np.float64) - np.asarray(reconstructed, dtype=np.float64)
-    return float((d * d * np.asarray(col_importance, dtype=np.float64)).sum())
+    return _reconstruction_errors(weights, reconstructed, col_importance)[1]
+
+
+def _reconstruction_errors(weights, reconstructed, col_importance) -> tuple[float, float]:
+    """The mean and the column-weighted sum of the squared errors, from one float64 array."""
+    sq = np.array(reconstructed, dtype=np.float64)  # a copy: w_hat - w, squared in place
+    sq -= weights
+    sq *= sq
+    mse = float(sq.mean())
+    sq *= np.asarray(col_importance, dtype=np.float64)
+    return mse, float(sq.sum())
 
 
 def init_tables(w_norm, table_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -497,8 +506,9 @@ def learn(
     and codes emitted under each group's selected table.
 
     The trace records the importance-weighted objective on normalized weights
-    after the assignment step and after every inner k-means iteration; it is
-    non-increasing until the final BF16 rounding, which is not recorded.
+    after the assignment step and after every inner k-means iteration.  No
+    step raises it in exact arithmetic, but rounding can: a centroid of equal
+    values may round off them.  The final BF16 rounding is not recorded.
 
     `col_importance` overrides the activation-derived importance when given.
     """

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebooks import AaacConfig, layer_importance, learn, weighted_error
+from .codebooks import AaacConfig, _reconstruction_errors, layer_importance, learn
 from .errors import AaacqError, PairingError, UndefinedGapError, ValidationError
 from .grids import E4M3_MAX, base_table, round_e4m3
 from .packfmt import PackedLayer, pack, selection_overhead_bpw, unpack
@@ -40,7 +40,8 @@ def layer_output_mse(weights, reconstructed, activations) -> float:
     For y = x W^T this is ||X (What - W)^T||_F^2 / tokens, accumulated in
     float64.
     """
-    d = np.asarray(reconstructed, dtype=np.float64) - np.asarray(weights, dtype=np.float64)
+    d = np.array(reconstructed, dtype=np.float64)  # a copy: w_hat - w in place
+    d -= weights
     x = np.asarray(activations, dtype=np.float64)
     err = x @ d.T
     return float((err * err).sum() / x.shape[0])
@@ -294,20 +295,42 @@ def naming_layer(name: str):
         raise AaacqError(f"layer {name!r}: {exc}") from exc
 
 
+# Values per row block of the fixed-grid quantizers and the decoder, whose
+# float64 temporaries then take 512 KiB.  On 32 BF16 512x1024 layers, two
+# workers, `quantize --method if4` took 19-35K minor faults, whole layers
+# 126-190K.  2**14 cost more user time than it saved; 2**18 faulted more.
+_BLOCK = 1 << 16
+
+
+def _by_row_blocks(shape, fn) -> list:
+    """The arrays `fn(rows)` returns for a layer of `shape`, filled a row block at a time.
+
+    A block is about `_BLOCK` values and at least a row.  Exact where `fn` works by row.
+    """
+    step, out = max(1, _BLOCK // shape[1]), None
+    for rows in (slice(a, a + step) for a in range(0, shape[0], step)):
+        parts = fn(rows)
+        if out is None:
+            out = [np.empty((shape[0],) + p.shape[1:], p.dtype) for p in parts]
+        for o, p in zip(out, parts):
+            o[rows] = p
+    return out
+
+
 def quantize_layer(bundle: LayerBundle, method: str, cfg: AaacConfig, col_importance=None):
     """Quantize one layer with one method; returns (packed layer, learner trace).
 
-    The trace is None for rtn and if4.  `col_importance`, when given, is the
-    layer's `layer_importance`.
+    The trace is None for rtn and if4, which run one row block at a time.
+    `col_importance`, when given, is the layer's `layer_importance`.
     """
-    w = bundle.weights
-    sel_size, kind, trace = cfg.group_size, cfg.fmt.kind, None
+    w, g, mode = bundle.weights, cfg.group_size, cfg.scale_mode
+    sel_size, kind, trace = g, cfg.fmt.kind, None
     if method == "rtn":
-        codes, scales = rtn_quantize(w, cfg.fmt, cfg.group_size, cfg.scale_mode)
+        codes, scales = _by_row_blocks(w.shape, lambda r: rtn_quantize(w[r], cfg.fmt, g, mode))
         t0 = t1 = base_table(cfg.fmt)
-        sel = np.zeros((w.shape[0], w.shape[1] // cfg.group_size), dtype=np.uint8)
+        sel = np.zeros((w.shape[0], w.shape[1] // g), dtype=np.uint8)
     elif method == "if4":
-        codes, scales, sel = if4_quantize(w, cfg.group_size, cfg.scale_mode)
+        codes, scales, sel = _by_row_blocks(w.shape, lambda r: if4_quantize(w[r], g, mode))
         t0, t1 = if4_tables()
         kind = "nvfp4"
     elif method == "aaac":
@@ -324,9 +347,10 @@ def quantize_layer(bundle: LayerBundle, method: str, cfg: AaacConfig, col_import
 
 
 def reconstruct(p: PackedLayer) -> np.ndarray:
-    """The weights a packed layer decodes to."""
-    t0, t1, selection, codes, scales = unpack(p)
-    return dequantize(codes, scales, t0, t1, selection, p.group_size, p.sel_size)
+    """The weights a packed layer decodes to, decoded one row block at a time."""
+    t0, t1, sel, codes, scales = unpack(p)
+    return _by_row_blocks(codes.shape, lambda r: (
+        dequantize(codes[r], scales[r], t0, t1, sel[r], p.group_size, p.sel_size),))[0]
 
 
 def score(
@@ -374,13 +398,15 @@ def layer_metrics(
     w = bundle.weights
     imp = layer_importance(bundle) if col_importance is None else col_importance
     x_out = output_activations if output_activations is not None else bundle.activations
-    d = w.astype(np.float64) - w_hat.astype(np.float64)
+    # The output MSE first, so that its difference is freed before the squares exist.
+    output_mse = layer_output_mse(w, w_hat, x_out) if x_out is not None else None
+    mse, weighted_err = _reconstruction_errors(w, w_hat, imp)
     return LayerMetrics(
         layer=bundle.name,
         method=method,
-        mse=float((d * d).mean()),
-        weighted_err=weighted_error(w, w_hat, imp),
-        output_mse=layer_output_mse(w, w_hat, x_out) if x_out is not None else None,
+        mse=mse,
+        weighted_err=weighted_err,
+        output_mse=output_mse,
         bpw=bits_per_weight(w.shape[0], w.shape[1], group_size, sel_size, table_size)[
             "total_bpw"
         ],

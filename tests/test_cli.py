@@ -2,16 +2,20 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
 
 import aaacq
 from aaacq.cli import main
+from aaacq.codebooks import AaacConfig
 from aaacq.grids import INT4, NVFP4
-from aaacq.packfmt import read_pack
+from aaacq.metrics import quantize_layer
+from aaacq.packfmt import _HEADER, MAGIC, layer_from_bytes, read_pack, write_pack
 from aaacq.quantizers import dequantize_rtn, rtn_quantize
 from aaacq.tensors import load_tensor_archive, read_tensors, write_tensors
 
@@ -356,3 +360,119 @@ class TestEndToEndDeterminism:
             assert run("eval", packed, arch, "--json", "--out", report) == 0
             outputs.append((arch.read_bytes(), packed.read_bytes(), report.read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+def _pad16(n):
+    return -(-n // 16) * 16
+
+
+def _layer_spans(blob):
+    """Per layer: where its header, scales and codes start, and its payload (start, end)."""
+    spans, offset = [], len(MAGIC) + 6
+    while offset < len(blob):
+        header = offset + 2 + struct.unpack_from("<H", blob, offset)[0]
+        _, p, end = layer_from_bytes(blob, offset)
+        payload = header + _HEADER.size + 4
+        scales = payload + _pad16(4 * p.table_size)
+        codes = scales + _pad16(2 * p.scale_bits.size)
+        spans.append({"header": header, "scales": scales, "codes": codes,
+                      "payload": (payload, end)})
+        offset = end
+    return spans
+
+
+def _poke(fmt, at, value, refresh_crc=True):
+    """A mutation that writes `value` at byte `at(spans)` of the container."""
+    def mutate(blob, spans):
+        struct.pack_into(fmt, blob, at(spans), value)
+        for span in spans if refresh_crc else ():
+            start, end = span["payload"]
+            blob[start - 4:start] = struct.pack("<I", zlib.crc32(bytes(blob[start:end])))
+        return blob
+    return mutate
+
+
+def _cut(at):
+    return lambda blob, spans: blob[:at(spans)]
+
+
+def _field(offset, fmt, value, layer=0):
+    return _poke(fmt, lambda spans: spans[layer]["header"] + offset, value, refresh_crc=False)
+
+
+# Layer 0 is rtn nvfp4 (15-entry tables, selection bits in the scale signs),
+# layer 1 aaac int4 -g 128 -S 16 (16-entry tables and a selection bitset).
+# Each mutation makes a pack that must be refused.
+MUTATIONS = {
+    # Payload bytes under a refreshed CRC.
+    "scale-inf": _poke("<H", lambda spans: spans[0]["scales"], 0x7F80),
+    "scale-zero": _poke("<H", lambda spans: spans[1]["scales"], 0x0000),
+    "scale-negative-zero": _poke("<H", lambda spans: spans[0]["scales"] + 2, 0x8000),
+    "table-nan": _poke("<H", lambda spans: spans[1]["payload"][0], 0x7FC1),
+    "code-out-of-range": _poke("<B", lambda spans: spans[0]["codes"] + 3, 0xFF),
+    # Payload bytes under a stale CRC.
+    "payload-bitflip": _poke("<B", lambda spans: spans[1]["codes"], 0xAB, refresh_crc=False),
+    # Truncations.
+    "cut-in-count": _cut(lambda spans: len(MAGIC) + 4),
+    "cut-in-header": _cut(lambda spans: spans[0]["header"] + 5),
+    "cut-in-payload": _cut(lambda spans: spans[0]["codes"]),
+    "cut-last-byte": _cut(lambda spans: spans[1]["payload"][1] - 1),
+    # Header fields.
+    "magic": _poke("<B", lambda spans: 0, ord("B"), refresh_crc=False),
+    "version": _poke("<H", lambda spans: len(MAGIC), 7, refresh_crc=False),
+    "count-plus-one": _poke("<I", lambda spans: len(MAGIC) + 2, 3, refresh_crc=False),
+    "count-near-2**32": _poke("<I", lambda spans: len(MAGIC) + 2, 2**32 - 1, refresh_crc=False),
+    "name-length": _poke("<H", lambda spans: len(MAGIC) + 6, 0xFFFF, refresh_crc=False),
+    "kind": _field(0, "<B", 7),
+    "rows-zero": _field(1, "<I", 0),
+    "rows-near-2**32": _field(1, "<I", 2**32 - 1),
+    "cols-plus-group": _field(5, "<I", 256 + 16),
+    "group-size-zero": _field(9, "<H", 0),
+    "sel-size-coarser": _field(11, "<H", 32),
+    "table-size-17": _field(13, "<B", 17),
+    "bitset-flag": _field(14, "<B", 0x01, layer=0),
+    "no-bitset-flag": _field(14, "<B", 0x06, layer=1),
+}
+
+
+class TestMutatedPacks:
+    """`eval` and `dequantize` refuse a damaged pack: exit 1, one `error:` line
+    and no traceback, and no report or tensor file left behind."""
+
+    @pytest.fixture(scope="class")
+    def good(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("good")
+        archive, pack = d / "layers.safetensors", d / "m.aaacq"
+        assert run("synth", "--out", archive, "--layers", "2", "--kind", "mixture",
+                   "-N", "8", "-K", "256", "-T", "16", "--seed", "3") == 0
+        bundles = load_tensor_archive(archive)
+        write_pack(pack, [
+            (bundles[0].name, quantize_layer(bundles[0], "rtn", AaacConfig.for_format(NVFP4))[0]),
+            (bundles[1].name, quantize_layer(
+                bundles[1], "aaac", AaacConfig.for_format(INT4, sel_size=16, n_outer=1))[0]),
+        ])
+        return archive, pack.read_bytes()
+
+    def test_the_unmutated_pack_is_accepted(self, tmp_path, good):
+        archive, blob = good
+        pack = tmp_path / "m.aaacq"
+        pack.write_bytes(blob)
+        assert run("eval", pack, archive, "--json", "--out", tmp_path / "r.json") == 0
+        assert run("dequantize", pack, "--out", tmp_path / "d.safetensors") == 0
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_mutated_pack_is_refused(self, tmp_path, capsys, good, mutation):
+        archive, blob = good
+        mutated = MUTATIONS[mutation](bytearray(blob), _layer_spans(blob))
+        assert bytes(mutated) != blob
+        pack = tmp_path / "m.aaacq"
+        pack.write_bytes(bytes(mutated))
+        (tmp_path / "out").mkdir()
+        for argv in (("eval", pack, archive, "--json", "--out", tmp_path / "out" / "r.json"),
+                     ("dequantize", pack, "--out", tmp_path / "out" / "d.safetensors")):
+            capsys.readouterr()
+            assert run(*argv) == 1, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv[0], err)
+            assert "Traceback" not in err
+            assert os.listdir(tmp_path / "out") == [], argv[0]

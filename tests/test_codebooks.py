@@ -510,6 +510,16 @@ class TestLearn:
             tol = 1e-7 * res.trace[0]
             assert (np.diff(res.trace) <= tol).all()
 
+    def test_trace_can_rise_by_rounding(self):
+        # One 16-value group tiled over a 4x64 layer: the quantile tables fit
+        # it exactly, so the objective starts at 0, but the Lloyd centroid of
+        # equal values (a float64 sum divided by the count) rounds off them.
+        group = np.random.default_rng(0).standard_normal(16).astype(np.float32)
+        bundle = LayerBundle("tiled", np.tile(group, (4, 4)))
+        res = learn(bundle, AaacConfig.for_format(INT4, group_size=16, sel_size=16))
+        assert res.trace[0] == 0.0
+        assert res.trace.max() == pytest.approx(2.37e-29, rel=1e-3)
+
     def test_dominates_initial_quantile_table(self):
         cfg = AaacConfig.for_format(NVFP4)
         for seed in range(5):

@@ -1,21 +1,28 @@
 """Output-error metrics, gap recovery, FP8 activation simulation, compare."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from aaacq import metrics
 from aaacq.codebooks import AaacConfig, importance, weighted_error
 from aaacq.errors import UndefinedGapError, ValidationError
-from aaacq.grids import INT4, NVFP4
+from aaacq.grids import INT4, NVFP4, round_bf16
 from aaacq.metrics import (
     bits_per_weight,
     compare,
     gap_recovery,
     layer_output_mse,
+    quantize_layer,
+    reconstruct,
+    score,
     simulate_w4a8,
 )
-from aaacq.tensors import SynthSpec, synth_layer
+from aaacq.packfmt import layer_to_bytes, pack, unpack
+from aaacq.quantizers import dequantize, if4_quantize, if4_tables, rtn_quantize
+from aaacq.tensors import LayerBundle, SynthSpec, synth_layer
 
 
 class TestLayerOutputMse:
@@ -216,3 +223,136 @@ class TestCompare:
             fine.aggregates["aaac"]["weighted_err"]
             <= coarse.aggregates["aaac"]["weighted_err"] * 1.02
         )
+
+
+FLT_MAX = float(np.finfo(np.float32).max)
+
+
+def _weights(rows, cols, seed, near_flt_max=False):
+    """Laplace rows whose magnitudes span 10**-30 to 10**30, one all-zero group,
+    or with `near_flt_max` rows near float32's largest value."""
+    rng = np.random.default_rng(seed)
+    if near_flt_max:
+        w = rng.uniform(-1, 1, (rows, cols)) * FLT_MAX
+        w[:, ::16] = FLT_MAX
+    else:
+        w = rng.laplace(size=(rows, cols)) * 10.0 ** rng.uniform(-30, 30, (rows, 1))
+        w[0, :16] = 0.0
+    return w.astype(np.float32)
+
+
+def _whole_layer(w, method, cfg):
+    """The pack `quantize_layer` made before it worked in row blocks."""
+    if method == "rtn":
+        codes, scales = rtn_quantize(w, cfg.fmt, cfg.group_size, cfg.scale_mode)
+        t0 = t1 = np.asarray(cfg.fmt.table)
+        sel, kind = np.zeros(scales.shape, np.uint8), cfg.fmt.kind
+    else:
+        codes, scales, sel = if4_quantize(w, cfg.group_size, cfg.scale_mode)
+        (t0, t1), kind = if4_tables(), "nvfp4"
+    return pack(t0, t1, sel, codes, scales, kind=kind, group_size=cfg.group_size,
+                sel_size=cfg.group_size, method=method)
+
+
+def _whole_decode(p):
+    t0, t1, sel, codes, scales = unpack(p)
+    return dequantize(codes, scales, t0, t1, sel, p.group_size, p.sel_size)
+
+
+def _same_array(a, b):
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+class TestRowBlocks:
+    """Quantizing and decoding by row blocks gives the whole-layer bytes."""
+
+    # (rows, cols, values per block): blocks of 2, 2, 2 and 1 rows; a row of
+    # 512 values in blocks of 128; a layer smaller than the default block;
+    # the default block on 40 rows of 4096 (16, 16 and 8 rows); rows near FLT_MAX.
+    CASES = {
+        "ragged-last-block": (7, 256, 512, False),
+        "row-wider-than-block": (3, 512, 128, False),
+        "fewer-rows-than-block": (3, 256, metrics._BLOCK, False),
+        "default-block": (40, 4096, metrics._BLOCK, False),
+        "near-flt-max": (4, 256, 256, True),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("method", ["rtn", "if4"])
+    def test_quantize_and_decode_match_whole_layer(self, monkeypatch, case, method):
+        rows, cols, block, near_flt_max = self.CASES[case]
+        monkeypatch.setattr(metrics, "_BLOCK", block)
+        bundle = LayerBundle("w", _weights(rows, cols, len(case), near_flt_max))
+        for fmt, g in ((NVFP4, 16), (INT4, 128)):
+            for mode in ("exact-bf16", "emulate-e4m3"):
+                cfg = AaacConfig(fmt=fmt, group_size=g, sel_size=g, scale_mode=mode)
+                got, _ = quantize_layer(bundle, method, cfg)
+                want = _whole_layer(bundle.weights, method, cfg)
+                assert layer_to_bytes("w", got) == layer_to_bytes("w", want), (fmt.kind, mode)
+                w_hat = reconstruct(got)
+                assert _same_array(w_hat, _whole_decode(got)), (fmt.kind, mode)
+                # BF16 scales round up, so near FLT_MAX some groups saturate.
+                saturates = np.abs(w_hat).max() == np.float32(FLT_MAX)
+                assert saturates == (near_flt_max and mode == "exact-bf16"), (fmt.kind, mode)
+
+    @pytest.mark.parametrize("g, s", [(16, 16), (128, 16), (64, 8)])
+    def test_decode_of_any_pack_matches_whole_layer(self, monkeypatch, g, s):
+        # Random tables, codes, selections (sign bits or a bitset) and scales
+        # up to 2**127, so some groups saturate.
+        monkeypatch.setattr(metrics, "_BLOCK", 384)
+        rng = np.random.default_rng(g + s)
+        rows, cols = 9, 256
+        t0, t1 = (np.sort(round_bf16(np.append(rng.standard_normal(15) * 4, 16.0)))
+                  for _ in range(2))
+        scales = round_bf16((2.0 ** rng.uniform(-30, 127, (rows, cols // g))).astype(np.float32))
+        codes = rng.integers(0, 16, (rows, cols)).astype(np.uint8)
+        scales[-1, -1], codes[-1, -1] = 2.0 ** 127, 15  # 16 * 2**127 saturates
+        p = pack(t0, t1, rng.integers(0, 2, (rows, cols // s)).astype(np.uint8), codes, scales,
+                 kind="int4", group_size=g, sel_size=s)
+        w_hat = reconstruct(p)
+        assert _same_array(w_hat, _whole_decode(p))
+        assert np.abs(w_hat).max() == np.float32(FLT_MAX)
+
+    @pytest.mark.parametrize("method", ["rtn", "if4"])
+    def test_layer_metrics_equal_the_whole_layer_formulas(self, method):
+        b = synth_layer(SynthSpec("mixture", 24, 256, 16, seed=7), name="m")
+        p, _ = quantize_layer(b, method, AaacConfig.for_format(NVFP4))
+        w64, h64 = b.weights.astype(np.float64), reconstruct(p).astype(np.float64)
+        x = b.activations.astype(np.float64)
+        for row, x_out in ((score(b, p), x), (score(b, p, output_activations=x[:5]), x[:5])):
+            d = w64 - h64
+            assert row.mse == float((d * d).mean())
+            assert row.weighted_err == float((d * d * importance(b.activations)).sum())
+            e = x_out @ (h64 - w64).T
+            assert row.output_mse == float((e * e).sum() / x_out.shape[0])
+
+
+class TestWithinLayerPeak:
+    """Traced peak of one layer's quantize and score, in float32 layers.
+
+    On a 256x1024 layer (four blocks), whole-layer temporaries peaked at
+    6.8x (rtn) and 8.5-8.8x (if4) the float32 weights to quantize, 9.1x to
+    score; row blocks take 2.0-2.6x and 3.8x.
+    """
+
+    ROWS, COLS, TOKENS = 256, 1024, 64
+
+    @staticmethod
+    def _peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("fmt", [NVFP4, INT4], ids=["nvfp4", "int4"])
+    @pytest.mark.parametrize("method", ["rtn", "if4"])
+    def test_quantize_and_score(self, method, fmt):
+        b = synth_layer(SynthSpec("laplace", self.ROWS, self.COLS, self.TOKENS, seed=0), name="l")
+        assert b.rows * b.cols >= 4 * metrics._BLOCK
+        layer = 4 * b.rows * b.cols
+        cfg = AaacConfig.for_format(fmt)
+        p, _ = quantize_layer(b, method, cfg)
+        assert self._peak(lambda: quantize_layer(b, method, cfg)) < 3.0 * layer
+        assert self._peak(lambda: score(b, p)) < 4.5 * layer

@@ -44,7 +44,11 @@ def test_peak_memory_does_not_grow_with_the_layer_count(tmp_path):
         peaks[n] = {
             "quantize": _peak_bytes("quantize", arch, "--out", pack, "--method", "rtn",
                                     "--threads", "1"),
+            "quantize-if4": _peak_bytes("quantize", arch, "--out", d / "if4.aaacq",
+                                        "--method", "if4", "--threads", "1"),
             "eval": _peak_bytes("eval", pack, arch, "--json", "--out", report),
+            "eval-w4a8": _peak_bytes("eval", d / "if4.aaacq", arch, "--w4a8", "--json",
+                                     "--out", report),
             "dequantize": _peak_bytes("dequantize", pack, "--out", d / "d.safetensors"),
             "compare": _peak_bytes("compare", arch, "--methods", "rtn", "--threads", "1",
                                    "--json", "--out", d / "c.json"),
