@@ -34,7 +34,6 @@ from .quantizers import (
     if4_quantize,
     recon,
     recon_codes,
-    recon_values,
     rtn_quantize,
 )
 from .tensors import (

@@ -127,10 +127,12 @@ def cmd_dequantize(args) -> int:
     _check_paths(inputs=[args.pack], outputs=[args.out])
     with packfmt.PackReader(args.pack) as pack, _replacing(args.out) as fh:
         entries = {e.name + ".weight": e for e in pack.layers}
-        tensors.stream_tensors(
-            fh, {name: (e.rows, e.cols) for name, e in entries.items()},
-            lambda name: metrics.reconstruct(pack.read(entries[name])),
-        )
+
+        def decode(name):
+            with metrics.naming_layer(entries[name].name):
+                return metrics.reconstruct(pack.read(entries[name]))
+
+        tensors.stream_tensors(fh, {name: (e.rows, e.cols) for name, e in entries.items()}, decode)
     _log(f"dequantized {len(entries)} layers -> {args.out}")
     return 0
 
@@ -162,7 +164,8 @@ def cmd_eval(args) -> int:
             x_out = None
             if args.w4a8 and bundle.activations is not None:
                 x_out = metrics.simulate_w4a8(bundle.activations)
-            rows.append(metrics.score(bundle, pack.read(e), output_activations=x_out))
+            with metrics.naming_layer(e.name):
+                rows.append(metrics.score(bundle, pack.read(e), output_activations=x_out))
     _emit_report(metrics.report(rows), args)
     return 0
 

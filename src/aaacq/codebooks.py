@@ -44,28 +44,39 @@ change (a duplicate appears or goes) or a table is on the all-`recon_codes`
 fallback, that table takes a full pass.  The kept codes are thus exactly a
 fresh search's, step after step.
 
-Summation order does not follow the sort: the Lloyd sums (`np.bincount`)
-and the cell errors run over the members in row-major order, table 0's
-before table 1's, and the per-group errors over the whole layer in
-row-major order; only the search uses the sorted order.  Summing in sorted
-order (with `np.add.reduceat`, say) would save the scatter but rounds
-differently, so the float64 tables, the objective trace and in the end the
-packed bytes would depend on the sort.
+Summation order does not follow the sort: the Lloyd sums and the cell
+errors run over the members in row-major order, table 0's before table
+1's, and the per-group errors over the whole layer in row-major order; only
+the search uses the sorted order.  Summing in sorted order (with
+`np.add.reduceat`, say) would save the scatter but rounds differently, so
+the float64 tables, the objective trace and in the end the packed bytes
+would depend on the sort.  Taking those sums a block at a time changes no
+bit: `np.add.at` adds in index order into running float64 sums, as one
+`np.bincount` does, and numpy's float64 `.sum()` of a contiguous array
+follows a pairwise tree that depends only on its length, so the sums of the
+tree's leaves, combined in tree order, are the whole sum (`_leaves`,
+`_fold`).  The tests pin both properties of numpy, and `np.quantile`'s
+linear method, which `init_tables` follows on the sorted copy.
 
 Memory follows the layer's size in a few bytes per weight, and no step
 makes a full-size temporary it does not keep.  Members are whole selection
 groups, so `_Members` keeps its layout as one entry per group (the groups
-in member order and each group's place in it), not an index per value.
-Sorted positions are int32 below 2**31 values.  The assignment step takes
-uint8 codes and one float64 buffer that holds each table's errors in turn.
-Within an outer round the member values and importances are gathered group
-row by group row, the normalized weights are freed (the member values are
-the same numbers) and rebuilt from them by one scatter before the next
-assignment, and the cell errors of every inner step go into one buffer,
-filled in chunks that stay in cache.  Per weight, an inner step then holds
-the sorted values (8 bytes), their positions (4), the member codes (8), the
-member values, importances and their products (24) and the error buffer
-(8): about 53 bytes, under 14 times the float32 layer in all.
+in member order and each group's place in it), not an index per value, and
+their codes take a byte each.  Sorted positions are int32 below 2**31
+values, and the initial quantiles are read from the sorted copy.  The
+assignment step takes uint8 codes and forms its errors a row block at a
+time.  For the inner steps of a round the normalized weights are put in
+member order in place, whole groups at a time, and back before the next
+assignment; the smaller part waits in a copy meanwhile.  Each inner step is
+one pass over the members a block at a time (`_Pass`) that reads the
+importances through the groups.  Per weight, an inner step then holds the
+sorted values (8 bytes), their positions (4), the member values (8), the
+codes (1) and the group layout (25 bytes per group): about 23 bytes for
+groups of 16, and at most 4 more while the weights are reordered.
+Measured, one nvfp4 learn peaks at 7.1 times its float32 layer under
+tracemalloc on 256x2048, where the pass's fixed 2 MiB of block buffers is
+one layer's worth, and at 1.12 GiB of RSS above its start (6.7 times the
+layer) on 11008x4096.
 """
 
 from __future__ import annotations
@@ -177,17 +188,22 @@ def weighted_error(
     weights: np.ndarray, reconstructed: np.ndarray, col_importance: np.ndarray
 ) -> float:
     """Importance-weighted squared reconstruction error in weight units."""
-    return _reconstruction_errors(weights, reconstructed, col_importance)[1]
+    return _error_sums(_difference(weights, reconstructed), col_importance)[1]
 
 
-def _reconstruction_errors(weights, reconstructed, col_importance) -> tuple[float, float]:
-    """The mean and the column-weighted sum of the squared errors, from one float64 array."""
-    sq = np.array(reconstructed, dtype=np.float64)  # a copy: w_hat - w, squared in place
-    sq -= weights
-    sq *= sq
-    mse = float(sq.mean())
-    sq *= np.asarray(col_importance, dtype=np.float64)
-    return mse, float(sq.sum())
+def _difference(weights, reconstructed) -> np.ndarray:
+    """`reconstructed - weights` in a new float64 array."""
+    d = np.array(reconstructed, dtype=np.float64)  # a copy, subtracted in place
+    d -= weights
+    return d
+
+
+def _error_sums(d, col_importance) -> tuple[float, float]:
+    """The mean and the column-weighted sum of the squares of `d`, which it squares in place."""
+    d *= d
+    mse = float(d.mean())
+    d *= np.asarray(col_importance, dtype=np.float64)
+    return mse, float(d.sum())
 
 
 def init_tables(w_norm, table_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -196,18 +212,39 @@ def init_tables(w_norm, table_size: int) -> tuple[np.ndarray, np.ndarray]:
     Table 0 takes evenly spaced quantiles spanning the full range of the
     normalized weights; table 1 starts half a quantile step later and still
     ends at the maximum, giving distinct but nearby starting grids.
-    Quantiles interpolate linearly between order statistics.
+    Quantiles interpolate linearly between order statistics, bit for bit as
+    `np.quantile` does.  Values already in ascending order, as the learner's
+    sorted copy is, are read in place; others are sorted first.
     """
     w = np.asarray(w_norm, dtype=np.float64).ravel()
     if w.size == 0:
         raise ValidationError("cannot initialize tables from an empty weight set")
     if table_size < 2:
         raise ValidationError("table size must be at least 2")
+    if not (w[1:] >= w[:-1]).all():  # NaN compares false, so it is sorted to the end
+        w = np.sort(w)
     steps = np.arange(table_size) / (table_size - 1)
-    t0 = np.quantile(w, steps)
     delta = 1.0 / (2 * (table_size - 1))
-    t1 = np.quantile(w, delta + (1.0 - delta) * steps)
-    return t0, t1
+    return _sorted_quantiles(w, steps), _sorted_quantiles(w, delta + (1.0 - delta) * steps)
+
+
+def _sorted_quantiles(w, q) -> np.ndarray:
+    """`np.quantile(w, q)` of ascending `w`, without the copy and partition it makes.
+
+    The same linear interpolation (numpy's default method) from the same
+    order statistics; a NaN, sorted last, makes every quantile NaN.
+    """
+    if np.isnan(w[-1]):
+        return np.full(q.shape, np.nan)
+    at = (w.size - 1) * q
+    top = at >= w.size - 1  # numpy takes the maximum for both neighbours
+    lo = np.where(top, -1, np.floor(at)).astype(np.intp)
+    hi = np.where(top, -1, lo + 1)
+    a, b, t = w[lo], w[hi], at - lo
+    d = b - a
+    out = a + d * t
+    np.subtract(b, d * (1 - t), out=out, where=t >= 0.5)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +255,6 @@ _NONE = np.zeros(0, dtype=np.intp)
 
 # Flat positions below this fit in int32, half the bytes of intp.
 _NARROW_BELOW = 2**31
-
-# Values per chunk of an elementwise pass; a chunk's float64 scratch stays in cache.
-_CHUNK = 1 << 15
-
-
-def _chunks(n: int):
-    """Slices that cut `range(n)` into chunks of `_CHUNK`."""
-    return (slice(a, min(a + _CHUNK, n)) for a in range(0, n, _CHUNK))
-
 
 def _cell_runs(table: np.ndarray, values: np.ndarray):
     """The codes `recon_codes(table, values)` of ascending `values`, as runs.
@@ -281,10 +309,9 @@ class _SortedCells:
     def of(cls, values) -> "_SortedCells":
         v = np.asarray(values, dtype=np.float64)
         order = np.argsort(v, axis=None)
-        sorted_values = v.ravel()[order]
-        if v.size < _NARROW_BELOW:
+        if v.size < _NARROW_BELOW:  # before the gather: the intp order and the copy never coexist
             order = order.astype(np.int32)
-        return cls(sorted_values, order, v.shape)
+        return cls(v.ravel()[order], order, v.shape)
 
     def runs(self, table):
         """`_cell_runs` of all the sorted values under `table`."""
@@ -312,9 +339,10 @@ class _Members:
     groups in that order: member `m` is value `groups[m // S] * S + m % S`,
     and value `f` is member `gpos[f // S] * S + f % S`.  That is two entries
     per group instead of two indices per value.  The codes of table `j` are
-    offset by `j` times the table size, so one `np.bincount` serves every
-    table.  `move(tables)` brings the codes up to date after the tables
-    move, rewriting only the values whose code can have changed.
+    offset by `j` times the table size, so one set of Lloyd sums serves every
+    table, and take the narrowest unsigned type that holds them (one byte for
+    two 16-entry tables).  `move(tables)` brings the codes up to date after
+    the tables move, rewriting only the values whose code can have changed.
     """
 
     def __init__(self, cells: _SortedCells, member1, tables, full_codes, sel_size=1):
@@ -329,20 +357,46 @@ class _Members:
         self.split = (part.size - np.count_nonzero(part)) * sel_size
         self.gpos = np.empty(part.size, dtype=np.intp)  # inverse of groups
         self.gpos[self.groups] = np.arange(part.size)
-        self.codes = np.empty(part.size * sel_size, dtype=np.intp)
+        self.codes = np.empty(part.size * sel_size, dtype=np.min_scalar_type(tables.size - 1))
         self.runs = [cells.runs(t) for t in tables]
         for j, codes in enumerate(full_codes):
             self._gather(j, codes)
 
-    def gather(self, values) -> np.ndarray:
-        """`values`, one per value in the layout, in member order, whole groups at a time."""
-        return np.asarray(values).reshape(-1, self.sel_size)[self.groups].reshape(-1)
+    def arrange(self, values) -> None:
+        """Reorder `values`, a contiguous array of one per value in the layout,
+        into member order in place: whole groups move."""
+        self._permute(values.reshape(-1, self.sel_size), True)
 
-    def scatter(self, values, shape) -> np.ndarray:
-        """The inverse of `gather`: member-ordered `values` in a new array of `shape`."""
-        out = np.empty(shape, dtype=values.dtype)
-        out.reshape(-1, self.sel_size)[self.groups] = values.reshape(-1, self.sel_size)
-        return out
+    def restore(self, values) -> None:
+        """Undo `arrange`: member-ordered `values` back to the layout, in place."""
+        self._permute(values.reshape(-1, self.sel_size), False)
+
+    def _permute(self, rows, arrange: bool) -> None:
+        """Move each group's row of `rows` between its place in the layout and
+        in member order.
+
+        The smaller part waits in a copy, at most half of `rows`.  The larger
+        part keeps its order, so its rows all move toward the same end, and
+        moving them a chunk at a time, starting at that end, never overwrites
+        a row not yet moved.
+        """
+        cut = self.split // self.sel_size
+        layout = (self.groups[:cut], self.groups[cut:])  # each part's rows in the layout
+        members = (slice(None, cut), slice(cut, None))   # and in member order
+        small = int(cut > rows.shape[0] - cut)
+        held = rows[layout[small]] if arrange else rows[members[small]].copy()
+        groups, base, step = layout[1 - small], cut * (1 - small), max(1, _LEAF // self.sel_size)
+        starts = range(0, groups.size, step)
+        for j in reversed(starts) if arrange != bool(small) else starts:
+            g, m = groups[j : j + step], slice(base + j, base + min(j + step, groups.size))
+            if arrange:
+                rows[m] = rows[g]
+            else:
+                rows[g] = rows[m].copy()  # `rows[m]` is a view of what the scatter writes
+        if arrange:
+            rows[members[small]] = held
+        else:
+            rows[layout[small]] = held
 
     def _gather(self, j, codes):
         """Table `j`'s member codes, taken from `codes` of every value."""
@@ -370,7 +424,7 @@ class _Members:
             self.runs[j] = new
             first, _, lo, hi = new
             if not (old[2].size == lo.size == first.size - 1 and np.array_equal(old[0], first)):
-                self._gather(j, self.cells.codes(table))
+                self._gather(j, self.cells.codes(table, self.codes.dtype))
                 continue
             idx = _spans(np.minimum(old[2], lo), np.maximum(old[3], hi))
             group, offset = np.divmod(order[idx], size)
@@ -389,28 +443,33 @@ def _assign(cells, w_norm, col_importance, table0, table1, sel_size):
 
     A group takes the table with lower weighted squared error (ties keep
     table 0), or lower unweighted error when its columns carry no importance;
-    the objective sums every group's weighted error under its table.
+    the objective sums every group's weighted error under its table.  The
+    errors are formed a row block of about `_LEAF` values at a time; a
+    group's sum lies within one row, so the blocks do not change it.
     """
     n, k = w_norm.shape
-    shape = (n, k // sel_size, sel_size)
+    shape = (-1, k // sel_size, sel_size)
     imp = np.asarray(col_importance, dtype=np.float64)
-    se = np.empty((n, k))  # one table's squared errors at a time
-    flat = se.reshape(-1)
-    codes, e_w, e_u = [], [], []
-    for table in (table0, table1):
-        c = cells.codes(table, np.uint8)
-        t, c_flat = np.asarray(table, dtype=np.float64), c.reshape(-1)
-        for s in _chunks(flat.size):  # take widens its indices to intp, a chunk at a time
-            t.take(c_flat[s], out=flat[s], mode="clip")
-        np.subtract(w_norm, se, out=se)
-        np.square(se, out=se)
-        e_u.append(se.reshape(shape).sum(axis=2))
-        se *= imp
-        e_w.append(se.reshape(shape).sum(axis=2))
-        codes.append(c)
     dead = imp.reshape(-1, sel_size).sum(axis=1) == 0
-    sigma = np.where(dead[np.newaxis, :], e_u[1] < e_u[0], e_w[1] < e_w[0]).astype(np.uint8)
-    return codes[0], codes[1], sigma, float(np.where(sigma, e_w[1], e_w[0]).sum())
+    tables = [np.asarray(t, dtype=np.float64) for t in (table0, table1)]
+    codes = [cells.codes(t, np.uint8) for t in tables]
+    sigma = np.empty((n, k // sel_size), dtype=np.uint8)
+    chosen = np.empty(sigma.shape)  # each group's weighted error under its table
+    step = max(1, _LEAF // k)
+    se = np.empty((min(step, n), k))  # one table's squared errors in a block
+    for rows in (slice(a, a + step) for a in range(0, n, step)):
+        e_w, e_u = [], []
+        for t, c in zip(tables, codes):
+            b = se[: c[rows].shape[0]]
+            t.take(c[rows], out=b, mode="clip")  # "clip" writes straight to `out=`
+            np.subtract(w_norm[rows], b, out=b)
+            np.square(b, out=b)
+            e_u.append(b.reshape(shape).sum(axis=2))
+            b *= imp
+            e_w.append(b.reshape(shape).sum(axis=2))
+        sigma[rows] = np.where(dead, e_u[1] < e_u[0], e_w[1] < e_w[0])
+        chosen[rows] = np.where(sigma[rows], e_w[1], e_w[0])
+    return codes[0], codes[1], sigma, float(chosen.sum())
 
 
 def select_tables(w_norm, col_importance, table0, table1, sel_size: int) -> np.ndarray:
@@ -427,31 +486,145 @@ def select_tables(w_norm, col_importance, table0, table1, sel_size: int) -> np.n
     return _assign(_SortedCells.of(w), w, col_importance, table0, table1, sel_size)[2]
 
 
-def _lloyd_step(table, weighted_values, weights, codes):
-    """One weighted centroid update; cells with zero total weight keep their entry.
+# ---------------------------------------------------------------------------
+# The inner steps: one pass over the members per Lloyd step
+# ---------------------------------------------------------------------------
 
-    `weighted_values` is `weights * values`, formed once per member set.
+# Values per block of the inner steps' pass.  A block's buffers (intp codes,
+# importances and two float64 scratch arrays) take 32 bytes a value, 2 MiB,
+# one core's L2 on the 2-vCPU Xeon measured.  There, two 512x4096 nvfp4
+# learns on two threads took a median 5.6% more CPU at 2**15, whose twice as
+# many numpy calls hand the GIL over more often (about twice the voluntary
+# context switches), and 3.9% more at 2**17, whose blocks outgrow L2.
+_LEAF = 1 << 16
+
+
+def _halve(n: int) -> int:
+    """Where numpy's pairwise float sum splits `n` values: half, down to a multiple of 8."""
+    h = n // 2
+    return h - h % 8
+
+
+def _leaves(a: int, b: int) -> list:
+    """The leaves of the pairwise sum of `x[a:b]`: its tree's nodes of at most `_LEAF` values.
+
+    numpy sums a contiguous float64 array along a tree that depends only on
+    its length, so `_fold` of the leaves' `.sum()`s is the whole `.sum()`.
     """
-    m = table.size
-    num = np.bincount(codes, weights=weighted_values, minlength=m)
-    den = np.bincount(codes, weights=weights, minlength=m)
-    return np.where(den > 0, num / np.where(den > 0, den, 1.0), table)
+    if b - a <= _LEAF:
+        return [(a, b)]
+    m = a + _halve(b - a)
+    return _leaves(a, m) + _leaves(m, b)
 
 
-def _lloyd_steps(members: _Members, tables, values, weights, n_inner: int):
-    """Yields the tables after each of `n_inner` Lloyd steps.
+def _fold(n: int, sums) -> float:
+    """`x.sum()` of `n` float64 values, combined in tree order from the iterator
+    `sums` over the `.sum()`s of its `_leaves`."""
+    if n <= _LEAF:
+        return next(sums)
+    h = _halve(n)
+    return _fold(h, sums) + _fold(n - h, sums)
 
-    `tables` stacks one table per part of `members`; `values` and `weights`
-    are in the members' layout, and `members.codes` follows every step.
+
+class _Pass:
+    """One round's inner-step pass over its members, a block at a time.
+
+    Each pass reads every member's code, value and importance once, for the
+    weighted squared error under the tables the last step made and for the
+    sums of the next step.  No pass holds a member-sized temporary.
+
+    A block is a run of consecutive `_leaves` of each table's member range,
+    `_LEAF` values at most, so each range's error is its `.sum()` folded from
+    the leaves' sums, bit for bit.  `np.add.at` adds the Lloyd sums in
+    member order, as one `np.bincount` over every member would.  Importances
+    are gathered per block through `members.groups`, a group's being those
+    of its columns in any row; when the members fit one block, its
+    importances and products are gathered once for the round.
     """
-    wv = weights * values
-    for _ in range(n_inner):
+
+    def __init__(self, members: _Members, values, col_importance):
+        self.members, self.values = members, values
+        size, split = values.size, members.split
+        self.imp = np.asarray(col_importance, dtype=np.float64).reshape(-1, members.sel_size)
+        self.cols = members.groups % len(self.imp)  # each group's row of `imp`
+        self.parts = (split, size - split)
+        runs = []
+        for leaf in _leaves(0, split) + _leaves(split, size):
+            if runs and leaf[1] - runs[-1][0][0] <= _LEAF:
+                runs[-1].append(leaf)
+            else:
+                runs.append([leaf])
+        # Each block as (start, stop, its leaves relative to its start).
+        self.blocks = [
+            (run[0][0], run[-1][1], [(x - run[0][0], y - run[0][0]) for x, y in run])
+            for run in runs
+        ]
+        width = max(b - a for a, b, _ in self.blocks)
+        self.codes = np.empty(width, dtype=np.intp)  # np.add.at is faster on intp than uint8
+        self.imp_rows = np.empty((width // members.sel_size + 2, members.sel_size))
+        self.d, self.e = np.empty(width), np.empty(width)
+        self.kept = None
+        if len(self.blocks) == 1:  # then every step reads the same importances and products
+            a, b, _ = self.blocks[0]
+            i = self._importances(a, b)
+            self.kept = i, i * values[a:b]
+
+    def _importances(self, a: int, b: int) -> np.ndarray:
+        """The importances of members `a:b`, gathered a group row at a time."""
+        s = self.members.sel_size
+        g0, g1 = a // s, -(-b // s)
+        rows = self.imp_rows[: g1 - g0]
+        self.imp.take(self.cols[g0:g1], axis=0, out=rows, mode="clip")
+        return rows.reshape(-1)[a - g0 * s : b - g0 * s]
+
+    def __call__(self, table, error: bool = True, sums: bool = True):
+        """(The members' weighted squared error under `table`, summed per
+        table's members then added, or None; the Lloyd sums, or None)."""
+        num, den = np.zeros(table.size), np.zeros(table.size)
+        leaf_sums = []
+        for a, b, leaves in self.blocks:
+            c, d, e = self.codes[: b - a], self.d[: b - a], self.e[: b - a]
+            c[...] = self.members.codes[a:b]
+            v = self.values[a:b]
+            i, products = self.kept or (self._importances(a, b), None)
+            if error:
+                table.take(c, out=d, mode="clip")
+                np.subtract(v, d, out=d)
+                np.multiply(i, d, out=e)
+                e *= d
+                leaf_sums += [e[x:y].sum() for x, y in leaves]
+            if sums:
+                if products is None:  # `e` is free once its sums are taken
+                    products = np.multiply(i, v, out=e)
+                np.add.at(num, c, products)
+                np.add.at(den, c, i)
+        total = None
+        if error:
+            leaf_sums = iter(leaf_sums)
+            total = float(_fold(self.parts[0], leaf_sums)) + float(_fold(self.parts[1], leaf_sums))
+        return total, (num, den) if sums else None
+
+
+def _lloyd_steps(members: _Members, tables, values, col_importance, n_inner: int, error=True):
+    """Yields the tables, and the members' weighted squared error under them
+    (None unless `error`), after each of `n_inner` Lloyd steps.
+
+    `tables` stacks one table per part of `members`; `values` are the
+    members' values in member order, and `members.codes` follows every step.  A step moves
+    each entry to the weighted centroid of its cell; cells with zero total
+    weight keep their entry.
+    """
+    run = _Pass(members, values, col_importance)
+    _, sums = run(tables.ravel(), error=False)
+    for k in range(n_inner):
+        num, den = sums
+        step = np.where(den > 0, num / np.where(den > 0, den, 1.0), tables.ravel())
         # A centroid can round past an untouched neighbour (a constant
         # cell, say), so each table is re-sorted before the next search.
-        step = _lloyd_step(tables.ravel(), wv, weights, members.codes)
         tables = np.sort(step.reshape(tables.shape), axis=1)
         members.move(tables)
-        yield tables
+        total, sums = run(tables.ravel(), error, sums=k + 1 < n_inner)
+        yield tables, total
 
 
 def kmeans_update(table, values, weights, n_inner: int) -> np.ndarray:
@@ -466,29 +639,14 @@ def kmeans_update(table, values, weights, n_inner: int) -> np.ndarray:
     t = np.sort(np.asarray(table, dtype=np.float64))[np.newaxis]
     v = np.asarray(values, dtype=np.float64).ravel()
     w = np.asarray(weights, dtype=np.float64).ravel()
+    if w.shape != v.shape:
+        raise ValidationError(f"got {w.size} weights for {v.size} values")
     cells = _SortedCells.of(v)
+    # Each value is a selection group of one, and its weight its column's importance.
     members = _Members(cells, np.zeros(v.size, dtype=bool), t, [cells.codes(t[0])])
-    for t in _lloyd_steps(members, t, v, w, n_inner):
+    for t, _ in _lloyd_steps(members, t, v, w, n_inner, error=False):
         pass
     return t[0]
-
-
-def _cell_error(table, values, weights, codes, split, out):
-    """Weighted squared error, summed separately before and after `split`.
-
-    Each value's `weights * d * d` goes to `out`, a chunk at a time, so the
-    only other scratch is one chunk of `d`.
-    """
-    d = np.empty(min(codes.size, _CHUNK))
-    for s in _chunks(codes.size):
-        c = d[: s.stop - s.start]
-        # mode="clip" writes straight to `out=`; "raise" fills a copy first.
-        table.take(codes[s], out=c, mode="clip")
-        np.subtract(values[s], c, out=c)
-        e = out[s]
-        np.multiply(weights[s], c, out=e)
-        e *= c
-    return float(out[:split].sum()) + float(out[split:].sum())
 
 
 def learn(
@@ -544,19 +702,14 @@ def learn(
         t = np.stack((t0, t1))
         members = _Members(cells, sigma, t, (codes0, codes1), sel)
         del codes0, codes1
-        # The member values are w_norm's values, so w_norm is freed for the
-        # inner steps and rebuilt from them for the next assignment.
-        v = members.gather(w_norm)
-        del w_norm
-        # A group's importances are those of its columns, in any row.
-        i = imp.reshape(-1, sel)[members.groups % (k // sel)].reshape(-1)
-        errors = np.empty(v.size)
-        for t in _lloyd_steps(members, t, v, i, cfg.n_inner):
-            trace.append(_cell_error(t.ravel(), v, i, members.codes, members.split, errors))
+        # The member values are w_norm's own numbers: it is put in member
+        # order for the inner steps and back for the next assignment.
+        members.arrange(w_norm)
+        for t, error in _lloyd_steps(members, t, w_norm.reshape(-1), imp, cfg.n_inner):
+            trace.append(error)
+        members.restore(w_norm)
         t0, t1 = t
-        del i, errors
-        w_norm = members.scatter(v, (n, k))
-        del members, v
+        del members
 
     t0 = round_bf16(t0).astype(np.float32)
     t1 = round_bf16(t1).astype(np.float32)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebooks import AaacConfig, _reconstruction_errors, layer_importance, learn
+from .codebooks import AaacConfig, _difference, _error_sums, layer_importance, learn
 from .errors import AaacqError, PairingError, UndefinedGapError, ValidationError
 from .grids import E4M3_MAX, base_table, round_e4m3
 from .packfmt import PackedLayer, pack, selection_overhead_bpw, unpack
@@ -40,8 +40,11 @@ def layer_output_mse(weights, reconstructed, activations) -> float:
     For y = x W^T this is ||X (What - W)^T||_F^2 / tokens, accumulated in
     float64.
     """
-    d = np.array(reconstructed, dtype=np.float64)  # a copy: w_hat - w in place
-    d -= weights
+    return _output_mse(_difference(weights, reconstructed), activations)
+
+
+def _output_mse(d, activations) -> float:
+    """`layer_output_mse` from the difference `d = What - W`, in float64."""
     x = np.asarray(activations, dtype=np.float64)
     err = x @ d.T
     return float((err * err).sum() / x.shape[0])
@@ -288,10 +291,12 @@ def parallel_map(fn, items, threads: int, forks=None, consume=None) -> list:
 
 @contextlib.contextmanager
 def naming_layer(name: str):
-    """Every per-layer task's context: an `AaacqError` raised in it names the layer."""
+    """Every per-layer task's context: an `AaacqError` raised in it names the layer, once."""
     try:
         yield
     except AaacqError as exc:
+        if str(exc).startswith(f"layer {name!r}"):
+            raise
         raise AaacqError(f"layer {name!r}: {exc}") from exc
 
 
@@ -398,9 +403,10 @@ def layer_metrics(
     w = bundle.weights
     imp = layer_importance(bundle) if col_importance is None else col_importance
     x_out = output_activations if output_activations is not None else bundle.activations
-    # The output MSE first, so that its difference is freed before the squares exist.
-    output_mse = layer_output_mse(w, w_hat, x_out) if x_out is not None else None
-    mse, weighted_err = _reconstruction_errors(w, w_hat, imp)
+    # One difference array: the output MSE reads it, then it is squared in place.
+    d = _difference(w, w_hat)
+    output_mse = _output_mse(d, x_out) if x_out is not None else None
+    mse, weighted_err = _error_sums(d, imp)
     return LayerMetrics(
         layer=bundle.name,
         method=method,

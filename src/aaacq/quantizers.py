@@ -151,12 +151,6 @@ def _recon_flat(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     return codes
 
 
-def recon_values(table: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Value of the nearest table entry per input value."""
-    t = np.asarray(table, dtype=np.float64)
-    return t[recon_codes(t, values)]
-
-
 def recon(table: np.ndarray, w_norm: float) -> tuple[int, float]:
     """Nearest-entry code and reconstruction value for one normalized weight."""
     code = int(recon_codes(table, np.asarray([w_norm]))[0])

@@ -434,6 +434,25 @@ MUTATIONS = {
     "no-bitset-flag": _field(14, "<B", 0x06, layer=1),
 }
 
+# The layer a refusal names: every damaged header field or payload that a
+# layer's own read finds.  Damage to the container, and cuts found while the
+# headers are scanned at open, name no layer.
+NAMED_LAYER = {
+    "scale-inf": "layer000",
+    "scale-zero": "layer001",
+    "scale-negative-zero": "layer000",
+    "table-nan": "layer001",
+    "code-out-of-range": "layer000",
+    "payload-bitflip": "layer001",
+    "kind": "layer000",
+    "rows-zero": "layer000",
+    "group-size-zero": "layer000",
+    "sel-size-coarser": "layer000",
+    "table-size-17": "layer000",
+    "bitset-flag": "layer000",
+    "no-bitset-flag": "layer001",
+}
+
 
 class TestMutatedPacks:
     """`eval` and `dequantize` refuse a damaged pack: exit 1, one `error:` line
@@ -475,4 +494,8 @@ class TestMutatedPacks:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, (argv[0], err)
             assert "Traceback" not in err
+            if mutation in NAMED_LAYER:
+                # Named once, whether the header check or the decoder refused.
+                assert err.count(f"layer {NAMED_LAYER[mutation]!r}") == 1, (argv[0], err)
+                assert err.startswith(f"error: layer {NAMED_LAYER[mutation]!r}: "), (argv[0], err)
             assert os.listdir(tmp_path / "out") == [], argv[0]

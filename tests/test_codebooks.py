@@ -103,6 +103,21 @@ class TestInitTables:
         t0, t1 = init_tables(np.asarray([2.5]), 16)
         assert (t0 == 2.5).all() and (t1 == 2.5).all()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 1000, 4097])
+    def test_matches_numpy_quantile(self, n):
+        rng = np.random.default_rng(n)
+        w = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+        w[rng.random(n) < 0.2] = 0.5  # ties
+        cases = [w, np.sort(w), np.append(w, np.inf), np.append(w, -np.inf), np.append(w, np.nan)]
+        for values in cases:
+            for m in (2, 15, 16):
+                steps = np.arange(m) / (m - 1)
+                delta = 1.0 / (2 * (m - 1))
+                with np.errstate(invalid="ignore"):  # inf - inf, in numpy's as in ours
+                    want = np.quantile(values, steps), np.quantile(values, delta + (1 - delta) * steps)
+                    got = init_tables(values, m)
+                assert [g.tobytes() for g in got] == [x.tobytes() for x in want], (values, m)
+
 
 class TestSelectTables:
     def test_identical_tables_select_zero(self):
@@ -297,12 +312,35 @@ class TestMembers:
         cells = _SortedCells.of(values)
         members = _Members(cells, mask, tables, [cells.codes(t) for t in tables])
         assert members.split == int((~mask).sum())
-        assert members.gather(values).tolist() == values[~mask].tolist() + values[mask].tolist()
+        arranged = values.copy()
+        members.arrange(arranged)
+        assert arranged.tolist() == values[~mask].tolist() + values[mask].tolist()
+        members.restore(arranged)
+        assert arranged.tolist() == values.tolist()
         assert members.codes.tolist() == self.want(tables, values, mask).tolist()
         for _ in range(data.draw(st.integers(1, 4))):
             tables = np.stack([data.draw(moved_table(t)) for t in tables])
             members.move(tables)
             assert members.codes.tolist() == self.want(tables, values, mask).tolist()
+
+    @pytest.mark.parametrize("share", [0.2, 0.8])
+    def test_arrange_and_restore_move_groups_chunk_by_chunk(self, share, monkeypatch):
+        # Chunks of two groups: the larger part moves in many chunks, toward
+        # the front or the back as the smaller part is table 1's or table 0's.
+        monkeypatch.setattr(codebooks, "_LEAF", 8)
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((6, 64))
+        mask = rng.random((6, 16)) < share
+        cells = _SortedCells.of(values)
+        tables = np.asarray([[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
+        members = _Members(cells, mask, tables, [cells.codes(t) for t in tables], 4)
+        rows = values.reshape(-1, 4)
+        arranged = values.copy()
+        members.arrange(arranged)
+        want = np.concatenate((rows[~mask.ravel()], rows[mask.ravel()]))
+        assert arranged.reshape(-1, 4).tolist() == want.tolist()
+        members.restore(arranged)
+        assert arranged.tolist() == values.tolist()
 
     @pytest.fixture()
     def searched(self, monkeypatch):
@@ -367,8 +405,84 @@ class TestMembers:
         assert all(size < bundle.weights.size // 20 for size in searched)
 
 
+class TestInnerPass:
+    """The inner steps' block-wise sums against numpy's whole-array sums, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, 7, 8, 127, 128, 129, 2**16 - 1, 2**16 + 1, 1_234_567, 2**22 + 13]
+    )
+    def test_folded_leaf_sums_equal_the_whole_sum(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        leaves = codebooks._leaves(0, n)
+        assert [a for a, _ in leaves] == [0] + [b for _, b in leaves[:-1]]
+        assert leaves[-1][1] == n and all(b - a <= codebooks._LEAF for a, b in leaves)
+        got = codebooks._fold(n, iter([x[a:b].sum() for a, b in leaves]))
+        assert float(got).hex() == float(x.sum()).hex()
+
+    def test_blockwise_add_at_equals_bincount(self):
+        rng = np.random.default_rng(3)
+        leaf = codebooks._LEAF
+        codes = rng.integers(0, 32, 3 * leaf + 5).astype(np.uint8)
+        w = rng.standard_normal(codes.size) * 10.0 ** rng.uniform(-8, 8, codes.size)
+        want = np.bincount(codes, weights=w, minlength=32)
+        for dtype in (np.uint8, np.intp):
+            got = np.zeros(32)
+            for a in range(0, codes.size, leaf):
+                np.add.at(got, codes[a : a + leaf].astype(dtype), w[a : a + leaf])
+            assert got.tobytes() == want.tobytes(), dtype
+
+    @staticmethod
+    def whole_array_steps(members, tables, values, importances, n_inner):
+        """The inner steps as two `np.bincount`s over every member and one
+        error array per step."""
+        wv = importances * values
+        for _ in range(n_inner):
+            num = np.bincount(members.codes, weights=wv, minlength=tables.size)
+            den = np.bincount(members.codes, weights=importances, minlength=tables.size)
+            step = np.where(den > 0, num / np.where(den > 0, den, 1.0), tables.ravel())
+            tables = np.sort(step.reshape(tables.shape), axis=1)
+            members.move(tables)
+            d = values - tables.ravel()[members.codes]
+            e = importances * d
+            e *= d
+            yield tables, float(e[: members.split].sum()) + float(e[members.split :].sum())
+
+    @pytest.mark.parametrize(
+        "rows, share",
+        [(72, 0.5), (72, 0.0), (4, 0.5)],
+        ids=["multi-leaf", "empty-table-1", "one-block"],
+    )
+    def test_fused_steps_match_whole_array_sums(self, rows, share):
+        cols, sel = 4096, 16
+        rng = np.random.default_rng(4)
+        w = rng.standard_normal((rows, cols)) * rng.choice([1.0, 5.0], (rows, cols))
+        imp = rng.uniform(0.0, 2.0, cols)
+        imp[:sel] = 0.0  # one column group carries no importance
+        member1 = rng.random((rows, cols // sel)) < share
+        cells = _SortedCells.of(w)
+        tables = np.stack(init_tables(cells.sorted, 16))
+        fused, whole = (
+            _Members(cells, member1, tables, [cells.codes(t) for t in tables], sel)
+            for _ in range(2)
+        )
+        assert fused.codes.dtype == np.uint8
+        values = w.copy()
+        fused.arrange(values)
+        values = values.reshape(-1)
+        importances = imp.reshape(-1, sel)[whole.groups % (cols // sel)].reshape(-1)
+        if rows == 72:  # every non-empty table's members span several leaves
+            assert min(n for n in (whole.split, values.size - whole.split) if n) > 2**17
+        got = codebooks._lloyd_steps(fused, tables, values, imp, 4)
+        want = self.whole_array_steps(whole, tables, values, importances, 4)
+        for (t_got, e_got), (t_want, e_want) in zip(got, want, strict=True):
+            assert t_got.tobytes() == t_want.tobytes()
+            assert e_got.hex() == e_want.hex()
+        assert fused.codes.tobytes() == whole.codes.tobytes()
+
+
 class TestWorkingSet:
-    def test_learn_peak_is_at_most_15_times_the_layer(self):
+    def test_learn_peak_is_at_most_8_times_the_layer(self):
         bundle = make_bundle(0, rows=256, cols=2048, tokens=64)
         imp = codebooks.layer_importance(bundle)
         cfg = AaacConfig.for_format(NVFP4)
@@ -379,8 +493,8 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # About 53 bytes per weight: see the module docstring.
-        assert peak <= 15 * bundle.weights.nbytes
+        # About 23 bytes per weight and 2 MiB of block buffers: see the module docstring.
+        assert peak <= 8 * bundle.weights.nbytes
 
     @pytest.mark.parametrize(
         "cfg",

@@ -7,15 +7,16 @@ that moves any of these digests changes what the program produces; such a
 change needs its own justification and a new pin, never a silent update.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from aaacq.cli import main
-from aaacq.codebooks import AaacConfig, learn
+from aaacq.codebooks import _LEAF, AaacConfig, LearnResult, learn
 from aaacq.grids import get_format
-from aaacq.tensors import load_tensor_archive
+from aaacq.tensors import SynthSpec, load_tensor_archive, synth_layer
 
 ARCHIVES = {
     "mixture": ["--kind", "mixture"],
@@ -43,6 +44,15 @@ TRACE_SHA256 = {
     "int4-g128-s16": "f567c5dde6c20d830d7d1883ea3205bbd9509931c2dbaab25d9880a786e79192",
     "nvfp4-e4m3": "dab761fc027e47e9e3378393823bfc9516da5c71284039f1866b156284bff4b9",
     "nvfp4-e4m3-huge": "fb1b19e55cac16ec70d36852cefc3f8ee06408ec4883e19b5a5142f7301f1127",
+}
+
+
+# Every field of one learn on a 256x1024 mixture layer, large enough that
+# each table's members span several pairwise-sum leaves (codebooks._LEAF
+# values), whose sums the inner steps fold; the archives above fit one leaf.
+MULTI_LEAF_SHA256 = {
+    "nvfp4": "5a2b84f9c47dfe5f9e93dd99231eb4ffed3b65b9561824e82ebd7573c65068d0",
+    "int4-g128-s16": "d7a1d1c08057a71ac524a784a83ff111b3d54131d3929a3e405edb6ccd9155d6",
 }
 
 
@@ -120,6 +130,19 @@ def test_trace_bytes(archives, name):
         assert trace.dtype == np.float64
         digest.update(trace.tobytes())
     assert digest.hexdigest() == TRACE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_LEAF_SHA256))
+def test_multi_leaf_learn_bytes(name):
+    cfg = _learn_config(CONFIGS[name][1])
+    bundle = synth_layer(SynthSpec("mixture", 256, 1024, 32, seed=11), name="multi-leaf")
+    result = learn(bundle, cfg)
+    in_table1 = int(result.selection.sum()) * cfg.sel_size
+    assert min(in_table1, bundle.weights.size - in_table1) > _LEAF
+    digest = hashlib.sha256()
+    for f in dataclasses.fields(LearnResult):
+        digest.update(getattr(result, f.name).tobytes())
+    assert digest.hexdigest() == MULTI_LEAF_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(FIXED_GRID))
