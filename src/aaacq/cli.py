@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import codebooks, metrics, packfmt, tensors
-from .errors import AaacqError, PairingError, ValidationError
+from .errors import AaacqError, PairingError, ValidationError, naming_layer
 from .grids import get_format
 from .metrics import parallel_map as _parallel_map
 
@@ -71,7 +71,7 @@ def _check_paths(inputs=(), outputs=()) -> None:
 
 def _quantize_layer(bundle: tensors.LayerBundle, method: str, cfg) -> packfmt.PackedLayer:
     """`quantize`'s task: one layer's pack, with the layer named in any error."""
-    with metrics.naming_layer(bundle.name):
+    with naming_layer(bundle.name):
         packed, trace = metrics.quantize_layer(bundle, method, cfg)
     if trace is not None:
         _log(
@@ -129,7 +129,7 @@ def cmd_dequantize(args) -> int:
         entries = {e.name + ".weight": e for e in pack.layers}
 
         def decode(name):
-            with metrics.naming_layer(entries[name].name):
+            with naming_layer(entries[name].name):
                 return metrics.reconstruct(pack.read(entries[name]))
 
         tensors.stream_tensors(fh, {name: (e.rows, e.cols) for name, e in entries.items()}, decode)
@@ -164,7 +164,7 @@ def cmd_eval(args) -> int:
             x_out = None
             if args.w4a8 and bundle.activations is not None:
                 x_out = metrics.simulate_w4a8(bundle.activations)
-            with metrics.naming_layer(e.name):
+            with naming_layer(e.name):
                 rows.append(metrics.score(bundle, pack.read(e), output_activations=x_out))
     _emit_report(metrics.report(rows), args)
     return 0

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the context that names a layer in them."""
+
+from __future__ import annotations
+
+import contextlib
 
 
 class AaacqError(Exception):
@@ -35,3 +39,21 @@ class CorruptionError(AaacqError):
 
 class UndefinedGapError(AaacqError):
     """Gap recovery is undefined because the baseline equals full precision."""
+
+
+@contextlib.contextmanager
+def naming_layer(name: str | None, what: str = ""):
+    """A context in which an `AaacqError` names the layer `name` once, keeping its type.
+
+    `what` goes between the name and the message.  With no name, errors pass
+    through as they are.
+    """
+    if name is None:
+        yield
+        return
+    try:
+        yield
+    except AaacqError as exc:
+        if str(exc).startswith(f"layer {name!r}"):
+            raise
+        raise type(exc)(f"layer {name!r}: {what}{exc}") from exc

@@ -138,6 +138,52 @@ def round_e4m3(x):
 # Per-group scales
 # ---------------------------------------------------------------------------
 
+def group_absmax(weights: np.ndarray, group_size: int) -> np.ndarray:
+    """Largest magnitude per group of `group_size` contiguous in-row weights.
+
+    Returns a (rows, cols / group_size) float32 array; a group holding a NaN
+    gives NaN.  Equals `np.abs(w).reshape(rows, -1, group_size).max(axis=2)`.
+    A reduction over a short last axis costs numpy a call per group, so while
+    the group width is even this takes the maximum of neighbouring pairs over
+    the flat array instead, halving the width; an odd width left over is
+    reduced by row.
+    """
+    w = np.asarray(weights, dtype=np.float32)
+    n, k = w.shape
+    if k % group_size != 0:
+        raise LayoutError(
+            f"column count {k} is not divisible by scale group size {group_size}"
+        )
+    a, width = np.abs(w).reshape(-1), group_size
+    while width % 2 == 0:
+        a = np.maximum(a[0::2], a[1::2])
+        width //= 2
+    if width > 1:
+        a = a.reshape(-1, width).max(axis=1)
+    return a.reshape(n, k // group_size)
+
+
+def scales_from_absmax(
+    absmax: np.ndarray, fmt: BaseFormat, scale_mode: str = "exact-bf16"
+) -> np.ndarray:
+    """Per-group scales from the groups' `group_absmax` (see `compute_scales`)."""
+    if scale_mode not in SCALE_MODES:
+        raise ValidationError(
+            f"unknown scale mode {scale_mode!r}; supported: {list(SCALE_MODES)}"
+        )
+    absmax = np.asarray(absmax, dtype=np.float32)
+    grid_max = np.float32(fmt.grid_absmax)
+    raw = np.where(absmax > 0, absmax / grid_max, np.float32(BF16_MIN_NORMAL))
+
+    if scale_mode == "emulate-e4m3":
+        s = round_e4m3(raw.astype(np.float64))
+        return np.clip(s, E4M3_MIN_POSITIVE, E4M3_MAX).astype(np.float32)
+
+    s = round_bf16(raw)
+    clips = s.astype(np.float64) * float(grid_max) < absmax.astype(np.float64)
+    return np.where(clips, _next_bf16_up(s), s)
+
+
 def compute_scales(
     weights: np.ndarray,
     fmt: BaseFormat,
@@ -158,24 +204,4 @@ def compute_scales(
 
     Returns a (rows, cols / group_size) float32 array.
     """
-    if scale_mode not in SCALE_MODES:
-        raise ValidationError(
-            f"unknown scale mode {scale_mode!r}; supported: {list(SCALE_MODES)}"
-        )
-    w = np.asarray(weights, dtype=np.float32)
-    n, k = w.shape
-    if k % group_size != 0:
-        raise LayoutError(
-            f"column count {k} is not divisible by scale group size {group_size}"
-        )
-    absmax = np.abs(w).reshape(n, k // group_size, group_size).max(axis=2)
-    grid_max = np.float32(fmt.grid_absmax)
-    raw = np.where(absmax > 0, absmax / grid_max, np.float32(BF16_MIN_NORMAL))
-
-    if scale_mode == "emulate-e4m3":
-        s = round_e4m3(raw.astype(np.float64))
-        return np.clip(s, E4M3_MIN_POSITIVE, E4M3_MAX).astype(np.float32)
-
-    s = round_bf16(raw)
-    clips = s.astype(np.float64) * float(grid_max) < absmax.astype(np.float64)
-    return np.where(clips, _next_bf16_up(s), s)
+    return scales_from_absmax(group_absmax(weights, group_size), fmt, scale_mode)

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
+import functools
+import glob
 import io
 import json
 import os
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebooks import AaacConfig, _difference, _error_sums, layer_importance, learn
-from .errors import AaacqError, PairingError, UndefinedGapError, ValidationError
+from .errors import AaacqError, PairingError, UndefinedGapError, ValidationError, naming_layer
 from .grids import E4M3_MAX, base_table, round_e4m3
 from .packfmt import PackedLayer, pack, selection_overhead_bpw, unpack
 from .quantizers import dequantize, if4_quantize, if4_tables, rtn_quantize
@@ -251,6 +254,53 @@ def _serial_map(fn, items: list, workers: int, each) -> None:
         each(i, fn(item))
 
 
+# A pool already fills the cores, so OpenBLAS threads under each worker's
+# matrix products (the output MSE) only oversubscribe them: on the compare
+# benchmark's archive, `compare --threads 2` took 9.1 CPU-s with two BLAS
+# threads and 3.5 with one (2 vCPUs).  A serial `eval` gains wall time from
+# them, so only pools pin BLAS, and only while they run.  A thread count the
+# environment chooses is left as it is.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy's wheel bundles, or None.
+
+    numpy's wheels carry it in `numpy.libs` (Linux) or `numpy/.dylibs`
+    (macOS); only a copy already loaded is used.  Other builds get None.
+    """
+    here = os.path.dirname(np.__file__)
+    for path in glob.glob(f"{here}.libs/*openblas*") + glob.glob(f"{here}/.dylibs/*openblas*"):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except (OSError, AttributeError):
+            continue
+        # numpy 2's wheels name it scipy_openblas64_, numpy 1's openblas64_.
+        for prefix in ("scipy_openblas", "openblas"):
+            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
+            put = getattr(lib, f"{prefix}_set_num_threads64_", None)
+            if get is not None and put is not None:
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread, unless the environment sets a count."""
+    blas = None if any(v in os.environ for v in _BLAS_VARS) else _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def parallel_map(fn, items, threads: int, forks=None, consume=None) -> list:
     """`[fn(item) for item in items]`, on up to `threads` workers when there are several.
 
@@ -283,21 +333,13 @@ def parallel_map(fn, items, threads: int, forks=None, consume=None) -> list:
     for route, pool_map in ((True, _fork_map), (False, _thread_map)):
         indices = [i for i, p in enumerate(picked) if p == route]
         batch = [items[i] for i in indices]
+        pinned = _one_blas_thread()
         if len(batch) <= 1 or threads <= 1:
-            pool_map = _serial_map
-        pool_map(fn, batch, min(threads, len(batch)), lambda j, result: arrive(indices[j], result))
+            pool_map, pinned = _serial_map, contextlib.nullcontext()
+        with pinned:
+            pool_map(fn, batch, min(threads, len(batch)),
+                     lambda j, result: arrive(indices[j], result))
     return results
-
-
-@contextlib.contextmanager
-def naming_layer(name: str):
-    """Every per-layer task's context: an `AaacqError` raised in it names the layer, once."""
-    try:
-        yield
-    except AaacqError as exc:
-        if str(exc).startswith(f"layer {name!r}"):
-            raise
-        raise AaacqError(f"layer {name!r}: {exc}") from exc
 
 
 # Values per row block of the fixed-grid quantizers and the decoder, whose

@@ -46,6 +46,7 @@ from .errors import (
     LayoutError,
     UnsupportedConfigError,
     ValidationError,
+    naming_layer,
 )
 from .grids import bf16_bits, bf16_decode
 from .tensors import pread_into
@@ -349,31 +350,36 @@ class _FileReader(_Reader):
         return buf
 
 
-def _layer_header(r: _Reader):
+def _layer_header(r: _Reader, previous: str | None = None):
     """Parse and check the layer header at the cursor.
 
+    Errors name the layer.  One before its name has been read names
+    `previous`, the layer before it in a container, whose sizes put the
+    header here (a wrong column count there reads as garbage here).
     Returns (name, (kind, rows, cols, group_size, sel_size, table_size,
     flags), crc, section sizes before padding), leaving the cursor at the
     payload.
     """
-    (name_len,) = r.unpack(struct.Struct("<H"))
-    try:
-        name = r.take(name_len).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorruptionError(f"layer name is not valid UTF-8: {exc}") from exc
-    fields = r.unpack(_HEADER)
-    kind, rows, cols, group_size, sel_size, table_size, flags = fields
-    if kind not in KIND_NAMES:
-        raise CorruptionError(f"layer {name!r}: unknown format kind {kind}")
-    if rows < 1 or cols < 1 or table_size < 1 or table_size > 16:
-        raise CorruptionError(f"layer {name!r}: implausible header dimensions")
-    if group_size < 1 or cols % group_size or sel_size < 1 or cols % sel_size:
-        raise CorruptionError(f"layer {name!r}: group sizes incompatible with columns")
-    if sel_size > group_size or group_size % sel_size:
-        raise CorruptionError(f"layer {name!r}: selection group incompatible with scale group")
-    if bool(flags & FLAG_BITSET) != (sel_size < group_size):
-        raise CorruptionError(f"layer {name!r}: bitset flag inconsistent with group sizes")
-    (crc,) = r.unpack(struct.Struct("<I"))
+    with naming_layer(previous, "next header: "):
+        (name_len,) = r.unpack(struct.Struct("<H"))
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptionError(f"layer name is not valid UTF-8: {exc}") from exc
+    with naming_layer(name):
+        fields = r.unpack(_HEADER)
+        kind, rows, cols, group_size, sel_size, table_size, flags = fields
+        if kind not in KIND_NAMES:
+            raise CorruptionError(f"unknown format kind {kind}")
+        if rows < 1 or cols < 1 or table_size < 1 or table_size > 16:
+            raise CorruptionError("implausible header dimensions")
+        if group_size < 1 or cols % group_size or sel_size < 1 or cols % sel_size:
+            raise CorruptionError("group sizes incompatible with columns")
+        if sel_size > group_size or group_size % sel_size:
+            raise CorruptionError("selection group incompatible with scale group")
+        if bool(flags & FLAG_BITSET) != (sel_size < group_size):
+            raise CorruptionError("bitset flag inconsistent with group sizes")
+        (crc,) = r.unpack(struct.Struct("<I"))
 
     count = rows * cols
     sizes = [4 * table_size, 2 * (count // group_size), -(-count // 2)]
@@ -385,9 +391,10 @@ def _layer_header(r: _Reader):
 def layer_from_reader(r: _Reader) -> tuple[str, PackedLayer]:
     name, fields, crc, sizes = _layer_header(r)
     kind, rows, cols, group_size, sel_size, table_size, flags = fields
-    payload = r.take(sum(_pad16(s) for s in sizes))
-    if zlib.crc32(payload) != crc:
-        raise CorruptionError(f"layer {name!r}: payload CRC mismatch")
+    with naming_layer(name):
+        payload = r.take(sum(_pad16(s) for s in sizes))
+        if zlib.crc32(payload) != crc:
+            raise CorruptionError("payload CRC mismatch")
 
     view = memoryview(payload)
     cursor = 0
@@ -440,10 +447,13 @@ def _scan(r: _Reader) -> list[PackEntry]:
         raise CorruptionError(f"unsupported container version {version}")
     entries = []
     seen = set()
-    for _ in range(count):
+    for held in range(count):
+        if r.offset == r.end:
+            raise CorruptionError(f"container holds {held} layers, its header says {count}")
         start = r.offset
-        name, fields, _, sizes = _layer_header(r)
-        r.skip(sum(_pad16(s) for s in sizes))
+        name, fields, _, sizes = _layer_header(r, entries[-1].name if entries else None)
+        with naming_layer(name):
+            r.skip(sum(_pad16(s) for s in sizes))
         if name in seen:
             raise CorruptionError(f"duplicate layer name {name!r}")
         seen.add(name)

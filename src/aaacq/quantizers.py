@@ -7,12 +7,14 @@ reconstruction tables.  Dequantization is table[code] * scale.
 Nearest-entry search is the one cell search every method shares.  The cells
 of a sorted scalar table are intervals (Max 1960; Lloyd 1982), cut at the
 midpoints between neighbouring distinct entries, so a value's code is its
-entry's first index, found by counting the midpoints at or below it.  That
-count is exact outside a small window around each midpoint (a few ulps of
-the largest magnitude among values and entries): there the nearer entry wins
-by more than the rounding of `|v - t|` can undo.  Values inside a window go
-through an exhaustive search whose first-minimum rule decides ties.  When
-two distinct entries lie within a few windows of each other, or magnitudes
+entry's first index, found by counting the midpoints at or below it.  When
+all entries are distinct, as in the fixed grids, each entry is its own first
+index and the count is the code itself, with no gather.  The count is exact
+outside a small window around each midpoint (a few ulps of the largest
+magnitude among values and entries): there the nearer entry wins by more
+than the rounding of `|v - t|` can undo.  Values inside a window go through
+an exhaustive search whose first-minimum rule decides ties.  When two
+distinct entries lie within a few windows of each other, or magnitudes
 approach overflow or are not finite, every value does (the fallback).
 `_cells` holds this definition; `recon_codes` applies it to values in any
 order, and `codebooks` to values sorted once per layer.
@@ -23,7 +25,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CorruptionError, ValidationError
-from .grids import INT4, NVFP4, BaseFormat, base_table, compute_scales
+from .grids import (
+    INT4,
+    NVFP4,
+    BaseFormat,
+    base_table,
+    compute_scales,
+    group_absmax,
+    scales_from_absmax,
+)
 
 
 def expand_groups(per_group: np.ndarray, size: int) -> np.ndarray:
@@ -116,22 +126,28 @@ def _recon_exact(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     return idx
 
 
-def recon_codes(table: np.ndarray, values: np.ndarray) -> np.ndarray:
+def recon_codes(table: np.ndarray, values: np.ndarray, dtype=np.intp) -> np.ndarray:
     """Index of the nearest table entry per value, ties toward the lower index.
 
     The table must be non-decreasing.  Equals an exhaustive argmin with
     first-minimum tie-breaking: each value's run (how many midpoints lie at
     or below it, less a window) picks its entry, and only values inside a
     window, or every value on the fallback, are searched exhaustively.
+    Codes come back as `dtype`, which must hold the table's last index;
+    `np.uint8` spares a 16-entry table's codes the round trip through intp.
     """
     t = check_table(table)
     v = np.asarray(values, dtype=np.float64)
     # A 0-d input gives a scalar, as np.searchsorted does.
-    return _recon_flat(t, v.reshape(-1)).reshape(v.shape)[()]
+    return _recon_flat(t, v.reshape(-1)).astype(dtype, copy=False).reshape(v.shape)[()]
 
 
 def _recon_flat(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """`recon_codes` of 1-D values under a checked table."""
+    """`recon_codes` of 1-D values under a checked table, in some integer dtype.
+
+    When the table's entries are distinct, each entry is its own first index,
+    so a value's run is its code and needs no gather.
+    """
     if v.size == 0 or t.size < 2:
         return _recon_exact(t, v)
     # v.max() first: Python's max keeps a leading NaN, so NaN takes the fallback.
@@ -141,11 +157,13 @@ def _recon_flat(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     # A value is in window run - 1 or in none: midpoints are 4 windows apart.
     run = np.zeros(v.size, dtype=np.min_scalar_type(mid.size))
     above = np.empty(v.size, dtype=bool)
+    step = above.view(np.uint8)  # adding bool to uint8 would cast in buffers
     for x in mid - half:
         np.greater_equal(v, x, out=above)
-        run += above
-    codes = first[run]
-    window = np.flatnonzero(v <= np.concatenate(([-np.inf], mid + half))[run])
+        run += step
+    codes = run if first.size == t.size else first.take(run)
+    np.less_equal(v, np.concatenate(([-np.inf], mid + half)).take(run), out=above)
+    window = np.flatnonzero(above)
     if window.size:
         codes[window] = _recon_exact(t, v[window])
     return codes
@@ -174,11 +192,25 @@ def rtn_quantize(
     """
     scales = compute_scales(weights, fmt, group_size, scale_mode)
     w_norm = normalize(weights, scales, group_size)
-    codes = recon_codes(base_table(fmt), w_norm).astype(np.uint8)
+    codes = recon_codes(base_table(fmt), w_norm, dtype=np.uint8)
     return codes, scales
 
 
 _FLT_MAX = float(np.finfo(np.float32).max)
+
+
+def _scale_decoded(values: np.ndarray, scales: np.ndarray, group_size: int, peak: float) -> None:
+    """Multiply decoded table entries by their group scales in place, in float64.
+
+    `peak` is the largest entry magnitude.  A BF16 scale rounded up can carry
+    an entry past float32's range; only groups whose scale times `peak` does
+    are saturated at float32's largest finite value.
+    """
+    grouped = _grouped(values, group_size)
+    grouped *= scales.astype(np.float64)[:, :, np.newaxis]
+    if scales.size and float(scales.max()) * peak > _FLT_MAX:
+        hot = scales.astype(np.float64) * peak > _FLT_MAX
+        grouped[hot] = np.clip(grouped[hot], -_FLT_MAX, _FLT_MAX)
 
 
 def dequantize(
@@ -205,19 +237,19 @@ def dequantize(
         raise CorruptionError(
             f"code {int(codes.max())} out of range for {t0.size}-entry tables"
         )
-    # One gather from both tables side by side: table 1's codes offset by M.
-    offset = t0.size * np.asarray(selection, dtype=bool)
+    # One gather from both tables side by side: table 1's codes offset by M,
+    # in the narrowest index type that holds the last of both tables' indices.
     both = np.concatenate((t0, t1))
-    values = both[_grouped(codes, sel_size) + offset[:, :, np.newaxis]]
-    w_hat = _grouped(values.reshape(codes.shape), group_size)
-    w_hat *= scales.astype(np.float64)[:, :, np.newaxis]
-    # A BF16 scale rounded up can carry an entry past float32's range; only
-    # groups whose scale times the largest entry does are saturated.
-    peak = np.abs(both).max(initial=0.0)
-    if scales.size and float(scales.max()) * peak > _FLT_MAX:
-        hot = scales.astype(np.float64) * peak > _FLT_MAX
-        w_hat[hot] = np.clip(w_hat[hot], -_FLT_MAX, _FLT_MAX)
-    return w_hat.reshape(codes.shape).astype(np.float32)
+    sel = np.asarray(selection, dtype=bool)
+    index = codes
+    if sel.any():
+        index_type = np.promote_types(codes.dtype, np.min_scalar_type(both.size - 1))
+        offset = (sel * t0.size).astype(index_type)
+        index = (_grouped(codes.astype(index_type, copy=False), sel_size)
+                 + offset[:, :, np.newaxis]).reshape(codes.shape)
+    w_hat = both.take(index)
+    _scale_decoded(w_hat, scales, group_size, np.abs(both).max(initial=0.0))
+    return w_hat.astype(np.float32)
 
 
 def dequantize_rtn(
@@ -241,23 +273,33 @@ def if4_quantize(
     Both candidates use their own absmax scale; errors are compared in
     de-normalized units and ties prefer FP4.  Returns (codes, scales,
     format_bits) with format bit 1 marking groups stored under INT4.
+
+    Each candidate is `rtn_quantize` decoded as `dequantize_rtn` would: the
+    two share the group absmax and the block's float64 copy, and normalize,
+    code and decode into the same buffers.
     """
     w = np.asarray(weights, dtype=np.float32)
-    codes_f, scales_f = rtn_quantize(w, NVFP4, group_size, scale_mode)
-    codes_i, scales_i = rtn_quantize(w, INT4, group_size, scale_mode)
-
-    w_hat_f = dequantize_rtn(codes_f, scales_f, NVFP4, group_size)
-    w_hat_i = dequantize_rtn(codes_i, scales_i, INT4, group_size)
+    absmax = group_absmax(w, group_size)
     w64 = w.astype(np.float64)
-
-    def group_sse(w_hat):
-        d = (w64 - w_hat.astype(np.float64)) ** 2
-        return _grouped(d, group_size).sum(axis=2)
-
-    int4_wins = group_sse(w_hat_i) < group_sse(w_hat_f)
-    codes = np.where(
-        int4_wins[:, :, np.newaxis], _grouped(codes_i, group_size), _grouped(codes_f, group_size)
-    ).reshape(w.shape).astype(np.uint8)
+    # C order whatever the input's layout: the group SSE's sums follow memory order.
+    buf, buf32 = np.empty(w.shape), np.empty(w.shape, np.float32)
+    candidates = []
+    for fmt in (NVFP4, INT4):
+        table = base_table(fmt)
+        scales = scales_from_absmax(absmax, fmt, scale_mode)
+        np.divide(_grouped(w64, group_size), scales.astype(np.float64)[:, :, np.newaxis],
+                  out=_grouped(buf, group_size))
+        codes = recon_codes(table, buf, dtype=np.uint8)
+        table.take(codes, out=buf, mode="clip")  # in range; "raise" would buffer `out`
+        _scale_decoded(buf, scales, group_size, np.abs(table).max())
+        buf32[...] = buf
+        np.subtract(w64, buf32, out=buf)
+        np.square(buf, out=buf)
+        candidates.append((codes, scales, _grouped(buf, group_size).sum(axis=2)))
+    (codes, scales_f, sse_f), (codes_i, scales_i, sse_i) = candidates
+    int4_wins = sse_i < sse_f
+    np.copyto(_grouped(codes, group_size), _grouped(codes_i, group_size),
+              where=int4_wins[:, :, np.newaxis])
     scales = np.where(int4_wins, scales_i, scales_f)
     return codes, scales, int4_wins.astype(np.uint8)
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import aaacq
+from aaacq import metrics
 from aaacq.cli import main
 from aaacq.codebooks import AaacConfig
 from aaacq.grids import INT4, NVFP4
@@ -346,6 +347,69 @@ class TestCompare:
         assert rows == json.loads(evaluated.read_text())["layers"]
 
 
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _python(*argv, **env_vars):
+    """Run `python *argv` with this checkout's aaacq, no BLAS thread settings but `env_vars`."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(env_vars, PYTHONPATH=os.path.dirname(os.path.dirname(aaacq.__file__)))
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestBlasThreads:
+    """A worker pool runs OpenBLAS on one thread unless the environment chooses."""
+
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        """(get, set) of numpy's OpenBLAS thread count, set to 2 for the test."""
+        for var in BLAS_VARS:
+            monkeypatch.delenv(var, raising=False)
+        blas = metrics._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's OpenBLAS is not the bundled wheel copy")
+        get, put = blas
+        before = get()
+        put(2)
+        yield get, put
+        put(before)
+
+    @pytest.mark.parametrize("forks", [None, lambda item: True])
+    def test_a_pool_pins_one_thread_while_it_runs(self, blas, forks):
+        get, _ = blas
+        assert metrics.parallel_map(lambda item: get(), range(4), 2, forks) == [1] * 4
+        assert get() == 2
+
+    def test_serial_work_keeps_the_blas_threads(self, blas):
+        get, _ = blas
+        assert metrics.parallel_map(lambda item: get(), range(4), 1) == [2] * 4
+
+    @pytest.mark.parametrize("var", BLAS_VARS)
+    def test_a_count_the_environment_sets_wins(self, blas, monkeypatch, var):
+        get, _ = blas
+        monkeypatch.setenv(var, "2")
+        assert metrics.parallel_map(lambda item: get(), range(4), 2) == [2] * 4
+
+    def test_importing_aaacq_leaves_the_environment_alone(self):
+        show = "import aaacq, os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        assert _python("-c", show).split() == ["None"]
+
+    def test_reports_do_not_depend_on_blas_threads(self, tmp_path):
+        # Large enough that OpenBLAS splits the output-error products.
+        archive = tmp_path / "big.safetensors"
+        assert run("synth", "--out", archive, "--layers", "2", "-N", "256", "-K", "512",
+                   "-T", "128", "--seed", "4") == 0
+        reports = []
+        for tag, env_vars in (("pinned", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+            out = tmp_path / f"{tag}.json"
+            _python("-m", "aaacq.cli", "compare", str(archive), "--methods", "rtn,if4",
+                    "--threads", "2", "--json", "--out", str(out), **env_vars)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+
 class TestEndToEndDeterminism:
     def test_full_pipeline_twice(self, tmp_path):
         outputs = []
@@ -434,10 +498,17 @@ MUTATIONS = {
     "no-bitset-flag": _field(14, "<B", 0x06, layer=1),
 }
 
-# The layer a refusal names: every damaged header field or payload that a
-# layer's own read finds.  Damage to the container, and cuts found while the
-# headers are scanned at open, name no layer.
+# The layer a refusal names: every damaged header field or payload, and every
+# cut or size the header scan at open runs into once it has read a layer's
+# name.  A header whose name does not read is charged to the layer before it,
+# whose sizes placed it (cols-plus-group).  Damage to the container header
+# names no layer.
 NAMED_LAYER = {
+    "cut-in-header": "layer000",
+    "cut-in-payload": "layer000",
+    "cut-last-byte": "layer001",
+    "cols-plus-group": "layer000",
+    "rows-near-2**32": "layer000",
     "scale-inf": "layer000",
     "scale-zero": "layer001",
     "scale-negative-zero": "layer000",
@@ -498,4 +569,6 @@ class TestMutatedPacks:
                 # Named once, whether the header check or the decoder refused.
                 assert err.count(f"layer {NAMED_LAYER[mutation]!r}") == 1, (argv[0], err)
                 assert err.startswith(f"error: layer {NAMED_LAYER[mutation]!r}: "), (argv[0], err)
+            else:
+                assert "error: layer " not in err, (argv[0], err)
             assert os.listdir(tmp_path / "out") == [], argv[0]

@@ -15,10 +15,14 @@ from aaacq.grids import (
     base_table,
     bf16_bits,
     bf16_decode,
+    SCALE_MODES,
+    _next_bf16_up,
     compute_scales,
     get_format,
+    group_absmax,
     round_bf16,
     round_e4m3,
+    scales_from_absmax,
 )
 
 # ---------------------------------------------------------------------------
@@ -299,3 +303,82 @@ class TestComputeScales:
             compute_scales(w, NVFP4, 16)
         with pytest.raises(ValidationError):
             compute_scales(np.ones((2, 16), np.float32), NVFP4, 16, "fp8-e5m2")
+
+
+# ---------------------------------------------------------------------------
+# Group absmax against the formulation it replaced
+# ---------------------------------------------------------------------------
+
+
+def reshape_absmax(w, g):
+    """The per-group absmax as one reduction over the short group axis."""
+    n, k = w.shape
+    return np.abs(w).reshape(n, k // g, g).max(axis=2)
+
+
+def reshape_scales(w, fmt, g, mode):
+    """`compute_scales` as written before the absmax and scale steps split."""
+    absmax = reshape_absmax(w, g)
+    grid_max = np.float32(fmt.grid_absmax)
+    raw = np.where(absmax > 0, absmax / grid_max, np.float32(BF16_MIN_NORMAL))
+    if mode == "emulate-e4m3":
+        s = round_e4m3(raw.astype(np.float64))
+        return np.clip(s, E4M3_MIN_POSITIVE, E4M3_MAX).astype(np.float32)
+    s = round_bf16(raw)
+    clips = s.astype(np.float64) * float(grid_max) < absmax.astype(np.float64)
+    return np.where(clips, _next_bf16_up(s), s)
+
+
+_SPECIAL_WEIGHTS = [0.0, -0.0, 1e-45, -1e-45, 1e-40, 1.17e-38, 3.4e38, -3.4e38,
+                    np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def absmax_cases(draw):
+    """A float32 matrix in groups of g: ordinary weights mixed with signed
+    zeros, subnormals, near-overflow values, infinities and NaN."""
+    g = draw(st.sampled_from([1, 3, 16, 128, 6, 96]))
+    rows, groups = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    values = st.floats(width=32, allow_nan=False, allow_infinity=False) | st.sampled_from(
+        _SPECIAL_WEIGHTS)
+    flat = draw(st.lists(values, min_size=1, max_size=rows * groups * g))
+    seed = draw(st.integers(0, 2**32 - 1))
+    w = np.random.default_rng(seed).standard_normal(rows * groups * g).astype(np.float32)
+    w[np.random.default_rng(seed).permutation(w.size)[:len(flat)]] = flat
+    return w.reshape(rows, groups * g), g
+
+
+class TestGroupAbsmax:
+    @given(absmax_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_one_reduction_over_the_group_axis(self, case):
+        w, g = case
+        got = group_absmax(w, g)
+        want = reshape_absmax(w, g)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        # Zeros of either sign come back as +0, as np.abs gives them.
+        assert not np.signbit(got[got == 0]).any()
+
+    @given(absmax_cases(), st.sampled_from(SCALE_MODES), st.sampled_from([NVFP4, INT4]))
+    @settings(max_examples=300, deadline=None)
+    def test_scales_match_the_single_function(self, case, mode, fmt):
+        w, g = case
+        got = compute_scales(w, fmt, g, mode)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, reshape_scales(w, fmt, g, mode), equal_nan=True)
+        assert np.array_equal(got, scales_from_absmax(group_absmax(w, g), fmt, mode),
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("g", [3, 65, 6 * 65])
+    def test_odd_group_widths_reduce_along_the_row(self, g):
+        rng = np.random.default_rng(11)
+        w = rng.standard_normal((3, 2 * g)).astype(np.float32)
+        w[1, g + g // 2] = -50.0
+        assert np.array_equal(group_absmax(w, g), reshape_absmax(w, g))
+        assert group_absmax(w, g)[1, 1] == 50.0
+
+    def test_non_contiguous_and_empty_inputs(self):
+        w = np.random.default_rng(12).standard_normal((32, 6)).astype(np.float32)
+        assert np.array_equal(group_absmax(w.T, 16), reshape_absmax(w.T, 16))
+        assert group_absmax(np.zeros((0, 32), np.float32), 16).shape == (0, 2)

@@ -371,3 +371,145 @@ class TestNormalize:
         w_norm = normalize(w, s, 16)
         back = w_norm * expand_groups(s.astype(np.float64), 16)
         assert np.allclose(back, w, rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# Fixed-grid kernels against the formulations they replaced
+# ---------------------------------------------------------------------------
+
+
+def _grouped(a, size):
+    return a.reshape(a.shape[0], a.shape[1] // size, size)
+
+
+def fancy_dequantize(codes, scales, table0, table1, selection, group_size, sel_size):
+    """`dequantize` as one fancy index with intp `codes + offset`."""
+    t0, t1 = np.asarray(table0, np.float64), np.asarray(table1, np.float64)
+    offset = t0.size * np.asarray(selection, dtype=bool)
+    both = np.concatenate((t0, t1))
+    values = both[_grouped(codes, sel_size) + offset[:, :, np.newaxis]]
+    w_hat = _grouped(values.reshape(codes.shape), group_size)
+    w_hat *= scales.astype(np.float64)[:, :, np.newaxis]
+    flt_max = float(np.finfo(np.float32).max)
+    peak = np.abs(both).max(initial=0.0)
+    if scales.size and float(scales.max()) * peak > flt_max:
+        hot = scales.astype(np.float64) * peak > flt_max
+        w_hat[hot] = np.clip(w_hat[hot], -flt_max, flt_max)
+    return w_hat.reshape(codes.shape).astype(np.float32)
+
+
+def two_pass_if4(w, g, mode):
+    """`if4_quantize` as two `rtn_quantize` + `dequantize_rtn` passes and a group SSE."""
+    codes_f, scales_f = rtn_quantize(w, NVFP4, g, mode)
+    codes_i, scales_i = rtn_quantize(w, INT4, g, mode)
+    w64 = w.astype(np.float64)
+
+    def group_sse(w_hat):
+        return _grouped((w64 - w_hat.astype(np.float64)) ** 2, g).sum(axis=2)
+
+    int4_wins = (group_sse(dequantize_rtn(codes_i, scales_i, INT4, g))
+                 < group_sse(dequantize_rtn(codes_f, scales_f, NVFP4, g)))
+    codes = np.where(int4_wins[:, :, np.newaxis], _grouped(codes_i, g), _grouped(codes_f, g))
+    return (codes.reshape(w.shape).astype(np.uint8), np.where(int4_wins, scales_i, scales_f),
+            int4_wins.astype(np.uint8))
+
+
+_FLT_MAX = float(np.finfo(np.float32).max)
+
+
+@st.composite
+def if4_cases(draw):
+    """Weights in groups of g at one magnitude, with all-zero groups, groups
+    on a grid and near-FLT_MAX groups whose BF16 scales round past it."""
+    g = draw(st.sampled_from([1, 3, 16, 128, 32]))
+    rows, groups = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (rows, groups, g)
+    kind = draw(st.sampled_from(["normal", "laplace", "grid", "tiny", "huge"]))
+    if kind == "grid":
+        w = rng.choice(np.concatenate([base_table(NVFP4), base_table(INT4)]), shape)
+        w *= 2.0 ** rng.integers(-4, 4)
+    elif kind == "tiny":
+        w = rng.standard_normal(shape) * 1e-42
+    elif kind == "huge":
+        w = rng.uniform(-1, 1, shape) * _FLT_MAX
+        w[..., 0] = _FLT_MAX
+    else:
+        w = getattr(rng, kind)(size=shape) * 10.0 ** draw(st.integers(-30, 30))
+    w[rng.random((rows, groups)) < 0.25] = 0.0
+    w = w.astype(np.float32).reshape(rows, groups * g)
+    if draw(st.booleans()):  # the same values in column-major memory
+        w = np.asfortranarray(w)
+    return w, g
+
+
+class TestKernelPins:
+    @given(search_cases(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_narrow_codes_match_brute_force(self, case, duplicate):
+        table, values = case
+        if duplicate:  # the first index of a repeated entry, not the run
+            table = np.sort(np.concatenate([table, table[::3]]))
+        if table.size > 256:
+            table = table[:256]
+        got = recon_codes(table, values, dtype=np.uint8)
+        assert np.asarray(got).dtype == np.uint8 and np.shape(got) == values.shape
+        want = brute_force_codes(table, values)
+        assert np.asarray(got).reshape(-1).tolist() == want.tolist()
+        assert recon_codes(table, values).reshape(-1).tolist() == want.tolist()
+
+    def test_distinct_tables_skip_the_first_index_gather(self):
+        # The run counter is one byte; a gather through the intp first
+        # indices, which only tables with duplicates need, would widen it.
+        values = np.linspace(-7, 7, 1001)
+        for table, dtype in ((base_table(NVFP4), np.uint8),
+                             (np.asarray([-1.0, 0.0, 0.0, 2.0, 2.0, 5.0]), np.intp)):
+            got = quantizers._recon_flat(table, values)
+            assert got.dtype == dtype
+            assert got.tolist() == brute_force_codes(table, values).tolist()
+
+    @given(if4_cases(), st.sampled_from(["exact-bf16", "emulate-e4m3"]))
+    @settings(max_examples=200, deadline=None)
+    def test_if4_matches_two_rtn_passes(self, case, mode):
+        w, g = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = if4_quantize(w, g, mode)
+        want = two_pass_if4(w, g, mode)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b)
+
+    def test_if4_near_flt_max_and_zero_groups(self):
+        w = np.zeros((2, 64), np.float32)
+        w[0, :16] = np.float32(_FLT_MAX)
+        w[0, 16:32] = np.linspace(-_FLT_MAX, _FLT_MAX, 16, dtype=np.float32)
+        w[1, :16] = np.float32(-_FLT_MAX)
+        for mode in ("exact-bf16", "emulate-e4m3"):
+            got, want = if4_quantize(w, 16, mode), two_pass_if4(w, 16, mode)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_dequantize_matches_fancy_index_decode(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = data.draw(st.integers(1, 16))
+        sel_size = data.draw(st.sampled_from([1, 2, 16]))
+        group_size = sel_size * data.draw(st.sampled_from([1, 3, 8]))
+        rows, groups = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        cols = groups * group_size
+        tables = np.sort(rng.choice(np.concatenate([rng.standard_normal(m) * 4, [0.0, -0.0]]),
+                                    (2, m)), axis=1)
+        codes = rng.integers(0, m, (rows, cols)).astype(
+            data.draw(st.sampled_from([np.uint8, np.intp])))
+        selection = (rng.random((rows, cols // sel_size)) < data.draw(st.sampled_from([0, 0.5, 1])))
+        scales = rng.uniform(0.5, 2, (rows, groups)) * 10.0 ** rng.integers(-38, 38, (rows, groups))
+        if data.draw(st.booleans()):  # a scale that carries entries past FLT_MAX
+            scales[0, 0] = _FLT_MAX
+        scales = scales.astype(np.float32)
+        got = dequantize(codes, scales, tables[0], tables[1], selection.astype(np.uint8),
+                         group_size, sel_size)
+        want = fancy_dequantize(codes, scales, tables[0], tables[1], selection,
+                                group_size, sel_size)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
