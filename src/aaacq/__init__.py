@@ -28,7 +28,7 @@ from .metrics import (
     layer_output_mse,
     simulate_w4a8,
 )
-from .packfmt import PackedLayer, pack, packed_size, read_pack, unpack, write_pack
+from .packfmt import PackedLayer, pack, packed_size, read_pack, unpack
 from .quantizers import (
     dequantize,
     if4_quantize,
@@ -39,7 +39,6 @@ from .quantizers import (
 from .tensors import (
     LayerBundle,
     SynthSpec,
-    load_tensor_archive,
     save_tensor_archive,
     synth_layer,
 )

@@ -208,9 +208,21 @@ def cmd_compare(args) -> int:
     return 0
 
 
+_INT = ("an integer", lambda v: type(v) is int)
+_NUMBERS = ("a list of numbers",
+            lambda v: type(v) is list and all(type(x) in (int, float) for x in v))
+# What each key of a `synth --config` file must hold.
+_SYNTH_KEYS = {
+    "layers": _INT, "kind": ("a string", lambda v: type(v) is str), "rows": _INT,
+    "cols": _INT, "tokens": _INT, "seed": _INT,
+    "sigma": ("a number", lambda v: type(v) in (int, float)),
+    "mixture_weights": _NUMBERS, "mixture_sigmas": _NUMBERS,
+}
+
+
 def cmd_synth(args) -> int:
     _check_paths(inputs=[args.config] if args.config else [], outputs=[args.out])
-    layers = args.layers
+    layers, source = args.layers, "--layers"
     spec_fields = {
         "kind": args.kind,
         "rows": args.rows,
@@ -227,14 +239,23 @@ def cmd_synth(args) -> int:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{args.config}: invalid JSON: {exc}") from exc
-        layers = int(doc.pop("layers", layers))
-        unknown = set(doc) - set(spec_fields)
+        if not isinstance(doc, dict):
+            raise ValidationError(f"{args.config}: the spec must be a JSON object")
+        unknown = set(doc) - set(_SYNTH_KEYS)
         if unknown:
             raise ValidationError(f"{args.config}: unknown keys {sorted(unknown)}")
+        for key, value in doc.items():
+            what, holds = _SYNTH_KEYS[key]
+            if not holds(value):
+                raise ValidationError(f"{args.config}: {key} must be {what}, got {value!r}")
+        if "layers" in doc:
+            layers, source = doc.pop("layers"), f"{args.config}: layers"
         for key in ("mixture_weights", "mixture_sigmas"):
             if key in doc:
                 doc[key] = tuple(doc[key])
         spec_fields.update(doc)
+    if layers < 1:
+        raise ValidationError(f"{source} must be at least 1, got {layers}")
 
     bundles = []
     base_seed = spec_fields.pop("seed")

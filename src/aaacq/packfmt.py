@@ -27,8 +27,8 @@ the layer payloads in order.  Layer names must be unique.
 Neither side needs the whole container in memory.  `PackWriter` writes the
 count up front and then one layer at a time; `PackReader` checks every
 header first, skipping the payloads, and then reads one layer at a time
-with positional reads.  `write_pack`, `read_pack`, `model_to_bytes` and
-`model_from_bytes` are whole-container wrappers over the same code.
+with positional reads.  `read_pack` reads a whole file through `PackReader`,
+and `model_to_bytes` writes layers into bytes through `PackWriter`.
 """
 
 from __future__ import annotations
@@ -110,16 +110,16 @@ def size_breakdown(
     }
 
 
+# The payload's sections in wire order; an absent bitset has size 0.
+_SECTIONS = ("codebook_bytes", "scale_bytes", "code_bytes", "bitset_bytes")
+
+
 def packed_size(
     rows: int, cols: int, group_size: int, sel_size: int, table_size: int, name_len: int = 0
 ) -> int:
     """Exact serialized length of one layer, including 16-byte section padding."""
     b = size_breakdown(rows, cols, group_size, sel_size, table_size, name_len)
-    total = b["header_bytes"]
-    for key in ("codebook_bytes", "scale_bytes", "code_bytes", "bitset_bytes"):
-        if b[key]:
-            total += _pad16(b[key])
-    return total
+    return b["header_bytes"] + sum(_pad16(b[key]) for key in _SECTIONS)
 
 
 def selection_overhead_bpw(group_size: int, sel_size: int) -> float:
@@ -227,17 +227,18 @@ def unpack(p: PackedLayer):
     read from scale signs or from the bitset depending on the layout.
     """
     count = p.rows * p.cols
-    if p.sel_size > p.group_size or p.group_size % p.sel_size:
+    if not 1 <= p.sel_size <= p.group_size or p.group_size % p.sel_size:
         raise CorruptionError("selection group size incompatible with the scale group")
     if p.has_bitset != (p.sel_size < p.group_size):
         raise CorruptionError("selection bitset flag inconsistent with the group sizes")
+    sizes = size_breakdown(p.rows, p.cols, p.group_size, p.sel_size, p.table_size)
     t0 = bf16_decode(p.table0_bits)
     t1 = bf16_decode(p.table1_bits)
     if not (np.isfinite(t0).all() and np.isfinite(t1).all()):
         raise CorruptionError("codebook entries must decode finite")
 
     scale_bits = np.asarray(p.scale_bits, dtype=np.uint16)
-    if scale_bits.size != count // p.group_size:
+    if 2 * scale_bits.size != sizes["scale_bytes"]:
         raise CorruptionError("scale section size does not match the header")
     magnitudes = bf16_decode(scale_bits & np.uint16(0x7FFF))
     if not np.isfinite(magnitudes).all() or (magnitudes <= 0).any():
@@ -248,7 +249,7 @@ def unpack(p: PackedLayer):
         if p.bitset is None:
             raise CorruptionError("header declares a selection bitset but none is present")
         bits = np.frombuffer(p.bitset, dtype=np.uint8)
-        if bits.size != -(-(count // p.sel_size) // 8):
+        if bits.size != sizes["bitset_bytes"]:
             raise CorruptionError("selection bitset size does not match the header")
         sel = np.unpackbits(bits, bitorder="little")[: count // p.sel_size]
     else:
@@ -256,7 +257,7 @@ def unpack(p: PackedLayer):
     selection = sel.reshape(p.rows, p.cols // p.sel_size).astype(np.uint8)
 
     raw = np.frombuffer(p.code_bytes, dtype=np.uint8)
-    if raw.size != -(-count // 2):
+    if raw.size != sizes["code_bytes"]:
         raise CorruptionError("code section size does not match the header")
     nibbles = np.empty(raw.size * 2, dtype=np.uint8)
     nibbles[0::2] = raw & 0x0F
@@ -305,19 +306,17 @@ def layer_to_bytes(name: str, p: PackedLayer) -> bytes:
 
 
 class _Reader:
-    """Bounds-checked cursor over a byte buffer; truncation raises, never crashes.
+    """Bounds-checked cursor over bytes [offset, end) of an open file, read with `pread`.
 
     Every take is checked against the end before anything is read, so a
-    length field claiming more bytes than remain allocates nothing.
+    length field claiming more bytes than remain allocates nothing, and a
+    file shorter than `end` raises too: truncation raises, never crashes.
     """
 
-    def __init__(self, buf: bytes, offset: int = 0):
-        self.buf = buf
+    def __init__(self, fd: int, offset: int, end: int):
+        self.fd = fd
         self.offset = offset
-        self.end = len(buf)
-
-    def _read(self, start: int, n: int):
-        return self.buf[start : start + n]
+        self.end = end
 
     def skip(self, n: int) -> None:
         if self.offset + n > self.end:
@@ -327,27 +326,15 @@ class _Reader:
             )
         self.offset += n
 
-    def take(self, n: int):
+    def take(self, n: int) -> bytearray:
         self.skip(n)
-        return self._read(self.offset - n, n)
+        buf = bytearray(n)
+        if pread_into(self.fd, buf, self.offset - n) < n:
+            raise CorruptionError(f"file ends before byte {self.offset}")
+        return buf
 
     def unpack(self, st: struct.Struct):
         return st.unpack(self.take(st.size))
-
-
-class _FileReader(_Reader):
-    """The same cursor over bytes [offset, end) of an open file, read with `pread`."""
-
-    def __init__(self, fd: int, offset: int, end: int):
-        self.fd = fd
-        self.offset = offset
-        self.end = end
-
-    def _read(self, start: int, n: int) -> bytearray:
-        buf = bytearray(n)
-        if pread_into(self.fd, buf, start) < n:
-            raise CorruptionError(f"file ends before byte {start + n}")
-        return buf
 
 
 def _layer_header(r: _Reader, previous: str | None = None):
@@ -381,14 +368,11 @@ def _layer_header(r: _Reader, previous: str | None = None):
             raise CorruptionError("bitset flag inconsistent with group sizes")
         (crc,) = r.unpack(struct.Struct("<I"))
 
-    count = rows * cols
-    sizes = [4 * table_size, 2 * (count // group_size), -(-count // 2)]
-    if flags & FLAG_BITSET:
-        sizes.append(-(-(count // sel_size) // 8))
-    return name, fields, crc, sizes
+    b = size_breakdown(rows, cols, group_size, sel_size, table_size)
+    return name, fields, crc, [b[key] for key in _SECTIONS]
 
 
-def layer_from_reader(r: _Reader) -> tuple[str, PackedLayer]:
+def _layer_from_reader(r: _Reader) -> tuple[str, PackedLayer]:
     name, fields, crc, sizes = _layer_header(r)
     kind, rows, cols, group_size, sel_size, table_size, flags = fields
     with naming_layer(name):
@@ -419,12 +403,6 @@ def layer_from_reader(r: _Reader) -> tuple[str, PackedLayer]:
         bitset=bytes(raw_sections[3]) if flags & FLAG_BITSET else None,
     )
     return name, p
-
-
-def layer_from_bytes(buf: bytes, offset: int = 0) -> tuple[str, PackedLayer, int]:
-    r = _Reader(buf, offset)
-    name, p = layer_from_reader(r)
-    return name, p, r.offset
 
 
 @dataclass(frozen=True)
@@ -496,13 +474,13 @@ class PackReader:
         self._file = open(path, "rb", buffering=0)
         try:
             fd = self._file.fileno()
-            self.layers = _scan(_FileReader(fd, 0, os.fstat(fd).st_size))
+            self.layers = _scan(_Reader(fd, 0, os.fstat(fd).st_size))
         except BaseException:
             self._file.close()
             raise
 
     def read(self, entry: PackEntry) -> PackedLayer:
-        name, p = layer_from_reader(_FileReader(self._file.fileno(), entry.start, entry.end))
+        name, p = _layer_from_reader(_Reader(self._file.fileno(), entry.start, entry.end))
         if name != entry.name:
             raise CorruptionError(f"layer {entry.name!r} changed since the pack was opened")
         return p
@@ -523,17 +501,6 @@ def model_to_bytes(layers: list[tuple[str, PackedLayer]]) -> bytes:
     for name, p in layers:
         writer.write(name, p)
     return buf.getvalue()
-
-
-def model_from_bytes(buf: bytes) -> list[tuple[str, PackedLayer]]:
-    return [
-        (e.name, layer_from_reader(_Reader(buf, e.start))[1]) for e in _scan(_Reader(buf))
-    ]
-
-
-def write_pack(path, layers: list[tuple[str, PackedLayer]]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(model_to_bytes(layers))
 
 
 def read_pack(path) -> list[tuple[str, PackedLayer]]:

@@ -282,7 +282,7 @@ def if4_quantize(
     absmax = group_absmax(w, group_size)
     w64 = w.astype(np.float64)
     # C order whatever the input's layout: the group SSE's sums follow memory order.
-    buf, buf32 = np.empty(w.shape), np.empty(w.shape, np.float32)
+    buf = np.empty(w.shape)
     candidates = []
     for fmt in (NVFP4, INT4):
         table = base_table(fmt)
@@ -292,8 +292,8 @@ def if4_quantize(
         codes = recon_codes(table, buf, dtype=np.uint8)
         table.take(codes, out=buf, mode="clip")  # in range; "raise" would buffer `out`
         _scale_decoded(buf, scales, group_size, np.abs(table).max())
-        buf32[...] = buf
-        np.subtract(w64, buf32, out=buf)
+        # Every in-range decode is a float32 value, so this is `dequantize_rtn`'s decode.
+        np.subtract(w64, buf, out=buf)
         np.square(buf, out=buf)
         candidates.append((codes, scales, _grouped(buf, group_size).sum(axis=2)))
     (codes, scales_f, sse_f), (codes_i, scales_i, sse_i) = candidates

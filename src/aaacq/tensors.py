@@ -10,8 +10,8 @@ same number of input columns.
 Reading never holds the whole file.  `TensorArchive` checks the header and
 the pairing once, then reads one layer's tensors at a time with positional
 reads at their offsets (not `mmap`, whose pages would count toward the
-reader's resident memory); `read_tensors` and `load_tensor_archive` read
-every tensor through the same path.  `stream_tensors` writes the header
+reader's resident memory); `read_tensors` reads every tensor, unpaired,
+through the same path.  `stream_tensors` writes the header
 first and then one tensor at a time.
 """
 
@@ -54,8 +54,9 @@ class LayerBundle:
             raise ValidationError(f"layer {self.name!r}: weights contain non-finite values")
         x = self.activations
         if x is not None:
-            if x.ndim != 2:
-                raise ValidationError(f"layer {self.name!r}: activations must be 2-D")
+            if x.ndim != 2 or x.shape[0] < 1:
+                raise ValidationError(
+                    f"layer {self.name!r}: activations must be 2-D with at least one token")
             if not np.isfinite(x).all():
                 raise ValidationError(f"layer {self.name!r}: activations contain non-finite values")
             if x.shape[1] != w.shape[1]:
@@ -273,12 +274,6 @@ def read_tensors(path) -> dict[str, np.ndarray]:
         return {name: _read_tensor(path, fd, t) for name, t in _parse_header(path, fd).items()}
 
 
-def load_tensor_archive(path) -> list[LayerBundle]:
-    """Every layer bundle of an archive, loaded at once and sorted by layer name."""
-    with TensorArchive(path) as archive:
-        return [archive.load(layer) for layer in archive.layers]
-
-
 def stream_tensors(fh, shapes: dict[str, tuple[int, ...]], produce) -> None:
     """Write float32 tensors into a safetensors container on `fh`, one at a time.
 
@@ -357,6 +352,8 @@ class SynthSpec:
             raise ValidationError(f"unknown synth kind {self.kind!r}; supported: {SYNTH_KINDS}")
         if min(self.rows, self.cols, self.tokens) < 1:
             raise ValidationError("rows, cols and tokens must all be at least 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         if self.sigma <= 0:
             raise ValidationError("sigma must be positive")
         if self.kind == "mixture":

@@ -24,9 +24,9 @@ from aaacq.grids import INT4, NVFP4, base_table, round_bf16
 from aaacq.metrics import gap_recovery, simulate_w4a8
 from aaacq.packfmt import (
     PackedLayer,
-    layer_from_bytes,
-    layer_to_bytes,
+    model_to_bytes,
     pack,
+    read_pack,
     size_breakdown,
     unpack,
 )
@@ -187,7 +187,7 @@ def test_criterion_4_dominance(layer_suite):
             assert (group_err(w_if4) <= group_err(w_rtn)).all()
 
 
-def test_criterion_5_pack_round_trip():
+def test_criterion_5_pack_round_trip(tmp_path):
     with criterion(5, "pack/unpack identity, bit-exact dequant, corruption safety", 10.0):
         rng = np.random.default_rng(5)
         for trial in range(100):
@@ -224,14 +224,17 @@ def test_criterion_5_pack_round_trip():
         scales = np.ones((2, 4), dtype=np.float32)
         sel = rng.integers(0, 2, (2, 4)).astype(np.uint8)
         p = pack(t0, t1, sel, codes, scales, kind="nvfp4", group_size=16, sel_size=16)
-        raw = layer_to_bytes("layer", p)
+        raw = model_to_bytes([("layer", p)])
+        path = tmp_path / "m.aaacq"
         for cut in range(0, len(raw), 7):
+            path.write_bytes(raw[:cut])
             with pytest.raises(CorruptionError):
-                layer_from_bytes(raw[:cut])
+                read_pack(path)
         flipped = bytearray(raw)
         flipped[len(raw) - 3] ^= 0x40
+        path.write_bytes(flipped)
         with pytest.raises(CorruptionError):
-            layer_from_bytes(bytes(flipped))
+            read_pack(path)
         bad_codes = bytearray(p.code_bytes)
         bad_codes[0] = 0xFF
         broken = PackedLayer(

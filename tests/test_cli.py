@@ -16,13 +16,19 @@ from aaacq.cli import main
 from aaacq.codebooks import AaacConfig
 from aaacq.grids import INT4, NVFP4
 from aaacq.metrics import quantize_layer
-from aaacq.packfmt import _HEADER, MAGIC, layer_from_bytes, read_pack, write_pack
+from aaacq.packfmt import _HEADER, MAGIC, PackReader, model_to_bytes, read_pack
 from aaacq.quantizers import dequantize_rtn, rtn_quantize
-from aaacq.tensors import load_tensor_archive, read_tensors, write_tensors
+from aaacq.tensors import TensorArchive, read_tensors, write_tensors
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def load_bundles(path):
+    """Every layer bundle of an archive, sorted by layer name."""
+    with TensorArchive(path) as archive:
+        return [archive.load(layer) for layer in archive.layers]
 
 
 @pytest.fixture()
@@ -35,7 +41,7 @@ def archive(tmp_path):
 
 class TestSynth:
     def test_writes_loadable_archive(self, archive):
-        bundles = load_tensor_archive(archive)
+        bundles = load_bundles(archive)
         assert [b.name for b in bundles] == ["layer000", "layer001"]
         assert bundles[0].weights.shape == (8, 256)
         assert bundles[0].activations.shape == (16, 256)
@@ -62,6 +68,23 @@ class TestSynth:
         cfg = tmp_path / "spec.json"
         cfg.write_text(json.dumps({"kine": "mixture"}))
         assert run("synth", "--out", tmp_path / "a.safetensors", "--config", cfg) == 1
+
+    @pytest.mark.parametrize("config", [
+        [1, 2], {"layers": "abc"}, {"rows": "x"}, {"mixture_weights": 5}, {"layers": -1}, None,
+    ], ids=["list", "layers-abc", "rows-x", "mixture-weights-5", "layers-minus-1", "flag-layers-0"])
+    def test_bad_config_or_layer_count_is_refused(self, tmp_path, capsys, config):
+        out = tmp_path / "a.safetensors"
+        if config is None:
+            argv, named = ("--layers", "0"), "--layers"
+        else:
+            cfg = tmp_path / "spec.json"
+            cfg.write_text(json.dumps(config))
+            argv, named = ("--config", cfg), f"{cfg}: "
+        capsys.readouterr()
+        assert run("synth", "--out", out, *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 class TestQuantize:
@@ -249,11 +272,29 @@ class TestDequantize:
                    "--format", "nvfp4") == 0
         assert run("dequantize", pack_path, "--out", deq_path) == 0
         tensors = read_tensors(deq_path)
-        bundles = {b.name: b for b in load_tensor_archive(archive)}
+        bundles = {b.name: b for b in load_bundles(archive)}
         for name, bundle in bundles.items():
             codes, scales = rtn_quantize(bundle.weights, NVFP4, 16)
             want = dequantize_rtn(codes, scales, NVFP4, 16)
             assert np.array_equal(tensors[name + ".weight"], want)
+
+
+@pytest.mark.parametrize("shape", [(0, 16), (2, 0, 16)], ids=["no-tokens", "batch-of-none"])
+def test_calibration_without_tokens_is_refused(tmp_path, capsys, shape):
+    w = np.linspace(-1, 1, 32, dtype=np.float32).reshape(2, 16)
+    weights, archive = tmp_path / "w.safetensors", tmp_path / "a.safetensors"
+    write_tensors(weights, {"a.weight": w})
+    write_tensors(archive, {"a.weight": w, "a.calib": np.zeros(shape, np.float32)})
+    pack = tmp_path / "m.aaacq"
+    assert run("quantize", weights, "--out", pack, "--method", "rtn") == 0
+    for argv in (("quantize", archive, "--out", tmp_path / "q.aaacq"),
+                 ("eval", pack, archive, "--json"),
+                 ("compare", archive, "--json")):
+        capsys.readouterr()
+        assert run(*argv) == 1, argv[0]
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: layer 'a': "), (argv[0], captured.err)
+        assert captured.out == "", argv[0]
 
 
 class TestEval:
@@ -264,7 +305,7 @@ class TestEval:
                    "--format", "int4") == 0
         assert run("eval", pack_path, archive, "--json", "--out", report_path) == 0
         doc = json.loads(report_path.read_text())
-        bundles = {b.name: b for b in load_tensor_archive(archive)}
+        bundles = {b.name: b for b in load_bundles(archive)}
         for row in doc["layers"]:
             b = bundles[row["layer"]]
             codes, scales = rtn_quantize(b.weights, INT4, 128)
@@ -430,18 +471,18 @@ def _pad16(n):
     return -(-n // 16) * 16
 
 
-def _layer_spans(blob):
+def _layer_spans(path):
     """Per layer: where its header, scales and codes start, and its payload (start, end)."""
-    spans, offset = [], len(MAGIC) + 6
-    while offset < len(blob):
-        header = offset + 2 + struct.unpack_from("<H", blob, offset)[0]
-        _, p, end = layer_from_bytes(blob, offset)
-        payload = header + _HEADER.size + 4
-        scales = payload + _pad16(4 * p.table_size)
-        codes = scales + _pad16(2 * p.scale_bits.size)
-        spans.append({"header": header, "scales": scales, "codes": codes,
-                      "payload": (payload, end)})
-        offset = end
+    spans = []
+    with PackReader(path) as pack:
+        for e in pack.layers:
+            p = pack.read(e)
+            header = e.start + 2 + len(e.name.encode("utf-8"))
+            payload = header + _HEADER.size + 4
+            scales = payload + _pad16(4 * p.table_size)
+            codes = scales + _pad16(2 * p.scale_bits.size)
+            spans.append({"header": header, "scales": scales, "codes": codes,
+                          "payload": (payload, e.end)})
     return spans
 
 
@@ -535,16 +576,16 @@ class TestMutatedPacks:
         archive, pack = d / "layers.safetensors", d / "m.aaacq"
         assert run("synth", "--out", archive, "--layers", "2", "--kind", "mixture",
                    "-N", "8", "-K", "256", "-T", "16", "--seed", "3") == 0
-        bundles = load_tensor_archive(archive)
-        write_pack(pack, [
+        bundles = load_bundles(archive)
+        pack.write_bytes(model_to_bytes([
             (bundles[0].name, quantize_layer(bundles[0], "rtn", AaacConfig.for_format(NVFP4))[0]),
             (bundles[1].name, quantize_layer(
                 bundles[1], "aaac", AaacConfig.for_format(INT4, sel_size=16, n_outer=1))[0]),
-        ])
-        return archive, pack.read_bytes()
+        ]))
+        return archive, pack.read_bytes(), _layer_spans(pack)
 
     def test_the_unmutated_pack_is_accepted(self, tmp_path, good):
-        archive, blob = good
+        archive, blob, _ = good
         pack = tmp_path / "m.aaacq"
         pack.write_bytes(blob)
         assert run("eval", pack, archive, "--json", "--out", tmp_path / "r.json") == 0
@@ -552,8 +593,8 @@ class TestMutatedPacks:
 
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
     def test_mutated_pack_is_refused(self, tmp_path, capsys, good, mutation):
-        archive, blob = good
-        mutated = MUTATIONS[mutation](bytearray(blob), _layer_spans(blob))
+        archive, blob, spans = good
+        mutated = MUTATIONS[mutation](bytearray(blob), spans)
         assert bytes(mutated) != blob
         pack = tmp_path / "m.aaacq"
         pack.write_bytes(bytes(mutated))

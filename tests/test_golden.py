@@ -16,7 +16,7 @@ import pytest
 from aaacq.cli import main
 from aaacq.codebooks import _LEAF, AaacConfig, LearnResult, learn
 from aaacq.grids import get_format
-from aaacq.tensors import SynthSpec, load_tensor_archive, synth_layer
+from aaacq.tensors import SynthSpec, TensorArchive, synth_layer
 
 ARCHIVES = {
     "mixture": ["--kind", "mixture"],
@@ -125,10 +125,11 @@ def test_trace_bytes(archives, name):
     source, flags = CONFIGS[name]
     cfg = _learn_config(flags)
     digest = hashlib.sha256()
-    for bundle in load_tensor_archive(archives[source]):
-        trace = learn(bundle, cfg).trace
-        assert trace.dtype == np.float64
-        digest.update(trace.tobytes())
+    with TensorArchive(archives[source]) as archive:
+        for layer in archive.layers:
+            trace = learn(archive.load(layer), cfg).trace
+            assert trace.dtype == np.float64
+            digest.update(trace.tobytes())
     assert digest.hexdigest() == TRACE_SHA256[name]
 
 

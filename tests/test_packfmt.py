@@ -21,18 +21,16 @@ from aaacq.grids import INT4, NVFP4, base_table, bf16_bits, round_bf16
 from aaacq.packfmt import (
     _HEADER,
     MAGIC,
+    VERSION,
     PackedLayer,
     PackReader,
-    layer_from_bytes,
     layer_to_bytes,
-    model_from_bytes,
     model_to_bytes,
     pack,
     packed_size,
     read_pack,
     size_breakdown,
     unpack,
-    write_pack,
 )
 from aaacq.metrics import reconstruct
 from aaacq.quantizers import dequantize
@@ -49,6 +47,20 @@ def random_layer(rng, rows, cols, group_size, sel_size, table_size):
     scales = np.maximum(scales, np.float32(2.0**-100))
     sel = rng.integers(0, 2, (rows, cols // sel_size)).astype(np.uint8)
     return t0, t1, sel, codes, scales
+
+
+_HEAD = len(MAGIC) + 6  # magic, version and layer count: where the first layer starts
+
+
+def one_layer(raw: bytes) -> bytes:
+    """A container holding the one serialized layer `raw`."""
+    return MAGIC + struct.pack("<HI", VERSION, 1) + raw
+
+
+def read_blob(path, blob: bytes):
+    """`blob` written to `path` and read back with `read_pack`."""
+    path.write_bytes(blob)
+    return read_pack(path)
 
 
 class TestPackStructure:
@@ -186,15 +198,19 @@ class TestRoundTrip:
             raw = layer_to_bytes(name, p)
             assert len(raw) == packed_size(rows, cols, g, s, m, name_len=len(name))
 
-    def test_serialization_round_trip(self):
+    def test_serialization_round_trip(self, tmp_path):
         rng = np.random.default_rng(9)
         t0, t1, sel, codes, scales = random_layer(rng, 4, 256, 128, 16, 16)
         p = pack(t0, t1, sel, codes, scales, kind="int4",
                  group_size=128, sel_size=16, method="aaac")
         raw = layer_to_bytes("model.layers.0.q_proj", p)
-        name, q, consumed = layer_from_bytes(raw)
-        assert consumed == len(raw)
-        assert name == "model.layers.0.q_proj"
+        path = tmp_path / "m.aaacq"
+        path.write_bytes(one_layer(raw))
+        with PackReader(path) as reader:
+            (entry,) = reader.layers
+            q = reader.read(entry)
+        assert (entry.start, entry.end) == (_HEAD, _HEAD + len(raw))
+        assert entry.name == "model.layers.0.q_proj"
         assert q.method == "aaac"
         for attr in ("kind", "rows", "cols", "group_size", "sel_size", "table_size", "flags"):
             assert getattr(q, attr) == getattr(p, attr)
@@ -252,17 +268,17 @@ class TestCorruption:
         p = pack(t0, t1, sel, codes, scales, kind="int4", group_size=16, sel_size=16)
         return layer_to_bytes("layer", p)
 
-    def test_truncation_raises_not_crashes(self):
+    def test_truncation_raises_not_crashes(self, tmp_path):
         raw = self.make_raw()
         for cut in (0, 1, 5, 20, len(raw) // 2, len(raw) - 1):
             with pytest.raises(CorruptionError):
-                layer_from_bytes(raw[:cut])
+                read_blob(tmp_path / "m.aaacq", one_layer(raw[:cut]))
 
-    def test_payload_bitflip_fails_crc(self):
+    def test_payload_bitflip_fails_crc(self, tmp_path):
         raw = bytearray(self.make_raw())
         raw[-1] ^= 0xFF
         with pytest.raises(CorruptionError, match="CRC"):
-            layer_from_bytes(bytes(raw))
+            read_blob(tmp_path / "m.aaacq", one_layer(bytes(raw)))
 
     def test_code_nibble_out_of_range(self):
         rng = np.random.default_rng(12)
@@ -292,6 +308,10 @@ class TestCorruption:
         )
         with pytest.raises(CorruptionError):
             unpack(bad)
+        # empty selection or scale groups
+        for sizes in ({"sel_size": 0}, {"group_size": 0, "sel_size": 0}):
+            with pytest.raises(CorruptionError):
+                unpack(dataclasses.replace(p, **sizes))
         # bitset flag contradicts the group sizes
         bad = PackedLayer(
             kind=p.kind, rows=p.rows, cols=p.cols, group_size=p.group_size,
@@ -340,7 +360,7 @@ class TestCorruption:
                 with pytest.raises(CorruptionError, match="codebook"):
                     unpack(broken)
 
-    def test_mutation_fuzz_raises_only_corruption_errors(self):
+    def test_mutation_fuzz_raises_only_corruption_errors(self, tmp_path):
         rng = np.random.default_rng(18)
         t0, t1, sel, codes, scales = random_layer(rng, 2, 64, 16, 16, 16)
         p = pack(t0, t1, sel, codes, scales, kind="int4", group_size=16, sel_size=16)
@@ -350,16 +370,16 @@ class TestCorruption:
             for _ in range(int(rng.integers(1, 6))):
                 mutated[int(rng.integers(0, len(mutated)))] = int(rng.integers(0, 256))
             try:
-                layer_from_bytes(bytes(mutated))
+                read_blob(tmp_path / "m.aaacq", one_layer(bytes(mutated)))
             except CorruptionError:
                 pass
 
-    def test_garbage_streams_raise_only_corruption_errors(self):
+    def test_garbage_streams_raise_only_corruption_errors(self, tmp_path):
         rng = np.random.default_rng(19)
         for _ in range(300):
             garbage = rng.integers(0, 256, int(rng.integers(0, 200))).astype(np.uint8)
             try:
-                model_from_bytes(garbage.tobytes())
+                read_blob(tmp_path / "m.aaacq", garbage.tobytes())
             except CorruptionError:
                 pass
 
@@ -374,17 +394,15 @@ class TestContainer:
                 (f"layer{i}", pack(t0, t1, sel, codes, scales,
                                    kind="int4", group_size=g, sel_size=s))
             )
-        path = tmp_path / "m.aaacq"
-        write_pack(path, layers)
-        loaded = read_pack(path)
+        loaded = read_blob(tmp_path / "m.aaacq", model_to_bytes(layers))
         assert [name for name, _ in loaded] == ["layer0", "layer1"]
         for (_, a), (_, b) in zip(layers, loaded):
             assert np.array_equal(a.scale_bits, b.scale_bits)
             assert a.code_bytes == b.code_bytes
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, tmp_path):
         with pytest.raises(CorruptionError, match="magic"):
-            model_from_bytes(b"NOTAAACQ" + b"\x00" * 16)
+            read_blob(tmp_path / "m.aaacq", b"NOTAAACQ" + b"\x00" * 16)
 
     def test_duplicate_names_rejected_on_write(self):
         rng = np.random.default_rng(15)
@@ -393,13 +411,13 @@ class TestContainer:
         with pytest.raises(ValidationError):
             model_to_bytes([("a", p), ("a", p)])
 
-    def test_trailing_garbage_rejected(self):
+    def test_trailing_garbage_rejected(self, tmp_path):
         rng = np.random.default_rng(16)
         t0, t1, sel, codes, scales = random_layer(rng, 1, 32, 16, 16, 16)
         p = pack(t0, t1, sel, codes, scales, kind="int4", group_size=16, sel_size=16)
         raw = model_to_bytes([("a", p)]) + b"junk"
         with pytest.raises(CorruptionError):
-            model_from_bytes(raw)
+            read_blob(tmp_path / "m.aaacq", raw)
 
     def test_rtn_layer_stored_with_base_tables(self):
         # One decode path: a fixed-grid layer stores the base table twice
@@ -425,13 +443,12 @@ def _fuzz_container():
         t0, t1, sel, codes, scales = random_layer(rng, 2, 256, g, s, 16)
         layers.append((name, pack(t0, t1, sel, codes, scales,
                                   kind="int4", group_size=g, sel_size=s)))
-    raw = model_to_bytes(layers)
-    spans, offset = [], len(MAGIC) + 6
-    for name, _ in layers:
+    spans, offset = [], _HEAD
+    for name, p in layers:
         crc_at = offset + 2 + len(name) + _HEADER.size
-        _, _, offset = layer_from_bytes(raw, offset)
+        offset += packed_size(p.rows, p.cols, p.group_size, p.sel_size, p.table_size, len(name))
         spans.append((crc_at, crc_at + 4, offset))
-    return raw, spans
+    return model_to_bytes(layers), spans
 
 
 FUZZ_RAW, FUZZ_SPANS = _fuzz_container()
@@ -444,18 +461,19 @@ EXTREME_WORDS = [0x7F7F, 0xFF7F, 0x0001, 0x7F80, 0xFF80, 0x7FC1, 0x8000]
 class TestPayloadFuzz:
     """Payload bytes mutated under a valid CRC decode or raise an AaacqError."""
 
-    def test_unmutated_container_decodes(self):
-        for _, p in model_from_bytes(FUZZ_RAW):
+    def test_unmutated_container_decodes(self, tmp_path):
+        for _, p in read_blob(tmp_path / "m.aaacq", FUZZ_RAW):
             assert np.isfinite(reconstruct(p)).all()
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         edits=st.lists(st.tuples(st.integers(0, len(FUZZ_PAYLOAD) - 1), st.integers(0, 255)),
                        max_size=8),
         words=st.lists(st.tuples(st.integers(0, len(FUZZ_WORDS) - 1),
                                  st.sampled_from(EXTREME_WORDS)), max_size=4),
     )
-    def test_mutated_payload_with_fresh_crc(self, edits, words):
+    def test_mutated_payload_with_fresh_crc(self, tmp_path, edits, words):
         blob = bytearray(FUZZ_RAW)
         for i, value in edits:
             blob[FUZZ_PAYLOAD[i]] = value
@@ -464,7 +482,7 @@ class TestPayloadFuzz:
         for crc_at, start, end in FUZZ_SPANS:
             blob[crc_at:start] = struct.pack("<I", zlib.crc32(bytes(blob[start:end])))
         try:
-            for _, p in model_from_bytes(bytes(blob)):
+            for _, p in read_blob(tmp_path / "m.aaacq", bytes(blob)):
                 reconstruct(p)
         except AaacqError:
             pass
@@ -473,18 +491,17 @@ class TestPayloadFuzz:
 # Where each mutable header field of the first FUZZ_RAW layer lies: the
 # container's layer count, then the layer's name length and its `_HEADER`
 # fields (kind, rows, cols, scale group, selection group, table size, flags).
-_LAYER0 = len(MAGIC) + 6
 _NAME0 = len("signs")  # the first layer's name
 HEADER_FIELDS = {
     "count": (len(MAGIC) + 2, "<I"),
-    "name_len": (_LAYER0, "<H"),
-    "kind": (_LAYER0 + 2 + _NAME0, "<B"),
-    "rows": (_LAYER0 + 3 + _NAME0, "<I"),
-    "cols": (_LAYER0 + 7 + _NAME0, "<I"),
-    "group_size": (_LAYER0 + 11 + _NAME0, "<H"),
-    "sel_size": (_LAYER0 + 13 + _NAME0, "<H"),
-    "table_size": (_LAYER0 + 15 + _NAME0, "<B"),
-    "flags": (_LAYER0 + 16 + _NAME0, "<B"),
+    "name_len": (_HEAD, "<H"),
+    "kind": (_HEAD + 2 + _NAME0, "<B"),
+    "rows": (_HEAD + 3 + _NAME0, "<I"),
+    "cols": (_HEAD + 7 + _NAME0, "<I"),
+    "group_size": (_HEAD + 11 + _NAME0, "<H"),
+    "sel_size": (_HEAD + 13 + _NAME0, "<H"),
+    "table_size": (_HEAD + 15 + _NAME0, "<B"),
+    "flags": (_HEAD + 16 + _NAME0, "<B"),
 }
 _NEAR_LIMITS = [0, 1, 2, 3, 15, 16, 17, 255, 256, 2 ** 16 - 1, 2 ** 31, 2 ** 32 - 2, 2 ** 32 - 1]
 
@@ -495,30 +512,23 @@ def _field_value(field):
     return st.integers(0, limit) | st.sampled_from([v for v in _NEAR_LIMITS if v <= limit])
 
 
-def _decode_all(path, blob):
-    """What `model_from_bytes` and the streaming reader make of a blob: the
-    layers' wire bytes, or the error class.  Only an AaacqError may escape."""
-    outcomes = []
-    try:
-        outcomes.append([layer_to_bytes(n, p) for n, p in model_from_bytes(blob)])
-    except AaacqError as exc:
-        outcomes.append(type(exc))
+def _decode(path, blob):
+    """What `PackReader` makes of a blob: the layers' wire bytes, or the error
+    class.  Only an AaacqError may escape."""
     path.write_bytes(blob)
     try:
         with PackReader(path) as pack:
-            outcomes.append([layer_to_bytes(e.name, pack.read(e)) for e in pack.layers])
+            return [layer_to_bytes(e.name, pack.read(e)) for e in pack.layers]
     except AaacqError as exc:
-        outcomes.append(type(exc))
-    return outcomes
+        return type(exc)
 
 
 class TestHeaderFuzz:
-    """Mutated header fields and lengths fail with an AaacqError, never anything
-    else, through the whole-buffer and the streaming reader alike."""
+    """Mutated header fields and lengths fail with an AaacqError, never anything else."""
 
     def test_unmutated_container_reads_back(self, tmp_path):
-        whole, streamed = _decode_all(tmp_path / "m.aaacq", FUZZ_RAW)
-        assert whole == streamed and len(whole) == 2
+        layers = _decode(tmp_path / "m.aaacq", FUZZ_RAW)
+        assert len(layers) == 2 and b"".join(layers) == FUZZ_RAW[_HEAD:]
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -535,8 +545,7 @@ class TestHeaderFuzz:
         for field, value in edits:
             at, fmt = HEADER_FIELDS[field]
             struct.pack_into(fmt, blob, at, value)
-        whole, streamed = _decode_all(tmp_path / "m.aaacq", bytes(blob[:cut]))
-        assert whole == streamed
+        _decode(tmp_path / "m.aaacq", bytes(blob[:cut]))
 
     def test_huge_layer_fails_before_reading(self, tmp_path):
         # A (2^32 - 1) x (2^32 - 1) layer with one-weight groups claims about
@@ -546,8 +555,7 @@ class TestHeaderFuzz:
                 + header + struct.pack("<I", 0) + b"\x00" * 64)
         path = tmp_path / "huge.aaacq"
         path.write_bytes(blob)
-        for read in (lambda: model_from_bytes(blob), lambda: layer_from_bytes(blob, 12),
-                     lambda: read_pack(path), lambda: PackReader(path).close()):
+        for read in (lambda: read_pack(path), lambda: PackReader(path).close()):
             tracemalloc.start()
             try:
                 with pytest.raises(CorruptionError, match="truncated"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from aaacq import quantizers
 from aaacq.codebooks import AaacConfig
 from aaacq.errors import CorruptionError, LayoutError, ValidationError
-from aaacq.grids import INT4, NVFP4, base_table, compute_scales, get_format
+from aaacq.grids import INT4, NVFP4, base_table, bf16_decode, compute_scales, get_format, round_e4m3
 from aaacq.metrics import quantize_layer, reconstruct
 from aaacq.packfmt import unpack
 from aaacq.quantizers import (
@@ -479,6 +479,26 @@ class TestKernelPins:
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert np.array_equal(a, b)
+
+    def test_fixed_grid_decodes_are_float32_values(self):
+        # Why `if4_quantize` scores its candidates on the float64 decode,
+        # where `dequantize_rtn` rounds it to float32: every product of a
+        # fixed-grid entry (at most 3 significant bits) and a positive BF16
+        # or E4M3 scale (at most 8) that lies within float32's range is a
+        # float32 value.  The decode saturates the rest at +-FLT_MAX.
+        bf16 = bf16_decode(np.arange(1, 0x7F80, dtype=np.uint16)).astype(np.float64)
+        e4m3 = np.asarray([(m / 8 if e == 0 else 1 + m / 8) * 2.0 ** (max(e, 1) - 7)
+                           for e in range(16) for m in range(8) if (e, m) not in ((0, 0), (15, 7))])
+        assert np.array_equal(round_e4m3(e4m3), e4m3)
+        entries = np.union1d(base_table(NVFP4), base_table(INT4))
+        assert (bf16.size, e4m3.size, entries.size) == (32639, 126, 20)
+        out_of_range = 0
+        for scales in (bf16, e4m3):
+            products = np.multiply.outer(scales, entries)
+            in_range = np.abs(products) <= _FLT_MAX
+            assert np.array_equal(products[in_range].astype(np.float32), products[in_range])
+            out_of_range += int((~in_range).sum())
+        assert out_of_range == 3774
 
     def test_if4_near_flt_max_and_zero_groups(self):
         w = np.zeros((2, 64), np.float32)

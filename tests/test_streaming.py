@@ -10,7 +10,7 @@ from aaacq import metrics
 from aaacq.cli import main
 from aaacq.codebooks import AaacConfig
 from aaacq.grids import NVFP4
-from aaacq.packfmt import PackReader, write_pack
+from aaacq.packfmt import PackReader, model_to_bytes
 from aaacq.tensors import LayerBundle, SynthSpec, save_tensor_archive, synth_layer, write_tensors
 
 
@@ -127,7 +127,7 @@ def test_dequantize_writes_in_archive_order(tmp_path):
         bundle = LayerBundle(name, rng.standard_normal((2, 32)).astype(np.float32))
         layers.append((name, metrics.quantize_layer(bundle, "rtn", cfg)[0]))
     pack, got, want = tmp_path / "m.aaacq", tmp_path / "got.safetensors", tmp_path / "want.safetensors"
-    write_pack(pack, layers)
+    pack.write_bytes(model_to_bytes(layers))
     assert run("dequantize", pack, "--out", got) == 0
     write_tensors(want, {name + ".weight": metrics.reconstruct(p) for name, p in layers})
     assert got.read_bytes() == want.read_bytes()

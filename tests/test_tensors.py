@@ -23,7 +23,6 @@ from aaacq.tensors import (
     LayerBundle,
     SynthSpec,
     TensorArchive,
-    load_tensor_archive,
     read_tensors,
     save_tensor_archive,
     synth_layer,
@@ -41,6 +40,14 @@ def write_raw_archive(path, entries, payload: bytes):
     path.write_bytes(raw_archive(entries, payload))
 
 
+def load_bundles(path, order=lambda layers: layers):
+    """Every layer bundle of an archive, sorted by layer name; `order` gives the
+    order in which the layers are loaded."""
+    with TensorArchive(path) as archive:
+        bundles = {layer.name: archive.load(layer) for layer in order(archive.layers)}
+        return [bundles[layer.name] for layer in archive.layers]
+
+
 class TestArchiveIO:
     def test_weight_and_calib_pair(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -52,7 +59,7 @@ class TestArchiveIO:
                 "q.calib": rng.standard_normal((4, 16)).astype(np.float32),
             },
         )
-        bundles = load_tensor_archive(path)
+        bundles = load_bundles(path)
         assert len(bundles) == 1
         assert bundles[0].name == "q"
         assert bundles[0].weights.shape == (8, 16)
@@ -61,7 +68,7 @@ class TestArchiveIO:
     def test_weight_only(self, tmp_path):
         path = tmp_path / "a.safetensors"
         write_tensors(path, {"q.weight": np.ones((8, 16), np.float32)})
-        bundles = load_tensor_archive(path)
+        bundles = load_bundles(path)
         assert len(bundles) == 1 and bundles[0].activations is None
 
     def test_pairing_error_on_col_mismatch(self, tmp_path):
@@ -74,13 +81,13 @@ class TestArchiveIO:
             },
         )
         with pytest.raises(PairingError, match="'q'"):
-            load_tensor_archive(path)
+            load_bundles(path)
 
     def test_orphan_calib_is_a_pairing_error(self, tmp_path):
         path = tmp_path / "a.safetensors"
         write_tensors(path, {"q.calib": np.ones((4, 12), np.float32)})
         with pytest.raises(PairingError):
-            load_tensor_archive(path)
+            load_bundles(path)
 
     def test_save_load_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -94,7 +101,7 @@ class TestArchiveIO:
         ]
         path = tmp_path / "a.safetensors"
         save_tensor_archive(path, bundles)
-        loaded = load_tensor_archive(path)
+        loaded = load_bundles(path)
         assert [b.name for b in loaded] == [b.name for b in bundles]
         for got, want in zip(loaded, bundles):
             assert np.array_equal(got.weights, want.weights)
@@ -120,7 +127,7 @@ class TestArchiveIO:
             },
             np.ones((4, 16), np.float32).tobytes() + x.tobytes(),
         )
-        bundle = load_tensor_archive(path)[0]
+        bundle = load_bundles(path)[0]
         assert bundle.activations.shape == (6, 16)
         assert np.array_equal(bundle.activations, x.reshape(6, 16))
 
@@ -231,7 +238,7 @@ class TestArchiveIO:
             "q.weight": {"dtype": "F32", "shape": [1, 4], "data_offsets": [0, 16]},
         }, b"\x00" * 16)
         with pytest.raises(PairingError):
-            load_tensor_archive(path)
+            load_bundles(path)
 
     @pytest.mark.parametrize("case", sorted(BAD_SHAPES))
     def test_cli_exits_1_on_bad_shape(self, tmp_path, case):
@@ -256,7 +263,7 @@ class TestArchiveIO:
         path = tmp_path / "a.safetensors"
         write_tensors(path, {"q.weight": np.ones((2, 2, 2), np.float32)})
         with pytest.raises(PairingError):
-            load_tensor_archive(path)
+            load_bundles(path)
 
 
 # One tensor of each dtype, a calibration tensor with a leading batch
@@ -289,11 +296,11 @@ class TestReadFuzz:
     def test_unmutated_archive_loads(self, tmp_path):
         path = tmp_path / "a.safetensors"
         path.write_bytes(raw_archive(FUZZ_ENTRIES, FUZZ_PAYLOAD))
-        bundles = load_tensor_archive(path)
+        bundles = load_bundles(path)
         assert [(b.name, b.weights.shape) for b in bundles] == [("a", (2, 4)), ("b", (1, 4))]
         assert bundles[0].activations.shape == (3, 4)
 
-    def test_eager_and_lazy_loads_agree(self, tmp_path):
+    def test_layers_load_in_any_order(self, tmp_path):
         # F32 weights, F16 activations with a batch dimension, BF16 weights.
         path = tmp_path / "a.safetensors"
         path.write_bytes(raw_archive(FUZZ_ENTRIES, FUZZ_PAYLOAD))
@@ -303,10 +310,7 @@ class TestReadFuzz:
             "a": (np.frombuffer(FUZZ_PAYLOAD[:32], dtype="<f4").reshape(2, 4), f16.reshape(3, 4)),
             "b": (bf16.view(np.float32).reshape(1, 4), None),
         }
-        eager = load_tensor_archive(path)
-        with TensorArchive(path) as archive:
-            lazy = [archive.load(layer) for layer in reversed(archive.layers)][::-1]
-        for got in (eager, lazy):
+        for got in (load_bundles(path), load_bundles(path, reversed)):
             assert [b.name for b in got] == sorted(want)
             for b in got:
                 w, x = want[b.name]
@@ -326,15 +330,11 @@ class TestReadFuzz:
 
     @classmethod
     def _load(cls, path, blob):
-        # Eager, then per layer (open, then load each layer): only an
-        # AaacqError may escape either, and both end the same way.
+        # Open, then load each layer: only an AaacqError may escape, and the
+        # order the layers load in changes nothing.
         path.write_bytes(blob)
-
-        def lazy():
-            with TensorArchive(path) as archive:
-                return [archive.load(layer) for layer in archive.layers]
-
-        assert cls._outcome(lambda: load_tensor_archive(path)) == cls._outcome(lazy)
+        assert cls._outcome(lambda: load_bundles(path)) == cls._outcome(
+            lambda: load_bundles(path, reversed))
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -441,6 +441,7 @@ class TestSynthLayer:
             {"kind": "mixture", "rows": 2, "cols": 4, "tokens": 2,
              "mixture_sigmas": (1.0,)},
             {"kind": "gaussian", "rows": 2, "cols": 4, "tokens": 2, "sigma": -1.0},
+            {"kind": "gaussian", "rows": 2, "cols": 4, "tokens": 2, "seed": -1},
         ],
     )
     def test_invalid_specs(self, kwargs):
