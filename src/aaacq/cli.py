@@ -257,11 +257,14 @@ def cmd_synth(args) -> int:
     if layers < 1:
         raise ValidationError(f"{source} must be at least 1, got {layers}")
 
-    bundles = []
     base_seed = spec_fields.pop("seed")
-    for i in range(layers):
-        spec = tensors.SynthSpec(seed=base_seed + i, **spec_fields)
-        bundles.append(tensors.synth_layer(spec, name=f"layer{i:03d}"))
+    try:
+        specs = [tensors.SynthSpec(seed=base_seed + i, **spec_fields) for i in range(layers)]
+    except ValidationError as exc:
+        if args.config:  # the file's values override the flags
+            raise ValidationError(f"{args.config}: {exc}") from exc
+        raise
+    bundles = [tensors.synth_layer(spec, name=f"layer{i:03d}") for i, spec in enumerate(specs)]
     tensors.save_tensor_archive(args.out, bundles)
     _log(f"wrote {len(bundles)} synthetic layers -> {args.out}")
     return 0

@@ -26,9 +26,9 @@ can undo.  Values inside a window go through `recon_codes`, so its
 first-minimum tie rule decides them.  When two distinct entries lie within a
 few windows of each other, or the magnitudes approach overflow, every value
 goes through `recon_codes`.  The distinct entries, midpoints, window and
-fallback are `quantizers._cells`, the one definition `recon_codes` also
-searches by.  Codes therefore equal `recon_codes` value for value, which the
-tests check on adversarial tables.
+fallback are `quantizers._cells`, the one definition the fixed grids' code
+tables are built from too.  Codes therefore equal `recon_codes` value for
+value, which the tests check on adversarial tables.
 
 Inside an outer round each table's members keep their codes from one Lloyd
 step to the next (`_Members`); the first codes are gathered from the
@@ -160,16 +160,34 @@ class LearnResult:
     trace: np.ndarray = field(repr=False)  # float64 objective after each step
 
 
+# Columns per block of `importance`, which holds one T x 256 float64 block.
+_IMPORTANCE_COLS = 256
+
+
 def importance(activations: np.ndarray) -> np.ndarray:
     """Per-column importance: the sum of squared calibration activations.
 
     Accumulates in float64 over the sorted squares, so the result is exactly
-    invariant to the order of the calibration tokens.
+    invariant to the order of the calibration tokens.  Each block of
+    `_IMPORTANCE_COLS` columns is squared, sorted and summed in its own
+    float64 copy, not the whole matrix at once.  numpy sums a block of two
+    or more columns down each column, one token after another, as it sums
+    the whole matrix, so the sums are the same bits; a lone column it sums
+    pairwise, so a last block of one column takes its neighbour along.
     """
-    x = np.array(activations, dtype=np.float64)  # a copy, squared and sorted in place
-    np.multiply(x, x, out=x)
-    x.sort(axis=0)
-    return x.sum(axis=0)
+    a = np.asarray(activations)
+    tokens, cols = a.shape
+    out = np.empty(cols)
+    buf = np.empty(tokens * min(cols, _IMPORTANCE_COLS))
+    for start in range(0, cols, _IMPORTANCE_COLS):
+        stop = min(start + _IMPORTANCE_COLS, cols)
+        start = min(start, max(stop - 2, 0))
+        x = buf[:tokens * (stop - start)].reshape(tokens, stop - start)
+        np.copyto(x, a[:, start:stop])  # squared and sorted in place
+        np.multiply(x, x, out=x)
+        x.sort(axis=0)
+        out[start:stop] = x.sum(axis=0)
+    return out
 
 
 def layer_importance(bundle: LayerBundle) -> np.ndarray:

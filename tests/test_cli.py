@@ -71,7 +71,10 @@ class TestSynth:
 
     @pytest.mark.parametrize("config", [
         [1, 2], {"layers": "abc"}, {"rows": "x"}, {"mixture_weights": 5}, {"layers": -1}, None,
-    ], ids=["list", "layers-abc", "rows-x", "mixture-weights-5", "layers-minus-1", "flag-layers-0"])
+        {"sigma": -1}, {"rows": 0}, {"kind": "uniform"},
+        {"kind": "mixture", "mixture_weights": [0.5, 0.5], "mixture_sigmas": [1.0]},
+    ], ids=["list", "layers-abc", "rows-x", "mixture-weights-5", "layers-minus-1", "flag-layers-0",
+            "sigma-minus-1", "rows-0", "kind-uniform", "mixture-lengths"])
     def test_bad_config_or_layer_count_is_refused(self, tmp_path, capsys, config):
         out = tmp_path / "a.safetensors"
         if config is None:
@@ -84,6 +87,19 @@ class TestSynth:
         assert run("synth", "--out", out, *argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--sigma", "-1"), "sigma must be positive"),
+        (("-N", "0"), "rows, cols and tokens must all be at least 1"),
+        (("--kind", "mixture", "--mixture-sigmas", "1"),
+         "mixture weights and sigmas must have equal length"),
+    ])
+    def test_bad_flags_keep_their_text(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "a.safetensors"
+        capsys.readouterr()
+        assert run("synth", "--out", out, *flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

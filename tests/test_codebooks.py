@@ -46,6 +46,38 @@ class TestImportance:
         perm = rng.permutation(16)
         assert np.array_equal(importance(x), importance(x[perm]))
 
+    @staticmethod
+    def whole_matrix(x):
+        """`importance` as one float64 copy of the whole matrix."""
+        x = np.array(x, dtype=np.float64)
+        np.multiply(x, x, out=x)
+        x.sort(axis=0)
+        return x.sum(axis=0)
+
+    # 1000x257 and 999x513 end on a block of one column, which numpy would
+    # sum pairwise; 300x1 is one column throughout, as in the whole matrix.
+    @pytest.mark.parametrize("shape", [(256, 4096), (1000, 257), (999, 513), (300, 1),
+                                       (64, 11008), (1000, 258)])
+    def test_column_blocks_match_the_whole_matrix(self, shape):
+        rng = np.random.default_rng(shape[1])
+        spread = rng.uniform(0.1, 10.0, shape[1])
+        x = (rng.standard_normal(shape) * spread).astype(np.float32)
+        assert importance(x).tobytes() == self.whole_matrix(x).tobytes()
+
+    def test_peak_is_one_block(self):
+        tokens, cols = 512, 2048
+        x = np.random.default_rng(1).standard_normal((tokens, cols)).astype(np.float32)
+        importance(x[:4, :4])  # first-call allocations are not the working set
+        tracemalloc.start()
+        try:
+            importance(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = tokens * codebooks._IMPORTANCE_COLS * 8
+        assert peak <= block + 4 * cols * 8 + 65536
+        assert peak < x.nbytes  # the whole matrix in float64 is twice that
+
 
 class TestWeightedError:
     def test_zero_when_equal(self):

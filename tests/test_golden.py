@@ -15,8 +15,8 @@ import pytest
 
 from aaacq.cli import main
 from aaacq.codebooks import _LEAF, AaacConfig, LearnResult, learn
-from aaacq.grids import get_format
-from aaacq.tensors import SynthSpec, TensorArchive, synth_layer
+from aaacq.grids import INT4, NVFP4, base_table, get_format
+from aaacq.tensors import SynthSpec, TensorArchive, synth_layer, write_tensors
 
 ARCHIVES = {
     "mixture": ["--kind", "mixture"],
@@ -73,6 +73,27 @@ FIXED_GRID_PACK_SHA256 = {
     "if4-nvfp4-e4m3-huge": "06cd8b1e07961c62cd517d71fdf0b78a05c794e932c8e41fd8b71eff4b72baf6",
 }
 
+# Fixed-grid packs of the edge archive below, in both scale modes.
+EDGE_GRID = {
+    "rtn-nvfp4": ("rtn", ["--format", "nvfp4"]),
+    "rtn-int4-g128": ("rtn", ["--format", "int4", "-g", "128"]),
+    "if4-nvfp4": ("if4", ["--format", "nvfp4"]),
+    "if4-nvfp4-g128": ("if4", ["--format", "nvfp4", "-g", "128"]),
+}
+EDGE_GRID.update({f"{name}-e4m3": (method, flags + ["--scale-mode", "emulate-e4m3"])
+                  for name, (method, flags) in list(EDGE_GRID.items())})
+
+EDGE_GRID_PACK_SHA256 = {
+    "rtn-nvfp4": "f4348ec05ccb7a7f8d6f68bd52d2358b706bd62f44a818431ce216c479bb0a90",
+    "rtn-int4-g128": "795566b1901ef3c3eacb236dc4fd58240e1d3dfec31020c5a2e40d5ee50fc1e5",
+    "if4-nvfp4": "ab63bd97beca1524913b586abd40917a10d4c018a7d350258ddbd94d14507807",
+    "if4-nvfp4-g128": "7b38b927a561e425acc08db0a5bd5278075860c42d5dd5b0fa0e2e22a3c5b675",
+    "rtn-nvfp4-e4m3": "dff09b27a471ddb77bae3f7daa7664785b070db27599994bcfc2feb607ebb9c3",
+    "rtn-int4-g128-e4m3": "37de57c4cbe99e46ec14c7f4ea5de7261eabac5da1640a1a553cfee40d47f0c2",
+    "if4-nvfp4-e4m3": "9daef2e4179e3e48d88f4bac5a62fd27220b81d9bf423b31dc424c105eb32700",
+    "if4-nvfp4-g128-e4m3": "e86a2603a09baa19a0a2d54cbf38c36194be7397c3eb3f768f1ac09924b92086",
+}
+
 # `compare --json` with the default methods rtn,if4,aaac on the mixture
 # archive; the report must not depend on the thread count.
 COMPARE_JSON_SHA256 = {
@@ -97,6 +118,41 @@ def archives(tmp_path_factory):
         assert run("synth", "--out", paths[name], "--layers", "3", *flags,
                    "-N", "16", "-K", "512", "-T", "32", "--seed", "11") == 0
     return paths
+
+
+def _edge_layer(rng, group, grid_max, rows=32, cols=1024):
+    """Weights whose normalized values sit on the FP4 and INT4 midpoints, on
+    float64 bucket edges (2**-8 of a binade apart: the top 20 bits of a
+    float64 change there) and a float32 ulp either side of each.
+
+    Each group holds +-`grid_max` times its scale, which pins the scale of the
+    format whose grid ends there.  Scales are powers of two, so those
+    normalized values are exact, or 1.5 or 1.3 times one, so they are a few
+    ulps off (1.3 is neither a BF16 nor an E4M3 value, so the two scale modes
+    round it apart).
+    """
+    mids = np.concatenate([0.5 * t[:-1] + 0.5 * t[1:]
+                           for t in (base_table(NVFP4), base_table(INT4))])
+    width = 2.0 ** (np.floor(np.log2(np.abs(mids))) - 8)
+    near = mids[:, np.newaxis] + width[:, np.newaxis] * np.arange(-2, 3)
+    edges = np.multiply.outer(2.0 ** np.arange(-4, 3), 1 + np.arange(256) / 256).ravel()
+    pool = np.concatenate([near.ravel(), edges, -edges, [0.0, -0.0]]).astype(np.float32)
+    pool = np.concatenate([pool, np.nextafter(pool, np.float32(np.inf)),
+                           np.nextafter(pool, np.float32(-np.inf))])
+    pool = pool[np.abs(pool) < grid_max]
+    w = rng.choice(pool, (rows, cols // group, group))
+    w[:, :, 0] = grid_max * rng.choice([-1.0, 1.0], w.shape[:2])
+    scale = 2.0 ** rng.integers(-8, 8, w.shape[:2]) * rng.choice([1.0, 1.5, 1.3], w.shape[:2])
+    return (w * scale[:, :, np.newaxis]).astype(np.float32).reshape(rows, cols)
+
+
+@pytest.fixture(scope="module")
+def edge_archive(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden-edge") / "edge.safetensors"
+    rng = np.random.default_rng(14)
+    write_tensors(path, {"fp4.weight": _edge_layer(rng, 16, 6.0),
+                         "int4.weight": _edge_layer(rng, 128, 8.0)})
+    return path
 
 
 def _learn_config(flags):
@@ -153,6 +209,15 @@ def test_fixed_grid_pack_bytes(tmp_path, archives, name):
     assert run("quantize", archives[source], "--out", out, "--method", method,
                "--threads", "1", *flags) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXED_GRID_PACK_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_GRID))
+def test_edge_grid_pack_bytes(tmp_path, edge_archive, name):
+    method, flags = EDGE_GRID[name]
+    out = tmp_path / "m.aaacq"
+    assert run("quantize", edge_archive, "--out", out, "--method", method,
+               "--threads", "1", *flags) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EDGE_GRID_PACK_SHA256[name]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

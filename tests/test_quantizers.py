@@ -152,7 +152,7 @@ class TestReconSearch:
         assert np.asarray(got).reshape(-1).tolist() == brute_force_codes(table, values).tolist()
 
     def test_tables_past_the_counter_width(self):
-        # 299 midpoints: a one-byte run counter would wrap above the 255th.
+        # 299 midpoints: codes past 255, which no one-byte code holds.
         rng = np.random.default_rng(8)
         table = np.sort(rng.uniform(-8, 8, 300))
         values = np.concatenate([rng.uniform(-9, 9, 2000), table, 0.5 * table[:-1] + 0.5 * table[1:]])
@@ -177,7 +177,7 @@ class TestReconSearch:
         return handed
 
     @pytest.mark.parametrize("fmt", [NVFP4, INT4])
-    def test_rtn_searches_only_window_values(self, exact, fmt):
+    def test_rtn_searches_only_marked_buckets(self, exact, fmt):
         rng = np.random.default_rng(9)
         w = rng.laplace(0.0, 1.0, (64, 512)).astype(np.float32)
         # Scale 1 in the first nvfp4 group puts three weights on midpoints.
@@ -186,12 +186,13 @@ class TestReconSearch:
         codes, scales = rtn_quantize(w, fmt, fmt.group_size)
         w_norm = normalize(w, scales, fmt.group_size).ravel()
         t = base_table(fmt)
-        mids = 0.5 * t[:-1] + 0.5 * t[1:]
-        half = max(np.abs(w_norm).max(), np.abs(t).max()) * 2.0 ** -47 + 2.0 ** -1070
-        in_window = (np.abs(w_norm[:, np.newaxis] - mids) <= half).any(axis=1)
+        marked = quantizers.code_table(t)[_bucket_keys(w_norm)] == 0
         handed = np.concatenate(exact) if exact else np.zeros(0)
-        assert sorted(handed.tolist()) == sorted(w_norm[in_window].tolist())
-        assert handed.size < w.size // 100
+        assert sorted(handed.tolist()) == sorted(w_norm[marked].tolist())
+        # Two buckets, 2**-8 of a binade each, meet each window: about 1% of
+        # a laplace layer (1.09% nvfp4, 0.84% int4 here).
+        assert 0 < handed.size < 0.012 * w.size
+        assert codes.dtype == np.uint8
         assert codes.ravel().tolist() == brute_force_codes(t, w_norm).tolist()
 
     def test_close_entries_search_every_value(self, exact):
@@ -199,6 +200,91 @@ class TestReconSearch:
         values = np.linspace(-4.0, 4.0, 33)
         assert recon_codes(table, values).tolist() == brute_force_codes(table, values).tolist()
         assert [v.size for v in exact] == [33]
+
+
+def _bucket_keys(values):
+    """The code-table bucket of each float64: its top 20 bits."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64) >> np.uint64(44)
+
+
+def _bucket_edges(keys):
+    """The lowest and the highest float64 pattern of each bucket."""
+    low = np.asarray(keys, dtype=np.uint64) << np.uint64(44)
+    return low.view(np.float64), (low | np.uint64((1 << 44) - 1)).view(np.float64)
+
+
+@st.composite
+def code_table_cases(draw):
+    """A sorted table of up to 32 entries: random, with duplicates, mirrored
+    +-, with a 0 entry or crowded (entries a few ulps to 1e-9 apart), at
+    magnitude 1 or 1e300; and values aimed at its cells' edges: midpoints +-6
+    ulps, the edges of the buckets around them +-1 ulp, +-0, subnormals,
+    +-inf, NaN and +-2**1000."""
+    kind = draw(st.sampled_from(["random", "duplicates", "mirrored", "zero", "crowded"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = rng.uniform(-8, 8, draw(st.integers(1, 16)))
+    if kind == "duplicates":
+        entries = np.concatenate([entries, rng.choice(entries, draw(st.integers(1, 8)))])
+    elif kind == "mirrored":
+        entries = np.concatenate([entries, -entries])
+    elif kind == "zero":
+        entries = np.append(entries, 0.0)
+    elif kind == "crowded":
+        gap = draw(st.sampled_from([2.0 ** -50, 1e-12, 1e-9]))
+        entries = np.append(entries, entries[0] + gap * np.arange(1, draw(st.integers(2, 5))))
+    table = np.sort(entries * draw(st.sampled_from([1.0, 1e300])))
+
+    distinct = np.unique(table)
+    mids = 0.5 * distinct[:-1] + 0.5 * distinct[1:]
+    near = (mids.view(np.int64)[:, np.newaxis] + np.arange(-6, 7)).view(np.float64).ravel()
+    keys = (_bucket_keys(np.concatenate([mids, table]))[:, np.newaxis]
+            + np.arange(-3, 4).astype(np.uint64)).ravel()
+    edges = np.concatenate(_bucket_edges(keys)).view(np.int64)
+    edges = (edges[:, np.newaxis] + np.arange(-1, 2)).view(np.float64).ravel()
+    tiny = 2.0 ** -1074
+    special = [0.0, -0.0, tiny, -tiny, 2.0 ** -1030, -(2.0 ** -1022) * 0.75,
+               np.inf, -np.inf, np.nan, 2.0 ** 1000, -(2.0 ** 1000),
+               np.nextafter(2.0 ** 1000, 0), -np.nextafter(2.0 ** 1000, 0)]
+    free = draw(st.lists(st.floats(-1e307, 1e307), max_size=8))  # |v - t| stays finite
+    return table, np.concatenate([near, edges, special, free])
+
+
+class TestCodeTables:
+    @pytest.mark.parametrize("fmt", [NVFP4, INT4])
+    def test_unmarked_bucket_edges_match_brute_force(self, fmt):
+        # Exhaustive over both grids: the lowest and the highest float64 of
+        # every unmarked bucket take its code, and past 2**1000, infinity
+        # and NaN every bucket is marked.
+        t = base_table(fmt)
+        lut = quantizers.code_table(t)
+        assert lut.dtype == np.uint8 and lut.size == 1 << 20
+        codes = ~lut  # a marked bucket's byte is 0, so its complement is _MARK
+        keys = np.flatnonzero(codes != quantizers._MARK)
+        assert 500_000 < keys.size < 600_000
+        for edge in _bucket_edges(keys):
+            for part in np.array_split(np.arange(keys.size), 16):
+                assert np.array_equal(codes[keys[part]], brute_force_codes(t, edge[part]))
+        far = _bucket_keys([2.0 ** 1000, np.inf, np.nan])
+        assert (lut[far] == 0).all() and (lut[far + np.uint64(1 << 19)] == 0).all()
+
+    @given(code_table_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_builder_matches_brute_force(self, case):
+        table, values = case
+        lut = quantizers.code_table(table)
+        codes = ~lut[_bucket_keys(values)]
+        kept = codes != quantizers._MARK
+        assert not kept[~np.isfinite(values) | (np.abs(values) >= 2.0 ** 1000)].any()
+        assert codes[kept].tolist() == brute_force_codes(table, values[kept]).tolist()
+        # Marked values go to the exhaustive search, so every value gets its code.
+        finite = np.isfinite(values)
+        got = quantizers._recon_lookup(lut, table, values)
+        assert got[finite].tolist() == brute_force_codes(table, values[finite]).tolist()
+        assert got.tolist() == quantizers._recon_exact(table, values).tolist()
+
+    def test_tables_past_255_entries_are_refused(self):
+        with pytest.raises(ValidationError):
+            quantizers.code_table(np.arange(256.0))
 
 
 class TestRtn:
@@ -458,15 +544,22 @@ class TestKernelPins:
         assert np.asarray(got).reshape(-1).tolist() == want.tolist()
         assert recon_codes(table, values).reshape(-1).tolist() == want.tolist()
 
-    def test_distinct_tables_skip_the_first_index_gather(self):
-        # The run counter is one byte; a gather through the intp first
-        # indices, which only tables with duplicates need, would widen it.
-        values = np.linspace(-7, 7, 1001)
-        for table, dtype in ((base_table(NVFP4), np.uint8),
-                             (np.asarray([-1.0, 0.0, 0.0, 2.0, 2.0, 5.0]), np.intp)):
-            got = quantizers._recon_flat(table, values)
-            assert got.dtype == dtype
-            assert got.tolist() == brute_force_codes(table, values).tolist()
+    def test_grid_codes_come_back_as_uint8(self):
+        # A code table holds one byte per bucket, so grid codes are never
+        # widened to intp; marked values take the exhaustive search's codes.
+        values = np.concatenate([np.linspace(-9, 9, 1001), [0.25, 2.0 ** 1000, np.inf, np.nan]])
+        for fmt in (NVFP4, INT4):
+            t = base_table(fmt)
+            lut = quantizers._grid_code_table(t)
+            assert lut is quantizers._grid_code_table(t.astype(np.float32).astype(np.float64))
+            got = quantizers._recon_lookup(lut, t, values)
+            assert got.dtype == np.uint8
+            assert got.tolist() == quantizers._recon_exact(t, values).tolist()
+            assert recon_codes(t, values, dtype=np.uint8).dtype == np.uint8
+        # Any other table, one that differs from a grid in a zero's sign too, has none.
+        t = base_table(NVFP4)
+        t[7] = -0.0
+        assert quantizers._grid_code_table(t) is None
 
     @given(if4_cases(), st.sampled_from(["exact-bf16", "emulate-e4m3"]))
     @settings(max_examples=200, deadline=None)
