@@ -21,14 +21,8 @@ from .metrics import parallel_map as _parallel_map
 
 def _resolve_config(args) -> tuple[codebooks.AaacConfig, int]:
     """The learner configuration and worker count the flags ask for."""
-    env_threads = os.environ.get("AAAC_THREADS", "")
-    try:
-        threads = int(env_threads) if env_threads else 0
-    except ValueError:
-        raise ValidationError(f"AAAC_THREADS must be an integer, got {env_threads!r}")
-    for source, value in (("AAAC_THREADS", threads), ("--threads", args.threads)):
-        if value < 0:
-            raise ValidationError(f"{source} must be 0 (all cores) or positive, got {value}")
+    if args.threads < 0:
+        raise ValidationError(f"--threads must be 0 (all cores) or positive, got {args.threads}")
     fmt = get_format(args.format)
     group_size = args.group_size or fmt.group_size
     cfg = codebooks.AaacConfig(
@@ -39,7 +33,7 @@ def _resolve_config(args) -> tuple[codebooks.AaacConfig, int]:
         n_inner=args.iters_inner,
         scale_mode=args.scale_mode,
     )
-    return cfg, threads or args.threads or os.cpu_count() or 1
+    return cfg, args.threads or os.cpu_count() or 1
 
 
 def _log(msg: str) -> None:
@@ -107,15 +101,17 @@ def cmd_quantize(args) -> int:
     _check_paths(inputs=[args.archive], outputs=[args.out])
     cfg, threads = _resolve_config(args)
     started = time.perf_counter()
-    with tensors.TensorArchive(args.archive) as archive, _replacing(args.out) as fh:
-        writer = packfmt.PackWriter(fh, len(archive.layers))
-        # Each task reads its own layer; packs are written in layer order as they finish.
-        _parallel_map(
-            lambda layer: (layer.name, _quantize_layer(archive.load(layer), args.method, cfg)),
-            archive.layers, threads,
-            forks=lambda layer: metrics.runs_forked(args.method, layer),
-            consume=lambda item: writer.write(*item),
-        )
+    with tensors.TensorArchive(args.archive) as archive:
+        for layer in archive.layers:
+            packfmt.check_header(layer.name, cfg.group_size, cfg.sel_size)
+        with _replacing(args.out) as fh:
+            writer = packfmt.PackWriter(fh, len(archive.layers))
+            # Each task reads its own layer; packs are written in layer order as they arrive.
+            _parallel_map(
+                lambda layer: (layer.name, _quantize_layer(archive.load(layer), args.method, cfg)),
+                archive.layers, threads, fork=metrics.runs_forked([args.method]),
+                consume=lambda item: writer.write(*item),
+            )
     _log(
         f"quantized {len(archive.layers)} layers with {args.method} "
         f"in {time.perf_counter() - started:.2f}s -> {args.out}"
@@ -292,9 +288,8 @@ def _add_quant_flags(p: argparse.ArgumentParser) -> None:
                    choices=["exact-bf16", "emulate-e4m3"],
                    help="scale storage rounding (default exact-bf16)")
     p.add_argument("--threads", type=int, default=0,
-                   help="workers for per-layer work: threads, or forked processes "
-                        "for aaac on small layers (default: all cores; "
-                        "AAAC_THREADS overrides)")
+                   help="workers for per-layer work (default: all cores): forked "
+                        "processes when aaac runs, else threads")
 
 
 def _add_report_flags(p: argparse.ArgumentParser) -> None:

@@ -30,7 +30,7 @@ import numpy as np
 from .codebooks import AaacConfig, _difference, _error_sums, layer_importance, learn
 from .errors import AaacqError, PairingError, UndefinedGapError, ValidationError, naming_layer
 from .grids import E4M3_MAX, base_table, round_e4m3
-from .packfmt import PackedLayer, pack, selection_overhead_bpw, unpack
+from .packfmt import PackedLayer, check_header, pack, selection_overhead_bpw, unpack
 from .quantizers import dequantize, if4_quantize, if4_tables, rtn_quantize
 from .tensors import LayerBundle
 
@@ -188,13 +188,6 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-# Learner tasks on layers with fewer weights than this run in forked worker
-# processes.  Their inner steps are many short numpy calls that hold the GIL,
-# so on threads they mostly wait on each other.  Measured with two workers on
-# int4 -g 128 -S 16 mixture layers: forked workers took 14-17% less CPU time
-# than threads at 32,768 weights per layer, and 13-15% more at 49,152, where
-# the workers' page faults tripled.
-_FORK_BELOW = 49_152
 _CAN_FORK = hasattr(os, "fork")
 # Chunks per worker that a forked batch is cut into: a few per worker even
 # out uneven layers, and each chunk costs one round trip through the pool.
@@ -207,12 +200,15 @@ _FORK_CHUNKS = 4
 _batch = None
 
 
-def runs_forked(method: str, layer) -> bool:
-    """Whether a pooled task quantizing `layer` with `method` goes to a forked worker.
+def runs_forked(methods) -> bool:
+    """Whether a pooled call running `methods` forks its workers: only `aaac` does.
 
-    `layer` is a `LayerBundle` or a not yet loaded `tensors.LayerEntry`.
+    The learner's short numpy calls hold the GIL, so its threads wait on each
+    other (forking lifted learn-large's `quantize_parallelism` from 0.80 to
+    0.85); rtn and if4 tasks do not repay a process pool's start-up (forking
+    them cut compare-suite's rtn `quantize_mw_per_ref` from 3.42 to 3.12).
     """
-    return method == "aaac" and layer.rows * layer.cols < _FORK_BELOW
+    return "aaac" in methods
 
 
 def _init_worker(fn, items) -> None:
@@ -225,7 +221,7 @@ def _run_forked(index: int):
     return fn(items[index])
 
 
-def _fork_map(fn, items: list, workers: int, each) -> None:
+def _fork_map(fn, items: list, workers: int):
     # Imported here: loading multiprocessing adds about 15 ms to every command.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -237,21 +233,18 @@ def _fork_map(fn, items: list, workers: int, each) -> None:
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker, initargs=(fn, items),
         ) as pool:
-            for i, result in enumerate(pool.map(_run_forked, range(len(items)), chunksize=chunk)):
-                each(i, result)
+            yield from pool.map(_run_forked, range(len(items)), chunksize=chunk)
     except BrokenProcessPool as exc:
         raise AaacqError(f"a worker process died: {exc}") from exc
 
 
-def _thread_map(fn, items: list, workers: int, each) -> None:
+def _thread_map(fn, items: list, workers: int):
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for i, result in enumerate(pool.map(fn, items)):
-            each(i, result)
+        yield from pool.map(fn, items)
 
 
-def _serial_map(fn, items: list, workers: int, each) -> None:
-    for i, item in enumerate(items):
-        each(i, fn(item))
+def _serial_map(fn, items: list, workers: int):
+    return map(fn, items)
 
 
 # A pool already fills the cores, so OpenBLAS threads under each worker's
@@ -301,44 +294,31 @@ def _one_blas_thread():
         put(before)
 
 
-def parallel_map(fn, items, threads: int, forks=None, consume=None) -> list:
+def parallel_map(fn, items, threads: int, fork: bool = False, consume=None) -> list:
     """`[fn(item) for item in items]`, on up to `threads` workers when there are several.
 
-    Workers are threads, or forked processes for the items `forks(item)`
-    picks when the platform can fork and no other thread is alive; those run
-    first, as one batch, and return their results by pickle.  No pool starts
-    more workers than it has items, and a batch of one item runs in-process.
+    The call starts at most one pool, of no more workers than items.  Its
+    workers are threads, or with `fork` (the commands pass `runs_forked`)
+    processes forked from this one, which return their results by pickle;
+    `fork` falls back to threads where the platform cannot fork or another
+    thread is alive.  One item, or one thread, runs in-process.
 
     With `consume`, each result is passed to `consume(result)` in the
-    calling thread, in item order, as soon as every earlier item's result
-    has been, and the list holds what `consume` returns.  Results that
-    arrive before their turn, as the forked batch's can, wait in a buffer.
+    calling thread, in item order, as it arrives, and the list holds what
+    `consume` returns.
     """
     items = list(items)
-    results = [None] * len(items)
-    waiting = {}
-    done = 0
-
-    def arrive(i, result):
-        nonlocal done
-        waiting[i] = result
-        while done in waiting:
-            result = waiting.pop(done)
-            results[done] = result if consume is None else consume(result)
-            done += 1
-
+    workers = min(threads, len(items))
+    pinned, pool_map = _one_blas_thread(), _thread_map
+    if workers <= 1:
+        pinned, pool_map = contextlib.nullcontext(), _serial_map
     # Forking is only safe while no other thread can hold a lock.
-    can_fork = _CAN_FORK and threads > 1 and forks is not None and threading.active_count() == 1
-    picked = [can_fork and bool(forks(item)) for item in items]
-    for route, pool_map in ((True, _fork_map), (False, _thread_map)):
-        indices = [i for i, p in enumerate(picked) if p == route]
-        batch = [items[i] for i in indices]
-        pinned = _one_blas_thread()
-        if len(batch) <= 1 or threads <= 1:
-            pool_map, pinned = _serial_map, contextlib.nullcontext()
-        with pinned:
-            pool_map(fn, batch, min(threads, len(batch)),
-                     lambda j, result: arrive(indices[j], result))
+    elif fork and _CAN_FORK and threading.active_count() == 1:
+        pool_map = _fork_map
+    results = []
+    with pinned:
+        for result in pool_map(fn, items, workers):
+            results.append(result if consume is None else consume(result))
     return results
 
 
@@ -498,12 +478,15 @@ def compare(
     Each row scores the packed layer `quantize` would write, decoded the way
     `eval` decodes it.  One task per layer loads it with `load`, computes its
     importance once and runs every method, on one of `threads` workers
-    (forked where `runs_forked` picks a method); the report is the same either way.
+    (forked when `runs_forked(methods)`); the report is the same either way.
     """
     methods = sorted({m.lower() for m in methods})
     for m in methods:
         if m not in METHODS:
             raise ValidationError(f"unknown method {m!r}; supported: {list(METHODS)}")
+
+    for layer in bundles:
+        check_header(layer.name, cfg.group_size, cfg.sel_size)
 
     def layer_rows(layer):
         bundle = load(layer)
@@ -511,6 +494,5 @@ def compare(
             imp = layer_importance(bundle)
             return [_run_method(bundle, m, cfg, imp) for m in methods]
 
-    per_layer = parallel_map(layer_rows, bundles, threads,
-                             forks=lambda layer: any(runs_forked(m, layer) for m in methods))
+    per_layer = parallel_map(layer_rows, bundles, threads, fork=runs_forked(methods))
     return report([row for rows in per_layer for row in rows])

@@ -64,6 +64,21 @@ METHOD_TAGS = {0: "unspecified", 1: "rtn", 2: "if4", 3: "aaac"}
 METHOD_IDS = {v: k for k, v in METHOD_TAGS.items()}
 
 _HEADER = struct.Struct("<BIIHHBB")
+# The largest name length and group sizes the layer header's u16 fields hold.
+_U16_MAX = 0xFFFF
+
+
+def check_header(name: str, group_size: int, sel_size: int) -> None:
+    """Raise `ValidationError` if a layer's header cannot hold its name or group sizes."""
+    try:
+        name_bytes = len(name.encode("utf-8"))
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"a layer name does not encode as UTF-8: {exc}") from exc
+    for what, value in (("layer name of {} UTF-8 bytes", name_bytes),
+                        ("scale group size {}", group_size),
+                        ("selection group size {}", sel_size)):
+        if value > _U16_MAX:
+            raise ValidationError(f"{what.format(value)}: the pack header holds at most {_U16_MAX}")
 
 
 def _pad16(nbytes: int) -> int:
@@ -291,6 +306,7 @@ def _layer_payload(p: PackedLayer) -> bytes:
 
 
 def layer_to_bytes(name: str, p: PackedLayer) -> bytes:
+    check_header(name, p.group_size, p.sel_size)
     encoded = name.encode("utf-8")
     payload = _layer_payload(p)
     header = _HEADER.pack(

@@ -209,21 +209,8 @@ class TestQuantize:
                    "--format", "nvfp4", "--scale-mode", "emulate-e4m3") == 0
         assert len(read_pack(out)) == 2
 
-    def test_thread_env_override(self, monkeypatch, tmp_path, archive):
-        monkeypatch.setenv("AAAC_THREADS", "1")
-        out = tmp_path / "m.aaacq"
-        assert run("quantize", archive, "--out", out, "--method", "aaac",
-                   "--format", "int4", "-S", "16", "--threads", "8") == 0
-        baseline = tmp_path / "m2.aaacq"
-        monkeypatch.delenv("AAAC_THREADS")
-        assert run("quantize", archive, "--out", baseline, "--method", "aaac",
-                   "--format", "int4", "-S", "16") == 0
-        assert out.read_bytes() == baseline.read_bytes()
-
-    @pytest.mark.parametrize("env, flag", [("", "-3"), ("-1", "2"), ("-1", "0")])
-    def test_negative_worker_count_is_rejected(self, monkeypatch, tmp_path, capsys,
-                                               archive, env, flag):
-        monkeypatch.setenv("AAAC_THREADS", env)
+    @pytest.mark.parametrize("flag", ["-3", "-1"])
+    def test_negative_worker_count_is_rejected(self, tmp_path, capsys, archive, flag):
         capsys.readouterr()
         for command in (["quantize", archive, "--out", tmp_path / "m.aaacq"], ["compare"]):
             assert run(*command, "--threads", flag) == 1
@@ -278,6 +265,24 @@ def test_output_that_is_an_input_fails_before_work(tmp_path, capsys, archive):
         assert path.read_bytes() == data
     assert sorted(os.listdir(tmp_path)) == ["layers.safetensors", "link.aaacq", "m.aaacq"]
     assert run("eval", pack_path, archive, "--json") == 0
+
+
+@pytest.mark.parametrize("name, shape, flags, message", [
+    ("wide", (1, 65536), ["--format", "int4", "-g", "65536"], "scale group size 65536"),
+    ("n" * 70_000, (2, 32), [], "layer name of 70000 UTF-8 bytes"),
+    ("bad\ud800", (2, 32), [], "does not encode as UTF-8"),
+], ids=["group-size", "long-name", "surrogate-name"])
+def test_pack_header_limits_fail_before_work(tmp_path, capsys, monkeypatch,
+                                             name, shape, flags, message):
+    arch = tmp_path / "layers.safetensors"
+    write_tensors(arch, {f"{name}.weight": np.ones(shape, np.float32)})
+    monkeypatch.setattr(metrics, "quantize_layer", None)  # any layer quantized fails
+    capsys.readouterr()
+    for command in (["quantize", arch, "--method", "rtn"], ["compare", arch, "--methods", "rtn"]):
+        assert run(*command, *flags, "--out", tmp_path / "out") == 1, command
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+    assert os.listdir(tmp_path) == ["layers.safetensors"]
 
 
 class TestDequantize:
@@ -433,10 +438,10 @@ class TestBlasThreads:
         yield get, put
         put(before)
 
-    @pytest.mark.parametrize("forks", [None, lambda item: True])
-    def test_a_pool_pins_one_thread_while_it_runs(self, blas, forks):
+    @pytest.mark.parametrize("fork", [False, True])
+    def test_a_pool_pins_one_thread_while_it_runs(self, blas, fork):
         get, _ = blas
-        assert metrics.parallel_map(lambda item: get(), range(4), 2, forks) == [1] * 4
+        assert metrics.parallel_map(lambda item: get(), range(4), 2, fork) == [1] * 4
         assert get() == 2
 
     def test_serial_work_keeps_the_blas_threads(self, blas):

@@ -411,6 +411,22 @@ class TestContainer:
         with pytest.raises(ValidationError):
             model_to_bytes([("a", p), ("a", p)])
 
+    def test_header_field_overflow_rejected_on_write(self):
+        rng = np.random.default_rng(17)
+        t0, t1, sel, codes, scales = random_layer(rng, 1, 32, 16, 16, 16)
+        p = pack(t0, t1, sel, codes, scales, kind="int4", group_size=16, sel_size=16)
+        assert len(model_to_bytes([("n" * 65_535, p)])) > 65_535
+        for name in ("n" * 65_536, "\u00e9" * 32_768, "bad\ud800"):
+            with pytest.raises(ValidationError):
+                model_to_bytes([(name, p)])
+        for field, value in (("group_size", 2**16), ("sel_size", 2**16)):
+            with pytest.raises(ValidationError, match="the pack header holds at most"):
+                layer_to_bytes("a", dataclasses.replace(p, **{field: value}))
+        wide = pack(*random_layer(rng, 1, 65_536, 65_536, 65_536, 16),
+                    kind="int4", group_size=65_536, sel_size=65_536)
+        with pytest.raises(ValidationError, match="scale group size 65536"):
+            model_to_bytes([("wide", wide)])
+
     def test_trailing_garbage_rejected(self, tmp_path):
         rng = np.random.default_rng(16)
         t0, t1, sel, codes, scales = random_layer(rng, 1, 32, 16, 16, 16)

@@ -3,6 +3,7 @@
 import concurrent.futures
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -68,13 +69,11 @@ def spy(monkeypatch, tmp_path):
 
 
 class TestRoute:
-    def test_small_learner_layers_fork_and_large_ones_do_not(self):
-        small = LayerBundle("small", np.zeros((64, 512), np.float32))
-        large = LayerBundle("large", np.zeros((512, 4096), np.float32))
-        assert metrics.runs_forked("aaac", small)
-        assert not metrics.runs_forked("aaac", large)
-        assert not metrics.runs_forked("rtn", small)
-        assert not metrics.runs_forked("if4", small)
+    def test_only_learner_calls_fork(self):
+        assert metrics.runs_forked(["aaac"])
+        assert metrics.runs_forked(["aaac", "if4", "rtn"])
+        assert not metrics.runs_forked(["rtn"])
+        assert not metrics.runs_forked(["if4", "rtn"])
 
     @needs_fork
     def test_compare_forks_only_learner_tasks(self, spy):
@@ -85,11 +84,65 @@ class TestRoute:
         pids = {}
         for _, layer, pid in calls:
             pids.setdefault(layer, set()).add(pid)
-        # With aaac requested, every method of a small layer runs in one forked worker.
+        # With aaac requested, every method of a layer runs in one forked worker.
         assert all(len(p) == 1 and parent not in p for p in pids.values()), calls
-        metrics.compare(suite(), ["rtn"], cfg, threads=2)
-        rtn_calls = set(spy()) - set(calls)
-        assert len(rtn_calls) == 3 and {pid for *_, pid in rtn_calls} == {parent}
+        metrics.compare(suite(), ["rtn", "if4"], cfg, threads=2)
+        fixed_grid_calls = set(spy()) - set(calls)
+        assert len(fixed_grid_calls) == 6 and {pid for *_, pid in fixed_grid_calls} == {parent}
+
+    @needs_fork
+    def test_large_learner_layers_fork_with_the_same_bytes(self, spy, tmp_path):
+        # 65,536 weights per layer: a learner layer forks whatever its size.
+        arch = tmp_path / "large.safetensors"
+        save_tensor_archive(arch, suite(n=2, rows=128, cols=512))
+        packs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.aaacq"
+            assert run("quantize", arch, "--out", out, "--method", "aaac",
+                       "--iters-outer", "1", "--iters-inner", "2", "--threads", threads) == 0
+            packs.append(out.read_bytes())
+        assert packs[0] == packs[1]
+        parent = str(os.getpid())
+        pids = [pid for *_, pid in spy()]
+        assert len(pids) == 4 and pids.count(parent) == 2, pids
+
+    @needs_fork
+    def test_another_live_thread_keeps_forking_calls_on_threads(self, spy, monkeypatch,
+                                                                 archive, tmp_path):
+        pools, real = [], metrics._thread_map
+        monkeypatch.setattr(metrics, "_thread_map",
+                            lambda *args: pools.append(args[2]) or real(*args))
+        cfg = AaacConfig.for_format(NVFP4)
+        want = [metrics.compare(suite(), ["aaac", "rtn"], cfg, threads=1).to_json()]
+        assert run("quantize", archive, "--out", tmp_path / "t1.aaacq", "--threads", "1") == 0
+        want.append((tmp_path / "t1.aaacq").read_bytes())
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            got = [metrics.compare(suite(), ["aaac", "rtn"], cfg, threads=2).to_json()]
+            assert run("quantize", archive, "--out", tmp_path / "t2.aaacq", "--threads", "2") == 0
+            got.append((tmp_path / "t2.aaacq").read_bytes())
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert got == want
+        assert pools == [2, 2]
+        assert {pid for *_, pid in spy()} == {str(os.getpid())}
+
+    @pytest.mark.parametrize("fork", [False, pytest.param(True, marks=needs_fork)])
+    def test_consume_sees_results_in_item_order(self, fork):
+        def finish_late_first(i):
+            time.sleep(0.05 * (4 - i))
+            return i, time.monotonic(), os.getpid()
+
+        seen = []
+        out = metrics.parallel_map(finish_late_first, range(4), 2, fork,
+                                   consume=lambda r: seen.append(r) or r[0])
+        assert out == [0, 1, 2, 3] and [i for i, *_ in seen] == out
+        assert seen[1][1] < seen[0][1]  # item 1 finished before item 0
+        assert (os.getpid() not in {pid for *_, pid in seen}) == fork
 
     @needs_fork
     def test_quantize_forks_learner_layers(self, spy, archive, tmp_path):
@@ -152,16 +205,12 @@ class TestWorkerCount:
 
     def test_pools_start_no_more_workers_than_tasks(self):
         assert metrics.parallel_map(lambda x: x * x, [1, 2, 3], 8) == [1, 4, 9]
-        assert Recorder.sizes == [3]
-
-    def test_each_route_is_capped_by_its_own_tasks(self):
-        out = metrics.parallel_map(lambda x: -x, range(7), 5, forks=lambda x: x % 3 == 0)
-        assert out == [0, -1, -2, -3, -4, -5, -6]
-        expected = [3, 4] if metrics._CAN_FORK else [5]
-        assert Recorder.sizes == expected
+        assert metrics.parallel_map(lambda x: -x, [1, 2, 3], 8, fork=True) == [-1, -2, -3]
+        assert Recorder.sizes == [3, 3]
 
     def test_single_task_batches_run_in_process(self):
-        assert metrics.parallel_map(str, [1, 2], 4, forks=lambda x: x == 1) == ["1", "2"]
+        assert metrics.parallel_map(str, [1], 4) == ["1"]
+        assert metrics.parallel_map(str, [1], 4, fork=True) == ["1"]
         assert Recorder.sizes == []
 
     def test_compare_caps_workers_at_the_task_count(self, archive):
