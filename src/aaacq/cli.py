@@ -154,14 +154,17 @@ def cmd_eval(args) -> int:
         for e in pack.layers:
             if e.name not in layers:
                 raise PairingError(f"packed layer {e.name!r} has no weights in {args.archive}")
-        rows = []
+        scratch, rows = metrics.Scratch(), []
         for e in pack.layers:
+            # The last layer is freed only once this one has loaded, so its
+            # pages are reused rather than handed back and faulted in again.
             bundle = archive.load(layers[e.name])
             x_out = None
             if args.w4a8 and bundle.activations is not None:
-                x_out = metrics.simulate_w4a8(bundle.activations)
+                x_out = metrics.simulate_w4a8(bundle.activations, scratch)
             with naming_layer(e.name):
-                rows.append(metrics.score(bundle, pack.read(e), output_activations=x_out))
+                rows.append(metrics.score(bundle, pack.read(e), output_activations=x_out,
+                                          scratch=scratch))
     _emit_report(metrics.report(rows), args)
     return 0
 

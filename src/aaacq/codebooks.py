@@ -210,7 +210,11 @@ def weighted_error(
 
 
 def _difference(weights, reconstructed) -> np.ndarray:
-    """`reconstructed - weights` in a new float64 array."""
+    """`reconstructed - weights` in a new float64 array.
+
+    `metrics.score` forms the same difference block by block in a reused
+    buffer instead, without a whole-layer `reconstructed`.
+    """
     d = np.array(reconstructed, dtype=np.float64)  # a copy, subtracted in place
     d -= weights
     return d

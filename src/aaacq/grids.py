@@ -122,16 +122,30 @@ def round_e4m3(x):
     Uses the no-infinity convention: values above 448 clamp to 448.  Values
     below half the smallest subnormal round to 0.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    mant, exp = np.frexp(arr)
-    # Quantum is 2^(e-3) in the binade [2^e, 2^(e+1)); below the smallest
-    # normal binade (2^-6) the subnormal quantum 2^-9 applies throughout.
-    quantum = np.ldexp(1.0, np.maximum(exp - 1, -6) - 3)
-    out = np.rint(arr / quantum) * quantum
-    out = np.minimum(out, E4M3_MAX)
+    out = np.array(x, dtype=np.float64, ndmin=1)  # a copy, rounded in place
+    round_e4m3_into(out, np.empty_like(out), np.empty(out.shape, np.intc))
     if np.ndim(x) == 0:
         return float(out[0])
-    return out.reshape(np.shape(x))
+    return out
+
+
+def round_e4m3_into(a: np.ndarray, quantum: np.ndarray, exponent: np.ndarray) -> None:
+    """`round_e4m3` of the float64 array `a`, in place.
+
+    `quantum` (float64) and `exponent` (intc) are work arrays of its shape,
+    so a caller that rounds many tensors can reuse them.
+    """
+    np.frexp(a, out=(quantum, exponent))
+    # Quantum is 2^(e-3) in the binade [2^e, 2^(e+1)); below the smallest
+    # normal binade (2^-6) the subnormal quantum 2^-9 applies throughout.
+    np.subtract(exponent, 1, out=exponent)
+    np.maximum(exponent, -6, out=exponent)
+    np.subtract(exponent, 3, out=exponent)
+    np.ldexp(1.0, exponent, out=quantum)
+    np.divide(a, quantum, out=a)
+    np.rint(a, out=a)
+    np.multiply(a, quantum, out=a)
+    np.minimum(a, E4M3_MAX, out=a)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import functools
 import glob
 import io
 import json
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -29,12 +30,38 @@ import numpy as np
 
 from .codebooks import AaacConfig, _difference, _error_sums, layer_importance, learn
 from .errors import AaacqError, PairingError, UndefinedGapError, ValidationError, naming_layer
-from .grids import E4M3_MAX, base_table, round_e4m3
+from .grids import E4M3_MAX, base_table, round_e4m3_into
 from .packfmt import PackedLayer, check_header, pack, selection_overhead_bpw, unpack
 from .quantizers import dequantize, if4_quantize, if4_tables, rtn_quantize
 from .tensors import LayerBundle
 
 METHODS = ("rtn", "if4", "aaac")
+
+
+class Scratch(threading.local):
+    """Reused scoring buffers, one set for each thread that uses the object.
+
+    A worker that scores layer after layer takes its float64 difference,
+    activations and product buffers from one scratch instead of allocating
+    them per layer, which glibc would map and fault in again each time.  A
+    buffer grows to the largest request it has seen and never shrinks; it
+    lives as long as the object, so a command makes one for its per-layer
+    loop and drops it when the loop returns.  A forked worker inherits the
+    forking thread's set, and so scores on its own copy.
+    """
+
+    def __init__(self):
+        self._held = {}
+
+    def take(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        """An uninitialized C-ordered array of `shape` on the buffer `name`."""
+        n = math.prod(shape)
+        held = self._held.pop(name, None)
+        if held is None or held.size < n or held.dtype != dtype:
+            held = None  # the smaller one goes before the larger is made
+            held = np.empty(n, dtype)
+        self._held[name] = held
+        return held[:n].reshape(shape)
 
 
 def layer_output_mse(weights, reconstructed, activations) -> float:
@@ -43,14 +70,20 @@ def layer_output_mse(weights, reconstructed, activations) -> float:
     For y = x W^T this is ||X (What - W)^T||_F^2 / tokens, accumulated in
     float64.
     """
-    return _output_mse(_difference(weights, reconstructed), activations)
+    return _output_mse(_difference(weights, reconstructed), activations, Scratch())
 
 
-def _output_mse(d, activations) -> float:
-    """`layer_output_mse` from the difference `d = What - W`, in float64."""
-    x = np.asarray(activations, dtype=np.float64)
-    err = x @ d.T
-    return float((err * err).sum() / x.shape[0])
+def _output_mse(d, activations, scratch: Scratch) -> float:
+    """`layer_output_mse` from the difference `d = What - W`, in float64.
+
+    The activations' float64 copy and the tokens x rows product are
+    `scratch`'s buffers.
+    """
+    x = scratch.take("activations", np.shape(activations))
+    np.copyto(x, activations)
+    err = np.matmul(x, d.T, out=scratch.take("product", (x.shape[0], d.shape[0])))
+    np.square(err, out=err)
+    return float(err.sum() / x.shape[0])
 
 
 def gap_recovery(
@@ -75,20 +108,35 @@ def gap_recovery(
     raise ValidationError(f"unknown direction {direction!r}")
 
 
-def simulate_w4a8(activations: np.ndarray) -> np.ndarray:
+def simulate_w4a8(activations: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
     """Per-tensor FP8 E4M3 quantization of activations (absmax scaling).
 
     The tensor absmax maps onto the format maximum of 448; each activation is
     rounded to the nearest E4M3 value of its magnitude and rescaled.  An
     all-zero tensor passes through unchanged.  The operation is idempotent.
+
+    The float32 result is `scratch`'s `w4a8` buffer (a fresh scratch's when
+    none is given), valid until the next call on that scratch; the rounding's
+    exponents use it before the result does.  The float64 work arrays borrow
+    the activations and difference buffers, which `score` fills only after
+    it has read the result.
     """
     x = np.asarray(activations, dtype=np.float32)
-    absmax = float(np.abs(x).max()) if x.size else 0.0
+    scratch = Scratch() if scratch is None else scratch
+    out = scratch.take("w4a8", x.shape, np.float32)
+    absmax = float(np.abs(x, out=out).max()) if x.size else 0.0
     if absmax == 0.0:
-        return x.copy()
+        np.copyto(out, x)
+        return out
     scale = absmax / E4M3_MAX
-    mag = round_e4m3(np.abs(x).astype(np.float64) / scale) * scale
-    return np.copysign(mag, x.astype(np.float64)).astype(np.float32)
+    mag = scratch.take("activations", x.shape)
+    np.abs(x, out=mag)
+    np.divide(mag, scale, out=mag)
+    round_e4m3_into(mag, scratch.take("difference", x.shape), out.view(np.intc))
+    np.multiply(mag, scale, out=mag)
+    np.copysign(mag, x, out=mag)
+    np.copyto(out, mag, casting="same_kind")
+    return out
 
 
 def bits_per_weight(
@@ -329,13 +377,19 @@ def parallel_map(fn, items, threads: int, fork: bool = False, consume=None) -> l
 _BLOCK = 1 << 16
 
 
+def _row_blocks(shape):
+    """Row slices of a layer of `shape`, each about `_BLOCK` values and at least a row."""
+    step = max(1, _BLOCK // shape[1])
+    return (slice(a, a + step) for a in range(0, shape[0], step))
+
+
 def _by_row_blocks(shape, fn) -> list:
     """The arrays `fn(rows)` returns for a layer of `shape`, filled a row block at a time.
 
-    A block is about `_BLOCK` values and at least a row.  Exact where `fn` works by row.
+    Exact where `fn` works by row.
     """
-    step, out = max(1, _BLOCK // shape[1]), None
-    for rows in (slice(a, a + step) for a in range(0, shape[0], step)):
+    out = None
+    for rows in _row_blocks(shape):
         parts = fn(rows)
         if out is None:
             out = [np.empty((shape[0],) + p.shape[1:], p.dtype) for p in parts]
@@ -385,50 +439,71 @@ def score(
     p: PackedLayer,
     output_activations: np.ndarray | None = None,
     col_importance: np.ndarray | None = None,
+    scratch: Scratch | None = None,
 ) -> LayerMetrics:
-    """`layer_metrics` of a packed layer against the layer it was quantized from."""
-    w_hat = reconstruct(p)
-    if w_hat.shape != bundle.weights.shape:
-        raise PairingError(
-            f"packed layer {bundle.name!r} shape {w_hat.shape} does not match "
-            f"archive shape {bundle.weights.shape}"
-        )
+    """`layer_metrics` of a packed layer against the layer it was quantized from.
+
+    Each row block is decoded by `dequantize`, as `reconstruct` decodes it,
+    and `decoded - weights` goes straight into the float64 difference buffer
+    of `scratch` (a fresh one when none is given).  No whole-layer decode is
+    made: the float32 block keeps the decoder's rounding, and both operands
+    widen exactly, so the difference is the one of the whole-layer decode.
+    """
+    scratch = Scratch() if scratch is None else scratch
+    d = _difference_from_pack(bundle, p, scratch)
     return layer_metrics(
-        bundle, p.method, w_hat, p.group_size, p.sel_size, p.table_size,
-        output_activations=output_activations, col_importance=col_importance,
+        bundle, p.method, d, p.group_size, p.sel_size, p.table_size,
+        output_activations=output_activations, col_importance=col_importance, scratch=scratch,
     )
 
 
-def _run_method(bundle: LayerBundle, method: str, cfg: AaacConfig, col_importance=None):
+def _difference_from_pack(bundle: LayerBundle, p: PackedLayer, scratch: Scratch) -> np.ndarray:
+    """`reconstruct(p) - bundle.weights` in float64, on `scratch`'s difference buffer."""
+    w = bundle.weights
+    t0, t1, sel, codes, scales = unpack(p)
+    if codes.shape != w.shape:
+        raise PairingError(
+            f"packed layer {bundle.name!r} shape {codes.shape} does not match "
+            f"archive shape {w.shape}"
+        )
+    d = scratch.take("difference", w.shape)
+    for r in _row_blocks(w.shape):
+        np.copyto(d[r], dequantize(codes[r], scales[r], t0, t1, sel[r], p.group_size, p.sel_size))
+        d[r] -= w[r]
+    return d
+
+
+def _run_method(bundle: LayerBundle, method: str, cfg: AaacConfig, col_importance, scratch):
     """`compare`'s task: quantize one layer with one method and score the pack."""
     packed, _ = quantize_layer(bundle, method, cfg, col_importance)
-    return score(bundle, packed, col_importance=col_importance)
+    return score(bundle, packed, col_importance=col_importance, scratch=scratch)
 
 
 def layer_metrics(
     bundle: LayerBundle,
     method: str,
-    w_hat: np.ndarray,
+    difference: np.ndarray,
     group_size: int,
     sel_size: int,
     table_size: int,
-    output_activations: np.ndarray | None = None,
-    col_importance: np.ndarray | None = None,
+    output_activations: np.ndarray | None,
+    col_importance: np.ndarray | None,
+    scratch: Scratch,
 ) -> LayerMetrics:
-    """Metrics for one reconstructed layer.
+    """Metrics for one layer from its float64 difference `What - W`.
 
-    Importance weighting always uses the bundle's calibration activations
-    (`layer_importance`, or `col_importance` when the caller has it already);
-    `output_activations` substitutes the activations used for the output-MSE
-    metric (for simulated low-precision inference).
+    The output MSE reads `difference`, which is then squared in place for
+    the other errors.  Importance weighting always uses the bundle's
+    calibration activations (`layer_importance`, or `col_importance` when
+    the caller has it already); `output_activations` substitutes the
+    activations used for the output-MSE metric (for simulated low-precision
+    inference).  The output MSE's buffers are `scratch`'s.
     """
     w = bundle.weights
     imp = layer_importance(bundle) if col_importance is None else col_importance
     x_out = output_activations if output_activations is not None else bundle.activations
-    # One difference array: the output MSE reads it, then it is squared in place.
-    d = _difference(w, w_hat)
-    output_mse = _output_mse(d, x_out) if x_out is not None else None
-    mse, weighted_err = _error_sums(d, imp)
+    output_mse = _output_mse(difference, x_out, scratch) if x_out is not None else None
+    mse, weighted_err = _error_sums(difference, imp)
     return LayerMetrics(
         layer=bundle.name,
         method=method,
@@ -479,6 +554,7 @@ def compare(
     `eval` decodes it.  One task per layer loads it with `load`, computes its
     importance once and runs every method, on one of `threads` workers
     (forked when `runs_forked(methods)`); the report is the same either way.
+    Each worker scores on its own buffers of one `Scratch`, dropped on return.
     """
     methods = sorted({m.lower() for m in methods})
     for m in methods:
@@ -488,11 +564,13 @@ def compare(
     for layer in bundles:
         check_header(layer.name, cfg.group_size, cfg.sel_size)
 
+    scratch = Scratch()
+
     def layer_rows(layer):
         bundle = load(layer)
         with naming_layer(bundle.name):
             imp = layer_importance(bundle)
-            return [_run_method(bundle, m, cfg, imp) for m in methods]
+            return [_run_method(bundle, m, cfg, imp, scratch) for m in methods]
 
     per_layer = parallel_map(layer_rows, bundles, threads, fork=runs_forked(methods))
     return report([row for rows in per_layer for row in rows])

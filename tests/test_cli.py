@@ -18,7 +18,9 @@ from aaacq.grids import INT4, NVFP4
 from aaacq.metrics import quantize_layer
 from aaacq.packfmt import _HEADER, MAGIC, PackReader, model_to_bytes, read_pack
 from aaacq.quantizers import dequantize_rtn, rtn_quantize
-from aaacq.tensors import TensorArchive, read_tensors, write_tensors
+from aaacq.tensors import (
+    SynthSpec, TensorArchive, read_tensors, save_tensor_archive, synth_layer, write_tensors,
+)
 
 
 def run(*argv):
@@ -388,6 +390,27 @@ class TestCompare:
         lines = path.read_text().strip().split("\n")
         assert len(lines) == 3  # header + 2 layers
 
+
+    def test_one_worker_two_and_eval_write_the_same_bytes(self, tmp_path):
+        # Big, small and big layers, so each worker's scratch grows and is reused.
+        path, pack_path = tmp_path / "mixed.safetensors", tmp_path / "m.aaacq"
+        save_tensor_archive(path, [
+            synth_layer(SynthSpec(kind, rows, cols, 16, seed=i), name=f"layer{i}")
+            for i, (kind, rows, cols) in enumerate([
+                ("mixture", 24, 512), ("laplace", 8, 128), ("gaussian", 32, 768),
+                ("mixture", 4, 256), ("laplace", 16, 512),
+            ])
+        ])
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"compare{threads}.json"
+            assert run("compare", path, "--methods", "rtn", "--threads", threads,
+                       "--json", "--out", out) == 0
+            reports.append(out.read_bytes())
+        assert run("quantize", path, "--out", pack_path, "--method", "rtn") == 0
+        assert run("eval", pack_path, path, "--json", "--out", tmp_path / "eval.json") == 0
+        reports.append((tmp_path / "eval.json").read_bytes())
+        assert reports[0] == reports[1] == reports[2]
 
     @pytest.mark.parametrize("method", ["rtn", "if4", "aaac"])
     @pytest.mark.parametrize("flags", [

@@ -1,12 +1,15 @@
 """Output-error metrics, gap recovery, FP8 activation simulation, compare."""
 
+import gc
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from aaacq import metrics
+from aaacq.cli import main
 from aaacq.codebooks import AaacConfig, importance, weighted_error
 from aaacq.errors import UndefinedGapError, ValidationError
 from aaacq.grids import INT4, NVFP4, round_bf16
@@ -22,7 +25,7 @@ from aaacq.metrics import (
 )
 from aaacq.packfmt import layer_to_bytes, pack, unpack
 from aaacq.quantizers import dequantize, if4_quantize, if4_tables, rtn_quantize
-from aaacq.tensors import LayerBundle, SynthSpec, synth_layer
+from aaacq.tensors import LayerBundle, SynthSpec, save_tensor_archive, synth_layer
 
 
 class TestLayerOutputMse:
@@ -131,6 +134,24 @@ class TestSimulateW4a8:
             x.astype(np.float64), where=normal, out=np.ones_like(x, dtype=np.float64)
         )
         assert rel[normal].max() <= 2.0**-3
+
+    def test_matches_the_whole_tensor_formula_on_any_magnitude(self):
+        # Tiny, subnormal and +-3e38 inputs, in tensors of several shapes
+        # through one scratch, against the formula on whole-tensor temporaries.
+        def whole(x):
+            scale = float(np.abs(x).max()) / 448.0
+            a = np.abs(x).astype(np.float64) / scale
+            quantum = np.ldexp(1.0, np.maximum(np.frexp(a)[1] - 1, -6) - 3)
+            mag = np.minimum(np.rint(a / quantum) * quantum, 448.0) * scale
+            return np.copysign(mag, x.astype(np.float64)).astype(np.float32)
+
+        rng = np.random.default_rng(8)
+        scratch = metrics.Scratch()
+        for shape, low, high in (((32, 64), -45, -30), ((8, 16), -45, 38), ((48, 96), -3, 38.5)):
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(low, high, shape)
+            x = np.clip(x, -3e38, 3e38).astype(np.float32)
+            x[0, :3] = (1e-45, -3e38, 0.0)
+            assert _same_array(simulate_w4a8(x, scratch), whole(x))
 
     def test_sign_preserved(self):
         rng = np.random.default_rng(6)
@@ -313,11 +334,21 @@ class TestRowBlocks:
         assert _same_array(w_hat, _whole_decode(p))
         assert np.abs(w_hat).max() == np.float32(FLT_MAX)
 
-    @pytest.mark.parametrize("method", ["rtn", "if4"])
-    def test_layer_metrics_equal_the_whole_layer_formulas(self, method):
-        b = synth_layer(SynthSpec("mixture", 24, 256, 16, seed=7), name="m")
-        p, _ = quantize_layer(b, method, AaacConfig.for_format(NVFP4))
-        w64, h64 = b.weights.astype(np.float64), reconstruct(p).astype(np.float64)
+    @pytest.mark.parametrize("case", [
+        "rtn", "if4", "subnormal-scales", "saturating", "aaac-int4-bitset", "ragged-last-block",
+    ])
+    def test_layer_metrics_equal_the_whole_layer_formulas(self, monkeypatch, case):
+        # Blocks of 8 rows of 256 values; the formulas read the whole-layer decode.
+        monkeypatch.setattr(metrics, "_BLOCK", 8 * 256)
+        b, p = _scored_pack(case)
+        h = _whole_decode(p)
+        if case == "subnormal-scales":  # entry * scale falls below float32's normal range
+            assert ((h != 0) & (np.abs(h) < np.finfo(np.float32).tiny)).sum() > 100
+        if case == "saturating":
+            assert np.abs(h).max() == np.float32(FLT_MAX)
+        if case == "ragged-last-block":
+            assert b.rows % 8 != 0
+        w64, h64 = b.weights.astype(np.float64), h.astype(np.float64)
         x = b.activations.astype(np.float64)
         for row, x_out in ((score(b, p), x), (score(b, p, output_activations=x[:5]), x[:5])):
             d = w64 - h64
@@ -325,6 +356,89 @@ class TestRowBlocks:
             assert row.weighted_err == float((d * d * importance(b.activations)).sum())
             e = x_out @ (h64 - w64).T
             assert row.output_mse == float((e * e).sum() / x_out.shape[0])
+
+
+def _scored_pack(case):
+    """(bundle, pack) of one case of `test_layer_metrics_equal_the_whole_layer_formulas`."""
+    if case in ("rtn", "if4", "ragged-last-block"):
+        rows = 27 if case == "ragged-last-block" else 24
+        b = synth_layer(SynthSpec("mixture", rows, 256, 16, seed=7), name="m")
+        return b, quantize_layer(b, "rtn" if rows == 27 else case, AaacConfig.for_format(NVFP4))[0]
+    if case == "aaac-int4-bitset":  # -g 128 -S 16
+        b = synth_layer(SynthSpec("mixture", 24, 256, 16, seed=8), name="m")
+        p = quantize_layer(b, "aaac", AaacConfig.for_format(INT4, sel_size=16))[0]
+        assert p.has_bitset
+        return b, p
+    # Random BF16 tables, codes and sign-bit selections.  Scales near BF16's
+    # smallest subnormal 2**-133 times entries down to 1e-4 give products
+    # that float32 rounds; scales up to 2**127 saturate 16 * scale.
+    rng = np.random.default_rng(len(case))
+    rows, cols, g = 16, 256, 16
+    spread = 10.0 ** rng.uniform(-4, 1, 15) if case == "subnormal-scales" else 4.0
+    t0, t1 = (np.sort(round_bf16(np.append(rng.standard_normal(15) * spread, 16.0)))
+              for _ in range(2))
+    codes = rng.integers(0, 16, (rows, cols)).astype(np.uint8)
+    sel = rng.integers(0, 2, (rows, cols // g)).astype(np.uint8)
+    if case == "subnormal-scales":
+        scales = round_bf16((2.0 ** rng.uniform(-133, -120, (rows, cols // g))).astype(np.float32))
+        w = (rng.standard_normal((rows, cols)) * 2.0 ** -128).astype(np.float32)
+    else:
+        scales = round_bf16((2.0 ** rng.uniform(-30, 127, (rows, cols // g))).astype(np.float32))
+        scales[-1, -1], codes[-1, -1] = 2.0 ** 127, 15  # 16 * 2**127 saturates
+        w = _weights(rows, cols, 1)
+    x = rng.standard_normal((16, cols)).astype(np.float32)
+    p = pack(t0, t1, sel, codes, scales, kind="int4", group_size=g, sel_size=g)
+    return LayerBundle("m", w, x), p
+
+
+class TestScratch:
+    """One scratch serves a worker's layers: reused, exact, and gone with its command."""
+
+    def test_a_second_same_shape_layer_reuses_the_buffers(self):
+        cfg = AaacConfig.for_format(NVFP4)
+        a, b = (synth_layer(SynthSpec("laplace", 64, 1024, 32, seed=s), name="l") for s in (0, 1))
+        pa, pb = (quantize_layer(layer, "rtn", cfg)[0] for layer in (a, b))
+        scratch = metrics.Scratch()
+        first = TestWithinLayerPeak._peak(lambda: score(a, pa, scratch=scratch))
+        second = TestWithinLayerPeak._peak(lambda: score(b, pb, scratch=scratch))
+        assert first - second >= 8 * a.rows * a.cols
+
+    def test_big_small_big_layers_score_as_on_a_fresh_scratch(self):
+        cfg = AaacConfig.for_format(NVFP4)
+        scratch = metrics.Scratch()
+        for i, (rows, cols, tokens) in enumerate([(48, 512, 32), (8, 128, 8), (40, 768, 48)]):
+            b = synth_layer(SynthSpec("mixture", rows, cols, tokens, seed=i), name=f"l{i}")
+            for method in ("rtn", "if4"):
+                p, _ = quantize_layer(b, method, cfg)
+                assert score(b, p, scratch=scratch) == score(b, p)
+                # The W4A8 result survives the scoring that borrows its work arrays.
+                x_out = simulate_w4a8(b.activations, scratch)
+                assert _same_array(x_out, simulate_w4a8(b.activations))
+                want = score(b, p, output_activations=simulate_w4a8(b.activations))
+                assert score(b, p, output_activations=x_out, scratch=scratch) == want
+
+    def test_no_buffer_outlives_eval(self, monkeypatch, tmp_path):
+        taken = []
+        take = metrics.Scratch.take
+
+        def spy(self, name, shape, dtype=np.float64):
+            out = take(self, name, shape, dtype)
+            taken.append(weakref.ref(out.base))
+            return out
+
+        monkeypatch.setattr(metrics.Scratch, "take", spy)
+        arch, pack_path = tmp_path / "a.safetensors", tmp_path / "m.aaacq"
+        save_tensor_archive(arch, [
+            synth_layer(SynthSpec("laplace", 16, 256, 8, seed=i), name=f"layer{i}")
+            for i in range(3)
+        ])
+        assert main(["quantize", str(arch), "--out", str(pack_path), "--method", "rtn"]) == 0
+        for flags in ([], ["--w4a8"]):
+            assert main(["eval", str(pack_path), str(arch), "--json",
+                         "--out", str(tmp_path / "r.json"), *flags]) == 0
+        gc.collect()
+        assert len(taken) >= 3 * 3 + 3 * 5
+        assert all(ref() is None for ref in taken)
 
 
 class TestWithinLayerPeak:
