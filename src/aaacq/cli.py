@@ -33,11 +33,22 @@ def _resolve_config(args) -> tuple[codebooks.AaacConfig, int]:
         n_inner=args.iters_inner,
         scale_mode=args.scale_mode,
     )
-    return cfg, args.threads or os.cpu_count() or 1
+    return cfg, args.threads or _usable_cpus()
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on where the platform tells (`taskset`
+    or a cpuset can make them fewer than the machine's), else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _log(msg: str) -> None:
-    print(msg, file=sys.stderr)
+    # One write per line: forked workers share the stream, and `print` writes
+    # the line and its end apart, so their lines could interleave.
+    sys.stderr.write(msg + "\n")
+    sys.stderr.flush()
 
 
 def _check_paths(inputs=(), outputs=()) -> None:
@@ -291,7 +302,7 @@ def _add_quant_flags(p: argparse.ArgumentParser) -> None:
                    choices=["exact-bf16", "emulate-e4m3"],
                    help="scale storage rounding (default exact-bf16)")
     p.add_argument("--threads", type=int, default=0,
-                   help="workers for per-layer work (default: all cores): forked "
+                   help="workers for per-layer work (default: every usable core): forked "
                         "processes when aaac runs, else threads")
 
 

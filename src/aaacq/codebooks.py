@@ -51,12 +51,15 @@ the search uses the sorted order.  Summing in sorted order (with
 `np.add.reduceat`, say) would save the scatter but rounds differently, so
 the float64 tables, the objective trace and in the end the packed bytes
 would depend on the sort.  Taking those sums a block at a time changes no
-bit: `np.add.at` adds in index order into running float64 sums, as one
-`np.bincount` does, and numpy's float64 `.sum()` of a contiguous array
-follows a pairwise tree that depends only on its length, so the sums of the
-tree's leaves, combined in tree order, are the whole sum (`_leaves`,
-`_fold`).  The tests pin both properties of numpy, and `np.quantile`'s
-linear method, which `init_tables` follows on the sorted copy.
+bit: `np.add.at` adds in index order into running sums, as one `np.bincount`
+does, and numpy's float64 `.sum()` of a contiguous array follows a pairwise
+tree that depends only on its length, so the sums of the tree's leaves,
+combined in tree order, are the whole sum (`_leaves`, `_fold`).  Both Lloyd
+sums are one `np.add.at` into complex128 sums, the weighted values in the
+real parts and the weights in the imaginary ones: a complex addition adds
+each part as float64 does.  The tests pin these properties of numpy, and
+`np.quantile`'s linear method, which `init_tables` follows on the sorted
+copy.
 
 Memory follows the layer's size in a few bytes per weight, and no step
 makes a full-size temporary it does not keep.  Members are whole selection
@@ -69,10 +72,14 @@ time.  For the inner steps of a round the normalized weights are put in
 member order in place, whole groups at a time, and back before the next
 assignment; the smaller part waits in a copy meanwhile.  Each inner step is
 one pass over the members a block at a time (`_Pass`) that reads the
-importances through the groups.  Per weight, an inner step then holds the
-sorted values (8 bytes), their positions (4), the member values (8), the
-codes (1) and the group layout (25 bytes per group): about 23 bytes for
-groups of 16, and at most 4 more while the weights are reordered.
+importances through the groups.  It takes the weighted error only on the
+steps whose objective is asked for: all of them for `learn`'s full trace,
+the last one for `quantize` and `compare`, which read no other.  A round's
+last step whose error is not asked for takes no pass, as no sums follow it.
+Per weight, an inner step then holds the sorted values (8 bytes), their
+positions (4), the member values (8), the codes (1) and the group layout
+(25 bytes per group): about 23 bytes for groups of 16, and at most 4 more
+while the weights are reordered.
 Measured, one nvfp4 learn peaks at 7.1 times its float32 layer under
 tracemalloc on 256x2048, where the pass's fixed 2 MiB of block buffers is
 one layer's worth, and at 1.12 GiB of RSS above its start (6.7 times the
@@ -157,7 +164,9 @@ class LearnResult:
     selection: np.ndarray   # uint8, (rows, cols / sel_size)
     codes: np.ndarray       # uint8, (rows, cols)
     scales: np.ndarray      # float32, (rows, cols / group_size)
-    trace: np.ndarray = field(repr=False)  # float64 objective after each step
+    # float64 objective after each step; NaN at the inner steps but the last
+    # unless `learn` is asked for the full trace
+    trace: np.ndarray = field(repr=False)
 
 
 # Columns per block of `importance`, which holds one T x 256 float64 block.
@@ -548,20 +557,32 @@ def _fold(n: int, sums) -> float:
     return _fold(h, sums) + _fold(n - h, sums)
 
 
+def _products(i, v, z) -> np.ndarray:
+    """`z` filled with the Lloyd sums' terms `i * v + i j`."""
+    z.imag = i
+    np.multiply(i, v, out=z.real)
+    return z
+
+
 class _Pass:
     """One round's inner-step pass over its members, a block at a time.
 
     Each pass reads every member's code, value and importance once, for the
-    weighted squared error under the tables the last step made and for the
-    sums of the next step.  No pass holds a member-sized temporary.
+    weighted squared error under the tables the last step made, when asked,
+    and for the sums of the next step.  No pass holds a member-sized
+    temporary.
 
     A block is a run of consecutive `_leaves` of each table's member range,
     `_LEAF` values at most, so each range's error is its `.sum()` folded from
-    the leaves' sums, bit for bit.  `np.add.at` adds the Lloyd sums in
-    member order, as one `np.bincount` over every member would.  Importances
-    are gathered per block through `members.groups`, a group's being those
-    of its columns in any row; when the members fit one block, its
-    importances and products are gathered once for the round.
+    the leaves' sums, bit for bit.  Both Lloyd sums are one `np.add.at` in
+    member order into complex128 sums, `i * v` the real part and `i` the
+    imaginary one: a complex addition adds each part as float64 does, so each
+    is what one `np.bincount` over every member gives.  The complex block
+    shares its memory with the error's two float64 blocks, which are free
+    once their sums are taken.  Importances are gathered per block through
+    `members.groups`, a group's being those of its columns in any row; when
+    the members fit one block, its complex products are formed once for the
+    round.
     """
 
     def __init__(self, members: _Members, values, col_importance):
@@ -584,12 +605,14 @@ class _Pass:
         width = max(b - a for a, b, _ in self.blocks)
         self.codes = np.empty(width, dtype=np.intp)  # np.add.at is faster on intp than uint8
         self.imp_rows = np.empty((width // members.sel_size + 2, members.sel_size))
-        self.d, self.e = np.empty(width), np.empty(width)
+        self.z = np.empty(width, dtype=np.complex128)
+        halves = self.z.view(np.float64)
+        self.d, self.e = halves[:width], halves[width:]
         self.kept = None
         if len(self.blocks) == 1:  # then every step reads the same importances and products
             a, b, _ = self.blocks[0]
-            i = self._importances(a, b)
-            self.kept = i, i * values[a:b]
+            z = np.empty(b - a, dtype=np.complex128)
+            self.kept = _products(self._importances(a, b), values[a:b], z)
 
     def _importances(self, a: int, b: int) -> np.ndarray:
         """The importances of members `a:b`, gathered a group row at a time."""
@@ -602,13 +625,13 @@ class _Pass:
     def __call__(self, table, error: bool = True, sums: bool = True):
         """(The members' weighted squared error under `table`, summed per
         table's members then added, or None; the Lloyd sums, or None)."""
-        num, den = np.zeros(table.size), np.zeros(table.size)
+        acc = np.zeros(table.size, dtype=np.complex128)
         leaf_sums = []
         for a, b, leaves in self.blocks:
             c, d, e = self.codes[: b - a], self.d[: b - a], self.e[: b - a]
             c[...] = self.members.codes[a:b]
-            v = self.values[a:b]
-            i, products = self.kept or (self._importances(a, b), None)
+            v, z = self.values[a:b], self.kept
+            i = self._importances(a, b) if z is None else z.imag
             if error:
                 table.take(c, out=d, mode="clip")
                 np.subtract(v, d, out=d)
@@ -616,26 +639,28 @@ class _Pass:
                 e *= d
                 leaf_sums += [e[x:y].sum() for x, y in leaves]
             if sums:
-                if products is None:  # `e` is free once its sums are taken
-                    products = np.multiply(i, v, out=e)
-                np.add.at(num, c, products)
-                np.add.at(den, c, i)
+                if z is None:  # in the memory of `d` and `e`, free once their sums are taken
+                    z = _products(i, v, self.z[: b - a])
+                np.add.at(acc, c, z)
         total = None
         if error:
             leaf_sums = iter(leaf_sums)
             total = float(_fold(self.parts[0], leaf_sums)) + float(_fold(self.parts[1], leaf_sums))
-        return total, (num, den) if sums else None
+        return total, (acc.real, acc.imag) if sums else None
 
 
-def _lloyd_steps(members: _Members, tables, values, col_importance, n_inner: int, error=True):
-    """Yields the tables, and the members' weighted squared error under them
-    (None unless `error`), after each of `n_inner` Lloyd steps.
+def _lloyd_steps(members: _Members, tables, values, col_importance, n_inner: int, errors=None):
+    """Yields the tables after each of `n_inner` Lloyd steps, and the
+    members' weighted squared error under them on the steps `errors` names
+    (every step when None), else None.
 
     `tables` stacks one table per part of `members`; `values` are the
-    members' values in member order, and `members.codes` follows every step.  A step moves
-    each entry to the weighted centroid of its cell; cells with zero total
-    weight keep their entry.
+    members' values in member order.  A step moves each entry to the
+    weighted centroid of its cell; cells with zero total weight keep their
+    entry.  `members.codes` follows every step but a last one whose error is
+    not asked for: its codes would feed no pass.
     """
+    errors = range(n_inner) if errors is None else errors
     run = _Pass(members, values, col_importance)
     _, sums = run(tables.ravel(), error=False)
     for k in range(n_inner):
@@ -644,8 +669,11 @@ def _lloyd_steps(members: _Members, tables, values, col_importance, n_inner: int
         # A centroid can round past an untouched neighbour (a constant
         # cell, say), so each table is re-sorted before the next search.
         tables = np.sort(step.reshape(tables.shape), axis=1)
-        members.move(tables)
-        total, sums = run(tables.ravel(), error, sums=k + 1 < n_inner)
+        error, more = k in errors, k + 1 < n_inner
+        total = None
+        if error or more:
+            members.move(tables)
+            total, sums = run(tables.ravel(), error, sums=more)
         yield tables, total
 
 
@@ -666,7 +694,7 @@ def kmeans_update(table, values, weights, n_inner: int) -> np.ndarray:
     cells = _SortedCells.of(v)
     # Each value is a selection group of one, and its weight its column's importance.
     members = _Members(cells, np.zeros(v.size, dtype=bool), t, [cells.codes(t[0])])
-    for t, _ in _lloyd_steps(members, t, v, w, n_inner, error=False):
+    for t, _ in _lloyd_steps(members, t, v, w, n_inner, errors=()):
         pass
     return t[0]
 
@@ -675,6 +703,7 @@ def learn(
     bundle: LayerBundle,
     cfg: AaacConfig,
     col_importance: np.ndarray | None = None,
+    full_trace: bool = True,
 ) -> LearnResult:
     """Learn two codebooks, the per-group selection, and the codes for a layer.
 
@@ -689,6 +718,9 @@ def learn(
     after the assignment step and after every inner k-means iteration.  No
     step raises it in exact arithmetic, but rounding can: a centroid of equal
     values may round off them.  The final BF16 rounding is not recorded.
+    Without `full_trace` the trace keeps its length, the assignment steps'
+    objectives and the last step's, but holds NaN at the other inner steps,
+    whose errors are then not computed; nothing else changes.
 
     `col_importance` overrides the activation-derived importance when given.
     """
@@ -717,7 +749,7 @@ def learn(
     trace = []
     sel = cfg.sel_size
 
-    for _ in range(cfg.n_outer):
+    for r in range(cfg.n_outer):
         codes0, codes1, sigma, objective = _assign(cells, w_norm, imp, t0, t1, sel)
         trace.append(objective)
 
@@ -727,8 +759,9 @@ def learn(
         # The member values are w_norm's own numbers: it is put in member
         # order for the inner steps and back for the next assignment.
         members.arrange(w_norm)
-        for t, error in _lloyd_steps(members, t, w_norm.reshape(-1), imp, cfg.n_inner):
-            trace.append(error)
+        errors = None if full_trace else (cfg.n_inner - 1,) if r + 1 == cfg.n_outer else ()
+        for t, error in _lloyd_steps(members, t, w_norm.reshape(-1), imp, cfg.n_inner, errors):
+            trace.append(np.nan if error is None else error)
         members.restore(w_norm)
         t0, t1 = t
         del members

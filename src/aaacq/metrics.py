@@ -402,6 +402,8 @@ def quantize_layer(bundle: LayerBundle, method: str, cfg: AaacConfig, col_import
     """Quantize one layer with one method; returns (packed layer, learner trace).
 
     The trace is None for rtn and if4, which run one row block at a time.
+    For aaac it holds only what `quantize` logs, its first and last values
+    and its length: the other inner steps' errors are not computed.
     `col_importance`, when given, is the layer's `layer_importance`.
     """
     w, g, mode = bundle.weights, cfg.group_size, cfg.scale_mode
@@ -415,7 +417,7 @@ def quantize_layer(bundle: LayerBundle, method: str, cfg: AaacConfig, col_import
         t0, t1 = if4_tables()
         kind = "nvfp4"
     elif method == "aaac":
-        res = learn(bundle, cfg, col_importance)
+        res = learn(bundle, cfg, col_importance, full_trace=False)
         t0, t1, sel, codes, scales = res.table0, res.table1, res.selection, res.codes, res.scales
         sel_size, trace = cfg.sel_size, res.trace
     else:

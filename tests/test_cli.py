@@ -12,8 +12,8 @@ import pytest
 
 import aaacq
 from aaacq import metrics
-from aaacq.cli import main
-from aaacq.codebooks import AaacConfig
+from aaacq.cli import _resolve_config, build_parser, main
+from aaacq.codebooks import AaacConfig, learn
 from aaacq.grids import INT4, NVFP4
 from aaacq.metrics import quantize_layer
 from aaacq.packfmt import _HEADER, MAGIC, PackReader, model_to_bytes, read_pack
@@ -210,6 +210,29 @@ class TestQuantize:
         assert run("quantize", archive, "--out", out, "--method", "aaac",
                    "--format", "nvfp4", "--scale-mode", "emulate-e4m3") == 0
         assert len(read_pack(out)) == 2
+
+    def test_objective_lines_read_the_full_trace(self, tmp_path, archive):
+        # `quantize` learns without the full trace; each layer's line must
+        # still give the full trace's first and last objectives and length.
+        cfg = AaacConfig.for_format(NVFP4)
+        want = []
+        for bundle in load_bundles(archive):
+            trace = learn(bundle, cfg).trace
+            want.append(f"  {bundle.name}: objective {trace[0]:.6e} -> {trace[-1]:.6e} "
+                        f"({trace.size} steps)")
+        for threads in ("1", "2"):
+            err = _python("-m", "aaacq.cli", "quantize", str(archive), "--out",
+                          str(tmp_path / f"m{threads}.aaacq"), "--method", "aaac",
+                          "--threads", threads).stderr
+            # Forked workers log as they finish, so the lines come in any order.
+            assert sorted(x for x in err.splitlines() if " objective " in x) == want
+
+    def test_default_worker_count_is_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        for threads, want in (("0", 1), ("3", 3)):
+            args = build_parser().parse_args(["compare", "--threads", threads])
+            assert _resolve_config(args)[1] == want
 
     @pytest.mark.parametrize("flag", ["-3", "-1"])
     def test_negative_worker_count_is_rejected(self, tmp_path, capsys, archive, flag):
@@ -441,7 +464,7 @@ def _python(*argv, **env_vars):
     env.update(env_vars, PYTHONPATH=os.path.dirname(os.path.dirname(aaacq.__file__)))
     proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
 
 
 class TestBlasThreads:
@@ -479,7 +502,7 @@ class TestBlasThreads:
 
     def test_importing_aaacq_leaves_the_environment_alone(self):
         show = "import aaacq, os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
-        assert _python("-c", show).split() == ["None"]
+        assert _python("-c", show).stdout.split() == ["None"]
 
     def test_reports_do_not_depend_on_blas_threads(self, tmp_path):
         # Large enough that OpenBLAS splits the output-error products.

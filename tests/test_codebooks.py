@@ -453,16 +453,31 @@ class TestInnerPass:
         assert float(got).hex() == float(x.sum()).hex()
 
     def test_blockwise_add_at_equals_bincount(self):
+        # `_Pass` takes both Lloyd sums as the parts of one complex add.at.
         rng = np.random.default_rng(3)
         leaf = codebooks._LEAF
         codes = rng.integers(0, 32, 3 * leaf + 5).astype(np.uint8)
         w = rng.standard_normal(codes.size) * 10.0 ** rng.uniform(-8, 8, codes.size)
-        want = np.bincount(codes, weights=w, minlength=32)
-        for dtype in (np.uint8, np.intp):
-            got = np.zeros(32)
-            for a in range(0, codes.size, leaf):
-                np.add.at(got, codes[a : a + leaf].astype(dtype), w[a : a + leaf])
-            assert got.tobytes() == want.tobytes(), dtype
+        i = rng.uniform(0.0, 2.0, codes.size) * 10.0 ** rng.uniform(-8, 8, codes.size)
+        z = np.empty(codes.size, dtype=np.complex128)
+        z.real, z.imag = w, i
+        cells = np.concatenate((np.arange(32), codes))
+        for start in (np.zeros(32), rng.standard_normal(32) * 10.0 ** rng.uniform(-8, 8, 32)):
+            # A running start adds first, as a leading value of each cell.
+            want = [
+                np.bincount(cells, weights=np.concatenate((start, x)), minlength=32)
+                for x in (w, i)
+            ]
+            for dtype in (np.uint8, np.intp):
+                got, both = start.copy(), np.empty(32, dtype=np.complex128)
+                both.real = both.imag = start
+                for a in range(0, codes.size, leaf):
+                    c = codes[a : a + leaf].astype(dtype)
+                    np.add.at(got, c, w[a : a + leaf])
+                    np.add.at(both, c, z[a : a + leaf])
+                assert got.tobytes() == want[0].tobytes(), dtype
+                assert both.real.tobytes() == want[0].tobytes(), dtype
+                assert both.imag.tobytes() == want[1].tobytes(), dtype
 
     @staticmethod
     def whole_array_steps(members, tables, values, importances, n_inner):
@@ -512,6 +527,59 @@ class TestInnerPass:
             assert e_got.hex() == e_want.hex()
         assert fused.codes.tobytes() == whole.codes.tobytes()
 
+
+class TestPartialTrace:
+    """`learn(..., full_trace=False)` skips the inner errors and changes nothing else."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Each `_Pass` call as (error, sums, members per table)."""
+        seen, call = [], codebooks._Pass.__call__
+
+        def spy(run, table, error=True, sums=True):
+            seen.append((error, sums, run.parts))
+            return call(run, table, error, sums)
+
+        monkeypatch.setattr(codebooks._Pass, "__call__", spy)
+        return seen
+
+    @pytest.mark.parametrize(
+        "rows, cols, cfg",
+        [
+            (96, 4096, AaacConfig.for_format(NVFP4, sel_size=8)),
+            (16, 256, AaacConfig.for_format(INT4, group_size=128, sel_size=16)),
+            (16, 256, AaacConfig.for_format(NVFP4, sel_size=8, n_inner=1)),
+            (16, 256, AaacConfig.for_format(INT4, group_size=128, sel_size=16, n_outer=1)),
+        ],
+        ids=["multi-block-nvfp4-S8", "one-block-int4-g128-S16", "n_inner-1", "n_outer-1"],
+    )
+    def test_only_the_skipped_steps_differ(self, rows, cols, cfg, passes):
+        bundle = make_bundle(7, rows=rows, cols=cols)
+        full = learn(bundle, cfg)
+        if rows == 96:  # every table's members span several blocks
+            assert min(n for _, _, parts in passes for n in parts) > 2**17
+        part = learn(bundle, cfg, full_trace=False)
+        for f in dataclasses.fields(LearnResult):
+            a, b = getattr(full, f.name), getattr(part, f.name)
+            if f.name != "trace":
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+        assert part.trace.shape == full.trace.shape == (cfg.n_outer * (cfg.n_inner + 1),)
+        kept = np.zeros(full.trace.size, dtype=bool)
+        kept[:: cfg.n_inner + 1] = kept[-1] = True  # the assignment steps and the last step
+        assert part.trace[kept].tobytes() == full.trace[kept].tobytes()
+        assert np.isnan(part.trace[~kept]).all() and not np.isnan(full.trace).any()
+
+    def test_pass_counts(self, passes):
+        bundle, cfg = make_bundle(1, rows=16, cols=256), AaacConfig.for_format(NVFP4)
+        learn(bundle, cfg)
+        full = len(passes)
+        learn(bundle, cfg, full_trace=False)
+        assert (full, len(passes) - full) == (33, 31)
+        # Each round's last step takes a pass only for its error.
+        assert all(error or sums for error, sums, _ in passes)
+        del passes[:]
+        kmeans_update([0.0, 1.0], np.arange(64.0) / 63, np.ones(64), 5)
+        assert [(error, sums) for error, sums, _ in passes] == [(False, True)] * 5
 
 class TestWorkingSet:
     def test_learn_peak_is_at_most_8_times_the_layer(self):
