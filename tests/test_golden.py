@@ -16,7 +16,7 @@ import pytest
 from aaacq.cli import main
 from aaacq.codebooks import _LEAF, AaacConfig, LearnResult, learn
 from aaacq.grids import INT4, NVFP4, base_table, get_format
-from aaacq.tensors import SynthSpec, TensorArchive, synth_layer, write_tensors
+from aaacq.tensors import LayerBundle, SynthSpec, TensorArchive, synth_layer, write_tensors
 
 ARCHIVES = {
     "mixture": ["--kind", "mixture"],
@@ -200,6 +200,57 @@ def test_multi_leaf_learn_bytes(name):
     for f in dataclasses.fields(LearnResult):
         digest.update(getattr(result, f.name).tobytes())
     assert digest.hexdigest() == MULTI_LEAF_SHA256[name]
+
+
+def _degenerate_layer(name):
+    """Layers on the learner's rare paths: every table entry equal (all-zero,
+    constant), repeated entries that force a table's full recode
+    (integer-valued), magnitudes near the window's absolute floor (1e-30),
+    columns without importance (a dead 16-column group; all-zero
+    activations), and rows wider than one inner-step block."""
+    rows, cols = (2, 2 * _LEAF) if name == "wide-rows" else (16, 512)
+    bundle = synth_layer(SynthSpec("mixture", rows, cols, 16, seed=12), name=name)
+    w, x = bundle.weights, bundle.activations
+    if name == "all-zero":
+        w = np.zeros_like(w)
+    elif name == "constant":
+        w = np.full_like(w, 0.375)
+    elif name == "integer-valued":  # every group spans -3..3, so the scales are equal
+        w = np.clip(np.round(4 * w), -3, 3)
+        w[:, ::16] = 3
+    elif name == "tiny":
+        w = w * np.float32(1e-30)
+    elif name == "dead-group":
+        x = x.copy()
+        x[:, 16:32] = 0.0
+    elif name == "zero-activations":
+        x = np.zeros_like(x)
+    return LayerBundle(name, w, x)
+
+
+# Every field of `learn`, full and partial trace, under nvfp4 -S 8 and int4
+# -g 128 -S 16, per layer of `_degenerate_layer`.
+DEGENERATE_SHA256 = {
+    "all-zero": "d415fddefef7ac7858b7247ce4c8bad1b489e90d852e57517ff8944c177c0475",
+    "constant": "b722069c0222b3ec9ceef8b675e337af13590263461d2f4ba98e085609e3d482",
+    "integer-valued": "2765ea70aeec7086931470691623e906676a6a1393e3108a0eed66c30cd91046",
+    "tiny": "75ce57b35bd31c07632a0e607ab40ae130837d73bd1d525efd0bacd596843095",
+    "dead-group": "2066b70f28b243e5cecc9b839dec75289023e7c3cb36e3e427ab3cddd965f7d3",
+    "zero-activations": "6e6deaf9d05b4a4b2b5145407567678697ff9dabd76e5135b7e19508eb295c68",
+    "wide-rows": "20562b2b3e5e30f9299052ceb81e8f4d31e4dab5de7a9f00995d6b30f68fddef",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_SHA256))
+def test_degenerate_learn_bytes(name):
+    bundle = _degenerate_layer(name)
+    digest = hashlib.sha256()
+    for flags in (["--format", "nvfp4", "-S", "8"], CONFIGS["int4-g128-s16"][1]):
+        for full_trace in (True, False):
+            result = learn(bundle, _learn_config(flags), full_trace=full_trace)
+            for f in dataclasses.fields(LearnResult):
+                digest.update(getattr(result, f.name).tobytes())
+    assert digest.hexdigest() == DEGENERATE_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(FIXED_GRID))
