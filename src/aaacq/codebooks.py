@@ -31,59 +31,61 @@ tables are built from too.  Codes therefore equal `recon_codes` value for
 value, which the tests check on adversarial tables.
 
 Inside an outer round each table's members keep their codes from one Lloyd
-step to the next (`_Members`); the first codes are gathered from the
+step to the next (`_Members`); the first codes are taken from the
 assignment step's full-layer passes.  After a step a value can change code
 only where the cells moved: between a boundary's old and new position in the
 sorted order, or inside an old or new window.  Everywhere else it lies in
 the same run before and after, and the run's label is unchanged as long as
 the distinct entries keep their indices.  So a step rewrites only the
-table's members in those ranges of the one sorted order, about 1.5% of the
+tables' members in those ranges of the one sorted order, about 1.5% of the
 values per step on synthetic mixture layers: each gets its new run's label,
-or the code `recon_codes` gives if it lies in a new window.  When the distinct entries
-change (a duplicate appears or goes) or a table is on the all-`recon_codes`
-fallback, that table takes a full pass.  The kept codes are thus exactly a
-fresh search's, step after step.
+or the code `recon_codes` gives if it lies in a new window.  Both tables
+are searched together, their sorted positions keyed apart.  When the
+distinct entries change (a duplicate appears or goes) or a table is on the
+all-`recon_codes` fallback, that table takes a full pass.  The kept codes
+are thus exactly a fresh search's, step after step.
 
 Summation order does not follow the sort: the Lloyd sums and the cell
-errors run over the members in row-major order, table 0's before table
-1's, and the per-group errors over the whole layer in row-major order; only
-the search uses the sorted order.  Summing in sorted order (with
-`np.add.reduceat`, say) would save the scatter but rounds differently, so
-the float64 tables, the objective trace and in the end the packed bytes
-would depend on the sort.  Taking those sums a block at a time changes no
-bit: `np.add.at` adds in index order into running sums, as one `np.bincount`
-does, and numpy's float64 `.sum()` of a contiguous array follows a pairwise
-tree that depends only on its length, so the sums of the tree's leaves,
-combined in tree order, are the whole sum (`_leaves`, `_fold`).  Both Lloyd
-sums are one `np.add.at` into complex128 sums, the weighted values in the
-real parts and the weights in the imaginary ones: a complex addition adds
-each part as float64 does.  The tests pin these properties of numpy, and
+errors run over each table's members in row-major order, and the per-group
+errors over the whole layer in row-major order; only the search uses the
+sorted order.  Summing in sorted order (with `np.add.reduceat`, say) would
+save the scatter but rounds differently, so the float64 tables, the
+objective trace and in the end the packed bytes would depend on the sort.
+The Lloyd sums are taken straight over the layout: `np.add.at` adds each
+bin's terms in index order into a running sum, as one `np.bincount` does,
+every bin belongs to one table, and a table's members keep their row-major
+order in the layout.  So each bin sees its terms in member order, and the
+layout's interleaving of the tables changes no bit; nor does taking the sums
+a block at a time.  Both Lloyd sums are one `np.add.at` into complex128
+sums, the weighted values in the real parts and the weights in the
+imaginary ones: a complex addition adds each part as float64 does.  The
+errors are `.sum()`s of each table's members in member order, and numpy's
+float64 `.sum()` of a contiguous array follows a pairwise tree that depends
+only on its length, so the sums of the tree's leaves, each leaf gathered
+through the table's groups and combined in tree order, are the whole sum
+(`_leaves`, `_fold`).  The tests pin these properties of numpy, and
 `np.quantile`'s linear method, which `init_tables` follows on the sorted
 copy.
 
 Memory follows the layer's size in a few bytes per weight, and no step
 makes a full-size temporary it does not keep.  Members are whole selection
-groups, so `_Members` keeps its layout as one entry per group (the groups
-in member order and each group's place in it), not an index per value, and
-their codes take a byte each.  Sorted positions are int32 below 2**31
-values, and the initial quantiles are read from the sorted copy.  The
-assignment step takes uint8 codes and forms its errors a row block at a
-time.  For the inner steps of a round the normalized weights are put in
-member order in place, whole groups at a time, and back before the next
-assignment; the smaller part waits in a copy meanwhile.  Each inner step is
-one pass over the members a block at a time (`_Pass`) that reads the
-importances through the groups.  It takes the weighted error only on the
-steps whose objective is asked for: all of them for `learn`'s full trace,
-the last one for `quantize` and `compare`, which read no other.  A round's
-last step whose error is not asked for takes no pass, as no sums follow it.
-Per weight, an inner step then holds the sorted values (8 bytes), their
-positions (4), the member values (8), the codes (1) and the group layout
-(25 bytes per group): about 23 bytes for groups of 16, and at most 4 more
-while the weights are reordered.
-Measured, one nvfp4 learn peaks at 7.1 times its float32 layer under
-tracemalloc on 256x2048, where the pass's fixed 2 MiB of block buffers is
-one layer's worth, and at 1.12 GiB of RSS above its start (6.7 times the
-layer) on 11008x4096.
+groups, so `_Members` keeps which table each group belongs to as one entry
+per group, and each value's code in a byte.  Sorted positions are int32
+below 2**31 values, and the initial quantiles are read from the sorted
+copy.  The assignment step takes uint8 codes and forms its errors a row
+block at a time.  The inner steps read the normalized weights where they
+lie: each is one pass over the layout a block of rows at a time (`_Pass`),
+which `learn` builds once.  It takes the weighted error only on the steps
+whose objective is asked for: all of them for `learn`'s full trace, the
+last one for `quantize` and `compare`, which read no other.  A round's last
+step whose error is not asked for takes no pass, as no sums follow it.  Per
+weight, an inner step then holds the sorted values (8 bytes), their
+positions (4), the normalized weights (8), the codes (1) and the group
+membership (1 byte per group): about 21 bytes for groups of 16, beside the
+pass's fixed 1.5 MiB of block buffers and, while it takes an error, 1 MiB
+of leaf buffers.  Measured under tracemalloc on 256x2048, where those
+buffers are about a layer's worth, one learn peaks at 7.0 times its float32
+layer under nvfp4 and 6.9 times under int4 with `-g 128 -S 16`.
 """
 
 from __future__ import annotations
@@ -319,7 +321,9 @@ def _cell_runs(table: np.ndarray, values: np.ndarray):
 def _spans(lo, hi) -> np.ndarray:
     """The indices of the ranges `lo[j]:hi[j]`, concatenated."""
     width = hi - lo
-    return np.repeat(lo - np.cumsum(width) + width, width) + np.arange(width.sum())
+    idx = (lo - width.cumsum() + width).repeat(width)
+    idx += np.arange(idx.size)
+    return idx
 
 
 class _SortedCells:
@@ -364,79 +368,32 @@ class _Members:
     """Values split between tables by group, with each value's code under its own table.
 
     The values fall into groups of `sel_size` consecutive ones in row-major
-    order, a layer's selection groups, and `member1` says per group whether
-    it belongs to table 1.  `groups` lists table 0's groups, then table 1's,
-    each part in row-major order, and the members are the values of those
-    groups in that order: member `m` is value `groups[m // S] * S + m % S`,
-    and value `f` is member `gpos[f // S] * S + f % S`.  That is two entries
-    per group instead of two indices per value.  The codes of table `j` are
-    offset by `j` times the table size, so one set of Lloyd sums serves every
-    table, and take the narrowest unsigned type that holds them (one byte for
-    two 16-entry tables).  `move(tables)` brings the codes up to date after
-    the tables move, rewriting only the values whose code can have changed.
+    order, a layer's selection groups, and `part` holds one bit per group:
+    whether it belongs to table 1.  `codes` holds one code per value in that
+    same layout, the code of table `j` offset by `j` times the table size, so
+    one set of Lloyd sums serves every table; they take the narrowest
+    unsigned type that holds them (one byte for two 16-entry tables).
+    `move(tables)` brings the codes up to date after the tables move,
+    rewriting only the values whose code can have changed.
     """
 
     def __init__(self, cells: _SortedCells, member1, tables, full_codes, sel_size=1):
-        part = np.asarray(member1, dtype=bool).ravel()
         self.cells = cells
-        self.part = part
+        self.part = np.asarray(member1, dtype=bool).ravel()
         self.sel_size = sel_size
         self.size = tables.shape[1]
-        # np.flatnonzero is branch-free; boolean indexing with a mask as
-        # irregular as a selection is several times slower.
-        self.groups = np.concatenate((np.flatnonzero(~part), np.flatnonzero(part)))
-        self.split = (part.size - np.count_nonzero(part)) * sel_size
-        self.gpos = np.empty(part.size, dtype=np.intp)  # inverse of groups
-        self.gpos[self.groups] = np.arange(part.size)
-        self.codes = np.empty(part.size * sel_size, dtype=np.min_scalar_type(tables.size - 1))
         self.runs = [cells.runs(t) for t in tables]
-        for j, codes in enumerate(full_codes):
-            self._gather(j, codes)
+        self.codes = full_codes[0].astype(np.min_scalar_type(tables.size - 1)).reshape(-1)
+        for j in range(1, len(full_codes)):
+            self._recode(j, full_codes[j])
 
-    def arrange(self, values) -> None:
-        """Reorder `values`, a contiguous array of one per value in the layout,
-        into member order in place: whole groups move."""
-        self._permute(values.reshape(-1, self.sel_size), True)
-
-    def restore(self, values) -> None:
-        """Undo `arrange`: member-ordered `values` back to the layout, in place."""
-        self._permute(values.reshape(-1, self.sel_size), False)
-
-    def _permute(self, rows, arrange: bool) -> None:
-        """Move each group's row of `rows` between its place in the layout and
-        in member order.
-
-        The smaller part waits in a copy, at most half of `rows`.  The larger
-        part keeps its order, so its rows all move toward the same end, and
-        moving them a chunk at a time, starting at that end, never overwrites
-        a row not yet moved.
-        """
-        cut = self.split // self.sel_size
-        layout = (self.groups[:cut], self.groups[cut:])  # each part's rows in the layout
-        members = (slice(None, cut), slice(cut, None))   # and in member order
-        small = int(cut > rows.shape[0] - cut)
-        held = rows[layout[small]] if arrange else rows[members[small]].copy()
-        groups, base, step = layout[1 - small], cut * (1 - small), max(1, _LEAF // self.sel_size)
-        starts = range(0, groups.size, step)
-        for j in reversed(starts) if arrange != bool(small) else starts:
-            g, m = groups[j : j + step], slice(base + j, base + min(j + step, groups.size))
-            if arrange:
-                rows[m] = rows[g]
-            else:
-                rows[g] = rows[m].copy()  # `rows[m]` is a view of what the scatter writes
-        if arrange:
-            rows[members[small]] = held
-        else:
-            rows[layout[small]] = held
-
-    def _gather(self, j, codes):
-        """Table `j`'s member codes, taken from `codes` of every value."""
-        cut = self.split // self.sel_size
-        groups = self.groups[:cut] if j == 0 else self.groups[cut:]
-        part = slice(self.split) if j == 0 else slice(self.split, None)
-        self.codes[part] = codes.reshape(-1, self.sel_size)[groups].reshape(-1)
-        if j:
-            self.codes[part] += j * self.size
+    def _recode(self, j, codes):
+        """Table `j`'s members take their codes from `codes` of every value."""
+        groups = (self.part == j).nonzero()[0]
+        rows = codes.reshape(-1, self.sel_size).take(groups, axis=0)
+        rows = rows.astype(self.codes.dtype, copy=False)  # wide enough for the offset
+        rows += j * self.size
+        self.codes.reshape(-1, self.sel_size)[groups] = rows
 
     def move(self, tables) -> None:
         """Recode after each table `j` moved to `tables[j]`.
@@ -446,27 +403,46 @@ class _Members:
         window.  Those values get their new run's label, or `recon_codes`
         inside a new window.  Values elsewhere stay in their run, whose label
         holds while the distinct entries keep their indices.  When they do
-        not, or either table is on the fallback (one window, one label),
-        the table takes a full pass.
+        not, or a table is on the fallback (one window, one label), that
+        table takes a full pass.
+
+        The other tables are recoded together: sorted position `p` of table
+        `j` is keyed `j * n + p`, and each table's boundaries close with
+        `(j + 1) * n`, so one search of the keyed boundaries gives every
+        value its run among all the tables' runs.
         """
-        order, size = self.cells.order, self.sel_size
+        n = self.cells.sorted.size
+        lo, hi, starts, stops, labels = [], [], [], [], []
         for j, table in enumerate(tables):
-            old, new = self.runs[j], self.cells.runs(table)
-            self.runs[j] = new
-            first, _, lo, hi = new
-            if not (old[2].size == lo.size == first.size - 1 and np.array_equal(old[0], first)):
-                self._gather(j, self.cells.codes(table, self.codes.dtype))
+            old_first, _, old_lo, old_hi = self.runs[j]
+            self.runs[j] = first, _, new_lo, new_hi = _cell_runs(table, self.cells.sorted)
+            if not (old_lo.size == new_lo.size == first.size - 1
+                    and old_first.tobytes() == first.tobytes()):
+                self._recode(j, self.cells.codes(table, self.codes.dtype))
                 continue
-            idx = _spans(np.minimum(old[2], lo), np.maximum(old[3], hi))
-            group, offset = np.divmod(order[idx], size)
-            mine = self.part[group] == j
-            idx, group, offset = idx[mine], group[mine], offset[mine]
-            run = lo.searchsorted(idx, side="right")
-            codes = first[run]
-            window = hi.searchsorted(idx, side="right") < run
-            if window.any():
-                codes[window] = recon_codes(table, self.cells.sorted[idx[window]])
-            self.codes[self.gpos[group] * size + offset] = codes + j * self.size
+            lo += [new_lo + j * n, [(j + 1) * n]]
+            hi += [new_hi + j * n, [(j + 1) * n]]
+            starts.append(np.minimum(old_lo, new_lo) + j * n)
+            stops.append(np.maximum(old_hi, new_hi) + j * n)
+            labels.append(first + j * self.size)
+        if not labels:
+            return
+        lo, hi = np.concatenate(lo), np.concatenate(hi)
+        labels = np.concatenate(labels).astype(self.codes.dtype)
+        key = _spans(np.concatenate(starts), np.concatenate(stops))
+        at = self.cells.order[key % n]
+        mine = self.part[at // self.sel_size] == (key >= n)  # one bit per group: two tables
+        key, at = key[mine], at[mine]
+        run = lo.searchsorted(key, side="right")
+        codes = labels[run]
+        window = (hi.searchsorted(key, side="right") < run).nonzero()[0]
+        if window.size:
+            j, pos = np.divmod(key[window], n)
+            for t, table in enumerate(tables):
+                here = j == t
+                if here.any():
+                    codes[window[here]] = recon_codes(table, self.cells.sorted[pos[here]]) + t * self.size
+        self.codes[at] = codes
 
 
 def _assign(cells, w_norm, col_importance, table0, table1, sel_size):
@@ -476,12 +452,14 @@ def _assign(cells, w_norm, col_importance, table0, table1, sel_size):
     table 0), or lower unweighted error when its columns carry no importance;
     the objective sums every group's weighted error under its table.  The
     errors are formed a row block of about `_LEAF` values at a time; a
-    group's sum lies within one row, so the blocks do not change it.
+    group's sum lies within one row, so the blocks do not change it.  The
+    unweighted errors are formed only when some group carries no importance.
     """
     n, k = w_norm.shape
     shape = (-1, k // sel_size, sel_size)
     imp = np.asarray(col_importance, dtype=np.float64)
     dead = imp.reshape(-1, sel_size).sum(axis=1) == 0
+    any_dead = dead.any()
     tables = [np.asarray(t, dtype=np.float64) for t in (table0, table1)]
     codes = [cells.codes(t, np.uint8) for t in tables]
     sigma = np.empty((n, k // sel_size), dtype=np.uint8)
@@ -495,10 +473,12 @@ def _assign(cells, w_norm, col_importance, table0, table1, sel_size):
             t.take(c[rows], out=b, mode="clip")  # "clip" writes straight to `out=`
             np.subtract(w_norm[rows], b, out=b)
             np.square(b, out=b)
-            e_u.append(b.reshape(shape).sum(axis=2))
+            if any_dead:
+                e_u.append(b.reshape(shape).sum(axis=2))
             b *= imp
             e_w.append(b.reshape(shape).sum(axis=2))
-        sigma[rows] = np.where(dead, e_u[1] < e_u[0], e_w[1] < e_w[0])
+        pick = e_w[1] < e_w[0]
+        sigma[rows] = np.where(dead, e_u[1] < e_u[0], pick) if any_dead else pick
         chosen[rows] = np.where(sigma[rows], e_w[1], e_w[0])
     return codes[0], codes[1], sigma, float(chosen.sum())
 
@@ -518,15 +498,15 @@ def select_tables(w_norm, col_importance, table0, table1, sel_size: int) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# The inner steps: one pass over the members per Lloyd step
+# The inner steps: one pass over the layout per Lloyd step
 # ---------------------------------------------------------------------------
 
-# Values per block of the inner steps' pass.  A block's buffers (intp codes,
-# importances and two float64 scratch arrays) take 32 bytes a value, 2 MiB,
-# one core's L2 on the 2-vCPU Xeon measured.  There, two 512x4096 nvfp4
-# learns on two threads took a median 5.6% more CPU at 2**15, whose twice as
-# many numpy calls hand the GIL over more often (about twice the voluntary
-# context switches), and 3.9% more at 2**17, whose blocks outgrow L2.
+# Values per block of the inner steps' pass, and per leaf of its error sums.
+# When the pass held 32 bytes a value per block, 2 MiB, one core's L2 on the
+# 2-vCPU Xeon measured, two 512x4096 nvfp4 learns on two threads took a
+# median 5.6% more CPU at 2**15, whose twice as many numpy calls hand the
+# GIL over more often (about twice the voluntary context switches), and 3.9%
+# more at 2**17, whose blocks outgrow L2.
 _LEAF = 1 << 16
 
 
@@ -557,112 +537,96 @@ def _fold(n: int, sums) -> float:
     return _fold(h, sums) + _fold(n - h, sums)
 
 
-def _products(i, v, z) -> np.ndarray:
-    """`z` filled with the Lloyd sums' terms `i * v + i j`."""
-    z.imag = i
-    np.multiply(i, v, out=z.real)
-    return z
-
-
 class _Pass:
-    """One round's inner-step pass over its members, a block at a time.
+    """The inner steps' pass over a layer's values, a block of whole rows at a time.
 
-    Each pass reads every member's code, value and importance once, for the
-    weighted squared error under the tables the last step made, when asked,
-    and for the sums of the next step.  No pass holds a member-sized
-    temporary.
+    Each pass reads every value's code once, for the weighted squared error
+    under the tables the last step made, when asked, and for the sums of
+    the next step.  No pass holds a layer-sized temporary.
 
-    A block is a run of consecutive `_leaves` of each table's member range,
-    `_LEAF` values at most, so each range's error is its `.sum()` folded from
-    the leaves' sums, bit for bit.  Both Lloyd sums are one `np.add.at` in
-    member order into complex128 sums, `i * v` the real part and `i` the
-    imaginary one: a complex addition adds each part as float64 does, so each
-    is what one `np.bincount` over every member gives.  The complex block
-    shares its memory with the error's two float64 blocks, which are free
-    once their sums are taken.  Importances are gathered per block through
-    `members.groups`, a group's being those of its columns in any row; when
-    the members fit one block, its complex products are formed once for the
-    round.
+    Both Lloyd sums are one `np.add.at` in layout order into complex128
+    sums, `v * i` the real part and the importance `i` the imaginary one: a
+    complex addition adds each part as float64 does.  Every sum belongs to
+    one table, whose members' terms come in their row-major order either
+    way, so each is what one `np.bincount` over the members in member order
+    gives.  The products do not depend on the tables or on which table a
+    group chose, so the pass serves a whole `learn`.  The imaginary half of
+    the block holds the column importances tiled over a block's rows,
+    written once; when the layer fits one block, its real half too.
+
+    A block is `_LEAF` values at most, but at least one row.  The blocks'
+    buffers, intp codes and the complex products, take 24 bytes a value.
     """
 
-    def __init__(self, members: _Members, values, col_importance):
-        self.members, self.values = members, values
-        size, split = values.size, members.split
-        self.imp = np.asarray(col_importance, dtype=np.float64).reshape(-1, members.sel_size)
-        self.cols = members.groups % len(self.imp)  # each group's row of `imp`
-        self.parts = (split, size - split)
-        runs = []
-        for leaf in _leaves(0, split) + _leaves(split, size):
-            if runs and leaf[1] - runs[-1][0][0] <= _LEAF:
-                runs[-1].append(leaf)
-            else:
-                runs.append([leaf])
-        # Each block as (start, stop, its leaves relative to its start).
-        self.blocks = [
-            (run[0][0], run[-1][1], [(x - run[0][0], y - run[0][0]) for x, y in run])
-            for run in runs
-        ]
-        width = max(b - a for a, b, _ in self.blocks)
+    def __init__(self, values, col_importance):
+        n, k = values.shape
+        self.values = values.reshape(-1)
+        self.imp = np.asarray(col_importance, dtype=np.float64)
+        rows = min(n, max(1, _LEAF // k)) if k else 0
+        width = rows * k
+        self.blocks = [(a, min(a + width, n * k)) for a in range(0, n * k, max(width, 1))]
         self.codes = np.empty(width, dtype=np.intp)  # np.add.at is faster on intp than uint8
-        self.imp_rows = np.empty((width // members.sel_size + 2, members.sel_size))
         self.z = np.empty(width, dtype=np.complex128)
-        halves = self.z.view(np.float64)
-        self.d, self.e = halves[:width], halves[width:]
-        self.kept = None
-        if len(self.blocks) == 1:  # then every step reads the same importances and products
-            a, b, _ = self.blocks[0]
-            z = np.empty(b - a, dtype=np.complex128)
-            self.kept = _products(self._importances(a, b), values[a:b], z)
+        self.z.imag.reshape(rows, k)[...] = self.imp
+        self.kept = len(self.blocks) == 1
+        if self.kept:
+            np.multiply(self.values, self.z.imag, out=self.z.real)
 
-    def _importances(self, a: int, b: int) -> np.ndarray:
-        """The importances of members `a:b`, gathered a group row at a time."""
-        s = self.members.sel_size
-        g0, g1 = a // s, -(-b // s)
-        rows = self.imp_rows[: g1 - g0]
-        self.imp.take(self.cols[g0:g1], axis=0, out=rows, mode="clip")
-        return rows.reshape(-1)[a - g0 * s : b - g0 * s]
-
-    def __call__(self, table, error: bool = True, sums: bool = True):
+    def __call__(self, members: _Members, table, error: bool = True, sums: bool = True):
         """(The members' weighted squared error under `table`, summed per
         table's members then added, or None; the Lloyd sums, or None)."""
+        total = self._error(members, table) if error else None
+        if not sums:
+            return total, None
         acc = np.zeros(table.size, dtype=np.complex128)
-        leaf_sums = []
-        for a, b, leaves in self.blocks:
-            c, d, e = self.codes[: b - a], self.d[: b - a], self.e[: b - a]
-            c[...] = self.members.codes[a:b]
-            v, z = self.values[a:b], self.kept
-            i = self._importances(a, b) if z is None else z.imag
-            if error:
-                table.take(c, out=d, mode="clip")
-                np.subtract(v, d, out=d)
-                np.multiply(i, d, out=e)
-                e *= d
-                leaf_sums += [e[x:y].sum() for x, y in leaves]
-            if sums:
-                if z is None:  # in the memory of `d` and `e`, free once their sums are taken
-                    z = _products(i, v, self.z[: b - a])
-                np.add.at(acc, c, z)
-        total = None
-        if error:
-            leaf_sums = iter(leaf_sums)
-            total = float(_fold(self.parts[0], leaf_sums)) + float(_fold(self.parts[1], leaf_sums))
-        return total, (acc.real, acc.imag) if sums else None
+        for a, b in self.blocks:
+            c, z = self.codes[: b - a], self.z[: b - a]
+            c[...] = members.codes[a:b]
+            if not self.kept:
+                np.multiply(self.values[a:b], z.imag, out=z.real)
+            np.add.at(acc, c, z)
+        return total, (acc.real, acc.imag)
+
+    def _error(self, members: _Members, table) -> float:
+        """Each table's members' `.sum()` of `i * (v - t[c])**2` in member
+        order, bit for bit: folded from the sums of its `_leaves`, each
+        gathered through the table's groups into reused leaf buffers."""
+        s = members.sel_size
+        shape = (min(_LEAF, self.values.size) // s + 2, s)  # the groups a leaf can touch
+        leaf = np.empty(shape), np.empty(shape), np.empty(shape, dtype=members.codes.dtype)
+        rows = self.values.reshape(-1, s), self.imp.reshape(-1, s), members.codes.reshape(-1, s)
+        parts = []
+        for j in range(table.size // members.size):
+            groups = np.flatnonzero(members.part == j)
+            leaf_sums = []
+            for a, b in _leaves(0, groups.size * s):
+                g = groups[a // s : -(-b // s)]
+                x, y, c = (buf[: g.size] for buf in leaf)
+                rows[2].take(g, axis=0, out=c, mode="clip")
+                table.take(c, out=x, mode="clip")
+                rows[0].take(g, axis=0, out=y, mode="clip")
+                y -= x  # the difference `v - t[c]`
+                rows[1].take(g % len(rows[1]), axis=0, out=x, mode="clip")
+                x *= y
+                x *= y
+                leaf_sums.append(x.reshape(-1)[a % s : a % s + b - a].sum())
+            parts.append(float(_fold(groups.size * s, iter(leaf_sums))))
+        return sum(parts[1:], parts[0])
 
 
-def _lloyd_steps(members: _Members, tables, values, col_importance, n_inner: int, errors=None):
+def _lloyd_steps(members: _Members, tables, run: _Pass, n_inner: int, errors=None):
     """Yields the tables after each of `n_inner` Lloyd steps, and the
     members' weighted squared error under them on the steps `errors` names
     (every step when None), else None.
 
-    `tables` stacks one table per part of `members`; `values` are the
-    members' values in member order.  A step moves each entry to the
-    weighted centroid of its cell; cells with zero total weight keep their
-    entry.  `members.codes` follows every step but a last one whose error is
-    not asked for: its codes would feed no pass.
+    `tables` stacks one table per part of `members`, and `run` is the pass
+    over their values.  A step moves each entry to the weighted centroid of
+    its cell; cells with zero total weight keep their entry.  `members.codes`
+    follows every step but a last one whose error is not asked for: its
+    codes would feed no pass.
     """
     errors = range(n_inner) if errors is None else errors
-    run = _Pass(members, values, col_importance)
-    _, sums = run(tables.ravel(), error=False)
+    _, sums = run(members, tables.ravel(), error=False)
     for k in range(n_inner):
         num, den = sums
         step = np.where(den > 0, num / np.where(den > 0, den, 1.0), tables.ravel())
@@ -673,7 +637,7 @@ def _lloyd_steps(members: _Members, tables, values, col_importance, n_inner: int
         total = None
         if error or more:
             members.move(tables)
-            total, sums = run(tables.ravel(), error, sums=more)
+            total, sums = run(members, tables.ravel(), error, sums=more)
         yield tables, total
 
 
@@ -694,7 +658,7 @@ def kmeans_update(table, values, weights, n_inner: int) -> np.ndarray:
     cells = _SortedCells.of(v)
     # Each value is a selection group of one, and its weight its column's importance.
     members = _Members(cells, np.zeros(v.size, dtype=bool), t, [cells.codes(t[0])])
-    for t, _ in _lloyd_steps(members, t, v, w, n_inner, errors=()):
+    for t, _ in _lloyd_steps(members, t, _Pass(v.reshape(1, -1), w), n_inner, errors=()):
         pass
     return t[0]
 
@@ -748,6 +712,7 @@ def learn(
     t0, t1 = init_tables(cells.sorted, table_size)
     trace = []
     sel = cfg.sel_size
+    run = _Pass(w_norm, imp)
 
     for r in range(cfg.n_outer):
         codes0, codes1, sigma, objective = _assign(cells, w_norm, imp, t0, t1, sel)
@@ -756,13 +721,9 @@ def learn(
         t = np.stack((t0, t1))
         members = _Members(cells, sigma, t, (codes0, codes1), sel)
         del codes0, codes1
-        # The member values are w_norm's own numbers: it is put in member
-        # order for the inner steps and back for the next assignment.
-        members.arrange(w_norm)
         errors = None if full_trace else (cfg.n_inner - 1,) if r + 1 == cfg.n_outer else ()
-        for t, error in _lloyd_steps(members, t, w_norm.reshape(-1), imp, cfg.n_inner, errors):
+        for t, error in _lloyd_steps(members, t, run, cfg.n_inner, errors):
             trace.append(np.nan if error is None else error)
-        members.restore(w_norm)
         t0, t1 = t
         del members
 

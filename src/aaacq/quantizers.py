@@ -114,12 +114,12 @@ def _cells(table: np.ndarray, big):
     magnitude among values and entries) is not below `_MAGNITUDE_MAX`, NaN
     included; then every value needs the exhaustive search.
     """
-    first = np.flatnonzero(np.concatenate(([True], table[1:] != table[:-1])))
+    first = np.concatenate(([True], table[1:] != table[:-1])).nonzero()[0]
     distinct = table[first]
     half = big * _WINDOW_REL + _WINDOW_ABS
     if not (
         big < _MAGNITUDE_MAX
-        and (distinct[1:] - distinct[:-1]).min(initial=np.inf) > 4 * half
+        and np.minimum.reduce(distinct[1:] - distinct[:-1], initial=np.inf) > 4 * half
     ):
         return first, None, half
     return first, 0.5 * distinct[:-1] + 0.5 * distinct[1:], half

@@ -1,7 +1,9 @@
 """Importance, quantile init, table selection, weighted k-means, and learn."""
 
+import cProfile
 import dataclasses
 import math
+import pstats
 import tracemalloc
 
 import numpy as np
@@ -318,17 +320,16 @@ def moved_table(draw, table):
 class TestMembers:
     @staticmethod
     def want(tables, values, mask):
+        """Each value's code under its own table, in the layout, table 1's offset."""
         m = tables.shape[1]
-        return np.concatenate(
-            [recon_codes(tables[0], values[~mask]), recon_codes(tables[1], values[mask]) + m]
-        )
+        return np.where(mask, recon_codes(tables[1], values) + m, recon_codes(tables[0], values))
 
     @given(tables_and_values(), tables_and_values(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_moved_codes_match_recon_codes_per_table(self, case0, case1, data):
-        # Members of table 1 come after those of table 0; their codes are
-        # offset by the table size.  After any sequence of moves the kept
-        # codes equal a fresh search of each table's members.
+        # The codes of table 1's members are offset by the table size.
+        # After any sequence of moves the kept codes equal a fresh search of
+        # each table's members.
         (t0, values), (t1, _) = case0, case1
         m = max(t0.size, t1.size)
         t0 = np.concatenate([t0, np.full(m - t0.size, t0[-1])])
@@ -343,36 +344,11 @@ class TestMembers:
         mask = np.asarray(picks, dtype=bool)
         cells = _SortedCells.of(values)
         members = _Members(cells, mask, tables, [cells.codes(t) for t in tables])
-        assert members.split == int((~mask).sum())
-        arranged = values.copy()
-        members.arrange(arranged)
-        assert arranged.tolist() == values[~mask].tolist() + values[mask].tolist()
-        members.restore(arranged)
-        assert arranged.tolist() == values.tolist()
         assert members.codes.tolist() == self.want(tables, values, mask).tolist()
         for _ in range(data.draw(st.integers(1, 4))):
             tables = np.stack([data.draw(moved_table(t)) for t in tables])
             members.move(tables)
             assert members.codes.tolist() == self.want(tables, values, mask).tolist()
-
-    @pytest.mark.parametrize("share", [0.2, 0.8])
-    def test_arrange_and_restore_move_groups_chunk_by_chunk(self, share, monkeypatch):
-        # Chunks of two groups: the larger part moves in many chunks, toward
-        # the front or the back as the smaller part is table 1's or table 0's.
-        monkeypatch.setattr(codebooks, "_LEAF", 8)
-        rng = np.random.default_rng(5)
-        values = rng.standard_normal((6, 64))
-        mask = rng.random((6, 16)) < share
-        cells = _SortedCells.of(values)
-        tables = np.asarray([[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
-        members = _Members(cells, mask, tables, [cells.codes(t) for t in tables], 4)
-        rows = values.reshape(-1, 4)
-        arranged = values.copy()
-        members.arrange(arranged)
-        want = np.concatenate((rows[~mask.ravel()], rows[mask.ravel()]))
-        assert arranged.reshape(-1, 4).tolist() == want.tolist()
-        members.restore(arranged)
-        assert arranged.tolist() == values.tolist()
 
     @pytest.fixture()
     def searched(self, monkeypatch):
@@ -479,21 +455,55 @@ class TestInnerPass:
                 assert both.real.tobytes() == want[0].tobytes(), dtype
                 assert both.imag.tobytes() == want[1].tobytes(), dtype
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_layout_order_sums_equal_member_order_sums(self, data):
+        # Every sum belongs to one table, and each table's members come in
+        # row-major order in the layout too, so `np.add.at` over the layout,
+        # a block at a time, adds each sum's terms in member order.  Blocks
+        # need not align to the groups.
+        s = data.draw(st.sampled_from([1, 8, 16]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        groups = data.draw(st.integers(1, 256 // s))
+        part = rng.random(groups) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+        n, m = groups * s, 4
+        codes = rng.integers(0, m, n) + m * np.repeat(part, s)
+        z = np.empty(n, dtype=np.complex128)
+        z.imag = rng.uniform(0.0, 2.0, n) * 10.0 ** rng.uniform(-8, 8, n)
+        z.real = z.imag * rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        block = data.draw(st.integers(1, n))
+        got = np.zeros(2 * m, dtype=np.complex128)
+        for a in range(0, n, block):
+            np.add.at(got, codes[a : a + block], z[a : a + block])
+        order = np.concatenate((np.flatnonzero(~part), np.flatnonzero(part)))
+        member = (order[:, np.newaxis] * s + np.arange(s)).ravel()
+        want = np.zeros(2 * m, dtype=np.complex128)
+        np.add.at(want, codes[member], z[member])
+        assert got.tobytes() == want.tobytes()
+
     @staticmethod
-    def whole_array_steps(members, tables, values, importances, n_inner):
-        """The inner steps as two `np.bincount`s over every member and one
-        error array per step."""
+    def member_order_steps(members, tables, values, imp, n_inner):
+        """The inner steps over the members in member order, table 0's groups
+        then table 1's: two `np.bincount`s over every member and one error
+        array per step."""
+        s = members.sel_size
+        groups = np.concatenate((np.flatnonzero(~members.part), np.flatnonzero(members.part)))
+        split = (members.part.size - int(members.part.sum())) * s
+        values = values.reshape(-1, s)[groups].ravel()
+        importances = imp.reshape(-1, s)[groups % (imp.size // s)].ravel()
         wv = importances * values
         for _ in range(n_inner):
-            num = np.bincount(members.codes, weights=wv, minlength=tables.size)
-            den = np.bincount(members.codes, weights=importances, minlength=tables.size)
+            codes = members.codes.reshape(-1, s)[groups].ravel()
+            num = np.bincount(codes, weights=wv, minlength=tables.size)
+            den = np.bincount(codes, weights=importances, minlength=tables.size)
             step = np.where(den > 0, num / np.where(den > 0, den, 1.0), tables.ravel())
             tables = np.sort(step.reshape(tables.shape), axis=1)
             members.move(tables)
-            d = values - tables.ravel()[members.codes]
+            codes = members.codes.reshape(-1, s)[groups].ravel()
+            d = values - tables.ravel()[codes]
             e = importances * d
             e *= d
-            yield tables, float(e[: members.split].sum()) + float(e[members.split :].sum())
+            yield tables, float(e[:split].sum()) + float(e[split:].sum())
 
     @pytest.mark.parametrize(
         "rows, share",
@@ -514,14 +524,13 @@ class TestInnerPass:
             for _ in range(2)
         )
         assert fused.codes.dtype == np.uint8
-        values = w.copy()
-        fused.arrange(values)
-        values = values.reshape(-1)
-        importances = imp.reshape(-1, sel)[whole.groups % (cols // sel)].reshape(-1)
+        run = codebooks._Pass(w, imp)
+        assert len(run.blocks) == (1 if rows == 4 else 5)
         if rows == 72:  # every non-empty table's members span several leaves
-            assert min(n for n in (whole.split, values.size - whole.split) if n) > 2**17
-        got = codebooks._lloyd_steps(fused, tables, values, imp, 4)
-        want = self.whole_array_steps(whole, tables, values, importances, 4)
+            in_table1 = int(member1.sum()) * sel
+            assert min(n for n in (w.size - in_table1, in_table1) if n) > 2**17
+        got = codebooks._lloyd_steps(fused, tables, run, 4)
+        want = self.member_order_steps(whole, tables, w, imp, 4)
         for (t_got, e_got), (t_want, e_want) in zip(got, want, strict=True):
             assert t_got.tobytes() == t_want.tobytes()
             assert e_got.hex() == e_want.hex()
@@ -536,9 +545,10 @@ class TestPartialTrace:
         """Each `_Pass` call as (error, sums, members per table)."""
         seen, call = [], codebooks._Pass.__call__
 
-        def spy(run, table, error=True, sums=True):
-            seen.append((error, sums, run.parts))
-            return call(run, table, error, sums)
+        def spy(run, members, table, error=True, sums=True):
+            in_table1 = int(members.part.sum()) * members.sel_size
+            seen.append((error, sums, (members.codes.size - in_table1, in_table1)))
+            return call(run, members, table, error, sums)
 
         monkeypatch.setattr(codebooks._Pass, "__call__", spy)
         return seen
@@ -582,10 +592,14 @@ class TestPartialTrace:
         assert [(error, sums) for error, sums, _ in passes] == [(False, True)] * 5
 
 class TestWorkingSet:
-    def test_learn_peak_is_at_most_8_times_the_layer(self):
+    @pytest.mark.parametrize(
+        "cfg",
+        [AaacConfig.for_format(NVFP4), AaacConfig.for_format(INT4, group_size=128, sel_size=16)],
+        ids=["nvfp4", "int4-g128-S16"],
+    )
+    def test_learn_peak_is_at_most_8_times_the_layer(self, cfg):
         bundle = make_bundle(0, rows=256, cols=2048, tokens=64)
         imp = codebooks.layer_importance(bundle)
-        cfg = AaacConfig.for_format(NVFP4)
         learn(make_bundle(1), cfg)  # first-call imports are not the layer's working set
         tracemalloc.start()
         try:
@@ -614,6 +628,18 @@ class TestWorkingSet:
         for f in dataclasses.fields(LearnResult):
             a, b = getattr(narrow, f.name), getattr(wide, f.name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
+class TestCallCount:
+    def test_small_learn_makes_at_most_3000_python_calls(self):
+        # On small layers the learner's cost is mostly its Python-level
+        # calls, each a few microseconds whatever the layer's size.
+        bundle = make_bundle(0, rows=64, cols=512, tokens=64)
+        cfg = AaacConfig.for_format(INT4, group_size=128, sel_size=16)
+        learn(bundle, cfg, full_trace=False)  # first-call imports are not the learner's
+        profile = cProfile.Profile()
+        profile.runcall(learn, bundle, cfg, full_trace=False)
+        assert pstats.Stats(profile).total_calls <= 3000
 
 
 class TestKmeansUpdate:
