@@ -406,7 +406,7 @@ class _Members:
         not, or a table is on the fallback (one window, one label), that
         table takes a full pass.
 
-        The other tables are recoded together: sorted position `p` of table
+        The remaining tables are recoded together: sorted position `p` of table
         `j` is keyed `j * n + p`, and each table's boundaries close with
         `(j + 1) * n`, so one search of the keyed boundaries gives every
         value its run among all the tables' runs.
@@ -437,9 +437,9 @@ class _Members:
         codes = labels[run]
         window = (hi.searchsorted(key, side="right") < run).nonzero()[0]
         if window.size:
-            j, pos = np.divmod(key[window], n)
+            which, pos = np.divmod(key[window], n)
             for t, table in enumerate(tables):
-                here = j == t
+                here = which == t
                 if here.any():
                     codes[window[here]] = recon_codes(table, self.cells.sorted[pos[here]]) + t * self.size
         self.codes[at] = codes
