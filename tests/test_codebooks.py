@@ -607,7 +607,7 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # About 23 bytes per weight and 2 MiB of block buffers: see the module docstring.
+        # About 21 bytes per weight and 1.5 MiB of block buffers: see the module docstring.
         assert peak <= 8 * bundle.weights.nbytes
 
     @pytest.mark.parametrize(
