@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from aaacq.cli import main
-from aaacq.codebooks import _LEAF, AaacConfig, LearnResult, learn
+from aaacq.codebooks import _LEAF, AaacConfig, LearnResult, kmeans_update, learn
 from aaacq.grids import INT4, NVFP4, base_table, get_format
 from aaacq.tensors import LayerBundle, SynthSpec, TensorArchive, synth_layer, write_tensors
 
@@ -207,7 +207,10 @@ def _degenerate_layer(name):
     constant), repeated entries that force a table's full recode
     (integer-valued), magnitudes near the window's absolute floor (1e-30),
     columns without importance (a dead 16-column group; all-zero
-    activations), and rows wider than one inner-step block."""
+    activations), rows wider than one inner-step block, zeros of both signs
+    in equal numbers, which compare equal but differ in their bits
+    (signed-zeros), and float64 weights a few ulps apart, whose bit patterns
+    share all but their last bits (ulp-close)."""
     rows, cols = (2, 2 * _LEAF) if name == "wide-rows" else (16, 512)
     bundle = synth_layer(SynthSpec("mixture", rows, cols, 16, seed=12), name=name)
     w, x = bundle.weights, bundle.activations
@@ -225,6 +228,15 @@ def _degenerate_layer(name):
         x[:, 16:32] = 0.0
     elif name == "zero-activations":
         x = np.zeros_like(x)
+    elif name == "signed-zeros":  # half the weights zeroed; a negative one times 0 is -0.0
+        w = w * (np.random.default_rng(13).random(w.shape) < 0.5).astype(np.float32)
+        x = x.copy()
+        x[:, 16:32] = 0.0
+    elif name == "ulp-close":  # 64 anchors, each value 0-4 ulps above or below one
+        rng = np.random.default_rng(13)
+        anchors = rng.choice(w.ravel(), 64).astype(np.float64)
+        steps = rng.integers(0, 5, w.shape)
+        w = (anchors[rng.integers(0, 64, w.shape)].view(np.int64) + steps).view(np.float64)
     return LayerBundle(name, w, x)
 
 
@@ -238,6 +250,8 @@ DEGENERATE_SHA256 = {
     "dead-group": "2066b70f28b243e5cecc9b839dec75289023e7c3cb36e3e427ab3cddd965f7d3",
     "zero-activations": "6e6deaf9d05b4a4b2b5145407567678697ff9dabd76e5135b7e19508eb295c68",
     "wide-rows": "20562b2b3e5e30f9299052ceb81e8f4d31e4dab5de7a9f00995d6b30f68fddef",
+    "signed-zeros": "bfcee2f5cce46e799ebd9ad058917ef78101ed4a9f380507ca0c625b2a5019c4",
+    "ulp-close": "b3581aa457a91f9c38f61db921fd6cbd845ec6d41e2a191f991ded4599d53a05",
 }
 
 
@@ -251,6 +265,26 @@ def test_degenerate_learn_bytes(name):
             for f in dataclasses.fields(LearnResult):
                 digest.update(getattr(result, f.name).tobytes())
     assert digest.hexdigest() == DEGENERATE_SHA256[name]
+
+
+# `kmeans_update` on values with +-inf and NaN of both signs, with and without
+# weight on them, under a 16-entry table and one of more than 255 entries.
+KMEANS_NON_FINITE_SHA256 = "91e8f165525797af429a9b2c436ccb5a33bdee926ac0809634a2bbbfef4387ec"
+
+
+def test_kmeans_update_non_finite_bytes():
+    rng = np.random.default_rng(15)
+    values = rng.standard_normal(4096)
+    values[rng.choice(4096, 64, replace=False)] = np.resize([np.inf, -np.inf, np.nan, -np.nan], 64)
+    weights = rng.uniform(0.0, 1.0, 4096)
+    weights[::7] = 0.0
+    digest = hashlib.sha256()
+    for w in (weights, np.where(np.isfinite(values), weights, 0.0)):
+        for size in (16, 300):
+            table = np.sort(rng.standard_normal(size))
+            with np.errstate(invalid="ignore"):  # inf - inf in a cell's sums
+                digest.update(kmeans_update(table, values, w, 5).tobytes())
+    assert digest.hexdigest() == KMEANS_NON_FINITE_SHA256
 
 
 @pytest.mark.parametrize("name", sorted(FIXED_GRID))
