@@ -74,16 +74,20 @@ def _check_paths(inputs=(), outputs=()) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _quantize_layer(bundle: tensors.LayerBundle, method: str, cfg) -> packfmt.PackedLayer:
-    """`quantize`'s task: one layer's pack, with the layer named in any error."""
+def _quantize_layer(bundle: tensors.LayerBundle, method: str, cfg):
+    """`quantize`'s task: one layer's pack, with the layer named in any error,
+    and the line that reports its learner objective, or None.
+
+    The line goes back with the pack, so that it is logged in layer order
+    whichever worker finishes first.
+    """
     with naming_layer(bundle.name):
         packed, trace = metrics.quantize_layer(bundle, method, cfg)
+    line = None
     if trace is not None:
-        _log(
-            f"  {bundle.name}: objective {trace[0]:.6e} -> {trace[-1]:.6e} "
-            f"({trace.size} steps)"
-        )
-    return packed
+        line = (f"  {bundle.name}: objective {trace[0]:.6e} -> {trace[-1]:.6e} "
+                f"({trace.size} steps)")
+    return packed, line
 
 
 @contextlib.contextmanager
@@ -117,11 +121,18 @@ def cmd_quantize(args) -> int:
             packfmt.check_header(layer.name, cfg.group_size, cfg.sel_size)
         with _replacing(args.out) as fh:
             writer = packfmt.PackWriter(fh, len(archive.layers))
+
+            def consume(item):
+                name, (packed, line) = item
+                if line is not None:
+                    _log(line)
+                writer.write(name, packed)
+
             # Each task reads its own layer; packs are written in layer order as they arrive.
             _parallel_map(
                 lambda layer: (layer.name, _quantize_layer(archive.load(layer), args.method, cfg)),
                 archive.layers, threads, fork=metrics.runs_forked([args.method]),
-                consume=lambda item: writer.write(*item),
+                consume=consume,
             )
     _log(
         f"quantized {len(archive.layers)} layers with {args.method} "

@@ -9,54 +9,69 @@ are rounded to BF16, the assignment is recomputed, and codes emitted as
 nearest-entry indices under each group's selected table.
 
 Every step needs the nearest-entry code of many values under a table, and
-the values never change within a layer: only the tables move.  So the
-normalized weights are sorted once per layer, and that one order serves
-every search.  The nearest-entry cells of a sorted table are intervals (Max
-1960; Lloyd 1982), so each distinct entry's cell is a contiguous run of the
-sorted values, cut at the midpoints between neighbouring distinct entries.
-A full-layer code pass, as the assignment step takes for both tables, is
-then one `searchsorted` of the M - 1 midpoints into the sorted values, a
-`np.repeat` of the run labels and one scatter back to row-major order,
-instead of a binary search per value.
-
-The runs are exact, not approximate.  A value farther from every midpoint
-than a small window (a few ulps of the largest magnitude among values and
-entries) is nearer its run's entry by more than the rounding of `|v - t|`
-can undo.  Values inside a window go through `recon_codes`, so its
-first-minimum tie rule decides them.  When two distinct entries lie within a
-few windows of each other, or the magnitudes approach overflow, every value
-goes through `recon_codes`.  The distinct entries, midpoints, window and
-fallback are `quantizers._cells`, the one definition the fixed grids' code
-tables are built from too.  Codes therefore equal `recon_codes` value for
-value, which the tests check on adversarial tables.
+the values never change within a layer: only the tables move.  A full-layer
+code pass, as the assignment step takes for both tables, reads each value's
+code in the layout where it lies: `quantizers.code_table` builds the table's
+code table, and a value's code is one shift of its bit pattern and one
+gather, with the exhaustive search only for values in marked buckets (about
+0.7% of a mixture layer's).  Its exactness argument is in `quantizers`.
+The table is written only over the buckets the layer's values occupy, into
+one buffer that serves every table of the layer, so a build costs less than
+a pass over a small layer.  Tables of more than 255 entries, which
+`kmeans_update` allows, have no code table and go to `recon_codes`.
 
 Inside an outer round each table's members keep their codes from one Lloyd
 step to the next (`_Members`); the first codes are taken from the
-assignment step's full-layer passes.  After a step a value can change code
-only where the cells moved: between a boundary's old and new position in the
-sorted order, or inside an old or new window.  Everywhere else it lies in
-the same run before and after, and the run's label is unchanged as long as
-the distinct entries keep their indices.  So a step rewrites only the
-tables' members in those ranges of the one sorted order, about 1.5% of the
-values per step on synthetic mixture layers: each gets its new run's label,
-or the code `recon_codes` gives if it lies in a new window.  Both tables
-are searched together, their sorted positions keyed apart.  When the
-distinct entries change (a duplicate appears or goes) or a table is on the
-all-`recon_codes` fallback, that table takes a full pass.  The kept codes
-are thus exactly a fresh search's, step after step.
+assignment step's full-layer passes.  For that the normalized weights are
+sorted once per layer (`_SortedCells`).  The nearest-entry cells of a sorted
+table are intervals (Max 1960; Lloyd 1982), so each distinct entry's cell
+is a contiguous run of the sorted values, cut at the midpoints between
+neighbouring distinct entries, and found by one `searchsorted` of the
+midpoints.  The runs are exact, not approximate.  A value farther from
+every midpoint than a small window (a few ulps of the largest magnitude
+among values and entries) is nearer its run's entry by more than the
+rounding of `|v - t|` can undo.  Values inside a window go through
+`recon_codes`, so its first-minimum tie rule decides them.  When two
+distinct entries lie within a few windows of each other, or the magnitudes
+approach overflow, every value does.  The distinct entries, midpoints,
+window and fallback are `quantizers._cells`, the one definition the code
+tables are built from too.
+
+After a step a value can change code only where the cells moved: between a
+boundary's old and new position in the sorted order, or inside an old or
+new window.  Everywhere else it lies in the same run before and after, and
+the run's label is unchanged as long as the distinct entries keep their
+indices.  So a step rewrites only the tables' members in those ranges of
+the one sorted order, about 1.5% of the values per step on synthetic
+mixture layers: each gets its new run's label, or the code `recon_codes`
+gives if it lies in a new window.  Both tables are searched together, their
+sorted positions keyed apart.  When the distinct entries change (a
+duplicate appears or goes) or a table is on the all-`recon_codes` fallback,
+that table takes a full pass.  The kept codes are thus exactly a fresh
+search's, step after step, which the tests check on adversarial tables.
+
+The sort is one `np.sort` of packed 64-bit keys, not an argsort, which on
+this machine's numpy takes four to five times as long.  A key's top bits are
+the value's order-preserving bit pattern (the sign bit set on positive
+values, every bit flipped on negative ones, NaN of either sign past every
+other value), and its last ceil(log2 n) bits the value's flat position, so
+each position comes out of the sort beside its value.  Values whose keys
+share their top bits come out in position order, which can invert two of
+them; each run of such values that holds an inversion is sorted by value
+again, stably (`_untangle`).  The order is then that of a stable argsort of
+the full bit patterns: -0.0 before +0.0, and equal values by position.
 
 Summation order does not follow the sort: the Lloyd sums and the cell
 errors run over each table's members in row-major order, and the per-group
 errors over the whole layer in row-major order; only the search uses the
 sorted order.  Summing in sorted order (with `np.add.reduceat`, say) would
-save the scatter but rounds differently, so the float64 tables, the
-objective trace and in the end the packed bytes would depend on the sort.
-The Lloyd sums are taken straight over the layout: `np.add.at` adds each
-bin's terms in index order into a running sum, as one `np.bincount` does,
-every bin belongs to one table, and a table's members keep their row-major
-order in the layout.  So each bin sees its terms in member order, and the
-layout's interleaving of the tables changes no bit; nor does taking the sums
-a block at a time.  Both Lloyd sums are one `np.add.at` into complex128
+round differently, so the float64 tables, the objective trace and in the
+end the packed bytes would depend on the sort.  The Lloyd sums are taken
+straight over the layout: `np.add.at` adds each bin's terms in index order
+into a running sum, as one `np.bincount` does, every bin belongs to one
+table, and a table's members keep their row-major order in the layout.  So
+each bin sees its terms in member order, and the layout's interleaving of
+the tables changes no bit; nor does taking the sums a block at a time.  Both Lloyd sums are one `np.add.at` into complex128
 sums, the weighted values in the real parts and the weights in the
 imaginary ones: a complex addition adds each part as float64 does.  The
 errors are `.sum()`s of each table's members in member order, and numpy's
@@ -68,12 +83,18 @@ through the table's groups and combined in tree order, are the whole sum
 copy.
 
 Memory follows the layer's size in a few bytes per weight, and no step
-makes a full-size temporary it does not keep.  Members are whole selection
-groups, so `_Members` keeps which table each group belongs to as one entry
-per group, and each value's code in a byte.  Sorted positions are int32
-below 2**31 values, and the initial quantiles are read from the sorted
-copy.  The assignment step takes uint8 codes and forms its errors a row
-block at a time.  The inner steps read the normalized weights where they
+makes a full-size temporary it does not keep.  The sort builds its keys a
+block at a time and gathers the sorted copy into the keys' own buffer, so
+it peaks at the keys and the positions, 12 bytes a weight, as an argsort
+and its int32 copy would.  Members are whole selection groups, so
+`_Members` keeps which table each group belongs to as one entry per group,
+and each value's code in a byte.  Sorted positions are int32 below 2**31
+values, and the initial quantiles are read from the sorted copy.  The
+assignment step takes uint8 codes and forms its errors a row block at a
+time; the final one, which needs no sorted copy, runs after the sorted
+values and their positions are freed.  A code table spans 1 MiB of
+address space, of which only the buckets the values occupy, a few pages,
+are ever written.  The inner steps read the normalized weights where they
 lie: each is one pass over the layout a block of rows at a time (`_Pass`),
 which `learn` builds once.  It takes the weighted error only on the steps
 whose objective is asked for: all of them for `learn`'s full trace, the
@@ -96,7 +117,17 @@ import numpy as np
 
 from .errors import LayoutError, UnsupportedConfigError, ValidationError
 from .grids import SCALE_MODES, BaseFormat, compute_scales, round_bf16
-from .quantizers import _cells, check_table, expand_groups, normalize, recon_codes
+from .quantizers import (
+    _MARK,
+    _cells,
+    _occupied,
+    _recon_lookup,
+    check_table,
+    code_table,
+    expand_groups,
+    normalize,
+    recon_codes,
+)
 from .tensors import LayerBundle
 
 
@@ -289,6 +320,12 @@ _NONE = np.zeros(0, dtype=np.intp)
 # Flat positions below this fit in int32, half the bytes of intp.
 _NARROW_BELOW = 2**31
 
+_SIGN = np.uint64(1 << 63)  # a float64's sign bit
+
+# Values per block of the sort key build and of the search for inversions.
+_SORT_BLOCK = 1 << 16
+
+
 def _cell_runs(table: np.ndarray, values: np.ndarray):
     """The codes `recon_codes(table, values)` of ascending `values`, as runs.
 
@@ -326,42 +363,127 @@ def _spans(lo, hi) -> np.ndarray:
     return idx
 
 
+def _ordered(bits: np.ndarray, out=None) -> np.ndarray:
+    """Float64 bit patterns as unsigned integers in the values' order: the
+    sign bit set on positive values, every bit flipped on negative ones.  So
+    -0.0 ranks just below +0.0."""
+    flip = np.right_shift(bits.view(np.int64), 63, out=None if out is None else out.view(np.int64))
+    flip = flip.view(np.uint64)
+    flip |= _SIGN
+    flip ^= bits
+    return flip
+
+
+def _unordered(keys: np.ndarray) -> np.ndarray:
+    """The float64 values whose `_ordered` patterns are `keys`."""
+    return (keys ^ (~(keys.view(np.int64) >> 63).view(np.uint64) | _SIGN)).view(np.float64)
+
+
+def _sort_keys(flat: np.ndarray, bits: int) -> np.ndarray:
+    """Each value's `_ordered` pattern with its last `bits` bits replaced by
+    its position, NaN of either sign ranked past every other value.
+
+    Built a block at a time, so that no full-size temporary is made.
+    """
+    keys = np.empty(flat.size, dtype=np.uint64)
+    step = max(min(flat.size, _SORT_BLOCK), 1)
+    positions = np.arange(step, dtype=np.uint64)
+    nan = np.empty(step, dtype=bool)
+    for a in range(0, flat.size, step):
+        k, v = keys[a:a + step], flat[a:a + step]
+        _ordered(v.view(np.uint64), out=k)
+        if np.isnan(v, out=nan[:v.size]).any():
+            k[nan[:v.size]] = ~np.uint64(0)
+        k &= ~np.uint64((1 << bits) - 1)
+        k |= positions[:v.size]  # blocks start at multiples of their power-of-two step
+        k |= np.uint64(a)
+    return keys
+
+
+def _untangle(values: np.ndarray, order: np.ndarray, bits: int) -> None:
+    """Sorts by value, in place, every run of `values` whose keys share their
+    prefix (all but the last `bits` bits) and that holds an inversion.
+
+    A run is one prefix's values, in the order of their positions.  Runs
+    follow each other in value order, so a run's ends are found by a binary
+    search of its least and greatest possible values; the two runs of
+    prefixes that hold the zeros, one of each sign, are searched as one
+    range, which a stable sort keeps in key order, -0.0 first.  The
+    search's comparisons tell apart whole runs only, so it is exact whatever
+    order the values inside a run are in.
+    """
+    low = np.uint64((1 << bits) - 1)
+    tiny = low.view(np.float64)  # the largest magnitude in the zeros' prefixes
+    for a in range(0, values.size - 1, _SORT_BLOCK):
+        b = min(a + _SORT_BLOCK, values.size - 1)
+        at = (values[a + 1:b + 1] < values[a:b]).nonzero()[0]
+        if not at.size:
+            continue
+        prefix = _ordered(values[a + at].view(np.uint64)) & ~low
+        least, most = _unordered(prefix), _unordered(prefix | low)
+        least[least == 0] = -tiny
+        most[most == 0] = tiny
+        lo = values.searchsorted(least, side="left")
+        hi = values.searchsorted(most, side="right")
+        fresh = np.concatenate(([True], lo[1:] != lo[:-1]))
+        idx = _spans(lo[fresh], hi[fresh])
+        v = values[idx]
+        by_value = v.argsort(kind="stable")
+        values[idx] = v[by_value]
+        order[idx] = order[idx][by_value]
+
+
 class _SortedCells:
     """Fixed values, sorted once, for repeated nearest-entry searches.
 
-    `codes(table)` equals `recon_codes(table, values)` in the values' own
-    layout, but costs a boundary search, one `np.repeat` and one scatter
-    instead of a search per value.  `order` is int32 below `_NARROW_BELOW`
-    values and intp from there on.
+    `order` is each sorted value's flat position in the layout: int32 below
+    `_NARROW_BELOW` values and intp from there on.  `lookup(table)` equals
+    `recon_codes(table, values)`, from a code table written over the
+    buckets the values occupy, into one reused buffer.
     """
 
-    def __init__(self, sorted_values, order, shape):
+    def __init__(self, values, sorted_values, order):
+        self.values = values
+        self._flat = values.reshape(-1)
         self.sorted = sorted_values
-        self.order = order     # flat position in the layout of each sorted value
-        self.shape = shape
+        self.order = order
+        self._buckets = _occupied(sorted_values)
+        self._lut = None
 
     @classmethod
     def of(cls, values) -> "_SortedCells":
-        v = np.asarray(values, dtype=np.float64)
-        order = np.argsort(v, axis=None)
-        if v.size < _NARROW_BELOW:  # before the gather: the intp order and the copy never coexist
-            order = order.astype(np.int32)
-        return cls(v.ravel()[order], order, v.shape)
+        """The values sorted by one `np.sort` of their `_sort_keys`, whose
+        last bits carry each value's position, and `_untangle`d."""
+        v = np.ascontiguousarray(values, dtype=np.float64)
+        flat = v.reshape(-1)
+        bits = max(flat.size - 1, 0).bit_length()
+        keys = _sort_keys(flat, bits)
+        keys.sort()
+        order = np.empty(flat.size, dtype=np.int32 if flat.size < _NARROW_BELOW else np.intp)
+        np.bitwise_and(keys, np.uint64((1 << bits) - 1), out=order, casting="unsafe")
+        sorted_values = keys.view(np.float64)  # the keys' buffer, which they no longer need
+        for a in range(0, flat.size, _SORT_BLOCK):  # `take` widens int32 indices whole
+            b = a + _SORT_BLOCK
+            # In range; "raise" would buffer `out`.
+            flat.take(order[a:b], out=sorted_values[a:b], mode="clip")
+        _untangle(sorted_values, order, bits)
+        return cls(v, sorted_values, order)
+
+    def release_sorted(self) -> None:
+        """Frees the sorted copy and the positions, which `lookup` does not read."""
+        self.sorted = self.order = None
 
     def runs(self, table):
         """`_cell_runs` of all the sorted values under `table`."""
         return _cell_runs(check_table(table), self.sorted)
 
-    def codes(self, table, dtype=np.intp) -> np.ndarray:
-        """The codes under `table`, as `dtype`, which must hold the table's indices."""
-        first, counts, lo, hi = self.runs(table)
-        codes = np.repeat(first.astype(dtype), counts)
-        if (hi > lo).any():
-            idx = _spans(lo, hi)
-            codes[idx] = recon_codes(table, self.sorted[idx])
-        out = np.empty(codes.size, dtype=dtype)
-        out[self.order] = codes
-        return out.reshape(self.shape)
+    def lookup(self, table: np.ndarray) -> np.ndarray:
+        """`recon_codes(table, values)` of a float64 `table`, as uint8 for
+        tables of up to 255 entries."""
+        if table.size > _MARK:
+            return recon_codes(table, self.values)
+        self._lut = code_table(table, self._buckets, self._lut)  # a new table the first time
+        return _recon_lookup(self._lut, table, self._flat).reshape(self.values.shape)
 
 
 class _Members:
@@ -418,7 +540,7 @@ class _Members:
             self.runs[j] = first, _, new_lo, new_hi = _cell_runs(table, self.cells.sorted)
             if not (old_lo.size == new_lo.size == first.size - 1
                     and old_first.tobytes() == first.tobytes()):
-                self._recode(j, self.cells.codes(table, self.codes.dtype))
+                self._recode(j, self.cells.lookup(table))
                 continue
             lo += [new_lo + j * n, [(j + 1) * n]]
             hi += [new_hi + j * n, [(j + 1) * n]]
@@ -461,7 +583,7 @@ def _assign(cells, w_norm, col_importance, table0, table1, sel_size):
     dead = imp.reshape(-1, sel_size).sum(axis=1) == 0
     any_dead = dead.any()
     tables = [np.asarray(t, dtype=np.float64) for t in (table0, table1)]
-    codes = [cells.codes(t, np.uint8) for t in tables]
+    codes = [cells.lookup(t) for t in tables]
     sigma = np.empty((n, k // sel_size), dtype=np.uint8)
     chosen = np.empty(sigma.shape)  # each group's weighted error under its table
     step = max(1, _LEAF // k)
@@ -657,7 +779,7 @@ def kmeans_update(table, values, weights, n_inner: int) -> np.ndarray:
         raise ValidationError(f"got {w.size} weights for {v.size} values")
     cells = _SortedCells.of(v)
     # Each value is a selection group of one, and its weight its column's importance.
-    members = _Members(cells, np.zeros(v.size, dtype=bool), t, [cells.codes(t[0])])
+    members = _Members(cells, np.zeros(v.size, dtype=bool), t, [cells.lookup(t[0])])
     for t, _ in _lloyd_steps(members, t, _Pass(v.reshape(1, -1), w), n_inner, errors=()):
         pass
     return t[0]
@@ -729,6 +851,7 @@ def learn(
 
     t0 = round_bf16(t0).astype(np.float32)
     t1 = round_bf16(t1).astype(np.float32)
+    cells.release_sorted()  # 12 bytes a weight the final codes do without
     codes0, codes1, sigma, _ = _assign(cells, w_norm, imp, t0, t1, sel)
     codes = np.where(expand_groups(sigma, sel).astype(bool), codes1, codes0)
     return LearnResult(

@@ -15,12 +15,13 @@ whose first-minimum rule decides ties.  When two distinct entries lie within
 a few windows of each other, or magnitudes approach overflow or are not
 finite, every value does (the fallback).  `_cells` holds this definition.
 
-The fixed grids apply it through a code table each (`code_table`), built
-from `_cells` once per process on first use, in about 0.5 ms.  Each spans
-1 MiB, of which about half is ever written and so takes memory.  A bucket
-is the float64 values that share their top 20 bits: sign, exponent and 8
-mantissa bits, so 2**-8 of a binade.  Its byte is the first index of the
-cell that holds the whole bucket clear of every window, or a marker.  A
+Any sorted table of at most 255 entries can apply it through a code table
+(`code_table`), built from `_cells`.  The fixed grids have one each, built
+once per process on first use, in about 1 ms.  Each spans 1 MiB of an
+anonymous map, of which about half is ever written and so takes memory.  A
+bucket is the float64 values that share their top 20 bits: sign, exponent
+and 8 mantissa bits, so 2**-8 of a binade.  Its byte is the first index of
+the cell that holds the whole bucket clear of every window, or a marker.  A
 value's code is then one shift of its bit pattern and one gather, and only
 values in marked buckets take the exhaustive search.
 - A bucket clear of every window is exact: every value in it is, and
@@ -37,15 +38,19 @@ Two marked buckets meet each midpoint, so about 1% of a laplace layer's
 normalized weights are searched.  On one 64K-value block of such a layer
 `recon_codes` took 0.28-0.37 ms under NVFP4 and 0.18-0.34 ms under INT4,
 against 0.79-1.12 and 0.45-0.54 ms for the comparison pass per midpoint it
-replaced (2 vCPUs, numpy 2.4).  Any other table goes straight to the
-exhaustive search: `codebooks` applies `_cells` to values sorted once per
-layer and hands `recon_codes` only the values inside windows or on the
-fallback.
+replaced (2 vCPUs, numpy 2.4).  `recon_codes` searches every value under
+any other table.  `codebooks` builds a code table for each learned table,
+but writes only the buckets a layer's values occupy (`_occupied`), into one
+buffer it reuses for every table of the layer; every other bucket stays
+marked.  The build takes the fallback's cut from its closed form, checked
+at the cut and the bucket below by `_falls_back`, the test `_cells` makes,
+and takes 50-100 us on a 64x512 layer.
 """
 
 from __future__ import annotations
 
 import functools
+import mmap
 
 import numpy as np
 
@@ -109,36 +114,40 @@ def _cells(table: np.ndarray, big):
 
     Returns `(first, mid, half)`: the first index of each distinct entry, the
     midpoints between neighbouring distinct entries and the window
-    half-width around each.  `mid` is None on the fallback, when distinct
-    entries lie within 4 windows of each other or `big` (the largest
-    magnitude among values and entries) is not below `_MAGNITUDE_MAX`, NaN
-    included; then every value needs the exhaustive search.
+    half-width around each.  `mid` is None on the fallback (`_falls_back`);
+    then every value needs the exhaustive search.
     """
     first = np.concatenate(([True], table[1:] != table[:-1])).nonzero()[0]
     distinct = table[first]
     half = big * _WINDOW_REL + _WINDOW_ABS
-    if not (
-        big < _MAGNITUDE_MAX
-        and np.minimum.reduce(distinct[1:] - distinct[:-1], initial=np.inf) > 4 * half
-    ):
+    # Past _MAGNITUDE_MAX no gap is formed: the entries can be infinite.
+    if not big < _MAGNITUDE_MAX or _falls_back(
+            np.minimum.reduce(distinct[1:] - distinct[:-1], initial=np.inf), big):
         return first, None, half
     return first, 0.5 * distinct[:-1] + 0.5 * distinct[1:], half
 
 
+def _falls_back(gap, big) -> bool:
+    """Whether values up to magnitude `big` take the fallback under distinct
+    entries at least `gap` apart: when 4 windows reach the gap, or `big` is
+    not below `_MAGNITUDE_MAX`, NaN included."""
+    return not (big < _MAGNITUDE_MAX and gap > 4 * (big * _WINDOW_REL + _WINDOW_ABS))
+
+
 def _recon_exact(t: np.ndarray, v: np.ndarray) -> np.ndarray:
     """`recon_codes` by a binary search and a first-minimum tie walk per value."""
-    pos = np.searchsorted(t, v, side="left")  # in 0..t.size
+    pos = t.searchsorted(v, side="left")  # in 0..t.size
     lo = np.maximum(pos - 1, 0)
     hi = np.minimum(pos, t.size - 1)
     pick_hi = np.abs(v - t[hi]) < np.abs(v - t[lo])
     idx = np.where(pick_hi, hi, lo)
     # Duplicate entries share a value; the code must point at the first one.
-    idx = np.searchsorted(t, t[idx], side="left")
+    idx = t.searchsorted(t[idx], side="left")
     # Distinct entries can still tie in floating point when their gap is
     # below the distance's ulp; the argmin contract wants the first index.
     left = np.maximum(idx - 1, 0)
     ties = (idx > 0) & (np.abs(v - t[left]) == np.abs(v - t[idx]))
-    if np.any(ties):
+    if ties.any():
         idx = idx.copy()
         flat_idx = idx.reshape(-1)
         flat_v = v.reshape(-1)
@@ -187,7 +196,60 @@ def _key(x: float) -> int:
     return int(np.float64(abs(x)).view(np.uint64)) >> _KEY_SHIFT
 
 
-def code_table(table: np.ndarray) -> np.ndarray:
+def _keys(x: np.ndarray) -> np.ndarray:
+    """`_key` of each of the float64 values `x`."""
+    return np.abs(x).view(np.uint64) >> np.uint64(_KEY_SHIFT)
+
+
+def _fallback_cut(t: np.ndarray, big: float, first: np.ndarray) -> int:
+    """The first positive bucket from which `_cells(t, ...)` takes the fallback.
+
+    `_falls_back` holds from some magnitude on: the window grows with the
+    magnitude until four of them reach the smallest gap between distinct
+    entries, or the magnitude reaches `_MAGNITUDE_MAX`.  The cut starts at
+    that magnitude's bucket, worked out from the same bound, and moves a
+    bucket at a time until `_falls_back` holds at the largest magnitude of
+    the cut's bucket and not at that of the one below.  The last bucket
+    holds NaN, where it always holds.
+    """
+    distinct = t[first]
+    gap = np.minimum.reduce(distinct[1:] - distinct[:-1], initial=np.inf)
+    reach = min(float(gap) / 4 - _WINDOW_ABS, _MAGNITUDE_MAX * _WINDOW_REL)
+    k = _key(reach / _WINDOW_REL) if reach > 0 else 0
+
+    def falls(k):  # at the largest magnitude in positive bucket k; max(top, big), NaN kept
+        top = float(np.uint64(((k + 1) << _KEY_SHIFT) - 1).view(np.float64))
+        return _falls_back(gap, big if big > top else top)
+
+    while k > 0 and falls(k - 1):
+        k -= 1
+    while not falls(k):
+        k += 1
+    return k
+
+
+_HALF_KEYS = 1 << (_KEY_BITS - 1)  # buckets per sign, the negative ones last
+_EVERY_BUCKET = ([(0, _HALF_KEYS)], [(0, _HALF_KEYS)])
+
+
+def _occupied(values: np.ndarray) -> tuple[list, list]:
+    """The buckets ascending `values` (NaN last) occupy, as ranges of keys
+    `[a, b)` per half: the positive one, then the negative one.
+
+    Each sign's range runs from its smallest magnitude to its largest; a
+    zero of either sign adds bucket 0 to both halves.
+    """
+    n = values.searchsorted(np.inf, side="right")  # NaN sorts last
+    neg, pos = values.searchsorted(0.0, side="left"), values.searchsorted(0.0, side="right")
+    zero = [(0, 1)] if pos > neg else []
+    ends = _keys(values.take([neg - 1, 0, pos, n - 1], mode="clip")).tolist() if n else [0] * 4
+    return (
+        zero + ([(ends[2], ends[3] + 1)] if n > pos else []),
+        zero + ([(ends[0], ends[1] + 1)] if neg > 0 else []),
+    )
+
+
+def code_table(table: np.ndarray, buckets=_EVERY_BUCKET, out=None) -> np.ndarray:
     """The code table of a sorted table of at most 255 entries, from `_cells`.
 
     Each byte's complement is its bucket's code, or `_MARK` (see above).
@@ -195,42 +257,47 @@ def code_table(table: np.ndarray) -> np.ndarray:
     value beyond the table's ends lies at least half the smallest gap from
     every midpoint, which is more than two windows at its own magnitude
     until the fallback begins, so it needs no window of its own.
+
+    Only `buckets`, every bucket or the ranges `_occupied` gives for a set
+    of values, are written, and every other bucket reads the marker.  The
+    table is written into `out` when given, which must be zeros or a code
+    table built before over the same `buckets`: no byte outside them was
+    ever written.
     """
     t = check_table(table)
     if t.size > _MARK:
         raise ValidationError(f"a code table holds codes below {_MARK}, not {t.size} entries")
-    half_keys = 1 << (_KEY_BITS - 1)  # buckets per sign, the negative ones last
-    lut = np.zeros(2 * half_keys, dtype=np.uint8)
+    # A new table is an anonymous map, whose pages take memory only once
+    # written; calloc can hand back heap memory that it must clear first.
+    lut = np.frombuffer(mmap.mmap(-1, 2 * _HALF_KEYS), dtype=np.uint8) if out is None else out
     big = max(abs(t[0]), abs(t[-1]))
     first, mid, half = _cells(t, big)
-    if mid is None:
+    cut = 0 if mid is None else _fallback_cut(t, big, first)
+    for base, span in zip((0, _HALF_KEYS), buckets):
+        for a, b in span:
+            lut[base + (a if a > cut else cut):base + b] = 0  # the fallback's buckets, marked
+    if not cut:
         return lut
-
-    def top(k: int) -> float:  # the largest magnitude in positive bucket k
-        return float(np.uint64(((k + 1) << _KEY_SHIFT) - 1).view(np.float64))
-
-    # The fallback's first bucket: `_cells` takes it at all larger magnitudes.
-    cut, hi = 0, half_keys - 1  # the last bucket holds NaN, so it takes the fallback
-    while cut < hi:
-        k = (cut + hi) // 2
-        if _cells(t, max(top(k), big))[1] is None:
-            hi = k
-        else:
-            cut = k + 1
     # Runs of one cell each, by magnitude: from +0 up, then from -0 down.
-    below = int(np.count_nonzero(mid < 0))
-    up = [_key(m) for m in mid[below:]]
-    down = [_key(m) for m in mid[:below][::-1]]
-    for base, keys, codes in ((0, up, first[below:]), (half_keys, down, first[below::-1])):
-        edges = [min(k, cut) for k in [0] + keys + [cut]]
-        for a, b, code in zip(edges, edges[1:], codes):
-            lut[base + a:base + b] = ~np.uint8(code)
-    for m in mid:
-        a, b = m - half, m + half
-        if b >= 0:
-            lut[_key(max(a, 0.0)):_key(b) + 1] = 0
-        if a < 0:
-            lut[half_keys + _key(min(b, 0.0)):half_keys + _key(a) + 1] = 0
+    n, below, half = mid.size, int(mid.searchsorted(0.0)), float(half)
+    keys = _keys(np.concatenate((mid, mid - half, mid + half))).tolist()
+    codes = (_MARK - first).tolist()  # each byte is the complement of its code
+    runs = (([0] + keys[below:n] + [cut], codes[below:]),
+            ([0] + keys[:below][::-1] + [cut], codes[below::-1]))
+    for base, span, (edges, codes) in zip((0, _HALF_KEYS), buckets, runs):
+        for a, b in span:
+            b = b if b < cut else cut
+            for lo, hi, code in zip(edges, edges[1:], codes):
+                lo, hi = (lo if lo > a else a), (hi if hi < b else b)
+                if lo < hi:
+                    lut[base + lo:base + hi] = code
+    # A window marks the buckets from its lower end's to its upper end's on
+    # each side of zero it reaches.
+    for m, a, b in zip(mid.tolist(), keys[n:2 * n], keys[2 * n:]):
+        if m + half >= 0:
+            lut[(a if m - half >= 0 else 0):b + 1] = 0
+        if m - half < 0:
+            lut[_HALF_KEYS + (b if m + half < 0 else 0):_HALF_KEYS + a + 1] = 0
     return lut
 
 
@@ -259,13 +326,14 @@ def _recon_lookup(lut: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
     codes = np.empty(v.size, dtype=np.uint8)
     bits = v.view(np.uint64)
     keys = np.empty(min(v.size, _LOOKUP_CHUNK), dtype=np.uint64)
+    index = keys.view(np.intp)  # intp keys spare `take` a cast
     for a in range(0, v.size, _LOOKUP_CHUNK):
-        k = keys[:min(_LOOKUP_CHUNK, v.size - a)]
-        np.right_shift(bits[a:a + _LOOKUP_CHUNK], _KEY_SHIFT, out=k)
-        # In range by construction; "raise" would buffer `out`, and intp keys spare a cast.
-        lut.take(k.view(np.int64), out=codes[a:a + _LOOKUP_CHUNK], mode="clip")
+        b = a + _LOOKUP_CHUNK if a + _LOOKUP_CHUNK < v.size else v.size
+        np.right_shift(bits[a:b], _KEY_SHIFT, out=keys[:b - a])
+        # In range by construction; "raise" would buffer `out`.
+        lut.take(index[:b - a], out=codes[a:b], mode="clip")
     np.invert(codes, out=codes)
-    marked = np.flatnonzero(codes == _MARK)
+    marked = (codes == _MARK).nonzero()[0]
     if marked.size:
         codes[marked] = _recon_exact(t, v[marked])
     return codes

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -224,8 +225,21 @@ class TestQuantize:
             err = _python("-m", "aaacq.cli", "quantize", str(archive), "--out",
                           str(tmp_path / f"m{threads}.aaacq"), "--method", "aaac",
                           "--threads", threads).stderr
-            # Forked workers log as they finish, so the lines come in any order.
-            assert sorted(x for x in err.splitlines() if " objective " in x) == want
+            assert [x for x in err.splitlines() if " objective " in x] == want
+
+    def test_log_is_in_layer_order_whatever_the_workers(self, tmp_path):
+        # Forked workers finish in any order; their objective lines are
+        # logged as their packs are written, in layer order.
+        path = tmp_path / "layers.safetensors"
+        assert run("synth", "--out", path, "--layers", "4", "--kind", "mixture",
+                   "-N", "16", "-K", "256", "-T", "16", "--seed", "5") == 0
+        logs = []
+        for threads in ("1", "2"):
+            err = _python("-m", "aaacq.cli", "quantize", str(path), "--out",
+                          str(tmp_path / "m.aaacq"), "--method", "aaac", "--threads", threads).stderr
+            logs.append(re.sub(r" in [0-9.]+s ", " in <time> ", err))
+        assert logs[0].count(" objective ") == 4
+        assert logs[1] == logs[0]
 
     def test_default_worker_count_is_the_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aaacq import codebooks
+from aaacq import codebooks, quantizers
 from aaacq.codebooks import (
     AaacConfig,
     LearnResult,
@@ -235,58 +235,151 @@ def tables_and_values(draw):
     return table, np.asarray(values, dtype=np.float64)
 
 
+def _searched(monkeypatch):
+    """Sizes of the value sets handed to the exhaustive search, by every route."""
+    sizes = []
+    real = quantizers._recon_exact
+
+    def spy(table, values):
+        sizes.append(np.asarray(values).size)
+        return real(table, values)
+
+    monkeypatch.setattr(quantizers, "_recon_exact", spy)
+    return sizes
+
+
 class TestSortedCells:
     @given(tables_and_values())
     @settings(max_examples=400, deadline=None)
     def test_codes_match_recon_codes(self, case):
         table, values = case
-        got = _SortedCells.of(values).codes(table)
-        assert got.dtype == np.intp
+        got = _SortedCells.of(values).lookup(table)
+        assert got.dtype == np.uint8
         assert got.tolist() == recon_codes(table, values).tolist()
 
     def test_two_dimensional_layout(self):
         rng = np.random.default_rng(7)
         values = rng.standard_normal((6, 40))
         table = np.sort(rng.standard_normal(15))
-        got = _SortedCells.of(values).codes(table)
+        got = _SortedCells.of(values).lookup(table)
         assert got.shape == values.shape
+        assert np.array_equal(got, recon_codes(table, values))
+
+    def test_tables_past_255_entries_search_every_value(self):
+        rng = np.random.default_rng(8)
+        values = rng.uniform(-9, 9, (3, 700))
+        table = np.sort(rng.uniform(-8, 8, 300))
+        got = _SortedCells.of(values).lookup(table)
+        assert got.dtype == np.intp
         assert np.array_equal(got, recon_codes(table, values))
 
     def test_empty_and_single_value_sets(self):
         table = np.asarray([-1.0, 0.0, 0.0, 2.0])
-        assert _SortedCells.of(np.zeros(0)).codes(table).tolist() == []
-        assert _SortedCells.of(np.asarray([1.0])).codes(table).tolist() == [1]
-        assert _SortedCells.of(np.asarray([-0.0])).codes(table).tolist() == [1]
+        assert _SortedCells.of(np.zeros(0)).lookup(table).tolist() == []
+        assert _SortedCells.of(np.asarray([1.0])).lookup(table).tolist() == [1]
+        assert _SortedCells.of(np.asarray([-0.0])).lookup(table).tolist() == [1]
 
     @pytest.fixture()
     def searched(self, monkeypatch):
-        """Sizes of the value sets the code pass hands to recon_codes."""
-        sizes = []
-
-        def spy(table, values):
-            sizes.append(np.asarray(values).size)
-            return recon_codes(table, values)
-
-        monkeypatch.setattr(codebooks, "recon_codes", spy)
-        return sizes
+        return _searched(monkeypatch)
 
     def test_only_window_values_are_searched(self, searched):
+        # Only values in marked buckets are searched: here the two values on
+        # midpoints, whose buckets the windows mark.
         table = np.asarray([-1.0, 0.0, 0.0, 1.0])  # a duplicate is no small gap
         values = np.asarray([-0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 0.9])
-        got = _SortedCells.of(values).codes(table)
-        assert got.tolist() == recon_codes(table, values).tolist()
-        assert searched == [2]  # the two values on midpoints
+        want = recon_codes(table, values).tolist()
+        searched.clear()
+        assert _SortedCells.of(values).lookup(table).tolist() == want
+        assert searched == [2]
 
     def test_gaps_below_the_guard_search_every_value(self, searched):
         table = np.asarray([1.0, np.nextafter(1.0, 2.0), 3.0])
         values = np.linspace(-4.0, 4.0, 33)
-        got = _SortedCells.of(values).codes(table)
-        assert got.tolist() == recon_codes(table, values).tolist()
+        want = recon_codes(table, values).tolist()
+        searched.clear()
+        assert _SortedCells.of(values).lookup(table).tolist() == want
         assert searched == [33]
+
+    def test_one_buffer_serves_every_table(self):
+        # Each table is written over the same buckets of one buffer, so what
+        # one table wrote never shows through another: here a table on the
+        # fallback after one that was not, and one whose fallback cut lies
+        # inside the values' range after one whose cut lies past it.
+        rng = np.random.default_rng(9)
+        values = np.concatenate([rng.laplace(0, 2, 500), [0.0, -0.0, 1e-300, 3e12, -4e13]])
+        cells = _SortedCells.of(values)
+        tables = [np.linspace(-6, 6, 16), np.asarray([1.0, np.nextafter(1.0, 2.0), 3.0]),
+                  np.asarray([-1e-3, 0.0, 1e-3]), np.asarray([-2.0, 1.0, 1.0 + 2.0 ** -40]),
+                  np.linspace(-6, 6, 16)]
+        for table in tables:
+            assert cells.lookup(table).tolist() == recon_codes(table, values).tolist()
 
     def test_decreasing_table_is_rejected(self):
         with pytest.raises(ValidationError):
-            _SortedCells.of(np.zeros(3)).codes(np.asarray([0.0, 1.0, 0.5]))
+            _SortedCells.of(np.zeros(3)).lookup(np.asarray([0.0, 1.0, 0.5]))
+
+
+# Float64 values that sort with traps: zeros of both signs, subnormals, values
+# near overflow, infinities and NaN of both signs.
+_SORT_SPECIALS = [0.0, -0.0, 2.0 ** -1074, -(2.0 ** -1074), 2.0 ** -1060, -(2.0 ** -1022),
+                  1.0, -1.0, 1e308, -1e308, np.finfo(np.float64).max, np.inf, -np.inf,
+                  np.nan, -np.nan]
+
+
+@st.composite
+def values_to_sort(draw):
+    """Values of `2**k - 1`, `2**k` or `2**k + 1` elements: specials, clusters
+    a few ulps wide around specials or random anchors, whose sort keys then
+    share their prefix, and random magnitudes."""
+    k = draw(st.integers(0, 13))
+    n = max(0, 2 ** k + draw(st.sampled_from([-1, 0, 1])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    anchors = np.concatenate([_SORT_SPECIALS, rng.standard_normal(4) * 10.0 ** rng.integers(-300, 300, 4)])
+    spread = draw(st.sampled_from([0, 4, n.bit_length(), 2 * n + 2]))  # ulps around an anchor
+    kind = rng.integers(0, 3, n)
+    picked = anchors[rng.integers(0, anchors.size, n)]
+    ulps = rng.integers(-spread, spread + 1, n)
+    clustered = (picked.view(np.int64) + ulps).view(np.float64)
+    free = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    return np.choose(kind, [picked, clustered, free])
+
+
+class TestSortOrder:
+    @staticmethod
+    def key_order(values):
+        """The flat positions by value, ties in position order, -0.0 before
+        +0.0 and NaN of either sign last: a stable argsort of the order-preserving
+        bit patterns."""
+        flat = np.asarray(values, dtype=np.float64).reshape(-1)
+        keys = codebooks._ordered(flat.view(np.uint64)).copy()
+        keys[np.isnan(flat)] = ~np.uint64(0)
+        return np.argsort(keys, kind="stable")
+
+    @given(values_to_sort(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_sorted_copy_and_order(self, values, wide):
+        with pytest.MonkeyPatch.context() as patch:
+            if wide:
+                patch.setattr(codebooks, "_NARROW_BELOW", 0)
+            cells = _SortedCells.of(values)
+        s = cells.sorted
+        assert cells.order.dtype == (np.intp if wide else np.int32)
+        assert np.array_equal(np.sort(cells.order), np.arange(values.size))
+        assert s.tobytes() == values.ravel()[cells.order].tobytes()
+        real = ~np.isnan(s)
+        assert not (s[1:] < s[:-1]).any() and real[:real.sum()].all()  # NaN last
+        assert np.array_equal(cells.order, self.key_order(values))
+
+    def test_inverted_runs_are_untangled(self):
+        # 4096 values in 64 clusters 0-4 ulps wide, in random positions: their
+        # keys keep 52 - 12 bits below the exponent, so every cluster is one
+        # prefix, sorted first by position.
+        rng = np.random.default_rng(10)
+        anchors = rng.standard_normal(64)
+        values = (anchors[rng.integers(0, 64, 4096)].view(np.int64)
+                  + rng.integers(0, 5, 4096)).view(np.float64)
+        assert np.array_equal(_SortedCells.of(values).order, self.key_order(values))
 
 
 @st.composite
@@ -343,7 +436,7 @@ class TestMembers:
             picks = [split == "all"] * values.size
         mask = np.asarray(picks, dtype=bool)
         cells = _SortedCells.of(values)
-        members = _Members(cells, mask, tables, [cells.codes(t) for t in tables])
+        members = _Members(cells, mask, tables, [cells.lookup(t) for t in tables])
         assert members.codes.tolist() == self.want(tables, values, mask).tolist()
         for _ in range(data.draw(st.integers(1, 4))):
             tables = np.stack([data.draw(moved_table(t)) for t in tables])
@@ -352,15 +445,7 @@ class TestMembers:
 
     @pytest.fixture()
     def searched(self, monkeypatch):
-        """Sizes of the value sets handed to recon_codes."""
-        sizes = []
-
-        def spy(table, values):
-            sizes.append(np.asarray(values).size)
-            return recon_codes(table, values)
-
-        monkeypatch.setattr(codebooks, "recon_codes", spy)
-        return sizes
+        return _searched(monkeypatch)
 
     def test_a_move_searches_only_window_values(self, searched):
         values = np.linspace(-2.0, 2.0, 401)  # steps of 0.01
@@ -368,7 +453,7 @@ class TestMembers:
         mask[1::2] = True
         cells = _SortedCells.of(values)
         tables = np.asarray([[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
-        members = _Members(cells, mask, tables, [cells.codes(t) for t in tables])
+        members = _Members(cells, mask, tables, [cells.lookup(t) for t in tables])
         searched.clear()
         # Table 0's midpoints move from -0.5 to -0.44 and from 0.5 to 0.56.
         # Of the values crossed, only -0.44 and 0.56, both of table 0, lie
@@ -376,15 +461,15 @@ class TestMembers:
         # stays put, and its windows hold only -0.5 and 0.5, of table 0.
         tables = np.asarray([[-1.0, 0.12, 1.0], [-1.0, 0.0, 1.0]])
         members.move(tables)
-        assert members.codes.tolist() == self.want(tables, values, mask).tolist()
         assert searched == [2]
+        assert members.codes.tolist() == self.want(tables, values, mask).tolist()
 
     def test_changed_entry_structure_takes_a_full_pass(self, searched):
         values = np.linspace(-2.0, 2.0, 41)
         mask = np.zeros(values.size, dtype=bool)
         cells = _SortedCells.of(values)
         tables = np.asarray([[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
-        members = _Members(cells, mask, tables, [cells.codes(t) for t in tables])
+        members = _Members(cells, mask, tables, [cells.lookup(t) for t in tables])
         tables = np.asarray([[-1.0, -1.0, 1.0], [-1.0, 0.0, 1.0]])  # a duplicate appears
         members.move(tables)
         assert members.codes.tolist() == self.want(tables, values, mask).tolist()
@@ -392,23 +477,24 @@ class TestMembers:
         # Still two distinct entries, but the cell of 1.0 is now labelled 1.
         tables = np.asarray([[-1.0, 1.0, 1.0], [-1.0, 0.0, 1.0]])
         members.move(tables)
-        assert members.codes.tolist() == self.want(tables, values, mask).tolist()
         assert searched == [1]  # a full pass: only 0.0, on the midpoint, is searched
+        assert members.codes.tolist() == self.want(tables, values, mask).tolist()
 
     def test_learn_inner_steps_search_a_small_share(self, searched, monkeypatch):
         full = []
-        codes = _SortedCells.codes
+        lookup = _SortedCells.lookup
 
-        def counted(cells, table, *dtype):
-            full.append(cells.sorted.size)
-            return codes(cells, table, *dtype)
+        def counted(cells, table):
+            full.append(cells.values.size)
+            return lookup(cells, table)
 
-        monkeypatch.setattr(_SortedCells, "codes", counted)
+        monkeypatch.setattr(_SortedCells, "lookup", counted)
         bundle = make_bundle(1, rows=64, cols=512)
         learn(bundle, AaacConfig.for_format(NVFP4, n_outer=2, n_inner=4))
         # Full passes only for the assignment steps and the final codes: the
-        # inner steps rewrite codes in place and hand recon_codes only the
-        # values in a window, never a whole member set.
+        # inner steps rewrite codes in place and search only the values in a
+        # window, never a whole member set; a full pass only those in marked
+        # buckets.
         assert len(full) == 2 * 2 + 2
         assert all(size < bundle.weights.size // 20 for size in searched)
 
@@ -520,7 +606,7 @@ class TestInnerPass:
         cells = _SortedCells.of(w)
         tables = np.stack(init_tables(cells.sorted, 16))
         fused, whole = (
-            _Members(cells, member1, tables, [cells.codes(t) for t in tables], sel)
+            _Members(cells, member1, tables, [cells.lookup(t) for t in tables], sel)
             for _ in range(2)
         )
         assert fused.codes.dtype == np.uint8

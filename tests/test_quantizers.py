@@ -249,6 +249,45 @@ def code_table_cases(draw):
     return table, np.concatenate([near, edges, special, free])
 
 
+def _bisected_code_table(table):
+    """`code_table` as first written, the reference the builder must equal:
+    the fallback's cut found by bisection over every bucket, and every
+    bucket written."""
+    t = np.asarray(table, dtype=np.float64)
+    half_keys = 1 << 19
+    lut = np.zeros(2 * half_keys, dtype=np.uint8)
+    big = max(abs(t[0]), abs(t[-1]))
+    first, mid, half = quantizers._cells(t, big)
+    if mid is None:
+        return lut
+
+    def top(k):
+        return float(np.uint64(((k + 1) << 44) - 1).view(np.float64))
+
+    cut, hi = 0, half_keys - 1
+    while cut < hi:
+        k = (cut + hi) // 2
+        if quantizers._cells(t, max(top(k), big))[1] is None:
+            hi = k
+        else:
+            cut = k + 1
+    key = quantizers._key
+    below = int(np.count_nonzero(mid < 0))
+    up = [key(m) for m in mid[below:]]
+    down = [key(m) for m in mid[:below][::-1]]
+    for base, keys, codes in ((0, up, first[below:]), (half_keys, down, first[below::-1])):
+        edges = [min(k, cut) for k in [0] + keys + [cut]]
+        for a, b, code in zip(edges, edges[1:], codes):
+            lut[base + a:base + b] = ~np.uint8(code)
+    for m in mid:
+        a, b = m - half, m + half
+        if b >= 0:
+            lut[key(max(a, 0.0)):key(b) + 1] = 0
+        if a < 0:
+            lut[half_keys + key(min(b, 0.0)):half_keys + key(a) + 1] = 0
+    return lut
+
+
 class TestCodeTables:
     @pytest.mark.parametrize("fmt", [NVFP4, INT4])
     def test_unmarked_bucket_edges_match_brute_force(self, fmt):
@@ -258,6 +297,7 @@ class TestCodeTables:
         t = base_table(fmt)
         lut = quantizers.code_table(t)
         assert lut.dtype == np.uint8 and lut.size == 1 << 20
+        assert np.array_equal(lut, _bisected_code_table(t))
         codes = ~lut  # a marked bucket's byte is 0, so its complement is _MARK
         keys = np.flatnonzero(codes != quantizers._MARK)
         assert 500_000 < keys.size < 600_000
@@ -272,6 +312,7 @@ class TestCodeTables:
     def test_builder_matches_brute_force(self, case):
         table, values = case
         lut = quantizers.code_table(table)
+        assert np.array_equal(lut, _bisected_code_table(table))
         codes = ~lut[_bucket_keys(values)]
         kept = codes != quantizers._MARK
         assert not kept[~np.isfinite(values) | (np.abs(values) >= 2.0 ** 1000)].any()
@@ -281,6 +322,46 @@ class TestCodeTables:
         got = quantizers._recon_lookup(lut, table, values)
         assert got[finite].tolist() == brute_force_codes(table, values[finite]).tolist()
         assert got.tolist() == quantizers._recon_exact(table, values).tolist()
+
+    @given(code_table_cases(), code_table_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_built_over_occupied_buckets(self, case, other):
+        # Over the buckets a set of values occupies, the table is the full
+        # one's; every other bucket reads the marker, also after another
+        # table was built into the same buffer first.
+        table, values = case
+        buckets = quantizers._occupied(np.sort(values))
+        keys = _bucket_keys(values).astype(np.intp)
+        occupied = np.zeros(1 << 20, dtype=bool)
+        for base, span in zip((0, 1 << 19), buckets):
+            for a, b in span:
+                occupied[base + a:base + b] = True
+        assert occupied[keys[~np.isnan(values)]].all()  # NaN, past every cut, is left out
+        want = np.where(occupied, quantizers.code_table(table), 0)
+        out = quantizers.code_table(other[0], buckets)
+        assert np.array_equal(quantizers.code_table(table, buckets, out), want)
+        assert quantizers._recon_lookup(out, table, values).tolist() == \
+            quantizers._recon_exact(table, values).tolist()
+
+    @pytest.mark.parametrize("gap", [2.0 ** -1074 * k for k in (29, 71, 120, 401, 3001)]
+                             + [2.0 ** -1040, 1e-300, 2.0 ** -50, 1.0, 1e300])
+    def test_fallback_cut_matches_bisection(self, gap):
+        # With subnormal gaps the window's rounding moves the cut a few
+        # buckets from its closed form, up or down.
+        for table in ([0.0, gap], [-gap, 0.0, gap], [1.0, 1.0 + gap]):
+            table = np.asarray(table)
+            assert np.array_equal(quantizers.code_table(table), _bisected_code_table(table))
+
+    def test_occupied_buckets_hold_the_zeros_of_either_sign(self):
+        # A zero of either sign is in bucket 0 of both halves; no other value
+        # here lies in bucket 0, nor in the buckets between the zeros and 1.
+        values = np.sort(np.asarray([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0]))
+        pos, neg = quantizers._occupied(values)
+        one, two, three = _bucket_keys([1.0, 2.0, 3.0]).tolist()
+        assert pos == [(0, 1), (one, three + 1)]
+        assert neg == [(0, 1), (one, two + 1)]
+        assert quantizers._occupied(np.zeros(0)) == ([], [])
+        assert quantizers._occupied(np.asarray([np.nan])) == ([], [])
 
     def test_tables_past_255_entries_are_refused(self):
         with pytest.raises(ValidationError):

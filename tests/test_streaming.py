@@ -77,7 +77,11 @@ class TestWholeOutputs:
 
     @staticmethod
     def _check(out, existing, err, layer):
-        assert err.startswith("error: ") and f"layer {layer!r}" in err, err
+        *before, last = err.splitlines()
+        assert last.startswith("error: ") and f"layer {layer!r}" in last, err
+        # The layers written before it report their objectives, in order.
+        assert [x.split(":")[0] for x in before] == [f"  l{i}" for i in range(len(before))], err
+        assert all(" objective " in x for x in before), err
         assert "Traceback" not in err
         assert sorted(os.listdir(out.parent)) == ([out.name] if existing else [])
         if existing:
