@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""The cost of one `codebooks.learn`: CPU time per weight and RSS growth.
+"""The cost of one `codebooks.learn`: CPU time per weight, RSS growth and traced peak.
 
 Builds one synthetic mixture layer, then learns it in a forked child, whose
 CPU time and peak RSS count from the fork: what the learn itself takes, not
 the layer's synthesis.  RSS growth is the child's peak above its RSS at the
-fork, also given as a multiple of the float32 layer.  Linux only.
+fork, also given as a multiple of the float32 layer.  A child reuses heap
+pages its parent freed, so the growth can read well below what the learn
+allocates; a second child learns the layer under tracemalloc, whose peak
+counts every numpy allocation the learn makes.  Linux only.
 
     OPENBLAS_NUM_THREADS=1 python3 scripts/learn_cost.py --rows 11008 --cols 4096
 """
@@ -14,25 +17,31 @@ import json
 import os
 import resource
 import time
+import tracemalloc
 
 from aaacq.codebooks import AaacConfig, learn
 from aaacq.grids import get_format
 from aaacq.tensors import SynthSpec, synth_layer
 
 
-def _learn_in_child(bundle, cfg) -> dict:
-    """CPU seconds, wall seconds and peak RSS growth (KiB) of `learn` in a forked child."""
+def _learn_in_child(bundle, cfg, traced=False) -> dict:
+    """CPU seconds, wall seconds and peak RSS growth (KiB) of `learn` in a
+    forked child, or with `traced` its tracemalloc peak (bytes)."""
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child: its rusage and RSS peak start at the fork
         os.close(read)
         start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # the RSS at the fork
+        if traced:
+            tracemalloc.start()
         wall = time.perf_counter()
         learn(bundle, cfg, full_trace=False)
         wall = time.perf_counter() - wall
         usage = resource.getrusage(resource.RUSAGE_SELF)
         cost = {"cpu_s": usage.ru_utime + usage.ru_stime, "wall_s": wall,
                 "rss_kib": usage.ru_maxrss - start}
+        if traced:
+            cost = {"peak": tracemalloc.get_traced_memory()[1]}
         os.write(write, json.dumps(cost).encode())
         os._exit(0)
     os.close(write)
@@ -60,12 +69,14 @@ def main(argv=None):
     cfg = AaacConfig(fmt=fmt, group_size=g, sel_size=args.sel_size or g)
     bundle = synth_layer(SynthSpec("mixture", args.rows, args.cols, args.tokens, seed=args.seed))
     cost = _learn_in_child(bundle, cfg)
-    weights = bundle.weights.size
+    peak_mib = _learn_in_child(bundle, cfg, traced=True)["peak"] / 2**20
+    weights, layer_mib = bundle.weights.size, bundle.weights.nbytes / 2**20
     rss_mib = cost["rss_kib"] / 1024
     print(f"{args.rows}x{args.cols} {args.format} g={g} S={cfg.sel_size} T={args.tokens}: "
           f"{cost['cpu_s']:.3f} CPU-s ({cost['cpu_s'] / weights * 1e6:.3f} CPU-us per weight), "
           f"{cost['wall_s']:.3f} s wall, RSS +{rss_mib:.1f} MiB "
-          f"({rss_mib * 2**20 / bundle.weights.nbytes:.2f}x the float32 layer)")
+          f"({rss_mib / layer_mib:.2f}x the float32 layer), "
+          f"traced peak {peak_mib:.1f} MiB ({peak_mib / layer_mib:.2f}x)")
     return 0
 
 

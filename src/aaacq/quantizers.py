@@ -21,36 +21,54 @@ once per process on first use, in about 1 ms.  Each spans 1 MiB of an
 anonymous map, of which about half is ever written and so takes memory.  A
 bucket is the float64 values that share their top 20 bits: sign, exponent
 and 8 mantissa bits, so 2**-8 of a binade.  Its byte is the first index of
-the cell that holds the whole bucket clear of every window, or a marker.  A
-value's code is then one shift of its bit pattern and one gather, and only
-values in marked buckets take the exhaustive search.
+the cell that holds the whole bucket clear of every window; or, where one
+window reaches the bucket, that window's midpoint; or a marker.  A value's
+code is then one shift of its bit pattern and one gather.  A value in a
+midpoint's bucket takes the nearer of the midpoint's two entries, the lower
+on a tie, and only values in marked buckets take the exhaustive search.
 - A bucket clear of every window is exact: every value in it is, and
   within one cell, the code its cell gives is the argmin's.
+- A bucket that one window reaches lies clear of every other, so no entry
+  but the window's two can be nearest any of its values, nor tie with the
+  nearer: every other lies farther by more than rounding can undo.  The
+  two-neighbour compare is then the argmin's, first minimum included.
 - Near a midpoint the table's own magnitude sets the window.  A value
   within a window lies between two entries, so its magnitude is at most the
   table's.  The window's half-width, 2**-47 of that, is over 20 times the
   3 * 2**-53 that rounding can move a distance or a midpoint by.
-- Buckets are marked from the first magnitude at which `_cells` takes the
+- Buckets are marked where two windows reach them, in bucket 0 where a
+  window does, and from the first magnitude at which `_cells` takes the
   fallback: there four windows reach the smallest gap, or the magnitude
   reaches 2**1000, and a far value's distances to two entries can round
   alike.  Infinities and NaN lie past that cut.
-Two marked buckets meet each midpoint, so about 1% of a laplace layer's
-normalized weights are searched.  On one 64K-value block of such a layer
-`recon_codes` took 0.28-0.37 ms under NVFP4 and 0.18-0.34 ms under INT4,
-against 0.79-1.12 and 0.45-0.54 ms for the comparison pass per midpoint it
-replaced (2 vCPUs, numpy 2.4).  `recon_codes` searches every value under
-any other table.  `codebooks` builds a code table for each learned table,
-but writes only the buckets a layer's values occupy (`_occupied`), into one
-buffer it reuses for every table of the layer; every other bucket stays
-marked.  The build takes the fallback's cut from its closed form, checked
-at the cut and the bucket below by `_falls_back`, the test `_cells` makes,
-and takes 50-100 us on a 64x512 layer.
+Two buckets meet each midpoint, so about 1% of a laplace layer's normalized
+weights lie in a window's buckets.  A midpoint's byte names it by its lower
+entry's code plus one, below the codes' complements while every code is
+below 128, so larger tables mark those buckets too.  BF16 weights over BF16
+scales often fall exactly on a midpoint; the compare settles them, and on
+the benchmark's layers no value is searched.  On one 64x1024 block of a
+laplace layer `recon_codes` took 122-130 us under NVFP4 and 119-131 us
+under INT4, against 144-162 and 132-148 us when every value of a window's
+buckets was searched (2 vCPUs, numpy 2.4, best of 7 x 300 calls, three
+alternating runs).  The scan for marked bytes is one pass over the gathered
+codes: fused into the gather's chunks it took more, at one `nonzero` per
+chunk.  `recon_codes` searches
+every value under any other table.  `codebooks` builds the code tables of
+its two learned tables together, end to end, but writes only the buckets a
+layer's values occupy (`_occupied`), into one buffer it reuses for every
+pair of the layer; every other bucket stays marked.  The build takes the
+fallback's cut from its closed form, checked at the cut and the bucket below
+by `_falls_back`, the test `_cells` makes, and takes about 60 us for two
+16-entry tables over a 64x512 layer.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import math
 import mmap
+import struct
 
 import numpy as np
 
@@ -77,9 +95,14 @@ def _grouped(a: np.ndarray, size: int) -> np.ndarray:
     return a.reshape(rows, cols // size, size)
 
 
-def normalize(weights: np.ndarray, scales: np.ndarray, group_size: int) -> np.ndarray:
-    """Weights divided by their group scales, in float64."""
-    w = np.array(weights, dtype=np.float64)  # a copy, divided in place
+def normalize(weights: np.ndarray, scales: np.ndarray, group_size: int, out=None) -> np.ndarray:
+    """Weights divided by their group scales, in float64: a new array, or
+    the C-contiguous `out`."""
+    if out is None:
+        w = np.array(weights, dtype=np.float64)  # a copy, divided in place
+    else:
+        w = out
+        np.copyto(w, weights)
     grouped = _grouped(w, group_size)
     grouped /= scales.astype(np.float64)[:, :, np.newaxis]
     return w
@@ -109,25 +132,35 @@ _WINDOW_ABS = 2.0 ** -1070
 _MAGNITUDE_MAX = 2.0 ** 1000
 
 
-def _cells(table: np.ndarray, big):
-    """The nearest-entry cells of a sorted `table` for values up to `big`.
+def _cells(t: list):
+    """The nearest-entry cells of a sorted table, a list of floats, for
+    values up to the table's own magnitude.
 
-    Returns `(first, mid, half)`: the first index of each distinct entry, the
-    midpoints between neighbouring distinct entries and the window
-    half-width around each.  `mid` is None on the fallback (`_falls_back`);
+    Returns `(first, mid, half, gap, big)`: the first index of each distinct
+    entry, the midpoints between neighbouring distinct entries, the window
+    half-width around each, the smallest gap between distinct entries and
+    the table's magnitude.  `mid` is None on the fallback (`_falls_back`);
     then every value needs the exhaustive search.
     """
-    first = np.concatenate(([True], table[1:] != table[:-1])).nonzero()[0]
-    distinct = table[first]
+    a, b = t[0], t[-1]
+    a, b = (a if a >= 0 else -a), (b if b >= 0 else -b)
+    big = b if b > a else a  # as max(a, b) takes it, NaN included
+    first = [i for i in range(len(t)) if not i or t[i] != t[i - 1]]
     half = big * _WINDOW_REL + _WINDOW_ABS
+    gap = math.inf
+    for i, j in zip(first, first[1:]):
+        d = t[j] - t[i]
+        if not d > 4 * half:  # NaN included, which a running minimum would drop
+            gap = d
+            break
+        gap = d if d < gap else gap
     # Past _MAGNITUDE_MAX no gap is formed: the entries can be infinite.
-    if not big < _MAGNITUDE_MAX or _falls_back(
-            np.minimum.reduce(distinct[1:] - distinct[:-1], initial=np.inf), big):
-        return first, None, half
-    return first, 0.5 * distinct[:-1] + 0.5 * distinct[1:], half
+    if _falls_back(gap, big):
+        return first, None, half, gap, big
+    return first, [0.5 * t[i] + 0.5 * t[j] for i, j in zip(first, first[1:])], half, gap, big
 
 
-def _falls_back(gap, big) -> bool:
+def _falls_back(gap: float, big: float) -> bool:
     """Whether values up to magnitude `big` take the fallback under distinct
     entries at least `gap` apart: when 4 windows reach the gap, or `big` is
     not below `_MAGNITUDE_MAX`, NaN included."""
@@ -182,81 +215,116 @@ def recon_codes(table: np.ndarray, values: np.ndarray, dtype=np.intp) -> np.ndar
 # A code table has one byte per bucket: the float64 values that share their
 # top _KEY_BITS bits, which are the sign, the exponent and the first 8 bits
 # of the mantissa.  Each byte is the complement (~) of the code every value
-# of its bucket takes, or 0 when they need the exhaustive search, so that a
-# byte's complement is its code or _MARK.  The table starts as zeros, and
-# the marked half that is never written (past the fallback's cut) stays
-# unbacked zero pages: a grid's table holds 0.5 MiB of memory, not 1.
+# of its bucket takes; or 0 when they need the exhaustive search, so that the
+# byte's complement is _MARK; or, in a bucket that exactly one window touches,
+# one more than the code of the lower of its midpoint's two entries.  Those
+# midpoint bytes lie below the complements only while every code is below
+# _PAIRS, so larger tables mark such buckets 0 too.  The table starts as
+# zeros, and the marked half that is never written (past the fallback's cut)
+# stays unbacked zero pages: a grid's table holds 0.5 MiB of memory, not 1.
 _KEY_BITS = 20
 _KEY_SHIFT = 64 - _KEY_BITS
 _MARK = 255
+_PAIRS = 128
 
 
 def _key(x: float) -> int:
     """The bucket of `|x|`, counted from zero, in either sign's half of a code table."""
-    return int(np.float64(abs(x)).view(np.uint64)) >> _KEY_SHIFT
+    return struct.unpack("<Q", struct.pack("<d", x))[0] >> _KEY_SHIFT & _HALF_KEYS - 1
 
 
-def _keys(x: np.ndarray) -> np.ndarray:
-    """`_key` of each of the float64 values `x`."""
-    return np.abs(x).view(np.uint64) >> np.uint64(_KEY_SHIFT)
+def _keys(values: list) -> list:
+    """`_key` of each of a list of floats."""
+    x = np.array(values, dtype=np.float64)
+    return (np.abs(x, out=x).view(np.uint64) >> _KEY_SHIFT).tolist()
 
 
-def _fallback_cut(t: np.ndarray, big: float, first: np.ndarray) -> int:
-    """The first positive bucket from which `_cells(t, ...)` takes the fallback.
+def _fallback_cuts(cells: list, start: list) -> list:
+    """The first positive bucket from which each table's values take the
+    fallback, from its `_cells` and `start`, the bucket of its closed form
+    (`_reach`): 0 where its own magnitude takes it.
 
     `_falls_back` holds from some magnitude on: the window grows with the
     magnitude until four of them reach the smallest gap between distinct
     entries, or the magnitude reaches `_MAGNITUDE_MAX`.  The cut starts at
     that magnitude's bucket, worked out from the same bound, and moves a
     bucket at a time until `_falls_back` holds at the largest magnitude of
-    the cut's bucket and not at that of the one below.  The last bucket
-    holds NaN, where it always holds.
+    the cut's bucket, or the table's if larger, and not at that of the one
+    below.  The last bucket holds NaN, where it always holds.
     """
-    distinct = t[first]
-    gap = np.minimum.reduce(distinct[1:] - distinct[:-1], initial=np.inf)
-    reach = min(float(gap) / 4 - _WINDOW_ABS, _MAGNITUDE_MAX * _WINDOW_REL)
-    k = _key(reach / _WINDOW_REL) if reach > 0 else 0
+    cuts, moved, n = start, True, 2 * len(start)
+    while moved:
+        # The largest magnitudes of buckets k - 1 and k of each table.
+        bits = [b for k in cuts
+                for b in ((k << _KEY_SHIFT) - 1 if k else 0, ((k + 1) << _KEY_SHIFT) - 1)]
+        tops = struct.unpack(f"<{n}d", struct.pack(f"<{n}Q", *bits))
+        moved = False
+        for i, (_, mid, _, gap, big) in enumerate(cells):
+            lower, upper = tops[2 * i], tops[2 * i + 1]
+            if mid is None:
+                cuts[i] = 0
+            elif cuts[i] and _falls_back(gap, big if big > lower else lower):
+                cuts[i], moved = cuts[i] - 1, True
+            elif not _falls_back(gap, big if big > upper else upper):
+                cuts[i], moved = cuts[i] + 1, True
+    return cuts
 
-    def falls(k):  # at the largest magnitude in positive bucket k; max(top, big), NaN kept
-        top = float(np.uint64(((k + 1) << _KEY_SHIFT) - 1).view(np.float64))
-        return _falls_back(gap, big if big > top else top)
 
-    while k > 0 and falls(k - 1):
-        k -= 1
-    while not falls(k):
-        k += 1
-    return k
+def _reach(gap: float) -> float:
+    """The magnitude from which 4 windows reach `gap`, in closed form, up to
+    `_MAGNITUDE_MAX`; 0 when they reach it from 0 on."""
+    r = gap / 4 - _WINDOW_ABS
+    return (r if r < _MAGNITUDE_MAX * _WINDOW_REL else _MAGNITUDE_MAX * _WINDOW_REL) / _WINDOW_REL \
+        if r > 0 else 0.0
 
 
 _HALF_KEYS = 1 << (_KEY_BITS - 1)  # buckets per sign, the negative ones last
+_BYTES = [bytes((b,)) for b in range(256)]
+_WRAPPED = 2**64 - 1  # bucket 0's key, less one, as uint64
 _EVERY_BUCKET = ([(0, _HALF_KEYS)], [(0, _HALF_KEYS)])
+
+# Values per block of `_occupied`.
+_OCCUPIED_BLOCK = 1 << 16
 
 
 def _occupied(values: np.ndarray) -> tuple[list, list]:
-    """The buckets ascending `values` (NaN last) occupy, as ranges of keys
-    `[a, b)` per half: the positive one, then the negative one.
+    """The buckets 1-D `values`, in any order and NaN aside, occupy, as
+    ranges of keys `[a, b)` per half: the positive one, then the negative one.
 
-    Each sign's range runs from its smallest magnitude to its largest; a
-    zero of either sign adds bucket 0 to both halves.
+    Each sign's range runs from its least nonzero bucket to the bucket of
+    its greatest magnitude; bucket 0, which holds the zeros, is added to
+    both halves when either holds a value there.  The values are read a
+    block at a time.  Their buckets, less one, wrap bucket 0 past every
+    other, so their least is the positive half's least nonzero bucket; less
+    one more half, the negative half's.
     """
-    n = values.searchsorted(np.inf, side="right")  # NaN sorts last
-    neg, pos = values.searchsorted(0.0, side="left"), values.searchsorted(0.0, side="right")
-    zero = [(0, 1)] if pos > neg else []
-    ends = _keys(values.take([neg - 1, 0, pos, n - 1], mode="clip")).tolist() if n else [0] * 4
-    return (
-        zero + ([(ends[2], ends[3] + 1)] if n > pos else []),
-        zero + ([(ends[0], ends[1] + 1)] if neg > 0 else []),
-    )
+    zero, least, great = False, [], [0.0, 0.0]
+    keys = np.empty(min(values.size, _OCCUPIED_BLOCK), dtype=np.uint64)
+    for a in range(0, values.size, _OCCUPIED_BLOCK):
+        x = values[a:a + _OCCUPIED_BLOCK]
+        k = keys[:x.size]
+        np.right_shift(x.view(np.uint64), _KEY_SHIFT, out=k)
+        for shift in (1, _HALF_KEYS):
+            k -= shift
+            least.append(int(np.minimum.reduce(k)) + 1)
+            zero = zero or int(np.maximum.reduce(k)) == _WRAPPED
+        g, h = np.fmax.reduce(x), -np.fmin.reduce(x)  # NaN aside
+        great = [g if g > great[0] else great[0], h if h > great[1] else great[1]]
+    zero = [(0, 1)] if zero else []
+    return tuple(zero + ([(lo, _key(hi) + 1)] if hi > 0 and lo <= _key(hi) else [])
+                 for lo, hi in ((min(least[::2], default=_HALF_KEYS), great[0]),
+                                (min(least[1::2], default=_HALF_KEYS), great[1])))
 
 
 def code_table(table: np.ndarray, buckets=_EVERY_BUCKET, out=None) -> np.ndarray:
     """The code table of a sorted table of at most 255 entries, from `_cells`.
 
-    Each byte's complement is its bucket's code, or `_MARK` (see above).
-    Windows take the table's own magnitude (see the module docstring).  A
-    value beyond the table's ends lies at least half the smallest gap from
-    every midpoint, which is more than two windows at its own magnitude
-    until the fallback begins, so it needs no window of its own.
+    Each byte's complement is its bucket's code or `_MARK`, or the byte
+    holds a midpoint (see above).  Windows take the table's own magnitude
+    (see the module docstring).  A value beyond the table's ends lies at
+    least half the smallest gap from every midpoint, which is more than two
+    windows at its own magnitude until the fallback begins, so it needs no
+    window of its own.
 
     Only `buckets`, every bucket or the ranges `_occupied` gives for a set
     of values, are written, and every other bucket reads the marker.  The
@@ -267,38 +335,95 @@ def code_table(table: np.ndarray, buckets=_EVERY_BUCKET, out=None) -> np.ndarray
     t = check_table(table)
     if t.size > _MARK:
         raise ValidationError(f"a code table holds codes below {_MARK}, not {t.size} entries")
-    # A new table is an anonymous map, whose pages take memory only once
-    # written; calloc can hand back heap memory that it must clear first.
-    lut = np.frombuffer(mmap.mmap(-1, 2 * _HALF_KEYS), dtype=np.uint8) if out is None else out
-    big = max(abs(t[0]), abs(t[-1]))
-    first, mid, half = _cells(t, big)
-    cut = 0 if mid is None else _fallback_cut(t, big, first)
-    for base, span in zip((0, _HALF_KEYS), buckets):
+    lut = _new_code_table(1) if out is None else out
+    _write_code_tables(lut, [t.tolist()], buckets)
+    return lut
+
+
+def _new_code_table(tables: int) -> np.ndarray:
+    """A code table of `tables` tables, every bucket marked.
+
+    It is an anonymous map, whose pages take memory only once written;
+    calloc can hand back heap memory that it must clear first."""
+    return np.frombuffer(mmap.mmap(-1, tables << _KEY_BITS), dtype=np.uint8)
+
+
+def _write_code_tables(lut, rows: list, buckets) -> None:
+    """Writes the code tables of sorted tables, `rows` of floats of at most
+    255 entries in all, laid end to end into `lut` over `buckets`, as
+    `code_table` does one.
+
+    Table `j` takes the `2 * _HALF_KEYS` bytes from `j * 2 * _HALF_KEYS` on,
+    and its codes are its entries' indices in the flat stack of tables.
+
+    It works on plain floats, which round as float64 does, and makes one
+    numpy call for the bit patterns of every table's numbers: a learner
+    builds code tables for every step."""
+    m, n = len(rows[0]), len(rows)
+    cells = [_cells(t) for t in rows]
+    # The closed-form cuts, then each midpoint and its window's ends.
+    keys = _keys([_reach(gap) for _, _, _, gap, _ in cells]
+                 + [x for _, mid, half, _, _ in cells if mid
+                    for m_ in mid for x in (m_, m_ - half, m_ + half)])
+    cuts, at = _fallback_cuts(cells, keys[:n]), n
+    out = memoryview(lut)  # whose slices take bytes faster than an array's take numbers
+    for j, ((first, mid, half, _, _), cut) in enumerate(zip(cells, cuts)):
+        k = 3 * len(mid) if mid else 0
+        _write_code_table(out, j << _KEY_BITS, first, mid, half, cut, keys[at:at + k],
+                          buckets, j * m, n * m <= _PAIRS)
+        at += k
+
+
+def _write_code_table(out, start: int, first, mid, half, cut, keys, buckets, offset, pairs) -> None:
+    """Writes the code table of one sorted table, from its `_cells` and
+    cut, into the memoryview `out` from byte `start` on: its codes offset by
+    `offset`, and its midpoints' bytes when `pairs`.  `keys` holds the
+    buckets of each midpoint and its window's ends, three by three."""
+    halves = ((start, buckets[0]), (start + _HALF_KEYS, buckets[1]))
+    for base, span in halves:
         for a, b in span:
-            lut[base + (a if a > cut else cut):base + b] = 0  # the fallback's buckets, marked
+            a = a if a > cut else cut
+            if a < b:
+                out[base + a:base + b] = _BYTES[0] * (b - a)  # the fallback's buckets, marked
     if not cut:
-        return lut
+        return
     # Runs of one cell each, by magnitude: from +0 up, then from -0 down.
-    n, below, half = mid.size, int(mid.searchsorted(0.0)), float(half)
-    keys = _keys(np.concatenate((mid, mid - half, mid + half))).tolist()
-    codes = (_MARK - first).tolist()  # each byte is the complement of its code
-    runs = (([0] + keys[below:n] + [cut], codes[below:]),
-            ([0] + keys[:below][::-1] + [cut], codes[below::-1]))
-    for base, span, (edges, codes) in zip((0, _HALF_KEYS), buckets, runs):
+    below = bisect.bisect_left(mid, 0.0)
+    codes = [_MARK - offset - f for f in first]  # each byte is the complement of its code
+    runs = (([0] + keys[3 * below::3] + [cut], codes[below:]),
+            ([0] + (keys[3 * below - 3::-3] if below else []) + [cut], codes[below::-1]))
+    # A window marks the buckets from its lower end's to its upper end's on
+    # each side of zero it reaches, with its midpoint's byte; a bucket that
+    # two windows reach, or bucket 0, takes 0.  On each side the windows
+    # come in order of magnitude, so only neighbours share buckets.
+    mark = 1 + offset if pairs else 0  # the byte of the midpoint above entry 0; 0 without pairs
+    windows = (
+        [((a if m - half >= 0 else 0), b, mark and mark + f)
+         for m, a, b, f in zip(mid, keys[1::3], keys[2::3], first) if m + half >= 0],
+        [((b if m + half < 0 else 0), a, mark and mark + f)
+         for m, a, b, f in zip(mid, keys[1::3], keys[2::3], first) if m - half < 0][::-1],
+    )
+    for (base, span), (edges, codes), marks in zip(halves, runs, windows):
+        pieces, end = [], -1  # the last bucket the windows so far reached
+        for lo, hi, mark in marks:
+            stop = hi + 1 if hi < cut else cut
+            if end < lo:
+                pieces += [(lo, stop, mark)]
+            else:  # the buckets it shares with the window before take 0
+                pieces += [(end + 1, stop, mark), (lo, end + 1 if end < hi else stop, 0)]
+            if not lo:
+                pieces += [(0, 1, 0)]
+            end = hi if hi > end else end
         for a, b in span:
             b = b if b < cut else cut
             for lo, hi, code in zip(edges, edges[1:], codes):
                 lo, hi = (lo if lo > a else a), (hi if hi < b else b)
                 if lo < hi:
-                    lut[base + lo:base + hi] = code
-    # A window marks the buckets from its lower end's to its upper end's on
-    # each side of zero it reaches.
-    for m, a, b in zip(mid.tolist(), keys[n:2 * n], keys[2 * n:]):
-        if m + half >= 0:
-            lut[(a if m - half >= 0 else 0):b + 1] = 0
-        if m - half < 0:
-            lut[_HALF_KEYS + (b if m + half < 0 else 0):_HALF_KEYS + a + 1] = 0
-    return lut
+                    out[base + lo:base + hi] = _BYTES[code] * (hi - lo)
+            for lo, hi, mark in pieces:
+                lo, hi = (lo if lo > a else a), (hi if hi < b else b)
+                if lo < hi:
+                    out[base + lo:base + hi] = _BYTES[mark] * (hi - lo)
 
 
 _GRIDS = {base_table(fmt).tobytes(): fmt for fmt in (NVFP4, INT4)}
@@ -321,21 +446,53 @@ def _fixed_code_table(fmt: BaseFormat) -> np.ndarray:
 _LOOKUP_CHUNK = 1 << 13
 
 
-def _recon_lookup(lut: np.ndarray, t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """`recon_codes` of 1-D values by one shift and one gather each, as uint8."""
-    codes = np.empty(v.size, dtype=np.uint8)
-    bits = v.view(np.uint64)
-    keys = np.empty(min(v.size, _LOOKUP_CHUNK), dtype=np.uint64)
-    index = keys.view(np.intp)  # intp keys spare `take` a cast
-    for a in range(0, v.size, _LOOKUP_CHUNK):
-        b = a + _LOOKUP_CHUNK if a + _LOOKUP_CHUNK < v.size else v.size
-        np.right_shift(bits[a:b], _KEY_SHIFT, out=keys[:b - a])
-        # In range by construction; "raise" would buffer `out`.
-        lut.take(index[:b - a], out=codes[a:b], mode="clip")
+def _recon_lookup(lut, tables, v, index=None, out=None) -> np.ndarray:
+    """`recon_codes` of 1-D values by one gather each at their buckets, as uint8.
+
+    `lut` is the `code_table` of `tables`, one table or a stack, and a code
+    is an index into the flat stack.  Each value's bucket is the top bits of
+    its pattern (`_KEY_SHIFT`) under table 0, taken `_LOOKUP_CHUNK` values at
+    a time, or its entry of `index`: its bucket plus its table's first,
+    `j << _KEY_BITS` for table `j`.  A value in a bucket that one window
+    touches takes the nearer of the window's two entries, the lower on a
+    tie: no other entry can be nearest there.  Values in marked buckets take
+    the exhaustive search.  Both are found in one scan of the gathered codes.
+    """
+    tables = tables[np.newaxis] if tables.ndim == 1 else tables
+    codes = np.empty(v.size, dtype=np.uint8) if out is None else out
+    limit = _PAIRS if tables.size <= _PAIRS else _MARK  # the complements at or past it
+    if index is None:
+        bits = v.view(np.uint64)
+        keys = np.empty(min(v.size, _LOOKUP_CHUNK), dtype=np.uint64)
+        for a in range(0, v.size, _LOOKUP_CHUNK):
+            b = a + _LOOKUP_CHUNK if a + _LOOKUP_CHUNK < v.size else v.size
+            np.right_shift(bits[a:b], _KEY_SHIFT, out=keys[:b - a])
+            # intp keys spare `take` a cast; in range by construction, and
+            # "raise" would buffer `out`.
+            lut.take(keys.view(np.intp)[:b - a], out=codes[a:b], mode="clip")
+    else:
+        lut.take(index, out=codes, mode="clip")
     np.invert(codes, out=codes)
-    marked = (codes == _MARK).nonzero()[0]
-    if marked.size:
-        codes[marked] = _recon_exact(t, v[marked])
+    at = (codes >= limit).nonzero()[0]
+    if not at.size:
+        return codes
+    x, c = v[at], codes[at]
+    marked = (c == _MARK).nonzero()[0]
+    if limit == _PAIRS:
+        flat = tables.reshape(-1)
+        mid = (c != _MARK).nonzero()[0] if marked.size else slice(None)
+        lo = ((_MARK - 1) - c[mid]).astype(np.intp)
+        hi, y, t_lo = lo + 1, x[mid], flat[lo]
+        while (same := flat[hi] == t_lo).any():  # a duplicate: the next distinct entry is further
+            hi[same] += 1
+        c[mid] = np.where(np.abs(y - flat[hi]) < np.abs(y - t_lo), hi, lo)
+    if marked.size:  # under each value's table: table 0 without `index`
+        which = np.zeros(marked.size) if index is None else index[at[marked]] >> _KEY_BITS
+        for j, t in enumerate(tables):
+            here = marked[which == j]
+            if here.size:
+                c[here] = _recon_exact(t, x[here]) + j * t.size
+    codes[at] = c
     return codes
 
 

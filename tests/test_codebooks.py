@@ -15,8 +15,7 @@ from aaacq import codebooks, quantizers
 from aaacq.codebooks import (
     AaacConfig,
     LearnResult,
-    _Members,
-    _SortedCells,
+    _Pass,
     importance,
     init_tables,
     kmeans_update,
@@ -29,7 +28,7 @@ from aaacq.errors import (
     UnsupportedConfigError,
     ValidationError,
 )
-from aaacq.grids import INT4, NVFP4
+from aaacq.grids import INT4, NVFP4, compute_scales
 from aaacq.quantizers import dequantize, dequantize_rtn, expand_groups, normalize, recon_codes, rtn_quantize
 from aaacq.tensors import LayerBundle, SynthSpec, synth_layer
 
@@ -248,138 +247,170 @@ def _searched(monkeypatch):
     return sizes
 
 
+def brute_force(table, values):
+    """The exhaustive argmin, first minimum on ties."""
+    return np.abs(values[:, np.newaxis] - table[np.newaxis, :]).argmin(axis=1)
+
+
+def _bucket_edges(values):
+    """The lowest and the highest float64 of each value's code-table bucket."""
+    low = np.asarray(values, dtype=np.float64).view(np.uint64) >> np.uint64(44) << np.uint64(44)
+    return np.concatenate([low.view(np.float64), (low | np.uint64((1 << 44) - 1)).view(np.float64)])
+
+
+def _ulps(values, k=1):
+    """Each value and its neighbours `k` ulps either way."""
+    v = np.asarray(values, dtype=np.float64)
+    return (v.view(np.int64)[:, np.newaxis] + np.arange(-k, k + 1)).view(np.float64).ravel()
+
+
+@st.composite
+def block_code_cases(draw):
+    """Two 16-entry tables, a grid or learned (random, with duplicates, or
+    with a gap one to a few windows above the fallback's), and values aimed
+    at their code tables' weak spots, in groups of 4 split between them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def table():
+        kind = draw(st.sampled_from(["nvfp4", "int4", "random", "duplicates", "crowded"]))
+        if kind in ("nvfp4", "int4"):
+            t = quantizers.base_table(NVFP4 if kind == "nvfp4" else INT4)
+            return np.concatenate([t, t[-1:]]) if t.size < 16 else t
+        t = rng.uniform(-8, 8, 16) * draw(st.sampled_from([1.0, 2.0 ** -60, 1e30]))
+        if kind == "duplicates":
+            t[rng.integers(0, 16, 4)] = t[rng.integers(0, 16, 4)]
+        elif kind == "crowded":  # a gap just above four windows at the table's magnitude
+            big = np.abs(t).max()
+            t[1] = t[0] + 4 * (big * 2.0 ** -47 + 2.0 ** -1070) * draw(st.sampled_from([1.0001, 1.5, 3.0]))
+        return np.sort(t)
+
+    tables = np.stack([table(), table()])
+    distinct = [np.unique(t) for t in tables]
+    mids = np.concatenate([0.5 * d[:-1] + 0.5 * d[1:] for d in distinct])
+    big = np.abs(tables).max(axis=1).max()
+    half = big * 2.0 ** -47 + 2.0 ** -1070
+    ends = np.concatenate([mids - half, mids + half])
+    bf16 = (rng.integers(0x3C00, 0x4200, 32).astype(np.uint32) << 16).view(np.float32).astype(np.float64)
+    scales = (rng.integers(0x3C00, 0x4200, 32).astype(np.uint32) << 16).view(np.float32).astype(np.float64)
+    special = np.concatenate([_ulps(mids, 2), _ulps(ends), _ulps(_bucket_edges(mids)), bf16 / scales,
+                              -bf16 / scales, tables.ravel(), [0.0, -0.0, 2.0 ** -1074, -(2.0 ** -1060)]])
+    picks = rng.choice(special, 4 * draw(st.integers(1, 64)))
+    member1 = rng.random(picks.size // 4) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    return tables, picks, member1
+
+
+def lookup(values, tables, member1=None, sel_size=1):
+    """Each value's code, a block at a time, as a learner's pass looks it up:
+    under table 0 of the stack `tables`, or under table 1 for the groups
+    `member1` marks, whose codes are offset by the table size."""
+    values = np.asarray(values, dtype=np.float64)
+    flat = values.reshape(1, -1) if values.ndim < 2 else values
+    run = _Pass(flat, np.ones(flat.shape[1]), sel_size)
+    stack = np.atleast_2d(np.asarray(tables, dtype=np.float64))
+    run.split(0 if member1 is None else np.asarray(member1, dtype=np.uint8).ravel())
+    run._look_up(stack)
+    out = np.concatenate([run._codes(a, b, run.keys[a:b], run.found[0]).copy()
+                          for a, b in run.blocks] or [np.zeros(0, dtype=np.intp)])
+    return out.reshape(values.shape)
+
+
 class TestSortedCells:
+    """The nearest-entry cells of sorted tables, read for a layer's values a
+    block at a time (`lookup`) from code tables built over the buckets the
+    values occupy, into one buffer, against `recon_codes`."""
+
     @given(tables_and_values())
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_codes_match_recon_codes(self, case):
         table, values = case
-        got = _SortedCells.of(values).lookup(table)
-        assert got.dtype == np.uint8
-        assert got.tolist() == recon_codes(table, values).tolist()
+        assert lookup(values, table).tolist() == recon_codes(table, values).tolist()
 
     def test_two_dimensional_layout(self):
         rng = np.random.default_rng(7)
         values = rng.standard_normal((6, 40))
         table = np.sort(rng.standard_normal(15))
-        got = _SortedCells.of(values).lookup(table)
+        got = lookup(values, table)
         assert got.shape == values.shape
         assert np.array_equal(got, recon_codes(table, values))
 
-    def test_tables_past_255_entries_search_every_value(self):
+    def test_tables_past_255_entries_search_every_value(self, searched):
         rng = np.random.default_rng(8)
         values = rng.uniform(-9, 9, (3, 700))
         table = np.sort(rng.uniform(-8, 8, 300))
-        got = _SortedCells.of(values).lookup(table)
-        assert got.dtype == np.intp
-        assert np.array_equal(got, recon_codes(table, values))
+        searched.clear()
+        assert np.array_equal(lookup(values, table), recon_codes(table, values))
+        assert sum(searched) == 2 * values.size  # once here, once in the oracle
 
     def test_empty_and_single_value_sets(self):
         table = np.asarray([-1.0, 0.0, 0.0, 2.0])
-        assert _SortedCells.of(np.zeros(0)).lookup(table).tolist() == []
-        assert _SortedCells.of(np.asarray([1.0])).lookup(table).tolist() == [1]
-        assert _SortedCells.of(np.asarray([-0.0])).lookup(table).tolist() == [1]
+        assert lookup(np.zeros((1, 0)), table).tolist() == [[]]
+        assert lookup(np.asarray([1.0]), table).tolist() == [1]
+        assert lookup(np.asarray([-0.0]), table).tolist() == [1]
 
     @pytest.fixture()
     def searched(self, monkeypatch):
         return _searched(monkeypatch)
 
     def test_only_window_values_are_searched(self, searched):
-        # Only values in marked buckets are searched: here the two values on
-        # midpoints, whose buckets the windows mark.
+        # Every value on a midpoint lies in a bucket one window reaches, and
+        # the nearer of that window's two entries settles it: none is
+        # searched.  Only the window around 0.0 reaches bucket 0, whose
+        # values are searched: here 0.0 itself.
         table = np.asarray([-1.0, 0.0, 0.0, 1.0])  # a duplicate is no small gap
         values = np.asarray([-0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 0.9])
         want = recon_codes(table, values).tolist()
         searched.clear()
-        assert _SortedCells.of(values).lookup(table).tolist() == want
-        assert searched == [2]
+        assert lookup(values, table).tolist() == want
+        assert searched == []
+        symmetric = np.asarray([-1.0, 1.0])
+        values = np.asarray([-0.5, 0.0, -0.0, 0.5, 2.0 ** -1074])
+        want = recon_codes(symmetric, values).tolist()
+        searched.clear()
+        assert lookup(values, symmetric).tolist() == want
+        assert searched == [3]
 
     def test_gaps_below_the_guard_search_every_value(self, searched):
         table = np.asarray([1.0, np.nextafter(1.0, 2.0), 3.0])
         values = np.linspace(-4.0, 4.0, 33)
         want = recon_codes(table, values).tolist()
         searched.clear()
-        assert _SortedCells.of(values).lookup(table).tolist() == want
+        assert lookup(values, table).tolist() == want
         assert searched == [33]
 
     def test_one_buffer_serves_every_table(self):
-        # Each table is written over the same buckets of one buffer, so what
-        # one table wrote never shows through another: here a table on the
+        # Each stack is written over the same buckets of one buffer, so what
+        # one wrote never shows through another: here a table on the
         # fallback after one that was not, and one whose fallback cut lies
         # inside the values' range after one whose cut lies past it.
         rng = np.random.default_rng(9)
         values = np.concatenate([rng.laplace(0, 2, 500), [0.0, -0.0, 1e-300, 3e12, -4e13]])
-        cells = _SortedCells.of(values)
+        run = _Pass(values.reshape(1, -1), np.ones(values.size))
+        run.split(0)
         tables = [np.linspace(-6, 6, 16), np.asarray([1.0, np.nextafter(1.0, 2.0), 3.0]),
                   np.asarray([-1e-3, 0.0, 1e-3]), np.asarray([-2.0, 1.0, 1.0 + 2.0 ** -40]),
                   np.linspace(-6, 6, 16)]
         for table in tables:
-            assert cells.lookup(table).tolist() == recon_codes(table, values).tolist()
+            run._look_up(table[np.newaxis])
+            got = run._codes(0, values.size, run.keys, run.found[0])
+            assert got.tolist() == recon_codes(table, values).tolist()
 
     def test_decreasing_table_is_rejected(self):
         with pytest.raises(ValidationError):
-            _SortedCells.of(np.zeros(3)).lookup(np.asarray([0.0, 1.0, 0.5]))
+            quantizers.code_table(np.asarray([0.0, 1.0, 0.5]))
 
-
-# Float64 values that sort with traps: zeros of both signs, subnormals, values
-# near overflow, infinities and NaN of both signs.
-_SORT_SPECIALS = [0.0, -0.0, 2.0 ** -1074, -(2.0 ** -1074), 2.0 ** -1060, -(2.0 ** -1022),
-                  1.0, -1.0, 1e308, -1e308, np.finfo(np.float64).max, np.inf, -np.inf,
-                  np.nan, -np.nan]
-
-
-@st.composite
-def values_to_sort(draw):
-    """Values of `2**k - 1`, `2**k` or `2**k + 1` elements: specials, clusters
-    a few ulps wide around specials or random anchors, whose sort keys then
-    share their prefix, and random magnitudes."""
-    k = draw(st.integers(0, 13))
-    n = max(0, 2 ** k + draw(st.sampled_from([-1, 0, 1])))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    anchors = np.concatenate([_SORT_SPECIALS, rng.standard_normal(4) * 10.0 ** rng.integers(-300, 300, 4)])
-    spread = draw(st.sampled_from([0, 4, n.bit_length(), 2 * n + 2]))  # ulps around an anchor
-    kind = rng.integers(0, 3, n)
-    picked = anchors[rng.integers(0, anchors.size, n)]
-    ulps = rng.integers(-spread, spread + 1, n)
-    clustered = (picked.view(np.int64) + ulps).view(np.float64)
-    free = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-    return np.choose(kind, [picked, clustered, free])
-
-
-class TestSortOrder:
-    @staticmethod
-    def key_order(values):
-        """The flat positions by value, ties in position order, -0.0 before
-        +0.0 and NaN of either sign last: a stable argsort of the order-preserving
-        bit patterns."""
-        flat = np.asarray(values, dtype=np.float64).reshape(-1)
-        keys = codebooks._ordered(flat.view(np.uint64)).copy()
-        keys[np.isnan(flat)] = ~np.uint64(0)
-        return np.argsort(keys, kind="stable")
-
-    @given(values_to_sort(), st.booleans())
-    @settings(max_examples=300, deadline=None)
-    def test_sorted_copy_and_order(self, values, wide):
-        with pytest.MonkeyPatch.context() as patch:
-            if wide:
-                patch.setattr(codebooks, "_NARROW_BELOW", 0)
-            cells = _SortedCells.of(values)
-        s = cells.sorted
-        assert cells.order.dtype == (np.intp if wide else np.int32)
-        assert np.array_equal(np.sort(cells.order), np.arange(values.size))
-        assert s.tobytes() == values.ravel()[cells.order].tobytes()
-        real = ~np.isnan(s)
-        assert not (s[1:] < s[:-1]).any() and real[:real.sum()].all()  # NaN last
-        assert np.array_equal(cells.order, self.key_order(values))
-
-    def test_inverted_runs_are_untangled(self):
-        # 4096 values in 64 clusters 0-4 ulps wide, in random positions: their
-        # keys keep 52 - 12 bits below the exponent, so every cluster is one
-        # prefix, sorted first by position.
-        rng = np.random.default_rng(10)
-        anchors = rng.standard_normal(64)
-        values = (anchors[rng.integers(0, 64, 4096)].view(np.int64)
-                  + rng.integers(0, 5, 4096)).view(np.float64)
-        assert np.array_equal(_SortedCells.of(values).order, self.key_order(values))
+    @given(block_code_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_block_codes_match_brute_force(self, case):
+        # Values at midpoints, window ends and bucket edges, one ulp off
+        # each, BF16 ratios, signed zeros and subnormals, under the grids and
+        # learned tables with duplicates and gaps just above the fallback's
+        # cut, two tables to a stack, each group of 4 under its own.
+        tables, values, member1 = case
+        got = lookup(values, tables, member1, 4)
+        m = tables.shape[1]
+        want = np.where(np.repeat(member1, 4), brute_force(tables[1], values) + m,
+                        brute_force(tables[0], values))
+        assert got.tolist() == want.tolist()
 
 
 @st.composite
@@ -411,6 +442,10 @@ def moved_table(draw, table):
 
 
 class TestMembers:
+    """Each table's members, the groups `_Pass.split` puts under it, and
+    their codes, table 1's offset by the table size, looked up afresh on
+    every pass."""
+
     @staticmethod
     def want(tables, values, mask):
         """Each value's code under its own table, in the layout, table 1's offset."""
@@ -418,11 +453,10 @@ class TestMembers:
         return np.where(mask, recon_codes(tables[1], values) + m, recon_codes(tables[0], values))
 
     @given(tables_and_values(), tables_and_values(), st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_moved_codes_match_recon_codes_per_table(self, case0, case1, data):
-        # The codes of table 1's members are offset by the table size.
-        # After any sequence of moves the kept codes equal a fresh search of
-        # each table's members.
+        # After any sequence of moves the codes equal a fresh search of each
+        # table's members.
         (t0, values), (t1, _) = case0, case1
         m = max(t0.size, t1.size)
         t0 = np.concatenate([t0, np.full(m - t0.size, t0[-1])])
@@ -435,13 +469,10 @@ class TestMembers:
         else:
             picks = [split == "all"] * values.size
         mask = np.asarray(picks, dtype=bool)
-        cells = _SortedCells.of(values)
-        members = _Members(cells, mask, tables, [cells.lookup(t) for t in tables])
-        assert members.codes.tolist() == self.want(tables, values, mask).tolist()
+        assert lookup(values, tables, mask).tolist() == self.want(tables, values, mask).tolist()
         for _ in range(data.draw(st.integers(1, 4))):
             tables = np.stack([data.draw(moved_table(t)) for t in tables])
-            members.move(tables)
-            assert members.codes.tolist() == self.want(tables, values, mask).tolist()
+            assert lookup(values, tables, mask).tolist() == self.want(tables, values, mask).tolist()
 
     @pytest.fixture()
     def searched(self, monkeypatch):
@@ -451,52 +482,75 @@ class TestMembers:
         values = np.linspace(-2.0, 2.0, 401)  # steps of 0.01
         mask = np.zeros(values.size, dtype=bool)
         mask[1::2] = True
-        cells = _SortedCells.of(values)
-        tables = np.asarray([[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
-        members = _Members(cells, mask, tables, [cells.lookup(t) for t in tables])
-        searched.clear()
-        # Table 0's midpoints move from -0.5 to -0.44 and from 0.5 to 0.56.
-        # Of the values crossed, only -0.44 and 0.56, both of table 0, lie
-        # on a new midpoint; the rest get their new cell's label.  Table 1
-        # stays put, and its windows hold only -0.5 and 0.5, of table 0.
+        # Table 0's midpoints lie at -0.44 and 0.56, table 1's at -0.5 and
+        # 0.5, and values lie on each.  Each lies in a bucket that one
+        # window reaches, and the nearer of its two entries settles it: no
+        # value is searched.
         tables = np.asarray([[-1.0, 0.12, 1.0], [-1.0, 0.0, 1.0]])
-        members.move(tables)
-        assert searched == [2]
-        assert members.codes.tolist() == self.want(tables, values, mask).tolist()
+        want = self.want(tables, values, mask).tolist()
+        searched.clear()
+        assert lookup(values, tables, mask).tolist() == want
+        assert searched == []
 
     def test_changed_entry_structure_takes_a_full_pass(self, searched):
         values = np.linspace(-2.0, 2.0, 41)
         mask = np.zeros(values.size, dtype=bool)
-        cells = _SortedCells.of(values)
-        tables = np.asarray([[-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0]])
-        members = _Members(cells, mask, tables, [cells.lookup(t) for t in tables])
         tables = np.asarray([[-1.0, -1.0, 1.0], [-1.0, 0.0, 1.0]])  # a duplicate appears
-        members.move(tables)
-        assert members.codes.tolist() == self.want(tables, values, mask).tolist()
-        searched.clear()
+        assert lookup(values, tables, mask).tolist() == self.want(tables, values, mask).tolist()
         # Still two distinct entries, but the cell of 1.0 is now labelled 1.
         tables = np.asarray([[-1.0, 1.0, 1.0], [-1.0, 0.0, 1.0]])
-        members.move(tables)
-        assert searched == [1]  # a full pass: only 0.0, on the midpoint, is searched
-        assert members.codes.tolist() == self.want(tables, values, mask).tolist()
+        want = self.want(tables, values, mask).tolist()
+        searched.clear()
+        assert lookup(values, tables, mask).tolist() == want
+        # The window around 0.0 reaches bucket 0, whose one value is searched.
+        assert searched == [1]
 
     def test_learn_inner_steps_search_a_small_share(self, searched, monkeypatch):
-        full = []
-        lookup = _SortedCells.lookup
+        looked = []
+        look_up = _Pass._look_up
 
-        def counted(cells, table):
-            full.append(cells.values.size)
-            return lookup(cells, table)
+        def counted(run, tables):
+            looked.append(tables is run.tables)
+            return look_up(run, tables)
 
-        monkeypatch.setattr(_SortedCells, "lookup", counted)
+        monkeypatch.setattr(_Pass, "_look_up", counted)
         bundle = make_bundle(1, rows=64, cols=512)
         learn(bundle, AaacConfig.for_format(NVFP4, n_outer=2, n_inner=4))
-        # Full passes only for the assignment steps and the final codes: the
-        # inner steps rewrite codes in place and search only the values in a
-        # window, never a whole member set; a full pass only those in marked
-        # buckets.
-        assert len(full) == 2 * 2 + 2
-        assert all(size < bundle.weights.size // 20 for size in searched)
+        # Every pass looks every value up afresh, from code tables built
+        # once per stack of tables: the first assignment step's, each Lloyd
+        # step's (the next assignment step reads the last one's) and the
+        # one after the BF16 rounding.  Only values in buckets two windows
+        # reach, none here, are searched.
+        assert looked.count(False) == 1 + 2 * 4 + 1
+        assert sum(searched) < bundle.weights.size // 1000
+
+
+class TestSearchShare:
+    """Values the exhaustive search takes, against the rule before midpoint
+    bytes: every value of a bucket a window reaches."""
+
+    @pytest.fixture()
+    def searched(self, monkeypatch):
+        return _searched(monkeypatch)
+
+    @pytest.mark.parametrize(
+        "kind, rows, cols, fmt, group",
+        [("laplace", 512, 1024, NVFP4, 16), ("mixture", 512, 4096, NVFP4, 16),
+         ("mixture", 64, 512, INT4, 128)],
+        ids=["laplace-512x1024-nvfp4", "mixture-512x4096-nvfp4", "mixture-64x512-int4"],
+    )
+    def test_searched_values_fall_tenfold(self, searched, kind, rows, cols, fmt, group):
+        bundle = synth_layer(SynthSpec(kind, rows, cols, 16, seed=0))
+        w = normalize(bundle.weights, compute_scales(bundle.weights, fmt, group), group)
+        buckets = w.view(np.uint64).reshape(-1) >> np.uint64(44)
+        for table in (quantizers.base_table(fmt), *init_tables(w, fmt.table_size)):
+            windowed = np.count_nonzero(quantizers.code_table(table)[buckets] < 128)
+            searched.clear()
+            got = lookup(w, table)
+            # Windows reach the buckets of 0.4-1.0% of the values here, and
+            # each such bucket but bucket 0 only one: none is searched.
+            assert 10 * sum(searched) <= windowed and windowed > 0.002 * w.size
+            assert np.array_equal(got, quantizers._recon_exact(table, w))
 
 
 class TestInnerPass:
@@ -568,24 +622,26 @@ class TestInnerPass:
         assert got.tobytes() == want.tobytes()
 
     @staticmethod
-    def member_order_steps(members, tables, values, imp, n_inner):
+    def member_order_steps(member1, tables, values, imp, n_inner, s):
         """The inner steps over the members in member order, table 0's groups
         then table 1's: two `np.bincount`s over every member and one error
-        array per step."""
-        s = members.sel_size
-        groups = np.concatenate((np.flatnonzero(~members.part), np.flatnonzero(members.part)))
-        split = (members.part.size - int(members.part.sum())) * s
+        array per step, from codes `recon_codes` gives."""
+        part = member1.ravel()
+        groups = np.concatenate((np.flatnonzero(~part), np.flatnonzero(part)))
+        split = (part.size - int(part.sum())) * s
         values = values.reshape(-1, s)[groups].ravel()
         importances = imp.reshape(-1, s)[groups % (imp.size // s)].ravel()
         wv = importances * values
+        m = tables.shape[1]
         for _ in range(n_inner):
-            codes = members.codes.reshape(-1, s)[groups].ravel()
+            codes = np.concatenate((recon_codes(tables[0], values[:split]),
+                                    recon_codes(tables[1], values[split:]) + m))
             num = np.bincount(codes, weights=wv, minlength=tables.size)
             den = np.bincount(codes, weights=importances, minlength=tables.size)
             step = np.where(den > 0, num / np.where(den > 0, den, 1.0), tables.ravel())
             tables = np.sort(step.reshape(tables.shape), axis=1)
-            members.move(tables)
-            codes = members.codes.reshape(-1, s)[groups].ravel()
+            codes = np.concatenate((recon_codes(tables[0], values[:split]),
+                                    recon_codes(tables[1], values[split:]) + m))
             d = values - tables.ravel()[codes]
             e = importances * d
             e *= d
@@ -597,30 +653,28 @@ class TestInnerPass:
         ids=["multi-leaf", "empty-table-1", "one-block"],
     )
     def test_fused_steps_match_whole_array_sums(self, rows, share):
+        # The pass streams each table's member errors into leaf buffers
+        # block by block; the sums and errors equal whole-array ones.
         cols, sel = 4096, 16
         rng = np.random.default_rng(4)
         w = rng.standard_normal((rows, cols)) * rng.choice([1.0, 5.0], (rows, cols))
         imp = rng.uniform(0.0, 2.0, cols)
         imp[:sel] = 0.0  # one column group carries no importance
         member1 = rng.random((rows, cols // sel)) < share
-        cells = _SortedCells.of(w)
-        tables = np.stack(init_tables(cells.sorted, 16))
-        fused, whole = (
-            _Members(cells, member1, tables, [cells.lookup(t) for t in tables], sel)
-            for _ in range(2)
-        )
-        assert fused.codes.dtype == np.uint8
-        run = codebooks._Pass(w, imp)
+        tables = np.stack(init_tables(w, 16))
+        run = codebooks._Pass(w, imp, sel)
+        part = member1.astype(np.uint8).ravel()
+        run.split(part)
         assert len(run.blocks) == (1 if rows == 4 else 5)
         if rows == 72:  # every non-empty table's members span several leaves
             in_table1 = int(member1.sum()) * sel
             assert min(n for n in (w.size - in_table1, in_table1) if n) > 2**17
-        got = codebooks._lloyd_steps(fused, tables, run, 4)
-        want = self.member_order_steps(whole, tables, w, imp, 4)
+        _, sums = run(part, tables, error=False)
+        got = codebooks._lloyd_steps(run, part, tables, sums, 4)
+        want = self.member_order_steps(member1, tables, w, imp, 4, sel)
         for (t_got, e_got), (t_want, e_want) in zip(got, want, strict=True):
             assert t_got.tobytes() == t_want.tobytes()
             assert e_got.hex() == e_want.hex()
-        assert fused.codes.tobytes() == whole.codes.tobytes()
 
 
 class TestPartialTrace:
@@ -631,10 +685,10 @@ class TestPartialTrace:
         """Each `_Pass` call as (error, sums, members per table)."""
         seen, call = [], codebooks._Pass.__call__
 
-        def spy(run, members, table, error=True, sums=True):
-            in_table1 = int(members.part.sum()) * members.sel_size
-            seen.append((error, sums, (members.codes.size - in_table1, in_table1)))
-            return call(run, members, table, error, sums)
+        def spy(run, part, tables, error=True, sums=True):
+            in_table1 = int(np.sum(part)) * run.sel
+            seen.append((error, sums, (run.values.size - in_table1, in_table1)))
+            return call(run, part, tables, error, sums)
 
         monkeypatch.setattr(codebooks._Pass, "__call__", spy)
         return seen
@@ -670,7 +724,8 @@ class TestPartialTrace:
         learn(bundle, cfg)
         full = len(passes)
         learn(bundle, cfg, full_trace=False)
-        assert (full, len(passes) - full) == (33, 31)
+        # A round's first Lloyd sums come with its assignment step.
+        assert (full, len(passes) - full) == (30, 28)
         # Each round's last step takes a pass only for its error.
         assert all(error or sums for error, sums, _ in passes)
         del passes[:]
@@ -683,7 +738,7 @@ class TestWorkingSet:
         [AaacConfig.for_format(NVFP4), AaacConfig.for_format(INT4, group_size=128, sel_size=16)],
         ids=["nvfp4", "int4-g128-S16"],
     )
-    def test_learn_peak_is_at_most_8_times_the_layer(self, cfg):
+    def test_learn_peak_is_at_most_5_times_the_layer(self, cfg):
         bundle = make_bundle(0, rows=256, cols=2048, tokens=64)
         imp = codebooks.layer_importance(bundle)
         learn(make_bundle(1), cfg)  # first-call imports are not the layer's working set
@@ -693,27 +748,24 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # About 21 bytes per weight and 1.5 MiB of block buffers: see the module docstring.
-        assert peak <= 8 * bundle.weights.nbytes
+        # About 12 bytes per weight and 3.3 MiB of block and leaf buffers,
+        # which here are 1.6 layers' worth: see the module docstring.
+        assert peak <= 5 * bundle.weights.nbytes
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            AaacConfig.for_format(NVFP4, sel_size=8, n_outer=2, n_inner=4),
-            AaacConfig.for_format(INT4, group_size=128, sel_size=16, n_outer=2, n_inner=4),
-        ],
-        ids=["nvfp4-S8", "int4-g128-S16"],
-    )
-    def test_wide_positions_learn_the_same(self, cfg, monkeypatch):
-        bundle = make_bundle(2, rows=16, cols=256)
-        assert _SortedCells.of(bundle.weights).order.dtype == np.int32
-        narrow = learn(bundle, cfg)
-        monkeypatch.setattr(codebooks, "_NARROW_BELOW", 0)
-        assert _SortedCells.of(bundle.weights).order.dtype == np.intp
-        wide = learn(bundle, cfg)
-        for f in dataclasses.fields(LearnResult):
-            a, b = getattr(narrow, f.name), getattr(wide, f.name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+    def test_select_tables_holds_no_sorted_copy(self):
+        # A sorted copy and its positions took 12 bytes a weight.  What is
+        # left is the per-group selection and errors (9 bytes a group of
+        # 16) and the block buffers.
+        w = np.random.default_rng(3).laplace(0.0, 1.0, (512, 4096))
+        t0, t1 = init_tables(w[:8], 16)
+        select_tables(w[:1], np.ones(4096), t0, t1, 16)  # first-call allocations
+        tracemalloc.start()
+        try:
+            select_tables(w, np.ones(4096), t0, t1, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= w.size * 4.5 + 4 * 2**20 < w.size * 12
 
 
 class TestCallCount:
@@ -769,6 +821,23 @@ class TestKmeansUpdate:
             den = np.bincount(codes, weights=weights, minlength=t.size)
             t = np.sort(np.where(den > 0, num / np.where(den > 0, den, 1.0), t))
         assert kmeans_update(table, values, weights, n_inner).tolist() == t.tolist()
+
+    @pytest.mark.parametrize("size", [64, 128, 129, 200, 255, 300])
+    def test_large_tables_match_a_plain_lloyd_loop(self, size):
+        # Up to 128 entries a code table holds midpoints, up to 255 only
+        # codes, and past that every value is searched.
+        rng = np.random.default_rng(size)
+        table = np.sort(rng.uniform(-8, 8, size))
+        table[5:9] = table[5]  # duplicates
+        values = np.concatenate([rng.uniform(-9, 9, 3000), 0.5 * table[:-1] + 0.5 * table[1:]])
+        weights = rng.uniform(0, 1, values.size)
+        t = table
+        for _ in range(3):
+            codes = recon_codes(t, values)
+            num = np.bincount(codes, weights=weights * values, minlength=t.size)
+            den = np.bincount(codes, weights=weights, minlength=t.size)
+            t = np.sort(np.where(den > 0, num / np.where(den > 0, den, 1.0), t))
+        assert kmeans_update(table, values, weights, 3).tobytes() == t.tobytes()
 
     def test_objective_non_increasing_per_iteration(self):
         rng = np.random.default_rng(6)

@@ -186,12 +186,15 @@ class TestReconSearch:
         codes, scales = rtn_quantize(w, fmt, fmt.group_size)
         w_norm = normalize(w, scales, fmt.group_size).ravel()
         t = base_table(fmt)
-        marked = quantizers.code_table(t)[_bucket_keys(w_norm)] == 0
+        lut = quantizers.code_table(t)[_bucket_keys(w_norm)]
         handed = np.concatenate(exact) if exact else np.zeros(0)
-        assert sorted(handed.tolist()) == sorted(w_norm[marked].tolist())
-        # Two buckets, 2**-8 of a binade each, meet each window: about 1% of
-        # a laplace layer (1.09% nvfp4, 0.84% int4 here).
-        assert 0 < handed.size < 0.012 * w.size
+        assert sorted(handed.tolist()) == sorted(w_norm[lut == 0].tolist())
+        # Two buckets, 2**-8 of a binade each, meet each window, about 1% of
+        # a laplace layer (1.09% nvfp4, 0.84% int4 here), the three weights
+        # on midpoints among them; but one window each, so the nearer of
+        # its two entries settles them all, and no value is searched.
+        assert 0.008 * w.size < np.count_nonzero((lut > 0) & (lut < 128)) < 0.012 * w.size
+        assert handed.size == 0
         assert codes.dtype == np.uint8
         assert codes.ravel().tolist() == brute_force_codes(t, w_norm).tolist()
 
@@ -251,15 +254,23 @@ def code_table_cases(draw):
 
 def _bisected_code_table(table):
     """`code_table` as first written, the reference the builder must equal:
-    the fallback's cut found by bisection over every bucket, and every
-    bucket written."""
+    the fallback's cut found by bisection over every bucket, every bucket
+    written, and a bucket that exactly one window reaches, bucket 0 aside,
+    holding one more than the code of its midpoint's lower entry while the
+    table has at most 128 entries."""
     t = np.asarray(table, dtype=np.float64)
     half_keys = 1 << 19
     lut = np.zeros(2 * half_keys, dtype=np.uint8)
     big = max(abs(t[0]), abs(t[-1]))
-    first, mid, half = quantizers._cells(t, big)
-    if mid is None:
+    first = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+    half = big * 2.0 ** -47 + 2.0 ** -1070
+    if not big < 2.0 ** 1000:  # past this no gap is formed: the entries can be infinite
         return lut
+    with np.errstate(invalid="ignore"):
+        gap = float(np.min(np.diff(t[first]), initial=np.inf))
+    if quantizers._falls_back(gap, big):
+        return lut
+    mid = 0.5 * t[first][:-1] + 0.5 * t[first][1:]
 
     def top(k):
         return float(np.uint64(((k + 1) << 44) - 1).view(np.float64))
@@ -267,7 +278,7 @@ def _bisected_code_table(table):
     cut, hi = 0, half_keys - 1
     while cut < hi:
         k = (cut + hi) // 2
-        if quantizers._cells(t, max(top(k), big))[1] is None:
+        if quantizers._falls_back(gap, max(top(k), big)):
             hi = k
         else:
             cut = k + 1
@@ -279,13 +290,27 @@ def _bisected_code_table(table):
         edges = [min(k, cut) for k in [0] + keys + [cut]]
         for a, b, code in zip(edges, edges[1:], codes):
             lut[base + a:base + b] = ~np.uint8(code)
-    for m in mid:
+    reached = np.zeros(2 * half_keys, dtype=np.int64)
+    marks = np.zeros(2 * half_keys, dtype=np.uint8)
+    for m, lower in zip(mid, first):
         a, b = m - half, m + half
-        if b >= 0:
-            lut[key(max(a, 0.0)):key(b) + 1] = 0
-        if a < 0:
-            lut[half_keys + key(min(b, 0.0)):half_keys + key(a) + 1] = 0
+        for span in ([key(max(a, 0.0)), key(b) + 1] if b >= 0 else None,
+                     [half_keys + key(min(b, 0.0)), half_keys + key(a) + 1] if a < 0 else None):
+            if span:
+                reached[span[0]:span[1]] += 1
+                marks[span[0]:span[1]] = lower + 1
+    reached[[0, half_keys]] *= 2  # bucket 0 of each sign
+    lut[reached > 0] = 0
+    if t.size <= 128:
+        single = reached == 1
+        single[cut:half_keys] = single[half_keys + cut:] = False
+        lut[single] = marks[single]
     return lut
+
+
+def _clear(lut, size):
+    """The buckets of a code table of `size` entries that hold a code."""
+    return (~lut < 128) if size <= 128 else (lut != 0)
 
 
 class TestCodeTables:
@@ -299,7 +324,7 @@ class TestCodeTables:
         assert lut.dtype == np.uint8 and lut.size == 1 << 20
         assert np.array_equal(lut, _bisected_code_table(t))
         codes = ~lut  # a marked bucket's byte is 0, so its complement is _MARK
-        keys = np.flatnonzero(codes != quantizers._MARK)
+        keys = np.flatnonzero(_clear(lut, t.size))
         assert 500_000 < keys.size < 600_000
         for edge in _bucket_edges(keys):
             for part in np.array_split(np.arange(keys.size), 16):
@@ -314,7 +339,7 @@ class TestCodeTables:
         lut = quantizers.code_table(table)
         assert np.array_equal(lut, _bisected_code_table(table))
         codes = ~lut[_bucket_keys(values)]
-        kept = codes != quantizers._MARK
+        kept = _clear(lut, table.size)[_bucket_keys(values)]
         assert not kept[~np.isfinite(values) | (np.abs(values) >= 2.0 ** 1000)].any()
         assert codes[kept].tolist() == brute_force_codes(table, values[kept]).tolist()
         # Marked values go to the exhaustive search, so every value gets its code.

@@ -24,4 +24,4 @@ def test_learn_cost_prints_cost_per_weight_and_rss(capsys):
                       "-g", "64", "-S", "16"]) == 0
     line = capsys.readouterr().out
     assert line.startswith("8x128 int4 g=64 S=16 T=8: ")
-    assert "CPU-us per weight" in line and "RSS +" in line
+    assert "CPU-us per weight" in line and "RSS +" in line and "traced peak " in line
