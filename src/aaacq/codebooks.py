@@ -14,10 +14,14 @@ are kept from one step to the next.  Each pass over the layer, a block of
 rows at a time (`_Pass`), reads every value's code from the code tables of
 the two tables laid end to end (`quantizers._write_code_tables`): one
 gather at the value's bucket, the top bits of its pattern, offset by its
-group's table.  Those offset buckets are stored once per layer, 4 bytes a
-weight, and the group's table in them is rewritten once per round; the
-gather from them took about half the time of shifting each block's values
-and adding its groups' offsets, and a learn about 10% less CPU.
+group's table.  The gather reads a compact copy of the code tables, only
+the buckets the layer's values occupy, so a value's bucket there takes 2
+bytes (4 when the occupied buckets of two tables pass 2**16), and each
+table's stretch is padded to a power of two, so its bucket and its table
+are bits of one integer.  Those buckets are stored once per layer, and the
+group's table in them is rewritten once per round: the gather from them
+took about half the time of shifting each block's values and adding its
+groups' offsets, and a learn about 10% less CPU.
 A value in a bucket that one midpoint's window reaches takes the nearer of
 that midpoint's two entries, and only values in buckets that two windows
 reach, or bucket 0, or the fallback's, take the exhaustive search (none on
@@ -51,14 +55,13 @@ normalizes it again, bit for bit as the first time.
 
 Memory follows the layer's size in a few bytes per weight, and no step
 makes a full-size temporary it does not keep.  Per weight, an inner step
-holds the normalized weights (8 bytes) and the offset buckets (4), and per
+holds the normalized weights (8 bytes) and the compact buckets (2), and per
 group its table (1 byte); beside them the pass keeps 2.1 MiB of block
-buffers and, while it takes an error, 1 MiB of leaf buffers.  The initial
-quantiles need the normalized weights alone, and the final codes, 1 byte a
-weight, are written after the buckets are freed.  Measured under tracemalloc
-on 256x2048, where those buffers are 1.6 layers' worth, one learn peaks at
-4.9 times its float32 layer under nvfp4 and under int4 with `-g 128 -S 16`;
-on 512x4096, at 3.5 times.
+buffers and, while it takes an error, 1 MiB of leaf buffers, which are freed
+before the final codes (1 byte a weight) are written.  The initial
+quantiles need the normalized weights alone.  Measured under tracemalloc on
+256x2048, where those buffers are 1.6 layers' worth, one learn peaks at 4.4
+times its float32 layer under nvfp4 and under int4 with `-g 128 -S 16`.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ import numpy as np
 from .errors import LayoutError, UnsupportedConfigError, ValidationError
 from .grids import SCALE_MODES, BaseFormat, compute_scales, round_bf16
 from .quantizers import (
+    _HALF_KEYS,
     _KEY_BITS,
     _KEY_SHIFT,
     _MARK,
@@ -276,6 +280,9 @@ def _sorted_quantiles(w, q) -> np.ndarray:
 # whose blocks outgrow L2.
 _LEAF = 1 << 16
 
+# Values per step of `_Pass._buckets_of`.
+_BUCKETS_CHUNK = 1 << 13
+
 
 def _halve(n: int) -> int:
     """Where numpy's pairwise float sum splits `n` values: half, down to a multiple of 8."""
@@ -344,9 +351,11 @@ class _Pass:
     every value's code under its group's table, an index into the flat
     stack, in the stack's code tables (`quantizers.code_table`).  They are
     written only over the buckets the values occupy, into one buffer that
-    serves every stack of the layer.  `keys` holds each value's bucket, its
-    top bits, plus its table's first bucket: one uint32 a value, whose
-    gather takes half the time of the shift and the group offset it spares.
+    serves every stack of the layer, and copied compact: each table's
+    occupied buckets end to end, padded to a power of two (`stride`).
+    `keys` holds each value's compact bucket plus its table's first, 2 bytes
+    a value when two tables' stretches fit 2**16, else 4: a gather from them
+    takes half the time of the shift and the group offset it spares.
     Stacks of more than 255 entries in all, which only `kmeans_update`'s one
     table can reach, are searched by `recon_codes` instead.
 
@@ -386,6 +395,26 @@ class _Pass:
             np.multiply(self.values, self.z.imag, out=self.z.real)
         self.dead = self.imp.reshape(-1, sel_size).sum(axis=1) == 0 if k else None
         self.buckets = _occupied(self.values)
+        # Each table's stretch of the compact code table: the occupied buckets
+        # of both halves end to end, then one marked bucket for the values in
+        # none (NaN).  A half holds bucket 0 and one run from its least
+        # nonzero bucket on; per half, the compact bucket of bucket 0, the
+        # shift of the run's and where the run ends.
+        self.spans, at, halves = [], 0, [[None, None], [0, 0], [0, 0]]
+        for h, half in enumerate(self.buckets):
+            for a, b in half:
+                if a:
+                    halves[1][h], halves[2][h] = at - a, b
+                else:
+                    halves[0][h] = at
+                self.spans.append(((h << (_KEY_BITS - 1)) + a, b - a))
+                at += b - a
+        self.stride = 1 << at.bit_length()  # a power of two past the marked bucket, `at`
+        halves[0] = [at if z is None else z for z in halves[0]]
+        self.marked = at
+        self.halves = [np.asarray(x, dtype=np.intp) for x in halves]
+        self.key_type = np.uint16 if 2 * self.stride <= 1 << 16 else np.uint32
+        self.compact = np.zeros(2 * self.stride, dtype=np.uint8)
         self.lut = self.tables = self.leaf = self.keys = None
 
     def _look_up(self, tables: np.ndarray) -> np.ndarray:
@@ -397,6 +426,11 @@ class _Pass:
                     self.lut = _new_code_table(len(tables))
                 # The tables are sorted: they need no check.
                 _write_code_tables(self.lut, tables.tolist(), self.buckets)
+                for j in range(len(tables)):
+                    at, start = j * self.stride, j << _KEY_BITS
+                    for a, n in self.spans:
+                        self.compact[at:at + n] = self.lut[start + a:start + a + n]
+                        at += n
             self.tables = tables
         return self.tables.reshape(-1)
 
@@ -406,34 +440,47 @@ class _Pass:
         if self.tables.size > _MARK:  # one table
             c[...] = recon_codes(self.tables[0], v)
         else:
-            c[...] = _recon_lookup(self.lut, self.tables, v, index, out[: b - a])
+            c[...] = _recon_lookup(self.compact, self.tables, v, index, out[: b - a], self.stride)
         return c
 
+    def _buckets_of(self, a: int, b: int, out) -> None:
+        """The compact buckets of values `a:b` under table 0, into `out`,
+        `_BUCKETS_CHUNK` values at a time to keep the temporaries small."""
+        zero, shift, end = self.halves
+        for c in range(a, b, _BUCKETS_CHUNK):
+            d = c + _BUCKETS_CHUNK if c + _BUCKETS_CHUNK < b else b
+            k = (self.values[c:d].view(np.uint64) >> np.uint64(_KEY_SHIFT)).astype(np.intp)
+            half = k >> (_KEY_BITS - 1)
+            k &= _HALF_KEYS - 1
+            out[c - a:d - a] = np.where(k == 0, zero[half],
+                                        np.where(k < end[half], k + shift[half], self.marked))
+
     def _under(self, a: int, b: int, j: int) -> np.ndarray:
-        """The buckets of values `a:b` under table `j`, in the block's float
-        buffer, which is free until the codes are found."""
-        index = self.x.view(np.uint32)[: b - a]
+        """The compact buckets of values `a:b` under table `j`, in the block's
+        float buffer, which is free until the codes are found."""
+        index = self.x.view(self.key_type)[: b - a]
         if self.keys is None:
-            np.right_shift(self.values[a:b].view(np.uint64), _KEY_SHIFT, out=index, casting="unsafe")
+            self._buckets_of(a, b, index)
         else:
-            np.bitwise_and(self.keys[a:b], (1 << _KEY_BITS) - 1, out=index)
+            np.bitwise_and(self.keys[a:b], self.stride - 1, out=index)
         if j:
-            index |= j << _KEY_BITS
+            index |= j * self.stride
         return index
 
     def split(self, part) -> None:
         """Puts each value under the table of its group, `part`: one table
         index per group, or one for every value."""
         if self.keys is None:
-            self.keys = np.empty(self.values.size, dtype=np.uint32)
-            np.right_shift(self.values.view(np.uint64), _KEY_SHIFT, out=self.keys, casting="unsafe")
+            self.keys = np.empty(self.values.size, dtype=self.key_type)
+            for a, b in self.blocks:
+                self._buckets_of(a, b, self.keys[a:b])
         else:
-            self.keys &= (1 << _KEY_BITS) - 1
+            self.keys &= self.stride - 1
         if not isinstance(part, int):
             keys = self.keys.reshape(-1, self.sel)
-            keys |= part.reshape(-1, 1).astype(np.uint32) << _KEY_BITS
+            keys |= part.reshape(-1, 1).astype(self.key_type) * self.stride
         elif part:
-            self.keys |= part << _KEY_BITS
+            self.keys |= part * self.stride
 
     def __call__(self, part, tables, error: bool = True, sums: bool = True):
         """(The members' weighted squared error under `tables`, summed per
@@ -680,7 +727,7 @@ def learn(
             trace += [np.nan if error is None else error]
 
     t0, t1 = (round_bf16(t).astype(np.float32) for t in tables)
-    run.keys = None  # 4 bytes a weight the final codes do without
+    run.leaf = None  # the inner steps' leaf buffers, which the final codes do without
     codes, _, sigma, _ = _assign(run, np.stack((t0, t1)), np.empty((n, k), dtype=np.uint8))
     return LearnResult(
         table0=t0,

@@ -446,14 +446,14 @@ def _fixed_code_table(fmt: BaseFormat) -> np.ndarray:
 _LOOKUP_CHUNK = 1 << 13
 
 
-def _recon_lookup(lut, tables, v, index=None, out=None) -> np.ndarray:
+def _recon_lookup(lut, tables, v, index=None, out=None, stride=1 << _KEY_BITS) -> np.ndarray:
     """`recon_codes` of 1-D values by one gather each at their buckets, as uint8.
 
     `lut` is the `code_table` of `tables`, one table or a stack, and a code
     is an index into the flat stack.  Each value's bucket is the top bits of
     its pattern (`_KEY_SHIFT`) under table 0, taken `_LOOKUP_CHUNK` values at
     a time, or its entry of `index`: its bucket plus its table's first,
-    `j << _KEY_BITS` for table `j`.  A value in a bucket that one window
+    `j * stride` for table `j`.  A value in a bucket that one window
     touches takes the nearer of the window's two entries, the lower on a
     tie: no other entry can be nearest there.  Values in marked buckets take
     the exhaustive search.  Both are found in one scan of the gathered codes.
@@ -487,7 +487,7 @@ def _recon_lookup(lut, tables, v, index=None, out=None) -> np.ndarray:
             hi[same] += 1
         c[mid] = np.where(np.abs(y - flat[hi]) < np.abs(y - t_lo), hi, lo)
     if marked.size:  # under each value's table: table 0 without `index`
-        which = np.zeros(marked.size) if index is None else index[at[marked]] >> _KEY_BITS
+        which = np.zeros(marked.size) if index is None else index[at[marked]] // stride
         for j, t in enumerate(tables):
             here = marked[which == j]
             if here.size:

@@ -738,7 +738,7 @@ class TestWorkingSet:
         [AaacConfig.for_format(NVFP4), AaacConfig.for_format(INT4, group_size=128, sel_size=16)],
         ids=["nvfp4", "int4-g128-S16"],
     )
-    def test_learn_peak_is_at_most_5_times_the_layer(self, cfg):
+    def test_learn_peak_is_at_most_4_5_times_the_layer(self, cfg):
         bundle = make_bundle(0, rows=256, cols=2048, tokens=64)
         imp = codebooks.layer_importance(bundle)
         learn(make_bundle(1), cfg)  # first-call imports are not the layer's working set
@@ -748,9 +748,9 @@ class TestWorkingSet:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # About 12 bytes per weight and 3.3 MiB of block and leaf buffers,
+        # About 10 bytes per weight and 3.1 MiB of block and leaf buffers,
         # which here are 1.6 layers' worth: see the module docstring.
-        assert peak <= 5 * bundle.weights.nbytes
+        assert peak <= 4.5 * bundle.weights.nbytes
 
     def test_select_tables_holds_no_sorted_copy(self):
         # A sorted copy and its positions took 12 bytes a weight.  What is
