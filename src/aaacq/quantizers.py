@@ -96,10 +96,10 @@ def _grouped(a: np.ndarray, size: int) -> np.ndarray:
 
 
 def normalize(weights: np.ndarray, scales: np.ndarray, group_size: int, out=None) -> np.ndarray:
-    """Weights divided by their group scales, in float64: a new array, or
-    the C-contiguous `out`."""
+    """Weights divided by their group scales, in float64: a new C-contiguous
+    array, or the C-contiguous `out`."""
     if out is None:
-        w = np.array(weights, dtype=np.float64)  # a copy, divided in place
+        w = np.array(weights, dtype=np.float64, order="C")  # a copy, divided in place
     else:
         w = out
         np.copyto(w, weights)

@@ -963,6 +963,15 @@ class TestLearn:
         assert np.array_equal(a.codes, b.codes)
         assert np.array_equal(a.trace, b.trace)
 
+    def test_column_major_weights_learn_the_same(self):
+        # The learner reads the normalized layer in row-major order: its
+        # blocks, its in-place sort and its groups.
+        bundle = make_bundle(12, rows=16, cols=128)
+        fortran = LayerBundle(bundle.name, np.asfortranarray(bundle.weights), bundle.activations)
+        a, b = (learn(x, AaacConfig.for_format(NVFP4)) for x in (bundle, fortran))
+        for f in dataclasses.fields(LearnResult):
+            assert getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes(), f.name
+
     def test_no_activations_uses_unit_importance(self):
         bundle = make_bundle(6)
         cfg = AaacConfig.for_format(NVFP4)
