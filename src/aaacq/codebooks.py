@@ -19,17 +19,19 @@ the buckets the layer's values occupy, so a value's bucket there takes 2
 bytes (4 when the occupied buckets of two tables pass 2**16), and each
 table's stretch is padded to a power of two, so its bucket and its table
 are bits of one integer.  Those buckets are stored once per layer, and the
-group's table in them is rewritten once per round: the gather from them
-took about half the time of shifting each block's values and adding its
-groups' offsets, and a learn about 10% less CPU.
+group's table in them is rewritten once per round.  Shifting each block's
+values and adding its groups' offsets instead, with no stored buckets, cost
+learn-large's `quantize` 6% more CPU (median of 10 alternating benchmark
+pairs, 8 of them in favour of the stored buckets).
 A value in a bucket that one midpoint's window reaches takes the nearer of
 that midpoint's two entries, and only values in buckets that two windows
 reach, or bucket 0, or the fallback's, take the exhaustive search (none on
 the benchmark's layers; see `quantizers`).  The code tables are written only
 over the buckets the layer's values occupy, into one buffer that serves every
 pair of tables, in plain Python floats: a build costs 60 us or so.  Tables of
-more than 255 entries, which `kmeans_update` allows, have no code table and
-go to `recon_codes`.
+more than 255 entries in all, which `kmeans_update` and `select_tables`
+allow, have no code tables, and each value goes to `recon_codes` under its
+own table.
 
 Summation order is row-major over each table's members: the Lloyd sums and
 the errors run over the layout in row-major order, the per-group errors too.
@@ -81,6 +83,7 @@ from .quantizers import (
     _occupied,
     _recon_lookup,
     _write_code_tables,
+    check_table,
     normalize,
     recon_codes,
 )
@@ -280,7 +283,7 @@ def _sorted_quantiles(w, q) -> np.ndarray:
 # whose blocks outgrow L2.
 _LEAF = 1 << 16
 
-# Values per step of `_Pass._buckets_of`.
+# Values per step of `_Pass`'s compact buckets.
 _BUCKETS_CHUNK = 1 << 13
 
 
@@ -354,10 +357,11 @@ class _Pass:
     serves every stack of the layer, and copied compact: each table's
     occupied buckets end to end, padded to a power of two (`stride`).
     `keys` holds each value's compact bucket plus its table's first, 2 bytes
-    a value when two tables' stretches fit 2**16, else 4: a gather from them
-    takes half the time of the shift and the group offset it spares.
-    Stacks of more than 255 entries in all, which only `kmeans_update`'s one
-    table can reach, are searched by `recon_codes` instead.
+    a value when two tables' stretches fit 2**16, else 4, written under
+    table 0 when the pass is made and moved between tables by `split`.
+    Stacks of more than 255 entries in all (`kmeans_update`'s large tables,
+    or two large ones handed to `select_tables`) have no code tables: each
+    value is searched by `recon_codes` under its own table.
 
     A call takes the Lloyd sums of the next step and, when asked, the
     weighted squared error under the tables.  Both Lloyd sums are one
@@ -411,17 +415,28 @@ class _Pass:
                 at += b - a
         self.stride = 1 << at.bit_length()  # a power of two past the marked bucket, `at`
         halves[0] = [at if z is None else z for z in halves[0]]
-        self.marked = at
-        self.halves = [np.asarray(x, dtype=np.intp) for x in halves]
-        self.key_type = np.uint16 if 2 * self.stride <= 1 << 16 else np.uint32
+        zero, shift, end = (np.asarray(x, dtype=np.intp) for x in halves)
+        # Each value's compact bucket under table 0, `_BUCKETS_CHUNK` values
+        # at a time to keep the temporaries small.
+        self.keys = np.empty(n * k, dtype=np.uint16 if 2 * self.stride <= 1 << 16 else np.uint32)
+        for c in range(0, n * k, _BUCKETS_CHUNK):
+            key = (self.values[c:c + _BUCKETS_CHUNK].view(np.uint64) >> np.uint64(_KEY_SHIFT)).astype(np.intp)
+            half = key >> (_KEY_BITS - 1)
+            key &= _HALF_KEYS - 1
+            self.keys[c:c + key.size] = np.where(key == 0, zero[half],
+                                                 np.where(key < end[half], key + shift[half], at))
         self.compact = np.zeros(2 * self.stride, dtype=np.uint8)
-        self.lut = self.tables = self.leaf = self.keys = None
+        self.lut = self.tables = self.leaf = None
 
     def _look_up(self, tables: np.ndarray) -> np.ndarray:
         """Writes the code tables of `tables` (float64, one per row), unless
-        they hold them already, and returns the flat stack."""
+        they hold them already, and returns the flat stack.  A stack of more
+        than 255 entries has none, and its codes take `found` as intp."""
         if tables is not self.tables:
-            if tables.size <= _MARK:
+            if tables.size > _MARK:
+                if self.found.dtype != np.intp:
+                    self.found = np.empty(self.found.shape, dtype=np.intp)
+            else:
                 if self.lut is None:
                     self.lut = _new_code_table(len(tables))
                 # The tables are sorted: they need no check.
@@ -435,52 +450,34 @@ class _Pass:
         return self.tables.reshape(-1)
 
     def _codes(self, a: int, b: int, index, out) -> np.ndarray:
-        """The codes of values `a:b` at the buckets `index`, as intp."""
-        c, v = self.codes[: b - a], self.values[a:b]
-        if self.tables.size > _MARK:  # one table
-            c[...] = recon_codes(self.tables[0], v)
+        """The codes of values `a:b` at the buckets `index`, into `out` and as intp."""
+        v, out = self.values[a:b], out[: b - a]
+        if self.tables.size > _MARK:  # no code tables: each value searched under its table
+            which = index // self.stride
+            for j, t in enumerate(self.tables):
+                here = which == j
+                out[here] = recon_codes(t, v[here]) + j * t.size
         else:
-            c[...] = _recon_lookup(self.compact, self.tables, v, index, out[: b - a], self.stride)
+            _recon_lookup(self.compact, self.tables, v, index, out, self.stride)
+        c = self.codes[: b - a]
+        c[...] = out
         return c
-
-    def _buckets_of(self, a: int, b: int, out) -> None:
-        """The compact buckets of values `a:b` under table 0, into `out`,
-        `_BUCKETS_CHUNK` values at a time to keep the temporaries small."""
-        zero, shift, end = self.halves
-        for c in range(a, b, _BUCKETS_CHUNK):
-            d = c + _BUCKETS_CHUNK if c + _BUCKETS_CHUNK < b else b
-            k = (self.values[c:d].view(np.uint64) >> np.uint64(_KEY_SHIFT)).astype(np.intp)
-            half = k >> (_KEY_BITS - 1)
-            k &= _HALF_KEYS - 1
-            out[c - a:d - a] = np.where(k == 0, zero[half],
-                                        np.where(k < end[half], k + shift[half], self.marked))
 
     def _under(self, a: int, b: int, j: int) -> np.ndarray:
         """The compact buckets of values `a:b` under table `j`, in the block's
         float buffer, which is free until the codes are found."""
-        index = self.x.view(self.key_type)[: b - a]
-        if self.keys is None:
-            self._buckets_of(a, b, index)
-        else:
-            np.bitwise_and(self.keys[a:b], self.stride - 1, out=index)
+        index = self.x.view(self.keys.dtype)[: b - a]
+        np.bitwise_and(self.keys[a:b], self.stride - 1, out=index)
         if j:
             index |= j * self.stride
         return index
 
     def split(self, part) -> None:
         """Puts each value under the table of its group, `part`: one table
-        index per group, or one for every value."""
-        if self.keys is None:
-            self.keys = np.empty(self.values.size, dtype=self.key_type)
-            for a, b in self.blocks:
-                self._buckets_of(a, b, self.keys[a:b])
-        else:
-            self.keys &= self.stride - 1
-        if not isinstance(part, int):
-            keys = self.keys.reshape(-1, self.sel)
-            keys |= part.reshape(-1, 1).astype(self.key_type) * self.stride
-        elif part:
-            self.keys |= part * self.stride
+        index per group."""
+        self.keys &= self.stride - 1
+        keys = self.keys.reshape(-1, self.sel)
+        keys |= part.reshape(-1, 1).astype(self.keys.dtype) * self.stride
 
     def __call__(self, part, tables, error: bool = True, sums: bool = True):
         """(The members' weighted squared error under `tables`, summed per
@@ -584,14 +581,13 @@ def _assign(run: _Pass, tables, codes=None):
         objective.feed(np.where(sigma[rows], e_w[1], e_w[0]).reshape(-1))
         mine, theirs = run.found[:, : b - a]
         if codes is None:
-            theirs = theirs.reshape(-1, s)
             out = mine
         else:
             np.subtract(theirs, m, out=theirs)  # their codes in table 1
             out = codes.reshape(-1)[a:b]
             out[...] = mine
-        np.copyto(out.reshape(-1, s), theirs.reshape(-1, s),
-                  where=sigma[rows].reshape(-1, 1).view(bool))
+        group = np.dtype((np.void, s * out.itemsize))  # a group's codes as one item, copied whole
+        np.copyto(out.view(group), theirs.view(group), where=sigma[rows].reshape(-1).view(bool))
         if codes is None:
             c = run.codes[: b - a]
             c[...] = mine
@@ -603,7 +599,8 @@ def select_tables(w_norm, col_importance, table0, table1, sel_size: int) -> np.n
     """Per selection group, the table with lower weighted reconstruction error.
 
     Returns one bit per group of `sel_size` contiguous in-row weights; ties
-    select table 0.  The shorter table is padded with its last entry, which
+    select table 0.  Raises `ValidationError` unless both tables are
+    non-decreasing.  The shorter table is padded with its last entry, which
     changes no nearest entry's value.
     """
     w = np.ascontiguousarray(w_norm, dtype=np.float64)
@@ -611,7 +608,7 @@ def select_tables(w_norm, col_importance, table0, table1, sel_size: int) -> np.n
         raise LayoutError(
             f"column count {w.shape[1]} is not divisible by selection group size {sel_size}"
         )
-    t0, t1 = (np.asarray(t, dtype=np.float64).ravel() for t in (table0, table1))
+    t0, t1 = (check_table(np.ravel(t)) for t in (table0, table1))
     m = max(t0.size, t1.size)
     tables = np.stack([np.concatenate((t, np.full(m - t.size, t[-1]))) for t in (t0, t1)])
     return _assign(_Pass(w, col_importance, sel_size), tables)[2]
@@ -659,7 +656,6 @@ def kmeans_update(table, values, weights, n_inner: int) -> np.ndarray:
         raise ValidationError(f"got {w.size} weights for {v.size} values")
     # Each value is a selection group of one, and its weight its column's importance.
     run = _Pass(v.reshape(1, -1), w)
-    run.split(0)
     for t, _ in _lloyd_steps(run, 0, t, run(0, t, error=False)[1], n_inner, errors=()):
         pass
     return t[0]
@@ -716,7 +712,6 @@ def learn(
     trace = []
     sel = cfg.sel_size
     run = _Pass(w_norm, imp, sel)
-    run.split(0)
 
     for r in range(cfg.n_outer):
         _, sums, sigma, objective = _assign(run, tables)

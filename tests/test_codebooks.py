@@ -196,6 +196,30 @@ class TestSelectTables:
         assert sigma[0, 0] == 1  # decided by unweighted errors
         assert sigma[0, 1] == 0
 
+    @pytest.mark.parametrize("sizes", [(200, 200), (200, 60), (16, 300)])
+    def test_large_tables_match_brute_force(self, sizes):
+        # Stacks past 255 entries have no code tables: each value is
+        # searched under its own table.  Table 0 is dense below zero and
+        # table 1 above, and each group's values lie on one side, so each
+        # table wins some groups.
+        rng = np.random.default_rng(sum(sizes))
+        w = np.abs(rng.laplace(0, 2, (6, 64))) * np.repeat(rng.choice([-1.0, 1.0], (6, 8)), 8, axis=1)
+        imp = rng.uniform(0, 2, 64)
+        t0 = np.sort(np.concatenate((rng.uniform(-9, 0, sizes[0] - 4), rng.uniform(0, 9, 4))))
+        t1 = np.sort(np.concatenate((rng.uniform(0, 9, sizes[1] - 4), rng.uniform(-9, 0, 4))))
+        sigma = select_tables(w, imp, t0, t1, 8)
+        errs = [((imp * (w - t[brute_force(t, w.ravel())].reshape(w.shape)) ** 2)
+                 .reshape(6, 8, 8).sum(axis=2)) for t in (t0, t1)]
+        want = errs[1] < errs[0]
+        assert 0 < want.sum() < want.size
+        assert sigma.tolist() == want.astype(np.uint8).tolist()
+
+    def test_decreasing_table_is_rejected(self):
+        w = np.zeros((1, 8))
+        for t0, t1 in (([0.0, 1.0, 0.5], [0.0, 1.0]), ([0.0, 1.0], [1.0, 0.0])):
+            with pytest.raises(ValidationError):
+                select_tables(w, np.ones(8), t0, t1, 8)
+
 
 # Magnitudes from subnormal to near-overflow; 4e35 is what clamped E4M3
 # scales leave in normalized weights.
@@ -307,7 +331,8 @@ def lookup(values, tables, member1=None, sel_size=1):
     flat = values.reshape(1, -1) if values.ndim < 2 else values
     run = _Pass(flat, np.ones(flat.shape[1]), sel_size)
     stack = np.atleast_2d(np.asarray(tables, dtype=np.float64))
-    run.split(0 if member1 is None else np.asarray(member1, dtype=np.uint8).ravel())
+    if member1 is not None:
+        run.split(np.asarray(member1, dtype=np.uint8))
     run._look_up(stack)
     out = np.concatenate([run._codes(a, b, run.keys[a:b], run.found[0]).copy()
                           for a, b in run.blocks] or [np.zeros(0, dtype=np.intp)])
@@ -320,7 +345,7 @@ class TestSortedCells:
     values occupy, into one buffer, against `recon_codes`."""
 
     @given(tables_and_values())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=400, deadline=None)
     def test_codes_match_recon_codes(self, case):
         table, values = case
         assert lookup(values, table).tolist() == recon_codes(table, values).tolist()
@@ -385,7 +410,6 @@ class TestSortedCells:
         rng = np.random.default_rng(9)
         values = np.concatenate([rng.laplace(0, 2, 500), [0.0, -0.0, 1e-300, 3e12, -4e13]])
         run = _Pass(values.reshape(1, -1), np.ones(values.size))
-        run.split(0)
         tables = [np.linspace(-6, 6, 16), np.asarray([1.0, np.nextafter(1.0, 2.0), 3.0]),
                   np.asarray([-1e-3, 0.0, 1e-3]), np.asarray([-2.0, 1.0, 1.0 + 2.0 ** -40]),
                   np.linspace(-6, 6, 16)]
@@ -453,7 +477,7 @@ class TestMembers:
         return np.where(mask, recon_codes(tables[1], values) + m, recon_codes(tables[0], values))
 
     @given(tables_and_values(), tables_and_values(), st.data())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_moved_codes_match_recon_codes_per_table(self, case0, case1, data):
         # After any sequence of moves the codes equal a fresh search of each
         # table's members.
@@ -754,8 +778,8 @@ class TestWorkingSet:
 
     def test_select_tables_holds_no_sorted_copy(self):
         # A sorted copy and its positions took 12 bytes a weight.  What is
-        # left is the per-group selection and errors (9 bytes a group of
-        # 16) and the block buffers.
+        # left is the compact buckets (2 bytes a weight), the per-group
+        # selection and errors (9 bytes a group of 16) and the block buffers.
         w = np.random.default_rng(3).laplace(0.0, 1.0, (512, 4096))
         t0, t1 = init_tables(w[:8], 16)
         select_tables(w[:1], np.ones(4096), t0, t1, 16)  # first-call allocations
