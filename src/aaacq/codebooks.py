@@ -433,10 +433,10 @@ class _Pass:
         they hold them already, and returns the flat stack.  A stack of more
         than 255 entries has none, and its codes take `found` as intp."""
         if tables is not self.tables:
-            if tables.size > _MARK:
-                if self.found.dtype != np.intp:
-                    self.found = np.empty(self.found.shape, dtype=np.intp)
-            else:
+            dtype = np.intp if tables.size > _MARK else np.uint8
+            if self.found.dtype != dtype:
+                self.found = np.empty(self.found.shape, dtype=dtype)
+            if tables.size <= _MARK:
                 if self.lut is None:
                     self.lut = _new_code_table(len(tables))
                 # The tables are sorted: they need no check.
