@@ -11,27 +11,12 @@ nearest-entry indices under each group's selected table.
 Every step needs the nearest-entry code of every value under a table, and
 the values never change within a layer: only the tables move.  So no codes
 are kept from one step to the next.  Each pass over the layer, a block of
-rows at a time (`_Pass`), reads every value's code from the code tables of
-the two tables laid end to end (`quantizers._write_code_tables`): one
-gather at the value's bucket, the top bits of its pattern, offset by its
-group's table.  The gather reads a compact copy of the code tables, only
-the buckets the layer's values occupy, so a value's bucket there takes 2
-bytes (4 when the occupied buckets of two tables pass 2**16), and each
-table's stretch is padded to a power of two, so its bucket and its table
-are bits of one integer.  Those buckets are stored once per layer, and the
-group's table in them is rewritten once per round.  Shifting each block's
-values and adding its groups' offsets instead, with no stored buckets, cost
-learn-large's `quantize` 6% more CPU (median of 10 alternating benchmark
-pairs, 8 of them in favour of the stored buckets).
-A value in a bucket that one midpoint's window reaches takes the nearer of
-that midpoint's two entries, and only values in buckets that two windows
-reach, or bucket 0, or the fallback's, take the exhaustive search (none on
-the benchmark's layers; see `quantizers`).  The code tables are written only
-over the buckets the layer's values occupy, into one buffer that serves every
-pair of tables, in plain Python floats: a build costs 60 us or so.  Tables of
-more than 255 entries in all, which `kmeans_update` and `select_tables`
-allow, have no code tables, and each value goes to `recon_codes` under its
-own table.
+rows at a time (`_Pass`), reads every value's code under its group's table
+from the two tables' code tables, written for each step in the compact
+layout over the buckets the layer's values occupy (`quantizers._CodeTables`,
+whose module docstring gives the format).  Stacks of more than 128 entries
+in all, which `kmeans_update` and `select_tables` allow, have no code
+tables, and each value goes to `recon_codes` under its own table.
 
 Summation order is row-major over each table's members: the Lloyd sums and
 the errors run over the layout in row-major order, the per-group errors too.
@@ -74,19 +59,7 @@ import numpy as np
 
 from .errors import LayoutError, UnsupportedConfigError, ValidationError
 from .grids import SCALE_MODES, BaseFormat, compute_scales, round_bf16
-from .quantizers import (
-    _HALF_KEYS,
-    _KEY_BITS,
-    _KEY_SHIFT,
-    _MARK,
-    _new_code_table,
-    _occupied,
-    _recon_lookup,
-    _write_code_tables,
-    check_table,
-    normalize,
-    recon_codes,
-)
+from .quantizers import _CodeTables, check_table, normalize, recon_codes
 from .tensors import LayerBundle
 
 
@@ -191,6 +164,18 @@ def importance(activations: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked_importance(col_importance, cols: int) -> np.ndarray:
+    """`col_importance` as float64, or unit importance when every column has
+    zero importance; raises `ValidationError` unless it holds `cols` finite,
+    non-negative values."""
+    imp = np.asarray(col_importance, dtype=np.float64)
+    if imp.shape != (cols,):
+        raise ValidationError(f"importance must have shape ({cols},), got {imp.shape}")
+    if (imp < 0).any() or not np.isfinite(imp).all():
+        raise ValidationError("importance values must be finite and non-negative")
+    return imp if imp.any() else np.ones(cols)
+
+
 def layer_importance(bundle: LayerBundle) -> np.ndarray:
     """The column importance a layer is weighted by.
 
@@ -283,9 +268,6 @@ def _sorted_quantiles(w, q) -> np.ndarray:
 # whose blocks outgrow L2.
 _LEAF = 1 << 16
 
-# Values per step of `_Pass`'s compact buckets.
-_BUCKETS_CHUNK = 1 << 13
-
 
 def _halve(n: int) -> int:
     """Where numpy's pairwise float sum splits `n` values: half, down to a multiple of 8."""
@@ -352,16 +334,12 @@ class _Pass:
     order, a layer's selection groups, and each group belongs to one table
     of a stack.  No codes are stored between passes: each block looks up
     every value's code under its group's table, an index into the flat
-    stack, in the stack's code tables (`quantizers.code_table`).  They are
-    written only over the buckets the values occupy, into one buffer that
-    serves every stack of the layer, and copied compact: each table's
-    occupied buckets end to end, padded to a power of two (`stride`).
-    `keys` holds each value's compact bucket plus its table's first, 2 bytes
-    a value when two tables' stretches fit 2**16, else 4, written under
-    table 0 when the pass is made and moved between tables by `split`.
-    Stacks of more than 255 entries in all (`kmeans_update`'s large tables,
-    or two large ones handed to `select_tables`) have no code tables: each
-    value is searched by `recon_codes` under its own table.
+    stack, in the stack's compact code tables (`code_tables`).  Their
+    `keys` hold each value's compact bucket plus its table's first, written
+    under table 0 when the pass is made and moved between tables by
+    `split`.  Stacks of more than 128 entries in all (`kmeans_update`'s
+    large tables, or two large ones handed to `select_tables`) have no code
+    tables: each value is searched by `recon_codes` under its own table.
 
     A call takes the Lloyd sums of the next step and, when asked, the
     weighted squared error under the tables.  Both Lloyd sums are one
@@ -398,67 +376,32 @@ class _Pass:
         if self.kept:
             np.multiply(self.values, self.z.imag, out=self.z.real)
         self.dead = self.imp.reshape(-1, sel_size).sum(axis=1) == 0 if k else None
-        self.buckets = _occupied(self.values)
-        # Each table's stretch of the compact code table: the occupied buckets
-        # of both halves end to end, then one marked bucket for the values in
-        # none (NaN).  A half holds bucket 0 and one run from its least
-        # nonzero bucket on; per half, the compact bucket of bucket 0, the
-        # shift of the run's and where the run ends.
-        self.spans, at, halves = [], 0, [[None, None], [0, 0], [0, 0]]
-        for h, half in enumerate(self.buckets):
-            for a, b in half:
-                if a:
-                    halves[1][h], halves[2][h] = at - a, b
-                else:
-                    halves[0][h] = at
-                self.spans.append(((h << (_KEY_BITS - 1)) + a, b - a))
-                at += b - a
-        self.stride = 1 << at.bit_length()  # a power of two past the marked bucket, `at`
-        halves[0] = [at if z is None else z for z in halves[0]]
-        zero, shift, end = (np.asarray(x, dtype=np.intp) for x in halves)
-        # Each value's compact bucket under table 0, `_BUCKETS_CHUNK` values
-        # at a time to keep the temporaries small.
-        self.keys = np.empty(n * k, dtype=np.uint16 if 2 * self.stride <= 1 << 16 else np.uint32)
-        for c in range(0, n * k, _BUCKETS_CHUNK):
-            key = (self.values[c:c + _BUCKETS_CHUNK].view(np.uint64) >> np.uint64(_KEY_SHIFT)).astype(np.intp)
-            half = key >> (_KEY_BITS - 1)
-            key &= _HALF_KEYS - 1
-            self.keys[c:c + key.size] = np.where(key == 0, zero[half],
-                                                 np.where(key < end[half], key + shift[half], at))
-        self.compact = np.zeros(2 * self.stride, dtype=np.uint8)
-        self.lut = self.tables = self.leaf = None
+        self.code_tables = _CodeTables(self.values)
+        self.tables = self.leaf = None
 
     def _look_up(self, tables: np.ndarray) -> np.ndarray:
         """Writes the code tables of `tables` (float64, one per row), unless
         they hold them already, and returns the flat stack.  A stack of more
-        than 255 entries has none, and its codes take `found` as intp."""
+        than 128 entries has none, and its codes take `found` as intp."""
         if tables is not self.tables:
-            dtype = np.intp if tables.size > _MARK else np.uint8
+            # The tables are sorted: they need no check.
+            self.written = self.code_tables.write(tables)
+            dtype = np.uint8 if self.written else np.intp
             if self.found.dtype != dtype:
                 self.found = np.empty(self.found.shape, dtype=dtype)
-            if tables.size <= _MARK:
-                if self.lut is None:
-                    self.lut = _new_code_table(len(tables))
-                # The tables are sorted: they need no check.
-                _write_code_tables(self.lut, tables.tolist(), self.buckets)
-                for j in range(len(tables)):
-                    at, start = j * self.stride, j << _KEY_BITS
-                    for a, n in self.spans:
-                        self.compact[at:at + n] = self.lut[start + a:start + a + n]
-                        at += n
             self.tables = tables
         return self.tables.reshape(-1)
 
     def _codes(self, a: int, b: int, index, out) -> np.ndarray:
-        """The codes of values `a:b` at the buckets `index`, into `out` and as intp."""
+        """The codes of values `a:b` at the compact buckets `index`, into `out` and as intp."""
         v, out = self.values[a:b], out[: b - a]
-        if self.tables.size > _MARK:  # no code tables: each value searched under its table
-            which = index // self.stride
+        if self.written:
+            self.code_tables.look_up(self.tables, v, index, out)
+        else:  # no code tables: each value searched under its table
+            which = index // self.code_tables.stride
             for j, t in enumerate(self.tables):
                 here = which == j
                 out[here] = recon_codes(t, v[here]) + j * t.size
-        else:
-            _recon_lookup(self.compact, self.tables, v, index, out, self.stride)
         c = self.codes[: b - a]
         c[...] = out
         return c
@@ -466,18 +409,20 @@ class _Pass:
     def _under(self, a: int, b: int, j: int) -> np.ndarray:
         """The compact buckets of values `a:b` under table `j`, in the block's
         float buffer, which is free until the codes are found."""
-        index = self.x.view(self.keys.dtype)[: b - a]
-        np.bitwise_and(self.keys[a:b], self.stride - 1, out=index)
+        keys, stride = self.code_tables.keys, self.code_tables.stride
+        index = self.x.view(keys.dtype)[: b - a]
+        np.bitwise_and(keys[a:b], stride - 1, out=index)
         if j:
-            index |= j * self.stride
+            index |= j * stride
         return index
 
     def split(self, part) -> None:
         """Puts each value under the table of its group, `part`: one table
         index per group."""
-        self.keys &= self.stride - 1
-        keys = self.keys.reshape(-1, self.sel)
-        keys |= part.reshape(-1, 1).astype(self.keys.dtype) * self.stride
+        keys, stride = self.code_tables.keys, self.code_tables.stride
+        keys &= stride - 1
+        keys = keys.reshape(-1, self.sel)
+        keys |= part.reshape(-1, 1).astype(keys.dtype) * stride
 
     def __call__(self, part, tables, error: bool = True, sums: bool = True):
         """(The members' weighted squared error under `tables`, summed per
@@ -488,7 +433,7 @@ class _Pass:
         acc = np.zeros(flat.size, dtype=np.complex128) if sums else None
         totals = self._sums(part) if error else None
         for a, b in self.blocks:
-            c = self._codes(a, b, self.keys[a:b], self.found[0])
+            c = self._codes(a, b, self.code_tables.keys[a:b], self.found[0])
             if sums:
                 self._add(a, b, c, acc)
             if error:
@@ -599,19 +544,27 @@ def select_tables(w_norm, col_importance, table0, table1, sel_size: int) -> np.n
     """Per selection group, the table with lower weighted reconstruction error.
 
     Returns one bit per group of `sel_size` contiguous in-row weights; ties
-    select table 0.  Raises `ValidationError` unless both tables are
-    non-decreasing.  The shorter table is padded with its last entry, which
-    changes no nearest entry's value.
+    select table 0.  Raises `ValidationError` unless `w_norm` is 2-D,
+    `sel_size` is positive, `col_importance` holds a finite, non-negative
+    value per column and both tables are non-empty and non-decreasing.  The
+    shorter table is padded with its last entry, which changes no nearest
+    entry's value.
     """
     w = np.ascontiguousarray(w_norm, dtype=np.float64)
+    if w.ndim != 2 or sel_size < 1:
+        raise ValidationError(
+            f"need a 2-D layer and a positive selection group size, got shape {w.shape} "
+            f"and size {sel_size}"
+        )
     if w.shape[1] % sel_size != 0:
         raise LayoutError(
             f"column count {w.shape[1]} is not divisible by selection group size {sel_size}"
         )
+    imp = _checked_importance(col_importance, w.shape[1])
     t0, t1 = (check_table(np.ravel(t)) for t in (table0, table1))
     m = max(t0.size, t1.size)
     tables = np.stack([np.concatenate((t, np.full(m - t.size, t[-1]))) for t in (t0, t1)])
-    return _assign(_Pass(w, col_importance, sel_size), tables)[2]
+    return _assign(_Pass(w, imp, sel_size), tables)[2]
 
 
 def _lloyd_steps(run: _Pass, part, tables, sums, n_inner: int, errors=None):
@@ -647,9 +600,10 @@ def kmeans_update(table, values, weights, n_inner: int) -> np.ndarray:
     entry (ties toward the lower index) and moving each entry to the weighted
     centroid of its cell.  Entries with empty or zero-weight cells are kept.
     The table is sorted before the first search and after every step, so
-    the returned table is sorted ascending.
+    the returned table is sorted ascending.  Raises `ValidationError` on an
+    empty table.
     """
-    t = np.sort(np.asarray(table, dtype=np.float64))[np.newaxis]
+    t = check_table(np.sort(np.asarray(table, dtype=np.float64)))[np.newaxis]
     v = np.asarray(values, dtype=np.float64).ravel()
     w = np.asarray(weights, dtype=np.float64).ravel()
     if w.shape != v.shape:
@@ -693,16 +647,10 @@ def learn(
     scales = compute_scales(w, cfg.fmt, cfg.group_size, cfg.scale_mode)
     w_norm = normalize(w, scales, cfg.group_size)
 
-    if col_importance is not None:
-        imp = np.asarray(col_importance, dtype=np.float64)
-        if imp.shape != (k,):
-            raise ValidationError(f"importance must have shape ({k},), got {imp.shape}")
-        if (imp < 0).any() or not np.isfinite(imp).all():
-            raise ValidationError("importance values must be finite and non-negative")
-        if not imp.any():
-            imp = np.ones(k, dtype=np.float64)
-    else:
+    if col_importance is None:
         imp = layer_importance(bundle)
+    else:
+        imp = _checked_importance(col_importance, k)
 
     # The quantiles' order statistics come from the layer sorted in place,
     # which its normalization then writes again.

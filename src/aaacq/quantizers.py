@@ -15,17 +15,19 @@ whose first-minimum rule decides ties.  When two distinct entries lie within
 a few windows of each other, or magnitudes approach overflow or are not
 finite, every value does (the fallback).  `_cells` holds this definition.
 
-Any sorted table of at most 255 entries can apply it through a code table
-(`code_table`), built from `_cells`.  The fixed grids have one each, built
-once per process on first use, in about 1 ms.  Each spans 1 MiB of an
-anonymous map, of which about half is ever written and so takes memory.  A
-bucket is the float64 values that share their top 20 bits: sign, exponent
-and 8 mantissa bits, so 2**-8 of a binade.  Its byte is the first index of
-the cell that holds the whole bucket clear of every window; or, where one
-window reaches the bucket, that window's midpoint; or a marker.  A value's
-code is then one shift of its bit pattern and one gather.  A value in a
-midpoint's bucket takes the nearer of the midpoint's two entries, the lower
-on a tie, and only values in marked buckets take the exhaustive search.
+Any sorted table of at most 128 entries (`_PAIRS`) can apply it through a
+code table, built from `_cells`.  A bucket is the float64 values that share
+their top 20 bits (`_KEY_BITS`): sign, exponent and 8 mantissa bits, so
+2**-8 of a binade.  A code table has one byte per bucket, each sign's half
+counted from zero magnitude up, the positive half first.  The byte is the
+complement (~) of the code of the cell that holds the whole bucket clear of
+every window; or, where one window reaches the bucket, one more than the
+code of the lower of that window's midpoint's two entries; or 0, a marker
+whose complement is `_MARK`.  Midpoint bytes lie below every complement
+because every code is below 128.  A value's code is then one shift of its
+bit pattern and one gather.  A value in a midpoint's bucket takes the nearer
+of the midpoint's two entries, the lower on a tie, and only values in marked
+buckets take the exhaustive search.
 - A bucket clear of every window is exact: every value in it is, and
   within one cell, the code its cell gives is the argmin's.
 - A bucket that one window reaches lies clear of every other, so no entry
@@ -42,24 +44,37 @@ on a tie, and only values in marked buckets take the exhaustive search.
   reaches 2**1000, and a far value's distances to two entries can round
   alike.  Infinities and NaN lie past that cut.
 Two buckets meet each midpoint, so about 1% of a laplace layer's normalized
-weights lie in a window's buckets.  A midpoint's byte names it by its lower
-entry's code plus one, below the codes' complements while every code is
-below 128, so larger tables mark those buckets too.  BF16 weights over BF16
-scales often fall exactly on a midpoint; the compare settles them, and on
-the benchmark's layers no value is searched.  On one 64x1024 block of a
-laplace layer `recon_codes` took 122-130 us under NVFP4 and 119-131 us
-under INT4, against 144-162 and 132-148 us when every value of a window's
-buckets was searched (2 vCPUs, numpy 2.4, best of 7 x 300 calls, three
-alternating runs).  The scan for marked bytes is one pass over the gathered
-codes: fused into the gather's chunks it took more, at one `nonzero` per
-chunk.  `recon_codes` searches
-every value under any other table.  `codebooks` builds the code tables of
-its two learned tables together, end to end, but writes only the buckets a
-layer's values occupy (`_occupied`), into one buffer it reuses for every
-pair of the layer; every other bucket stays marked.  The build takes the
-fallback's cut from its closed form, checked at the cut and the bucket below
-by `_falls_back`, the test `_cells` makes, and takes about 60 us for two
-16-entry tables over a 64x512 layer.
+weights lie in a window's buckets.  BF16 weights over BF16 scales often fall
+exactly on a midpoint; the compare settles them, and on the benchmark's
+layers no value is searched.  On one 64x1024 block of a laplace layer
+`recon_codes` took 122-130 us under NVFP4 and 119-131 us under INT4, against
+144-162 and 132-148 us when every value of a window's buckets was searched
+(2 vCPUs, numpy 2.4, best of 7 x 300 calls, three alternating runs).  The
+scan for marked bytes is one pass over the gathered codes: fused into the
+gather's chunks it took more, at one `nonzero` per chunk.
+
+A code table lays its buckets out in one of two ways:
+- Every bucket (`code_table`), for the fixed grids.  Each grid's is built
+  once per process on first use, in about 1 ms, into 1 MiB of an anonymous
+  map.  The marked half past the fallback's cut is never written and stays
+  unbacked zero pages, so it holds about 0.5 MiB of memory.  `recon_codes`
+  searches every value under any other table.
+- Compact (`_CodeTables`), for a learner's stack of at most two tables,
+  written afresh for every step.  It holds only the buckets that a layer's
+  values occupy (`_occupied`): per sign, bucket 0 and one run from the least
+  nonzero bucket to that of the greatest magnitude, the halves end to end,
+  then one marked bucket for the values in none (NaN).  Each table's
+  stretch is padded to a power of two (`stride`), so a value's compact
+  bucket and its table are bits of one integer, 2 bytes a value while two
+  stretches fit 2**16, else 4.  These are stored once per layer: shifting
+  each block's values and adding its groups' offsets instead cost
+  learn-large's `quantize` 6% more CPU (10 alternating benchmark pairs).
+  A build writes every byte of the occupied spans, so one buffer serves
+  every stack of a layer.  Stacks of more than 128 entries have none.
+A build takes the fallback's cut from its closed form, checked at the cut
+and the bucket below by `_falls_back`, the test `_cells` makes.  Two
+16-entry tables over a 64x512 layer take about 80 us (2 vCPUs, numpy 2.4,
+best of 5 x 2000 builds).
 """
 
 from __future__ import annotations
@@ -113,8 +128,10 @@ def normalize(weights: np.ndarray, scales: np.ndarray, group_size: int, out=None
 # ---------------------------------------------------------------------------
 
 def check_table(table: np.ndarray) -> np.ndarray:
-    """A reconstruction table as float64; raises unless it is non-decreasing."""
+    """A reconstruction table as float64; raises unless it is non-empty and non-decreasing."""
     t = np.asarray(table, dtype=np.float64)
+    if not t.size:
+        raise ValidationError("reconstruction table must not be empty")
     if (t[1:] < t[:-1]).any():
         raise ValidationError("reconstruction table must be non-decreasing")
     return t
@@ -212,16 +229,6 @@ def recon_codes(table: np.ndarray, values: np.ndarray, dtype=np.intp) -> np.ndar
     return codes.astype(dtype, copy=False).reshape(v.shape)[()]
 
 
-# A code table has one byte per bucket: the float64 values that share their
-# top _KEY_BITS bits, which are the sign, the exponent and the first 8 bits
-# of the mantissa.  Each byte is the complement (~) of the code every value
-# of its bucket takes; or 0 when they need the exhaustive search, so that the
-# byte's complement is _MARK; or, in a bucket that exactly one window touches,
-# one more than the code of the lower of its midpoint's two entries.  Those
-# midpoint bytes lie below the complements only while every code is below
-# _PAIRS, so larger tables mark such buckets 0 too.  The table starts as
-# zeros, and the marked half that is never written (past the fallback's cut)
-# stays unbacked zero pages: a grid's table holds 0.5 MiB of memory, not 1.
 _KEY_BITS = 20
 _KEY_SHIFT = 64 - _KEY_BITS
 _MARK = 255
@@ -281,7 +288,7 @@ def _reach(gap: float) -> float:
 _HALF_KEYS = 1 << (_KEY_BITS - 1)  # buckets per sign, the negative ones last
 _BYTES = [bytes((b,)) for b in range(256)]
 _WRAPPED = 2**64 - 1  # bucket 0's key, less one, as uint64
-_EVERY_BUCKET = ([(0, _HALF_KEYS)], [(0, _HALF_KEYS)])
+_EVERY_BUCKET = ([(0, _HALF_KEYS, 0)], [(0, _HALF_KEYS, _HALF_KEYS)])
 
 # Values per block of `_occupied`.
 _OCCUPIED_BLOCK = 1 << 16
@@ -316,45 +323,81 @@ def _occupied(values: np.ndarray) -> tuple[list, list]:
                                 (min(least[1::2], default=_HALF_KEYS), great[1])))
 
 
-def code_table(table: np.ndarray, buckets=_EVERY_BUCKET, out=None) -> np.ndarray:
-    """The code table of a sorted table of at most 255 entries, from `_cells`.
+def code_table(table: np.ndarray) -> np.ndarray:
+    """The code table of a sorted table of at most `_PAIRS` entries over
+    every bucket, from `_cells`, in an anonymous map: its pages take memory
+    only once written, where calloc can hand back heap memory that it must
+    clear first.
 
-    Each byte's complement is its bucket's code or `_MARK`, or the byte
-    holds a midpoint (see above).  Windows take the table's own magnitude
-    (see the module docstring).  A value beyond the table's ends lies at
-    least half the smallest gap from every midpoint, which is more than two
-    windows at its own magnitude until the fallback begins, so it needs no
-    window of its own.
-
-    Only `buckets`, every bucket or the ranges `_occupied` gives for a set
-    of values, are written, and every other bucket reads the marker.  The
-    table is written into `out` when given, which must be zeros or a code
-    table built before over the same `buckets`: no byte outside them was
-    ever written.
+    Windows take the table's own magnitude (see the module docstring).  A
+    value beyond the table's ends lies at least half the smallest gap from
+    every midpoint, which is more than two windows at its own magnitude
+    until the fallback begins, so it needs no window of its own.
     """
     t = check_table(table)
-    if t.size > _MARK:
-        raise ValidationError(f"a code table holds codes below {_MARK}, not {t.size} entries")
-    lut = _new_code_table(1) if out is None else out
-    _write_code_tables(lut, [t.tolist()], buckets)
+    if t.size > _PAIRS:
+        raise ValidationError(f"a code table holds at most {_PAIRS} entries, not {t.size}")
+    lut = np.frombuffer(mmap.mmap(-1, 1 << _KEY_BITS), dtype=np.uint8)
+    _write_code_tables(lut, [t.tolist()], _EVERY_BUCKET, 1 << _KEY_BITS)
     return lut
 
 
-def _new_code_table(tables: int) -> np.ndarray:
-    """A code table of `tables` tables, every bucket marked.
+class _CodeTables:
+    """The code tables of a stack of at most two sorted tables, in the
+    compact layout over the buckets that a layer's 1-D `values` occupy (see
+    the module docstring).
 
-    It is an anonymous map, whose pages take memory only once written;
-    calloc can hand back heap memory that it must clear first."""
-    return np.frombuffer(mmap.mmap(-1, tables << _KEY_BITS), dtype=np.uint8)
+    `layout` holds each half's spans `(first, end, base)`: buckets
+    `first:end` lie from byte `base` of a table's stretch on, and table
+    `j`'s stretch starts at `j * stride`.  `keys` holds each value's compact
+    bucket under table 0.  `write` writes a stack's code tables over the
+    last one's, and `look_up` gathers codes from them.
+    """
+
+    def __init__(self, values: np.ndarray):
+        # Per half, the compact bucket of bucket 0, the shift of the run's
+        # buckets and where the run ends.
+        self.layout, at, zero, shift, end = ([], []), 0, [None, None], [0, 0], [0, 0]
+        for h, half in enumerate(_occupied(values)):
+            for a, b in half:
+                if a:
+                    shift[h], end[h] = at - a, b
+                else:
+                    zero[h] = at
+                self.layout[h].append((a, b, at))
+                at += b - a
+        self.stride = 1 << at.bit_length()  # a power of two past the marked bucket, `at`
+        zero = np.asarray([at if z is None else z for z in zero], dtype=np.intp)
+        shift, end = np.asarray(shift, dtype=np.intp), np.asarray(end, dtype=np.intp)
+        self.keys = np.empty(values.size, np.uint16 if 2 * self.stride <= 1 << 16 else np.uint32)
+        for c in range(0, values.size, _LOOKUP_CHUNK):  # in chunks, to keep the temporaries small
+            key = (values[c:c + _LOOKUP_CHUNK].view(np.uint64) >> _KEY_SHIFT).astype(np.intp)
+            half = key >> (_KEY_BITS - 1)
+            key &= _HALF_KEYS - 1
+            self.keys[c:c + key.size] = np.where(key == 0, zero[half],
+                                                 np.where(key < end[half], key + shift[half], at))
+        self.lut = np.zeros(2 * self.stride, dtype=np.uint8)
+
+    def write(self, tables: np.ndarray) -> bool:
+        """Writes the code tables of `tables`, sorted float64 rows, and
+        returns True; or returns False for a stack of more than `_PAIRS`
+        entries, which has none."""
+        if tables.size > _PAIRS:
+            return False
+        _write_code_tables(self.lut, tables.tolist(), self.layout, self.stride)
+        return True
+
+    def look_up(self, tables: np.ndarray, values: np.ndarray, index, out=None) -> np.ndarray:
+        """`recon_codes` of 1-D `values` under the stack `tables` that `write`
+        wrote last, at their compact buckets `index`, as `_recon_lookup`."""
+        return _recon_lookup(self.lut, tables, values, index, out, self.stride)
 
 
-def _write_code_tables(lut, rows: list, buckets) -> None:
+def _write_code_tables(lut, rows: list, layout, stride: int) -> None:
     """Writes the code tables of sorted tables, `rows` of floats of at most
-    255 entries in all, laid end to end into `lut` over `buckets`, as
-    `code_table` does one.
-
-    Table `j` takes the `2 * _HALF_KEYS` bytes from `j * 2 * _HALF_KEYS` on,
-    and its codes are its entries' indices in the flat stack of tables.
+    `_PAIRS` entries in all, into `lut` in `layout`, as `_CodeTables` has
+    it: table `j` from byte `j * stride` on, its codes its entries' indices
+    in the flat stack of tables.  No byte outside the spans is written.
 
     It works on plain floats, which round as float64 does, and makes one
     numpy call for the bit patterns of every table's numbers: a learner
@@ -369,22 +412,22 @@ def _write_code_tables(lut, rows: list, buckets) -> None:
     out = memoryview(lut)  # whose slices take bytes faster than an array's take numbers
     for j, ((first, mid, half, _, _), cut) in enumerate(zip(cells, cuts)):
         k = 3 * len(mid) if mid else 0
-        _write_code_table(out, j << _KEY_BITS, first, mid, half, cut, keys[at:at + k],
-                          buckets, j * m, n * m <= _PAIRS)
+        spans = [[(a, b, j * stride + base - a) for a, b, base in h] for h in layout]
+        _write_code_table(out, spans, first, mid, half, cut, keys[at:at + k], j * m)
         at += k
 
 
-def _write_code_table(out, start: int, first, mid, half, cut, keys, buckets, offset, pairs) -> None:
+def _write_code_table(out, halves, first, mid, half, cut, keys, offset) -> None:
     """Writes the code table of one sorted table, from its `_cells` and
-    cut, into the memoryview `out` from byte `start` on: its codes offset by
-    `offset`, and its midpoints' bytes when `pairs`.  `keys` holds the
-    buckets of each midpoint and its window's ends, three by three."""
-    halves = ((start, buckets[0]), (start + _HALF_KEYS, buckets[1]))
-    for base, span in halves:
-        for a, b in span:
+    cut, into the memoryview `out`, its codes offset by `offset`.  `halves`
+    holds each half's spans `(a, b, at)`, which put bucket `k` of `a:b` at
+    byte `at + k`; `keys` the buckets of each midpoint and its window's
+    ends, three by three."""
+    for span in halves:
+        for a, b, at in span:
             a = a if a > cut else cut
             if a < b:
-                out[base + a:base + b] = _BYTES[0] * (b - a)  # the fallback's buckets, marked
+                out[at + a:at + b] = _BYTES[0] * (b - a)  # the fallback's buckets, marked
     if not cut:
         return
     # Runs of one cell each, by magnitude: from +0 up, then from -0 down.
@@ -396,14 +439,14 @@ def _write_code_table(out, start: int, first, mid, half, cut, keys, buckets, off
     # each side of zero it reaches, with its midpoint's byte; a bucket that
     # two windows reach, or bucket 0, takes 0.  On each side the windows
     # come in order of magnitude, so only neighbours share buckets.
-    mark = 1 + offset if pairs else 0  # the byte of the midpoint above entry 0; 0 without pairs
+    mark = 1 + offset  # the byte of the midpoint above entry 0
     windows = (
-        [((a if m - half >= 0 else 0), b, mark and mark + f)
+        [((a if m - half >= 0 else 0), b, mark + f)
          for m, a, b, f in zip(mid, keys[1::3], keys[2::3], first) if m + half >= 0],
-        [((b if m + half < 0 else 0), a, mark and mark + f)
+        [((b if m + half < 0 else 0), a, mark + f)
          for m, a, b, f in zip(mid, keys[1::3], keys[2::3], first) if m - half < 0][::-1],
     )
-    for (base, span), (edges, codes), marks in zip(halves, runs, windows):
+    for span, (edges, codes), marks in zip(halves, runs, windows):
         pieces, end = [], -1  # the last bucket the windows so far reached
         for lo, hi, mark in marks:
             stop = hi + 1 if hi < cut else cut
@@ -414,16 +457,16 @@ def _write_code_table(out, start: int, first, mid, half, cut, keys, buckets, off
             if not lo:
                 pieces += [(0, 1, 0)]
             end = hi if hi > end else end
-        for a, b in span:
+        for a, b, at in span:
             b = b if b < cut else cut
             for lo, hi, code in zip(edges, edges[1:], codes):
                 lo, hi = (lo if lo > a else a), (hi if hi < b else b)
                 if lo < hi:
-                    out[base + lo:base + hi] = _BYTES[code] * (hi - lo)
+                    out[at + lo:at + hi] = _BYTES[code] * (hi - lo)
             for lo, hi, mark in pieces:
                 lo, hi = (lo if lo > a else a), (hi if hi < b else b)
                 if lo < hi:
-                    out[base + lo:base + hi] = _BYTES[mark] * (hi - lo)
+                    out[at + lo:at + hi] = _BYTES[mark] * (hi - lo)
 
 
 _GRIDS = {base_table(fmt).tobytes(): fmt for fmt in (NVFP4, INT4)}
@@ -440,7 +483,8 @@ def _fixed_code_table(fmt: BaseFormat) -> np.ndarray:
     return code_table(base_table(fmt))
 
 
-# Values per shift-and-gather step of `_recon_lookup`.  Their keys take
+# Values per shift-and-gather step of `_recon_lookup`, and per step of
+# `_CodeTables`' compact buckets.  Their keys take
 # 64 KiB, below glibc's mmap threshold, so the key buffer comes from the heap
 # and is not faulted in afresh for each row block, as a 512 KiB one is.
 _LOOKUP_CHUNK = 1 << 13
@@ -449,18 +493,18 @@ _LOOKUP_CHUNK = 1 << 13
 def _recon_lookup(lut, tables, v, index=None, out=None, stride=1 << _KEY_BITS) -> np.ndarray:
     """`recon_codes` of 1-D values by one gather each at their buckets, as uint8.
 
-    `lut` is the `code_table` of `tables`, one table or a stack, and a code
-    is an index into the flat stack.  Each value's bucket is the top bits of
-    its pattern (`_KEY_SHIFT`) under table 0, taken `_LOOKUP_CHUNK` values at
-    a time, or its entry of `index`: its bucket plus its table's first,
-    `j * stride` for table `j`.  A value in a bucket that one window
-    touches takes the nearer of the window's two entries, the lower on a
-    tie: no other entry can be nearest there.  Values in marked buckets take
-    the exhaustive search.  Both are found in one scan of the gathered codes.
+    `lut` holds the code tables of `tables`, one table or a stack of at
+    most `_PAIRS` entries, and a code is an index into the flat stack.  Each
+    value's bucket is the top bits of its pattern (`_KEY_SHIFT`) under table
+    0, taken `_LOOKUP_CHUNK` values at a time, or its entry of `index`: its
+    bucket plus its table's first, `j * stride` for table `j`.  A value in a
+    bucket that one window touches takes the nearer of the window's two
+    entries, the lower on a tie: no other entry can be nearest there.
+    Values in marked buckets take the exhaustive search.  Both are found in
+    one scan of the gathered codes.
     """
     tables = tables[np.newaxis] if tables.ndim == 1 else tables
     codes = np.empty(v.size, dtype=np.uint8) if out is None else out
-    limit = _PAIRS if tables.size <= _PAIRS else _MARK  # the complements at or past it
     if index is None:
         bits = v.view(np.uint64)
         keys = np.empty(min(v.size, _LOOKUP_CHUNK), dtype=np.uint64)
@@ -473,19 +517,18 @@ def _recon_lookup(lut, tables, v, index=None, out=None, stride=1 << _KEY_BITS) -
     else:
         lut.take(index, out=codes, mode="clip")
     np.invert(codes, out=codes)
-    at = (codes >= limit).nonzero()[0]
+    at = (codes >= _PAIRS).nonzero()[0]  # the complements of midpoint bytes and marks
     if not at.size:
         return codes
     x, c = v[at], codes[at]
     marked = (c == _MARK).nonzero()[0]
-    if limit == _PAIRS:
-        flat = tables.reshape(-1)
-        mid = (c != _MARK).nonzero()[0] if marked.size else slice(None)
-        lo = ((_MARK - 1) - c[mid]).astype(np.intp)
-        hi, y, t_lo = lo + 1, x[mid], flat[lo]
-        while (same := flat[hi] == t_lo).any():  # a duplicate: the next distinct entry is further
-            hi[same] += 1
-        c[mid] = np.where(np.abs(y - flat[hi]) < np.abs(y - t_lo), hi, lo)
+    flat = tables.reshape(-1)
+    mid = (c != _MARK).nonzero()[0] if marked.size else slice(None)
+    lo = ((_MARK - 1) - c[mid]).astype(np.intp)
+    hi, y, t_lo = lo + 1, x[mid], flat[lo]
+    while (same := flat[hi] == t_lo).any():  # a duplicate: the next distinct entry is further
+        hi[same] += 1
+    c[mid] = np.where(np.abs(y - flat[hi]) < np.abs(y - t_lo), hi, lo)
     if marked.size:  # under each value's table: table 0 without `index`
         which = np.zeros(marked.size) if index is None else index[at[marked]] // stride
         for j, t in enumerate(tables):

@@ -15,7 +15,6 @@ from aaacq import codebooks, quantizers
 from aaacq.codebooks import (
     AaacConfig,
     LearnResult,
-    _Pass,
     importance,
     init_tables,
     kmeans_update,
@@ -196,9 +195,9 @@ class TestSelectTables:
         assert sigma[0, 0] == 1  # decided by unweighted errors
         assert sigma[0, 1] == 0
 
-    @pytest.mark.parametrize("sizes", [(200, 200), (200, 60), (16, 300)])
+    @pytest.mark.parametrize("sizes", [(64, 64), (64, 65), (200, 200), (200, 60), (16, 300)])
     def test_large_tables_match_brute_force(self, sizes):
-        # Stacks past 255 entries have no code tables: each value is
+        # Stacks past 128 entries have no code tables: each value is
         # searched under its own table.  Table 0 is dense below zero and
         # table 1 above, and each group's values lie on one side, so each
         # table wins some groups.
@@ -219,6 +218,25 @@ class TestSelectTables:
         for t0, t1 in (([0.0, 1.0, 0.5], [0.0, 1.0]), ([0.0, 1.0], [1.0, 0.0])):
             with pytest.raises(ValidationError):
                 select_tables(w, np.ones(8), t0, t1, 8)
+
+    def test_empty_table_is_rejected(self):
+        for t0, t1 in (([], [0.0, 1.0]), ([0.0, 1.0], [])):
+            with pytest.raises(ValidationError):
+                select_tables(np.zeros((1, 8)), np.ones(8), t0, t1, 8)
+
+    @pytest.mark.parametrize("imp", [np.ones(7), np.ones((1, 8)), -np.ones(8), np.full(8, np.nan)],
+                             ids=["short", "2-D", "negative", "nan"])
+    def test_importance_is_checked_as_learn_checks_it(self, imp):
+        with pytest.raises(ValidationError):
+            select_tables(np.zeros((2, 8)), imp, [0.0, 1.0], [0.0, 1.0], 8)
+
+    def test_one_dimensional_layer_is_rejected(self):
+        with pytest.raises(ValidationError):
+            select_tables(np.zeros(8), np.ones(8), [0.0, 1.0], [0.0, 1.0], 8)
+
+    def test_zero_selection_group_is_rejected(self):
+        with pytest.raises(ValidationError):
+            select_tables(np.zeros((1, 8)), np.ones(8), [0.0, 1.0], [0.0, 1.0], 0)
 
 
 # Magnitudes from subnormal to near-overflow; 4e35 is what clamped E4M3
@@ -324,25 +342,25 @@ def block_code_cases(draw):
 
 
 def lookup(values, tables, member1=None, sel_size=1):
-    """Each value's code, a block at a time, as a learner's pass looks it up:
-    under table 0 of the stack `tables`, or under table 1 for the groups
-    `member1` marks, whose codes are offset by the table size."""
+    """Each value's code as a learner's pass looks it up, in compact code
+    tables written over the buckets the values occupy: under table 0 of the
+    stack `tables`, or under table 1 for the groups of `sel_size` values
+    that `member1` marks, whose codes are offset by the table size."""
     values = np.asarray(values, dtype=np.float64)
-    flat = values.reshape(1, -1) if values.ndim < 2 else values
-    run = _Pass(flat, np.ones(flat.shape[1]), sel_size)
+    flat = np.ascontiguousarray(values).reshape(-1)
+    code_tables = quantizers._CodeTables(flat)
     stack = np.atleast_2d(np.asarray(tables, dtype=np.float64))
+    index, stride = code_tables.keys, code_tables.stride
     if member1 is not None:
-        run.split(np.asarray(member1, dtype=np.uint8))
-    run._look_up(stack)
-    out = np.concatenate([run._codes(a, b, run.keys[a:b], run.found[0]).copy()
-                          for a, b in run.blocks] or [np.zeros(0, dtype=np.intp)])
-    return out.reshape(values.shape)
+        index = index | np.repeat(np.asarray(member1, dtype=index.dtype), sel_size) * stride
+    assert code_tables.write(stack)
+    return code_tables.look_up(stack, flat, index).reshape(values.shape)
 
 
-class TestSortedCells:
-    """The nearest-entry cells of sorted tables, read for a layer's values a
-    block at a time (`lookup`) from code tables built over the buckets the
-    values occupy, into one buffer, against `recon_codes`."""
+class TestCompactLookup:
+    """The nearest-entry cells of sorted tables, read for a layer's values
+    (`lookup`) from compact code tables built over the buckets the values
+    occupy, into one buffer, against `recon_codes`."""
 
     @given(tables_and_values())
     @settings(max_examples=400, deadline=None)
@@ -358,13 +376,21 @@ class TestSortedCells:
         assert got.shape == values.shape
         assert np.array_equal(got, recon_codes(table, values))
 
-    def test_tables_past_255_entries_search_every_value(self, searched):
+    @pytest.mark.parametrize("size", [200, 300])
+    def test_stacks_past_128_entries_search_every_value(self, searched, size):
+        # Such a stack has no code tables: a learner's pass, here the one
+        # Lloyd step of `kmeans_update`, searches each value under its table.
         rng = np.random.default_rng(8)
         values = rng.uniform(-9, 9, (3, 700))
-        table = np.sort(rng.uniform(-8, 8, 300))
+        weights = rng.uniform(0, 1, values.shape)
+        table = np.sort(rng.uniform(-8, 8, size))
+        codes = recon_codes(table, values).ravel()
+        num = np.bincount(codes, weights=(weights * values).ravel(), minlength=size)
+        den = np.bincount(codes, weights=weights.ravel(), minlength=size)
+        want = np.sort(np.where(den > 0, num / np.where(den > 0, den, 1.0), table))
         searched.clear()
-        assert np.array_equal(lookup(values, table), recon_codes(table, values))
-        assert sum(searched) == 2 * values.size  # once here, once in the oracle
+        assert kmeans_update(table, values, weights, 1).tobytes() == want.tobytes()
+        assert sum(searched) == values.size
 
     def test_empty_and_single_value_sets(self):
         table = np.asarray([-1.0, 0.0, 0.0, 2.0])
@@ -409,13 +435,13 @@ class TestSortedCells:
         # inside the values' range after one whose cut lies past it.
         rng = np.random.default_rng(9)
         values = np.concatenate([rng.laplace(0, 2, 500), [0.0, -0.0, 1e-300, 3e12, -4e13]])
-        run = _Pass(values.reshape(1, -1), np.ones(values.size))
+        code_tables = quantizers._CodeTables(values)
         tables = [np.linspace(-6, 6, 16), np.asarray([1.0, np.nextafter(1.0, 2.0), 3.0]),
                   np.asarray([-1e-3, 0.0, 1e-3]), np.asarray([-2.0, 1.0, 1.0 + 2.0 ** -40]),
                   np.linspace(-6, 6, 16)]
         for table in tables:
-            run._look_up(table[np.newaxis])
-            got = run._codes(0, values.size, run.keys, run.found[0])
+            assert code_tables.write(table[np.newaxis])
+            got = code_tables.look_up(table[np.newaxis], values, code_tables.keys)
             assert got.tolist() == recon_codes(table, values).tolist()
 
     def test_decreasing_table_is_rejected(self):
@@ -465,10 +491,9 @@ def moved_table(draw, table):
     return np.sort(out) if out.size == table.size else table
 
 
-class TestMembers:
-    """Each table's members, the groups `_Pass.split` puts under it, and
-    their codes, table 1's offset by the table size, looked up afresh on
-    every pass."""
+class TestMovedTables:
+    """Each group's codes under its own table, table 1's offset by the table
+    size, looked up afresh after every move of the tables."""
 
     @staticmethod
     def want(tables, values, mask):
@@ -530,14 +555,14 @@ class TestMembers:
         assert searched == [1]
 
     def test_learn_inner_steps_search_a_small_share(self, searched, monkeypatch):
-        looked = []
-        look_up = _Pass._look_up
+        written = []
+        write = quantizers._CodeTables.write
 
-        def counted(run, tables):
-            looked.append(tables is run.tables)
-            return look_up(run, tables)
+        def counted(code_tables, tables):
+            written.append(tables.shape)
+            return write(code_tables, tables)
 
-        monkeypatch.setattr(_Pass, "_look_up", counted)
+        monkeypatch.setattr(quantizers._CodeTables, "write", counted)
         bundle = make_bundle(1, rows=64, cols=512)
         learn(bundle, AaacConfig.for_format(NVFP4, n_outer=2, n_inner=4))
         # Every pass looks every value up afresh, from code tables built
@@ -545,7 +570,7 @@ class TestMembers:
         # step's (the next assignment step reads the last one's) and the
         # one after the BF16 rounding.  Only values in buckets two windows
         # reach, none here, are searched.
-        assert looked.count(False) == 1 + 2 * 4 + 1
+        assert written == [(2, 15)] * (1 + 2 * 4 + 1)
         assert sum(searched) < bundle.weights.size // 1000
 
 
@@ -822,6 +847,10 @@ class TestKmeansUpdate:
         t = kmeans_update([0.0, 1.0], [0.1, 0.9], [0.0, 1.0], 1)
         assert t.tolist() == [0.0, 0.9]
 
+    def test_empty_table_is_rejected(self):
+        with pytest.raises(ValidationError):
+            kmeans_update([], [0.5, 1.5], [1.0, 1.0], 1)
+
     def test_result_sorted(self):
         rng = np.random.default_rng(5)
         t = kmeans_update(
@@ -848,8 +877,8 @@ class TestKmeansUpdate:
 
     @pytest.mark.parametrize("size", [64, 128, 129, 200, 255, 300])
     def test_large_tables_match_a_plain_lloyd_loop(self, size):
-        # Up to 128 entries a code table holds midpoints, up to 255 only
-        # codes, and past that every value is searched.
+        # Up to 128 entries a code table holds the codes, and past that
+        # every value is searched.
         rng = np.random.default_rng(size)
         table = np.sort(rng.uniform(-8, 8, size))
         table[5:9] = table[5]  # duplicates

@@ -76,6 +76,10 @@ class TestRecon:
         with pytest.raises(ValidationError):
             recon_codes(np.asarray([0.0, 1.0, 0.5]), np.asarray([0.2]))
 
+    def test_empty_table_is_rejected(self):
+        with pytest.raises(ValidationError):
+            recon_codes(np.zeros(0), np.asarray([0.5]))
+
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(1)
         table = np.sort(rng.standard_normal(15))
@@ -256,8 +260,7 @@ def _bisected_code_table(table):
     """`code_table` as first written, the reference the builder must equal:
     the fallback's cut found by bisection over every bucket, every bucket
     written, and a bucket that exactly one window reaches, bucket 0 aside,
-    holding one more than the code of its midpoint's lower entry while the
-    table has at most 128 entries."""
+    holding one more than the code of its midpoint's lower entry."""
     t = np.asarray(table, dtype=np.float64)
     half_keys = 1 << 19
     lut = np.zeros(2 * half_keys, dtype=np.uint8)
@@ -301,16 +304,15 @@ def _bisected_code_table(table):
                 marks[span[0]:span[1]] = lower + 1
     reached[[0, half_keys]] *= 2  # bucket 0 of each sign
     lut[reached > 0] = 0
-    if t.size <= 128:
-        single = reached == 1
-        single[cut:half_keys] = single[half_keys + cut:] = False
-        lut[single] = marks[single]
+    single = reached == 1
+    single[cut:half_keys] = single[half_keys + cut:] = False
+    lut[single] = marks[single]
     return lut
 
 
-def _clear(lut, size):
-    """The buckets of a code table of `size` entries that hold a code."""
-    return (~lut < 128) if size <= 128 else (lut != 0)
+def _clear(lut):
+    """The buckets of a code table that hold a code."""
+    return ~lut < 128
 
 
 class TestCodeTables:
@@ -324,7 +326,7 @@ class TestCodeTables:
         assert lut.dtype == np.uint8 and lut.size == 1 << 20
         assert np.array_equal(lut, _bisected_code_table(t))
         codes = ~lut  # a marked bucket's byte is 0, so its complement is _MARK
-        keys = np.flatnonzero(_clear(lut, t.size))
+        keys = np.flatnonzero(_clear(lut))
         assert 500_000 < keys.size < 600_000
         for edge in _bucket_edges(keys):
             for part in np.array_split(np.arange(keys.size), 16):
@@ -339,7 +341,7 @@ class TestCodeTables:
         lut = quantizers.code_table(table)
         assert np.array_equal(lut, _bisected_code_table(table))
         codes = ~lut[_bucket_keys(values)]
-        kept = _clear(lut, table.size)[_bucket_keys(values)]
+        kept = _clear(lut)[_bucket_keys(values)]
         assert not kept[~np.isfinite(values) | (np.abs(values) >= 2.0 ** 1000)].any()
         assert codes[kept].tolist() == brute_force_codes(table, values[kept]).tolist()
         # Marked values go to the exhaustive search, so every value gets its code.
@@ -351,22 +353,28 @@ class TestCodeTables:
     @given(code_table_cases(), code_table_cases())
     @settings(max_examples=200, deadline=None)
     def test_built_over_occupied_buckets(self, case, other):
-        # Over the buckets a set of values occupies, the table is the full
-        # one's; every other bucket reads the marker, also after another
-        # table was built into the same buffer first.
+        # At each bucket a set of values occupies, the compact table holds
+        # the full one's byte, also after another table was written into the
+        # same buffer first; the values in none (NaN) read the marker.
         table, values = case
-        buckets = quantizers._occupied(np.sort(values))
+        code_tables = quantizers._CodeTables(values)
+        assert code_tables.write(other[0][np.newaxis])
+        assert code_tables.write(table[np.newaxis])
         keys = _bucket_keys(values).astype(np.intp)
-        occupied = np.zeros(1 << 20, dtype=bool)
-        for base, span in zip((0, 1 << 19), buckets):
-            for a, b in span:
-                occupied[base + a:base + b] = True
-        assert occupied[keys[~np.isnan(values)]].all()  # NaN, past every cut, is left out
-        want = np.where(occupied, quantizers.code_table(table), 0)
-        out = quantizers.code_table(other[0], buckets)
-        assert np.array_equal(quantizers.code_table(table, buckets, out), want)
-        assert quantizers._recon_lookup(out, table, values).tolist() == \
-            quantizers._recon_exact(table, values).tolist()
+        compact = np.full(1 << 20, -1)
+        for base, half in zip((0, 1 << 19), code_tables.layout):
+            for a, b, at in half:
+                compact[base + a:base + b] = np.arange(at, at + b - a)
+        slots = compact[keys]
+        nan = np.isnan(values)
+        assert (slots[~nan] >= 0).all()  # NaN, past every cut, is left out
+        marked = sum(b - a for half in code_tables.layout for a, b, _ in half)
+        assert code_tables.keys.tolist() == np.where(slots < 0, marked, slots).tolist()
+        occupied = compact >= 0
+        assert np.array_equal(code_tables.lut[compact[occupied]], quantizers.code_table(table)[occupied])
+        assert (code_tables.lut[marked:] == 0).all()
+        got = code_tables.look_up(table[np.newaxis], values, code_tables.keys)
+        assert got.tolist() == quantizers._recon_exact(table, values).tolist()
 
     @pytest.mark.parametrize("gap", [2.0 ** -1074 * k for k in (29, 71, 120, 401, 3001)]
                              + [2.0 ** -1040, 1e-300, 2.0 ** -50, 1.0, 1e300])
@@ -388,9 +396,11 @@ class TestCodeTables:
         assert quantizers._occupied(np.zeros(0)) == ([], [])
         assert quantizers._occupied(np.asarray([np.nan])) == ([], [])
 
-    def test_tables_past_255_entries_are_refused(self):
+    def test_tables_past_128_entries_are_refused(self):
         with pytest.raises(ValidationError):
-            quantizers.code_table(np.arange(256.0))
+            quantizers.code_table(np.arange(129.0))
+        table = np.arange(128.0)
+        assert np.array_equal(quantizers.code_table(table), _bisected_code_table(table))
 
 
 class TestRtn:
