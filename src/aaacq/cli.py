@@ -8,10 +8,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
+import glob
 import json
 import os
 import sys
 import time
+
+import numpy as np
 
 from . import codebooks, metrics, packfmt, tensors
 from .errors import AaacqError, PairingError, ValidationError, naming_layer
@@ -244,16 +248,7 @@ _SYNTH_KEYS = {
 def cmd_synth(args) -> int:
     _check_paths(inputs=[args.config] if args.config else [], outputs=[args.out])
     layers, source = args.layers, "--layers"
-    spec_fields = {
-        "kind": args.kind,
-        "rows": args.rows,
-        "cols": args.cols,
-        "tokens": args.tokens,
-        "seed": args.seed,
-        "sigma": args.sigma,
-        "mixture_weights": tuple(args.mixture_weights),
-        "mixture_sigmas": tuple(args.mixture_sigmas),
-    }
+    spec_fields = {key: getattr(args, key) for key in _SYNTH_KEYS if key != "layers"}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
@@ -271,23 +266,36 @@ def cmd_synth(args) -> int:
                 raise ValidationError(f"{args.config}: {key} must be {what}, got {value!r}")
         if "layers" in doc:
             layers, source = doc.pop("layers"), f"{args.config}: layers"
-        for key in ("mixture_weights", "mixture_sigmas"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
         spec_fields.update(doc)
+    for key in ("mixture_weights", "mixture_sigmas"):
+        spec_fields[key] = tuple(spec_fields[key])
     if layers < 1:
         raise ValidationError(f"{source} must be at least 1, got {layers}")
 
     base_seed = spec_fields.pop("seed")
     try:
-        specs = [tensors.SynthSpec(seed=base_seed + i, **spec_fields) for i in range(layers)]
+        specs = {f"layer{i:03d}": tensors.SynthSpec(seed=base_seed + i, **spec_fields)
+                 for i in range(layers)}
     except ValidationError as exc:
         if args.config:  # the file's values override the flags
             raise ValidationError(f"{args.config}: {exc}") from exc
         raise
-    bundles = [tensors.synth_layer(spec, name=f"layer{i:03d}") for i, spec in enumerate(specs)]
-    tensors.save_tensor_archive(args.out, bundles)
-    _log(f"wrote {len(bundles)} synthetic layers -> {args.out}")
+    shapes, held = {}, {}
+    for name, s in specs.items():
+        shapes[f"{name}.weight"], shapes[f"{name}.calib"] = (s.rows, s.cols), (s.tokens, s.cols)
+
+    def produce(tensor):
+        # A layer's two tensors are neighbours in name order, so each layer
+        # is made when its first is written, after the last one is dropped.
+        name, part = tensor.rsplit(".", 1)
+        if name not in held:
+            held.clear()
+            held[name] = tensors.synth_layer(specs[name], name=name)
+        return held[name].weights if part == "weight" else held[name].activations
+
+    with _replacing(args.out) as fh:
+        tensors.stream_tensors(fh, shapes, produce)
+    _log(f"wrote {layers} synthetic layers -> {args.out}")
     return 0
 
 
@@ -379,8 +387,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Every command runs OpenBLAS on one thread, serial or pooled: the parallelism
+# that pays is across layers, and BLAS threads under one layer's small products
+# only spend CPU.  With them, the benchmark's compare-suite `compare --threads 1`
+# took 4.58 CPU-s, and 2.35 on one thread at the same wall time (2 vCPUs).  `main`
+# sets it once and never restores it: the process ends with the command, and
+# forked workers inherit the count.  A count the environment chooses is left.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy's wheel bundles, or None.
+
+    numpy's wheels carry it in `numpy.libs` (Linux) or `numpy/.dylibs`
+    (macOS); only a copy already loaded is used.  Other builds get None.
+    """
+    here = os.path.dirname(np.__file__)
+    for path in glob.glob(f"{here}.libs/*openblas*") + glob.glob(f"{here}/.dylibs/*openblas*"):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except (OSError, AttributeError):
+            continue
+        # numpy 2's wheels name it scipy_openblas64_, numpy 1's openblas64_.
+        for prefix in ("scipy_openblas", "openblas"):
+            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
+            put = getattr(lib, f"{prefix}_set_num_threads64_", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if not any(v in os.environ for v in _BLAS_VARS) and (blas := _openblas_threads()):
+        blas[1](1)
     try:
         return args.func(args)
     except AaacqError as exc:

@@ -150,6 +150,8 @@ def importance(activations: np.ndarray) -> np.ndarray:
     pairwise, so a last block of one column takes its neighbour along.
     """
     a = np.asarray(activations)
+    if a.ndim != 2:
+        raise ValidationError(f"activations must be 2-D, got shape {a.shape}")
     tokens, cols = a.shape
     out = np.empty(cols)
     buf = np.empty(tokens * min(cols, _IMPORTANCE_COLS))
@@ -192,7 +194,10 @@ def weighted_error(
     weights: np.ndarray, reconstructed: np.ndarray, col_importance: np.ndarray
 ) -> float:
     """Importance-weighted squared reconstruction error in weight units."""
-    return _error_sums(_difference(weights, reconstructed), col_importance)[1]
+    d = _difference(weights, reconstructed)
+    if np.shape(col_importance) != d.shape[-1:]:
+        raise ValidationError(f"importance of shape {np.shape(col_importance)} for {d.shape} weights")
+    return _error_sums(d, col_importance)[1]
 
 
 def _difference(weights, reconstructed) -> np.ndarray:
@@ -202,6 +207,8 @@ def _difference(weights, reconstructed) -> np.ndarray:
     buffer instead, without a whole-layer `reconstructed`.
     """
     d = np.array(reconstructed, dtype=np.float64)  # a copy, subtracted in place
+    if d.shape != np.shape(weights):
+        raise ValidationError(f"reconstruction of shape {d.shape} for {np.shape(weights)} weights")
     d -= weights
     return d
 

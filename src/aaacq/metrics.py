@@ -13,11 +13,7 @@ exactly zero, so recovery over a layer suite reduces to
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
-import functools
-import glob
 import io
 import json
 import math
@@ -70,7 +66,10 @@ def layer_output_mse(weights, reconstructed, activations) -> float:
     For y = x W^T this is ||X (What - W)^T||_F^2 / tokens, accumulated in
     float64.
     """
-    return _output_mse(_difference(weights, reconstructed), activations, Scratch())
+    d = _difference(weights, reconstructed)
+    if np.ndim(activations) != 2 or np.shape(activations)[1:] != d.shape[1:]:
+        raise ValidationError(f"activations of shape {np.shape(activations)} for {d.shape} weights")
+    return _output_mse(d, activations, Scratch())
 
 
 def _output_mse(d, activations, scratch: Scratch) -> float:
@@ -295,53 +294,6 @@ def _serial_map(fn, items: list, workers: int):
     return map(fn, items)
 
 
-# A pool already fills the cores, so OpenBLAS threads under each worker's
-# matrix products (the output MSE) only oversubscribe them: on the compare
-# benchmark's archive, `compare --threads 2` took 9.1 CPU-s with two BLAS
-# threads and 3.5 with one (2 vCPUs).  A serial `eval` gains wall time from
-# them, so only pools pin BLAS, and only while they run.  A thread count the
-# environment chooses is left as it is.
-_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy's wheel bundles, or None.
-
-    numpy's wheels carry it in `numpy.libs` (Linux) or `numpy/.dylibs`
-    (macOS); only a copy already loaded is used.  Other builds get None.
-    """
-    here = os.path.dirname(np.__file__)
-    for path in glob.glob(f"{here}.libs/*openblas*") + glob.glob(f"{here}/.dylibs/*openblas*"):
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
-        except (OSError, AttributeError):
-            continue
-        # numpy 2's wheels name it scipy_openblas64_, numpy 1's openblas64_.
-        for prefix in ("scipy_openblas", "openblas"):
-            get = getattr(lib, f"{prefix}_get_num_threads64_", None)
-            put = getattr(lib, f"{prefix}_set_num_threads64_", None)
-            if get is not None and put is not None:
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body with OpenBLAS on one thread, unless the environment sets a count."""
-    blas = None if any(v in os.environ for v in _BLAS_VARS) else _openblas_threads()
-    if blas is None:
-        yield
-        return
-    get, put = blas
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
 def parallel_map(fn, items, threads: int, fork: bool = False, consume=None) -> list:
     """`[fn(item) for item in items]`, on up to `threads` workers when there are several.
 
@@ -349,7 +301,9 @@ def parallel_map(fn, items, threads: int, fork: bool = False, consume=None) -> l
     workers are threads, or with `fork` (the commands pass `runs_forked`)
     processes forked from this one, which return their results by pickle;
     `fork` falls back to threads where the platform cannot fork or another
-    thread is alive.  One item, or one thread, runs in-process.
+    thread is alive.  One item, or one thread, runs in-process.  Workers
+    share or inherit the caller's OpenBLAS thread count, which the commands
+    set to one (`cli.main`).
 
     With `consume`, each result is passed to `consume(result)` in the
     calling thread, in item order, as it arrives, and the list holds what
@@ -357,17 +311,13 @@ def parallel_map(fn, items, threads: int, fork: bool = False, consume=None) -> l
     """
     items = list(items)
     workers = min(threads, len(items))
-    pinned, pool_map = _one_blas_thread(), _thread_map
+    pool_map = _thread_map
     if workers <= 1:
-        pinned, pool_map = contextlib.nullcontext(), _serial_map
+        pool_map = _serial_map
     # Forking is only safe while no other thread can hold a lock.
     elif fork and _CAN_FORK and threading.active_count() == 1:
         pool_map = _fork_map
-    results = []
-    with pinned:
-        for result in pool_map(fn, items, workers):
-            results.append(result if consume is None else consume(result))
-    return results
+    return [r if consume is None else consume(r) for r in pool_map(fn, items, workers)]
 
 
 # Values per row block of the fixed-grid quantizers and the decoder, whose

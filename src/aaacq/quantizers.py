@@ -128,10 +128,10 @@ def normalize(weights: np.ndarray, scales: np.ndarray, group_size: int, out=None
 # ---------------------------------------------------------------------------
 
 def check_table(table: np.ndarray) -> np.ndarray:
-    """A reconstruction table as float64; raises unless it is non-empty and non-decreasing."""
+    """A reconstruction table as float64; raises unless it is 1-D, non-empty and non-decreasing."""
     t = np.asarray(table, dtype=np.float64)
-    if not t.size:
-        raise ValidationError("reconstruction table must not be empty")
+    if t.ndim != 1 or not t.size:
+        raise ValidationError(f"reconstruction table must be 1-D and non-empty, got shape {t.shape}")
     if (t[1:] < t[:-1]).any():
         raise ValidationError("reconstruction table must be non-decreasing")
     return t

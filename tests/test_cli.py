@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import aaacq
-from aaacq import metrics
+from aaacq import cli, metrics
 from aaacq.cli import _resolve_config, build_parser, main
 from aaacq.codebooks import AaacConfig, learn
 from aaacq.grids import INT4, NVFP4
@@ -481,15 +481,35 @@ def _python(*argv, **env_vars):
     return proc
 
 
+# Runs `aaacq.cli.main(argv)` with OpenBLAS first set to two threads, as a
+# multi-core machine would start it, and logs the count each quantize or
+# score task sees, forked workers' included.
+_LOG_TASK_THREADS = """
+import os, sys
+from aaacq import cli, metrics
+get, put = cli._openblas_threads()
+put(2)
+
+def logged(fn):
+    def task(*args, **kwargs):
+        os.write(2, f"task blas threads {get()}\\n".encode())
+        return fn(*args, **kwargs)
+    return task
+
+metrics.quantize_layer, metrics.score = logged(metrics.quantize_layer), logged(metrics.score)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
 class TestBlasThreads:
-    """A worker pool runs OpenBLAS on one thread unless the environment chooses."""
+    """Every command runs OpenBLAS on one thread unless the environment chooses."""
 
     @pytest.fixture
     def blas(self, monkeypatch):
         """(get, set) of numpy's OpenBLAS thread count, set to 2 for the test."""
         for var in BLAS_VARS:
             monkeypatch.delenv(var, raising=False)
-        blas = metrics._openblas_threads()
+        blas = cli._openblas_threads()
         if blas is None:
             pytest.skip("numpy's OpenBLAS is not the bundled wheel copy")
         get, put = blas
@@ -498,38 +518,77 @@ class TestBlasThreads:
         yield get, put
         put(before)
 
-    @pytest.mark.parametrize("fork", [False, True])
-    def test_a_pool_pins_one_thread_while_it_runs(self, blas, fork):
-        get, _ = blas
-        assert metrics.parallel_map(lambda item: get(), range(4), 2, fork) == [1] * 4
-        assert get() == 2
+    @staticmethod
+    def task_threads(*argv, **env_vars):
+        """The OpenBLAS thread count each task of `aaacq *argv` sees."""
+        err = _python("-c", _LOG_TASK_THREADS, *map(str, argv), **env_vars).stderr
+        seen = [line.split()[-1] for line in err.splitlines() if line.startswith("task blas")]
+        assert seen, err
+        return set(seen)
 
-    def test_serial_work_keeps_the_blas_threads(self, blas):
-        get, _ = blas
-        assert metrics.parallel_map(lambda item: get(), range(4), 1) == [2] * 4
+    @pytest.mark.parametrize("command, threads", [
+        ("quantize-aaac", "1"), ("quantize-aaac", "2"), ("quantize-rtn", "2"),
+        ("compare", "1"), ("compare", "2"), pytest.param("eval", None, id="eval"),
+    ])
+    def test_every_command_runs_one_thread(self, blas, tmp_path, archive, command, threads):
+        if command == "eval":
+            pack = tmp_path / "m.aaacq"
+            assert run("quantize", archive, "--out", pack, "--method", "rtn") == 0
+            argv = ["eval", pack, archive, "--json", "--out", tmp_path / "r.json"]
+        elif command == "compare":
+            argv = ["compare", archive, "--methods", "rtn,aaac", "--threads", threads, "--json",
+                    "--out", tmp_path / "r.json"]
+        else:
+            argv = ["quantize", archive, "--out", tmp_path / "m.aaacq",
+                    "--method", command.split("-")[1], "--threads", threads]
+        assert self.task_threads(*argv) == {"1"}
 
     @pytest.mark.parametrize("var", BLAS_VARS)
-    def test_a_count_the_environment_sets_wins(self, blas, monkeypatch, var):
-        get, _ = blas
-        monkeypatch.setenv(var, "2")
-        assert metrics.parallel_map(lambda item: get(), range(4), 2) == [2] * 4
+    def test_a_count_the_environment_sets_wins(self, blas, tmp_path, archive, var):
+        assert self.task_threads("compare", archive, "--methods", "rtn,aaac", "--threads", "2",
+                                 "--out", tmp_path / "r.txt", **{var: "2"}) == {"2"}
 
-    def test_importing_aaacq_leaves_the_environment_alone(self):
-        show = "import aaacq, os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
-        assert _python("-c", show).stdout.split() == ["None"]
+    @pytest.mark.parametrize("threads, fork", [(1, False), (2, False), (2, True)],
+                             ids=["serial", "threads", "fork"])
+    def test_parallel_map_leaves_the_count_as_it_found_it(self, blas, threads, fork):
+        get, _ = blas
+        assert metrics.parallel_map(lambda item: get(), range(4), threads, fork) == [2] * 4
+        assert get() == 2
+
+    def test_importing_aaacq_leaves_the_environment_alone(self, blas):
+        # Importing the modules again after the count is set must leave it.
+        show = ("import importlib, os, aaacq.cli as cli, aaacq.metrics as metrics; "
+                "get, put = cli._openblas_threads(); put(2); "
+                "importlib.reload(metrics); importlib.reload(cli); "
+                "print(get(), os.environ.get('OPENBLAS_NUM_THREADS'))")
+        assert _python("-c", show).stdout.split() == ["2", "None"]
 
     def test_reports_do_not_depend_on_blas_threads(self, tmp_path):
         # Large enough that OpenBLAS splits the output-error products.
         archive = tmp_path / "big.safetensors"
         assert run("synth", "--out", archive, "--layers", "2", "-N", "256", "-K", "512",
                    "-T", "128", "--seed", "4") == 0
-        reports = []
-        for tag, env_vars in (("pinned", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
-            out = tmp_path / f"{tag}.json"
-            _python("-m", "aaacq.cli", "compare", str(archive), "--methods", "rtn,if4",
-                    "--threads", "2", "--json", "--out", str(out), **env_vars)
-            reports.append(out.read_bytes())
-        assert reports[0] == reports[1]
+        outputs = {}
+        for tag, env_vars in (("unset", {}), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+            for threads in ("1", "2"):
+                d = tmp_path / f"{tag}{threads}"
+                d.mkdir()
+                argvs = [["compare", archive, "--threads", threads, "--json", "--out", d / "c"]]
+                for method in ("aaac", "rtn"):
+                    pack = d / f"{method}.aaacq"
+                    argvs += [
+                        ["quantize", archive, "--out", pack, "--method", method,
+                         "--threads", threads],
+                        ["eval", pack, archive, "--json", "--out", d / f"{method}.json"],
+                        ["dequantize", pack, "--out", d / f"{method}.safetensors"],
+                    ]
+                # One process runs the commands in turn, as a shell would one after another.
+                _python("-c", "import json, sys; from aaacq.cli import main; "
+                        "sys.exit(any(main(argv) for argv in json.loads(sys.argv[1])))",
+                        json.dumps([[str(a) for a in argv] for argv in argvs]), **env_vars)
+                outputs[tag, threads] = {p.name: p.read_bytes() for p in d.iterdir()}
+        assert len(outputs[("unset", "1")]) == 7
+        assert all(out == outputs[("unset", "1")] for out in outputs.values())
 
 
 class TestEndToEndDeterminism:

@@ -40,6 +40,10 @@ class TestImportance:
     def test_all_zero(self):
         assert (importance(np.zeros((3, 4), np.float32)) == 0).all()
 
+    def test_1d_activations_are_rejected(self):
+        with pytest.raises(ValidationError, match="2-D"):
+            importance(np.ones(4, np.float32))
+
     def test_row_permutation_invariant(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((16, 8)).astype(np.float32)
@@ -83,6 +87,16 @@ class TestWeightedError:
     def test_zero_when_equal(self):
         w = np.ones((3, 4), np.float32)
         assert weighted_error(w, w, np.ones(4)) == 0.0
+
+    def test_importance_of_another_length_is_rejected(self):
+        w = np.ones((3, 4), np.float32)
+        with pytest.raises(ValidationError, match="importance"):
+            weighted_error(w, w, np.ones(3))
+
+    def test_reconstruction_of_another_shape_is_rejected(self):
+        w = np.ones((3, 4), np.float32)
+        with pytest.raises(ValidationError, match="reconstruction"):
+            weighted_error(w, np.ones((1, 4), np.float32), np.ones(4))
 
     def test_single_element(self):
         w = np.zeros((1, 2), np.float32)
@@ -850,6 +864,10 @@ class TestKmeansUpdate:
     def test_empty_table_is_rejected(self):
         with pytest.raises(ValidationError):
             kmeans_update([], [0.5, 1.5], [1.0, 1.0], 1)
+
+    def test_2d_table_is_rejected(self):
+        with pytest.raises(ValidationError, match="1-D"):
+            kmeans_update([[0.0, 1.0], [2.0, 3.0]], [0.5, 1.5], [1.0, 1.0], 1)
 
     def test_result_sorted(self):
         rng = np.random.default_rng(5)

@@ -35,6 +35,11 @@ class TestLayerOutputMse:
         x = rng.standard_normal((5, 8)).astype(np.float32)
         assert layer_output_mse(w, w, x) == 0.0
 
+    def test_activations_of_another_column_count_are_rejected(self):
+        w = np.ones((4, 8), np.float32)
+        with pytest.raises(ValidationError, match="activations"):
+            layer_output_mse(w, w, np.ones((5, 6), np.float32))
+
     def test_identity_probe_reduces_to_frobenius(self):
         rng = np.random.default_rng(1)
         w = rng.standard_normal((4, 8)).astype(np.float32)

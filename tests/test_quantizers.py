@@ -80,6 +80,11 @@ class TestRecon:
         with pytest.raises(ValidationError):
             recon_codes(np.zeros(0), np.asarray([0.5]))
 
+    @pytest.mark.parametrize("table", [np.zeros((2, 3)), np.float64(0.5)], ids=["2-d", "0-d"])
+    def test_table_that_is_not_1d_is_rejected(self, table):
+        with pytest.raises(ValidationError, match="1-D"):
+            recon_codes(table, np.asarray([0.5]))
+
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(1)
         table = np.sort(rng.standard_normal(15))

@@ -1,14 +1,16 @@
 """Streaming CLI paths: memory flat in the layer count, whole outputs only, archive order."""
 
+import hashlib
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from aaacq import metrics
+from aaacq import metrics, tensors
 from aaacq.cli import main
 from aaacq.codebooks import AaacConfig
+from aaacq.errors import ValidationError
 from aaacq.grids import NVFP4
 from aaacq.packfmt import PackReader, model_to_bytes
 from aaacq.tensors import LayerBundle, SynthSpec, save_tensor_archive, synth_layer, write_tensors
@@ -52,7 +54,10 @@ def test_peak_memory_does_not_grow_with_the_layer_count(tmp_path):
             "dequantize": _peak_bytes("dequantize", pack, "--out", d / "d.safetensors"),
             "compare": _peak_bytes("compare", arch, "--methods", "rtn", "--threads", "1",
                                    "--json", "--out", d / "c.json"),
+            "synth": _peak_bytes("synth", "--out", d / "s.safetensors", "--layers", n,
+                                 "--kind", "laplace", "-N", ROWS, "-K", COLS, "-T", TOKENS),
         }
+        assert (d / "s.safetensors").read_bytes() == arch.read_bytes()
     for command in peaks[8]:
         assert peaks[16][command] - peaks[8][command] < LAYER_BYTES, (command, peaks)
 
@@ -103,6 +108,23 @@ class TestWholeOutputs:
         self._check(out, existing, capsys.readouterr().err, "l2")
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_synth_of_a_failing_layer(self, tmp_path, capsys, monkeypatch, existing):
+        real = tensors.synth_layer
+
+        def synth_layer(spec, name):
+            if name == "layer001":
+                raise ValidationError(f"layer {name!r}: cannot make it")
+            return real(spec, name)
+
+        monkeypatch.setattr(tensors, "synth_layer", synth_layer)
+        (tmp_path / "out").mkdir()
+        out = tmp_path / "out" / "a.safetensors"
+        if existing:
+            out.write_bytes(b"earlier output")
+        assert run("synth", "--out", out, "--layers", "3") == 1
+        self._check(out, existing, capsys.readouterr().err, "layer001")
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
     def test_dequantize_of_a_corrupt_layer(self, tmp_path, capsys, existing):
         arch, pack = tmp_path / "a.safetensors", tmp_path / "m.aaacq"
         _write_archive(arch, _four_layers(np.random.default_rng(2)))
@@ -119,6 +141,19 @@ class TestWholeOutputs:
         capsys.readouterr()
         assert run("dequantize", pack, "--out", out) == 1
         self._check(out, existing, capsys.readouterr().err, "l2")
+
+
+def test_synth_writes_the_bytes_of_the_whole_archive(tmp_path):
+    # Names past layer999 sort out of number order: layer1000 comes before layer101.
+    out = tmp_path / "s.safetensors"
+    assert run("synth", "--out", out, "--layers", "1002", "--kind", "mixture",
+               "-N", "1", "-K", "16", "-T", "2", "--seed", "7") == 0
+    save_tensor_archive(tmp_path / "want.safetensors", [
+        synth_layer(SynthSpec("mixture", 1, 16, 2, seed=7 + i), name=f"layer{i:03d}")
+        for i in range(1002)
+    ])
+    want = hashlib.sha256((tmp_path / "want.safetensors").read_bytes()).hexdigest()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
 
 def test_dequantize_writes_in_archive_order(tmp_path):
