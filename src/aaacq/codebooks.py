@@ -57,8 +57,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LayoutError, UnsupportedConfigError, ValidationError
-from .grids import SCALE_MODES, BaseFormat, compute_scales, round_bf16
+from .errors import ValidationError
+from .grids import SCALE_MODES, BaseFormat, check_groups, compute_scales, round_bf16
 from .quantizers import _CodeTables, check_table, normalize, recon_codes
 from .tensors import LayerBundle
 
@@ -67,9 +67,8 @@ from .tensors import LayerBundle
 class AaacConfig:
     """Layout and iteration parameters for one learning run.
 
-    The selection group size must divide the scale group size (a selection
-    group never spans two scales), both must divide the layer's column count,
-    and selection groups coarser than scale groups are not supported.
+    The group sizes follow `grids.check_groups`, which `learn` checks again
+    against the layer's column count.
     """
 
     fmt: BaseFormat
@@ -80,22 +79,7 @@ class AaacConfig:
     scale_mode: str = "exact-bf16"
 
     def __post_init__(self):
-        if self.group_size < 1 or self.sel_size < 1:
-            raise ValidationError(
-                f"group sizes must be positive, got scale group size {self.group_size} "
-                f"and selection group size {self.sel_size}"
-            )
-        if self.sel_size > self.group_size:
-            raise UnsupportedConfigError(
-                f"selection group size {self.sel_size} exceeds scale group size "
-                f"{self.group_size}; the packed layout stores selection bits in "
-                "scale signs or finer-grained bitsets only"
-            )
-        if self.group_size % self.sel_size != 0:
-            raise ValidationError(
-                f"selection group size {self.sel_size} must divide "
-                f"scale group size {self.group_size}"
-            )
+        check_groups(self.group_size, self.sel_size)
         if self.n_outer < 1 or self.n_inner < 1:
             raise ValidationError("iteration counts must be at least 1")
         if self.scale_mode not in SCALE_MODES:
@@ -108,16 +92,6 @@ class AaacConfig:
         g = overrides.pop("group_size", fmt.group_size)
         s = overrides.pop("sel_size", g)
         return cls(fmt=fmt, group_size=g, sel_size=s, **overrides)
-
-    def check_layout(self, cols: int) -> None:
-        if cols % self.group_size != 0:
-            raise LayoutError(
-                f"column count {cols} is not divisible by scale group size {self.group_size}"
-            )
-        if cols % self.sel_size != 0:
-            raise LayoutError(
-                f"column count {cols} is not divisible by selection group size {self.sel_size}"
-            )
 
 
 @dataclass(frozen=True)
@@ -552,21 +526,15 @@ def select_tables(w_norm, col_importance, table0, table1, sel_size: int) -> np.n
 
     Returns one bit per group of `sel_size` contiguous in-row weights; ties
     select table 0.  Raises `ValidationError` unless `w_norm` is 2-D,
-    `sel_size` is positive, `col_importance` holds a finite, non-negative
-    value per column and both tables are non-empty and non-decreasing.  The
-    shorter table is padded with its last entry, which changes no nearest
-    entry's value.
+    `sel_size` groups split its rows (`grids.check_groups`), `col_importance`
+    holds a finite, non-negative value per column and both tables pass
+    `quantizers.check_table`.  The shorter table is padded with its last
+    entry, which changes no nearest entry's value.
     """
     w = np.ascontiguousarray(w_norm, dtype=np.float64)
-    if w.ndim != 2 or sel_size < 1:
-        raise ValidationError(
-            f"need a 2-D layer and a positive selection group size, got shape {w.shape} "
-            f"and size {sel_size}"
-        )
-    if w.shape[1] % sel_size != 0:
-        raise LayoutError(
-            f"column count {w.shape[1]} is not divisible by selection group size {sel_size}"
-        )
+    if w.ndim != 2:
+        raise ValidationError(f"need a 2-D layer, got shape {w.shape}")
+    check_groups(sel_size, sel_size, w.shape[1])
     imp = _checked_importance(col_importance, w.shape[1])
     t0, t1 = (check_table(np.ravel(t)) for t in (table0, table1))
     m = max(t0.size, t1.size)
@@ -607,10 +575,11 @@ def kmeans_update(table, values, weights, n_inner: int) -> np.ndarray:
     entry (ties toward the lower index) and moving each entry to the weighted
     centroid of its cell.  Entries with empty or zero-weight cells are kept.
     The table is sorted before the first search and after every step, so
-    the returned table is sorted ascending.  Raises `ValidationError` on an
-    empty table.
+    the returned table is sorted ascending.  Raises `ValidationError` on a
+    table that is empty or not 1-D.
     """
-    t = check_table(np.sort(np.asarray(table, dtype=np.float64)))[np.newaxis]
+    t = np.asarray(table, dtype=np.float64)
+    t = check_table(np.sort(t) if t.ndim == 1 else t)[np.newaxis]  # sorting a 0-d table raises
     v = np.asarray(values, dtype=np.float64).ravel()
     w = np.asarray(weights, dtype=np.float64).ravel()
     if w.shape != v.shape:
@@ -647,7 +616,7 @@ def learn(
 
     `col_importance` overrides the activation-derived importance when given.
     """
-    cfg.check_layout(bundle.cols)
+    check_groups(cfg.group_size, cfg.sel_size, bundle.cols)
     w = bundle.weights
     n, k = w.shape
 

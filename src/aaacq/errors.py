@@ -25,11 +25,11 @@ class ValidationError(AaacqError):
     """Invalid argument values or inconsistent shapes."""
 
 
-class LayoutError(AaacqError):
+class LayoutError(ValidationError):
     """Group sizes incompatible with the tensor layout."""
 
 
-class UnsupportedConfigError(AaacqError):
+class UnsupportedConfigError(ValidationError):
     """Configuration combination the format does not support."""
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LayoutError, ValidationError
+from .errors import LayoutError, UnsupportedConfigError, ValidationError
 
 # All distinct signed E2M1 values (positive and negative zero collapse).
 NVFP4_TABLE = (
@@ -152,6 +152,24 @@ def round_e4m3_into(a: np.ndarray, quantum: np.ndarray, exponent: np.ndarray) ->
 # Per-group scales
 # ---------------------------------------------------------------------------
 
+def check_groups(group_size: int, sel_size: int, cols: int | None = None) -> None:
+    """Raise unless selection groups of `sel_size` weights split scale groups of
+    `group_size`, which split rows of `cols` (when given): 1 <= S <= g, S | g, g | cols.
+
+    So a selection group never spans two scales, whose sign bits can hold
+    its table choice.  Coarser selection groups raise `UnsupportedConfigError`,
+    then sizes below 1 `ValidationError` and sizes that do not divide `LayoutError`.
+    """
+    if sel_size > group_size:
+        raise UnsupportedConfigError(f"selection group size {sel_size} exceeds scale group size {group_size}")
+    if sel_size < 1:
+        raise ValidationError(f"group sizes must be positive, got {group_size} and {sel_size}")
+    if group_size % sel_size:
+        raise LayoutError(f"selection group size {sel_size} does not divide scale group size {group_size}")
+    if cols is not None and cols % group_size:
+        raise LayoutError(f"column count {cols} is not divisible by scale group size {group_size}")
+
+
 def group_absmax(weights: np.ndarray, group_size: int) -> np.ndarray:
     """Largest magnitude per group of `group_size` contiguous in-row weights.
 
@@ -163,11 +181,10 @@ def group_absmax(weights: np.ndarray, group_size: int) -> np.ndarray:
     reduced by row.
     """
     w = np.asarray(weights, dtype=np.float32)
+    if w.ndim != 2:
+        raise ValidationError(f"weights must be 2-D, got shape {w.shape}")
     n, k = w.shape
-    if k % group_size != 0:
-        raise LayoutError(
-            f"column count {k} is not divisible by scale group size {group_size}"
-        )
+    check_groups(group_size, group_size, k)
     a, width = np.abs(w).reshape(-1), group_size
     while width % 2 == 0:
         a = np.maximum(a[0::2], a[1::2])

@@ -41,14 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CorruptionError,
-    LayoutError,
-    UnsupportedConfigError,
-    ValidationError,
-    naming_layer,
-)
-from .grids import bf16_bits, bf16_decode
+from .errors import CorruptionError, ValidationError, naming_layer
+from .grids import bf16_bits, bf16_decode, check_groups
 from .tensors import pread_into
 
 MAGIC = b"AAACQ\x00"
@@ -164,6 +158,9 @@ def pack(
     sign position; tables are rounded to BF16 as well.  When the selection
     group is finer than the scale group the selection goes into a separate
     bitset and every stored scale keeps a clear sign bit.
+
+    Raises `ValidationError` for any layer that `unpack` or the pack reader
+    would refuse, so that every pack this returns is read back exactly.
     """
     t0 = np.asarray(table0, dtype=np.float64)
     t1 = np.asarray(table1, dtype=np.float64)
@@ -171,36 +168,32 @@ def pack(
     sel = np.asarray(selection, dtype=np.uint8)
     scales = np.asarray(scales, dtype=np.float32)
 
-    if sel_size > group_size:
-        raise UnsupportedConfigError(
-            f"selection group size {sel_size} exceeds scale group size {group_size}"
-        )
-    if codes.ndim != 2:
-        raise ValidationError("codes must be 2-D")
+    if codes.ndim != 2 or not codes.size:  # a header's rows and columns are at least 1
+        raise ValidationError(f"codes must be 2-D and non-empty, got shape {codes.shape}")
     rows, cols = codes.shape
-    if cols % group_size != 0 or cols % sel_size != 0 or group_size % sel_size != 0:
-        raise LayoutError(
-            f"column count {cols} incompatible with group sizes "
-            f"(scale {group_size}, selection {sel_size})"
-        )
-    if t0.size != t1.size or not 1 <= t0.size <= 16:
-        raise ValidationError("tables must have equal sizes between 1 and 16")
-    if scales.shape != (rows, cols // group_size):
-        raise ValidationError(
-            f"scales shape {scales.shape} does not match ({rows}, {cols // group_size})"
-        )
-    if sel.shape != (rows, cols // sel_size):
-        raise ValidationError(
-            f"selection shape {sel.shape} does not match ({rows}, {cols // sel_size})"
-        )
-    if codes.size and int(codes.max()) >= t0.size:
+    check_groups(group_size, sel_size, cols)
+    if t0.ndim != 1 or t0.shape != t1.shape or not 1 <= t0.size <= 16:
+        raise ValidationError("tables must be 1-D, of equal sizes between 1 and 16")
+    # Entries are checked in float64 first: the cast to float32 overflows past its range.
+    if not (np.abs(np.concatenate((t0, t1))) <= np.finfo(np.float32).max).all():
+        raise ValidationError("codebook entries must round to finite BF16 values")
+    table_bits = [bf16_bits(np.sort(t)) for t in (t0, t1)]
+    if not all(np.isfinite(bf16_decode(b)).all() for b in table_bits):
+        raise ValidationError("codebook entries must round to finite BF16 values")
+    for what, a, size in (("scales", scales, group_size), ("selection", sel, sel_size)):
+        if a.shape != (rows, cols // size):
+            raise ValidationError(f"{what} shape {a.shape} does not match ({rows}, {cols // size})")
+    if int(codes.max()) >= t0.size:
         raise ValidationError(
             f"code {int(codes.max())} out of range for {t0.size}-entry tables"
         )
-    if not np.isfinite(scales).all() or (scales <= 0).any():
-        raise ValidationError("scales must be finite and strictly positive")
-
+    if int(sel.max()) > 1:
+        raise ValidationError(f"selection value {int(sel.max())} is not a bit")
     scale_bits = bf16_bits(scales).reshape(-1)
+    # The BF16 words of positive finite values run from 0x0001 to 0x7F7F; 0 wraps past them.
+    if not (scale_bits - np.uint16(1) < 0x7F7F).all():
+        raise ValidationError("scales must round to finite, strictly positive BF16 values")
+
     flags = 0
     bitset = None
     if sel_size == group_size:
@@ -227,12 +220,23 @@ def pack(
         sel_size=sel_size,
         table_size=int(t0.size),
         flags=flags,
-        table0_bits=bf16_bits(np.sort(t0)),
-        table1_bits=bf16_bits(np.sort(t1)),
+        table0_bits=table_bits[0],
+        table1_bits=table_bits[1],
         scale_bits=scale_bits.astype(np.uint16),
         code_bytes=code_bytes,
         bitset=bitset,
     )
+
+
+def _check_stored_groups(group_size: int, sel_size: int, cols: int, flags: int) -> None:
+    """Raise `CorruptionError` unless stored group sizes follow `check_groups`
+    and the bitset flag is set exactly when selection groups are finer."""
+    try:
+        check_groups(group_size, sel_size, cols)
+    except ValidationError as exc:
+        raise CorruptionError(f"stored group sizes: {exc}") from exc
+    if bool(flags & FLAG_BITSET) != (sel_size < group_size):
+        raise CorruptionError("selection bitset flag inconsistent with the group sizes")
 
 
 def unpack(p: PackedLayer):
@@ -242,10 +246,7 @@ def unpack(p: PackedLayer):
     read from scale signs or from the bitset depending on the layout.
     """
     count = p.rows * p.cols
-    if not 1 <= p.sel_size <= p.group_size or p.group_size % p.sel_size:
-        raise CorruptionError("selection group size incompatible with the scale group")
-    if p.has_bitset != (p.sel_size < p.group_size):
-        raise CorruptionError("selection bitset flag inconsistent with the group sizes")
+    _check_stored_groups(p.group_size, p.sel_size, p.cols, p.flags)
     sizes = size_breakdown(p.rows, p.cols, p.group_size, p.sel_size, p.table_size)
     t0 = bf16_decode(p.table0_bits)
     t1 = bf16_decode(p.table1_bits)
@@ -376,12 +377,7 @@ def _layer_header(r: _Reader, previous: str | None = None):
             raise CorruptionError(f"unknown format kind {kind}")
         if rows < 1 or cols < 1 or table_size < 1 or table_size > 16:
             raise CorruptionError("implausible header dimensions")
-        if group_size < 1 or cols % group_size or sel_size < 1 or cols % sel_size:
-            raise CorruptionError("group sizes incompatible with columns")
-        if sel_size > group_size or group_size % sel_size:
-            raise CorruptionError("selection group incompatible with scale group")
-        if bool(flags & FLAG_BITSET) != (sel_size < group_size):
-            raise CorruptionError("bitset flag inconsistent with group sizes")
+        _check_stored_groups(group_size, sel_size, cols, flags)
         (crc,) = r.unpack(struct.Struct("<I"))
 
     b = size_breakdown(rows, cols, group_size, sel_size, table_size)

@@ -93,6 +93,7 @@ from .grids import (
     NVFP4,
     BaseFormat,
     base_table,
+    check_groups,
     compute_scales,
     group_absmax,
     scales_from_absmax,
@@ -128,12 +129,14 @@ def normalize(weights: np.ndarray, scales: np.ndarray, group_size: int, out=None
 # ---------------------------------------------------------------------------
 
 def check_table(table: np.ndarray) -> np.ndarray:
-    """A reconstruction table as float64; raises unless it is 1-D, non-empty and non-decreasing."""
+    """A reconstruction table as float64; raises unless it is 1-D, non-empty and
+    non-decreasing, with any NaN last, where numpy's sort puts it."""
     t = np.asarray(table, dtype=np.float64)
     if t.ndim != 1 or not t.size:
         raise ValidationError(f"reconstruction table must be 1-D and non-empty, got shape {t.shape}")
-    if (t[1:] < t[:-1]).any():
-        raise ValidationError("reconstruction table must be non-decreasing")
+    nan = np.isnan(t)
+    if (t[1:] < t[:-1]).any() or (nan[:-1] > nan[1:]).any():
+        raise ValidationError("reconstruction table must be non-decreasing, with any NaN last")
     return t
 
 
@@ -596,16 +599,27 @@ def dequantize(
 
     `selection` holds one bit per selection group of `sel_size` contiguous
     in-row weights choosing table0 (0) or table1 (1).  Products beyond
-    float32's range saturate at its largest finite value.
+    float32's range saturate at its largest finite value.  Raises
+    `ValidationError` unless the group sizes split the rows of the 2-D
+    integer `codes` (`grids.check_groups`), `scales` and `selection` hold one
+    value per group of each row, and the tables are 1-D and of one length.
     """
+    codes = np.asarray(codes)
+    if codes.ndim != 2 or codes.dtype.kind not in "ui":
+        raise ValidationError(f"codes must be 2-D integers, got {codes.dtype} of shape {codes.shape}")
+    rows, cols = codes.shape
+    check_groups(group_size, sel_size, cols)
+    for what, a, size in (("scales", scales, group_size), ("selection", selection, sel_size)):
+        if np.shape(a) != (rows, cols // size):
+            raise ValidationError(f"{what} of shape {np.shape(a)} for {codes.shape} codes in groups of {size}")
     t0 = np.asarray(table0, dtype=np.float64)
     t1 = np.asarray(table1, dtype=np.float64)
-    if t0.size != t1.size:
-        raise ValidationError(f"table sizes differ: {t0.size} vs {t1.size}")
-    codes = np.asarray(codes)
-    if codes.size and int(codes.max()) >= t0.size:
+    if t0.ndim != 1 or t0.shape != t1.shape:
+        raise ValidationError(f"tables must be 1-D and of one length, got shapes {t0.shape} and {t1.shape}")
+    # A negative code would index from the end of the other table.
+    if codes.size and (int(codes.max()) >= t0.size or int(codes.min()) < 0):
         raise CorruptionError(
-            f"code {int(codes.max())} out of range for {t0.size}-entry tables"
+            f"codes {int(codes.min())} to {int(codes.max())} out of range for {t0.size}-entry tables"
         )
     # One gather from both tables side by side: table 1's codes offset by M,
     # in the narrowest index type that holds the last of both tables' indices.
@@ -627,8 +641,7 @@ def dequantize_rtn(
 ) -> np.ndarray:
     """Dequantize a round-to-nearest layer (single fixed table)."""
     t = base_table(fmt)
-    zeros = np.zeros((codes.shape[0], codes.shape[1] // group_size), dtype=np.uint8)
-    return dequantize(codes, scales, t, t, zeros, group_size, group_size)
+    return dequantize(codes, scales, t, t, np.zeros(np.shape(scales), np.uint8), group_size, group_size)
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,11 @@ class TestSelectTables:
             with pytest.raises(ValidationError):
                 select_tables(np.zeros((1, 8)), np.ones(8), t0, t1, 8)
 
+    def test_nan_ahead_of_a_number_is_rejected(self):
+        for t0, t1 in (([np.nan, 1.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, np.nan, 1.0])):
+            with pytest.raises(ValidationError, match="NaN last"):
+                select_tables(np.zeros((1, 8)), np.ones(8), t0, t1, 8)
+
     @pytest.mark.parametrize("imp", [np.ones(7), np.ones((1, 8)), -np.ones(8), np.full(8, np.nan)],
                              ids=["short", "2-D", "negative", "nan"])
     def test_importance_is_checked_as_learn_checks_it(self, imp):
@@ -868,6 +873,11 @@ class TestKmeansUpdate:
     def test_2d_table_is_rejected(self):
         with pytest.raises(ValidationError, match="1-D"):
             kmeans_update([[0.0, 1.0], [2.0, 3.0]], [0.5, 1.5], [1.0, 1.0], 1)
+
+    def test_0d_table_is_rejected(self):
+        # Checked before the sort, which has no axis to sort a 0-d table along.
+        with pytest.raises(ValidationError, match="1-D"):
+            kmeans_update(np.float64(1.0), [0.5], [1.0], 1)
 
     def test_result_sorted(self):
         rng = np.random.default_rng(5)

@@ -3,6 +3,7 @@
 import dataclasses
 import struct
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
@@ -124,6 +125,40 @@ class TestPackStructure:
         scales[0, 0] = 0.0
         with pytest.raises(ValidationError):
             pack(t0, t1, sel, codes, scales, kind="int4", group_size=16, sel_size=16)
+
+    @pytest.mark.parametrize("scale", [3.4e38, 1e-45], ids=["rounds-to-inf", "rounds-to-zero"])
+    def test_scales_that_round_to_an_unreadable_bf16_are_rejected(self, scale):
+        t0, t1, sel, codes, scales = random_layer(np.random.default_rng(6), 1, 32, 16, 16, 16)
+        scales[0, 1] = np.float32(scale)
+        with pytest.raises(ValidationError, match="scales"):
+            pack(t0, t1, sel, codes, scales, kind="int4", group_size=16, sel_size=16)
+
+    @pytest.mark.parametrize("entry", [np.nan, 1e39, -3.4e38], ids=["nan", "past-float32", "rounds-to-inf"])
+    def test_entries_that_round_to_an_unreadable_bf16_are_rejected(self, entry):
+        t0, t1, sel, codes, scales = random_layer(np.random.default_rng(7), 1, 32, 16, 16, 16)
+        t1 = t1.astype(np.float64)
+        t1[3] = entry
+        # An entry past float32's range is refused before the cast could overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="codebook entries"):
+                pack(t0, t1, sel, codes, scales, kind="int4", group_size=16, sel_size=16)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 32), (2, 0)])
+    def test_empty_layers_are_rejected(self, rows, cols):
+        # The reader refuses a header with no rows or no columns.
+        with pytest.raises(ValidationError, match="non-empty"):
+            pack([0.0, 1.0], [0.0, 1.0], np.zeros((rows, cols // 16)), np.zeros((rows, cols)),
+                 np.ones((rows, cols // 16)), kind="int4", group_size=16, sel_size=16)
+
+    @pytest.mark.parametrize("sel_size", [16, 8], ids=["sign-bits", "bitset"])
+    def test_selection_values_other_than_bits_are_rejected(self, sel_size):
+        # A 2 would pack as table 0 in a sign bit (2 << 15 wraps) but as
+        # table 1 in a bitset.
+        t0, t1, sel, codes, scales = random_layer(np.random.default_rng(8), 1, 32, 16, sel_size, 16)
+        sel[0, 0] = 2
+        with pytest.raises(ValidationError, match="selection value 2"):
+            pack(t0, t1, sel, codes, scales, kind="int4", group_size=16, sel_size=sel_size)
 
 
 class TestSignBitSelection:

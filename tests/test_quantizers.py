@@ -85,6 +85,19 @@ class TestRecon:
         with pytest.raises(ValidationError, match="1-D"):
             recon_codes(table, np.asarray([0.5]))
 
+    @pytest.mark.parametrize("entry", [
+        lambda t: recon_codes(t, np.asarray([0.5])), lambda t: recon(t, 0.5), quantizers.code_table,
+    ], ids=["recon_codes", "recon", "code_table"])
+    def test_nan_ahead_of_a_number_is_rejected(self, entry):
+        # NaN compares false, so it passes a non-decreasing check; numpy's
+        # sort puts NaN last, and only there may it stand.
+        for table in ([np.nan, 1.0], [0.0, np.nan, 1.0]):
+            with pytest.raises(ValidationError, match="NaN last"):
+                entry(np.asarray(table))
+
+    def test_nan_last_table_is_accepted(self):
+        assert recon_codes(np.asarray([0.0, 1.0, np.nan, np.nan]), np.asarray([0.2, 0.9])).tolist() == [0, 1]
+
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(1)
         table = np.sort(rng.standard_normal(15))
@@ -484,6 +497,32 @@ class TestDequantize:
         with pytest.raises(CorruptionError):
             dequantize(codes, np.ones((1, 1), np.float32), t, t,
                        np.zeros((1, 1), np.uint8), 2, 2)
+
+    def test_negative_code_is_corruption(self):
+        # Taken as an index from the end, -1 would decode as table 1's last entry.
+        t = np.asarray([0.0, 1.0])
+        with pytest.raises(CorruptionError):
+            dequantize(np.asarray([[0, -1]]), np.ones((1, 1), np.float32), t, t,
+                       np.zeros((1, 1), np.uint8), 2, 2)
+
+    @pytest.mark.parametrize("change", [
+        {"scales": np.ones((1, 1), np.float32)},
+        {"scales": np.ones((2, 2), np.float32)},
+        {"selection": np.zeros((2, 1), np.uint8)},
+        {"selection": np.zeros((1, 2), np.uint8)},
+        {"table0": np.zeros((1, 2)), "table1": np.zeros((1, 2))},
+        {"table0": np.zeros(2), "table1": np.zeros(3)},
+        {"codes": np.zeros(16, np.uint8)},
+        {"codes": np.zeros((2, 16))},
+    ], ids=["scales-rows", "scales-groups", "selection-groups", "selection-rows",
+            "2-D-tables", "table-lengths", "1-D-codes", "float-codes"])
+    def test_mis_shaped_inputs_are_rejected(self, change):
+        # Broadcasting would decode each of these without a word.
+        args = {"codes": np.zeros((2, 16), np.uint8), "scales": np.ones((2, 1), np.float32),
+                "table0": np.zeros(2), "table1": np.zeros(2), "selection": np.zeros((2, 2), np.uint8)}
+        dequantize(**args, group_size=16, sel_size=8)  # the inputs as they stand decode
+        with pytest.raises(ValidationError):
+            dequantize(**{**args, **change}, group_size=16, sel_size=8)
 
     @pytest.mark.parametrize("method, fmt", [
         ("rtn", "nvfp4"), ("rtn", "int4"), ("if4", "nvfp4"), ("if4", "int4"), ("aaac", "int4"),
