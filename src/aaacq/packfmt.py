@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptionError, ValidationError, naming_layer
-from .grids import bf16_bits, bf16_decode, check_groups
+from .grids import _check_group_shapes, bf16_bits, bf16_decode, check_groups
 from .tensors import pread_into
 
 MAGIC = b"AAACQ\x00"
@@ -50,6 +50,9 @@ VERSION = 1
 SECTION_ALIGN = 16
 
 FLAG_BITSET = 0x01
+# The least magnitude whose BF16 rounding, through float32, is infinite: the tie
+# between float32 0x7F7F7FFF and 0x7F7F8000, which goes to the even 0x7F7F8000.
+_BF16_INF_CUT = 2.0**128 - 2.0**119 - 2.0**103
 
 KIND_NAMES = {0: "nvfp4", 1: "int4"}
 KIND_IDS = {v: k for k, v in KIND_NAMES.items()}
@@ -171,18 +174,13 @@ def pack(
     if codes.ndim != 2 or not codes.size:  # a header's rows and columns are at least 1
         raise ValidationError(f"codes must be 2-D and non-empty, got shape {codes.shape}")
     rows, cols = codes.shape
-    check_groups(group_size, sel_size, cols)
+    _check_group_shapes(codes.shape, group_size, sel_size, scales, sel)
     if t0.ndim != 1 or t0.shape != t1.shape or not 1 <= t0.size <= 16:
         raise ValidationError("tables must be 1-D, of equal sizes between 1 and 16")
-    # Entries are checked in float64 first: the cast to float32 overflows past its range.
-    if not (np.abs(np.concatenate((t0, t1))) <= np.finfo(np.float32).max).all():
+    # Checked in float64, before the cast to float32 could overflow; NaN fails too.
+    if not (np.abs(np.concatenate((t0, t1))) < _BF16_INF_CUT).all():
         raise ValidationError("codebook entries must round to finite BF16 values")
     table_bits = [bf16_bits(np.sort(t)) for t in (t0, t1)]
-    if not all(np.isfinite(bf16_decode(b)).all() for b in table_bits):
-        raise ValidationError("codebook entries must round to finite BF16 values")
-    for what, a, size in (("scales", scales, group_size), ("selection", sel, sel_size)):
-        if a.shape != (rows, cols // size):
-            raise ValidationError(f"{what} shape {a.shape} does not match ({rows}, {cols // size})")
     if int(codes.max()) >= t0.size:
         raise ValidationError(
             f"code {int(codes.max())} out of range for {t0.size}-entry tables"

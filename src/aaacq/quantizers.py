@@ -92,8 +92,8 @@ from .grids import (
     INT4,
     NVFP4,
     BaseFormat,
+    _check_group_shapes,
     base_table,
-    check_groups,
     compute_scales,
     group_absmax,
     scales_from_absmax,
@@ -607,17 +607,13 @@ def dequantize(
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.dtype.kind not in "ui":
         raise ValidationError(f"codes must be 2-D integers, got {codes.dtype} of shape {codes.shape}")
-    rows, cols = codes.shape
-    check_groups(group_size, sel_size, cols)
-    for what, a, size in (("scales", scales, group_size), ("selection", selection, sel_size)):
-        if np.shape(a) != (rows, cols // size):
-            raise ValidationError(f"{what} of shape {np.shape(a)} for {codes.shape} codes in groups of {size}")
+    _check_group_shapes(codes.shape, group_size, sel_size, scales, selection)
     t0 = np.asarray(table0, dtype=np.float64)
     t1 = np.asarray(table1, dtype=np.float64)
     if t0.ndim != 1 or t0.shape != t1.shape:
         raise ValidationError(f"tables must be 1-D and of one length, got shapes {t0.shape} and {t1.shape}")
     # A negative code would index from the end of the other table.
-    if codes.size and (int(codes.max()) >= t0.size or int(codes.min()) < 0):
+    if codes.size and (int(codes.max()) >= t0.size or codes.dtype.kind == "i" and int(codes.min()) < 0):
         raise CorruptionError(
             f"codes {int(codes.min())} to {int(codes.max())} out of range for {t0.size}-entry tables"
         )

@@ -144,6 +144,19 @@ class TestPackStructure:
             with pytest.raises(ValidationError, match="codebook entries"):
                 pack(t0, t1, sel, codes, scales, kind="int4", group_size=16, sel_size=16)
 
+    def test_entries_are_cut_where_bf16_rounding_turns_infinite(self):
+        # The largest float64 below 2^128 - 2^119 - 2^103 rounds, through
+        # float32, to BF16's largest finite value; that cut itself rounds to inf.
+        t0, t1, sel, codes, scales = random_layer(np.random.default_rng(9), 1, 32, 16, 16, 16)
+        cut = 2.0**128 - 2.0**119 - 2.0**103
+        t1 = t1.astype(np.float64)
+        t1[-1] = np.nextafter(cut, 0.0)
+        layer = pack(t0, t1, sel, codes, scales, kind="int4", group_size=16, sel_size=16)
+        assert unpack(layer)[1][-1] == np.float32(2.0**128 - 2.0**120)
+        t1[-1] = cut
+        with pytest.raises(ValidationError, match="codebook entries"):
+            pack(t0, t1, sel, codes, scales, kind="int4", group_size=16, sel_size=16)
+
     @pytest.mark.parametrize("rows, cols", [(0, 32), (2, 0)])
     def test_empty_layers_are_rejected(self, rows, cols):
         # The reader refuses a header with no rows or no columns.
