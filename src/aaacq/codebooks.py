@@ -58,7 +58,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .grids import SCALE_MODES, BaseFormat, check_groups, compute_scales, round_bf16
+from . import grids
+from .grids import SCALE_MODES, BaseFormat, check_groups, compute_scales, round_bf16, row_blocks
 from .quantizers import _CodeTables, check_table, normalize, recon_codes
 from .tensors import LayerBundle
 
@@ -241,15 +242,6 @@ def _sorted_quantiles(w, q) -> np.ndarray:
 # Passes over the layout
 # ---------------------------------------------------------------------------
 
-# Values per block of a pass, and per leaf of its error sums.  When the pass
-# held 32 bytes a value per block, 2 MiB, one core's L2 on the 2-vCPU Xeon
-# measured, two 512x4096 nvfp4 learns on two threads took a median 5.6% more
-# CPU at 2**15, whose twice as many numpy calls hand the GIL over more often
-# (about twice the voluntary context switches), and 3.9% more at 2**17,
-# whose blocks outgrow L2.
-_LEAF = 1 << 16
-
-
 def _halve(n: int) -> int:
     """Where numpy's pairwise float sum splits `n` values: half, down to a multiple of 8."""
     h = n // 2
@@ -257,12 +249,12 @@ def _halve(n: int) -> int:
 
 
 def _leaves(a: int, b: int) -> list:
-    """The leaves of the pairwise sum of `x[a:b]`: its tree's nodes of at most `_LEAF` values.
+    """The leaves of the pairwise sum of `x[a:b]`: its tree's nodes of at most `grids.BLOCK` values.
 
     numpy sums a contiguous float64 array along a tree that depends only on
     its length, so `_fold` of the leaves' `.sum()`s is the whole `.sum()`.
     """
-    if b - a <= _LEAF:
+    if b - a <= grids.BLOCK:
         return [(a, b)]
     m = a + _halve(b - a)
     return _leaves(a, m) + _leaves(m, b)
@@ -271,7 +263,7 @@ def _leaves(a: int, b: int) -> list:
 def _fold(n: int, sums) -> float:
     """`x.sum()` of `n` float64 values, combined in tree order from the iterator
     `sums` over the `.sum()`s of its `_leaves`."""
-    if n <= _LEAF:
+    if n <= grids.BLOCK:
         return next(sums)
     h = _halve(n)
     return _fold(h, sums) + _fold(n - h, sums)
@@ -322,43 +314,40 @@ class _Pass:
     large tables, or two large ones handed to `select_tables`) have no code
     tables: each value is searched by `recon_codes` under its own table.
 
-    A call takes the Lloyd sums of the next step and, when asked, the
-    weighted squared error under the tables.  Both Lloyd sums are one
-    `np.add.at` in layout order into complex128 sums, `v * i` the real part
-    and the importance `i` the imaginary one: a complex addition adds each
-    part as float64 does.  Every sum belongs to one table, whose members'
-    terms come in their row-major order either way, so each is what one
-    `np.bincount` over the members in member order gives.  The imaginary
-    half of the block holds the column importances tiled over a block's
-    rows, written once; when the layer fits one block, its real half too.
-    The error is each table's members' `.sum()` in member order, bit for
-    bit: each block's terms are split by table in layout order, which is
-    member order, and streamed into one `_Sum` per table.
+    A call takes the Lloyd sums of the next step, `v * i` and the importance
+    `i` added into complex128 sums, and, when asked, the weighted squared
+    error under the tables, each table's members' streamed into one `_Sum`,
+    in the orders the module docstring gives.  The imaginary half of the
+    block holds the importances tiled over a block's rows, written once;
+    when the layer fits one block, its real half too.
 
-    A block is `_LEAF` values at most, but at least one row.  Its buffers
-    take 34 bytes a value, and the leaf buffers 8 bytes a leaf value per
-    table.
+    Its blocks are `grids.row_blocks`, as ranges of the flat values, each
+    read once a pass through `values`.  A block's buffers take 34 bytes a
+    value, and the leaf buffers 8 bytes a leaf value per table.
     """
 
     def __init__(self, values, col_importance, sel_size: int = 1):
-        n, k = values.shape
-        self.values = values.reshape(-1)
+        self.shape = n, k = values.shape
+        self._flat = values.reshape(-1)
         self.imp = np.asarray(col_importance, dtype=np.float64)
         self.sel = sel_size
-        rows = min(n, max(1, _LEAF // k)) if k else 0
-        width = rows * k
-        self.blocks = [(a, min(a + width, n * k)) for a in range(0, n * k, max(width, 1))]
+        self.blocks = [(r.start * k, r.stop * k) for r in row_blocks(n, k)]
+        width = self.blocks[0][1] if self.blocks else 0
         self.codes = np.empty(width, dtype=np.intp)  # np.add.at is faster on intp than uint8
         self.found = np.empty((2, width), dtype=np.uint8)  # looked-up codes, two tables' worth
         self.z = np.empty(width, dtype=np.complex128)
-        self.z.imag.reshape(rows, k)[...] = self.imp
+        self.z.imag[...] = np.resize(self.imp, width)  # tiled over a block's rows
         self.x = np.empty(width)
         self.kept = len(self.blocks) == 1
         if self.kept:
-            np.multiply(self.values, self.z.imag, out=self.z.real)
-        self.dead = self.imp.reshape(-1, sel_size).sum(axis=1) == 0 if k else None
-        self.code_tables = _CodeTables(self.values)
+            np.multiply(self.values(0, width), self.z.imag, out=self.z.real)
+        self.dead = self.imp.reshape(-1, sel_size).sum(axis=1) == 0
+        self.code_tables = _CodeTables(self.blocks, self.values)
         self.tables = self.leaf = None
+
+    def values(self, a: int, b: int) -> np.ndarray:
+        """The normalized values of block `(a, b)`, 1-D float64."""
+        return self._flat[a:b]
 
     def _look_up(self, tables: np.ndarray) -> np.ndarray:
         """Writes the code tables of `tables` (float64, one per row), unless
@@ -373,9 +362,9 @@ class _Pass:
             self.tables = tables
         return self.tables.reshape(-1)
 
-    def _codes(self, a: int, b: int, index, out) -> np.ndarray:
-        """The codes of values `a:b` at the compact buckets `index`, into `out` and as intp."""
-        v, out = self.values[a:b], out[: b - a]
+    def _codes(self, v, index, out) -> np.ndarray:
+        """The codes of a block's values `v` at the compact buckets `index`, into `out` and as intp."""
+        out = out[: v.size]
         if self.written:
             self.code_tables.look_up(self.tables, v, index, out)
         else:  # no code tables: each value searched under its table
@@ -383,7 +372,7 @@ class _Pass:
             for j, t in enumerate(self.tables):
                 here = which == j
                 out[here] = recon_codes(t, v[here]) + j * t.size
-        c = self.codes[: b - a]
+        c = self.codes[: v.size]
         c[...] = out
         return c
 
@@ -414,44 +403,46 @@ class _Pass:
         acc = np.zeros(flat.size, dtype=np.complex128) if sums else None
         totals = self._sums(part) if error else None
         for a, b in self.blocks:
-            c = self._codes(a, b, self.code_tables.keys[a:b], self.found[0])
+            v = self.values(a, b)
+            c = self._codes(v, self.code_tables.keys[a:b], self.found[0])
             if sums:
-                self._add(a, b, c, acc)
+                self._add(v, c, acc)
             if error:
-                self._error(a, b, part, flat, c, totals)
+                self._error(a, b, v, part, flat, c, totals)
         total = None
         if error:
             parts = [s.total() for s in totals]
             total = sum(parts[1:], parts[0])
         return total, None if acc is None else (acc.real, acc.imag)
 
-    def _add(self, a: int, b: int, c, acc) -> None:
-        """Adds the Lloyd terms of values `a:b`, whose codes are `c`, into `acc`."""
-        z = self.z[: b - a]
+    def _add(self, v, c, acc) -> None:
+        """Adds the Lloyd terms of a block's values `v`, whose codes are `c`, into `acc`."""
+        z = self.z[: v.size]
         if not self.kept:
-            np.multiply(self.values[a:b], z.imag, out=z.real)
+            np.multiply(v, z.imag, out=z.real)
         np.add.at(acc, c, z)
 
     def _sums(self, part) -> list:
         """One `_Sum` per table of the members' errors, over reused leaf buffers."""
+        n, k = self.shape
         counts = [0] * len(self.tables)
         if isinstance(part, int):
-            counts[part] = self.values.size
+            counts[part] = n * k
         else:
             ones = int(np.count_nonzero(part)) * self.sel
-            counts[:2] = self.values.size - ones, ones
+            counts[:2] = n * k - ones, ones
         return [_Sum(n, buf) for n, buf in zip(counts, self._leaf_buffers(len(counts)))]
 
     def _leaf_buffers(self, n: int) -> np.ndarray:
         """`n` leaf buffers of a `_Sum`, reused from pass to pass."""
         if self.leaf is None or len(self.leaf) < n:
-            self.leaf = np.empty((n, min(_LEAF, self.values.size)))
+            self.leaf = np.empty((n, min(grids.BLOCK, self.shape[0] * self.shape[1])))
         return self.leaf
 
-    def _error(self, a, b, part, flat, c, totals) -> None:
-        """Streams `i * (v - t[c]) * (v - t[c])` of values `a:b` into their tables' sums."""
+    def _error(self, a, b, v, part, flat, c, totals) -> None:
+        """Streams `i * (v - t[c]) * (v - t[c])` of block `(a, b)`'s values `v` into their tables' sums."""
         d = flat.take(c, out=self.x[: b - a], mode="clip")  # "clip" writes straight to `out=`
-        np.subtract(self.values[a:b], d, out=d)
+        np.subtract(v, d, out=d)
         e = self.codes[: b - a].view(np.float64)  # the codes' buffer, which the block is done with
         np.multiply(self.z.imag[: b - a], d, out=e)
         e *= d
@@ -482,21 +473,21 @@ def _assign(run: _Pass, tables, codes=None):
     blocks do not change it.  The unweighted errors are formed only when
     some group carries no importance.
     """
-    s, k = run.sel, run.imp.size
+    s, (n, k) = run.sel, run.shape
     m = tables.shape[1]
     flat = run._look_up(np.asarray(tables, dtype=np.float64))
-    sigma = np.empty((run.values.size // k, k // s), dtype=np.uint8)
+    sigma = np.empty((n, k // s), dtype=np.uint8)
     objective = _Sum(sigma.size, run._leaf_buffers(1)[0])
     acc = None if codes is not None else np.zeros(flat.size, dtype=np.complex128)
     shape = (-1, k // s, s)
     any_dead = run.dead.any()
     for a, b in run.blocks:
-        rows = slice(a // k, b // k)
+        rows, v = slice(a // k, b // k), run.values(a, b)
         e_w, e_u = [], []
         for j in (0, 1):
-            c = run._codes(a, b, run._under(a, b, j), run.found[j])
+            c = run._codes(v, run._under(a, b, j), run.found[j])
             d = flat.take(c, out=run.x[: b - a], mode="clip")  # "clip" writes straight to `out=`
-            np.subtract(run.values[a:b], d, out=d)
+            np.subtract(v, d, out=d)
             np.square(d, out=d)
             if any_dead:
                 e_u.append(d.reshape(shape).sum(axis=2))
@@ -517,7 +508,7 @@ def _assign(run: _Pass, tables, codes=None):
         if codes is None:
             c = run.codes[: b - a]
             c[...] = mine
-            run._add(a, b, c, acc)
+            run._add(v, c, acc)
     return codes, None if acc is None else (acc.real, acc.imag), sigma, objective.total()
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .codebooks import AaacConfig, _difference, _error_sums, layer_importance, learn
 from .errors import AaacqError, PairingError, UndefinedGapError, ValidationError, naming_layer
-from .grids import E4M3_MAX, base_table, round_e4m3_into
+from .grids import E4M3_MAX, base_table, round_e4m3_into, row_blocks
 from .packfmt import PackedLayer, check_header, pack, selection_overhead_bpw, unpack
 from .quantizers import dequantize, if4_quantize, if4_tables, rtn_quantize
 from .tensors import LayerBundle
@@ -320,26 +320,11 @@ def parallel_map(fn, items, threads: int, fork: bool = False, consume=None) -> l
     return [r if consume is None else consume(r) for r in pool_map(fn, items, workers)]
 
 
-# Values per row block of the fixed-grid quantizers and the decoder, whose
-# float64 temporaries then take 512 KiB.  On 32 BF16 512x1024 layers, two
-# workers, `quantize --method if4` took 19-35K minor faults, whole layers
-# 126-190K.  2**14 cost more user time than it saved; 2**18 faulted more.
-_BLOCK = 1 << 16
-
-
-def _row_blocks(shape):
-    """Row slices of a layer of `shape`, each about `_BLOCK` values and at least a row."""
-    step = max(1, _BLOCK // shape[1])
-    return (slice(a, a + step) for a in range(0, shape[0], step))
-
-
 def _by_row_blocks(shape, fn) -> list:
-    """The arrays `fn(rows)` returns for a layer of `shape`, filled a row block at a time.
-
-    Exact where `fn` works by row.
-    """
+    """The arrays `fn(rows)` returns for a layer of `shape`, filled one of its
+    `row_blocks` at a time: exact where `fn` works by row."""
     out = None
-    for rows in _row_blocks(shape):
+    for rows in row_blocks(*shape):
         parts = fn(rows)
         if out is None:
             out = [np.empty((shape[0],) + p.shape[1:], p.dtype) for p in parts]
@@ -419,7 +404,7 @@ def _difference_from_pack(bundle: LayerBundle, p: PackedLayer, scratch: Scratch)
             f"archive shape {w.shape}"
         )
     d = scratch.take("difference", w.shape)
-    for r in _row_blocks(w.shape):
+    for r in row_blocks(*w.shape):
         np.copyto(d[r], dequantize(codes[r], scales[r], t0, t1, sel[r], p.group_size, p.sel_size))
         d[r] -= w[r]
     return d

@@ -293,27 +293,22 @@ _BYTES = [bytes((b,)) for b in range(256)]
 _WRAPPED = 2**64 - 1  # bucket 0's key, less one, as uint64
 _EVERY_BUCKET = ([(0, _HALF_KEYS, 0)], [(0, _HALF_KEYS, _HALF_KEYS)])
 
-# Values per block of `_occupied`.
-_OCCUPIED_BLOCK = 1 << 16
 
-
-def _occupied(values: np.ndarray) -> tuple[list, list]:
-    """The buckets 1-D `values`, in any order and NaN aside, occupy, as
+def _occupied(blocks) -> tuple[list, list]:
+    """The buckets that values, in any order and NaN aside, occupy, as
     ranges of keys `[a, b)` per half: the positive one, then the negative one.
 
     Each sign's range runs from its least nonzero bucket to the bucket of
     its greatest magnitude; bucket 0, which holds the zeros, is added to
-    both halves when either holds a value there.  The values are read a
-    block at a time.  Their buckets, less one, wrap bucket 0 past every
-    other, so their least is the positive half's least nonzero bucket; less
-    one more half, the negative half's.
+    both halves when either holds a value there.  The values come as
+    `blocks`, non-empty 1-D arrays, whose extremes are folded, so any split
+    gives the same ranges.  Their buckets, less one, wrap bucket 0 past
+    every other, so their least is the positive half's least nonzero
+    bucket; less one more half, the negative half's.
     """
     zero, least, great = False, [], [0.0, 0.0]
-    keys = np.empty(min(values.size, _OCCUPIED_BLOCK), dtype=np.uint64)
-    for a in range(0, values.size, _OCCUPIED_BLOCK):
-        x = values[a:a + _OCCUPIED_BLOCK]
-        k = keys[:x.size]
-        np.right_shift(x.view(np.uint64), _KEY_SHIFT, out=k)
+    for x in blocks:
+        k = np.right_shift(x.view(np.uint64), _KEY_SHIFT)
         for shift in (1, _HALF_KEYS):
             k -= shift
             least.append(int(np.minimum.reduce(k)) + 1)
@@ -347,8 +342,9 @@ def code_table(table: np.ndarray) -> np.ndarray:
 
 class _CodeTables:
     """The code tables of a stack of at most two sorted tables, in the
-    compact layout over the buckets that a layer's 1-D `values` occupy (see
-    the module docstring).
+    compact layout over the buckets that a layer's values occupy (see the
+    module docstring), read twice as `read(a, b)` for each block `(a, b)`
+    of `blocks`, which tile the layer in order: 1-D float64 values `a:b`.
 
     `layout` holds each half's spans `(first, end, base)`: buckets
     `first:end` lie from byte `base` of a table's stretch on, and table
@@ -357,11 +353,11 @@ class _CodeTables:
     last one's, and `look_up` gathers codes from them.
     """
 
-    def __init__(self, values: np.ndarray):
+    def __init__(self, blocks: list, read):
         # Per half, the compact bucket of bucket 0, the shift of the run's
         # buckets and where the run ends.
         self.layout, at, zero, shift, end = ([], []), 0, [None, None], [0, 0], [0, 0]
-        for h, half in enumerate(_occupied(values)):
+        for h, half in enumerate(_occupied(read(a, b) for a, b in blocks)):
             for a, b in half:
                 if a:
                     shift[h], end[h] = at - a, b
@@ -372,13 +368,16 @@ class _CodeTables:
         self.stride = 1 << at.bit_length()  # a power of two past the marked bucket, `at`
         zero = np.asarray([at if z is None else z for z in zero], dtype=np.intp)
         shift, end = np.asarray(shift, dtype=np.intp), np.asarray(end, dtype=np.intp)
-        self.keys = np.empty(values.size, np.uint16 if 2 * self.stride <= 1 << 16 else np.uint32)
-        for c in range(0, values.size, _LOOKUP_CHUNK):  # in chunks, to keep the temporaries small
-            key = (values[c:c + _LOOKUP_CHUNK].view(np.uint64) >> _KEY_SHIFT).astype(np.intp)
-            half = key >> (_KEY_BITS - 1)
-            key &= _HALF_KEYS - 1
-            self.keys[c:c + key.size] = np.where(key == 0, zero[half],
-                                                 np.where(key < end[half], key + shift[half], at))
+        self.keys = np.empty(sum(b - a for a, b in blocks),
+                             np.uint16 if 2 * self.stride <= 1 << 16 else np.uint32)
+        for a, b in blocks:
+            values = read(a, b)
+            for c in range(0, values.size, _LOOKUP_CHUNK):  # in chunks, to keep the temporaries small
+                key = (values[c:c + _LOOKUP_CHUNK].view(np.uint64) >> _KEY_SHIFT).astype(np.intp)
+                half = key >> (_KEY_BITS - 1)
+                key &= _HALF_KEYS - 1
+                self.keys[a + c:a + c + key.size] = np.where(
+                    key == 0, zero[half], np.where(key < end[half], key + shift[half], at))
         self.lut = np.zeros(2 * self.stride, dtype=np.uint8)
 
     def write(self, tables: np.ndarray) -> bool:

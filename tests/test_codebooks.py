@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from aaacq import codebooks, quantizers
+from aaacq import codebooks, grids, quantizers
 from aaacq.codebooks import (
     AaacConfig,
     LearnResult,
@@ -257,6 +257,12 @@ class TestSelectTables:
         with pytest.raises(ValidationError):
             select_tables(np.zeros((1, 8)), np.ones(8), [0.0, 1.0], [0.0, 1.0], 0)
 
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 16)], ids=["zero-width-rows", "no-rows"])
+    def test_layer_without_values_selects_nothing(self, shape):
+        # Such a layer has no row blocks; zero-width rows raised ZeroDivisionError.
+        sigma = select_tables(np.zeros(shape), np.ones(shape[1]), [0.0, 1.0], [0.0, 2.0], 16)
+        assert (sigma.dtype, sigma.shape) == (np.uint8, (shape[0], shape[1] // 16))
+
 
 # Magnitudes from subnormal to near-overflow; 4e35 is what clamped E4M3
 # scales leave in normalized weights.
@@ -367,7 +373,7 @@ def lookup(values, tables, member1=None, sel_size=1):
     that `member1` marks, whose codes are offset by the table size."""
     values = np.asarray(values, dtype=np.float64)
     flat = np.ascontiguousarray(values).reshape(-1)
-    code_tables = quantizers._CodeTables(flat)
+    code_tables = quantizers._CodeTables([(0, flat.size)] if flat.size else [], lambda a, b: flat[a:b])
     stack = np.atleast_2d(np.asarray(tables, dtype=np.float64))
     index, stride = code_tables.keys, code_tables.stride
     if member1 is not None:
@@ -454,7 +460,7 @@ class TestCompactLookup:
         # inside the values' range after one whose cut lies past it.
         rng = np.random.default_rng(9)
         values = np.concatenate([rng.laplace(0, 2, 500), [0.0, -0.0, 1e-300, 3e12, -4e13]])
-        code_tables = quantizers._CodeTables(values)
+        code_tables = quantizers._CodeTables([(0, values.size)], lambda a, b: values[a:b])
         tables = [np.linspace(-6, 6, 16), np.asarray([1.0, np.nextafter(1.0, 2.0), 3.0]),
                   np.asarray([-1e-3, 0.0, 1e-3]), np.asarray([-2.0, 1.0, 1.0 + 2.0 ** -40]),
                   np.linspace(-6, 6, 16)]
@@ -632,14 +638,14 @@ class TestInnerPass:
         x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
         leaves = codebooks._leaves(0, n)
         assert [a for a, _ in leaves] == [0] + [b for _, b in leaves[:-1]]
-        assert leaves[-1][1] == n and all(b - a <= codebooks._LEAF for a, b in leaves)
+        assert leaves[-1][1] == n and all(b - a <= grids.BLOCK for a, b in leaves)
         got = codebooks._fold(n, iter([x[a:b].sum() for a, b in leaves]))
         assert float(got).hex() == float(x.sum()).hex()
 
     def test_blockwise_add_at_equals_bincount(self):
         # `_Pass` takes both Lloyd sums as the parts of one complex add.at.
         rng = np.random.default_rng(3)
-        leaf = codebooks._LEAF
+        leaf = grids.BLOCK
         codes = rng.integers(0, 32, 3 * leaf + 5).astype(np.uint8)
         w = rng.standard_normal(codes.size) * 10.0 ** rng.uniform(-8, 8, codes.size)
         i = rng.uniform(0.0, 2.0, codes.size) * 10.0 ** rng.uniform(-8, 8, codes.size)
@@ -755,7 +761,7 @@ class TestPartialTrace:
 
         def spy(run, part, tables, error=True, sums=True):
             in_table1 = int(np.sum(part)) * run.sel
-            seen.append((error, sums, (run.values.size - in_table1, in_table1)))
+            seen.append((error, sums, (math.prod(run.shape) - in_table1, in_table1)))
             return call(run, part, tables, error, sums)
 
         monkeypatch.setattr(codebooks._Pass, "__call__", spy)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from aaacq.cli import main
-from aaacq.codebooks import _LEAF, AaacConfig, LearnResult, kmeans_update, learn
-from aaacq.grids import INT4, NVFP4, base_table, get_format
+from aaacq.codebooks import AaacConfig, LearnResult, kmeans_update, learn
+from aaacq.grids import BLOCK, INT4, NVFP4, base_table, get_format
 from aaacq.tensors import LayerBundle, SynthSpec, TensorArchive, synth_layer, write_tensors
 
 ARCHIVES = {
@@ -48,7 +48,7 @@ TRACE_SHA256 = {
 
 
 # Every field of one learn on a 256x1024 mixture layer, large enough that
-# each table's members span several pairwise-sum leaves (codebooks._LEAF
+# each table's members span several pairwise-sum leaves (grids.BLOCK
 # values), whose sums the inner steps fold; the archives above fit one leaf.
 MULTI_LEAF_SHA256 = {
     "nvfp4": "5a2b84f9c47dfe5f9e93dd99231eb4ffed3b65b9561824e82ebd7573c65068d0",
@@ -195,7 +195,7 @@ def test_multi_leaf_learn_bytes(name):
     bundle = synth_layer(SynthSpec("mixture", 256, 1024, 32, seed=11), name="multi-leaf")
     result = learn(bundle, cfg)
     in_table1 = int(result.selection.sum()) * cfg.sel_size
-    assert min(in_table1, bundle.weights.size - in_table1) > _LEAF
+    assert min(in_table1, bundle.weights.size - in_table1) > BLOCK
     digest = hashlib.sha256()
     for f in dataclasses.fields(LearnResult):
         digest.update(getattr(result, f.name).tobytes())
@@ -211,7 +211,7 @@ def _degenerate_layer(name):
     in equal numbers, which compare equal but differ in their bits
     (signed-zeros), and float64 weights a few ulps apart, whose bit patterns
     share all but their last bits (ulp-close)."""
-    rows, cols = (2, 2 * _LEAF) if name == "wide-rows" else (16, 512)
+    rows, cols = (2, 2 * BLOCK) if name == "wide-rows" else (16, 512)
     bundle = synth_layer(SynthSpec("mixture", rows, cols, 16, seed=12), name=name)
     w, x = bundle.weights, bundle.activations
     if name == "all-zero":

@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from aaacq import metrics
+from aaacq import grids, metrics
 from aaacq.cli import main
 from aaacq.codebooks import AaacConfig, importance, weighted_error
 from aaacq.errors import UndefinedGapError, ValidationError
@@ -298,8 +298,8 @@ class TestRowBlocks:
     CASES = {
         "ragged-last-block": (7, 256, 512, False),
         "row-wider-than-block": (3, 512, 128, False),
-        "fewer-rows-than-block": (3, 256, metrics._BLOCK, False),
-        "default-block": (40, 4096, metrics._BLOCK, False),
+        "fewer-rows-than-block": (3, 256, grids.BLOCK, False),
+        "default-block": (40, 4096, grids.BLOCK, False),
         "near-flt-max": (4, 256, 256, True),
     }
 
@@ -307,7 +307,7 @@ class TestRowBlocks:
     @pytest.mark.parametrize("method", ["rtn", "if4"])
     def test_quantize_and_decode_match_whole_layer(self, monkeypatch, case, method):
         rows, cols, block, near_flt_max = self.CASES[case]
-        monkeypatch.setattr(metrics, "_BLOCK", block)
+        monkeypatch.setattr(grids, "BLOCK", block)
         bundle = LayerBundle("w", _weights(rows, cols, len(case), near_flt_max))
         for fmt, g in ((NVFP4, 16), (INT4, 128)):
             for mode in ("exact-bf16", "emulate-e4m3"):
@@ -325,7 +325,7 @@ class TestRowBlocks:
     def test_decode_of_any_pack_matches_whole_layer(self, monkeypatch, g, s):
         # Random tables, codes, selections (sign bits or a bitset) and scales
         # up to 2**127, so some groups saturate.
-        monkeypatch.setattr(metrics, "_BLOCK", 384)
+        monkeypatch.setattr(grids, "BLOCK", 384)
         rng = np.random.default_rng(g + s)
         rows, cols = 9, 256
         t0, t1 = (np.sort(round_bf16(np.append(rng.standard_normal(15) * 4, 16.0)))
@@ -344,7 +344,7 @@ class TestRowBlocks:
     ])
     def test_layer_metrics_equal_the_whole_layer_formulas(self, monkeypatch, case):
         # Blocks of 8 rows of 256 values; the formulas read the whole-layer decode.
-        monkeypatch.setattr(metrics, "_BLOCK", 8 * 256)
+        monkeypatch.setattr(grids, "BLOCK", 8 * 256)
         b, p = _scored_pack(case)
         h = _whole_decode(p)
         if case == "subnormal-scales":  # entry * scale falls below float32's normal range
@@ -469,7 +469,7 @@ class TestWithinLayerPeak:
     @pytest.mark.parametrize("method", ["rtn", "if4"])
     def test_quantize_and_score(self, method, fmt):
         b = synth_layer(SynthSpec("laplace", self.ROWS, self.COLS, self.TOKENS, seed=0), name="l")
-        assert b.rows * b.cols >= 4 * metrics._BLOCK
+        assert b.rows * b.cols >= 4 * grids.BLOCK
         layer = 4 * b.rows * b.cols
         cfg = AaacConfig.for_format(fmt)
         p, _ = quantize_layer(b, method, cfg)

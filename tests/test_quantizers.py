@@ -375,7 +375,7 @@ class TestCodeTables:
         # the full one's byte, also after another table was written into the
         # same buffer first; the values in none (NaN) read the marker.
         table, values = case
-        code_tables = quantizers._CodeTables(values)
+        code_tables = quantizers._CodeTables([(0, values.size)], lambda a, b: values[a:b])
         assert code_tables.write(other[0][np.newaxis])
         assert code_tables.write(table[np.newaxis])
         keys = _bucket_keys(values).astype(np.intp)
@@ -407,12 +407,12 @@ class TestCodeTables:
         # A zero of either sign is in bucket 0 of both halves; no other value
         # here lies in bucket 0, nor in the buckets between the zeros and 1.
         values = np.sort(np.asarray([-2.0, -1.0, -0.0, 0.0, 1.0, 3.0]))
-        pos, neg = quantizers._occupied(values)
+        pos, neg = quantizers._occupied([values])
         one, two, three = _bucket_keys([1.0, 2.0, 3.0]).tolist()
         assert pos == [(0, 1), (one, three + 1)]
         assert neg == [(0, 1), (one, two + 1)]
-        assert quantizers._occupied(np.zeros(0)) == ([], [])
-        assert quantizers._occupied(np.asarray([np.nan])) == ([], [])
+        assert quantizers._occupied([]) == ([], [])
+        assert quantizers._occupied([np.asarray([np.nan])]) == ([], [])
 
     def test_tables_past_128_entries_are_refused(self):
         with pytest.raises(ValidationError):
