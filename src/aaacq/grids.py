@@ -170,13 +170,13 @@ def check_groups(group_size: int, sel_size: int, cols: int | None = None) -> Non
         raise LayoutError(f"column count {cols} is not divisible by scale group size {group_size}")
 
 
-def _check_group_shapes(shape: tuple, group_size: int, sel_size: int, scales, selection) -> None:
+def _check_group_shapes(shape: tuple, group_size: int, sel_size: int, scales, selection=None) -> None:
     # `check_groups` for a (rows, cols) layer, then one scale per scale group
-    # and one selection value per selection group of each row.
+    # and, unless None, one selection value per selection group of each row.
     rows, cols = shape
     check_groups(group_size, sel_size, cols)
     for what, a, size in (("scales", scales, group_size), ("selection", selection, sel_size)):
-        if np.shape(a) != (rows, cols // size):
+        if a is not None and np.shape(a) != (rows, cols // size):
             raise ValidationError(f"{what} of shape {np.shape(a)} for a {shape} layer in groups of {size}")
 
 

@@ -164,12 +164,12 @@ def pack(
 
     Raises `ValidationError` for any layer that `unpack` or the pack reader
     would refuse, so that every pack this returns is read back exactly.
+    Codes and selection are checked in their own dtype and scales in
+    float64, before any cast could wrap, truncate or overflow them.
     """
     t0 = np.asarray(table0, dtype=np.float64)
     t1 = np.asarray(table1, dtype=np.float64)
-    codes = np.asarray(codes, dtype=np.uint8)
-    sel = np.asarray(selection, dtype=np.uint8)
-    scales = np.asarray(scales, dtype=np.float32)
+    codes, sel, scales = np.asarray(codes), np.asarray(selection), np.asarray(scales)
 
     if codes.ndim != 2 or not codes.size:  # a header's rows and columns are at least 1
         raise ValidationError(f"codes must be 2-D and non-empty, got shape {codes.shape}")
@@ -181,15 +181,13 @@ def pack(
     if not (np.abs(np.concatenate((t0, t1))) < _BF16_INF_CUT).all():
         raise ValidationError("codebook entries must round to finite BF16 values")
     table_bits = [bf16_bits(np.sort(t)) for t in (t0, t1)]
-    if int(codes.max()) >= t0.size:
-        raise ValidationError(
-            f"code {int(codes.max())} out of range for {t0.size}-entry tables"
-        )
-    if int(sel.max()) > 1:
-        raise ValidationError(f"selection value {int(sel.max())} is not a bit")
+    codes, sel = _small_whole("code", codes, t0.size - 1), _small_whole("selection value", sel, 1)
+    # The extremes, exact in float64, are checked before the cast to float32
+    # could overflow; NaN fails too.  A positive scale can still round to 0.
+    if not 0 < float(scales.min()) <= float(scales.max()) < _BF16_INF_CUT:
+        raise ValidationError("scales must round to finite, strictly positive BF16 values")
     scale_bits = bf16_bits(scales).reshape(-1)
-    # The BF16 words of positive finite values run from 0x0001 to 0x7F7F; 0 wraps past them.
-    if not (scale_bits - np.uint16(1) < 0x7F7F).all():
+    if not scale_bits.all():
         raise ValidationError("scales must round to finite, strictly positive BF16 values")
 
     flags = 0
@@ -224,6 +222,18 @@ def pack(
         code_bytes=code_bytes,
         bitset=bitset,
     )
+
+
+def _small_whole(what: str, a: np.ndarray, top: int) -> np.ndarray:
+    """`a` as uint8, once checked in its own dtype, before a cast could wrap
+    or truncate it, to hold whole numbers from 0 to `top`.  Its minimum and
+    maximum make no layer-sized temporaries, and NaN fails them."""
+    if a.dtype.kind not in "biuf":
+        raise ValidationError(f"{what}s must be numbers, got {a.dtype}")
+    if not (a.min() >= 0 and a.max() <= top and (a.dtype.kind != "f" or (a == np.trunc(a)).all())):
+        bad = a[(a < 0) | (a > top) | (a != np.trunc(a))][0]
+        raise ValidationError(f"{what} {bad} is not a whole number from 0 to {top}")
+    return a.astype(np.uint8, copy=False)
 
 
 def _check_stored_groups(group_size: int, sel_size: int, cols: int, flags: int) -> None:

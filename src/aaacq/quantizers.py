@@ -100,11 +100,6 @@ from .grids import (
 )
 
 
-def expand_groups(per_group: np.ndarray, size: int) -> np.ndarray:
-    """Repeat per-group values along rows back to per-weight layout."""
-    return np.repeat(per_group, size, axis=1)
-
-
 def _grouped(a: np.ndarray, size: int) -> np.ndarray:
     """A (rows, cols) array viewed as (rows, cols / size, size) groups."""
     rows, cols = a.shape
@@ -113,7 +108,12 @@ def _grouped(a: np.ndarray, size: int) -> np.ndarray:
 
 def normalize(weights: np.ndarray, scales: np.ndarray, group_size: int, out=None) -> np.ndarray:
     """Weights divided by their group scales, in float64: a new C-contiguous
-    array, or the C-contiguous `out`."""
+    array, or the C-contiguous `out`.  Raises `ValidationError` unless the
+    weights are 2-D, of `out`'s shape when given, split into groups by
+    `grids.check_groups`, with one scale per group of each row."""
+    if np.ndim(weights) != 2 or out is not None and np.shape(out) != np.shape(weights):
+        raise ValidationError(f"weights of shape {np.shape(weights)} must be 2-D and fit `out`")
+    _check_group_shapes(np.shape(weights), group_size, group_size, scales)
     if out is None:
         w = np.array(weights, dtype=np.float64, order="C")  # a copy, divided in place
     else:

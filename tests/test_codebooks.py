@@ -28,7 +28,7 @@ from aaacq.errors import (
     ValidationError,
 )
 from aaacq.grids import INT4, NVFP4, compute_scales
-from aaacq.quantizers import dequantize, dequantize_rtn, expand_groups, normalize, recon_codes, rtn_quantize
+from aaacq.quantizers import dequantize, dequantize_rtn, normalize, recon_codes, rtn_quantize
 from aaacq.tensors import LayerBundle, SynthSpec, synth_layer
 
 
@@ -1022,7 +1022,7 @@ class TestLearn:
         imp = importance(bundle.activations)
         again = select_tables(w_norm, imp, res.table0, res.table1, cfg.sel_size)
         assert np.array_equal(again, res.selection)
-        member1 = expand_groups(res.selection, cfg.sel_size).astype(bool)
+        member1 = np.repeat(res.selection, cfg.sel_size, axis=1).astype(bool)
         want = np.where(
             member1, recon_codes(res.table1, w_norm), recon_codes(res.table0, w_norm)
         )

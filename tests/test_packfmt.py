@@ -173,6 +173,31 @@ class TestPackStructure:
         with pytest.raises(ValidationError, match="selection value 2"):
             pack(t0, t1, sel, codes, scales, kind="int4", group_size=16, sel_size=sel_size)
 
+    # Each was cast before it was checked: to code 0, table 1, code 3, a
+    # RuntimeWarning, a RuntimeWarning and an OverflowError.
+    CAST_CASES = {
+        "codes-past-uint8": ("codes", np.int64, 256),
+        "selection-past-uint8": ("sel", np.int64, 257),
+        "fractional-codes": ("codes", np.float64, 3.7),
+        "scales-past-float32": ("scales", np.float64, 1e39),
+        "nan-codes": ("codes", np.float64, np.nan),
+        "negative-python-selection": ("sel", object, -1),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CAST_CASES))
+    def test_inputs_are_checked_before_they_are_cast(self, case):
+        name, dtype, value = self.CAST_CASES[case]
+        t0, t1, sel, codes, scales = random_layer(np.random.default_rng(10), 2, 32, 16, 16, 16)
+        parts = {"sel": sel, "codes": codes, "scales": scales}
+        a = parts[name].astype(dtype)
+        a[0, 0] = value
+        parts[name] = a.tolist() if dtype is object else a  # a Python -1 among Python ints
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                pack(t0, t1, parts["sel"], parts["codes"], parts["scales"],
+                     kind="int4", group_size=16, sel_size=16)
+
 
 class TestSignBitSelection:
     def test_sign_bit_stores_selection(self):

@@ -16,7 +16,6 @@ from aaacq.packfmt import unpack
 from aaacq.quantizers import (
     dequantize,
     dequantize_rtn,
-    expand_groups,
     if4_quantize,
     if4_tables,
     normalize,
@@ -605,7 +604,7 @@ class TestIf4:
         rng = np.random.default_rng(5)
         w = rng.standard_normal((4, 32)).astype(np.float32)
         codes, scales, bits = if4_quantize(w, 16)
-        fp4_groups = expand_groups(bits == 0, 16)
+        fp4_groups = np.repeat(bits == 0, 16, axis=1)
         assert (codes[fp4_groups] <= 14).all()
 
 
@@ -615,8 +614,25 @@ class TestNormalize:
         w = rng.standard_normal((4, 32)).astype(np.float32)
         s = compute_scales(w, NVFP4, 16)
         w_norm = normalize(w, s, 16)
-        back = w_norm * expand_groups(s.astype(np.float64), 16)
+        back = w_norm * np.repeat(s.astype(np.float64), 16, axis=1)
         assert np.allclose(back, w, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "weights_shape, group_size, scales_shape, error",
+        [((2, 32), 0, (2, 2), ValidationError), ((2, 32), 24, (2, 1), LayoutError),
+         ((2, 32), 32, (1, 1), ValidationError), ((64,), 16, (4,), ValidationError)],
+        # A ZeroDivisionError, numpy's reshape ValueError, a silent broadcast
+        # over both rows, and a 1-D layer.
+        ids=["zero-group", "group-not-dividing-cols", "one-scale-for-two-rows", "1-d"],
+    )
+    def test_layout_is_checked(self, weights_shape, group_size, scales_shape, error):
+        with pytest.raises(error):
+            normalize(np.ones(weights_shape, np.float32), np.ones(scales_shape, np.float32), group_size)
+
+    def test_out_of_another_shape_is_refused(self):
+        # One row of weights would broadcast into both rows of `out`.
+        with pytest.raises(ValidationError):
+            normalize(np.ones((1, 32), np.float32), np.ones((1, 2), np.float32), 16, out=np.empty((2, 32)))
 
 
 # ---------------------------------------------------------------------------
