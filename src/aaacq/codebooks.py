@@ -57,8 +57,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
 from . import grids
+from .errors import ValidationError
 from .grids import SCALE_MODES, BaseFormat, check_groups, compute_scales, round_bf16, row_blocks
 from .quantizers import _CodeTables, check_table, normalize, recon_codes
 from .tensors import LayerBundle
@@ -316,8 +316,8 @@ class _Pass:
 
     A call takes the Lloyd sums of the next step, `v * i` and the importance
     `i` added into complex128 sums, and, when asked, the weighted squared
-    error under the tables, each table's members' streamed into one `_Sum`,
-    in the orders the module docstring gives.  The imaginary half of the
+    error under the tables, with each table's members' terms streamed into
+    one `_Sum`, in the orders the module docstring gives.  The imaginary half of the
     block holds the importances tiled over a block's rows, written once;
     when the layer fits one block, its real half too.
 

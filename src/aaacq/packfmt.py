@@ -181,7 +181,7 @@ def pack(
     if not (np.abs(np.concatenate((t0, t1))) < _BF16_INF_CUT).all():
         raise ValidationError("codebook entries must round to finite BF16 values")
     table_bits = [bf16_bits(np.sort(t)) for t in (t0, t1)]
-    codes, sel = _small_whole("code", codes, t0.size - 1), _small_whole("selection value", sel, 1)
+    codes, sel = _checked_uint8("code", codes, t0.size - 1), _checked_uint8("selection value", sel, 1)
     # The extremes, exact in float64, are checked before the cast to float32
     # could overflow; NaN fails too.  A positive scale can still round to 0.
     if not 0 < float(scales.min()) <= float(scales.max()) < _BF16_INF_CUT:
@@ -224,7 +224,7 @@ def pack(
     )
 
 
-def _small_whole(what: str, a: np.ndarray, top: int) -> np.ndarray:
+def _checked_uint8(what: str, a: np.ndarray, top: int) -> np.ndarray:
     """`a` as uint8, once checked in its own dtype, before a cast could wrap
     or truncate it, to hold whole numbers from 0 to `top`.  Its minimum and
     maximum make no layer-sized temporaries, and NaN fails them."""

@@ -112,7 +112,7 @@ def normalize(weights: np.ndarray, scales: np.ndarray, group_size: int, out=None
     weights are 2-D, of `out`'s shape when given, split into groups by
     `grids.check_groups`, with one scale per group of each row."""
     if np.ndim(weights) != 2 or out is not None and np.shape(out) != np.shape(weights):
-        raise ValidationError(f"weights of shape {np.shape(weights)} must be 2-D and fit `out`")
+        raise ValidationError(f"weights must be 2-D and of `out`'s shape, got {np.shape(weights)}")
     _check_group_shapes(np.shape(weights), group_size, group_size, scales)
     if out is None:
         w = np.array(weights, dtype=np.float64, order="C")  # a copy, divided in place
