@@ -59,7 +59,7 @@ import numpy as np
 
 from . import grids
 from .errors import ValidationError
-from .grids import SCALE_MODES, BaseFormat, check_groups, compute_scales, round_bf16, row_blocks
+from .grids import BaseFormat, check_groups, check_scale_mode, compute_scales, round_bf16, row_blocks
 from .quantizers import _CodeTables, check_table, normalize, recon_codes
 from .tensors import LayerBundle
 
@@ -83,10 +83,7 @@ class AaacConfig:
         check_groups(self.group_size, self.sel_size)
         if self.n_outer < 1 or self.n_inner < 1:
             raise ValidationError("iteration counts must be at least 1")
-        if self.scale_mode not in SCALE_MODES:
-            raise ValidationError(
-                f"unknown scale mode {self.scale_mode!r}; supported: {list(SCALE_MODES)}"
-            )
+        check_scale_mode(self.scale_mode)
 
     @classmethod
     def for_format(cls, fmt: BaseFormat, **overrides) -> "AaacConfig":
@@ -398,7 +395,8 @@ class _Pass:
         """(The members' weighted squared error under `tables`, summed per
         table's members then added, or None; the Lloyd sums, or None).
 
-        `part` is the table index of each group, which `split` put there."""
+        `part` is the table index of each group, 0 or 1, which `split` put
+        there; only the error reads it."""
         flat = self._look_up(tables)
         acc = np.zeros(flat.size, dtype=np.complex128) if sums else None
         totals = self._sums(part) if error else None
@@ -409,10 +407,7 @@ class _Pass:
                 self._add(v, c, acc)
             if error:
                 self._error(a, b, v, part, flat, c, totals)
-        total = None
-        if error:
-            parts = [s.total() for s in totals]
-            total = sum(parts[1:], parts[0])
+        total = totals[0].total() + totals[1].total() if error else None
         return total, None if acc is None else (acc.real, acc.imag)
 
     def _add(self, v, c, acc) -> None:
@@ -425,13 +420,8 @@ class _Pass:
     def _sums(self, part) -> list:
         """One `_Sum` per table of the members' errors, over reused leaf buffers."""
         n, k = self.shape
-        counts = [0] * len(self.tables)
-        if isinstance(part, int):
-            counts[part] = n * k
-        else:
-            ones = int(np.count_nonzero(part)) * self.sel
-            counts[:2] = n * k - ones, ones
-        return [_Sum(n, buf) for n, buf in zip(counts, self._leaf_buffers(len(counts)))]
+        ones = int(np.count_nonzero(part)) * self.sel
+        return [_Sum(c, buf) for c, buf in zip((n * k - ones, ones), self._leaf_buffers(2))]
 
     def _leaf_buffers(self, n: int) -> np.ndarray:
         """`n` leaf buffers of a `_Sum`, reused from pass to pass."""
@@ -446,9 +436,6 @@ class _Pass:
         e = self.codes[: b - a].view(np.float64)  # the codes' buffer, which the block is done with
         np.multiply(self.z.imag[: b - a], d, out=e)
         e *= d
-        if isinstance(part, int):
-            totals[part].feed(e)
-            return
         s = self.sel
         one = part[a // s:b // s].view(bool)
         for mine, total in ((~one, totals[0]), (one, totals[1])):
@@ -636,7 +623,7 @@ def learn(
         for tables, error in _lloyd_steps(run, sigma.reshape(-1), tables, sums, cfg.n_inner, errors):
             trace += [np.nan if error is None else error]
 
-    t0, t1 = (round_bf16(t).astype(np.float32) for t in tables)
+    t0, t1 = (round_bf16(t) for t in tables)
     run.leaf = None  # the inner steps' leaf buffers, which the final codes do without
     codes, _, sigma, _ = _assign(run, np.stack((t0, t1)), np.empty((n, k), dtype=np.uint8))
     return LearnResult(

@@ -55,6 +55,12 @@ FORMATS = {"nvfp4": NVFP4, "int4": INT4}
 SCALE_MODES = ("exact-bf16", "emulate-e4m3")
 
 
+def check_scale_mode(scale_mode: str) -> None:
+    """Raise `ValidationError` unless `scale_mode` is one of `SCALE_MODES`."""
+    if scale_mode not in SCALE_MODES:
+        raise ValidationError(f"unknown scale mode {scale_mode!r}; supported: {list(SCALE_MODES)}")
+
+
 def get_format(name: str) -> BaseFormat:
     try:
         return FORMATS[name.lower()]
@@ -101,9 +107,10 @@ def bf16_bits(x) -> np.ndarray:
 
 
 def bf16_decode(bits) -> np.ndarray:
-    """Float32 values of BF16 bit patterns."""
-    b = np.ascontiguousarray(np.atleast_1d(np.asarray(bits, dtype=np.uint16)))
-    return (b.astype(np.uint32) << 16).view(np.float32)
+    """Float32 values of BF16 bit patterns, in one new array at least 1-D."""
+    b = np.atleast_1d(np.asarray(bits, dtype=np.uint16)).astype(np.uint32, order="C")
+    b <<= 16
+    return b.view(np.float32)
 
 
 def _next_bf16_up(x: np.ndarray) -> np.ndarray:
@@ -230,10 +237,7 @@ def scales_from_absmax(
     absmax: np.ndarray, fmt: BaseFormat, scale_mode: str = "exact-bf16"
 ) -> np.ndarray:
     """Per-group scales from the groups' `group_absmax` (see `compute_scales`)."""
-    if scale_mode not in SCALE_MODES:
-        raise ValidationError(
-            f"unknown scale mode {scale_mode!r}; supported: {list(SCALE_MODES)}"
-        )
+    check_scale_mode(scale_mode)
     absmax = np.asarray(absmax, dtype=np.float32)
     grid_max = np.float32(fmt.grid_absmax)
     raw = np.where(absmax > 0, absmax / grid_max, np.float32(BF16_MIN_NORMAL))

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import CorruptionError, ValidationError, naming_layer
 from .grids import _check_group_shapes, bf16_bits, bf16_decode, check_groups
-from .tensors import pread_into
+from .tensors import ScannedFile, pread_into
 
 MAGIC = b"AAACQ\x00"
 VERSION = 1
@@ -480,39 +480,24 @@ class PackWriter:
         self._fh.write(layer_to_bytes(name, p))
 
 
-class PackReader:
+class PackReader(ScannedFile):
     """An open .aaacq file whose layers are read one at a time.
 
     Opening checks the container and every layer header, skipping the
     payloads, and lists the layers in file order (`layers`); `read` then
     reads, CRC-checks and parses one layer.  No read reaches past the end
     the headers imply or past the file, so a corrupt length field costs no
-    allocation.  Close it, or use it as a context manager.
+    allocation.
     """
 
-    def __init__(self, path):
-        self._file = open(path, "rb", buffering=0)
-        try:
-            fd = self._file.fileno()
-            self.layers = _scan(_Reader(fd, 0, os.fstat(fd).st_size))
-        except BaseException:
-            self._file.close()
-            raise
+    def _scan(self, fd: int) -> list[PackEntry]:
+        return _scan(_Reader(fd, 0, os.fstat(fd).st_size))
 
     def read(self, entry: PackEntry) -> PackedLayer:
-        name, p = _layer_from_reader(_Reader(self._file.fileno(), entry.start, entry.end))
+        name, p = _layer_from_reader(_Reader(self.fd, entry.start, entry.end))
         if name != entry.name:
             raise CorruptionError(f"layer {entry.name!r} changed since the pack was opened")
         return p
-
-    def close(self) -> None:
-        self._file.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 def model_to_bytes(layers: list[tuple[str, PackedLayer]]) -> bytes:

@@ -56,9 +56,9 @@ gather's chunks it took more, at one `nonzero` per chunk.
 A code table lays its buckets out in one of two ways:
 - Every bucket (`code_table`), for the fixed grids.  Each grid's is built
   once per process on first use, in about 1 ms, into 1 MiB of an anonymous
-  map.  The marked half past the fallback's cut is never written and stays
-  unbacked zero pages, so it holds about 0.5 MiB of memory.  `recon_codes`
-  searches every value under any other table.
+  map.  Nothing at or past the fallback's cut is written, so the marked half
+  stays unbacked zero pages: 536 kB resident.  `recon_codes` searches
+  every value under any other table.
 - Compact (`_CodeTables`), for a learner's stack of at most two tables,
   written afresh for every step.  It holds only the buckets that a layer's
   values occupy (`_occupied`): per sign, bucket 0 and one run from the least
@@ -69,8 +69,8 @@ A code table lays its buckets out in one of two ways:
   stretches fit 2**16, else 4.  These are stored once per layer: shifting
   each block's values and adding its groups' offsets instead cost
   learn-large's `quantize` 6% more CPU (10 alternating benchmark pairs).
-  A build writes every byte of the occupied spans, so one buffer serves
-  every stack of a layer.  Stacks of more than 128 entries have none.
+  A build clears the buffer, then writes below each table's cut, so one
+  buffer serves every stack of a layer.  Stacks over 128 entries have none.
 A build takes the fallback's cut from its closed form, checked at the cut
 and the bucket below by `_falls_back`, the test `_cells` makes.  Two
 16-entry tables over a 64x512 layer take about 80 us (2 vCPUs, numpy 2.4,
@@ -386,6 +386,7 @@ class _CodeTables:
         entries, which has none."""
         if tables.size > _PAIRS:
             return False
+        self.lut[:] = 0  # marks every bucket that the new tables' cuts leave unwritten
         _write_code_tables(self.lut, tables.tolist(), self.layout, self.stride)
         return True
 
@@ -399,7 +400,8 @@ def _write_code_tables(lut, rows: list, layout, stride: int) -> None:
     """Writes the code tables of sorted tables, `rows` of floats of at most
     `_PAIRS` entries in all, into `lut` in `layout`, as `_CodeTables` has
     it: table `j` from byte `j * stride` on, its codes its entries' indices
-    in the flat stack of tables.  No byte outside the spans is written.
+    in the flat stack of tables.  No byte outside the spans, nor at or past
+    a table's fallback cut, is written: `lut` must read 0 there.
 
     It works on plain floats, which round as float64 does, and makes one
     numpy call for the bit patterns of every table's numbers: a learner
@@ -424,12 +426,7 @@ def _write_code_table(out, halves, first, mid, half, cut, keys, offset) -> None:
     cut, into the memoryview `out`, its codes offset by `offset`.  `halves`
     holds each half's spans `(a, b, at)`, which put bucket `k` of `a:b` at
     byte `at + k`; `keys` the buckets of each midpoint and its window's
-    ends, three by three."""
-    for span in halves:
-        for a, b, at in span:
-            a = a if a > cut else cut
-            if a < b:
-                out[at + a:at + b] = _BYTES[0] * (b - a)  # the fallback's buckets, marked
+    ends, three by three.  Buckets at or past `cut`, marked, are not written."""
     if not cut:
         return
     # Runs of one cell each, by magnitude: from +0 up, then from -0 down.

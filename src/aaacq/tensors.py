@@ -31,6 +31,7 @@ from .errors import (
     UnsupportedDtypeError,
     ValidationError,
 )
+from .grids import bf16_decode
 
 _WEIGHT_SUFFIX = ".weight"
 _CALIB_SUFFIX = ".calib"
@@ -189,12 +190,7 @@ def _read_tensor(path, fd: int, t: TensorEntry, shape=None) -> np.ndarray:
     raw = np.empty(t.nbytes // _DTYPES[t.dtype].itemsize, dtype=_DTYPES[t.dtype])
     if pread_into(fd, raw.view(np.uint8), t.offset) < t.nbytes:
         raise FormatError(f"{path}: file ends inside tensor {t.name!r} at byte {t.offset}")
-    if t.dtype == "BF16":
-        bits = raw.astype(np.uint32)
-        bits <<= 16
-        arr = bits.view(np.float32)
-    else:
-        arr = raw.astype(np.float32, copy=False)
+    arr = bf16_decode(raw) if t.dtype == "BF16" else raw.astype(np.float32, copy=False)
     return arr.reshape(t.shape if shape is None else shape)
 
 
@@ -227,35 +223,21 @@ def _pair_layers(path, entries: dict[str, TensorEntry]) -> list[LayerEntry]:
     return layers
 
 
-class TensorArchive:
-    """An open archive whose layers are read one at a time.
-
-    Opening reads and checks the header and pairs the layers (`layers`,
-    sorted by name); `load` then reads and widens only one layer's tensors,
-    with positional reads, so threads and forked workers can each load their
-    own layer from the one open file.  Close it, or use it as a context
-    manager.
-    """
+class ScannedFile:
+    """A file opened unbuffered, whose layers `_scan(fd)` lists (`layers`) from
+    its headers, closing the file if it raises.  Layers are then read with
+    positional reads at `fd`, so threads and forked workers can each read
+    their own from the one open file.  Close it, or use it as a context manager."""
 
     def __init__(self, path):
         self.path = path
         self._file = open(path, "rb", buffering=0)
+        self.fd = self._file.fileno()
         try:
-            self.layers = _pair_layers(path, _parse_header(path, self._file.fileno()))
+            self.layers = self._scan(self.fd)
         except BaseException:
             self._file.close()
             raise
-
-    def load(self, layer: LayerEntry) -> LayerBundle:
-        """One layer's bundle.  Calibration tensors may carry leading
-        batch/sequence dimensions; they are collapsed to (tokens, cols)."""
-        fd = self._file.fileno()
-        w = _read_tensor(self.path, fd, layer.weight)
-        x = None
-        if layer.calib is not None:
-            *lead, cols = layer.calib.shape
-            x = _read_tensor(self.path, fd, layer.calib, (math.prod(lead), cols))
-        return LayerBundle(layer.name, w, x)
 
     def close(self) -> None:
         self._file.close()
@@ -265,6 +247,24 @@ class TensorArchive:
 
     def __exit__(self, *exc):
         self.close()
+
+
+class TensorArchive(ScannedFile):
+    """An open archive: opening checks the header and pairs the layers (`layers`,
+    sorted by name), and `load` reads and widens one layer's tensors."""
+
+    def _scan(self, fd: int) -> list[LayerEntry]:
+        return _pair_layers(self.path, _parse_header(self.path, fd))
+
+    def load(self, layer: LayerEntry) -> LayerBundle:
+        """One layer's bundle.  Calibration tensors may carry leading
+        batch/sequence dimensions; they are collapsed to (tokens, cols)."""
+        w = _read_tensor(self.path, self.fd, layer.weight)
+        x = None
+        if layer.calib is not None:
+            *lead, cols = layer.calib.shape
+            x = _read_tensor(self.path, self.fd, layer.calib, (math.prod(lead), cols))
+        return LayerBundle(layer.name, w, x)
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:
