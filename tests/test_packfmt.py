@@ -112,6 +112,15 @@ class TestPackStructure:
         with pytest.raises(ValidationError):
             pack(t0[:8], t1, sel, codes, scales, kind="int4", group_size=16, sel_size=16)
 
+    @pytest.mark.parametrize("kind, method", [
+        ("fp8", "rtn"), ("NVFP4", "rtn"), (None, "rtn"), (1.5, "rtn"), (True, "rtn"), ("int4", "bogus"),
+    ], ids=["fp8", "upper-case", "none", "float", "bool", "bogus-method"])
+    def test_kinds_and_methods_the_header_cannot_name_are_rejected(self, kind, method):
+        # Each was a KeyError, a TypeError, or stored as int4 or "unspecified".
+        t0, t1, sel, codes, scales = random_layer(np.random.default_rng(10), 1, 32, 16, 16, 16)
+        with pytest.raises(ValidationError, match="unknown"):
+            pack(t0, t1, sel, codes, scales, kind=kind, group_size=16, sel_size=16, method=method)
+
     def test_code_out_of_range(self):
         rng = np.random.default_rng(4)
         t0, t1, sel, codes, scales = random_layer(rng, 1, 32, 16, 16, 15)

@@ -1,5 +1,6 @@
 """Nearest-entry reconstruction, RTN, IF4, and dequantization."""
 
+import os
 import warnings
 
 import numpy as np
@@ -412,6 +413,24 @@ class TestCodeTables:
         assert neg == [(0, 1), (one, two + 1)]
         assert quantizers._occupied([]) == ([], [])
         assert quantizers._occupied([np.asarray([np.nan])]) == ([], [])
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+    @pytest.mark.parametrize("fmt", [NVFP4, INT4], ids=["nvfp4", "int4"])
+    def test_fixed_grid_map_leaves_its_marked_half_unbacked(self, fmt):
+        # Buckets at and past the fallback's cut, about half the map, are
+        # never written: a fresh map reads 0 there without backing pages.
+        lut = quantizers.code_table(base_table(fmt))
+        address, rss = lut.ctypes.data, None
+        with open("/proc/self/smaps") as smaps:  # this process's own mappings
+            for line in smaps:
+                field = line.split()[0]
+                if not field.endswith(":"):  # a mapping's "start-end" line
+                    start, end = (int(x, 16) for x in field.split("-"))
+                    here = start <= address < end
+                elif here and field == "Rss:":
+                    rss = int(line.split()[1])  # kB
+                    break
+        assert rss is not None and rss <= 600
 
     def test_tables_past_128_entries_are_refused(self):
         with pytest.raises(ValidationError):

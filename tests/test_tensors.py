@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,26 @@ class TestArchiveIO:
         assert np.array_equal(tensors["a"], f16.astype(np.float32))
         want = (bf16_bits.astype(np.uint32) << 16).view(np.float32)
         assert np.array_equal(tensors["b"], want)
+
+    def test_bf16_load_peaks_at_6_1_bytes_a_weight(self, tmp_path):
+        # The 2-byte patterns read and their 4-byte float32 widening, no
+        # more: the widening makes one copy and shifts it in place.
+        rows, cols = 512, 1024
+        w = np.random.default_rng(0).standard_normal((rows, cols)).astype(np.float32)
+        bits = (w.view(np.uint32) >> 16).astype("<u2")
+        path = tmp_path / "bf16.safetensors"
+        write_raw_archive(path, {"l.weight": {"dtype": "BF16", "shape": [rows, cols],
+                                              "data_offsets": [0, bits.nbytes]}}, bits.tobytes())
+        with TensorArchive(path) as archive:
+            archive.load(archive.layers[0])  # first-call allocations are not the load's
+            tracemalloc.start()
+            try:
+                bundle = archive.load(archive.layers[0])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(bundle.weights.view(np.uint32), bits.astype(np.uint32) << 16)
+        assert peak <= 6.1 * rows * cols
 
     def test_unsupported_dtype(self, tmp_path):
         path = tmp_path / "a.safetensors"
