@@ -162,20 +162,17 @@ def pack(
     group is finer than the scale group the selection goes into a separate
     bitset and every stored scale keeps a clear sign bit.
 
-    `kind` is a name of `KIND_IDS` or an integer id of `KIND_NAMES`, and
+    `kind` is a name of `KIND_IDS` or an int id of `KIND_NAMES`, and
     `method` a name of `METHOD_IDS`.  Raises `ValidationError` for any layer
     that `unpack` or the pack reader would refuse, so that every pack this
     returns is read back exactly.  Codes and selection are checked in their
     own dtype and scales in float64, before any cast could wrap, truncate or
     overflow them.
     """
-    if isinstance(kind, str):
-        kind_id = KIND_IDS.get(kind)
-    else:  # bools are not kind ids
-        kind_id = int(kind) if isinstance(kind, (int, np.integer)) and not isinstance(kind, bool) else None
-    if kind_id not in KIND_NAMES:
-        raise ValidationError(f"unknown format kind {kind!r}; supported: {list(KIND_IDS)} or ids {list(KIND_NAMES)}")
-    if not isinstance(method, str) or method not in METHOD_IDS:
+    # `type(kind) is int` refuses bools, which would be stored as kinds 0 and 1.
+    if not (isinstance(kind, str) and kind in KIND_IDS or type(kind) is int and kind in KIND_NAMES):
+        raise ValidationError(f"unknown format kind {kind!r}; supported: {list(KIND_IDS)} or their ids")
+    if not (isinstance(method, str) and method in METHOD_IDS):
         raise ValidationError(f"unknown method {method!r}; supported: {list(METHOD_IDS)}")
     t0 = np.asarray(table0, dtype=np.float64)
     t1 = np.asarray(table1, dtype=np.float64)
@@ -216,7 +213,7 @@ def pack(
     flags |= METHOD_IDS[method] << 1
 
     return PackedLayer(
-        kind=kind_id,
+        kind=KIND_IDS[kind] if isinstance(kind, str) else kind,
         rows=rows,
         cols=cols,
         group_size=group_size,
