@@ -440,31 +440,6 @@ class PackEntry:
     end: int
 
 
-def _scan(r: _Reader) -> list[PackEntry]:
-    """Check a container's header and every layer header, skipping the payloads."""
-    if r.take(len(MAGIC)) != MAGIC:
-        raise CorruptionError("bad magic; not an .aaacq container")
-    version, count = r.unpack(struct.Struct("<HI"))
-    if version != VERSION:
-        raise CorruptionError(f"unsupported container version {version}")
-    entries = []
-    seen = set()
-    for held in range(count):
-        if r.offset == r.end:
-            raise CorruptionError(f"container holds {held} layers, its header says {count}")
-        start = r.offset
-        name, fields, _, sizes = _layer_header(r, entries[-1].name if entries else None)
-        with naming_layer(name):
-            r.skip(sum(_pad16(s) for s in sizes))
-        if name in seen:
-            raise CorruptionError(f"duplicate layer name {name!r}")
-        seen.add(name)
-        entries.append(PackEntry(name, fields[1], fields[2], start, r.offset))
-    if r.offset != r.end:
-        raise CorruptionError(f"{r.end - r.offset} trailing bytes after the last layer")
-    return entries
-
-
 class PackWriter:
     """Writes an .aaacq container to a binary file one layer at a time.
 
@@ -495,7 +470,28 @@ class PackReader(ScannedFile):
     """
 
     def _scan(self, fd: int) -> list[PackEntry]:
-        return _scan(_Reader(fd, 0, os.fstat(fd).st_size))
+        r = _Reader(fd, 0, os.fstat(fd).st_size)
+        if r.take(len(MAGIC)) != MAGIC:
+            raise CorruptionError("bad magic; not an .aaacq container")
+        version, count = r.unpack(struct.Struct("<HI"))
+        if version != VERSION:
+            raise CorruptionError(f"unsupported container version {version}")
+        entries = []
+        seen = set()
+        for held in range(count):
+            if r.offset == r.end:
+                raise CorruptionError(f"container holds {held} layers, its header says {count}")
+            start = r.offset
+            name, fields, _, sizes = _layer_header(r, entries[-1].name if entries else None)
+            with naming_layer(name):
+                r.skip(sum(_pad16(s) for s in sizes))
+            if name in seen:
+                raise CorruptionError(f"duplicate layer name {name!r}")
+            seen.add(name)
+            entries.append(PackEntry(name, fields[1], fields[2], start, r.offset))
+        if r.offset != r.end:
+            raise CorruptionError(f"{r.end - r.offset} trailing bytes after the last layer")
+        return entries
 
     def read(self, entry: PackEntry) -> PackedLayer:
         name, p = _layer_from_reader(_Reader(self.fd, entry.start, entry.end))
