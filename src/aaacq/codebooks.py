@@ -59,7 +59,9 @@ import numpy as np
 
 from . import grids
 from .errors import ValidationError
-from .grids import BaseFormat, check_groups, check_scale_mode, compute_scales, round_bf16, row_blocks
+from .grids import (
+    BaseFormat, Scratch, check_groups, check_scale_mode, compute_scales, round_bf16, row_blocks,
+)
 from .quantizers import _CodeTables, check_table, normalize, recon_codes
 from .tensors import LayerBundle
 
@@ -594,12 +596,18 @@ def learn(
 
     `col_importance` overrides the activation-derived importance when given.
     """
-    check_groups(cfg.group_size, cfg.sel_size, bundle.cols)
-    w = bundle.weights
-    n, k = w.shape
+    g = cfg.group_size
+    check_groups(g, cfg.sel_size, bundle.cols)
+    n, k = bundle.shape
+    blocks = row_blocks(n, k)
 
-    scales = compute_scales(w, cfg.fmt, cfg.group_size, cfg.scale_mode)
-    w_norm = normalize(w, scales, cfg.group_size)
+    # The scales and the normalized weights, one block of weights at a time,
+    # read into buffers that go before the passes' are made.
+    scales, w_norm, reads = np.empty((n, k // g), np.float32), np.empty((n, k)), Scratch()
+    for r in blocks:
+        w = bundle.weight_rows(r, reads)
+        scales[r] = compute_scales(w, cfg.fmt, g, cfg.scale_mode)
+        normalize(w, scales[r], g, out=w_norm[r])
 
     if col_importance is None:
         imp = layer_importance(bundle)
@@ -610,7 +618,9 @@ def learn(
     # which its normalization then writes again.
     w_norm.reshape(-1).sort()
     tables = np.stack(_quantile_tables(w_norm.reshape(-1), cfg.fmt.table_size))
-    normalize(w, scales, cfg.group_size, out=w_norm)
+    for r in blocks:
+        normalize(bundle.weight_rows(r, reads), scales[r], g, out=w_norm[r])
+    del w, reads
     trace = []
     sel = cfg.sel_size
     run = _Pass(w_norm, imp, sel)

@@ -8,6 +8,8 @@ stored in BF16; an optional mode emulates FP8 E4M3 scale storage.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,11 +108,14 @@ def bf16_bits(x) -> np.ndarray:
     return (_bf16_round_bits(arr.view(np.uint32)) >> 16).astype(np.uint16)
 
 
-def bf16_decode(bits) -> np.ndarray:
-    """Float32 values of BF16 bit patterns, in one new array at least 1-D."""
-    b = np.atleast_1d(np.asarray(bits, dtype=np.uint16)).astype(np.uint32, order="C")
-    b <<= 16
-    return b.view(np.float32)
+def bf16_decode(bits, out=None) -> np.ndarray:
+    """Float32 values of BF16 bit patterns, in one new array at least 1-D, or
+    in `out`, a C-contiguous float32 array of their shape."""
+    b = np.atleast_1d(np.asarray(bits, dtype=np.uint16))
+    words = np.empty(b.shape, np.uint32) if out is None else out.view(np.uint32)
+    np.copyto(words, b)
+    words <<= 16
+    return words.view(np.float32)
 
 
 def _next_bf16_up(x: np.ndarray) -> np.ndarray:
@@ -207,6 +212,31 @@ def row_blocks(rows: int, cols: int) -> list:
         return []
     step = max(1, BLOCK // cols)
     return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
+
+
+class Scratch(threading.local):
+    """Reused buffers, one set for each thread that uses the object.
+
+    A worker that reads or scores layer after layer takes its buffers from
+    one scratch instead of allocating them per layer or per block, which
+    glibc would map and fault in again each time.  A buffer grows to the
+    largest request it has seen and never shrinks; it lives as long as the
+    object.  A forked worker inherits the forking thread's set, and so works
+    on its own copy.
+    """
+
+    def __init__(self):
+        self._held = {}
+
+    def take(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        """An uninitialized C-ordered array of `shape` on the buffer `name`."""
+        n = math.prod(shape)
+        held = self._held.pop(name, None)
+        if held is None or held.size < n or held.dtype != dtype:
+            held = None  # the smaller one goes before the larger is made
+            held = np.empty(n, dtype)
+        self._held[name] = held
+        return held[:n].reshape(shape)
 
 
 def group_absmax(weights: np.ndarray, group_size: int) -> np.ndarray:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -26,38 +25,12 @@ import numpy as np
 
 from .codebooks import AaacConfig, _difference, _error_sums, layer_importance, learn
 from .errors import AaacqError, PairingError, UndefinedGapError, ValidationError, naming_layer
-from .grids import E4M3_MAX, base_table, round_e4m3_into, row_blocks
+from .grids import E4M3_MAX, Scratch, base_table, round_e4m3_into, row_blocks
 from .packfmt import PackedLayer, check_header, pack, selection_overhead_bpw, unpack
 from .quantizers import dequantize, if4_quantize, if4_tables, rtn_quantize
 from .tensors import LayerBundle
 
 METHODS = ("rtn", "if4", "aaac")
-
-
-class Scratch(threading.local):
-    """Reused scoring buffers, one set for each thread that uses the object.
-
-    A worker that scores layer after layer takes its float64 difference,
-    activations and product buffers from one scratch instead of allocating
-    them per layer, which glibc would map and fault in again each time.  A
-    buffer grows to the largest request it has seen and never shrinks; it
-    lives as long as the object, so a command makes one for its per-layer
-    loop and drops it when the loop returns.  A forked worker inherits the
-    forking thread's set, and so scores on its own copy.
-    """
-
-    def __init__(self):
-        self._held = {}
-
-    def take(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        """An uninitialized C-ordered array of `shape` on the buffer `name`."""
-        n = math.prod(shape)
-        held = self._held.pop(name, None)
-        if held is None or held.size < n or held.dtype != dtype:
-            held = None  # the smaller one goes before the larger is made
-            held = np.empty(n, dtype)
-        self._held[name] = held
-        return held[:n].reshape(shape)
 
 
 def layer_output_mse(weights, reconstructed, activations) -> float:
@@ -336,19 +309,22 @@ def _by_row_blocks(shape, fn) -> list:
 def quantize_layer(bundle: LayerBundle, method: str, cfg: AaacConfig, col_importance=None):
     """Quantize one layer with one method; returns (packed layer, learner trace).
 
-    The trace is None for rtn and if4, which run one row block at a time.
-    For aaac it holds only what `quantize` logs, its first and last values
-    and its length: the other inner steps' errors are not computed.
-    `col_importance`, when given, is the layer's `layer_importance`.
+    The trace is None for rtn and if4, which run one row block at a time
+    on one set of block buffers.  For aaac it holds only what `quantize`
+    logs, its first and last values and its length: the other inner steps'
+    errors are not computed.  `col_importance`, when given, is the layer's
+    `layer_importance`.
     """
-    w, g, mode = bundle.weights, cfg.group_size, cfg.scale_mode
+    w, g, mode, scratch = bundle.weight_rows, cfg.group_size, cfg.scale_mode, Scratch()
     sel_size, kind, trace = g, cfg.fmt.kind, None
     if method == "rtn":
-        codes, scales = _by_row_blocks(w.shape, lambda r: rtn_quantize(w[r], cfg.fmt, g, mode))
+        codes, scales = _by_row_blocks(
+            bundle.shape, lambda r: rtn_quantize(w(r), cfg.fmt, g, mode, scratch))
         t0 = t1 = base_table(cfg.fmt)
-        sel = np.zeros((w.shape[0], w.shape[1] // g), dtype=np.uint8)
+        sel = np.zeros((bundle.rows, bundle.cols // g), dtype=np.uint8)
     elif method == "if4":
-        codes, scales, sel = _by_row_blocks(w.shape, lambda r: if4_quantize(w[r], g, mode))
+        codes, scales, sel = _by_row_blocks(
+            bundle.shape, lambda r: if4_quantize(w(r), g, mode, scratch))
         t0, t1 = if4_tables()
         kind = "nvfp4"
     elif method == "aaac":
@@ -367,8 +343,9 @@ def quantize_layer(bundle: LayerBundle, method: str, cfg: AaacConfig, col_import
 def reconstruct(p: PackedLayer) -> np.ndarray:
     """The weights a packed layer decodes to, decoded one row block at a time."""
     t0, t1, sel, codes, scales = unpack(p)
+    scratch = Scratch()
     return _by_row_blocks(codes.shape, lambda r: (
-        dequantize(codes[r], scales[r], t0, t1, sel[r], p.group_size, p.sel_size),))[0]
+        dequantize(codes[r], scales[r], t0, t1, sel[r], p.group_size, p.sel_size, scratch),))[0]
 
 
 def score(
@@ -396,17 +373,17 @@ def score(
 
 def _difference_from_pack(bundle: LayerBundle, p: PackedLayer, scratch: Scratch) -> np.ndarray:
     """`reconstruct(p) - bundle.weights` in float64, on `scratch`'s difference buffer."""
-    w = bundle.weights
     t0, t1, sel, codes, scales = unpack(p)
-    if codes.shape != w.shape:
+    if codes.shape != bundle.shape:
         raise PairingError(
             f"packed layer {bundle.name!r} shape {codes.shape} does not match "
-            f"archive shape {w.shape}"
+            f"archive shape {bundle.shape}"
         )
-    d = scratch.take("difference", w.shape)
-    for r in row_blocks(*w.shape):
-        np.copyto(d[r], dequantize(codes[r], scales[r], t0, t1, sel[r], p.group_size, p.sel_size))
-        d[r] -= w[r]
+    d = scratch.take("difference", bundle.shape)
+    for r in row_blocks(*bundle.shape):
+        np.copyto(d[r], dequantize(codes[r], scales[r], t0, t1, sel[r], p.group_size, p.sel_size,
+                                   scratch))
+        d[r] -= bundle.weight_rows(r)
     return d
 
 
@@ -436,7 +413,6 @@ def layer_metrics(
     activations used for the output-MSE metric (for simulated low-precision
     inference).  The output MSE's buffers are `scratch`'s.
     """
-    w = bundle.weights
     imp = layer_importance(bundle) if col_importance is None else col_importance
     x_out = output_activations if output_activations is not None else bundle.activations
     output_mse = _output_mse(difference, x_out, scratch) if x_out is not None else None
@@ -447,7 +423,7 @@ def layer_metrics(
         mse=mse,
         weighted_err=weighted_err,
         output_mse=output_mse,
-        bpw=bits_per_weight(w.shape[0], w.shape[1], group_size, sel_size, table_size)[
+        bpw=bits_per_weight(bundle.rows, bundle.cols, group_size, sel_size, table_size)[
             "total_bpw"
         ],
     )

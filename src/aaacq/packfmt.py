@@ -282,7 +282,7 @@ def unpack(p: PackedLayer):
         sel = np.unpackbits(bits, bitorder="little")[: count // p.sel_size]
     else:
         sel = (scale_bits >> 15).astype(np.uint8)
-    selection = sel.reshape(p.rows, p.cols // p.sel_size).astype(np.uint8)
+    selection = sel.reshape(p.rows, p.cols // p.sel_size)
 
     raw = np.frombuffer(p.code_bytes, dtype=np.uint8)
     if raw.size != sizes["code_bytes"]:
@@ -296,7 +296,7 @@ def unpack(p: PackedLayer):
             f"code nibble {int(codes.max())} out of range for "
             f"{p.table_size}-entry tables"
         )
-    return t0, t1, selection, codes.reshape(p.rows, p.cols).copy(), scales
+    return t0, t1, selection, codes.reshape(p.rows, p.cols), scales
 
 
 # ---------------------------------------------------------------------------

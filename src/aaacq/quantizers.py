@@ -92,6 +92,7 @@ from .grids import (
     INT4,
     NVFP4,
     BaseFormat,
+    Scratch,
     _check_group_shapes,
     base_table,
     compute_scales,
@@ -553,14 +554,17 @@ def rtn_quantize(
     fmt: BaseFormat,
     group_size: int,
     scale_mode: str = "exact-bf16",
+    scratch: Scratch | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quantize against the format's fixed table with absmax group scales.
 
     Returns (codes, scales): codes as uint8 with the weight matrix's shape,
-    scales as float32 with one entry per scale group.
+    scales as float32 with one entry per scale group.  The normalized
+    weights are `scratch`'s buffer when one is given.
     """
     scales = compute_scales(weights, fmt, group_size, scale_mode)
-    w_norm = normalize(weights, scales, group_size)
+    out = None if scratch is None else scratch.take("normalized", np.shape(weights))
+    w_norm = normalize(weights, scales, group_size, out=out)
     codes = recon_codes(base_table(fmt), w_norm, dtype=np.uint8)
     return codes, scales
 
@@ -590,6 +594,7 @@ def dequantize(
     selection: np.ndarray,
     group_size: int,
     sel_size: int,
+    scratch: Scratch | None = None,
 ) -> np.ndarray:
     """Reconstruct weights: the selected table's entry times the group scale.
 
@@ -599,6 +604,9 @@ def dequantize(
     `ValidationError` unless the group sizes split the rows of the 2-D
     integer `codes` (`grids.check_groups`), `scales` and `selection` hold one
     value per group of each row, and the tables are 1-D and of one length.
+
+    The float32 result and the work arrays are buffers of `scratch` (a fresh
+    one's when none is given): the result is valid until its next call.
     """
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.dtype.kind not in "ui":
@@ -623,9 +631,16 @@ def dequantize(
         offset = (sel * t0.size).astype(index_type)
         index = (_grouped(codes.astype(index_type, copy=False), sel_size)
                  + offset[:, :, np.newaxis]).reshape(codes.shape)
-    w_hat = both.take(index)
+    scratch = Scratch() if scratch is None else scratch
+    # `take` would make an intp copy of narrower indices, so it gets one to
+    # reuse; "raise" would buffer `out`, and every index is in range.
+    positions = scratch.take("positions", codes.shape, np.intp)
+    np.copyto(positions, index, casting="unsafe")  # checked in range above
+    w_hat = both.take(positions, out=scratch.take("decoded", codes.shape), mode="clip")
     _scale_decoded(w_hat, scales, group_size, np.abs(both).max(initial=0.0))
-    return w_hat.astype(np.float32)
+    out = scratch.take("decoded32", codes.shape, np.float32)
+    np.copyto(out, w_hat, casting="same_kind")
+    return out
 
 
 def dequantize_rtn(
@@ -641,7 +656,8 @@ def dequantize_rtn(
 # ---------------------------------------------------------------------------
 
 def if4_quantize(
-    weights: np.ndarray, group_size: int, scale_mode: str = "exact-bf16"
+    weights: np.ndarray, group_size: int, scale_mode: str = "exact-bf16",
+    scratch: Scratch | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per scale group, keep whichever of FP4 or scaled INT4 has lower MSE.
 
@@ -651,13 +667,14 @@ def if4_quantize(
 
     Each candidate is `rtn_quantize` decoded as `dequantize_rtn` would: the
     two share the group absmax, and normalize, code and decode into one
-    float64 buffer.  The float32 weights enter the float64 divide and
-    subtract as they are; each widens exactly, so no float64 copy is kept.
+    float64 buffer, `scratch`'s when one is given.  The float32 weights
+    enter the float64 divide and subtract as they are; each widens exactly,
+    so no float64 copy is kept.
     """
     w = np.asarray(weights, dtype=np.float32)
     absmax = group_absmax(w, group_size)
     # C order whatever the input's layout: the group SSE's sums follow memory order.
-    buf = np.empty(w.shape)
+    buf = np.empty(w.shape) if scratch is None else scratch.take("decoded", w.shape)
     candidates = []
     for fmt in (NVFP4, INT4):
         table = base_table(fmt)

@@ -8,15 +8,17 @@ is widened to float32 on load.  Layers pair by name convention: a 2-D tensor
 same number of input columns.
 
 Reading never holds the whole file.  `TensorArchive` checks the header and
-the pairing once, then reads one layer's tensors at a time with positional
+the pairing once, and its layer bundles read their tensors with positional
 reads at their offsets (not `mmap`, whose pages would count toward the
-reader's resident memory); `read_tensors` reads every tensor, unpaired,
-through the same path.  `stream_tensors` writes the header
-first and then one tensor at a time.
+reader's resident memory): the weights a row block at a time, each block
+widened in reused buffers, and the calibration tensor whole, only when it
+is asked for.  `read_tensors` reads every tensor whole, unpaired.
+`stream_tensors` writes the header first and then one tensor at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -31,7 +33,7 @@ from .errors import (
     UnsupportedDtypeError,
     ValidationError,
 )
-from .grids import bf16_decode
+from .grids import Scratch, bf16_decode, row_blocks
 
 _WEIGHT_SUFFIX = ".weight"
 _CALIB_SUFFIX = ".calib"
@@ -39,40 +41,59 @@ _CALIB_SUFFIX = ".calib"
 _DTYPES = {"F32": np.dtype("<f4"), "F16": np.dtype("<f2"), "BF16": np.dtype("<u2")}
 
 
-@dataclass(frozen=True)
+def _check_shapes(name: str, w_shape: tuple, x_shape: tuple | None) -> None:
+    # A layer's weights are 2-D and non-empty, its activations (when there
+    # are any) 2-D with at least one token and as many columns.
+    if len(w_shape) != 2 or w_shape[0] < 1 or w_shape[1] < 1:
+        raise ValidationError(f"layer {name!r}: weights must be 2-D and non-empty")
+    if x_shape is None:
+        return
+    if len(x_shape) != 2 or x_shape[0] < 1:
+        raise ValidationError(f"layer {name!r}: activations must be 2-D with at least one token")
+    if x_shape[1] != w_shape[1]:
+        raise PairingError(
+            f"layer {name!r}: activation columns {x_shape[1]} "
+            f"do not match weight columns {w_shape[1]}"
+        )
+
+
+def _check_finite(name: str, what: str, a: np.ndarray, out=None) -> None:
+    # `out`, when given, is a bool array of `a`'s shape for the test.
+    if not np.isfinite(a, out=out).all():
+        raise ValidationError(f"layer {name!r}: {what} contain non-finite values")
+
+
 class LayerBundle:
-    """One linear layer's weights plus optional calibration activations."""
+    """One linear layer's weights plus optional calibration activations.
 
-    name: str
-    weights: np.ndarray
-    activations: np.ndarray | None = None
+    Every quantizer and scorer reads the weights a block of rows at a time
+    through `weight_rows`; `weights` is the whole array.  A bundle made from
+    arrays holds them and checks them whole.  One that `TensorArchive.load`
+    makes reads each block from the archive when asked for it (see
+    `_ArchiveBundle`).
+    """
 
-    def __post_init__(self):
-        w = self.weights
-        if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
-            raise ValidationError(f"layer {self.name!r}: weights must be 2-D and non-empty")
-        if not np.isfinite(w).all():
-            raise ValidationError(f"layer {self.name!r}: weights contain non-finite values")
-        x = self.activations
-        if x is not None:
-            if x.ndim != 2 or x.shape[0] < 1:
-                raise ValidationError(
-                    f"layer {self.name!r}: activations must be 2-D with at least one token")
-            if not np.isfinite(x).all():
-                raise ValidationError(f"layer {self.name!r}: activations contain non-finite values")
-            if x.shape[1] != w.shape[1]:
-                raise PairingError(
-                    f"layer {self.name!r}: activation columns {x.shape[1]} "
-                    f"do not match weight columns {w.shape[1]}"
-                )
+    def __init__(self, name: str, weights: np.ndarray, activations: np.ndarray | None = None):
+        self.name, self.weights, self.activations = name, weights, activations
+        self.shape = np.shape(weights)
+        _check_shapes(name, self.shape, None if activations is None else np.shape(activations))
+        _check_finite(name, "weights", weights)
+        if activations is not None:
+            _check_finite(name, "activations", activations)
 
     @property
     def rows(self) -> int:
-        return self.weights.shape[0]
+        return self.shape[0]
 
     @property
     def cols(self) -> int:
-        return self.weights.shape[1]
+        return self.shape[1]
+
+    def weight_rows(self, rows: slice, scratch: Scratch | None = None) -> np.ndarray:
+        """The weights of the rows `rows`, a slice of step 1: here a view of
+        `weights`.  A block read from an archive is a buffer of `scratch`, by
+        default the archive's for the calling thread, valid until its next read."""
+        return self.weights[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +206,17 @@ def _parse_header(path, fd: int) -> dict[str, TensorEntry]:
     return entries
 
 
-def _read_tensor(path, fd: int, t: TensorEntry, shape=None) -> np.ndarray:
-    """One tensor read at its offset and widened to a float32 array of its own."""
-    raw = np.empty(t.nbytes // _DTYPES[t.dtype].itemsize, dtype=_DTYPES[t.dtype])
-    if pread_into(fd, raw.view(np.uint8), t.offset) < t.nbytes:
+def _pread_tensor(path, fd: int, t: TensorEntry, buf: np.ndarray, skip: int = 0) -> None:
+    """Fill the C-contiguous `buf` with the bytes of tensor `t` from `skip` bytes on."""
+    if pread_into(fd, buf, t.offset + skip) < buf.nbytes:
         raise FormatError(f"{path}: file ends inside tensor {t.name!r} at byte {t.offset}")
+
+
+def _read_tensor(read, t: TensorEntry, shape=None) -> np.ndarray:
+    """One tensor widened to a float32 array of its own; `read(t, buf)` fills
+    `buf` with its bytes."""
+    raw = np.empty(t.nbytes // _DTYPES[t.dtype].itemsize, dtype=_DTYPES[t.dtype])
+    read(t, raw)
     arr = bf16_decode(raw) if t.dtype == "BF16" else raw.astype(np.float32, copy=False)
     return arr.reshape(t.shape if shape is None else shape)
 
@@ -251,27 +278,96 @@ class ScannedFile:
 
 class TensorArchive(ScannedFile):
     """An open archive: opening checks the header and pairs the layers (`layers`,
-    sorted by name), and `load` reads and widens one layer's tensors."""
+    sorted by name), and `load` gives one layer's bundle, which reads its
+    tensors from this archive while it is open."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self._buffers = Scratch()  # each thread's row-block read buffers
 
     def _scan(self, fd: int) -> list[LayerEntry]:
         return _pair_layers(self.path, _parse_header(self.path, fd))
 
+    def _read(self, t: TensorEntry, buf: np.ndarray, skip: int = 0) -> None:
+        if self._file.closed:
+            raise ValueError(f"{self.path}: tensor {t.name!r} read after the archive was closed")
+        _pread_tensor(self.path, self.fd, t, buf, skip)
+
     def load(self, layer: LayerEntry) -> LayerBundle:
-        """One layer's bundle.  Calibration tensors may carry leading
-        batch/sequence dimensions; they are collapsed to (tokens, cols)."""
-        w = _read_tensor(self.path, self.fd, layer.weight)
-        x = None
+        """One layer's bundle, checked as `LayerBundle` checks its arrays: the
+        shapes now, the values as they are read.  Calibration tensors may carry
+        leading batch/sequence dimensions; they are collapsed to (tokens, cols)."""
+        return _ArchiveBundle(self, layer)
+
+
+_UNREAD = object()
+
+
+class _ArchiveBundle(LayerBundle):
+    """A layer of an open `TensorArchive`, read only as it is asked for.
+
+    `weight_rows` reads just those rows with one positional read into
+    reused buffers (the caller's scratch, or the archive's for the calling
+    thread), widens BF16 and F16 there and checks the block finite before
+    returning it.  `weights` reads the whole layer through the same path
+    each time it is asked for; no command asks.  The calibration tensor is
+    read whole the first time `activations` is asked for, checked and kept.
+    """
+
+    def __init__(self, archive: TensorArchive, layer: LayerEntry):
+        self.name, self._archive, self._layer = layer.name, archive, layer
+        self.shape, self._x_shape, self._x = layer.weight.shape, None, _UNREAD
         if layer.calib is not None:
             *lead, cols = layer.calib.shape
-            x = _read_tensor(self.path, self.fd, layer.calib, (math.prod(lead), cols))
-        return LayerBundle(layer.name, w, x)
+            self._x_shape = (math.prod(lead), cols)
+        _check_shapes(self.name, self.shape, self._x_shape)
+
+    @property
+    def weights(self) -> np.ndarray:
+        out = np.empty(self.shape, np.float32)
+        for r in row_blocks(*self.shape):
+            self._read_rows(r, self._archive._buffers, out[r])
+        return out
+
+    @property
+    def activations(self) -> np.ndarray | None:
+        if self._x is _UNREAD:
+            x = None
+            if self._x_shape is not None:
+                x = _read_tensor(self._archive._read, self._layer.calib, self._x_shape)
+                _check_finite(self.name, "activations", x)
+            self._x = x
+        return self._x
+
+    def weight_rows(self, rows: slice, scratch: Scratch | None = None) -> np.ndarray:
+        return self._read_rows(rows, scratch or self._archive._buffers)
+
+    def _read_rows(self, rows: slice, buffers: Scratch, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows `rows` as float32 into `out`, by default the block buffer of `buffers`."""
+        a, b, step = rows.indices(self.rows)
+        if step != 1:
+            raise ValueError(f"rows must be a slice of step 1, got {rows}")
+        t = self._layer.weight
+        if out is None:
+            out = buffers.take("rows", (b - a, self.cols), np.float32)
+        raw = out
+        if _DTYPES[t.dtype] != out.dtype:
+            raw = buffers.take("raw", out.shape, _DTYPES[t.dtype])
+        self._archive._read(t, raw, a * self.cols * raw.itemsize)
+        if t.dtype == "BF16":
+            bf16_decode(raw, out=out)
+        elif raw is not out:
+            np.copyto(out, raw)
+        _check_finite(self.name, "weights", out, buffers.take("finite", out.shape, np.bool_))
+        return out
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:
     """Read all tensors from a safetensors container, widened to float32."""
     with open(path, "rb", buffering=0) as fh:
         fd = fh.fileno()
-        return {name: _read_tensor(path, fd, t) for name, t in _parse_header(path, fd).items()}
+        read = functools.partial(_pread_tensor, path, fd)
+        return {name: _read_tensor(read, t) for name, t in _parse_header(path, fd).items()}
 
 
 def stream_tensors(fh, shapes: dict[str, tuple[int, ...]], produce) -> None:

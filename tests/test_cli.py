@@ -20,7 +20,8 @@ from aaacq.metrics import quantize_layer
 from aaacq.packfmt import _HEADER, MAGIC, PackReader, model_to_bytes, read_pack
 from aaacq.quantizers import dequantize_rtn, rtn_quantize
 from aaacq.tensors import (
-    SynthSpec, TensorArchive, read_tensors, save_tensor_archive, synth_layer, write_tensors,
+    LayerBundle, SynthSpec, TensorArchive, read_tensors, save_tensor_archive, synth_layer,
+    write_tensors,
 )
 
 
@@ -29,9 +30,10 @@ def run(*argv):
 
 
 def load_bundles(path):
-    """Every layer bundle of an archive, sorted by layer name."""
+    """Every layer of an archive read whole, sorted by layer name."""
     with TensorArchive(path) as archive:
-        return [archive.load(layer) for layer in archive.layers]
+        return [LayerBundle(b.name, b.weights, b.activations)
+                for b in map(archive.load, archive.layers)]
 
 
 @pytest.fixture()
