@@ -182,8 +182,9 @@ def cmd_eval(args) -> int:
                 raise PairingError(f"packed layer {e.name!r} has no weights in {args.archive}")
         scratch, rows = metrics.Scratch(), []
         for e in pack.layers:
-            # The last layer is freed only once this one has loaded, so its
-            # pages are reused rather than handed back and faulted in again.
+            # Loading reads nothing: scoring reads the weights a row block at
+            # a time into the archive's reused buffers, and the calibration
+            # tensor whole once asked for.  The last layer's goes as this loads.
             bundle = archive.load(layers[e.name])
             x_out = None
             if args.w4a8 and bundle.activations is not None:

@@ -46,9 +46,13 @@ holds the normalized weights (8 bytes) and the compact buckets (2), and per
 group its table (1 byte); beside them the pass keeps 2.1 MiB of block
 buffers and, while it takes an error, 1 MiB of leaf buffers, which are freed
 before the final codes (1 byte a weight) are written.  The initial
-quantiles need the normalized weights alone.  Measured under tracemalloc on
-256x2048, where those buffers are 1.6 layers' worth, one learn peaks at 4.4
-times its float32 layer under nvfp4 and under int4 with `-g 128 -S 16`.
+quantiles need the normalized weights alone.  The weights themselves are
+read a row block at a time (`LayerBundle.weight_rows`) for the scales and
+both normalizations, into block buffers freed before the passes start, so
+a layer read from an archive is never held whole.  Measured under
+tracemalloc on 256x2048, where those buffers are 1.6 layers' worth, one
+learn peaks at 4.4 times its float32 layer under nvfp4 and under int4 with
+`-g 128 -S 16`, from memory or from an archive.
 """
 
 from __future__ import annotations

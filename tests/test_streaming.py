@@ -1,19 +1,25 @@
-"""Streaming CLI paths: memory flat in the layer count, whole outputs only, archive order."""
+"""Streaming CLI paths: memory flat in the layer count, layers read a row block
+at a time, whole outputs only, archive order."""
 
 import hashlib
+import json
 import os
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from aaacq import metrics, tensors
+from aaacq import grids, metrics, tensors
 from aaacq.cli import main
-from aaacq.codebooks import AaacConfig
+from aaacq.codebooks import AaacConfig, layer_importance, learn
 from aaacq.errors import ValidationError
-from aaacq.grids import NVFP4
-from aaacq.packfmt import PackReader, model_to_bytes
-from aaacq.tensors import LayerBundle, SynthSpec, save_tensor_archive, synth_layer, write_tensors
+from aaacq.grids import INT4, NVFP4
+from aaacq.packfmt import PackReader, layer_to_bytes, model_to_bytes
+from aaacq.tensors import (
+    LayerBundle, SynthSpec, TensorArchive, read_tensors, save_tensor_archive, synth_layer,
+    write_tensors,
+)
 
 
 def run(*argv):
@@ -62,6 +68,118 @@ def test_peak_memory_does_not_grow_with_the_layer_count(tmp_path):
         assert peaks[16][command] - peaks[8][command] < LAYER_BYTES, (command, peaks)
 
 
+def _write_typed_archive(path, layers, dtype):
+    """An archive of `{name: (weights, calibration)}` with the weights stored as
+    `dtype` (F32, F16, or BF16 by dropping the low half of each float32) and
+    float32 calibration tensors."""
+    entries, chunks, offset = {}, [], 0
+    for name in sorted(layers):
+        w, x = layers[name]
+        raw = {"F32": lambda: w.astype("<f4"), "F16": lambda: w.astype("<f2"),
+               "BF16": lambda: (w.astype("<f4").view("<u4") >> 16).astype("<u2")}[dtype]()
+        for part, kind, arr in (("calib", "F32", x.astype("<f4")), ("weight", dtype, raw)):
+            entries[f"{name}.{part}"] = {"dtype": kind, "shape": list(arr.shape),
+                                         "data_offsets": [offset, offset + arr.nbytes]}
+            chunks.append(arr.tobytes())
+            offset += arr.nbytes
+    header = json.dumps(entries).encode()
+    header += b" " * (-len(header) % 8)
+    path.write_bytes(struct.pack("<Q", len(header)) + header + b"".join(chunks))
+
+
+def _in_memory(path) -> list:
+    """The archive's layers read whole, as bundles of their own arrays."""
+    t = read_tensors(path)
+    names = sorted(name[:-len(".weight")] for name in t if name.endswith(".weight"))
+    return [LayerBundle(n, t[f"{n}.weight"], t.get(f"{n}.calib")) for n in names]
+
+
+@pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
+@pytest.mark.parametrize(
+    "cfg",
+    [AaacConfig.for_format(NVFP4, sel_size=8), AaacConfig.for_format(INT4, group_size=128, sel_size=16)],
+    ids=["nvfp4-S8", "int4-g128-S16"],
+)
+def test_archive_and_in_memory_bundles_give_the_same_packs_and_reports(
+        tmp_path, monkeypatch, dtype, cfg):
+    monkeypatch.setattr(grids, "BLOCK", 1024)  # four rows of 256 a block, the last block short
+    path = tmp_path / "a.safetensors"
+    _write_typed_archive(path, {
+        f"l{i}": (b.weights, b.activations) for i, b in enumerate(
+            synth_layer(SynthSpec(kind, 18, 256, 16, seed=i)) for i, kind in enumerate(tensors.SYNTH_KINDS))
+    }, dtype)
+    memory = _in_memory(path)
+    with TensorArchive(path) as archive:
+        for layer, bundle in zip(archive.layers, memory):
+            for method in metrics.METHODS:
+                packs = [metrics.quantize_layer(b, method, cfg)[0] for b in (archive.load(layer), bundle)]
+                assert layer_to_bytes("w", packs[0]) == layer_to_bytes("w", packs[1]), method
+                rows = [metrics.score(b, packs[1]) for b in (archive.load(layer), bundle)]
+                assert rows[0] == rows[1], method
+        got = metrics.compare(archive.layers, metrics.METHODS, cfg, load=archive.load)
+    assert got.to_json() == metrics.compare(memory, metrics.METHODS, cfg).to_json()
+
+
+class TestBlockReads:
+    """Each command holds a row block of an archive layer's weights, never the layer."""
+
+    ROWS, COLS, TOKENS = 256, 2048, 32
+
+    @pytest.fixture()
+    def archives(self, tmp_path, monkeypatch):
+        # Blocks of two rows: the block buffers are small beside the layer.
+        monkeypatch.setattr(grids, "BLOCK", 4096)
+        b = synth_layer(SynthSpec("laplace", self.ROWS, self.COLS, self.TOKENS, seed=1), name="l")
+        paths = {}
+        for dtype in ("F32", "BF16"):
+            paths[dtype] = tmp_path / f"{dtype}.safetensors"
+            _write_typed_archive(paths[dtype], {"l": (b.weights, b.activations)}, dtype)
+        return paths
+
+    @pytest.mark.parametrize("dtype", ["F32", "BF16"])
+    @pytest.mark.parametrize("method", ["rtn", "if4"])
+    def test_quantize_peaks_below_one_float32_layer(self, tmp_path, archives, method, dtype):
+        argv = ("quantize", archives[dtype], "--out", tmp_path / "m.aaacq", "--method", method,
+                "--threads", "1")
+        _peak_bytes(*argv)  # first-call allocations are not the command's
+        # The codes (1 byte a weight), their packed nibbles and the block
+        # buffers: the float32 layer alone would be 4 bytes a weight.
+        assert _peak_bytes(*argv) < 4 * self.ROWS * self.COLS
+
+    @pytest.mark.parametrize("dtype", ["F32", "BF16"])
+    def test_eval_peaks_at_its_difference_activations_and_2_bytes_a_weight(
+            self, tmp_path, archives, dtype):
+        pack = tmp_path / "m.aaacq"
+        assert run("quantize", archives[dtype], "--out", pack, "--method", "rtn") == 0
+        argv = ("eval", pack, archives[dtype], "--json", "--out", tmp_path / "r.json")
+        _peak_bytes(*argv)
+        n, k, t = self.ROWS, self.COLS, self.TOKENS
+        difference, activations = 8 * n * k, t * k * (4 + 8) + 8 * t * n  # float32, float64, product
+        assert _peak_bytes(*argv) <= difference + activations + 2 * n * k
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [AaacConfig.for_format(NVFP4), AaacConfig.for_format(INT4, group_size=128, sel_size=16)],
+        ids=["nvfp4", "int4-g128-S16"],
+    )
+    def test_learn_from_an_archive_holds_no_copy_of_the_layer(self, tmp_path, cfg):
+        # `TestWorkingSet`'s layer and bound, with the load inside the traced
+        # region: the learner reads each block twice and keeps none.
+        bundle = synth_layer(SynthSpec("mixture", 256, 2048, 64, seed=0), name="l")
+        path = tmp_path / "a.safetensors"
+        save_tensor_archive(path, [bundle])
+        imp = layer_importance(bundle)
+        learn(synth_layer(SynthSpec("mixture", 8, 256, 8, seed=1)), cfg)  # first-call imports
+        with TensorArchive(path) as archive:
+            tracemalloc.start()
+            try:
+                learn(archive.load(archive.layers[0]), cfg, col_importance=imp)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 4.5 * bundle.weights.nbytes
+
+
 def _four_layers(rng):
     return {
         f"l{i}": (rng.standard_normal((4, 64)).astype(np.float32),
@@ -75,6 +193,23 @@ def _write_archive(path, layers):
         f"{name}.{part}": arr
         for name, (w, x) in layers.items() for part, arr in (("weight", w), ("calib", x))
     })
+
+
+def test_only_the_learner_and_scoring_read_the_calibration(tmp_path, capsys):
+    # rtn and if4 never ask for the calibration tensors, so a non-finite one
+    # stops only the commands that use it, naming its layer.
+    layers = _four_layers(np.random.default_rng(5))
+    layers["l1"][1][2, 7] = np.inf
+    arch, pack = tmp_path / "a.safetensors", tmp_path / "m.aaacq"
+    _write_archive(arch, layers)
+    for method in ("rtn", "if4"):
+        assert run("quantize", arch, "--out", pack, "--method", method) == 0
+    capsys.readouterr()
+    for argv in (("quantize", arch, "--out", tmp_path / "aaac.aaacq", "--method", "aaac"),
+                 ("eval", pack, arch), ("compare", arch, "--methods", "rtn")):
+        assert run(*argv) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: layer 'l1': activations contain non-finite values"), argv
 
 
 class TestWholeOutputs:
@@ -106,6 +241,38 @@ class TestWholeOutputs:
         assert run("quantize", arch, "--out", out, "--method", method,
                    "--threads", threads) == 1
         self._check(out, existing, capsys.readouterr().err, "l2")
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("command", [
+        *(("quantize", "--method", m, "--threads", t) for m in ("rtn", "if4", "aaac") for t in "12"),
+        ("eval",), ("compare", "--threads", "2"),
+    ], ids=lambda c: "-".join(c))
+    def test_a_non_finite_weight_in_the_last_row_block(
+            self, tmp_path, capsys, monkeypatch, command, existing):
+        # Blocks of two rows of 64: the NaN is in the second block of l2,
+        # which is read only after the first has been used.
+        monkeypatch.setattr(grids, "BLOCK", 128)
+        layers = _four_layers(np.random.default_rng(4))
+        clean, arch = tmp_path / "clean.safetensors", tmp_path / "a.safetensors"
+        _write_archive(clean, layers)
+        layers["l2"][0][3, 5] = np.nan
+        _write_archive(arch, layers)
+        (tmp_path / "out").mkdir()
+        out = tmp_path / "out" / "o"
+        if existing:
+            out.write_bytes(b"earlier output")
+        if command[0] == "quantize":
+            argv = ("quantize", arch, "--out", out, *command[1:])
+        elif command[0] == "eval":
+            assert run("quantize", clean, "--out", tmp_path / "m.aaacq", "--method", "rtn") == 0
+            argv = ("eval", tmp_path / "m.aaacq", arch, "--json", "--out", out)
+        else:
+            argv = ("compare", arch, "--json", "--out", out, *command[1:])
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        self._check(out, existing, err, "l2")
+        assert err.splitlines()[-1] == "error: layer 'l2': weights contain non-finite values"
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
     def test_synth_of_a_failing_layer(self, tmp_path, capsys, monkeypatch, existing):

@@ -177,6 +177,17 @@ class TestArchiveIO:
         assert np.array_equal(weights.view(np.uint32), bits.astype(np.uint32) << 16)
         assert peak <= 6.1 * rows * cols
 
+    def test_a_bundle_reads_only_while_its_archive_is_open(self, tmp_path):
+        path = tmp_path / "a.safetensors"
+        write_tensors(path, {"q.weight": np.ones((8, 16), np.float32),
+                             "q.calib": np.ones((4, 16), np.float32)})
+        with TensorArchive(path) as archive:
+            bundle = archive.load(archive.layers[0])
+            assert bundle.weight_rows(slice(2, 5)).shape == (3, 16)
+        for read in (lambda: bundle.weight_rows(slice(0, 8)), lambda: bundle.activations):
+            with pytest.raises(ValueError, match="closed"):
+                read()
+
     def test_unsupported_dtype(self, tmp_path):
         path = tmp_path / "a.safetensors"
         write_raw_archive(
