@@ -1,4 +1,5 @@
-"""Fixed 4-bit base grids, per-group scales, and low-precision rounding helpers.
+"""Fixed 4-bit base grids, per-group scales, low-precision rounding helpers,
+and the row blocks that layers are worked in, with their reused buffers.
 
 Two base formats are supported: the 15-value signed E2M1 grid used by NVFP4
 (groups of 16) and the symmetric signed integer grid {-8..7} used by INT4
@@ -217,12 +218,13 @@ def row_blocks(rows: int, cols: int) -> list:
 class Scratch(threading.local):
     """Reused buffers, one set for each thread that uses the object.
 
-    A worker that reads or scores layer after layer takes its buffers from
-    one scratch instead of allocating them per layer or per block, which
-    glibc would map and fault in again each time.  A buffer grows to the
-    largest request it has seen and never shrinks; it lives as long as the
-    object.  A forked worker inherits the forking thread's set, and so works
-    on its own copy.
+    A worker that reads, quantizes or scores block after block, or layer
+    after layer, takes its buffers from one scratch instead of allocating
+    them each time, which glibc would map and fault in again.  A buffer
+    grows to the largest request it has seen and never shrinks; it lives as
+    long as the object, so a command or a layer makes one for its loop and
+    drops it when the loop returns.  A forked worker inherits the forking
+    thread's set, and so works on its own copy.
     """
 
     def __init__(self):

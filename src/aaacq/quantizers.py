@@ -638,7 +638,9 @@ def dequantize(
     np.copyto(positions, index, casting="unsafe")  # checked in range above
     w_hat = both.take(positions, out=scratch.take("decoded", codes.shape), mode="clip")
     _scale_decoded(w_hat, scales, group_size, np.abs(both).max(initial=0.0))
-    out = scratch.take("decoded32", codes.shape, np.float32)
+    # The float32 result takes the place of the positions, which the gather
+    # is done with, so a whole-layer decode holds 16 bytes a weight at most.
+    out = positions.reshape(-1).view(np.float32)[:codes.size].reshape(codes.shape)
     np.copyto(out, w_hat, casting="same_kind")
     return out
 
