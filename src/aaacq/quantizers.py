@@ -605,8 +605,9 @@ def dequantize(
     integer `codes` (`grids.check_groups`), `scales` and `selection` hold one
     value per group of each row, and the tables are 1-D and of one length.
 
-    The float32 result and the work arrays are buffers of `scratch` (a fresh
-    one's when none is given): the result is valid until its next call.
+    With `scratch`, the float32 result and the work arrays are its buffers,
+    and the result is valid until its next call there; without, they are
+    new arrays.
     """
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.dtype.kind not in "ui":
@@ -631,15 +632,18 @@ def dequantize(
         offset = (sel * t0.size).astype(index_type)
         index = (_grouped(codes.astype(index_type, copy=False), sel_size)
                  + offset[:, :, np.newaxis]).reshape(codes.shape)
-    scratch = Scratch() if scratch is None else scratch
-    # `take` would make an intp copy of narrower indices, so it gets one to
-    # reuse; "raise" would buffer `out`, and every index is in range.
+    peak = np.abs(both).max(initial=0.0)
+    if scratch is None:
+        w_hat = both.take(index)
+        _scale_decoded(w_hat, scales, group_size, peak)
+        return w_hat.astype(np.float32)
+    # `take` would make an intp copy of narrower indices each call, so it gets
+    # one to reuse; "raise" would buffer `out`, and every index is in range.
+    # The float32 result then takes the place of the positions.
     positions = scratch.take("positions", codes.shape, np.intp)
     np.copyto(positions, index, casting="unsafe")  # checked in range above
     w_hat = both.take(positions, out=scratch.take("decoded", codes.shape), mode="clip")
-    _scale_decoded(w_hat, scales, group_size, np.abs(both).max(initial=0.0))
-    # The float32 result takes the place of the positions, which the gather
-    # is done with, so a whole-layer decode holds 16 bytes a weight at most.
+    _scale_decoded(w_hat, scales, group_size, peak)
     out = positions.reshape(-1).view(np.float32)[:codes.size].reshape(codes.shape)
     np.copyto(out, w_hat, casting="same_kind")
     return out

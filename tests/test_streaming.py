@@ -195,6 +195,20 @@ def _write_archive(path, layers):
     })
 
 
+def test_no_command_reads_a_whole_weight_tensor(tmp_path, monkeypatch):
+    arch, pack = tmp_path / "a.safetensors", tmp_path / "m.aaacq"
+    _write_archive(arch, _four_layers(np.random.default_rng(6)))
+
+    def whole(bundle):
+        raise AssertionError(f"layer {bundle.name!r} read whole")
+
+    monkeypatch.setattr(tensors._ArchiveBundle, "weights", property(whole))
+    for method in metrics.METHODS:
+        assert run("quantize", arch, "--out", pack, "--method", method, "--threads", "1") == 0
+    assert run("eval", pack, arch, "--w4a8", "--out", tmp_path / "r.txt") == 0
+    assert run("compare", arch, "--threads", "1", "--out", tmp_path / "c.txt") == 0
+
+
 def test_only_the_learner_and_scoring_read_the_calibration(tmp_path, capsys):
     # rtn and if4 never ask for the calibration tensors, so a non-finite one
     # stops only the commands that use it, naming its layer.
