@@ -18,7 +18,6 @@ is asked for.  `read_tensors` reads every tensor whole, unpaired.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -212,11 +211,10 @@ def _pread_tensor(path, fd: int, t: TensorEntry, buf: np.ndarray, skip: int = 0)
         raise FormatError(f"{path}: file ends inside tensor {t.name!r} at byte {t.offset}")
 
 
-def _read_tensor(read, t: TensorEntry, shape=None) -> np.ndarray:
-    """One tensor widened to a float32 array of its own; `read(t, buf)` fills
-    `buf` with its bytes."""
+def _read_tensor(path, fd: int, t: TensorEntry, shape=None) -> np.ndarray:
+    """One tensor read at its offset and widened to a float32 array of its own."""
     raw = np.empty(t.nbytes // _DTYPES[t.dtype].itemsize, dtype=_DTYPES[t.dtype])
-    read(t, raw)
+    _pread_tensor(path, fd, t, raw)
     arr = bf16_decode(raw) if t.dtype == "BF16" else raw.astype(np.float32, copy=False)
     return arr.reshape(t.shape if shape is None else shape)
 
@@ -288,10 +286,11 @@ class TensorArchive(ScannedFile):
     def _scan(self, fd: int) -> list[LayerEntry]:
         return _pair_layers(self.path, _parse_header(self.path, fd))
 
-    def _read(self, t: TensorEntry, buf: np.ndarray, skip: int = 0) -> None:
+    def _open_fd(self, t: TensorEntry) -> int:
+        # A closed descriptor's number may already name another file.
         if self._file.closed:
             raise ValueError(f"{self.path}: tensor {t.name!r} read after the archive was closed")
-        _pread_tensor(self.path, self.fd, t, buf, skip)
+        return self.fd
 
     def load(self, layer: LayerEntry) -> LayerBundle:
         """One layer's bundle, checked as `LayerBundle` checks its arrays: the
@@ -334,7 +333,8 @@ class _ArchiveBundle(LayerBundle):
         if self._x is _UNREAD:
             x = None
             if self._x_shape is not None:
-                x = _read_tensor(self._archive._read, self._layer.calib, self._x_shape)
+                archive, t = self._archive, self._layer.calib
+                x = _read_tensor(archive.path, archive._open_fd(t), t, self._x_shape)
                 _check_finite(self.name, "activations", x)
             self._x = x
         return self._x
@@ -353,7 +353,8 @@ class _ArchiveBundle(LayerBundle):
         raw = out
         if _DTYPES[t.dtype] != out.dtype:
             raw = buffers.take("raw", out.shape, _DTYPES[t.dtype])
-        self._archive._read(t, raw, a * self.cols * raw.itemsize)
+        archive = self._archive
+        _pread_tensor(archive.path, archive._open_fd(t), t, raw, a * self.cols * raw.itemsize)
         if t.dtype == "BF16":
             bf16_decode(raw, out=out)
         elif raw is not out:
@@ -366,8 +367,7 @@ def read_tensors(path) -> dict[str, np.ndarray]:
     """Read all tensors from a safetensors container, widened to float32."""
     with open(path, "rb", buffering=0) as fh:
         fd = fh.fileno()
-        read = functools.partial(_pread_tensor, path, fd)
-        return {name: _read_tensor(read, t) for name, t in _parse_header(path, fd).items()}
+        return {name: _read_tensor(path, fd, t) for name, t in _parse_header(path, fd).items()}
 
 
 def stream_tensors(fh, shapes: dict[str, tuple[int, ...]], produce) -> None:

@@ -75,8 +75,10 @@ def _write_typed_archive(path, layers, dtype):
     entries, chunks, offset = {}, [], 0
     for name in sorted(layers):
         w, x = layers[name]
-        raw = {"F32": lambda: w.astype("<f4"), "F16": lambda: w.astype("<f2"),
-               "BF16": lambda: (w.astype("<f4").view("<u4") >> 16).astype("<u2")}[dtype]()
+        if dtype == "BF16":
+            raw = (w.astype("<f4").view("<u4") >> 16).astype("<u2")
+        else:
+            raw = w.astype({"F32": "<f4", "F16": "<f2"}[dtype])
         for part, kind, arr in (("calib", "F32", x.astype("<f4")), ("weight", dtype, raw)):
             entries[f"{name}.{part}"] = {"dtype": kind, "shape": list(arr.shape),
                                          "data_offsets": [offset, offset + arr.nbytes]}
@@ -104,10 +106,10 @@ def test_archive_and_in_memory_bundles_give_the_same_packs_and_reports(
         tmp_path, monkeypatch, dtype, cfg):
     monkeypatch.setattr(grids, "BLOCK", 1024)  # four rows of 256 a block, the last block short
     path = tmp_path / "a.safetensors"
-    _write_typed_archive(path, {
-        f"l{i}": (b.weights, b.activations) for i, b in enumerate(
-            synth_layer(SynthSpec(kind, 18, 256, 16, seed=i)) for i, kind in enumerate(tensors.SYNTH_KINDS))
-    }, dtype)
+    layers = [synth_layer(SynthSpec(kind, 18, 256, 16, seed=i))
+              for i, kind in enumerate(tensors.SYNTH_KINDS)]
+    _write_typed_archive(path, {f"l{i}": (b.weights, b.activations) for i, b in enumerate(layers)},
+                         dtype)
     memory = _in_memory(path)
     with TensorArchive(path) as archive:
         for layer, bundle in zip(archive.layers, memory):
