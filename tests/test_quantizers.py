@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from aaacq import quantizers
 from aaacq.codebooks import AaacConfig
 from aaacq.errors import CorruptionError, LayoutError, ValidationError
-from aaacq.grids import INT4, NVFP4, base_table, bf16_decode, compute_scales, get_format, round_e4m3
+from aaacq.grids import (
+    INT4, NVFP4, Scratch, base_table, bf16_decode, compute_scales, get_format, round_e4m3,
+)
 from aaacq.metrics import quantize_layer, reconstruct
 from aaacq.packfmt import unpack
 from aaacq.quantizers import (
@@ -819,5 +821,13 @@ class TestKernelPins:
                          group_size, sel_size)
         want = fancy_dequantize(codes, scales, tables[0], tables[1], selection,
                                 group_size, sel_size)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        # On reused buffers, grown by a larger decode first, the bits are the same.
+        scratch = Scratch()
+        sel = selection.astype(np.uint8)
+        dequantize(np.vstack([codes, codes]), np.vstack([scales, scales]), tables[0], tables[1],
+                   np.vstack([sel, sel]), group_size, sel_size, scratch)
+        got = dequantize(codes, scales, tables[0], tables[1], sel, group_size, sel_size, scratch)
         assert got.dtype == np.float32
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
