@@ -149,10 +149,13 @@ def cmd_dequantize(args) -> int:
     _check_paths(inputs=[args.pack], outputs=[args.out])
     with packfmt.PackReader(args.pack) as pack, _replacing(args.out) as fh:
         entries = {e.name + ".weight": e for e in pack.layers}
+        scratch = metrics.Scratch()
 
         def decode(name):
+            # Each row block is written before the next is decoded, on the same buffers.
             with naming_layer(entries[name].name):
-                return metrics.reconstruct(pack.read(entries[name]))
+                for _, block in metrics.decoded_rows(pack.read(entries[name]), scratch):
+                    yield block
 
         tensors.stream_tensors(fh, {name: (e.rows, e.cols) for name, e in entries.items()}, decode)
     _log(f"dequantized {len(entries)} layers -> {args.out}")
@@ -182,15 +185,19 @@ def cmd_eval(args) -> int:
                 raise PairingError(f"packed layer {e.name!r} has no weights in {args.archive}")
         scratch, rows = metrics.Scratch(), []
         for e in pack.layers:
-            # Loading reads nothing: scoring reads the weights a row block at
-            # a time into the archive's reused buffers, and the calibration
-            # tensor whole once asked for.  The last layer's goes as this loads.
+            # Loading reads nothing: scoring reads the weights and then the
+            # calibration a row block at a time, into the scratch's buffers.
             bundle = archive.load(layers[e.name])
-            x_out = None
-            if args.w4a8 and bundle.activations is not None:
-                x_out = metrics.simulate_w4a8(bundle.activations, scratch)
             with naming_layer(e.name):
-                rows.append(metrics.score(bundle, pack.read(e), output_activations=x_out,
+                p = pack.read(e)
+                if not args.w4a8:
+                    rows.append(metrics.score(bundle, p, scratch=scratch))
+                    continue
+                # Importance reads the calibration before the W4A8 result replaces it.
+                x = metrics.read_calibration(bundle, scratch)
+                imp = codebooks.column_importance(x, bundle.cols)
+                x_out = None if x is None else metrics.simulate_w4a8(x, scratch)
+                rows.append(metrics.score(bundle, p, output_activations=x_out, col_importance=imp,
                                           scratch=scratch))
     _emit_report(metrics.report(rows), args)
     return 0
@@ -292,7 +299,7 @@ def cmd_synth(args) -> int:
         if name not in held:
             held.clear()
             held[name] = tensors.synth_layer(specs[name], name=name)
-        return held[name].weights if part == "weight" else held[name].activations
+        return [held[name].weights if part == "weight" else held[name].activations]
 
     with _replacing(args.out) as fh:
         tensors.stream_tensors(fh, shapes, produce)

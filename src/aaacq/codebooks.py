@@ -157,14 +157,21 @@ def _checked_importance(col_importance, cols: int) -> np.ndarray:
 
 
 def layer_importance(bundle: LayerBundle) -> np.ndarray:
-    """The column importance a layer is weighted by.
+    """The column importance a layer is weighted by: `column_importance` of
+    the bundle's calibration activations, read for it and not kept."""
+    return column_importance(bundle.activations, bundle.cols)
 
-    Importance of the bundle's calibration activations, or unit importance
-    when there are none or every column has zero importance.
+
+def column_importance(activations, cols: int) -> np.ndarray:
+    """Importance of calibration activations, or unit importance over `cols`
+    columns when there are none or every column has zero importance.
+
+    float32 activations and their float64 widening give the same bits:
+    `importance` squares them in float64 either way.
     """
-    imp = None if bundle.activations is None else importance(bundle.activations)
+    imp = None if activations is None else importance(activations)
     if imp is None or not imp.any():
-        imp = np.ones(bundle.cols, dtype=np.float64)
+        imp = np.ones(cols, dtype=np.float64)
     return imp
 
 

@@ -193,6 +193,18 @@ def _check_group_shapes(shape: tuple, group_size: int, sel_size: int, scales, se
             raise ValidationError(f"{what} of shape {np.shape(a)} for a {shape} layer in groups of {size}")
 
 
+def _checked_uint8(what: str, a: np.ndarray, top: int) -> np.ndarray:
+    """`a` as uint8, once checked in its own dtype, before a cast could wrap
+    or truncate it, to hold whole numbers from 0 to `top`.  Its minimum and
+    maximum make no layer-sized temporaries, and NaN fails them."""
+    if a.dtype.kind not in "biuf":
+        raise ValidationError(f"{what}s must be numbers, got {a.dtype}")
+    if not (a.min() >= 0 and a.max() <= top and (a.dtype.kind != "f" or (a == np.trunc(a)).all())):
+        bad = a[(a < 0) | (a > top) | (a != np.trunc(a))][0]
+        raise ValidationError(f"{what} {bad} is not a whole number from 0 to {top}")
+    return a.astype(np.uint8, copy=False)
+
+
 # Values per row block of the learner's passes, and per leaf of their error
 # sums, and of the fixed-grid quantizers and the decoder (2 vCPUs measured).
 # Two 512x4096 nvfp4 learns on two threads took a median 5.6% more CPU at

@@ -3,6 +3,10 @@
 It also holds the one per-layer quantize path (`quantize_layer`, used by the
 `quantize` and `compare` commands) and the one scoring path (`score`, which
 decodes a packed layer as `eval` does), so `compare` measures what ships.
+Scoring holds a layer's float64 difference, its float64 calibration
+activations and their tokens x rows product, on buffers reused from layer
+to layer (`grids.Scratch`); the codes are decoded from the pack and the
+activations read from the archive a row block at a time.
 
 Gap recovery summarizes a method against the round-to-nearest baseline as
 the percentage of the quantization-induced degradation it removes relative
@@ -23,10 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebooks import AaacConfig, _difference, _error_sums, layer_importance, learn
+from . import grids
+from .codebooks import AaacConfig, _difference, _error_sums, column_importance, learn
 from .errors import AaacqError, PairingError, UndefinedGapError, ValidationError, naming_layer
-from .grids import E4M3_MAX, Scratch, base_table, round_e4m3_into, row_blocks
-from .packfmt import PackedLayer, check_header, pack, selection_overhead_bpw, unpack
+from .grids import E4M3_MAX, Scratch, base_table, check_groups, round_e4m3_into, row_blocks
+from .packfmt import (
+    PackedLayer, check_header, pack, selection_overhead_bpw, unpack_groups, unpack_rows,
+)
 from .quantizers import dequantize, if4_quantize, if4_tables, rtn_quantize
 from .tensors import LayerBundle
 
@@ -42,17 +49,12 @@ def layer_output_mse(weights, reconstructed, activations) -> float:
     d = _difference(weights, reconstructed)
     if np.ndim(activations) != 2 or np.shape(activations)[1:] != d.shape[1:]:
         raise ValidationError(f"activations of shape {np.shape(activations)} for {d.shape} weights")
-    return _output_mse(d, activations, Scratch())
+    return _output_mse(d, np.array(activations, dtype=np.float64, order="C"), Scratch())
 
 
-def _output_mse(d, activations, scratch: Scratch) -> float:
-    """`layer_output_mse` from the difference `d = What - W`, in float64.
-
-    The activations' float64 copy and the tokens x rows product are
-    `scratch`'s buffers.
-    """
-    x = scratch.take("activations", np.shape(activations))
-    np.copyto(x, activations)
+def _output_mse(d, x, scratch: Scratch) -> float:
+    """`layer_output_mse` from the difference `d = What - W` and the float64
+    activations `x`; the tokens x rows product is `scratch`'s buffer."""
     err = np.matmul(x, d.T, out=scratch.take("product", (x.shape[0], d.shape[0])))
     np.square(err, out=err)
     return float(err.sum() / x.shape[0])
@@ -86,28 +88,43 @@ def simulate_w4a8(activations: np.ndarray, scratch: Scratch | None = None) -> np
     The tensor absmax maps onto the format maximum of 448; each activation is
     rounded to the nearest E4M3 value of its magnitude and rescaled.  An
     all-zero tensor passes through unchanged.  The operation is idempotent.
+    Activations are taken as float32, and raise `ValidationError` unless
+    they are finite.
 
     The float32 result is `scratch`'s `w4a8` buffer (a fresh scratch's when
-    none is given), valid until the next call on that scratch; the rounding's
-    exponents use it before the result does.  The float64 work arrays borrow
-    the activations and difference buffers, which `score` fills only after
-    it has read the result.
+    none is given), valid until the next call on that scratch.  It holds the
+    magnitudes until they are rounded, a block of `grids.BLOCK` values at a
+    time, and each block's exponents while it is.  The float64 work arrays
+    are two blocks of the difference buffer, which `score` fills only after
+    this returns.  `activations` are only read: `eval --w4a8` rounds
+    scoring's float64 activations buffer, which holds the calibration until
+    importance has read it.
     """
-    x = np.asarray(activations, dtype=np.float32)
+    a = np.asarray(activations)
     scratch = Scratch() if scratch is None else scratch
-    out = scratch.take("w4a8", x.shape, np.float32)
-    absmax = float(np.abs(x, out=out).max()) if x.size else 0.0
+    out = scratch.take("w4a8", a.shape, np.float32)
+    flat, result = a.reshape(-1), out.reshape(-1)
+    blocks = [slice(i, i + grids.BLOCK) for i in range(0, flat.size, grids.BLOCK)]
+    absmax = 0.0
+    for c in blocks:
+        top = float(np.abs(flat[c], out=result[c]).max())
+        if not np.isfinite(top):
+            raise ValidationError("activations contain non-finite values")
+        absmax = top if top > absmax else absmax
     if absmax == 0.0:
-        np.copyto(out, x)
+        np.copyto(out, a)
         return out
     scale = absmax / E4M3_MAX
-    mag = scratch.take("activations", x.shape)
-    np.abs(x, out=mag)
-    np.divide(mag, scale, out=mag)
-    round_e4m3_into(mag, scratch.take("difference", x.shape), out.view(np.intc))
-    np.multiply(mag, scale, out=mag)
-    np.copysign(mag, x, out=mag)
-    np.copyto(out, mag, casting="same_kind")
+    work = scratch.take("difference", (2, min(flat.size, grids.BLOCK)))
+    for c in blocks:
+        size = result[c].size
+        mag, quantum = work[0, :size], work[1, :size]
+        np.copyto(mag, result[c])
+        np.divide(mag, scale, out=mag)
+        round_e4m3_into(mag, quantum, result[c].view(np.intc))
+        np.multiply(mag, scale, out=mag)
+        np.copysign(mag, flat[c], out=mag)
+        np.copyto(result[c], mag, casting="same_kind")
     return out
 
 
@@ -118,8 +135,10 @@ def bits_per_weight(
 
     Counts the 4 code bits, BF16 scales amortized over their groups, the
     selection bitset when it exists, and the two stored codebooks amortized
-    over the layer.
+    over the layer.  Raises `ValidationError` unless the group sizes split
+    rows of `cols` (`grids.check_groups`).
     """
+    check_groups(group_size, sel_size, cols)
     parts = {
         "code_bpw": 4.0,
         "scale_bpw": 16.0 / group_size,
@@ -340,12 +359,28 @@ def quantize_layer(bundle: LayerBundle, method: str, cfg: AaacConfig, col_import
     return packed, trace
 
 
+def decoded_rows(p: PackedLayer, scratch: Scratch | None = None):
+    """The weights a packed layer decodes to, one row block at a time: an
+    iterator of (rows, float32 block), each block on `scratch`'s buffers
+    (a fresh scratch's when none is given) and valid until the next.
+
+    Each block's codes are decoded from its bytes of the code section
+    (`packfmt.unpack_rows`) and then by `dequantize`; no whole-layer code
+    array is made.  Everything but the codes is checked before this returns.
+    """
+    t0, t1, sel, scales = unpack_groups(p)
+    scratch = Scratch() if scratch is None else scratch
+    g, s = p.group_size, p.sel_size
+    return ((r, dequantize(unpack_rows(p, r, scratch), scales[r], t0, t1, sel[r], g, s, scratch))
+            for r in row_blocks(p.rows, p.cols))
+
+
 def reconstruct(p: PackedLayer) -> np.ndarray:
     """The weights a packed layer decodes to, decoded one row block at a time."""
-    t0, t1, sel, codes, scales = unpack(p)
-    scratch = Scratch()
-    return _by_row_blocks(codes.shape, lambda r: (
-        dequantize(codes[r], scales[r], t0, t1, sel[r], p.group_size, p.sel_size, scratch),))[0]
+    out = np.empty((p.rows, p.cols), np.float32)
+    for r, block in decoded_rows(p):
+        out[r] = block
+    return out
 
 
 def score(
@@ -357,40 +392,69 @@ def score(
 ) -> LayerMetrics:
     """`layer_metrics` of a packed layer against the layer it was quantized from.
 
-    Each row block is decoded by `dequantize`, as `reconstruct` decodes it,
+    Each row block is decoded as `reconstruct` decodes it (`decoded_rows`),
     and `decoded - weights` goes straight into the float64 difference buffer
     of `scratch` (a fresh one when none is given).  No whole-layer decode is
     made: the float32 block keeps the decoder's rounding, and both operands
     widen exactly, so the difference is the one of the whole-layer decode.
+
+    Importance is `col_importance`, or that of the bundle's calibration
+    activations; the output MSE reads `output_activations`, or those.  The
+    calibration is read only when one of them needs it, into the float64
+    activations buffer (`read_calibration`), where both read it.  Float64
+    `output_activations` are read as they are, others widened into that
+    buffer once importance has read it.
     """
     scratch = Scratch() if scratch is None else scratch
     d = _difference_from_pack(bundle, p, scratch)
-    return layer_metrics(
-        bundle, p.method, d, p.group_size, p.sel_size, p.table_size,
-        output_activations=output_activations, col_importance=col_importance, scratch=scratch,
-    )
+    x = None
+    if col_importance is None or output_activations is None:
+        x = read_calibration(bundle, scratch)
+    if col_importance is None:
+        col_importance = column_importance(x, bundle.cols)
+    if output_activations is not None:
+        x = np.asarray(output_activations)
+        if x.dtype != np.float64 or not x.flags.c_contiguous:
+            x = scratch.take("activations", x.shape)
+            np.copyto(x, output_activations)
+    return layer_metrics(bundle, p.method, d, p.group_size, p.sel_size, p.table_size,
+                         x, col_importance, scratch)
+
+
+def read_calibration(bundle: LayerBundle, scratch: Scratch) -> np.ndarray | None:
+    """The bundle's calibration activations, widened into `scratch`'s float64
+    activations buffer a row block at a time (`LayerBundle.read_activations`),
+    or None when it has none.  Widening is exact, so importance and the
+    output MSE read the values of the stored tensor."""
+    if bundle.activation_shape is None:
+        return None
+    x = scratch.take("activations", bundle.activation_shape)
+    bundle.read_activations(x)
+    return x
 
 
 def _difference_from_pack(bundle: LayerBundle, p: PackedLayer, scratch: Scratch) -> np.ndarray:
     """`reconstruct(p) - bundle.weights` in float64, on `scratch`'s difference buffer."""
-    t0, t1, sel, codes, scales = unpack(p)
-    if codes.shape != bundle.shape:
+    blocks = decoded_rows(p, scratch)
+    if (p.rows, p.cols) != bundle.shape:
         raise PairingError(
-            f"packed layer {bundle.name!r} shape {codes.shape} does not match "
+            f"packed layer {bundle.name!r} shape {(p.rows, p.cols)} does not match "
             f"archive shape {bundle.shape}"
         )
     d = scratch.take("difference", bundle.shape)
-    for r in row_blocks(*bundle.shape):
-        np.copyto(d[r], dequantize(codes[r], scales[r], t0, t1, sel[r], p.group_size, p.sel_size,
-                                   scratch))
+    for r, block in blocks:
+        np.copyto(d[r], block)
         d[r] -= bundle.weight_rows(r)
     return d
 
 
-def _run_method(bundle: LayerBundle, method: str, cfg: AaacConfig, col_importance, scratch):
-    """`compare`'s task: quantize one layer with one method and score the pack."""
+def _run_method(bundle: LayerBundle, method: str, cfg: AaacConfig, col_importance, activations,
+                scratch):
+    """`compare`'s task: quantize one layer with one method and score the pack
+    on the layer's importance and float64 `activations`, read once for all methods."""
     packed, _ = quantize_layer(bundle, method, cfg, col_importance)
-    return score(bundle, packed, col_importance=col_importance, scratch=scratch)
+    return score(bundle, packed, output_activations=activations, col_importance=col_importance,
+                 scratch=scratch)
 
 
 def layer_metrics(
@@ -400,23 +464,18 @@ def layer_metrics(
     group_size: int,
     sel_size: int,
     table_size: int,
-    output_activations: np.ndarray | None,
-    col_importance: np.ndarray | None,
+    activations: np.ndarray | None,
+    col_importance: np.ndarray,
     scratch: Scratch,
 ) -> LayerMetrics:
     """Metrics for one layer from its float64 difference `What - W`.
 
-    The output MSE reads `difference`, which is then squared in place for
-    the other errors.  Importance weighting always uses the bundle's
-    calibration activations (`layer_importance`, or `col_importance` when
-    the caller has it already); `output_activations` substitutes the
-    activations used for the output-MSE metric (for simulated low-precision
-    inference).  The output MSE's buffers are `scratch`'s.
+    The output MSE reads `difference` and the float64 `activations` (no
+    output MSE when None), with its product on `scratch`; `difference` is
+    then squared in place for the errors, which `col_importance` weights.
     """
-    imp = layer_importance(bundle) if col_importance is None else col_importance
-    x_out = output_activations if output_activations is not None else bundle.activations
-    output_mse = _output_mse(difference, x_out, scratch) if x_out is not None else None
-    mse, weighted_err = _error_sums(difference, imp)
+    output_mse = None if activations is None else _output_mse(difference, activations, scratch)
+    mse, weighted_err = _error_sums(difference, col_importance)
     return LayerMetrics(
         layer=bundle.name,
         method=method,
@@ -464,8 +523,9 @@ def compare(
     """Quantize every layer with every requested method and `report` the packs' metrics.
 
     Each row scores the packed layer `quantize` would write, decoded the way
-    `eval` decodes it.  One task per layer loads it with `load`, computes its
-    importance once and runs every method, on one of `threads` workers
+    `eval` decodes it.  One task per layer loads it with `load`, reads its
+    calibration once into the worker's activations buffer, computes its
+    importance there and runs every method, on one of `threads` workers
     (forked when `runs_forked(methods)`); the report is the same either way.
     Each worker scores on its own buffers of one `Scratch`, dropped on return.
     """
@@ -482,8 +542,9 @@ def compare(
     def layer_rows(layer):
         bundle = load(layer)
         with naming_layer(bundle.name):
-            imp = layer_importance(bundle)
-            return [_run_method(bundle, m, cfg, imp, scratch) for m in methods]
+            x = read_calibration(bundle, scratch)
+            imp = column_importance(x, bundle.cols)
+            return [_run_method(bundle, m, cfg, imp, x, scratch) for m in methods]
 
     per_layer = parallel_map(layer_rows, bundles, threads, fork=runs_forked(methods))
     return report([row for rows in per_layer for row in rows])

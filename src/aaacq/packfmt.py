@@ -42,7 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptionError, ValidationError, naming_layer
-from .grids import _check_group_shapes, bf16_bits, bf16_decode, check_groups
+from .grids import (
+    Scratch, _check_group_shapes, _checked_uint8, bf16_bits, bf16_decode, check_groups, row_blocks,
+)
 from .tensors import ScannedFile, pread_into
 
 MAGIC = b"AAACQ\x00"
@@ -228,18 +230,6 @@ def pack(
     )
 
 
-def _checked_uint8(what: str, a: np.ndarray, top: int) -> np.ndarray:
-    """`a` as uint8, once checked in its own dtype, before a cast could wrap
-    or truncate it, to hold whole numbers from 0 to `top`.  Its minimum and
-    maximum make no layer-sized temporaries, and NaN fails them."""
-    if a.dtype.kind not in "biuf":
-        raise ValidationError(f"{what}s must be numbers, got {a.dtype}")
-    if not (a.min() >= 0 and a.max() <= top and (a.dtype.kind != "f" or (a == np.trunc(a)).all())):
-        bad = a[(a < 0) | (a > top) | (a != np.trunc(a))][0]
-        raise ValidationError(f"{what} {bad} is not a whole number from 0 to {top}")
-    return a.astype(np.uint8, copy=False)
-
-
 def _check_stored_groups(group_size: int, sel_size: int, cols: int, flags: int) -> None:
     """Raise `CorruptionError` unless stored group sizes follow `check_groups`
     and the bitset flag is set exactly when selection groups are finer."""
@@ -255,8 +245,21 @@ def unpack(p: PackedLayer):
     """Recover (table0, table1, selection, codes, scales) from a packed layer.
 
     Scales come back as their positive BF16 magnitudes; selection bits are
-    read from scale signs or from the bitset depending on the layout.
+    read from scale signs or from the bitset depending on the layout.  This
+    is `unpack_groups` and the codes of every row block (`unpack_rows`),
+    which decoders that work a row block at a time call instead.
     """
+    t0, t1, selection, scales = unpack_groups(p)
+    codes, scratch = np.empty((p.rows, p.cols), np.uint8), Scratch()
+    for r in row_blocks(p.rows, p.cols):
+        codes[r] = unpack_rows(p, r, scratch)
+    return t0, t1, selection, codes, scales
+
+
+def unpack_groups(p: PackedLayer):
+    """(table0, table1, selection, scales) of a packed layer: all that `unpack`
+    recovers but the codes, with every check it makes but the code nibbles'
+    range, which `unpack_rows` checks."""
     count = p.rows * p.cols
     _check_stored_groups(p.group_size, p.sel_size, p.cols, p.flags)
     sizes = size_breakdown(p.rows, p.cols, p.group_size, p.sel_size, p.table_size)
@@ -282,21 +285,49 @@ def unpack(p: PackedLayer):
         sel = np.unpackbits(bits, bitorder="little")[: count // p.sel_size]
     else:
         sel = (scale_bits >> 15).astype(np.uint8)
-    selection = sel.reshape(p.rows, p.cols // p.sel_size)
+    _code_section(p)
+    return t0, t1, sel.reshape(p.rows, p.cols // p.sel_size), scales
 
+
+def _code_section(p: PackedLayer) -> np.ndarray:
+    """The code section's bytes, a uint8 view, once checked against the header."""
     raw = np.frombuffer(p.code_bytes, dtype=np.uint8)
-    if raw.size != sizes["code_bytes"]:
+    if raw.size != -(-(p.rows * p.cols) // 2):
         raise CorruptionError("code section size does not match the header")
-    nibbles = np.empty(raw.size * 2, dtype=np.uint8)
-    nibbles[0::2] = raw & 0x0F
-    nibbles[1::2] = raw >> 4
-    codes = nibbles[:count]
+    return raw
+
+
+def unpack_rows(p: PackedLayer, rows: slice, scratch: Scratch | None = None) -> np.ndarray:
+    """The codes of rows `rows`, a slice of step 1, of a packed layer.
+
+    Only those rows' bytes of the code section are split into nibbles, and
+    the codes are checked to index the layer's tables.  They are `scratch`'s
+    `nibbles` buffer (a fresh scratch's when none is given), valid until its
+    next call there.
+    """
+    a, b, step = rows.indices(p.rows)
+    if step != 1:
+        raise ValueError(f"rows must be a slice of step 1, got {rows}")
+    raw = _code_section(p)
+    scratch = Scratch() if scratch is None else scratch
+    start, stop = a * p.cols, max(a, b) * p.cols
+    lo, hi = start // 2, -(-stop // 2)  # the bytes that hold codes start:stop
+    # Each byte widens to a little-endian pair of bytes, its low nibble then
+    # its high one: five contiguous passes cost a quarter of two strided ones.
+    pairs = scratch.take("nibbles", (hi - lo,), np.dtype("<u2"))
+    high = scratch.take("high nibbles", (hi - lo,), np.dtype("<u2"))
+    np.copyto(pairs, raw[lo:hi])
+    np.left_shift(pairs, 4, out=high)
+    np.bitwise_and(pairs, 0x0F, out=pairs)
+    np.bitwise_and(high, 0x0F00, out=high)
+    np.bitwise_or(pairs, high, out=pairs)
+    codes = pairs.view(np.uint8)[start - 2 * lo:stop - 2 * lo]
     if codes.size and int(codes.max()) >= p.table_size:
         raise CorruptionError(
             f"code nibble {int(codes.max())} out of range for "
             f"{p.table_size}-entry tables"
         )
-    return t0, t1, selection, codes.reshape(p.rows, p.cols), scales
+    return codes.reshape(-1, p.cols)
 
 
 # ---------------------------------------------------------------------------

@@ -94,9 +94,11 @@ from .grids import (
     BaseFormat,
     Scratch,
     _check_group_shapes,
+    _checked_uint8,
     base_table,
     compute_scales,
     group_absmax,
+    row_blocks,
     scales_from_absmax,
 )
 
@@ -598,21 +600,24 @@ def dequantize(
 ) -> np.ndarray:
     """Reconstruct weights: the selected table's entry times the group scale.
 
-    `selection` holds one bit per selection group of `sel_size` contiguous
+    `selection` holds one value per selection group of `sel_size` contiguous
     in-row weights choosing table0 (0) or table1 (1).  Products beyond
     float32's range saturate at its largest finite value.  Raises
     `ValidationError` unless the group sizes split the rows of the 2-D
     integer `codes` (`grids.check_groups`), `scales` and `selection` hold one
-    value per group of each row, and the tables are 1-D and of one length.
+    value per group of each row, every selection value is 0 or 1, and the
+    tables are 1-D and of one length.
 
     With `scratch`, the float32 result and the work arrays are its buffers,
-    and the result is valid until its next call there; without, they are
-    new arrays.
+    and the result is valid until its next call there.  Without, the result
+    is a new array, decoded one of its `row_blocks` at a time on block
+    buffers of its own.
     """
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.dtype.kind not in "ui":
         raise ValidationError(f"codes must be 2-D integers, got {codes.dtype} of shape {codes.shape}")
     _check_group_shapes(codes.shape, group_size, sel_size, scales, selection)
+    sel = _checked_uint8("selection value", np.asarray(selection), 1)
     t0 = np.asarray(table0, dtype=np.float64)
     t1 = np.asarray(table1, dtype=np.float64)
     if t0.ndim != 1 or t0.shape != t1.shape:
@@ -622,28 +627,33 @@ def dequantize(
         raise CorruptionError(
             f"codes {int(codes.min())} to {int(codes.max())} out of range for {t0.size}-entry tables"
         )
+    both = np.concatenate((t0, t1))
+    if scratch is not None:
+        return _decode(codes, scales, both, sel, group_size, sel_size, scratch)
+    out, scratch = np.empty(codes.shape, np.float32), Scratch()
+    for r in row_blocks(*codes.shape):
+        out[r] = _decode(codes[r], scales[r], both, sel[r], group_size, sel_size, scratch)
+    return out
+
+
+def _decode(codes, scales, both, sel, group_size: int, sel_size: int, scratch: Scratch) -> np.ndarray:
+    """`dequantize` of checked inputs, `both` its two tables end to end, on
+    `scratch`'s buffers."""
     # One gather from both tables side by side: table 1's codes offset by M,
     # in the narrowest index type that holds the last of both tables' indices.
-    both = np.concatenate((t0, t1))
-    sel = np.asarray(selection, dtype=bool)
     index = codes
     if sel.any():
         index_type = np.promote_types(codes.dtype, np.min_scalar_type(both.size - 1))
-        offset = (sel * t0.size).astype(index_type)
+        offset = sel.astype(index_type) * (both.size // 2)
         index = (_grouped(codes.astype(index_type, copy=False), sel_size)
                  + offset[:, :, np.newaxis]).reshape(codes.shape)
-    peak = np.abs(both).max(initial=0.0)
-    if scratch is None:
-        w_hat = both.take(index)
-        _scale_decoded(w_hat, scales, group_size, peak)
-        return w_hat.astype(np.float32)
     # `take` would make an intp copy of narrower indices each call, so it gets
     # one to reuse; "raise" would buffer `out`, and every index is in range.
     # The float32 result then takes the place of the positions.
     positions = scratch.take("positions", codes.shape, np.intp)
-    np.copyto(positions, index, casting="unsafe")  # checked in range above
+    np.copyto(positions, index, casting="unsafe")  # checked in range by `dequantize`
     w_hat = both.take(positions, out=scratch.take("decoded", codes.shape), mode="clip")
-    _scale_decoded(w_hat, scales, group_size, peak)
+    _scale_decoded(w_hat, scales, group_size, np.abs(both).max(initial=0.0))
     out = positions.reshape(-1).view(np.float32)[:codes.size].reshape(codes.shape)
     np.copyto(out, w_hat, casting="same_kind")
     return out

@@ -10,10 +10,12 @@ same number of input columns.
 Reading never holds the whole file.  `TensorArchive` checks the header and
 the pairing once, and its layer bundles read their tensors with positional
 reads at their offsets (not `mmap`, whose pages would count toward the
-reader's resident memory): the weights a row block at a time, each block
-widened in reused buffers, and the calibration tensor whole, only when it
-is asked for.  `read_tensors` reads every tensor whole, unpaired.
-`stream_tensors` writes the header first and then one tensor at a time.
+reader's resident memory), only when asked for, and never kept: the
+weights a row block at a time, each block widened in reused buffers; the
+calibration tensor a chunk of tokens at a time into the caller's float64
+array (`read_activations`), or whole (`activations`).  `read_tensors` reads
+every tensor whole, unpaired.  `stream_tensors` writes the header first and
+then one tensor at a time, a row block at a time.
 """
 
 from __future__ import annotations
@@ -66,16 +68,19 @@ class LayerBundle:
     """One linear layer's weights plus optional calibration activations.
 
     Every quantizer and scorer reads the weights a block of rows at a time
-    through `weight_rows`; `weights` is the whole array.  A bundle made from
-    arrays holds them and checks them whole.  One that `TensorArchive.load`
-    makes reads each block from the archive when asked for it (see
-    `_ArchiveBundle`).
+    through `weight_rows`; `weights` is the whole array.  Scoring reads the
+    activations, of `activation_shape` (None without), into its float64
+    buffer through `read_activations`; `activations` is the whole array.  A
+    bundle made from arrays holds them and checks them whole.  One that
+    `TensorArchive.load` makes reads each block from the archive when asked
+    for it (see `_ArchiveBundle`).
     """
 
     def __init__(self, name: str, weights: np.ndarray, activations: np.ndarray | None = None):
         self.name, self.weights, self.activations = name, weights, activations
         self.shape = np.shape(weights)
-        _check_shapes(name, self.shape, None if activations is None else np.shape(activations))
+        self.activation_shape = None if activations is None else np.shape(activations)
+        _check_shapes(name, self.shape, self.activation_shape)
         _check_finite(name, "weights", weights)
         if activations is not None:
             _check_finite(name, "activations", activations)
@@ -93,6 +98,11 @@ class LayerBundle:
         `weights`.  A block read from an archive is a buffer of `scratch`, by
         default the archive's for the calling thread, valid until its next read."""
         return self.weights[rows]
+
+    def read_activations(self, out: np.ndarray) -> None:
+        """The activations widened into `out`, a C-contiguous float64 array of
+        `activation_shape`: exact, so they are the values `activations` holds."""
+        np.copyto(out, self.activations)
 
 
 # ---------------------------------------------------------------------------
@@ -211,12 +221,12 @@ def _pread_tensor(path, fd: int, t: TensorEntry, buf: np.ndarray, skip: int = 0)
         raise FormatError(f"{path}: file ends inside tensor {t.name!r} at byte {t.offset}")
 
 
-def _read_tensor(path, fd: int, t: TensorEntry, shape=None) -> np.ndarray:
+def _read_tensor(path, fd: int, t: TensorEntry) -> np.ndarray:
     """One tensor read at its offset and widened to a float32 array of its own."""
     raw = np.empty(t.nbytes // _DTYPES[t.dtype].itemsize, dtype=_DTYPES[t.dtype])
     _pread_tensor(path, fd, t, raw)
     arr = bf16_decode(raw) if t.dtype == "BF16" else raw.astype(np.float32, copy=False)
-    return arr.reshape(t.shape if shape is None else shape)
+    return arr.reshape(t.shape)
 
 
 def _pair_layers(path, entries: dict[str, TensorEntry]) -> list[LayerEntry]:
@@ -299,67 +309,73 @@ class TensorArchive(ScannedFile):
         return _ArchiveBundle(self, layer)
 
 
-_UNREAD = object()
-
-
 class _ArchiveBundle(LayerBundle):
     """A layer of an open `TensorArchive`, read only as it is asked for.
 
     `weight_rows` reads just those rows with one positional read into
     reused buffers (the caller's scratch, or the archive's for the calling
     thread), widens BF16 and F16 there and checks the block finite before
-    returning it.  `weights` reads the whole layer through the same path
-    each time it is asked for; no command asks.  The calibration tensor is
-    read whole the first time `activations` is asked for, checked and kept.
+    returning it.  `read_activations` reads the calibration tensor the same
+    way, one row block of tokens at a time, into the caller's float64
+    array.  `weights` and `activations` read the whole tensor through the
+    same path each time they are asked for, and keep nothing: only the
+    learner asks, for the activations, to take their importance.
     """
 
     def __init__(self, archive: TensorArchive, layer: LayerEntry):
         self.name, self._archive, self._layer = layer.name, archive, layer
-        self.shape, self._x_shape, self._x = layer.weight.shape, None, _UNREAD
+        self.shape, self.activation_shape = layer.weight.shape, None
         if layer.calib is not None:
             *lead, cols = layer.calib.shape
-            self._x_shape = (math.prod(lead), cols)
-        _check_shapes(self.name, self.shape, self._x_shape)
+            self.activation_shape = (math.prod(lead), cols)
+        _check_shapes(self.name, self.shape, self.activation_shape)
 
     @property
     def weights(self) -> np.ndarray:
-        out = np.empty(self.shape, np.float32)
-        for r in row_blocks(*self.shape):
-            self._read_rows(r, self._archive._buffers, out[r])
-        return out
+        return self._read(self._layer.weight, np.empty(self.shape, np.float32))
 
     @property
     def activations(self) -> np.ndarray | None:
-        if self._x is _UNREAD:
-            x = None
-            if self._x_shape is not None:
-                archive, t = self._archive, self._layer.calib
-                x = _read_tensor(archive.path, archive._open_fd(t), t, self._x_shape)
-                _check_finite(self.name, "activations", x)
-            self._x = x
-        return self._x
+        if self.activation_shape is None:
+            return None
+        return self._read(self._layer.calib, np.empty(self.activation_shape, np.float32))
+
+    def read_activations(self, out: np.ndarray) -> None:
+        self._read(self._layer.calib, out)
+
+    def _read(self, t: TensorEntry, out: np.ndarray) -> np.ndarray:
+        """All of tensor `t` into `out`, one row block at a time."""
+        for r in row_blocks(*out.shape):
+            self._read_rows(t, r, self._archive._buffers, out[r])
+        return out
 
     def weight_rows(self, rows: slice, scratch: Scratch | None = None) -> np.ndarray:
-        return self._read_rows(rows, scratch or self._archive._buffers)
+        return self._read_rows(self._layer.weight, rows, scratch or self._archive._buffers)
 
-    def _read_rows(self, rows: slice, buffers: Scratch, out: np.ndarray | None = None) -> np.ndarray:
-        """Rows `rows` as float32 into `out`, by default the block buffer of `buffers`."""
-        a, b, step = rows.indices(self.rows)
+    def _read_rows(self, t: TensorEntry, rows: slice, buffers: Scratch,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """Rows `rows` of the weights or activations `t`, widened into `out`
+        (float32 or float64), by default the float32 block buffer of `buffers`."""
+        weights = t is self._layer.weight
+        n, cols = self.shape if weights else self.activation_shape
+        a, b, step = rows.indices(n)
         if step != 1:
             raise ValueError(f"rows must be a slice of step 1, got {rows}")
-        t = self._layer.weight
         if out is None:
-            out = buffers.take("rows", (b - a, self.cols), np.float32)
+            out = buffers.take("rows", (b - a, cols), np.float32)
         raw = out
         if _DTYPES[t.dtype] != out.dtype:
             raw = buffers.take("raw", out.shape, _DTYPES[t.dtype])
         archive = self._archive
-        _pread_tensor(archive.path, archive._open_fd(t), t, raw, a * self.cols * raw.itemsize)
+        _pread_tensor(archive.path, archive._open_fd(t), t, raw, a * cols * raw.itemsize)
         if t.dtype == "BF16":
-            bf16_decode(raw, out=out)
-        elif raw is not out:
+            wide = out if out.dtype == np.float32 else buffers.take("rows", out.shape, np.float32)
+            bf16_decode(raw, out=wide)
+            raw = wide
+        if raw is not out:
             np.copyto(out, raw)
-        _check_finite(self.name, "weights", out, buffers.take("finite", out.shape, np.bool_))
+        _check_finite(self.name, "weights" if weights else "activations", out,
+                      buffers.take("finite", out.shape, np.bool_))
         return out
 
 
@@ -374,8 +390,11 @@ def stream_tensors(fh, shapes: dict[str, tuple[int, ...]], produce) -> None:
     """Write float32 tensors into a safetensors container on `fh`, one at a time.
 
     The header goes out first, from `shapes` alone; then each tensor, in
-    sorted-name order, is `produce(name)` and is written before the next is
-    asked for.  The bytes depend only on the tensors.
+    sorted-name order, from `produce(name)`: an iterable of its row blocks
+    in order, arrays of its shape but for their first dimension, which add
+    up to its own (a whole tensor is one block).  Each block is written
+    before the next is asked for, so a producer can hold one block at a
+    time.  The bytes depend only on the tensors.
     """
     names = sorted(shapes)
     entries, offset = {}, 0
@@ -392,19 +411,25 @@ def stream_tensors(fh, shapes: dict[str, tuple[int, ...]], produce) -> None:
     fh.write(struct.pack("<Q", len(header)))
     fh.write(header)
     for name in names:
-        arr = np.ascontiguousarray(produce(name), dtype="<f4")
-        if arr.shape != tuple(shapes[name]):
-            raise ValidationError(
-                f"tensor {name!r} has shape {arr.shape}, not the header's {tuple(shapes[name])}"
-            )
-        fh.write(arr.reshape(-1).view(np.uint8))
+        shape = tuple(shapes[name])
+        rows, done = shape[0] if shape else 1, 0  # a 0-d tensor is one block of one "row"
+        for block in produce(name):
+            arr = np.ascontiguousarray(block, dtype="<f4")
+            done += arr.shape[0] if arr.ndim else 1
+            if arr.shape[1:] != shape[1:] or arr.ndim != len(shape) or done > rows:
+                raise ValidationError(
+                    f"tensor {name!r}: a block of shape {arr.shape} does not fit the header's {shape}"
+                )
+            fh.write(arr.reshape(-1).view(np.uint8))
+        if done != rows:
+            raise ValidationError(f"tensor {name!r}: blocks of {done} rows for the header's {shape}")
 
 
 def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
     """Write float32 tensors into a safetensors container (deterministic bytes)."""
     with open(path, "wb") as fh:
         stream_tensors(fh, {name: np.shape(arr) for name, arr in tensors.items()},
-                       tensors.__getitem__)
+                       lambda name: [tensors[name]])
 
 
 def save_tensor_archive(path, bundles: list[LayerBundle]) -> None:

@@ -105,6 +105,28 @@ COMPARE_JSON_SHA256 = {
 PINNED_SUITE_COMPARE_SHA256 = "d0c0b90425462e0a90cb6797057bb1af6214f0729380166c57eac6600b2a40ff"
 
 
+# `dequantize` and `eval --json` (plain, then `--w4a8`) of packs of a
+# two-layer archive whose 300x512 layers decode in three row blocks of
+# `grids.BLOCK` values, the last short: (method, flags, digests).
+READBACK = {
+    "rtn-nvfp4": ("rtn", ["--format", "nvfp4"], (
+        "4aa33df15155994d0fb6012885cf105ebcc2159f6a8297e421f12771e4acc8f3",
+        "70fe05b000f1276e6001e39059f5d932969ecd9f1f0a6801e79d940a96e118ed",
+        "ffef100a11e7d10a373073bcfed1a3c032d086f53b117ca1132a992f2de30870",
+    )),
+    "if4-nvfp4": ("if4", ["--format", "nvfp4"], (
+        "4ccb1dfdb468c19367dac9369da4923237afdb00fa10d13e16c49c75e277ce8b",
+        "b5e99480679d947654c98fddd5173b4d3835af3fe6e321b6cc9dbca2bf816481",
+        "5959c7e415ea0446a5d4010350de2d044c0add0fd08a7ea7c54c101c541a1929",
+    )),
+    "aaac-int4-g128-s16": ("aaac", ["--format", "int4", "-g", "128", "-S", "16"], (
+        "872e174a1aebde83f2caff88d28d379c733da4c081e66f63c61f18f6653cb478",
+        "bd7b63c3b480582ae46f3eba9e9fba03611cbe0185be2d7045e19d5e3957b7a1",
+        "38e652032ec3665f2999f6a724d5004b5a9511a7adadf37c4cc89c0092c6942b",
+    )),
+}
+
+
 def run(*argv):
     return main([str(a) for a in argv])
 
@@ -319,3 +341,18 @@ def test_pinned_suite_compare_json_bytes(capsys, threads):
     assert run("compare", "--json", "--threads", threads) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SUITE_COMPARE_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(READBACK))
+def test_readback_bytes(tmp_path, name):
+    method, flags, digests = READBACK[name]
+    arch, pack = tmp_path / "blocks.safetensors", tmp_path / "m.aaacq"
+    assert run("synth", "--out", arch, "--layers", "2", "--kind", "mixture",
+               "-N", "300", "-K", "512", "-T", "24", "--seed", "11") == 0
+    assert run("quantize", arch, "--out", pack, "--method", method, "--threads", "1", *flags) == 0
+    outputs = [tmp_path / "d.safetensors", tmp_path / "r.json", tmp_path / "w4a8.json"]
+    assert run("dequantize", pack, "--out", outputs[0]) == 0
+    assert run("eval", pack, arch, "--json", "--out", outputs[1]) == 0
+    assert run("eval", pack, arch, "--json", "--w4a8", "--out", outputs[2]) == 0
+    assert 300 * 512 > 2 * BLOCK
+    assert tuple(hashlib.sha256(out.read_bytes()).hexdigest() for out in outputs) == digests

@@ -158,6 +158,24 @@ class TestSimulateW4a8:
             x[0, :3] = (1e-45, -3e38, 0.0)
             assert _same_array(simulate_w4a8(x, scratch), whole(x))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_activations_are_refused(self, bad):
+        # Once an all-NaN result for NaN, and a RuntimeWarning for inf.
+        x = np.ones((4, 8), np.float32)
+        x[3, 5] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            simulate_w4a8(x)
+
+    def test_float64_activations_of_float32_values_round_as_those(self, monkeypatch):
+        # Scoring rounds its float64 activations buffer, read from a float32
+        # tensor; blocks of 96 values, so the last is short.
+        monkeypatch.setattr(grids, "BLOCK", 96)
+        x = (np.random.default_rng(9).standard_normal((20, 16)) * 7).astype(np.float32)
+        wide = x.astype(np.float64)
+        got = simulate_w4a8(wide)
+        assert _same_array(got, simulate_w4a8(x))
+        assert _same_array(wide, x.astype(np.float64))  # read, never written
+
     def test_sign_preserved(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((16, 16)).astype(np.float32)
@@ -182,6 +200,14 @@ class TestBitsPerWeight:
     def test_bpw_at_least_four(self):
         for g, s, m in [(16, 16, 15), (128, 16, 16), (128, 128, 16)]:
             assert bits_per_weight(64, 512, g, s, m)["total_bpw"] >= 4.0
+
+    @pytest.mark.parametrize("g, s", [(0, 0), (16, 3), (16, 32), (-16, -16), (48, 16)],
+                             ids=["zero", "S-does-not-divide-g", "S-above-g", "negative",
+                                  "g-does-not-divide-cols"])
+    def test_group_sizes_are_checked(self, g, s):
+        # Once a ZeroDivisionError at g = 0, and a number for S = 3 under g = 16.
+        with pytest.raises(ValidationError):
+            bits_per_weight(64, 512, g, s, 16)
 
 
 def mixture_suite(n=4, seed=100):
@@ -281,8 +307,13 @@ def _whole_layer(w, method, cfg):
 
 
 def _whole_decode(p):
+    """The decode of a whole layer by its formula, without `dequantize`: each
+    code's entry in its group's table times the group's scale, in float64,
+    saturated at float32's largest finite value."""
     t0, t1, sel, codes, scales = unpack(p)
-    return dequantize(codes, scales, t0, t1, sel, p.group_size, p.sel_size)
+    exact = np.where(sel.repeat(p.sel_size, axis=1), t1[codes], t0[codes]).astype(np.float64)
+    exact *= scales.astype(np.float64).repeat(p.group_size, axis=1)
+    return np.clip(exact, -FLT_MAX, FLT_MAX).astype(np.float32)
 
 
 def _same_array(a, b):

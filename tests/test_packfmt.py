@@ -18,7 +18,7 @@ from aaacq.errors import (
     UnsupportedConfigError,
     ValidationError,
 )
-from aaacq.grids import INT4, NVFP4, base_table, bf16_bits, round_bf16
+from aaacq.grids import INT4, NVFP4, Scratch, base_table, bf16_bits, round_bf16
 from aaacq.packfmt import (
     _HEADER,
     MAGIC,
@@ -32,6 +32,8 @@ from aaacq.packfmt import (
     read_pack,
     size_breakdown,
     unpack,
+    unpack_groups,
+    unpack_rows,
 )
 from aaacq.metrics import reconstruct
 from aaacq.quantizers import dequantize
@@ -464,6 +466,44 @@ class TestCorruption:
                 read_blob(tmp_path / "m.aaacq", garbage.tobytes())
             except CorruptionError:
                 pass
+
+
+class TestRowReads:
+    """`unpack_rows` decodes any rows' codes from just their bytes, as `unpack` does."""
+
+    # Odd column counts start every other row in the middle of a byte.
+    @pytest.mark.parametrize("cols, g", [(64, 16), (3, 1), (5, 5)])
+    def test_any_rows_match_unpack(self, cols, g):
+        rng = np.random.default_rng(cols)
+        rows = 7
+        p = pack(*random_layer(rng, rows, cols, g, g, 16), kind="int4", group_size=g, sel_size=g)
+        t0, t1, sel, codes, scales = unpack(p)
+        for want, got in zip((t0, t1, sel, scales), unpack_groups(p)):
+            assert np.array_equal(want, got)
+        scratch = Scratch()
+        for a in range(rows + 1):
+            for b in range(a, rows + 1):
+                for buffers in (scratch, None):
+                    got = unpack_rows(p, slice(a, b), buffers)
+                    assert got.dtype == np.uint8 and np.array_equal(got, codes[a:b]), (a, b)
+
+    def test_a_bad_nibble_fails_the_rows_that_hold_it(self):
+        rng = np.random.default_rng(21)
+        p = pack(*random_layer(rng, 4, 32, 16, 16, 12), kind="int4", group_size=16, sel_size=16)
+        bad = bytearray(p.code_bytes)
+        bad[-1] = 0xF0  # the last code, 15, is past 12-entry tables
+        broken = dataclasses.replace(p, code_bytes=bytes(bad))
+        assert np.array_equal(unpack_rows(broken, slice(0, 3)), unpack(p)[3][:3])
+        with pytest.raises(CorruptionError, match="nibble 15"):
+            unpack_rows(broken, slice(3, 4))
+
+    def test_a_short_code_section_fails_every_read(self):
+        rng = np.random.default_rng(22)
+        p = pack(*random_layer(rng, 4, 32, 16, 16, 16), kind="int4", group_size=16, sel_size=16)
+        short = dataclasses.replace(p, code_bytes=p.code_bytes[:-1])
+        for read in (unpack, unpack_groups, lambda q: unpack_rows(q, slice(0, 1))):
+            with pytest.raises(CorruptionError, match="code section size"):
+                read(short)
 
 
 class TestContainer:

@@ -1,6 +1,7 @@
 """Nearest-entry reconstruction, RTN, IF4, and dequantization."""
 
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -543,6 +544,37 @@ class TestDequantize:
         dequantize(**args, group_size=16, sel_size=8)  # the inputs as they stand decode
         with pytest.raises(ValidationError):
             dequantize(**{**args, **change}, group_size=16, sel_size=8)
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, 255], ids=["two", "minus-one", "half", "255"])
+    def test_selection_values_other_than_0_and_1_are_refused(self, bad):
+        # As `pack` refuses them: a 2 read as table 1, and 0.5 as table 0.
+        t0, t1 = np.asarray([0.0, 1.0]), np.asarray([10.0, 20.0])
+        args = (np.asarray([[0, 1, 0, 1]], np.uint8), np.ones((1, 1), np.float32), t0, t1)
+        assert dequantize(*args, np.asarray([[0, 1]]), 4, 2).tolist() == [[0.0, 1.0, 10.0, 20.0]]
+        with pytest.raises(ValidationError, match="selection value"):
+            dequantize(*args, np.asarray([[0, bad]]), 4, 2)
+
+    @pytest.mark.parametrize("g, s", [(16, 16), (128, 16)], ids=["sign-bits", "bitset"])
+    def test_without_scratch_decodes_a_row_block_at_a_time(self, g, s):
+        # The float32 result (4 bytes a weight) and one row block's buffers:
+        # whole-layer temporaries peaked at 17.1 bytes a weight.  The bytes
+        # are those of a decode on one scratch, the whole layer in one block.
+        rng = np.random.default_rng(g + s)
+        rows, cols = 512, 2048
+        t0, t1 = (np.sort(rng.standard_normal(16)) for _ in range(2))
+        codes = rng.integers(0, 16, (rows, cols)).astype(np.uint8)
+        scales = rng.uniform(0.5, 2.0, (rows, cols // g)).astype(np.float32)
+        sel = rng.integers(0, 2, (rows, cols // s)).astype(np.uint8)
+        dequantize(codes[:2], scales[:2], t0, t1, sel[:2], g, s)  # first-call allocations
+        tracemalloc.start()
+        try:
+            got = dequantize(codes, scales, t0, t1, sel, g, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * rows * cols
+        want = dequantize(codes, scales, t0, t1, sel, g, s, scratch=Scratch())
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
     @pytest.mark.parametrize("method, fmt", [
         ("rtn", "nvfp4"), ("rtn", "int4"), ("if4", "nvfp4"), ("if4", "int4"), ("aaac", "int4"),

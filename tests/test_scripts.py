@@ -25,3 +25,18 @@ def test_learn_cost_prints_cost_per_weight_and_rss(capsys):
     line = capsys.readouterr().out
     assert line.startswith("8x128 int4 g=64 S=16 T=8: ")
     assert "CPU-us per weight" in line and "RSS +" in line and "traced peak " in line
+
+
+def test_command_cost_prints_one_median_line_per_tree(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("command_cost", SCRIPTS / "command_cost.py")
+    cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cost)
+    tree = str(SCRIPTS.parent)
+    out = tmp_path / "s.safetensors"
+    assert cost.main(["--runs", "1", tree, tree, "--", "synth", "--out", str(out),
+                      "-N", "2", "-K", "16", "-T", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and out.is_file()
+    for line in lines:
+        assert line.startswith(f"{tree}: median of 1: ")
+        assert all(word in line for word in ("CPU-s", "wall-s", "MiB peak RSS", "minor faults"))

@@ -6,11 +6,12 @@ import json
 import os
 import struct
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from aaacq import grids, metrics, tensors
+from aaacq import codebooks, grids, metrics, tensors
 from aaacq.cli import main
 from aaacq.codebooks import AaacConfig, layer_importance, learn
 from aaacq.errors import ValidationError
@@ -148,16 +149,42 @@ class TestBlockReads:
         # buffers: the float32 layer alone would be 4 bytes a weight.
         assert _peak_bytes(*argv) < 4 * self.ROWS * self.COLS
 
+    def _scoring_bound(self) -> int:
+        """What a scoring task may hold: the float64 difference, the float64
+        activations and their product; the packed layer's code and scale
+        sections and its unpacked scales and selection (0.9 bytes a weight
+        under nvfp4's groups of 16); and 64 bytes a block value of block
+        buffers.  No whole-layer codes and no float32 copy of the calibration."""
+        n, k, t = self.ROWS, self.COLS, self.TOKENS
+        held = 8 * n * k + 8 * t * k + 8 * t * n
+        packed = n * k // 2 + (2 + 4 + 1) * n * k // 16
+        return held + packed + 64 * grids.BLOCK
+
     @pytest.mark.parametrize("dtype", ["F32", "BF16"])
-    def test_eval_peaks_at_its_difference_activations_and_2_bytes_a_weight(
+    def test_eval_peaks_at_its_difference_activations_product_and_block_buffers(
             self, tmp_path, archives, dtype):
         pack = tmp_path / "m.aaacq"
         assert run("quantize", archives[dtype], "--out", pack, "--method", "rtn") == 0
         argv = ("eval", pack, archives[dtype], "--json", "--out", tmp_path / "r.json")
         _peak_bytes(*argv)
-        n, k, t = self.ROWS, self.COLS, self.TOKENS
-        difference, activations = 8 * n * k, t * k * (4 + 8) + 8 * t * n  # float32, float64, product
-        assert _peak_bytes(*argv) <= difference + activations + 2 * n * k
+        assert _peak_bytes(*argv) <= self._scoring_bound()
+
+    @pytest.mark.parametrize("dtype", ["F32", "BF16"])
+    def test_a_compare_task_peaks_as_scoring_does(self, tmp_path, archives, dtype):
+        # One method: the next method's quantize would run beside this one's difference.
+        argv = ("compare", archives[dtype], "--methods", "rtn", "--threads", "1", "--json",
+                "--out", tmp_path / "c.json")
+        _peak_bytes(*argv)
+        assert _peak_bytes(*argv) <= self._scoring_bound()
+
+    def test_dequantize_holds_a_row_block_not_a_float32_layer(self, tmp_path, archives):
+        pack = tmp_path / "m.aaacq"
+        assert run("quantize", archives["F32"], "--out", pack, "--method", "rtn") == 0
+        argv = ("dequantize", pack, "--out", tmp_path / "d.safetensors")
+        _peak_bytes(*argv)
+        # The packed layer as read (its payload and the sections taken from
+        # it) and the block buffers: the float32 layer alone is 4 bytes a weight.
+        assert _peak_bytes(*argv) < 2 * self.ROWS * self.COLS
 
     @pytest.mark.parametrize(
         "cfg",
@@ -209,6 +236,44 @@ def test_no_command_reads_a_whole_weight_tensor(tmp_path, monkeypatch):
         assert run("quantize", arch, "--out", pack, "--method", method, "--threads", "1") == 0
     assert run("eval", pack, arch, "--w4a8", "--out", tmp_path / "r.txt") == 0
     assert run("compare", arch, "--threads", "1", "--out", tmp_path / "c.txt") == 0
+
+
+class TestCalibrationReads:
+    """An archive bundle reads its calibration when asked and keeps none."""
+
+    @pytest.fixture()
+    def archive(self, tmp_path):
+        path = tmp_path / "a.safetensors"
+        save_tensor_archive(path, [synth_layer(SynthSpec("mixture", 8, 256, 16, seed=3), name="l")])
+        with TensorArchive(path) as archive:
+            yield archive
+
+    def test_a_bundle_caches_no_calibration(self, archive):
+        bundle = archive.load(archive.layers[0])
+        first = bundle.activations
+        gone = weakref.ref(first)
+        again = bundle.activations
+        assert again is not first and np.array_equal(again, first)
+        del first, again
+        assert gone() is None
+
+    def test_a_learn_holds_none_once_importance_is_computed(self, archive, monkeypatch):
+        reads, passes = [], []
+        read, make_pass = tensors._ArchiveBundle._read, codebooks._Pass
+
+        def spy_read(self, t, out):
+            reads.append(weakref.ref(out))
+            return read(self, t, out)
+
+        def spy_pass(*args, **kwargs):
+            passes.append([ref() is None for ref in reads])
+            return make_pass(*args, **kwargs)
+
+        monkeypatch.setattr(tensors._ArchiveBundle, "_read", spy_read)
+        monkeypatch.setattr(codebooks, "_Pass", spy_pass)
+        learn(archive.load(archive.layers[0]), AaacConfig.for_format(NVFP4))
+        # One read of the calibration, gone before the first pass is made.
+        assert passes and passes[0] == [True]
 
 
 def test_only_the_learner_and_scoring_read_the_calibration(tmp_path, capsys):

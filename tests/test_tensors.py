@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import aaacq
+from aaacq import grids
 from aaacq.errors import (
     AaacqError,
     FormatError,
@@ -26,6 +27,7 @@ from aaacq.tensors import (
     TensorArchive,
     read_tensors,
     save_tensor_archive,
+    stream_tensors,
     synth_layer,
     write_tensors,
 )
@@ -176,6 +178,66 @@ class TestArchiveIO:
                 tracemalloc.stop()
         assert np.array_equal(weights.view(np.uint32), bits.astype(np.uint32) << 16)
         assert peak <= 6.1 * rows * cols
+
+    @pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
+    def test_activations_widen_into_float64_a_row_block_at_a_time(
+            self, tmp_path, monkeypatch, dtype):
+        # Blocks of two tokens of 16, the last short, under a batch dimension.
+        monkeypatch.setattr(grids, "BLOCK", 32)
+        x = np.random.default_rng(2).standard_normal((1, 5, 16)).astype(np.float32)
+        raw = {"F32": x, "F16": x.astype("<f2"),
+               "BF16": (x.view(np.uint32) >> 16).astype("<u2")}[dtype]
+        want = {"F32": x, "F16": raw.astype(np.float32),
+                "BF16": (raw.astype(np.uint32) << 16).view(np.float32)}[dtype].reshape(5, 16)
+        path = tmp_path / "a.safetensors"
+        write_raw_archive(path, {
+            "q.weight": {"dtype": "F32", "shape": [2, 16], "data_offsets": [0, 128]},
+            "q.calib": {"dtype": dtype, "shape": [1, 5, 16],
+                        "data_offsets": [128, 128 + raw.nbytes]},
+        }, np.ones((2, 16), np.float32).tobytes() + raw.tobytes())
+        with TensorArchive(path) as archive:
+            bundle = archive.load(archive.layers[0])
+            assert bundle.activation_shape == (5, 16)
+            out = np.full((5, 16), np.nan)
+            bundle.read_activations(out)
+            assert np.array_equal(out, want.astype(np.float64))
+            assert np.array_equal(bundle.activations, want)
+            assert bundle.activations.dtype == np.float32
+
+    def test_a_non_finite_activation_in_the_last_row_block_fails_its_read(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(grids, "BLOCK", 32)
+        x = np.ones((5, 16), np.float32)
+        x[4, 3] = np.inf
+        path = tmp_path / "a.safetensors"
+        write_tensors(path, {"q.weight": np.ones((2, 16), np.float32), "q.calib": x})
+        with TensorArchive(path) as archive:
+            bundle = archive.load(archive.layers[0])
+            for read in (lambda: bundle.activations,
+                         lambda: bundle.read_activations(np.empty((5, 16)))):
+                with pytest.raises(ValidationError, match="layer 'q': activations contain non-finite"):
+                    read()
+
+    def test_stream_tensors_writes_row_blocks_as_the_whole_tensor(self, tmp_path):
+        rng = np.random.default_rng(4)
+        tensors = {"a": rng.standard_normal((5, 3)).astype(np.float32),
+                   "b": rng.standard_normal((2, 2, 2)).astype(np.float32)}
+        write_tensors(tmp_path / "whole.safetensors", tensors)
+        blocks = {"a": [tensors["a"][:2], tensors["a"][2:2], tensors["a"][2:]],
+                  "b": [tensors["b"][:1], tensors["b"][1:]]}
+        with open(tmp_path / "blocks.safetensors", "wb") as fh:
+            stream_tensors(fh, {name: t.shape for name, t in tensors.items()}, blocks.__getitem__)
+        assert (tmp_path / "blocks.safetensors").read_bytes() == (
+            tmp_path / "whole.safetensors").read_bytes()
+
+    @pytest.mark.parametrize("blocks", [
+        [np.ones((2, 3)), np.ones((2, 3))], [np.ones((3, 3)), np.ones((3, 3))],
+        [np.ones((5, 4))], [np.ones(15)], [],
+    ], ids=["short", "long", "columns", "flat", "none"])
+    def test_stream_tensors_refuses_blocks_that_do_not_fill_the_header(self, tmp_path, blocks):
+        with open(tmp_path / "a.safetensors", "wb") as fh:
+            with pytest.raises(ValidationError, match="tensor 'a'"):
+                stream_tensors(fh, {"a": (5, 3)}, lambda name: blocks)
 
     def test_a_bundle_reads_only_while_its_archive_is_open(self, tmp_path):
         path = tmp_path / "a.safetensors"
