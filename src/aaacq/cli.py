@@ -185,20 +185,16 @@ def cmd_eval(args) -> int:
                 raise PairingError(f"packed layer {e.name!r} has no weights in {args.archive}")
         scratch, rows = metrics.Scratch(), []
         for e in pack.layers:
-            # Loading reads nothing: scoring reads the weights and then the
-            # calibration a row block at a time, into the scratch's buffers.
+            # Loading reads nothing: the calibration and then the weights are
+            # read a row block at a time, into the scratch's buffers.
             bundle = archive.load(layers[e.name])
             with naming_layer(e.name):
                 p = pack.read(e)
-                if not args.w4a8:
-                    rows.append(metrics.score(bundle, p, scratch=scratch))
-                    continue
-                # Importance reads the calibration before the W4A8 result replaces it.
-                x = metrics.read_calibration(bundle, scratch)
-                imp = codebooks.column_importance(x, bundle.cols)
-                x_out = None if x is None else metrics.simulate_w4a8(x, scratch)
-                rows.append(metrics.score(bundle, p, output_activations=x_out, col_importance=imp,
-                                          scratch=scratch))
+                x, imp = metrics.calibration(bundle, scratch)
+                if args.w4a8 and x is not None:
+                    # Importance has read the calibration the W4A8 result replaces.
+                    np.copyto(x, metrics.simulate_w4a8(x, scratch))
+                rows.append(metrics.score(bundle, p, x, imp, scratch))
     _emit_report(metrics.report(rows), args)
     return 0
 

@@ -144,15 +144,21 @@ def importance(activations: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked_importance(col_importance, cols: int) -> np.ndarray:
-    """`col_importance` as float64, or unit importance when every column has
-    zero importance; raises `ValidationError` unless it holds `cols` finite,
-    non-negative values."""
+def check_importance(col_importance, shape: tuple) -> np.ndarray:
+    """`col_importance` as float64; raises `ValidationError` unless it is of
+    `shape` and its values are finite and non-negative."""
     imp = np.asarray(col_importance, dtype=np.float64)
-    if imp.shape != (cols,):
-        raise ValidationError(f"importance must have shape ({cols},), got {imp.shape}")
+    if imp.shape != shape:
+        raise ValidationError(f"importance must have shape {shape}, got {imp.shape}")
     if (imp < 0).any() or not np.isfinite(imp).all():
         raise ValidationError("importance values must be finite and non-negative")
+    return imp
+
+
+def _checked_importance(col_importance, cols: int) -> np.ndarray:
+    """`check_importance` of `cols` values, or unit importance when every
+    column has zero importance."""
+    imp = check_importance(col_importance, (cols,))
     return imp if imp.any() else np.ones(cols)
 
 
@@ -178,11 +184,12 @@ def column_importance(activations, cols: int) -> np.ndarray:
 def weighted_error(
     weights: np.ndarray, reconstructed: np.ndarray, col_importance: np.ndarray
 ) -> float:
-    """Importance-weighted squared reconstruction error in weight units."""
-    d = _difference(weights, reconstructed)
-    if np.shape(col_importance) != d.shape[-1:]:
-        raise ValidationError(f"importance of shape {np.shape(col_importance)} for {d.shape} weights")
-    return _error_sums(d, col_importance)[1]
+    """Importance-weighted squared reconstruction error in weight units.
+
+    Raises `ValidationError` unless `col_importance` holds one finite,
+    non-negative value per column (`check_importance`).
+    """
+    return _error_sums(_difference(weights, reconstructed), col_importance)[1]
 
 
 def _difference(weights, reconstructed) -> np.ndarray:
@@ -199,10 +206,12 @@ def _difference(weights, reconstructed) -> np.ndarray:
 
 
 def _error_sums(d, col_importance) -> tuple[float, float]:
-    """The mean and the column-weighted sum of the squares of `d`, which it squares in place."""
+    """The mean and the column-weighted sum of the squares of `d`, which it
+    squares in place; `col_importance` must pass `check_importance`."""
+    imp = check_importance(col_importance, d.shape[-1:])
     d *= d
     mse = float(d.mean())
-    d *= np.asarray(col_importance, dtype=np.float64)
+    d *= imp
     return mse, float(d.sum())
 
 

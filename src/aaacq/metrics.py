@@ -3,10 +3,12 @@
 It also holds the one per-layer quantize path (`quantize_layer`, used by the
 `quantize` and `compare` commands) and the one scoring path (`score`, which
 decodes a packed layer as `eval` does), so `compare` measures what ships.
-Scoring holds a layer's float64 difference, its float64 calibration
-activations and their tokens x rows product, on buffers reused from layer
-to layer (`grids.Scratch`); the codes are decoded from the pack and the
-activations read from the archive a row block at a time.
+`score` is given all it reads: the float64 calibration activations and
+column importance (both from `calibration`) and the `grids.Scratch` whose
+buffers, reused from layer to layer, hold them, the layer's float64
+difference and their tokens x rows product.  A pack is decoded one way, a
+row block at a time (`decoded_rows`, by `quantizers.decode_block`), and the
+activations are read from the archive a row block at a time.
 
 Gap recovery summarizes a method against the round-to-nearest baseline as
 the percentage of the quantization-induced degradation it removes relative
@@ -34,7 +36,7 @@ from .grids import E4M3_MAX, Scratch, base_table, check_groups, round_e4m3_into,
 from .packfmt import (
     PackedLayer, check_header, pack, selection_overhead_bpw, unpack_groups, unpack_rows,
 )
-from .quantizers import dequantize, if4_quantize, if4_tables, rtn_quantize
+from .quantizers import decode_block, if4_quantize, if4_tables, rtn_quantize
 from .tensors import LayerBundle
 
 METHODS = ("rtn", "if4", "aaac")
@@ -47,17 +49,18 @@ def layer_output_mse(weights, reconstructed, activations) -> float:
     float64.
     """
     d = _difference(weights, reconstructed)
-    if np.ndim(activations) != 2 or np.shape(activations)[1:] != d.shape[1:]:
-        raise ValidationError(f"activations of shape {np.shape(activations)} for {d.shape} weights")
     return _output_mse(d, np.array(activations, dtype=np.float64, order="C"), Scratch())
 
 
 def _output_mse(d, x, scratch: Scratch) -> float:
     """`layer_output_mse` from the difference `d = What - W` and the float64
-    activations `x`; the tokens x rows product is `scratch`'s buffer."""
-    err = np.matmul(x, d.T, out=scratch.take("product", (x.shape[0], d.shape[0])))
+    activations `x`; the tokens x rows product is `scratch`'s buffer.
+    Raises `ValidationError` unless `x` is 2-D with `d`'s columns."""
+    if np.ndim(x) != 2 or np.shape(x)[1:] != d.shape[1:]:
+        raise ValidationError(f"activations of shape {np.shape(x)} for {d.shape} weights")
+    err = np.matmul(x, d.T, out=scratch.take("product", (len(x), d.shape[0])))
     np.square(err, out=err)
-    return float(err.sum() / x.shape[0])
+    return float(err.sum() / len(x))
 
 
 def gap_recovery(
@@ -96,9 +99,9 @@ def simulate_w4a8(activations: np.ndarray, scratch: Scratch | None = None) -> np
     magnitudes until they are rounded, a block of `grids.BLOCK` values at a
     time, and each block's exponents while it is.  The float64 work arrays
     are two blocks of the difference buffer, which `score` fills only after
-    this returns.  `activations` are only read: `eval --w4a8` rounds
-    scoring's float64 activations buffer, which holds the calibration until
-    importance has read it.
+    this returns.  `activations` are only read: `eval --w4a8` rounds the
+    float64 calibration buffer and copies the result back into it, once
+    importance has read the calibration there.
     """
     a = np.asarray(activations)
     scratch = Scratch() if scratch is None else scratch
@@ -359,82 +362,62 @@ def quantize_layer(bundle: LayerBundle, method: str, cfg: AaacConfig, col_import
     return packed, trace
 
 
-def decoded_rows(p: PackedLayer, scratch: Scratch | None = None):
+def decoded_rows(p: PackedLayer, scratch: Scratch):
     """The weights a packed layer decodes to, one row block at a time: an
-    iterator of (rows, float32 block), each block on `scratch`'s buffers
-    (a fresh scratch's when none is given) and valid until the next.
+    iterator of (rows, float32 block), each block on `scratch`'s buffers and
+    valid until the next.
 
-    Each block's codes are decoded from its bytes of the code section
-    (`packfmt.unpack_rows`) and then by `dequantize`; no whole-layer code
-    array is made.  Everything but the codes is checked before this returns.
+    Each block's codes are split from its bytes of the code section
+    (`packfmt.unpack_rows`, which checks their range) and decoded by
+    `decode_block`; no whole-layer code array is made.  Everything but the
+    codes is checked (`unpack_groups`) before this returns.
     """
     t0, t1, sel, scales = unpack_groups(p)
-    scratch = Scratch() if scratch is None else scratch
-    g, s = p.group_size, p.sel_size
-    return ((r, dequantize(unpack_rows(p, r, scratch), scales[r], t0, t1, sel[r], g, s, scratch))
+    both, g, s = np.concatenate((t0, t1), dtype=np.float64), p.group_size, p.sel_size
+    return ((r, decode_block(unpack_rows(p, r, scratch), scales[r], both, sel[r], g, s, scratch))
             for r in row_blocks(p.rows, p.cols))
 
 
 def reconstruct(p: PackedLayer) -> np.ndarray:
     """The weights a packed layer decodes to, decoded one row block at a time."""
     out = np.empty((p.rows, p.cols), np.float32)
-    for r, block in decoded_rows(p):
+    for r, block in decoded_rows(p, Scratch()):
         out[r] = block
     return out
 
 
-def score(
-    bundle: LayerBundle,
-    p: PackedLayer,
-    output_activations: np.ndarray | None = None,
-    col_importance: np.ndarray | None = None,
-    scratch: Scratch | None = None,
-) -> LayerMetrics:
+def calibration(bundle: LayerBundle, scratch: Scratch):
+    """(activations, importance) of the bundle's calibration.
+
+    The activations are widened into `scratch`'s float64 activations buffer
+    a row block at a time (`LayerBundle.read_activations`), or are None when
+    the bundle has none.  Widening is exact, so importance and the output
+    MSE read the values of the stored tensor.  Importance is
+    `column_importance` of them.
+    """
+    x = None
+    if bundle.activation_shape is not None:
+        x = scratch.take("activations", bundle.activation_shape)
+        bundle.read_activations(x)
+    return x, column_importance(x, bundle.cols)
+
+
+def score(bundle: LayerBundle, p: PackedLayer, activations, col_importance,
+          scratch: Scratch) -> LayerMetrics:
     """`layer_metrics` of a packed layer against the layer it was quantized from.
 
     Each row block is decoded as `reconstruct` decodes it (`decoded_rows`),
     and `decoded - weights` goes straight into the float64 difference buffer
-    of `scratch` (a fresh one when none is given).  No whole-layer decode is
-    made: the float32 block keeps the decoder's rounding, and both operands
-    widen exactly, so the difference is the one of the whole-layer decode.
+    of `scratch`.  No whole-layer decode is made: the float32 block keeps
+    the decoder's rounding, and both operands widen exactly, so the
+    difference is the one of the whole-layer decode.
 
-    Importance is `col_importance`, or that of the bundle's calibration
-    activations; the output MSE reads `output_activations`, or those.  The
-    calibration is read only when one of them needs it, into the float64
-    activations buffer (`read_calibration`), where both read it.  Float64
-    `output_activations` are read as they are, others widened into that
-    buffer once importance has read it.
+    The output MSE reads `activations` (none when None), float64 from
+    `calibration`; the errors are weighted by `col_importance`.  Raises
+    `ValidationError` unless the activations are 2-D with the layer's
+    columns and the importance holds one finite, non-negative value per
+    column (`codebooks.check_importance`).
     """
-    scratch = Scratch() if scratch is None else scratch
-    d = _difference_from_pack(bundle, p, scratch)
-    x = None
-    if col_importance is None or output_activations is None:
-        x = read_calibration(bundle, scratch)
-    if col_importance is None:
-        col_importance = column_importance(x, bundle.cols)
-    if output_activations is not None:
-        x = np.asarray(output_activations)
-        if x.dtype != np.float64 or not x.flags.c_contiguous:
-            x = scratch.take("activations", x.shape)
-            np.copyto(x, output_activations)
-    return layer_metrics(bundle, p.method, d, p.group_size, p.sel_size, p.table_size,
-                         x, col_importance, scratch)
-
-
-def read_calibration(bundle: LayerBundle, scratch: Scratch) -> np.ndarray | None:
-    """The bundle's calibration activations, widened into `scratch`'s float64
-    activations buffer a row block at a time (`LayerBundle.read_activations`),
-    or None when it has none.  Widening is exact, so importance and the
-    output MSE read the values of the stored tensor."""
-    if bundle.activation_shape is None:
-        return None
-    x = scratch.take("activations", bundle.activation_shape)
-    bundle.read_activations(x)
-    return x
-
-
-def _difference_from_pack(bundle: LayerBundle, p: PackedLayer, scratch: Scratch) -> np.ndarray:
-    """`reconstruct(p) - bundle.weights` in float64, on `scratch`'s difference buffer."""
     blocks = decoded_rows(p, scratch)
     if (p.rows, p.cols) != bundle.shape:
         raise PairingError(
@@ -445,7 +428,8 @@ def _difference_from_pack(bundle: LayerBundle, p: PackedLayer, scratch: Scratch)
     for r, block in blocks:
         np.copyto(d[r], block)
         d[r] -= bundle.weight_rows(r)
-    return d
+    return layer_metrics(bundle, p.method, d, p.group_size, p.sel_size, p.table_size,
+                         activations, col_importance, scratch)
 
 
 def _run_method(bundle: LayerBundle, method: str, cfg: AaacConfig, col_importance, activations,
@@ -453,8 +437,7 @@ def _run_method(bundle: LayerBundle, method: str, cfg: AaacConfig, col_importanc
     """`compare`'s task: quantize one layer with one method and score the pack
     on the layer's importance and float64 `activations`, read once for all methods."""
     packed, _ = quantize_layer(bundle, method, cfg, col_importance)
-    return score(bundle, packed, output_activations=activations, col_importance=col_importance,
-                 scratch=scratch)
+    return score(bundle, packed, activations, col_importance, scratch)
 
 
 def layer_metrics(
@@ -542,8 +525,7 @@ def compare(
     def layer_rows(layer):
         bundle = load(layer)
         with naming_layer(bundle.name):
-            x = read_calibration(bundle, scratch)
-            imp = column_importance(x, bundle.cols)
+            x, imp = calibration(bundle, scratch)
             return [_run_method(bundle, m, cfg, imp, x, scratch) for m in methods]
 
     per_layer = parallel_map(layer_rows, bundles, threads, fork=runs_forked(methods))

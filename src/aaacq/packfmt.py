@@ -265,6 +265,8 @@ def unpack_groups(p: PackedLayer):
     sizes = size_breakdown(p.rows, p.cols, p.group_size, p.sel_size, p.table_size)
     t0 = bf16_decode(p.table0_bits)
     t1 = bf16_decode(p.table1_bits)
+    if t0.shape != (p.table_size,) or t1.shape != (p.table_size,):
+        raise CorruptionError("codebook size does not match the header")
     if not (np.isfinite(t0).all() and np.isfinite(t1).all()):
         raise CorruptionError("codebook entries must decode finite")
 

@@ -596,7 +596,6 @@ def dequantize(
     selection: np.ndarray,
     group_size: int,
     sel_size: int,
-    scratch: Scratch | None = None,
 ) -> np.ndarray:
     """Reconstruct weights: the selected table's entry times the group scale.
 
@@ -608,10 +607,8 @@ def dequantize(
     value per group of each row, every selection value is 0 or 1, and the
     tables are 1-D and of one length.
 
-    With `scratch`, the float32 result and the work arrays are its buffers,
-    and the result is valid until its next call there.  Without, the result
-    is a new array, decoded one of its `row_blocks` at a time on block
-    buffers of its own.
+    The result is a new float32 array, decoded one of its `row_blocks` at a
+    time by `decode_block` on block buffers of its own.
     """
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.dtype.kind not in "ui":
@@ -628,17 +625,18 @@ def dequantize(
             f"codes {int(codes.min())} to {int(codes.max())} out of range for {t0.size}-entry tables"
         )
     both = np.concatenate((t0, t1))
-    if scratch is not None:
-        return _decode(codes, scales, both, sel, group_size, sel_size, scratch)
     out, scratch = np.empty(codes.shape, np.float32), Scratch()
     for r in row_blocks(*codes.shape):
-        out[r] = _decode(codes[r], scales[r], both, sel[r], group_size, sel_size, scratch)
+        out[r] = decode_block(codes[r], scales[r], both, sel[r], group_size, sel_size, scratch)
     return out
 
 
-def _decode(codes, scales, both, sel, group_size: int, sel_size: int, scratch: Scratch) -> np.ndarray:
-    """`dequantize` of checked inputs, `both` its two tables end to end, on
-    `scratch`'s buffers."""
+def decode_block(codes, scales, both, sel, group_size: int, sel_size: int,
+                 scratch: Scratch) -> np.ndarray:
+    """`dequantize` of inputs it has checked, `both` its two float64 tables
+    end to end and `sel` its uint8 selection.  The float32 result and the
+    work arrays are `scratch`'s buffers, and the result is valid until the
+    next call there."""
     # One gather from both tables side by side: table 1's codes offset by M,
     # in the narrowest index type that holds the last of both tables' indices.
     index = codes
@@ -651,7 +649,7 @@ def _decode(codes, scales, both, sel, group_size: int, sel_size: int, scratch: S
     # one to reuse; "raise" would buffer `out`, and every index is in range.
     # The float32 result then takes the place of the positions.
     positions = scratch.take("positions", codes.shape, np.intp)
-    np.copyto(positions, index, casting="unsafe")  # checked in range by `dequantize`
+    np.copyto(positions, index, casting="unsafe")  # checked in range by the caller
     w_hat = both.take(positions, out=scratch.take("decoded", codes.shape), mode="clip")
     _scale_decoded(w_hat, scales, group_size, np.abs(both).max(initial=0.0))
     out = positions.reshape(-1).view(np.float32)[:codes.size].reshape(codes.shape)

@@ -390,6 +390,16 @@ class TestEval:
             assert ra["bpw"] == rb["bpw"]
             assert ra["output_mse"] != rb["output_mse"]
 
+    @pytest.mark.parametrize("flags", [[], ["--w4a8"]], ids=["plain", "w4a8"])
+    def test_one_score_per_layer(self, tmp_path, archive, monkeypatch, flags):
+        pack_path = tmp_path / "m.aaacq"
+        assert run("quantize", archive, "--out", pack_path, "--method", "rtn") == 0
+        scored, score = [], metrics.score
+        monkeypatch.setattr(metrics, "score",
+                            lambda b, *args: scored.append(b.name) or score(b, *args))
+        assert run("eval", pack_path, archive, *flags, "--json", "--out", tmp_path / "r.json") == 0
+        assert sorted(scored) == [b.name for b in load_bundles(archive)]
+
     def test_name_mismatch_is_an_error(self, tmp_path, archive):
         pack_path = tmp_path / "m.aaacq"
         other = tmp_path / "other.safetensors"

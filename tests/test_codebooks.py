@@ -93,6 +93,18 @@ class TestWeightedError:
         with pytest.raises(ValidationError, match="importance"):
             weighted_error(w, w, np.ones(3))
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_negative_or_nonfinite_importance_is_rejected(self, bad):
+        w = np.ones((3, 4), np.float32)
+        imp = np.ones(4)
+        imp[2] = bad
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            weighted_error(w, w * 2, imp)
+
+    def test_zero_importance_weighs_nothing(self):
+        w = np.ones((3, 4), np.float32)
+        assert weighted_error(w, w * 2, np.zeros(4)) == 0.0
+
     def test_reconstruction_of_another_shape_is_rejected(self):
         w = np.ones((3, 4), np.float32)
         with pytest.raises(ValidationError, match="reconstruction"):

@@ -15,6 +15,7 @@ from aaacq.errors import UndefinedGapError, ValidationError
 from aaacq.grids import INT4, NVFP4, round_bf16
 from aaacq.metrics import (
     bits_per_weight,
+    calibration,
     compare,
     gap_recovery,
     layer_output_mse,
@@ -24,7 +25,7 @@ from aaacq.metrics import (
     simulate_w4a8,
 )
 from aaacq.packfmt import layer_to_bytes, pack, unpack
-from aaacq.quantizers import dequantize, if4_quantize, if4_tables, rtn_quantize
+from aaacq.quantizers import if4_quantize, if4_tables, rtn_quantize
 from aaacq.tensors import LayerBundle, SynthSpec, save_tensor_archive, synth_layer
 
 
@@ -320,6 +321,11 @@ def _same_array(a, b):
     return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
+def _score(b, p, scratch):
+    """`score` of a pack on its bundle's calibration, read onto `scratch` as `eval` reads it."""
+    return score(b, p, *calibration(b, scratch), scratch)
+
+
 class TestRowBlocks:
     """Quantizing and decoding by row blocks gives the whole-layer bytes."""
 
@@ -386,7 +392,9 @@ class TestRowBlocks:
             assert b.rows % 8 != 0
         w64, h64 = b.weights.astype(np.float64), h.astype(np.float64)
         x = b.activations.astype(np.float64)
-        for row, x_out in ((score(b, p), x), (score(b, p, output_activations=x[:5]), x[:5])):
+        scratch = metrics.Scratch()
+        imp = calibration(b, scratch)[1]
+        for row, x_out in ((_score(b, p, scratch), x), (score(b, p, x[:5], imp, scratch), x[:5])):
             d = w64 - h64
             assert row.mse == float((d * d).mean())
             assert row.weighted_err == float((d * d * importance(b.activations)).sum())
@@ -427,6 +435,41 @@ def _scored_pack(case):
     return LayerBundle("m", w, x), p
 
 
+class TestScoreInputs:
+    """`score` refuses activations and importance that do not fit the layer."""
+
+    @staticmethod
+    def _layer():
+        b = synth_layer(SynthSpec("mixture", 8, 64, 16, seed=3), name="m")
+        return b, quantize_layer(b, "rtn", AaacConfig.for_format(NVFP4))[0]
+
+    @pytest.mark.parametrize("shape", [(64,), (16, 63), (16, 65), (2, 16, 64)])
+    def test_activations_without_the_layers_columns(self, shape):
+        b, p = self._layer()
+        with pytest.raises(ValidationError, match="activations"):
+            score(b, p, np.ones(shape), np.ones(b.cols), metrics.Scratch())
+
+    @pytest.mark.parametrize("shape", [(63,), (65,), (1, 64), ()])
+    def test_importance_of_another_shape(self, shape):
+        b, p = self._layer()
+        with pytest.raises(ValidationError, match="importance"):
+            score(b, p, None, np.ones(shape), metrics.Scratch())
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf, -np.inf])
+    def test_negative_or_nonfinite_importance(self, bad):
+        b, p = self._layer()
+        imp = np.ones(b.cols)
+        imp[5] = bad
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            score(b, p, None, imp, metrics.Scratch())
+
+    def test_zero_importance_scores_zero(self):
+        # An explicit zero is not taken for unit importance, as the learner takes it.
+        b, p = self._layer()
+        row = score(b, p, None, np.zeros(b.cols), metrics.Scratch())
+        assert row.weighted_err == 0.0 and row.mse > 0.0 and row.output_mse is None
+
+
 class TestScratch:
     """One scratch serves a worker's layers: reused, exact, and gone with its command."""
 
@@ -435,8 +478,8 @@ class TestScratch:
         a, b = (synth_layer(SynthSpec("laplace", 64, 1024, 32, seed=s), name="l") for s in (0, 1))
         pa, pb = (quantize_layer(layer, "rtn", cfg)[0] for layer in (a, b))
         scratch = metrics.Scratch()
-        first = TestWithinLayerPeak._peak(lambda: score(a, pa, scratch=scratch))
-        second = TestWithinLayerPeak._peak(lambda: score(b, pb, scratch=scratch))
+        first = TestWithinLayerPeak._peak(lambda: _score(a, pa, scratch))
+        second = TestWithinLayerPeak._peak(lambda: _score(b, pb, scratch))
         assert first - second >= 8 * a.rows * a.cols
 
     def test_big_small_big_layers_score_as_on_a_fresh_scratch(self):
@@ -446,12 +489,13 @@ class TestScratch:
             b = synth_layer(SynthSpec("mixture", rows, cols, tokens, seed=i), name=f"l{i}")
             for method in ("rtn", "if4"):
                 p, _ = quantize_layer(b, method, cfg)
-                assert score(b, p, scratch=scratch) == score(b, p)
+                assert _score(b, p, scratch) == _score(b, p, metrics.Scratch())
                 # The W4A8 result survives the scoring that borrows its work arrays.
                 x_out = simulate_w4a8(b.activations, scratch)
                 assert _same_array(x_out, simulate_w4a8(b.activations))
-                want = score(b, p, output_activations=simulate_w4a8(b.activations))
-                assert score(b, p, output_activations=x_out, scratch=scratch) == want
+                imp = calibration(b, scratch)[1]
+                want = score(b, p, simulate_w4a8(b.activations), imp, metrics.Scratch())
+                assert score(b, p, x_out, imp, scratch) == want
 
     def test_no_buffer_outlives_eval(self, monkeypatch, tmp_path):
         taken = []
@@ -505,4 +549,4 @@ class TestWithinLayerPeak:
         cfg = AaacConfig.for_format(fmt)
         p, _ = quantize_layer(b, method, cfg)
         assert self._peak(lambda: quantize_layer(b, method, cfg)) < 3.0 * layer
-        assert self._peak(lambda: score(b, p)) < 4.5 * layer
+        assert self._peak(lambda: _score(b, p, metrics.Scratch())) < 4.5 * layer

@@ -444,6 +444,17 @@ class TestCorruption:
                 with pytest.raises(CorruptionError, match="codebook"):
                     unpack(broken)
 
+    def test_tables_of_another_length_than_the_header(self):
+        # The decoder gathers from both tables end to end, so each must hold
+        # the header's entries.
+        rng = np.random.default_rng(23)
+        p = pack(*random_layer(rng, 1, 32, 16, 16, 16), kind="int4", group_size=16, sel_size=16)
+        for tables in ({"table0_bits": p.table0_bits[:8], "table1_bits": p.table1_bits[:8]},
+                       {"table1_bits": p.table1_bits[:15]},
+                       {"table0_bits": np.append(p.table0_bits, p.table0_bits[:1])}):
+            with pytest.raises(CorruptionError, match="codebook size"):
+                unpack_groups(dataclasses.replace(p, **tables))
+
     def test_mutation_fuzz_raises_only_corruption_errors(self, tmp_path):
         rng = np.random.default_rng(18)
         t0, t1, sel, codes, scales = random_layer(rng, 2, 64, 16, 16, 16)

@@ -18,6 +18,7 @@ from aaacq.grids import (
 from aaacq.metrics import quantize_layer, reconstruct
 from aaacq.packfmt import unpack
 from aaacq.quantizers import (
+    decode_block,
     dequantize,
     dequantize_rtn,
     if4_quantize,
@@ -573,7 +574,7 @@ class TestDequantize:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * rows * cols
-        want = dequantize(codes, scales, t0, t1, sel, g, s, scratch=Scratch())
+        want = decode_block(codes, scales, np.concatenate((t0, t1)), sel, g, s, Scratch())
         assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
     @pytest.mark.parametrize("method, fmt", [
@@ -858,8 +859,9 @@ class TestKernelPins:
         # On reused buffers, grown by a larger decode first, the bits are the same.
         scratch = Scratch()
         sel = selection.astype(np.uint8)
-        dequantize(np.vstack([codes, codes]), np.vstack([scales, scales]), tables[0], tables[1],
-                   np.vstack([sel, sel]), group_size, sel_size, scratch)
-        got = dequantize(codes, scales, tables[0], tables[1], sel, group_size, sel_size, scratch)
+        both = np.concatenate(tables)
+        decode_block(np.vstack([codes, codes]), np.vstack([scales, scales]), both,
+                     np.vstack([sel, sel]), group_size, sel_size, scratch)
+        got = decode_block(codes, scales, both, sel, group_size, sel_size, scratch)
         assert got.dtype == np.float32
         assert np.array_equal(got.view(np.uint32), want.view(np.uint32))

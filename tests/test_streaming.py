@@ -117,7 +117,9 @@ def test_archive_and_in_memory_bundles_give_the_same_packs_and_reports(
             for method in metrics.METHODS:
                 packs = [metrics.quantize_layer(b, method, cfg)[0] for b in (archive.load(layer), bundle)]
                 assert layer_to_bytes("w", packs[0]) == layer_to_bytes("w", packs[1]), method
-                rows = [metrics.score(b, packs[1]) for b in (archive.load(layer), bundle)]
+                scratch = metrics.Scratch()
+                rows = [metrics.score(b, packs[1], *metrics.calibration(b, scratch), scratch)
+                        for b in (archive.load(layer), bundle)]
                 assert rows[0] == rows[1], method
         got = metrics.compare(archive.layers, metrics.METHODS, cfg, load=archive.load)
     assert got.to_json() == metrics.compare(memory, metrics.METHODS, cfg).to_json()
