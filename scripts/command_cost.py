@@ -3,7 +3,8 @@
 
 Runs the command `--runs` times under each tree's `src/`, one tree after the
 other, and prints per tree the median CPU seconds, wall seconds, peak RSS
-and minor page faults of the command's process, from `wait4`.  A child's
+and minor page faults of the command's process, from `wait4`, each with
+its spread, the least and the greatest over the runs, in parentheses.  A child's
 peak RSS counts from the launcher's: the high-water mark of the process it
 is forked from carries across `exec`.  So this launcher imports neither
 numpy nor aaacq and stays far below any command, and the peak is the
@@ -23,6 +24,9 @@ import tempfile
 import time
 
 _LAUNCH = "import sys; from aaacq.cli import main; sys.exit(main())"
+# Each cost's unit and decimals, in the order they are printed.
+_FIGURES = {"cpu_s": ("CPU-s", 3), "wall_s": ("wall-s", 3), "rss_mib": ("MiB peak RSS", 1),
+            "minflt": ("minor faults", 0)}
 
 
 def _run(tree: str, command: list) -> dict:
@@ -61,10 +65,12 @@ def main(argv=None) -> int:
         for tree, runs in zip(args.trees, costs):
             runs.append(_run(tree, command))
     for tree, runs in zip(args.trees, costs):
-        median = {key: statistics.median(r[key] for r in runs) for key in runs[0]}
-        print(f"{tree}: median of {len(runs)}: {median['cpu_s']:.3f} CPU-s, "
-              f"{median['wall_s']:.3f} wall-s, {median['rss_mib']:.1f} MiB peak RSS, "
-              f"{median['minflt']:.0f} minor faults")
+        figures = []
+        for key, (unit, places) in _FIGURES.items():
+            values = [r[key] for r in runs]
+            figures.append(f"{statistics.median(values):.{places}f} {unit} "
+                           f"({min(values):.{places}f}-{max(values):.{places}f})")
+        print(f"{tree}: median of {len(runs)}: " + ", ".join(figures))
     return 0
 
 

@@ -170,8 +170,8 @@ def _emit_report(report: metrics.EvalReport, args) -> None:
     else:
         text = report.to_text()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with _replacing(args.out) as fh:
+            fh.write(text.encode("utf-8"))
     else:
         sys.stdout.write(text)
 

@@ -1,14 +1,14 @@
 """Bit-exact packed representation of quantized layers (.aaacq container).
 
-Layer payload layout, little-endian throughout:
+Serialized layer layout, little-endian throughout:
 
     u16 name length, UTF-8 name
     u8 format kind (0 = nvfp4, 1 = int4)
     u32 rows, u32 cols
     u16 scale group size, u16 selection group size
     u8 table size, u8 flags
-    u32 CRC32 of the section payload
-    sections, in order, each zero-padded to a 16-byte boundary:
+    u32 CRC32 of the payload
+    payload: the sections, in order, each zero-padded to a 16-byte boundary:
         codebooks:  2 * table_size BF16 words (table 0 then table 1)
         scales:     one BF16 word per scale group, row-major; when the
                     selection and scale groups coincide the sign bit holds
@@ -22,7 +22,13 @@ Flag bit 0 marks the presence of the selection bitset; bits 1-2 carry an
 informational method tag (0 unspecified, 1 rtn, 2 if4, 3 aaac).
 
 A container is the magic "AAACQ\\0", a u16 version, a u32 layer count, and
-the layer payloads in order.  Layer names must be unique.
+the serialized layers in order.  Layer names must be unique.
+
+The header alone fixes every section's size and place (`_layout`).  A
+`PackedLayer` is the header's fields and the payload as stored: `pack`
+writes each section into it in place, the writer puts the header and CRC
+in front of it, the reader keeps the CRC-checked bytes it read, and the
+section attributes are views into it.
 
 Neither side needs the whole container in memory.  `PackWriter` writes the
 count up front and then one layer at a time; `PackReader` checks every
@@ -37,7 +43,7 @@ import io
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,32 +90,6 @@ def _pad16(nbytes: int) -> int:
     return -(-nbytes // SECTION_ALIGN) * SECTION_ALIGN
 
 
-@dataclass(frozen=True)
-class PackedLayer:
-    """A quantized layer in packed form; field semantics match the layout above."""
-
-    kind: int
-    rows: int
-    cols: int
-    group_size: int
-    sel_size: int
-    table_size: int
-    flags: int
-    table0_bits: np.ndarray   # uint16, table_size BF16 patterns
-    table1_bits: np.ndarray
-    scale_bits: np.ndarray    # uint16, rows * cols / group_size
-    code_bytes: bytes         # ceil(rows * cols / 2)
-    bitset: bytes | None
-
-    @property
-    def has_bitset(self) -> bool:
-        return bool(self.flags & FLAG_BITSET)
-
-    @property
-    def method(self) -> str:
-        return METHOD_TAGS.get((self.flags >> 1) & 0x3, "unspecified")
-
-
 def size_breakdown(
     rows: int, cols: int, group_size: int, sel_size: int, table_size: int, name_len: int = 0
 ) -> dict[str, int]:
@@ -128,12 +108,85 @@ def size_breakdown(
 _SECTIONS = ("codebook_bytes", "scale_bytes", "code_bytes", "bitset_bytes")
 
 
+def _layout(rows: int, cols: int, group_size: int, sel_size: int, table_size: int):
+    """Where each of `_SECTIONS` lies in a layer's payload, as slices, and the
+    payload's length, every section padded to `SECTION_ALIGN` bytes."""
+    b = size_breakdown(rows, cols, group_size, sel_size, table_size)
+    spans, end = [], 0
+    for key in _SECTIONS:
+        spans.append(slice(end, end + b[key]))
+        end += _pad16(b[key])
+    return spans, end
+
+
 def packed_size(
     rows: int, cols: int, group_size: int, sel_size: int, table_size: int, name_len: int = 0
 ) -> int:
     """Exact serialized length of one layer, including 16-byte section padding."""
-    b = size_breakdown(rows, cols, group_size, sel_size, table_size, name_len)
-    return b["header_bytes"] + sum(_pad16(b[key]) for key in _SECTIONS)
+    return (size_breakdown(rows, cols, group_size, sel_size, table_size, name_len)["header_bytes"]
+            + _layout(rows, cols, group_size, sel_size, table_size)[1])
+
+
+@dataclass(frozen=True)
+class PackedLayer:
+    """A quantized layer in packed form: its header fields and `payload`.
+
+    The section attributes are read-only views into the payload.  Group
+    sizes the reader would refuse, or a payload of another length than the
+    header fixes, raise `CorruptionError`.
+    """
+
+    kind: int
+    rows: int
+    cols: int
+    group_size: int
+    sel_size: int
+    table_size: int
+    flags: int
+    payload: bytes | bytearray = field(repr=False)
+
+    def __post_init__(self):
+        _check_stored_groups(self.group_size, self.sel_size, self.cols, self.flags)
+        size = self._layout()[1]
+        if len(self.payload) != size:
+            raise CorruptionError(f"payload of {len(self.payload)} bytes, the header fixes {size}")
+
+    def _layout(self):
+        return _layout(self.rows, self.cols, self.group_size, self.sel_size, self.table_size)
+
+    def _section(self, i: int) -> memoryview:
+        return memoryview(self.payload).toreadonly()[self._layout()[0][i]]
+
+    @property
+    def table0_bits(self) -> np.ndarray:
+        """uint16, `table_size` BF16 patterns."""
+        return np.frombuffer(self._section(0), "<u2")[: self.table_size]
+
+    @property
+    def table1_bits(self) -> np.ndarray:
+        return np.frombuffer(self._section(0), "<u2")[self.table_size :]
+
+    @property
+    def scale_bits(self) -> np.ndarray:
+        """uint16, rows * cols / group_size BF16 words, selection in the sign bits."""
+        return np.frombuffer(self._section(1), "<u2")
+
+    @property
+    def code_bytes(self) -> memoryview:
+        """ceil(rows * cols / 2) bytes of two codes each."""
+        return self._section(2)
+
+    @property
+    def bitset(self) -> memoryview | None:
+        return self._section(3) if self.has_bitset else None
+
+    @property
+    def has_bitset(self) -> bool:
+        return bool(self.flags & FLAG_BITSET)
+
+    @property
+    def method(self) -> str:
+        return METHOD_TAGS.get((self.flags >> 1) & 0x3, "unspecified")
 
 
 def selection_overhead_bpw(group_size: int, sel_size: int) -> float:
@@ -189,7 +242,6 @@ def pack(
     # Checked in float64, before the cast to float32 could overflow; NaN fails too.
     if not (np.abs(np.concatenate((t0, t1))) < _BF16_INF_CUT).all():
         raise ValidationError("codebook entries must round to finite BF16 values")
-    table_bits = [bf16_bits(np.sort(t)) for t in (t0, t1)]
     codes, sel = _checked_uint8("code", codes, t0.size - 1), _checked_uint8("selection value", sel, 1)
     # The extremes, exact in float64, are checked before the cast to float32
     # could overflow; NaN fails too.  A positive scale can still round to 0.
@@ -199,35 +251,25 @@ def pack(
     if not scale_bits.all():
         raise ValidationError("scales must round to finite, strictly positive BF16 values")
 
-    flags = 0
-    bitset = None
+    # Each section is written in place, into the payload as it is stored,
+    # once the BF16 rounding of the scales has freed its temporaries.
+    spans, size = _layout(rows, cols, group_size, sel_size, t0.size)
+    payload = bytearray(size)
+    data = np.frombuffer(payload, np.uint8)
+    data[spans[0]].view("<u2")[:] = bf16_bits(np.concatenate((np.sort(t0), np.sort(t1))))
+    scale_words = data[spans[1]].view("<u2")
+    scale_words[:] = scale_bits
     if sel_size == group_size:
-        scale_bits = scale_bits | (sel.reshape(-1).astype(np.uint16) << 15)
+        scale_words |= sel.reshape(-1).astype(np.uint16) << 15
     else:
-        flags |= FLAG_BITSET
-        bitset = np.packbits(sel.reshape(-1), bitorder="little").tobytes()
+        data[spans[3]] = np.packbits(sel.reshape(-1), bitorder="little")
+    flat, nibbles = codes.reshape(-1), data[spans[2]]
+    nibbles[:] = flat[0::2]
+    nibbles[: flat.size // 2] |= flat[1::2] << 4
 
-    flat = codes.reshape(-1)
-    if flat.size % 2:
-        flat = np.concatenate([flat, np.zeros(1, dtype=np.uint8)])
-    code_bytes = (flat[0::2] | (flat[1::2] << 4)).tobytes()
-
-    flags |= METHOD_IDS[method] << 1
-
-    return PackedLayer(
-        kind=KIND_IDS[kind] if isinstance(kind, str) else kind,
-        rows=rows,
-        cols=cols,
-        group_size=group_size,
-        sel_size=sel_size,
-        table_size=int(t0.size),
-        flags=flags,
-        table0_bits=table_bits[0],
-        table1_bits=table_bits[1],
-        scale_bits=scale_bits.astype(np.uint16),
-        code_bytes=code_bytes,
-        bitset=bitset,
-    )
+    kind = KIND_IDS[kind] if isinstance(kind, str) else kind
+    flags = (FLAG_BITSET if sel_size < group_size else 0) | METHOD_IDS[method] << 1
+    return PackedLayer(kind, rows, cols, group_size, sel_size, int(t0.size), flags, payload)
 
 
 def _check_stored_groups(group_size: int, sel_size: int, cols: int, flags: int) -> None:
@@ -260,65 +302,37 @@ def unpack_groups(p: PackedLayer):
     """(table0, table1, selection, scales) of a packed layer: all that `unpack`
     recovers but the codes, with every check it makes but the code nibbles'
     range, which `unpack_rows` checks."""
-    count = p.rows * p.cols
-    _check_stored_groups(p.group_size, p.sel_size, p.cols, p.flags)
-    sizes = size_breakdown(p.rows, p.cols, p.group_size, p.sel_size, p.table_size)
-    t0 = bf16_decode(p.table0_bits)
-    t1 = bf16_decode(p.table1_bits)
-    if t0.shape != (p.table_size,) or t1.shape != (p.table_size,):
-        raise CorruptionError("codebook size does not match the header")
+    t0, t1 = bf16_decode(p.table0_bits), bf16_decode(p.table1_bits)
     if not (np.isfinite(t0).all() and np.isfinite(t1).all()):
         raise CorruptionError("codebook entries must decode finite")
-
-    scale_bits = np.asarray(p.scale_bits, dtype=np.uint16)
-    if 2 * scale_bits.size != sizes["scale_bytes"]:
-        raise CorruptionError("scale section size does not match the header")
-    magnitudes = bf16_decode(scale_bits & np.uint16(0x7FFF))
+    magnitudes = bf16_decode(p.scale_bits & np.uint16(0x7FFF))
     if not np.isfinite(magnitudes).all() or (magnitudes <= 0).any():
         raise CorruptionError("stored scales must decode finite and non-zero")
-    scales = magnitudes.reshape(p.rows, p.cols // p.group_size)
-
     if p.has_bitset:
-        if p.bitset is None:
-            raise CorruptionError("header declares a selection bitset but none is present")
-        bits = np.frombuffer(p.bitset, dtype=np.uint8)
-        if bits.size != sizes["bitset_bytes"]:
-            raise CorruptionError("selection bitset size does not match the header")
-        sel = np.unpackbits(bits, bitorder="little")[: count // p.sel_size]
+        sel = np.unpackbits(np.frombuffer(p.bitset, np.uint8), bitorder="little")
+        sel = sel[: p.rows * p.cols // p.sel_size]
     else:
-        sel = (scale_bits >> 15).astype(np.uint8)
-    _code_section(p)
-    return t0, t1, sel.reshape(p.rows, p.cols // p.sel_size), scales
+        sel = (p.scale_bits >> 15).astype(np.uint8)
+    return t0, t1, sel.reshape(p.rows, p.cols // p.sel_size), magnitudes.reshape(p.rows, -1)
 
 
-def _code_section(p: PackedLayer) -> np.ndarray:
-    """The code section's bytes, a uint8 view, once checked against the header."""
-    raw = np.frombuffer(p.code_bytes, dtype=np.uint8)
-    if raw.size != -(-(p.rows * p.cols) // 2):
-        raise CorruptionError("code section size does not match the header")
-    return raw
-
-
-def unpack_rows(p: PackedLayer, rows: slice, scratch: Scratch | None = None) -> np.ndarray:
+def unpack_rows(p: PackedLayer, rows: slice, scratch: Scratch) -> np.ndarray:
     """The codes of rows `rows`, a slice of step 1, of a packed layer.
 
     Only those rows' bytes of the code section are split into nibbles, and
     the codes are checked to index the layer's tables.  They are `scratch`'s
-    `nibbles` buffer (a fresh scratch's when none is given), valid until its
-    next call there.
+    `nibbles` buffer, valid until its next call there.
     """
     a, b, step = rows.indices(p.rows)
     if step != 1:
         raise ValueError(f"rows must be a slice of step 1, got {rows}")
-    raw = _code_section(p)
-    scratch = Scratch() if scratch is None else scratch
     start, stop = a * p.cols, max(a, b) * p.cols
     lo, hi = start // 2, -(-stop // 2)  # the bytes that hold codes start:stop
     # Each byte widens to a little-endian pair of bytes, its low nibble then
     # its high one: five contiguous passes cost a quarter of two strided ones.
     pairs = scratch.take("nibbles", (hi - lo,), np.dtype("<u2"))
     high = scratch.take("high nibbles", (hi - lo,), np.dtype("<u2"))
-    np.copyto(pairs, raw[lo:hi])
+    np.copyto(pairs, np.frombuffer(p.code_bytes[lo:hi], np.uint8))
     np.left_shift(pairs, 4, out=high)
     np.bitwise_and(pairs, 0x0F, out=pairs)
     np.bitwise_and(high, 0x0F00, out=high)
@@ -336,35 +350,13 @@ def unpack_rows(p: PackedLayer, rows: slice, scratch: Scratch | None = None) -> 
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _padded(raw: bytes) -> bytes:
-    return raw + b"\x00" * (_pad16(len(raw)) - len(raw))
-
-
-def _layer_payload(p: PackedLayer) -> bytes:
-    sections = [
-        np.concatenate([p.table0_bits, p.table1_bits]).astype("<u2").tobytes(),
-        np.asarray(p.scale_bits, dtype="<u2").tobytes(),
-        p.code_bytes,
-    ]
-    if p.bitset is not None:
-        sections.append(p.bitset)
-    return b"".join(_padded(s) for s in sections)
-
-
 def layer_to_bytes(name: str, p: PackedLayer) -> bytes:
+    """One layer as stored: its name, header and payload CRC, then `p.payload`."""
     check_header(name, p.group_size, p.sel_size)
     encoded = name.encode("utf-8")
-    payload = _layer_payload(p)
-    header = _HEADER.pack(
-        p.kind, p.rows, p.cols, p.group_size, p.sel_size, p.table_size, p.flags
-    )
-    return (
-        struct.pack("<H", len(encoded))
-        + encoded
-        + header
-        + struct.pack("<I", zlib.crc32(payload))
-        + payload
-    )
+    header = _HEADER.pack(p.kind, p.rows, p.cols, p.group_size, p.sel_size, p.table_size, p.flags)
+    crc = struct.pack("<I", zlib.crc32(p.payload))
+    return struct.pack("<H", len(encoded)) + encoded + header + crc + p.payload
 
 
 class _Reader:
@@ -406,8 +398,7 @@ def _layer_header(r: _Reader, previous: str | None = None):
     `previous`, the layer before it in a container, whose sizes put the
     header here (a wrong column count there reads as garbage here).
     Returns (name, (kind, rows, cols, group_size, sel_size, table_size,
-    flags), crc, section sizes before padding), leaving the cursor at the
-    payload.
+    flags), crc, payload length), leaving the cursor at the payload.
     """
     with naming_layer(previous, "next header: "):
         (name_len,) = r.unpack(struct.Struct("<H"))
@@ -425,41 +416,7 @@ def _layer_header(r: _Reader, previous: str | None = None):
         _check_stored_groups(group_size, sel_size, cols, flags)
         (crc,) = r.unpack(struct.Struct("<I"))
 
-    b = size_breakdown(rows, cols, group_size, sel_size, table_size)
-    return name, fields, crc, [b[key] for key in _SECTIONS]
-
-
-def _layer_from_reader(r: _Reader) -> tuple[str, PackedLayer]:
-    name, fields, crc, sizes = _layer_header(r)
-    kind, rows, cols, group_size, sel_size, table_size, flags = fields
-    with naming_layer(name):
-        payload = r.take(sum(_pad16(s) for s in sizes))
-        if zlib.crc32(payload) != crc:
-            raise CorruptionError("payload CRC mismatch")
-
-    view = memoryview(payload)
-    cursor = 0
-    raw_sections = []
-    for s in sizes:
-        raw_sections.append(view[cursor : cursor + s])
-        cursor += _pad16(s)
-
-    tables = np.frombuffer(raw_sections[0], dtype="<u2")
-    p = PackedLayer(
-        kind=kind,
-        rows=rows,
-        cols=cols,
-        group_size=group_size,
-        sel_size=sel_size,
-        table_size=table_size,
-        flags=flags,
-        table0_bits=tables[:table_size].copy(),
-        table1_bits=tables[table_size:].copy(),
-        scale_bits=np.frombuffer(raw_sections[1], dtype="<u2").copy(),
-        code_bytes=bytes(raw_sections[2]),
-        bitset=bytes(raw_sections[3]) if flags & FLAG_BITSET else None,
-    )
-    return name, p
+    return name, fields, crc, _layout(*fields[1:6])[1]
 
 
 @dataclass(frozen=True)
@@ -515,9 +472,9 @@ class PackReader(ScannedFile):
             if r.offset == r.end:
                 raise CorruptionError(f"container holds {held} layers, its header says {count}")
             start = r.offset
-            name, fields, _, sizes = _layer_header(r, entries[-1].name if entries else None)
+            name, fields, _, size = _layer_header(r, entries[-1].name if entries else None)
             with naming_layer(name):
-                r.skip(sum(_pad16(s) for s in sizes))
+                r.skip(size)
             if name in seen:
                 raise CorruptionError(f"duplicate layer name {name!r}")
             seen.add(name)
@@ -527,10 +484,15 @@ class PackReader(ScannedFile):
         return entries
 
     def read(self, entry: PackEntry) -> PackedLayer:
-        name, p = _layer_from_reader(_Reader(self.fd, entry.start, entry.end))
+        r = _Reader(self.fd, entry.start, entry.end)
+        name, fields, crc, size = _layer_header(r)
+        with naming_layer(name):
+            payload = r.take(size)  # kept as read: the layer's sections are views into it
+            if zlib.crc32(payload) != crc:
+                raise CorruptionError("payload CRC mismatch")
         if name != entry.name:
             raise CorruptionError(f"layer {entry.name!r} changed since the pack was opened")
-        return p
+        return PackedLayer(*fields, payload)
 
 
 def model_to_bytes(layers: list[tuple[str, PackedLayer]]) -> bytes:

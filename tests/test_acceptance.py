@@ -235,13 +235,14 @@ def test_criterion_5_pack_round_trip(tmp_path):
         path.write_bytes(flipped)
         with pytest.raises(CorruptionError):
             read_pack(path)
-        bad_codes = bytearray(p.code_bytes)
-        bad_codes[0] = 0xFF
+        # Two 15-entry tables fill 60 of the codebook section's 64 bytes; the
+        # code section follows the eight scales' 16 bytes.
+        payload = bytearray(p.payload)
+        payload[:64] = np.concatenate((p.table0_bits[:15], p.table1_bits[:15])).tobytes() + bytes(4)
+        payload[64 + 16] = 0xFF
         broken = PackedLayer(
             kind=p.kind, rows=p.rows, cols=p.cols, group_size=p.group_size,
-            sel_size=p.sel_size, table_size=15, flags=p.flags,
-            table0_bits=p.table0_bits[:15], table1_bits=p.table1_bits[:15],
-            scale_bits=p.scale_bits, code_bytes=bytes(bad_codes), bitset=p.bitset,
+            sel_size=p.sel_size, table_size=15, flags=p.flags, payload=payload,
         )
         with pytest.raises(CorruptionError):
             unpack(broken)

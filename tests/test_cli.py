@@ -308,6 +308,36 @@ def test_output_that_is_an_input_fails_before_work(tmp_path, capsys, archive):
     assert run("eval", pack_path, archive, "--json") == 0
 
 
+# Runs `aaacq.cli.main` with files limited to LIMIT bytes and SIGXFSZ
+# ignored, so that a longer write fails with EFBIG, as on a full disk.
+_FILE_SIZE_LIMITED = """
+import resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), int(sys.argv[1])))
+from aaacq.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["eval", "compare"])
+def test_a_report_that_fails_to_write_leaves_the_earlier_one(tmp_path, archive, command):
+    pack_path = tmp_path / "m.aaacq"
+    assert run("quantize", archive, "--out", pack_path, "--method", "rtn") == 0
+    argv = {"eval": ["eval", pack_path, archive], "compare": ["compare", archive, "--methods", "rtn"]}
+    report = tmp_path / "report.json"
+    assert run(*argv[command], "--json", "--out", report) == 0
+    earlier = report.read_bytes()
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(aaacq.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FILE_SIZE_LIMITED, str(len(earlier) // 2),
+         *map(str, argv[command]), "--json", "--out", str(report)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode != 0 and "File too large" in proc.stderr, proc.stderr
+    assert report.read_bytes() == earlier
+    assert sorted(os.listdir(tmp_path)) == ["layers.safetensors", "m.aaacq", "report.json"]
+
+
 @pytest.mark.parametrize("name, shape, flags, message", [
     ("wide", (1, 65536), ["--format", "int4", "-g", "65536"], "scale group size 65536"),
     ("n" * 70_000, (2, 32), [], "layer name of 70000 UTF-8 bytes"),

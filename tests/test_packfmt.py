@@ -1,6 +1,7 @@
 """Packed layer layout, sign-bit selection storage, and container parsing."""
 
 import dataclasses
+import pickle
 import struct
 import tracemalloc
 import warnings
@@ -58,6 +59,17 @@ _HEAD = len(MAGIC) + 6  # magic, version and layer count: where the first layer 
 def one_layer(raw: bytes) -> bytes:
     """A container holding the one serialized layer `raw`."""
     return MAGIC + struct.pack("<HI", VERSION, 1) + raw
+
+
+def edited(p, section: str, at: int, raw: bytes) -> PackedLayer:
+    """`p` with `raw` written at byte `at` of its `size_breakdown` section
+    `section`, in a copy of its payload."""
+    sizes = size_breakdown(p.rows, p.cols, p.group_size, p.sel_size, p.table_size)
+    order = ("codebook_bytes", "scale_bytes", "code_bytes", "bitset_bytes")
+    start = at + sum(-(-sizes[key] // 16) * 16 for key in order[:order.index(section)])
+    payload = bytearray(p.payload)
+    payload[start:start + len(raw)] = raw
+    return dataclasses.replace(p, payload=payload)
 
 
 def read_blob(path, blob: bytes):
@@ -313,6 +325,52 @@ class TestRoundTrip:
         assert layer_to_bytes("a", p1) != layer_to_bytes("a", p2)
 
 
+class TestPayload:
+    """A packed layer is its stored payload; its sections are views into it."""
+
+    def read_one(self, path, p):
+        path.write_bytes(model_to_bytes([("a", p)]))
+        with PackReader(path) as reader:
+            (entry,) = reader.layers
+            return reader.read(entry)
+
+    def test_a_read_layer_holds_no_copy_of_its_sections(self, tmp_path):
+        rng = np.random.default_rng(24)
+        p = pack(*random_layer(rng, 4, 256, 128, 16, 16), kind="int4", group_size=128, sel_size=16)
+        q = self.read_one(tmp_path / "m.aaacq", p)
+        payload = np.frombuffer(q.payload, np.uint8)
+        for view in (q.table0_bits, q.table1_bits, q.scale_bits, q.code_bytes, q.bitset):
+            assert np.shares_memory(view, payload)
+        assert not q.scale_bits.flags.writeable and q.code_bytes.readonly and q.bitset.readonly
+
+    @pytest.mark.parametrize("g", [16, 128], ids=["sign-bits", "bitset"])
+    def test_a_packed_layer_survives_pickle(self, tmp_path, g):
+        # Forked `quantize` workers hand their packs back by pickle.
+        rng = np.random.default_rng(25)
+        p = pack(*random_layer(rng, 3, 256, g, 16, 15), kind="nvfp4", group_size=g, sel_size=16,
+                 method="aaac")
+        for layer in (p, self.read_one(tmp_path / "m.aaacq", p)):
+            q = pickle.loads(pickle.dumps(layer))
+            assert q == p and layer_to_bytes("a", q) == layer_to_bytes("a", p)
+            assert q.code_bytes == p.code_bytes and q.bitset == p.bitset
+
+    def test_reading_a_layer_allocates_its_payload_alone(self, tmp_path):
+        rng = np.random.default_rng(26)
+        p = pack(*random_layer(rng, 256, 2048, 128, 16, 16), kind="int4", group_size=128, sel_size=16)
+        path = tmp_path / "m.aaacq"
+        path.write_bytes(model_to_bytes([("a", p)]))
+        with PackReader(path) as reader:
+            (entry,) = reader.layers
+            tracemalloc.start()
+            try:
+                q = reader.read(entry)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        size = len(q.payload)
+        assert size > 2 ** 18 and peak <= size + 4096
+
+
 class TestGoldenBytes:
     def test_layer_wire_format_is_pinned(self):
         # Hand-assembled expectation for a tiny layer; any layout change
@@ -368,14 +426,7 @@ class TestCorruption:
         rng = np.random.default_rng(12)
         t0, t1, sel, codes, scales = random_layer(rng, 1, 32, 16, 16, 12)
         p = pack(t0, t1, sel, codes, scales, kind="int4", group_size=16, sel_size=16)
-        bad = bytearray(p.code_bytes)
-        bad[0] = 0xFF  # nibble 15 >= table_size 12
-        broken = PackedLayer(
-            kind=p.kind, rows=p.rows, cols=p.cols, group_size=p.group_size,
-            sel_size=p.sel_size, table_size=p.table_size, flags=p.flags,
-            table0_bits=p.table0_bits, table1_bits=p.table1_bits,
-            scale_bits=p.scale_bits, code_bytes=bytes(bad), bitset=p.bitset,
-        )
+        broken = edited(p, "code_bytes", 0, b"\xff")  # nibble 15 >= table_size 12
         with pytest.raises(CorruptionError, match="nibble"):
             unpack(broken)
 
@@ -383,77 +434,48 @@ class TestCorruption:
         rng = np.random.default_rng(17)
         t0, t1, sel, codes, scales = random_layer(rng, 2, 256, 128, 16, 16)
         p = pack(t0, t1, sel, codes, scales, kind="int4", group_size=128, sel_size=16)
-        # selection coarser than the scale group
-        bad = PackedLayer(
-            kind=p.kind, rows=p.rows, cols=p.cols, group_size=64, sel_size=128,
-            table_size=p.table_size, flags=p.flags, table0_bits=p.table0_bits,
-            table1_bits=p.table1_bits, scale_bits=p.scale_bits,
-            code_bytes=p.code_bytes, bitset=p.bitset,
-        )
-        with pytest.raises(CorruptionError):
-            unpack(bad)
-        # empty selection or scale groups
-        for sizes in ({"sel_size": 0}, {"group_size": 0, "sel_size": 0}):
-            with pytest.raises(CorruptionError):
-                unpack(dataclasses.replace(p, **sizes))
-        # bitset flag contradicts the group sizes
-        bad = PackedLayer(
-            kind=p.kind, rows=p.rows, cols=p.cols, group_size=p.group_size,
-            sel_size=p.sel_size, table_size=p.table_size, flags=p.flags & ~0x01,
-            table0_bits=p.table0_bits, table1_bits=p.table1_bits,
-            scale_bits=p.scale_bits, code_bytes=p.code_bytes, bitset=None,
-        )
-        with pytest.raises(CorruptionError):
-            unpack(bad)
-        # bitset shorter than the header implies
-        bad = PackedLayer(
-            kind=p.kind, rows=p.rows, cols=p.cols, group_size=p.group_size,
-            sel_size=p.sel_size, table_size=p.table_size, flags=p.flags,
-            table0_bits=p.table0_bits, table1_bits=p.table1_bits,
-            scale_bits=p.scale_bits, code_bytes=p.code_bytes,
-            bitset=p.bitset[:-1],
-        )
-        with pytest.raises(CorruptionError):
-            unpack(bad)
+        # selection coarser than the scale group, or empty selection or scale groups
+        for sizes in ({"group_size": 64, "sel_size": 128}, {"sel_size": 0},
+                      {"group_size": 0, "sel_size": 0}):
+            with pytest.raises(CorruptionError, match="stored group sizes"):
+                dataclasses.replace(p, **sizes)
+
+    # Header edits that the payload no longer fits, on a layer with scale
+    # groups of 128 (a selection bitset) or 16 (sign bits), selection groups of 16.
+    MISMATCHES = {
+        "payload-short": (128, lambda p: dataclasses.replace(p, payload=p.payload[:-1])),
+        "payload-long": (16, lambda p: dataclasses.replace(p, payload=p.payload + bytes(16))),
+        "tables-shorter": (16, lambda p: dataclasses.replace(p, table_size=8)),
+        "rows-more": (128, lambda p: dataclasses.replace(p, rows=p.rows + 1)),
+        "bitset-flag-clear": (128, lambda p: dataclasses.replace(p, flags=p.flags & ~0x01)),
+        "bitset-flag-set": (16, lambda p: dataclasses.replace(p, flags=p.flags | 0x01)),
+    }
+
+    @pytest.mark.parametrize("case", MISMATCHES)
+    def test_a_payload_that_disagrees_with_the_header_is_refused(self, case):
+        g, mismatch = self.MISMATCHES[case]
+        rng = np.random.default_rng(23)
+        p = pack(*random_layer(rng, 2, 256, g, 16, 16), kind="int4", group_size=g, sel_size=16)
+        with pytest.raises(CorruptionError, match="payload of|bitset flag"):
+            mismatch(p)
 
     def test_zero_or_nonfinite_scale_magnitude(self):
         rng = np.random.default_rng(13)
         t0, t1, sel, codes, scales = random_layer(rng, 1, 32, 16, 16, 16)
         p = pack(t0, t1, sel, codes, scales, kind="int4", group_size=16, sel_size=16)
         for bad_bits in (0x0000, 0x7F80, 0x7FC1):  # +0, +inf, NaN
-            bits = p.scale_bits.copy()
-            bits[0] = bad_bits
-            broken = PackedLayer(
-                kind=p.kind, rows=p.rows, cols=p.cols, group_size=p.group_size,
-                sel_size=p.sel_size, table_size=p.table_size, flags=p.flags,
-                table0_bits=p.table0_bits, table1_bits=p.table1_bits,
-                scale_bits=bits, code_bytes=p.code_bytes, bitset=p.bitset,
-            )
-            with pytest.raises(CorruptionError):
-                unpack(broken)
+            with pytest.raises(CorruptionError, match="stored scales"):
+                unpack(edited(p, "scale_bytes", 0, struct.pack("<H", bad_bits)))
 
     def test_nonfinite_table_entry(self):
         rng = np.random.default_rng(20)
         t0, t1, sel, codes, scales = random_layer(rng, 1, 32, 16, 16, 16)
         p = pack(t0, t1, sel, codes, scales, kind="int4", group_size=16, sel_size=16)
-        for table in ("table0_bits", "table1_bits"):
+        for last in (15, 31):  # the last entry of table 0, then of table 1
             for bad_bits in (0x7F80, 0xFF80, 0x7FC1):  # +inf, -inf, NaN
-                bits = getattr(p, table).copy()
-                bits[-1] = bad_bits
-                broken = dataclasses.replace(p, **{table: bits})
+                broken = edited(p, "codebook_bytes", 2 * last, struct.pack("<H", bad_bits))
                 with pytest.raises(CorruptionError, match="codebook"):
                     unpack(broken)
-
-    def test_tables_of_another_length_than_the_header(self):
-        # The decoder gathers from both tables end to end, so each must hold
-        # the header's entries.
-        rng = np.random.default_rng(23)
-        p = pack(*random_layer(rng, 1, 32, 16, 16, 16), kind="int4", group_size=16, sel_size=16)
-        for tables in ({"table0_bits": p.table0_bits[:8], "table1_bits": p.table1_bits[:8]},
-                       {"table1_bits": p.table1_bits[:15]},
-                       {"table0_bits": np.append(p.table0_bits, p.table0_bits[:1])}):
-            with pytest.raises(CorruptionError, match="codebook size"):
-                unpack_groups(dataclasses.replace(p, **tables))
 
     def test_mutation_fuzz_raises_only_corruption_errors(self, tmp_path):
         rng = np.random.default_rng(18)
@@ -494,27 +516,17 @@ class TestRowReads:
         scratch = Scratch()
         for a in range(rows + 1):
             for b in range(a, rows + 1):
-                for buffers in (scratch, None):
-                    got = unpack_rows(p, slice(a, b), buffers)
-                    assert got.dtype == np.uint8 and np.array_equal(got, codes[a:b]), (a, b)
+                got = unpack_rows(p, slice(a, b), scratch)
+                assert got.dtype == np.uint8 and np.array_equal(got, codes[a:b]), (a, b)
 
     def test_a_bad_nibble_fails_the_rows_that_hold_it(self):
         rng = np.random.default_rng(21)
         p = pack(*random_layer(rng, 4, 32, 16, 16, 12), kind="int4", group_size=16, sel_size=16)
-        bad = bytearray(p.code_bytes)
-        bad[-1] = 0xF0  # the last code, 15, is past 12-entry tables
-        broken = dataclasses.replace(p, code_bytes=bytes(bad))
-        assert np.array_equal(unpack_rows(broken, slice(0, 3)), unpack(p)[3][:3])
+        # The last code, 15, is past 12-entry tables.
+        broken = edited(p, "code_bytes", len(p.code_bytes) - 1, b"\xf0")
+        assert np.array_equal(unpack_rows(broken, slice(0, 3), Scratch()), unpack(p)[3][:3])
         with pytest.raises(CorruptionError, match="nibble 15"):
-            unpack_rows(broken, slice(3, 4))
-
-    def test_a_short_code_section_fails_every_read(self):
-        rng = np.random.default_rng(22)
-        p = pack(*random_layer(rng, 4, 32, 16, 16, 16), kind="int4", group_size=16, sel_size=16)
-        short = dataclasses.replace(p, code_bytes=p.code_bytes[:-1])
-        for read in (unpack, unpack_groups, lambda q: unpack_rows(q, slice(0, 1))):
-            with pytest.raises(CorruptionError, match="code section size"):
-                read(short)
+            unpack_rows(broken, slice(3, 4), Scratch())
 
 
 class TestContainer:
@@ -552,9 +564,6 @@ class TestContainer:
         for name in ("n" * 65_536, "\u00e9" * 32_768, "bad\ud800"):
             with pytest.raises(ValidationError):
                 model_to_bytes([(name, p)])
-        for field, value in (("group_size", 2**16), ("sel_size", 2**16)):
-            with pytest.raises(ValidationError, match="the pack header holds at most"):
-                layer_to_bytes("a", dataclasses.replace(p, **{field: value}))
         wide = pack(*random_layer(rng, 1, 65_536, 65_536, 65_536, 16),
                     kind="int4", group_size=65_536, sel_size=65_536)
         with pytest.raises(ValidationError, match="scale group size 65536"):

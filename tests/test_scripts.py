@@ -1,6 +1,7 @@
 """Experiment scripts run end to end on a tiny input."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -33,10 +34,14 @@ def test_command_cost_prints_one_median_line_per_tree(tmp_path, capsys):
     spec.loader.exec_module(cost)
     tree = str(SCRIPTS.parent)
     out = tmp_path / "s.safetensors"
-    assert cost.main(["--runs", "1", tree, tree, "--", "synth", "--out", str(out),
+    assert cost.main(["--runs", "2", tree, tree, "--", "synth", "--out", str(out),
                       "-N", "2", "-K", "16", "-T", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and out.is_file()
     for line in lines:
-        assert line.startswith(f"{tree}: median of 1: ")
-        assert all(word in line for word in ("CPU-s", "wall-s", "MiB peak RSS", "minor faults"))
+        assert line.startswith(f"{tree}: median of 2: ")
+        # Each figure is its median, then its least and greatest value over the runs.
+        figures = re.findall(r"([\d.]+) ([A-Za-z -]+?) \(([\d.]+)-([\d.]+)\)", line)
+        assert [unit for _, unit, _, _ in figures] == ["CPU-s", "wall-s", "MiB peak RSS", "minor faults"]
+        for median, _, least, greatest in figures:
+            assert float(least) <= float(median) <= float(greatest)
