@@ -4,7 +4,10 @@
 Runs the command `--runs` times under each tree's `src/`, one tree after the
 other, and prints per tree the median CPU seconds, wall seconds, peak RSS
 and minor page faults of the command's process, from `wait4`, each with
-its spread, the least and the greatest over the runs, in parentheses.  A child's
+its spread, the least and the greatest over the runs, in parentheses.
+After each command it times a bare `import aaacq.cli` under the same tree,
+and prints that start-up's median CPU seconds last: a change to the
+command's own work shows as a change in the difference of the two.  A child's
 peak RSS counts from the launcher's: the high-water mark of the process it
 is forked from carries across `exec`.  So this launcher imports neither
 numpy nor aaacq and stays far below any command, and the peak is the
@@ -24,24 +27,25 @@ import tempfile
 import time
 
 _LAUNCH = "import sys; from aaacq.cli import main; sys.exit(main())"
+_START_UP = "import aaacq.cli"
 # Each cost's unit and decimals, in the order they are printed.
 _FIGURES = {"cpu_s": ("CPU-s", 3), "wall_s": ("wall-s", 3), "rss_mib": ("MiB peak RSS", 1),
-            "minflt": ("minor faults", 0)}
+            "minflt": ("minor faults", 0), "start_up_cpu_s": ("start-up CPU-s", 3)}
 
 
-def _run(tree: str, command: list) -> dict:
-    """One run of `aaacq command` under `tree`'s sources: its costs, from `wait4`."""
+def _run(tree: str, code: str, args: list) -> dict:
+    """One run of `python -c code args` under `tree`'s sources: its costs, from `wait4`."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     with tempfile.TemporaryFile() as err:
         wall = time.perf_counter()
-        child = subprocess.Popen([sys.executable, "-c", _LAUNCH, *command], env=env,
+        child = subprocess.Popen([sys.executable, "-c", code, *args], env=env,
                                  stdout=subprocess.DEVNULL, stderr=err)
         _, status, usage = os.wait4(child.pid, 0)
         wall = time.perf_counter() - wall
         child.returncode = os.waitstatus_to_exitcode(status)
         if child.returncode:
             err.seek(0)
-            raise SystemExit(f"{tree}: aaacq {' '.join(command)} exited {child.returncode}:\n"
+            raise SystemExit(f"{tree}: python -c {code!r} {' '.join(args)} exited {child.returncode}:\n"
                              + err.read().decode(errors="replace"))
     return {"cpu_s": usage.ru_utime + usage.ru_stime, "wall_s": wall,
             "rss_mib": usage.ru_maxrss / 1024, "minflt": usage.ru_minflt}
@@ -63,7 +67,8 @@ def main(argv=None) -> int:
     costs = [[] for _ in args.trees]
     for _ in range(args.runs):
         for tree, runs in zip(args.trees, costs):
-            runs.append(_run(tree, command))
+            runs.append(_run(tree, _LAUNCH, command))
+            runs[-1]["start_up_cpu_s"] = _run(tree, _START_UP, [])["cpu_s"]
     for tree, runs in zip(args.trees, costs):
         figures = []
         for key, (unit, places) in _FIGURES.items():

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import codebooks, metrics, packfmt, tensors
 from .errors import AaacqError, PairingError, ValidationError, naming_layer
-from .grids import get_format
+from .grids import Scratch, get_format
 from .metrics import parallel_map as _parallel_map
 
 
@@ -149,12 +149,12 @@ def cmd_dequantize(args) -> int:
     _check_paths(inputs=[args.pack], outputs=[args.out])
     with packfmt.PackReader(args.pack) as pack, _replacing(args.out) as fh:
         entries = {e.name + ".weight": e for e in pack.layers}
-        scratch = metrics.Scratch()
+        scratch = Scratch()
 
         def decode(name):
             # Each row block is written before the next is decoded, on the same buffers.
             with naming_layer(entries[name].name):
-                for _, block in metrics.decoded_rows(pack.read(entries[name]), scratch):
+                for _, block in packfmt.decoded_rows(pack.read(entries[name]), scratch):
                     yield block
 
         tensors.stream_tensors(fh, {name: (e.rows, e.cols) for name, e in entries.items()}, decode)
@@ -183,7 +183,7 @@ def cmd_eval(args) -> int:
         for e in pack.layers:
             if e.name not in layers:
                 raise PairingError(f"packed layer {e.name!r} has no weights in {args.archive}")
-        scratch, rows = metrics.Scratch(), []
+        scratch, rows = Scratch(), []
         for e in pack.layers:
             # Loading reads nothing: the calibration and then the weights are
             # read a row block at a time, into the scratch's buffers.

@@ -83,10 +83,12 @@ def base_table(fmt: BaseFormat) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _bf16_round_bits(bits32: np.ndarray) -> np.ndarray:
-    # Round-to-nearest-even on the upper 16 bits of a float32 pattern.
-    b = bits32.astype(np.uint64)
-    b = (b + 0x7FFF + ((b >> 16) & 1)) & 0xFFFF0000
-    return b.astype(np.uint32)
+    # Round-to-nearest-even on the upper 16 bits of a float32 pattern, in one
+    # new uint32 array: the mask drops the carry into bit 32, which wraps here.
+    b = (bits32 >> 16) & 1
+    b += bits32
+    b += 0x7FFF
+    return np.bitwise_and(b, 0xFFFF0000, out=b)
 
 
 def round_bf16(x):
@@ -225,6 +227,19 @@ def row_blocks(rows: int, cols: int) -> list:
         return []
     step = max(1, BLOCK // cols)
     return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
+
+
+def _by_row_blocks(shape, fn) -> list:
+    """The arrays `fn(rows)` returns for a layer of `shape`, filled one of its
+    `row_blocks` at a time: exact where `fn` works by row."""
+    out = None
+    for rows in row_blocks(*shape):
+        parts = fn(rows)
+        if out is None:
+            out = [np.empty((shape[0],) + p.shape[1:], p.dtype) for p in parts]
+        for o, p in zip(out, parts):
+            o[rows] = p
+    return out
 
 
 class Scratch(threading.local):

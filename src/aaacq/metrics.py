@@ -6,9 +6,9 @@ decodes a packed layer as `eval` does), so `compare` measures what ships.
 `score` is given all it reads: the float64 calibration activations and
 column importance (both from `calibration`) and the `grids.Scratch` whose
 buffers, reused from layer to layer, hold them, the layer's float64
-difference and their tokens x rows product.  A pack is decoded one way, a
-row block at a time (`decoded_rows`, by `quantizers.decode_block`), and the
-activations are read from the archive a row block at a time.
+difference and their tokens x rows product.  A pack is decoded the one way
+`packfmt` decodes it, a row block at a time (`packfmt.decoded_rows`), and
+the activations are read from the archive a row block at a time.
 
 Gap recovery summarizes a method against the round-to-nearest baseline as
 the percentage of the quantization-induced degradation it removes relative
@@ -32,11 +32,9 @@ import numpy as np
 from . import grids
 from .codebooks import AaacConfig, _difference, _error_sums, column_importance, learn
 from .errors import AaacqError, PairingError, UndefinedGapError, ValidationError, naming_layer
-from .grids import E4M3_MAX, Scratch, base_table, check_groups, round_e4m3_into, row_blocks
-from .packfmt import (
-    PackedLayer, check_header, pack, selection_overhead_bpw, unpack_groups, unpack_rows,
-)
-from .quantizers import decode_block, if4_quantize, if4_tables, rtn_quantize
+from .grids import E4M3_MAX, Scratch, _by_row_blocks, base_table, check_groups, round_e4m3_into
+from .packfmt import PackedLayer, check_header, decoded_rows, pack, selection_overhead_bpw
+from .quantizers import if4_quantize, if4_tables, rtn_quantize
 from .tensors import LayerBundle
 
 METHODS = ("rtn", "if4", "aaac")
@@ -315,19 +313,6 @@ def parallel_map(fn, items, threads: int, fork: bool = False, consume=None) -> l
     return [r if consume is None else consume(r) for r in pool_map(fn, items, workers)]
 
 
-def _by_row_blocks(shape, fn) -> list:
-    """The arrays `fn(rows)` returns for a layer of `shape`, filled one of its
-    `row_blocks` at a time: exact where `fn` works by row."""
-    out = None
-    for rows in row_blocks(*shape):
-        parts = fn(rows)
-        if out is None:
-            out = [np.empty((shape[0],) + p.shape[1:], p.dtype) for p in parts]
-        for o, p in zip(out, parts):
-            o[rows] = p
-    return out
-
-
 def quantize_layer(bundle: LayerBundle, method: str, cfg: AaacConfig, col_importance=None):
     """Quantize one layer with one method; returns (packed layer, learner trace).
 
@@ -362,30 +347,6 @@ def quantize_layer(bundle: LayerBundle, method: str, cfg: AaacConfig, col_import
     return packed, trace
 
 
-def decoded_rows(p: PackedLayer, scratch: Scratch):
-    """The weights a packed layer decodes to, one row block at a time: an
-    iterator of (rows, float32 block), each block on `scratch`'s buffers and
-    valid until the next.
-
-    Each block's codes are split from its bytes of the code section
-    (`packfmt.unpack_rows`, which checks their range) and decoded by
-    `decode_block`; no whole-layer code array is made.  Everything but the
-    codes is checked (`unpack_groups`) before this returns.
-    """
-    t0, t1, sel, scales = unpack_groups(p)
-    both, g, s = np.concatenate((t0, t1), dtype=np.float64), p.group_size, p.sel_size
-    return ((r, decode_block(unpack_rows(p, r, scratch), scales[r], both, sel[r], g, s, scratch))
-            for r in row_blocks(p.rows, p.cols))
-
-
-def reconstruct(p: PackedLayer) -> np.ndarray:
-    """The weights a packed layer decodes to, decoded one row block at a time."""
-    out = np.empty((p.rows, p.cols), np.float32)
-    for r, block in decoded_rows(p, Scratch()):
-        out[r] = block
-    return out
-
-
 def calibration(bundle: LayerBundle, scratch: Scratch):
     """(activations, importance) of the bundle's calibration.
 
@@ -406,11 +367,11 @@ def score(bundle: LayerBundle, p: PackedLayer, activations, col_importance,
           scratch: Scratch) -> LayerMetrics:
     """`layer_metrics` of a packed layer against the layer it was quantized from.
 
-    Each row block is decoded as `reconstruct` decodes it (`decoded_rows`),
-    and `decoded - weights` goes straight into the float64 difference buffer
-    of `scratch`.  No whole-layer decode is made: the float32 block keeps
-    the decoder's rounding, and both operands widen exactly, so the
-    difference is the one of the whole-layer decode.
+    Each row block is decoded as `packfmt.reconstruct` decodes it
+    (`decoded_rows`), and `decoded - weights` goes straight into the float64
+    difference buffer of `scratch`.  No whole-layer decode is made: the
+    float32 block keeps the decoder's rounding, and both operands widen
+    exactly, so the difference is the one of the whole-layer decode.
 
     The output MSE reads `activations` (none when None), float64 from
     `calibration`; the errors are weighted by `col_importance`.  Raises
@@ -418,14 +379,11 @@ def score(bundle: LayerBundle, p: PackedLayer, activations, col_importance,
     columns and the importance holds one finite, non-negative value per
     column (`codebooks.check_importance`).
     """
-    blocks = decoded_rows(p, scratch)
     if (p.rows, p.cols) != bundle.shape:
-        raise PairingError(
-            f"packed layer {bundle.name!r} shape {(p.rows, p.cols)} does not match "
-            f"archive shape {bundle.shape}"
-        )
+        raise PairingError(f"packed layer {bundle.name!r} shape {(p.rows, p.cols)} does not match "
+                           f"archive shape {bundle.shape}")
     d = scratch.take("difference", bundle.shape)
-    for r, block in blocks:
+    for r, block in decoded_rows(p, scratch):
         np.copyto(d[r], block)
         d[r] -= bundle.weight_rows(r)
     return layer_metrics(bundle, p.method, d, p.group_size, p.sel_size, p.table_size,

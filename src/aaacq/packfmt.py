@@ -30,6 +30,9 @@ writes each section into it in place, the writer puts the header and CRC
 in front of it, the reader keeps the CRC-checked bytes it read, and the
 section attributes are views into it.
 
+A pack is read back here alone, a row block at a time (`unpack_rows`,
+decoded by `decoded_rows`); `unpack` and `reconstruct` join the blocks.
+
 Neither side needs the whole container in memory.  `PackWriter` writes the
 count up front and then one layer at a time; `PackReader` checks every
 header first, skipping the payloads, and then reads one layer at a time
@@ -49,8 +52,10 @@ import numpy as np
 
 from .errors import CorruptionError, ValidationError, naming_layer
 from .grids import (
-    Scratch, _check_group_shapes, _checked_uint8, bf16_bits, bf16_decode, check_groups, row_blocks,
+    Scratch, _by_row_blocks, _check_group_shapes, _checked_uint8, bf16_bits, bf16_decode,
+    check_groups, row_blocks,
 )
+from .quantizers import decode_block
 from .tensors import ScannedFile, pread_into
 
 MAGIC = b"AAACQ\x00"
@@ -286,47 +291,50 @@ def _check_stored_groups(group_size: int, sel_size: int, cols: int, flags: int) 
 def unpack(p: PackedLayer):
     """Recover (table0, table1, selection, codes, scales) from a packed layer.
 
-    Scales come back as their positive BF16 magnitudes; selection bits are
-    read from scale signs or from the bitset depending on the layout.  This
-    is `unpack_groups` and the codes of every row block (`unpack_rows`),
-    which decoders that work a row block at a time call instead.
+    Scales come back as their positive BF16 magnitudes.  The arrays are
+    joined from `unpack_rows` of every row block, which decoders that work a
+    row block at a time call instead.
     """
-    t0, t1, selection, scales = unpack_groups(p)
-    codes, scratch = np.empty((p.rows, p.cols), np.uint8), Scratch()
-    for r in row_blocks(p.rows, p.cols):
-        codes[r] = unpack_rows(p, r, scratch)
-    return t0, t1, selection, codes, scales
+    t0, t1 = _tables(p)
+    scratch = Scratch()
+    codes, scales, sel = _by_row_blocks((p.rows, p.cols), lambda r: unpack_rows(p, r, scratch))
+    return t0, t1, sel, codes, scales
 
 
-def unpack_groups(p: PackedLayer):
-    """(table0, table1, selection, scales) of a packed layer: all that `unpack`
-    recovers but the codes, with every check it makes but the code nibbles'
-    range, which `unpack_rows` checks."""
+def _tables(p: PackedLayer):
+    """The layer's two float32 tables, checked to decode finite."""
     t0, t1 = bf16_decode(p.table0_bits), bf16_decode(p.table1_bits)
     if not (np.isfinite(t0).all() and np.isfinite(t1).all()):
         raise CorruptionError("codebook entries must decode finite")
-    magnitudes = bf16_decode(p.scale_bits & np.uint16(0x7FFF))
-    if not np.isfinite(magnitudes).all() or (magnitudes <= 0).any():
-        raise CorruptionError("stored scales must decode finite and non-zero")
-    if p.has_bitset:
-        sel = np.unpackbits(np.frombuffer(p.bitset, np.uint8), bitorder="little")
-        sel = sel[: p.rows * p.cols // p.sel_size]
-    else:
-        sel = (p.scale_bits >> 15).astype(np.uint8)
-    return t0, t1, sel.reshape(p.rows, p.cols // p.sel_size), magnitudes.reshape(p.rows, -1)
+    return t0, t1
 
 
-def unpack_rows(p: PackedLayer, rows: slice, scratch: Scratch) -> np.ndarray:
-    """The codes of rows `rows`, a slice of step 1, of a packed layer.
+def unpack_rows(p: PackedLayer, rows: slice, scratch: Scratch):
+    """(codes, scales, selection) of rows `rows`, a slice of step 1, of a packed layer.
 
-    Only those rows' bytes of the code section are split into nibbles, and
-    the codes are checked to index the layer's tables.  They are `scratch`'s
-    `nibbles` buffer, valid until its next call there.
+    Each is read from just those rows' bytes of its section and checked
+    there: scales decode finite and above zero, codes index the tables.  The
+    selection is the scale sign bits, or the bitset's bits, which may start
+    mid-byte.  Codes and scales are on `scratch`, valid until its next call.
     """
     a, b, step = rows.indices(p.rows)
     if step != 1:
         raise ValueError(f"rows must be a slice of step 1, got {rows}")
-    start, stop = a * p.cols, max(a, b) * p.cols
+    b = max(a, b)
+    per_scale, per_sel = p.cols // p.group_size, p.cols // p.sel_size
+    words = p.scale_bits[a * per_scale:b * per_scale]
+    scales = bf16_decode(words, out=scratch.take("scales", words.shape, np.float32))
+    np.abs(scales, out=scales)  # the sign bit holds the selection, if anything
+    if not np.isfinite(scales).all() or (scales <= 0).any():
+        raise CorruptionError("stored scales must decode finite and non-zero")
+    if p.has_bitset:
+        first, end = a * per_sel, b * per_sel
+        byte = first // 8  # the bytes that hold bits first:end start at bit 0 of this one
+        bits = np.frombuffer(p.bitset[byte:-(-end // 8)], np.uint8)
+        sel = np.unpackbits(bits, bitorder="little")[first - 8 * byte:end - 8 * byte]
+    else:
+        sel = (words >> 15).astype(np.uint8)
+    start, stop = a * p.cols, b * p.cols
     lo, hi = start // 2, -(-stop // 2)  # the bytes that hold codes start:stop
     # Each byte widens to a little-endian pair of bytes, its low nibble then
     # its high one: five contiguous passes cost a quarter of two strided ones.
@@ -339,11 +347,28 @@ def unpack_rows(p: PackedLayer, rows: slice, scratch: Scratch) -> np.ndarray:
     np.bitwise_or(pairs, high, out=pairs)
     codes = pairs.view(np.uint8)[start - 2 * lo:stop - 2 * lo]
     if codes.size and int(codes.max()) >= p.table_size:
-        raise CorruptionError(
-            f"code nibble {int(codes.max())} out of range for "
-            f"{p.table_size}-entry tables"
-        )
-    return codes.reshape(-1, p.cols)
+        raise CorruptionError(f"code nibble {int(codes.max())} out of range for {p.table_size}-entry tables")
+    return codes.reshape(-1, p.cols), scales.reshape(-1, per_scale), sel.reshape(-1, per_sel)
+
+
+def decoded_rows(p: PackedLayer, scratch: Scratch):
+    """The weights a packed layer decodes to, one row block at a time: an
+    iterator of (rows, float32 block), each block on `scratch`'s buffers and
+    valid until the next.  Each block is read and checked by `unpack_rows`
+    and decoded by `quantizers.decode_block`: no whole-layer array is made.
+    """
+    both, g, s = np.concatenate(_tables(p), dtype=np.float64), p.group_size, p.sel_size
+    for r in row_blocks(p.rows, p.cols):
+        codes, scales, sel = unpack_rows(p, r, scratch)
+        yield r, decode_block(codes, scales, both, sel, g, s, scratch)
+
+
+def reconstruct(p: PackedLayer) -> np.ndarray:
+    """The weights a packed layer decodes to, decoded one row block at a time."""
+    out = np.empty((p.rows, p.cols), np.float32)
+    for r, block in decoded_rows(p, Scratch()):
+        out[r] = block
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from aaacq.codebooks import (
     select_tables,
 )
 from aaacq.grids import INT4, NVFP4, row_blocks
-from aaacq.metrics import quantize_layer, reconstruct
-from aaacq.packfmt import layer_to_bytes
+from aaacq.metrics import quantize_layer
+from aaacq.packfmt import layer_to_bytes, reconstruct
 from aaacq.quantizers import normalize
 from aaacq.tensors import SynthSpec, synth_layer
 

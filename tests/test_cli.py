@@ -15,7 +15,8 @@ import aaacq
 from aaacq import cli, metrics
 from aaacq.cli import _resolve_config, build_parser, main
 from aaacq.codebooks import AaacConfig, learn
-from aaacq.grids import INT4, NVFP4
+from aaacq.errors import CorruptionError
+from aaacq.grids import INT4, NVFP4, row_blocks
 from aaacq.metrics import quantize_layer
 from aaacq.packfmt import _HEADER, MAGIC, PackReader, model_to_bytes, read_pack
 from aaacq.quantizers import dequantize_rtn, rtn_quantize
@@ -795,3 +796,51 @@ class TestMutatedPacks:
             else:
                 assert "error: layer " not in err, (argv[0], err)
             assert os.listdir(tmp_path / "out") == [], argv[0]
+
+
+# Where the last row block of the second 600x256 rtn nvfp4 layer keeps its
+# last scale word (of 9600) and its last code byte (of 76800).
+def _last_scale(spans):
+    return spans[1]["scales"] + 2 * (600 * 256 // 16 - 1)
+
+
+def _last_codes(spans):
+    return spans[1]["codes"] + 600 * 256 // 2 - 1
+
+
+class TestLastRowBlockDamage:
+    """A pack is checked a row block at a time, as it is decoded: damage in the
+    last row block of the last layer still fails `eval` and `dequantize` with
+    a `CorruptionError` that names the layer, writes no output and leaves the
+    earlier output as it was."""
+
+    @pytest.fixture(scope="class")
+    def good(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("blocks")
+        archive, pack = d / "layers.safetensors", d / "m.aaacq"
+        assert run("synth", "--out", archive, "--layers", "2", "--kind", "mixture",
+                   "-N", "600", "-K", "256", "-T", "16", "--seed", "3") == 0
+        assert run("quantize", archive, "--out", pack, "--method", "rtn") == 0
+        return archive, pack.read_bytes(), _layer_spans(pack)
+
+    @pytest.mark.parametrize("mutation, message", [
+        (_poke("<H", _last_scale, 0x0000), "stored scales must decode finite"),
+        (_poke("<H", _last_scale, 0x7F80), "stored scales must decode finite"),
+        (_poke("<H", _last_scale, 0x7FC1), "stored scales must decode finite"),
+        (_poke("<B", _last_codes, 0xFF), "code nibble 15 out of range"),
+    ], ids=["scale-zero", "scale-inf", "scale-nan", "code-out-of-range"])
+    def test_damage_in_the_last_row_block_is_refused(self, tmp_path, good, mutation, message):
+        archive, blob, spans = good
+        assert [r.start for r in row_blocks(600, 256)] == [0, 256, 512]
+        good_pack, bad_pack = tmp_path / "good.aaacq", tmp_path / "bad.aaacq"
+        good_pack.write_bytes(blob)
+        bad_pack.write_bytes(bytes(mutation(bytearray(blob), spans)))
+        for command, out, extra in (("eval", tmp_path / "r.json", [archive, "--json"]),
+                                    ("dequantize", tmp_path / "d.safetensors", [])):
+            assert run(command, good_pack, *extra, "--out", out) == 0
+            earlier = out.read_bytes()
+            args = build_parser().parse_args(list(map(str, [command, bad_pack, *extra, "--out", out])))
+            with pytest.raises(CorruptionError, match=f"^layer 'layer001': {message}"):
+                args.func(args)
+            assert out.read_bytes() == earlier, command
+        assert sorted(os.listdir(tmp_path)) == ["bad.aaacq", "d.safetensors", "good.aaacq", "r.json"]

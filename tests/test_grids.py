@@ -16,6 +16,7 @@ from aaacq.grids import (
     bf16_bits,
     bf16_decode,
     SCALE_MODES,
+    _bf16_round_bits,
     _next_bf16_up,
     compute_scales,
     get_format,
@@ -174,6 +175,34 @@ class TestRoundBf16:
         rng = np.random.default_rng(4)
         x = round_bf16(rng.standard_normal(256).astype(np.float32))
         assert np.array_equal(bf16_decode(bf16_bits(x)), x)
+
+    def test_uint32_rounding_matches_the_uint64_formula(self):
+        # Every upper half, with lower halves at and around the tie and sampled
+        # ones: infinities, NaNs, subnormals and the carry into bit 32 among them.
+        rng = np.random.default_rng(5)
+        lower = np.concatenate(([0, 1, 0x7FFF, 0x8000, 0x8001, 0xFFFF],
+                                rng.integers(0, 1 << 16, 10))).astype(np.uint32)
+        bits = ((np.arange(1 << 16, dtype=np.uint32) << 16)[:, np.newaxis] | lower).reshape(-1)
+        wide = bits.astype(np.uint64)
+        want = ((wide + 0x7FFF + ((wide >> 16) & 1)) & 0xFFFF0000).astype(np.uint32)
+        kept = bits.copy()
+        got = _bf16_round_bits(bits)
+        assert got.dtype == np.uint32 and np.array_equal(got, want)
+        assert np.array_equal(bits, kept)
+        cases = {
+            0xFFFF8000: 0x00000000,  # a NaN whose carry leaves bit 31: the mask drops it
+            0xFFFFFFFF: 0x00000000,
+            0x7F800000: 0x7F800000,  # +inf
+            0xFF800000: 0xFF800000,  # -inf
+            0x7FC00001: 0x7FC00000,  # NaN
+            0x7F7F8000: 0x7F800000,  # the largest float32 tie rounds to inf
+            0x00000001: 0x00000000,  # the smallest subnormal
+            0x00008000: 0x00000000,  # a subnormal tie goes to even
+            0x00018000: 0x00020000,
+            0x807FFFFF: 0x80800000,  # the largest negative subnormal rounds to a normal
+        }
+        got = _bf16_round_bits(np.array(list(cases), np.uint32))
+        assert [hex(v) for v in got] == [hex(v) for v in cases.values()]
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,10 @@ from aaacq.metrics import (
     gap_recovery,
     layer_output_mse,
     quantize_layer,
-    reconstruct,
     score,
     simulate_w4a8,
 )
-from aaacq.packfmt import layer_to_bytes, pack, unpack
+from aaacq.packfmt import layer_to_bytes, pack, reconstruct, unpack
 from aaacq.quantizers import if4_quantize, if4_tables, rtn_quantize
 from aaacq.tensors import LayerBundle, SynthSpec, save_tensor_archive, synth_layer
 

@@ -19,24 +19,24 @@ from aaacq.errors import (
     UnsupportedConfigError,
     ValidationError,
 )
-from aaacq.grids import INT4, NVFP4, Scratch, base_table, bf16_bits, round_bf16
+from aaacq.grids import INT4, NVFP4, Scratch, base_table, bf16_bits, round_bf16, row_blocks
 from aaacq.packfmt import (
     _HEADER,
     MAGIC,
     VERSION,
     PackedLayer,
     PackReader,
+    decoded_rows,
     layer_to_bytes,
     model_to_bytes,
     pack,
     packed_size,
     read_pack,
+    reconstruct,
     size_breakdown,
     unpack,
-    unpack_groups,
     unpack_rows,
 )
-from aaacq.metrics import reconstruct
 from aaacq.quantizers import dequantize
 
 
@@ -502,31 +502,88 @@ class TestCorruption:
 
 
 class TestRowReads:
-    """`unpack_rows` decodes any rows' codes from just their bytes, as `unpack` does."""
+    """`unpack_rows` reads any rows' codes, scales and selection from just
+    their bytes of each section, as `unpack` assembles them."""
 
-    # Odd column counts start every other row in the middle of a byte.
-    @pytest.mark.parametrize("cols, g", [(64, 16), (3, 1), (5, 5)])
-    def test_any_rows_match_unpack(self, cols, g):
+    # Odd column counts start every other row's codes in the middle of a
+    # byte; 10 selection bits a row (40 columns, g = 8, S = 4) do the same in
+    # the bitset.
+    @pytest.mark.parametrize("cols, g, s", [(64, 16, 16), (3, 1, 1), (5, 5, 5), (40, 8, 4),
+                                            (64, 32, 1)],
+                             ids=["64-16", "3-1", "5-5", "40-8-4", "64-32-1"])
+    def test_any_rows_match_unpack(self, cols, g, s):
         rng = np.random.default_rng(cols)
         rows = 7
-        p = pack(*random_layer(rng, rows, cols, g, g, 16), kind="int4", group_size=g, sel_size=g)
+        layer = random_layer(rng, rows, cols, g, s, 16)
+        p = pack(*layer, kind="int4", group_size=g, sel_size=s)
         t0, t1, sel, codes, scales = unpack(p)
-        for want, got in zip((t0, t1, sel, scales), unpack_groups(p)):
+        for want, got in zip(layer, (t0, t1, sel, codes, scales)):
             assert np.array_equal(want, got)
         scratch = Scratch()
         for a in range(rows + 1):
             for b in range(a, rows + 1):
                 got = unpack_rows(p, slice(a, b), scratch)
-                assert got.dtype == np.uint8 and np.array_equal(got, codes[a:b]), (a, b)
+                assert [part.dtype for part in got] == [np.uint8, np.float32, np.uint8]
+                for want, part in zip((codes, scales, sel), got):
+                    assert np.array_equal(part, want[a:b]), (a, b)
+
+    def test_bitset_row_blocks_that_start_mid_byte(self):
+        rng = np.random.default_rng(40)
+        layer = random_layer(rng, 3300, 40, 8, 4, 16)
+        p = pack(*layer, kind="int4", group_size=8, sel_size=4)
+        blocks = row_blocks(p.rows, p.cols)
+        # 10 selection bits a row: the second block's first bit, 16380, is mid-byte.
+        assert len(blocks) == 3 and blocks[1].start * 10 % 8 == 4
+        _, _, sel, codes, scales = unpack(p)
+        assert np.array_equal(sel, layer[2])
+        scratch = Scratch()
+        for r in blocks:
+            for want, got in zip((codes, scales, sel), unpack_rows(p, r, scratch)):
+                assert np.array_equal(got, want[r]), r
 
     def test_a_bad_nibble_fails_the_rows_that_hold_it(self):
         rng = np.random.default_rng(21)
         p = pack(*random_layer(rng, 4, 32, 16, 16, 12), kind="int4", group_size=16, sel_size=16)
         # The last code, 15, is past 12-entry tables.
         broken = edited(p, "code_bytes", len(p.code_bytes) - 1, b"\xf0")
-        assert np.array_equal(unpack_rows(broken, slice(0, 3), Scratch()), unpack(p)[3][:3])
+        assert np.array_equal(unpack_rows(broken, slice(0, 3), Scratch())[0], unpack(p)[3][:3])
         with pytest.raises(CorruptionError, match="nibble 15"):
             unpack_rows(broken, slice(3, 4), Scratch())
+
+    # Zero and negative zero, infinities and a NaN, each in the last scale word.
+    @pytest.mark.parametrize("word", [0x0000, 0x8000, 0x7F80, 0xFF80, 0x7FC1])
+    def test_a_bad_scale_fails_the_rows_that_hold_it(self, word):
+        rng = np.random.default_rng(22)
+        p = pack(*random_layer(rng, 4, 32, 16, 16, 16), kind="int4", group_size=16, sel_size=16)
+        broken = edited(p, "scale_bytes", 2 * p.scale_bits.size - 2, struct.pack("<H", word))
+        assert np.array_equal(unpack_rows(broken, slice(0, 3), Scratch())[1], unpack(p)[4][:3])
+        with pytest.raises(CorruptionError, match="stored scales"):
+            unpack_rows(broken, slice(3, 4), Scratch())
+        with pytest.raises(CorruptionError, match="stored scales"):
+            unpack(broken)
+
+    def test_decoding_holds_only_block_buffers(self):
+        """Iterating `decoded_rows` holds block buffers and nothing that grows
+        with the layer: a 256x2048 nvfp4 layer, 8 row blocks, peaks as its
+        first block alone does.  Whole-layer scales and selection would add
+        0.31 bytes a weight, 139 KiB over the other 7 blocks."""
+        rng = np.random.default_rng(23)
+        t = base_table(NVFP4)
+        _, _, sel, codes, scales = random_layer(rng, 256, 2048, 16, 16, t.size)
+
+        def peak(rows):
+            p = pack(t, t, sel[:rows], codes[:rows], scales[:rows],
+                     kind="nvfp4", group_size=16, sel_size=16)
+            assert len(row_blocks(p.rows, p.cols)) == rows // 32
+            tracemalloc.start()
+            try:
+                for _ in decoded_rows(p, Scratch()):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(256) - peak(32) < 0.01 * 224 * 2048
 
 
 class TestContainer:

@@ -15,8 +15,8 @@ from aaacq.errors import CorruptionError, LayoutError, ValidationError
 from aaacq.grids import (
     INT4, NVFP4, Scratch, base_table, bf16_decode, compute_scales, get_format, round_e4m3,
 )
-from aaacq.metrics import quantize_layer, reconstruct
-from aaacq.packfmt import unpack
+from aaacq.metrics import quantize_layer
+from aaacq.packfmt import reconstruct, unpack
 from aaacq.quantizers import (
     decode_block,
     dequantize,

@@ -42,6 +42,7 @@ def test_command_cost_prints_one_median_line_per_tree(tmp_path, capsys):
         assert line.startswith(f"{tree}: median of 2: ")
         # Each figure is its median, then its least and greatest value over the runs.
         figures = re.findall(r"([\d.]+) ([A-Za-z -]+?) \(([\d.]+)-([\d.]+)\)", line)
-        assert [unit for _, unit, _, _ in figures] == ["CPU-s", "wall-s", "MiB peak RSS", "minor faults"]
+        assert [unit for _, unit, _, _ in figures] == ["CPU-s", "wall-s", "MiB peak RSS", "minor faults",
+                                                       "start-up CPU-s"]
         for median, _, least, greatest in figures:
             assert float(least) <= float(median) <= float(greatest)

@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from aaacq import codebooks, grids, metrics, tensors
+from aaacq import codebooks, grids, metrics, packfmt, tensors
 from aaacq.cli import main
 from aaacq.codebooks import AaacConfig, layer_importance, learn
 from aaacq.errors import ValidationError
@@ -418,5 +418,5 @@ def test_dequantize_writes_in_archive_order(tmp_path):
     pack, got, want = tmp_path / "m.aaacq", tmp_path / "got.safetensors", tmp_path / "want.safetensors"
     pack.write_bytes(model_to_bytes(layers))
     assert run("dequantize", pack, "--out", got) == 0
-    write_tensors(want, {name + ".weight": metrics.reconstruct(p) for name, p in layers})
+    write_tensors(want, {name + ".weight": packfmt.reconstruct(p) for name, p in layers})
     assert got.read_bytes() == want.read_bytes()
