@@ -7,7 +7,11 @@ and minor page faults of the command's process, from `wait4`, each with
 its spread, the least and the greatest over the runs, in parentheses.
 After each command it times a bare `import aaacq.cli` under the same tree,
 and prints that start-up's median CPU seconds last: a change to the
-command's own work shows as a change in the difference of the two.  A child's
+command's own work shows as a change in the difference of the two.  Then
+it prints, per tree, how many of its `src/aaacq` modules had up-to-date
+cached bytecode before the runs and after them: a module compiled during a
+run frees memory that moves glibc's allocation thresholds, so fault counts
+compare only between trees that load their modules from bytecode.  A child's
 peak RSS counts from the launcher's: the high-water mark of the process it
 is forked from carries across `exec`.  So this launcher imports neither
 numpy nor aaacq and stays far below any command, and the peak is the
@@ -19,6 +23,8 @@ instead.  Linux and macOS (`os.wait4`); RSS is read as KiB, Linux's unit.
 """
 
 import argparse
+import glob
+import importlib.util
 import os
 import statistics
 import subprocess
@@ -51,6 +57,29 @@ def _run(tree: str, code: str, args: list) -> dict:
             "rss_mib": usage.ru_maxrss / 1024, "minflt": usage.ru_minflt}
 
 
+def _bytecode_current(source: str) -> bool:
+    """Whether `source` has cached bytecode that this Python loads without compiling it."""
+    try:
+        with open(importlib.util.cache_from_source(source), "rb") as fh:
+            head = fh.read(16)
+    except OSError:
+        return False
+    if len(head) < 16 or head[:4] != importlib.util.MAGIC_NUMBER:
+        return False
+    if int.from_bytes(head[4:8], "little") & 1:  # hash-based (PEP 552)
+        with open(source, "rb") as fh:
+            return head[8:16] == importlib.util.source_hash(fh.read())
+    st = os.stat(source)
+    return head[8:16] == ((int(st.st_mtime) & 0xFFFFFFFF).to_bytes(4, "little")
+                          + (st.st_size & 0xFFFFFFFF).to_bytes(4, "little"))
+
+
+def _bytecode(tree: str) -> tuple[int, int]:
+    """(modules with current bytecode, modules) of `tree`'s `src/aaacq`."""
+    sources = glob.glob(os.path.join(os.path.abspath(tree), "src", "aaacq", "*.py"))
+    return sum(map(_bytecode_current, sources)), len(sources)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     if "--" not in argv:
@@ -65,6 +94,7 @@ def main(argv=None) -> int:
         raise SystemExit("need at least one run and an aaacq command after --")
 
     costs = [[] for _ in args.trees]
+    before = [_bytecode(tree) for tree in args.trees]
     for _ in range(args.runs):
         for tree, runs in zip(args.trees, costs):
             runs.append(_run(tree, _LAUNCH, command))
@@ -76,6 +106,10 @@ def main(argv=None) -> int:
             figures.append(f"{statistics.median(values):.{places}f} {unit} "
                            f"({min(values):.{places}f}-{max(values):.{places}f})")
         print(f"{tree}: median of {len(runs)}: " + ", ".join(figures))
+    for tree, (was, modules) in zip(args.trees, before):
+        now = _bytecode(tree)[0]
+        print(f"{tree}: src/aaacq bytecode up to date for {was} of {modules} modules "
+              f"before the runs, {now} after")
     return 0
 
 

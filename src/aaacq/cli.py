@@ -78,15 +78,16 @@ def _check_paths(inputs=(), outputs=()) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _quantize_layer(bundle: tensors.LayerBundle, method: str, cfg):
-    """`quantize`'s task: one layer's pack, with the layer named in any error,
-    and the line that reports its learner objective, or None.
+def _quantize_layer(bundle: tensors.LayerBundle, method: str, cfg, scratch: Scratch):
+    """`quantize`'s task: one layer's pack, made on the worker's `scratch`,
+    with the layer named in any error, and the line that reports its learner
+    objective, or None.
 
     The line goes back with the pack, so that it is logged in layer order
     whichever worker finishes first.
     """
     with naming_layer(bundle.name):
-        packed, trace = metrics.quantize_layer(bundle, method, cfg)
+        packed, trace = metrics.quantize_layer(bundle, method, cfg, scratch)
     line = None
     if trace is not None:
         line = (f"  {bundle.name}: objective {trace[0]:.6e} -> {trace[-1]:.6e} "
@@ -123,6 +124,7 @@ def cmd_quantize(args) -> int:
     with tensors.TensorArchive(args.archive) as archive:
         for layer in archive.layers:
             packfmt.check_header(layer.name, cfg.group_size, cfg.sel_size)
+        scratch = Scratch()
         with _replacing(args.out) as fh:
             writer = packfmt.PackWriter(fh, len(archive.layers))
 
@@ -132,9 +134,11 @@ def cmd_quantize(args) -> int:
                     _log(line)
                 writer.write(name, packed)
 
-            # Each task reads its own layer; packs are written in layer order as they arrive.
+            # Each task reads its own layer, on its worker's buffers of the one
+            # scratch; packs are written in layer order as they arrive.
             _parallel_map(
-                lambda layer: (layer.name, _quantize_layer(archive.load(layer), args.method, cfg)),
+                lambda layer: (layer.name,
+                               _quantize_layer(archive.load(layer), args.method, cfg, scratch)),
                 archive.layers, threads, fork=metrics.runs_forked([args.method]),
                 consume=consume,
             )
@@ -190,7 +194,7 @@ def cmd_eval(args) -> int:
             bundle = archive.load(layers[e.name])
             with naming_layer(e.name):
                 p = pack.read(e)
-                x, imp = metrics.calibration(bundle, scratch)
+                x, imp = codebooks.calibration(bundle, scratch)
                 if args.w4a8 and x is not None:
                     # Importance has read the calibration the W4A8 result replaces.
                     np.copyto(x, metrics.simulate_w4a8(x, scratch))

@@ -46,10 +46,13 @@ holds the normalized weights (8 bytes) and the compact buckets (2), and per
 group its table (1 byte); beside them the pass keeps 2.1 MiB of block
 buffers and, while it takes an error, 1 MiB of leaf buffers, which are freed
 before the final codes (1 byte a weight) are written.  The initial
-quantiles need the normalized weights alone.  The weights themselves are
-read a row block at a time (`LayerBundle.weight_rows`) for the scales and
-both normalizations, into block buffers freed before the passes start, so
-a layer read from an archive is never held whole.  Measured under
+quantiles need the normalized weights alone.  The calibration is read
+first (`calibration`, the one read of it, which scoring shares), widened
+into float64 buffers that are freed once its importance is taken, before
+any of the layer's are made.  The weights are read a row block at a time
+(`LayerBundle.weight_rows`) for the scales and both normalizations, into
+block buffers freed before the passes start, so a layer read from an
+archive is never held whole.  Measured under
 tracemalloc on 256x2048, where those buffers are 1.6 layers' worth, one
 learn peaks at 4.4 times its float32 layer under nvfp4 and under int4 with
 `-g 128 -S 16`, from memory or from an archive.
@@ -162,23 +165,22 @@ def _checked_importance(col_importance, cols: int) -> np.ndarray:
     return imp if imp.any() else np.ones(cols)
 
 
-def layer_importance(bundle: LayerBundle) -> np.ndarray:
-    """The column importance a layer is weighted by: `column_importance` of
-    the bundle's calibration activations, read for it and not kept."""
-    return column_importance(bundle.activations, bundle.cols)
+def calibration(bundle: LayerBundle, scratch: Scratch):
+    """(activations, importance) of the bundle's calibration: the one read of it.
 
-
-def column_importance(activations, cols: int) -> np.ndarray:
-    """Importance of calibration activations, or unit importance over `cols`
-    columns when there are none or every column has zero importance.
-
-    float32 activations and their float64 widening give the same bits:
-    `importance` squares them in float64 either way.
+    The activations are widened into `scratch`'s float64 activations buffer
+    a row block at a time (`LayerBundle.read_activations`), or are None when
+    the bundle has none.  Widening is exact, so importance and the output
+    MSE read the values of the stored tensor.  Importance is `importance`
+    of them, or unit importance when there are none or every column has
+    zero importance.
     """
-    imp = None if activations is None else importance(activations)
-    if imp is None or not imp.any():
-        imp = np.ones(cols, dtype=np.float64)
-    return imp
+    if bundle.activation_shape is None:
+        return None, np.ones(bundle.cols)
+    x = scratch.take("activations", bundle.activation_shape)
+    bundle.read_activations(x, scratch)
+    imp = importance(x)
+    return x, imp if imp.any() else np.ones(bundle.cols)
 
 
 def weighted_error(
@@ -599,11 +601,11 @@ def learn(
 ) -> LearnResult:
     """Learn two codebooks, the per-group selection, and the codes for a layer.
 
-    Steps: compute group scales, normalize, compute activation importance
-    (unit importance when no activations are available or when every column
-    has zero importance), initialize both tables from quantiles, then
-    alternate assignment and per-table weighted k-means for `cfg.n_outer`
-    rounds.  The tables are then rounded to BF16, the selection recomputed,
+    Steps: compute activation importance (`calibration`: unit importance
+    when no activations are available or when every column has zero
+    importance), compute group scales, normalize, initialize both tables
+    from quantiles, then alternate assignment and per-table weighted k-means
+    for `cfg.n_outer` rounds.  The tables are then rounded to BF16, the selection recomputed,
     and codes emitted under each group's selected table.
 
     The trace records the importance-weighted objective on normalized weights
@@ -620,6 +622,11 @@ def learn(
     check_groups(g, cfg.sel_size, bundle.cols)
     n, k = bundle.shape
     blocks = row_blocks(n, k)
+    # The importance first, on buffers that go before the layer's are made.
+    if col_importance is None:
+        imp = calibration(bundle, Scratch())[1]
+    else:
+        imp = _checked_importance(col_importance, k)
 
     # The scales and the normalized weights, one block of weights at a time,
     # read into buffers that go before the passes' are made.
@@ -628,11 +635,6 @@ def learn(
         w = bundle.weight_rows(r, reads)
         scales[r] = compute_scales(w, cfg.fmt, g, cfg.scale_mode)
         normalize(w, scales[r], g, out=w_norm[r])
-
-    if col_importance is None:
-        imp = layer_importance(bundle)
-    else:
-        imp = _checked_importance(col_importance, k)
 
     # The quantiles' order statistics come from the layer sorted in place,
     # which its normalization then writes again.

@@ -3,12 +3,15 @@
 It also holds the one per-layer quantize path (`quantize_layer`, used by the
 `quantize` and `compare` commands) and the one scoring path (`score`, which
 decodes a packed layer as `eval` does), so `compare` measures what ships.
-`score` is given all it reads: the float64 calibration activations and
-column importance (both from `calibration`) and the `grids.Scratch` whose
-buffers, reused from layer to layer, hold them, the layer's float64
-difference and their tokens x rows product.  A pack is decoded the one way
+Both work on the caller's `grids.Scratch`, whose buffers, reused from layer
+to layer, are the worker's only block buffers: the weights' row blocks, the
+fixed-grid quantizers' and the decoder's float64 block (one buffer), the
+float64 calibration activations, the layer's float64 difference and their
+tokens x rows product.  `score` is given all it reads: the activations and
+column importance (both from `codebooks.calibration`, the one read of a
+calibration tensor) and that scratch.  A pack is decoded the one way
 `packfmt` decodes it, a row block at a time (`packfmt.decoded_rows`), and
-the activations are read from the archive a row block at a time.
+the archive is read a row block at a time.
 
 Gap recovery summarizes a method against the round-to-nearest baseline as
 the percentage of the quantization-induced degradation it removes relative
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import grids
-from .codebooks import AaacConfig, _difference, _error_sums, column_importance, learn
+from .codebooks import AaacConfig, _difference, _error_sums, calibration, learn
 from .errors import AaacqError, PairingError, UndefinedGapError, ValidationError, naming_layer
 from .grids import E4M3_MAX, Scratch, _by_row_blocks, base_table, check_groups, round_e4m3_into
 from .packfmt import PackedLayer, check_header, decoded_rows, pack, selection_overhead_bpw
@@ -313,25 +316,27 @@ def parallel_map(fn, items, threads: int, fork: bool = False, consume=None) -> l
     return [r if consume is None else consume(r) for r in pool_map(fn, items, workers)]
 
 
-def quantize_layer(bundle: LayerBundle, method: str, cfg: AaacConfig, col_importance=None):
+def quantize_layer(bundle: LayerBundle, method: str, cfg: AaacConfig, scratch: Scratch,
+                   col_importance=None):
     """Quantize one layer with one method; returns (packed layer, learner trace).
 
     The trace is None for rtn and if4, which run one row block at a time
-    on one set of block buffers.  For aaac it holds only what `quantize`
-    logs, its first and last values and its length: the other inner steps'
-    errors are not computed.  `col_importance`, when given, is the layer's
-    `layer_importance`.
+    on the block buffers of the caller's `scratch`.  For aaac it holds only
+    what `quantize` logs, its first and last values and its length: the
+    other inner steps' errors are not computed.  `col_importance`, when
+    given, is the layer's importance from `calibration`; the learner reads
+    the layer on buffers of its own.
     """
-    w, g, mode, scratch = bundle.weight_rows, cfg.group_size, cfg.scale_mode, Scratch()
+    g, mode = cfg.group_size, cfg.scale_mode
     sel_size, kind, trace = g, cfg.fmt.kind, None
     if method == "rtn":
-        codes, scales = _by_row_blocks(
-            bundle.shape, lambda r: rtn_quantize(w(r), cfg.fmt, g, mode, scratch))
+        codes, scales = _by_row_blocks(bundle.shape, lambda r: rtn_quantize(
+            bundle.weight_rows(r, scratch), cfg.fmt, g, mode, scratch))
         t0 = t1 = base_table(cfg.fmt)
         sel = np.zeros((bundle.rows, bundle.cols // g), dtype=np.uint8)
     elif method == "if4":
-        codes, scales, sel = _by_row_blocks(
-            bundle.shape, lambda r: if4_quantize(w(r), g, mode, scratch))
+        codes, scales, sel = _by_row_blocks(bundle.shape, lambda r: if4_quantize(
+            bundle.weight_rows(r, scratch), g, mode, scratch))
         t0, t1 = if4_tables()
         kind = "nvfp4"
     elif method == "aaac":
@@ -345,22 +350,6 @@ def quantize_layer(bundle: LayerBundle, method: str, cfg: AaacConfig, col_import
         kind=kind, group_size=cfg.group_size, sel_size=sel_size, method=method,
     )
     return packed, trace
-
-
-def calibration(bundle: LayerBundle, scratch: Scratch):
-    """(activations, importance) of the bundle's calibration.
-
-    The activations are widened into `scratch`'s float64 activations buffer
-    a row block at a time (`LayerBundle.read_activations`), or are None when
-    the bundle has none.  Widening is exact, so importance and the output
-    MSE read the values of the stored tensor.  Importance is
-    `column_importance` of them.
-    """
-    x = None
-    if bundle.activation_shape is not None:
-        x = scratch.take("activations", bundle.activation_shape)
-        bundle.read_activations(x)
-    return x, column_importance(x, bundle.cols)
 
 
 def score(bundle: LayerBundle, p: PackedLayer, activations, col_importance,
@@ -385,7 +374,7 @@ def score(bundle: LayerBundle, p: PackedLayer, activations, col_importance,
     d = scratch.take("difference", bundle.shape)
     for r, block in decoded_rows(p, scratch):
         np.copyto(d[r], block)
-        d[r] -= bundle.weight_rows(r)
+        d[r] -= bundle.weight_rows(r, scratch)
     return layer_metrics(bundle, p.method, d, p.group_size, p.sel_size, p.table_size,
                          activations, col_importance, scratch)
 
@@ -393,8 +382,9 @@ def score(bundle: LayerBundle, p: PackedLayer, activations, col_importance,
 def _run_method(bundle: LayerBundle, method: str, cfg: AaacConfig, col_importance, activations,
                 scratch):
     """`compare`'s task: quantize one layer with one method and score the pack
-    on the layer's importance and float64 `activations`, read once for all methods."""
-    packed, _ = quantize_layer(bundle, method, cfg, col_importance)
+    on the layer's importance and float64 `activations`, read once for all
+    methods, all on the worker's `scratch`."""
+    packed, _ = quantize_layer(bundle, method, cfg, scratch, col_importance)
     return score(bundle, packed, activations, col_importance, scratch)
 
 
@@ -468,7 +458,8 @@ def compare(
     calibration once into the worker's activations buffer, computes its
     importance there and runs every method, on one of `threads` workers
     (forked when `runs_forked(methods)`); the report is the same either way.
-    Each worker scores on its own buffers of one `Scratch`, dropped on return.
+    Each worker quantizes and scores on its own buffers of one `Scratch`,
+    dropped on return.
     """
     methods = sorted({m.lower() for m in methods})
     for m in methods:

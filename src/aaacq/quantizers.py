@@ -562,10 +562,11 @@ def rtn_quantize(
 
     Returns (codes, scales): codes as uint8 with the weight matrix's shape,
     scales as float32 with one entry per scale group.  The normalized
-    weights are `scratch`'s buffer when one is given.
+    weights are `scratch`'s float64 block buffer when one is given, the one
+    `if4_quantize` and `decode_block` use.
     """
     scales = compute_scales(weights, fmt, group_size, scale_mode)
-    out = None if scratch is None else scratch.take("normalized", np.shape(weights))
+    out = None if scratch is None else scratch.take("decoded", np.shape(weights))
     w_norm = normalize(weights, scales, group_size, out=out)
     codes = recon_codes(base_table(fmt), w_norm, dtype=np.uint8)
     return codes, scales

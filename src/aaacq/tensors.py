@@ -10,12 +10,13 @@ same number of input columns.
 Reading never holds the whole file.  `TensorArchive` checks the header and
 the pairing once, and its layer bundles read their tensors with positional
 reads at their offsets (not `mmap`, whose pages would count toward the
-reader's resident memory), only when asked for, and never kept: the
-weights a row block at a time, each block widened in reused buffers; the
-calibration tensor a chunk of tokens at a time into the caller's float64
-array (`read_activations`), or whole (`activations`).  `read_tensors` reads
-every tensor whole, unpaired.  `stream_tensors` writes the header first and
-then one tensor at a time, a row block at a time.
+reader's resident memory), only when asked for, and never kept, a row
+block at a time on the block buffers of the caller's `grids.Scratch`: the
+weights into its float32 block (`weight_rows`), the calibration tensor
+into the caller's float64 array (`read_activations`).  The archive itself
+holds no buffers.  `read_tensors` reads every tensor whole, unpaired.
+`stream_tensors` writes the header first and then one tensor at a time, a
+row block at a time.
 """
 
 from __future__ import annotations
@@ -68,11 +69,11 @@ class LayerBundle:
     """One linear layer's weights plus optional calibration activations.
 
     Every quantizer and scorer reads the weights a block of rows at a time
-    through `weight_rows`; `weights` is the whole array.  Scoring reads the
-    activations, of `activation_shape` (None without), into its float64
-    buffer through `read_activations`; `activations` is the whole array.  A
-    bundle made from arrays holds them and checks them whole.  One that
-    `TensorArchive.load` makes reads each block from the archive when asked
+    through `weight_rows`, and the activations, of `activation_shape` (None
+    without), into a float64 buffer through `read_activations`, both on the
+    caller's scratch.  A bundle made from arrays holds them (`weights`,
+    `activations`) and checks them whole.  One that `TensorArchive.load`
+    makes holds neither and reads each block from the archive when asked
     for it (see `_ArchiveBundle`).
     """
 
@@ -93,15 +94,16 @@ class LayerBundle:
     def cols(self) -> int:
         return self.shape[1]
 
-    def weight_rows(self, rows: slice, scratch: Scratch | None = None) -> np.ndarray:
+    def weight_rows(self, rows: slice, scratch: Scratch) -> np.ndarray:
         """The weights of the rows `rows`, a slice of step 1: here a view of
-        `weights`.  A block read from an archive is a buffer of `scratch`, by
-        default the archive's for the calling thread, valid until its next read."""
+        `weights`.  A block read from an archive is a buffer of `scratch`,
+        valid until its next read there."""
         return self.weights[rows]
 
-    def read_activations(self, out: np.ndarray) -> None:
+    def read_activations(self, out: np.ndarray, scratch: Scratch) -> None:
         """The activations widened into `out`, a C-contiguous float64 array of
-        `activation_shape`: exact, so they are the values `activations` holds."""
+        `activation_shape`: exact, so they are the values of the stored
+        tensor.  An archive's are read through `scratch`'s block buffers."""
         np.copyto(out, self.activations)
 
 
@@ -289,10 +291,6 @@ class TensorArchive(ScannedFile):
     sorted by name), and `load` gives one layer's bundle, which reads its
     tensors from this archive while it is open."""
 
-    def __init__(self, path):
-        super().__init__(path)
-        self._buffers = Scratch()  # each thread's row-block read buffers
-
     def _scan(self, fd: int) -> list[LayerEntry]:
         return _pair_layers(self.path, _parse_header(self.path, fd))
 
@@ -312,14 +310,11 @@ class TensorArchive(ScannedFile):
 class _ArchiveBundle(LayerBundle):
     """A layer of an open `TensorArchive`, read only as it is asked for.
 
-    `weight_rows` reads just those rows with one positional read into
-    reused buffers (the caller's scratch, or the archive's for the calling
-    thread), widens BF16 and F16 there and checks the block finite before
-    returning it.  `read_activations` reads the calibration tensor the same
-    way, one row block of tokens at a time, into the caller's float64
-    array.  `weights` and `activations` read the whole tensor through the
-    same path each time they are asked for, and keep nothing: only the
-    learner asks, for the activations, to take their importance.
+    `weight_rows` reads just those rows with one positional read into the
+    caller's scratch, widens BF16 and F16 there and checks the block finite
+    before returning it.  `read_activations` reads the calibration tensor
+    the same way, one row block of tokens at a time, into the caller's
+    float64 array.  Nothing is kept between reads.
     """
 
     def __init__(self, archive: TensorArchive, layer: LayerEntry):
@@ -330,52 +325,37 @@ class _ArchiveBundle(LayerBundle):
             self.activation_shape = (math.prod(lead), cols)
         _check_shapes(self.name, self.shape, self.activation_shape)
 
-    @property
-    def weights(self) -> np.ndarray:
-        return self._read(self._layer.weight, np.empty(self.shape, np.float32))
-
-    @property
-    def activations(self) -> np.ndarray | None:
-        if self.activation_shape is None:
-            return None
-        return self._read(self._layer.calib, np.empty(self.activation_shape, np.float32))
-
-    def read_activations(self, out: np.ndarray) -> None:
-        self._read(self._layer.calib, out)
-
-    def _read(self, t: TensorEntry, out: np.ndarray) -> np.ndarray:
-        """All of tensor `t` into `out`, one row block at a time."""
+    def read_activations(self, out: np.ndarray, scratch: Scratch) -> None:
         for r in row_blocks(*out.shape):
-            self._read_rows(t, r, self._archive._buffers, out[r])
-        return out
+            self._read_rows(self._layer.calib, r, scratch, out[r])
 
-    def weight_rows(self, rows: slice, scratch: Scratch | None = None) -> np.ndarray:
-        return self._read_rows(self._layer.weight, rows, scratch or self._archive._buffers)
+    def weight_rows(self, rows: slice, scratch: Scratch) -> np.ndarray:
+        return self._read_rows(self._layer.weight, rows, scratch)
 
-    def _read_rows(self, t: TensorEntry, rows: slice, buffers: Scratch,
+    def _read_rows(self, t: TensorEntry, rows: slice, scratch: Scratch,
                    out: np.ndarray | None = None) -> np.ndarray:
         """Rows `rows` of the weights or activations `t`, widened into `out`
-        (float32 or float64), by default the float32 block buffer of `buffers`."""
+        (float32 or float64), by default the float32 block buffer of `scratch`."""
         weights = t is self._layer.weight
         n, cols = self.shape if weights else self.activation_shape
         a, b, step = rows.indices(n)
         if step != 1:
             raise ValueError(f"rows must be a slice of step 1, got {rows}")
         if out is None:
-            out = buffers.take("rows", (b - a, cols), np.float32)
+            out = scratch.take("rows", (b - a, cols), np.float32)
         raw = out
         if _DTYPES[t.dtype] != out.dtype:
-            raw = buffers.take("raw", out.shape, _DTYPES[t.dtype])
+            raw = scratch.take("raw", out.shape, _DTYPES[t.dtype])
         archive = self._archive
         _pread_tensor(archive.path, archive._open_fd(t), t, raw, a * cols * raw.itemsize)
         if t.dtype == "BF16":
-            wide = out if out.dtype == np.float32 else buffers.take("rows", out.shape, np.float32)
+            wide = out if out.dtype == np.float32 else scratch.take("rows", out.shape, np.float32)
             bf16_decode(raw, out=wide)
             raw = wide
         if raw is not out:
             np.copyto(out, raw)
         _check_finite(self.name, "weights" if weights else "activations", out,
-                      buffers.take("finite", out.shape, np.bool_))
+                      scratch.take("finite", out.shape, np.bool_))
         return out
 
 

@@ -13,13 +13,13 @@ from aaacq import grids, quantizers
 from aaacq.codebooks import (
     AaacConfig,
     LearnResult,
+    calibration,
     init_tables,
     kmeans_update,
-    layer_importance,
     learn,
     select_tables,
 )
-from aaacq.grids import INT4, NVFP4, row_blocks
+from aaacq.grids import INT4, NVFP4, Scratch, row_blocks
 from aaacq.metrics import quantize_layer
 from aaacq.packfmt import layer_to_bytes, reconstruct
 from aaacq.quantizers import normalize
@@ -43,11 +43,12 @@ def _outputs(bundle, cfg) -> list:
     out = [getattr(res, f.name).tobytes() for f in dataclasses.fields(LearnResult)]
     w_norm = normalize(bundle.weights, res.scales, cfg.group_size)
     t0, t1 = init_tables(w_norm, cfg.fmt.table_size)
-    imp = layer_importance(bundle)
+    scratch = Scratch()
+    imp = calibration(bundle, scratch)[1]
     out.append(select_tables(w_norm, imp, t0, t1, cfg.sel_size).tobytes())
     out.append(kmeans_update(t0, w_norm, np.broadcast_to(imp, w_norm.shape), 3).tobytes())
     for method in ("rtn", "if4", "aaac"):
-        packed, _ = quantize_layer(bundle, method, cfg)
+        packed, _ = quantize_layer(bundle, method, cfg, scratch)
         out += [layer_to_bytes("w", packed), reconstruct(packed).tobytes()]
     return out
 

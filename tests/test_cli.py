@@ -10,31 +10,24 @@ import zlib
 
 import numpy as np
 import pytest
+from test_tensors import load_bundles
 
 import aaacq
 from aaacq import cli, metrics
 from aaacq.cli import _resolve_config, build_parser, main
 from aaacq.codebooks import AaacConfig, learn
 from aaacq.errors import CorruptionError
-from aaacq.grids import INT4, NVFP4, row_blocks
+from aaacq.grids import INT4, NVFP4, Scratch, row_blocks
 from aaacq.metrics import quantize_layer
 from aaacq.packfmt import _HEADER, MAGIC, PackReader, model_to_bytes, read_pack
 from aaacq.quantizers import dequantize_rtn, rtn_quantize
 from aaacq.tensors import (
-    LayerBundle, SynthSpec, TensorArchive, read_tensors, save_tensor_archive, synth_layer,
-    write_tensors,
+    LayerBundle, SynthSpec, read_tensors, save_tensor_archive, synth_layer, write_tensors,
 )
 
 
 def run(*argv):
     return main([str(a) for a in argv])
-
-
-def load_bundles(path):
-    """Every layer of an archive read whole, sorted by layer name."""
-    with TensorArchive(path) as archive:
-        return [LayerBundle(b.name, b.weights, b.activations)
-                for b in map(archive.load, archive.layers)]
 
 
 @pytest.fixture()
@@ -761,9 +754,11 @@ class TestMutatedPacks:
                    "-N", "8", "-K", "256", "-T", "16", "--seed", "3") == 0
         bundles = load_bundles(archive)
         pack.write_bytes(model_to_bytes([
-            (bundles[0].name, quantize_layer(bundles[0], "rtn", AaacConfig.for_format(NVFP4))[0]),
+            (bundles[0].name, quantize_layer(bundles[0], "rtn", AaacConfig.for_format(NVFP4),
+                                             Scratch())[0]),
             (bundles[1].name, quantize_layer(
-                bundles[1], "aaac", AaacConfig.for_format(INT4, sel_size=16, n_outer=1))[0]),
+                bundles[1], "aaac", AaacConfig.for_format(INT4, sel_size=16, n_outer=1),
+                Scratch())[0]),
         ]))
         return archive, pack.read_bytes(), _layer_spans(pack)
 

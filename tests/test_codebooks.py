@@ -826,7 +826,7 @@ class TestWorkingSet:
     )
     def test_learn_peak_is_at_most_4_5_times_the_layer(self, cfg):
         bundle = make_bundle(0, rows=256, cols=2048, tokens=64)
-        imp = codebooks.layer_importance(bundle)
+        imp = importance(bundle.activations)
         learn(make_bundle(1), cfg)  # first-call imports are not the layer's working set
         tracemalloc.start()
         try:

@@ -8,14 +8,13 @@ import weakref
 import numpy as np
 import pytest
 
-from aaacq import grids, metrics
+from aaacq import grids, metrics, quantizers
 from aaacq.cli import main
-from aaacq.codebooks import AaacConfig, importance, weighted_error
+from aaacq.codebooks import AaacConfig, calibration, importance, weighted_error
 from aaacq.errors import UndefinedGapError, ValidationError
 from aaacq.grids import INT4, NVFP4, round_bf16
 from aaacq.metrics import (
     bits_per_weight,
-    calibration,
     compare,
     gap_recovery,
     layer_output_mse,
@@ -316,6 +315,13 @@ def _whole_decode(p):
     return np.clip(exact, -FLT_MAX, FLT_MAX).astype(np.float32)
 
 
+def _owner(a):
+    """The array that owns `a`'s memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
 def _same_array(a, b):
     return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
@@ -348,7 +354,7 @@ class TestRowBlocks:
         for fmt, g in ((NVFP4, 16), (INT4, 128)):
             for mode in ("exact-bf16", "emulate-e4m3"):
                 cfg = AaacConfig(fmt=fmt, group_size=g, sel_size=g, scale_mode=mode)
-                got, _ = quantize_layer(bundle, method, cfg)
+                got, _ = quantize_layer(bundle, method, cfg, metrics.Scratch())
                 want = _whole_layer(bundle.weights, method, cfg)
                 assert layer_to_bytes("w", got) == layer_to_bytes("w", want), (fmt.kind, mode)
                 w_hat = reconstruct(got)
@@ -406,10 +412,11 @@ def _scored_pack(case):
     if case in ("rtn", "if4", "ragged-last-block"):
         rows = 27 if case == "ragged-last-block" else 24
         b = synth_layer(SynthSpec("mixture", rows, 256, 16, seed=7), name="m")
-        return b, quantize_layer(b, "rtn" if rows == 27 else case, AaacConfig.for_format(NVFP4))[0]
+        return b, quantize_layer(b, "rtn" if rows == 27 else case, AaacConfig.for_format(NVFP4),
+                                 metrics.Scratch())[0]
     if case == "aaac-int4-bitset":  # -g 128 -S 16
         b = synth_layer(SynthSpec("mixture", 24, 256, 16, seed=8), name="m")
-        p = quantize_layer(b, "aaac", AaacConfig.for_format(INT4, sel_size=16))[0]
+        p = quantize_layer(b, "aaac", AaacConfig.for_format(INT4, sel_size=16), metrics.Scratch())[0]
         assert p.has_bitset
         return b, p
     # Random BF16 tables, codes and sign-bit selections.  Scales near BF16's
@@ -440,7 +447,7 @@ class TestScoreInputs:
     @staticmethod
     def _layer():
         b = synth_layer(SynthSpec("mixture", 8, 64, 16, seed=3), name="m")
-        return b, quantize_layer(b, "rtn", AaacConfig.for_format(NVFP4))[0]
+        return b, quantize_layer(b, "rtn", AaacConfig.for_format(NVFP4), metrics.Scratch())[0]
 
     @pytest.mark.parametrize("shape", [(64,), (16, 63), (16, 65), (2, 16, 64)])
     def test_activations_without_the_layers_columns(self, shape):
@@ -472,14 +479,45 @@ class TestScoreInputs:
 class TestScratch:
     """One scratch serves a worker's layers: reused, exact, and gone with its command."""
 
-    def test_a_second_same_shape_layer_reuses_the_buffers(self):
+    def test_a_second_same_shape_layer_reuses_the_buffers(self, monkeypatch):
+        # Each layer is quantized with rtn and with if4, and each pack scored,
+        # all on one scratch.  The second layer takes no buffer the first did
+        # not, so it peaks at least its float64 difference lower; and rtn's and
+        # if4's float64 block is the decoder's.
         cfg = AaacConfig.for_format(NVFP4)
         a, b = (synth_layer(SynthSpec("laplace", 64, 1024, 32, seed=s), name="l") for s in (0, 1))
-        pa, pb = (quantize_layer(layer, "rtn", cfg)[0] for layer in (a, b))
+        taken, blocks = [], {"quantize": [], "decode": []}
+        take, recon, scale = metrics.Scratch.take, quantizers.recon_codes, quantizers._scale_decoded
+
+        def spy_take(self, name, shape, dtype=np.float64):
+            out = take(self, name, shape, dtype)
+            taken.append(_owner(out))
+            return out
+
+        def spy_recon(table, values, *args, **kwargs):  # rtn's and if4's code search
+            blocks["quantize"].append(_owner(values))
+            return recon(table, values, *args, **kwargs)
+
+        def spy_scale(values, *args):  # if4's decode of its candidates, and the decoder's
+            blocks["decode"].append(_owner(values))
+            return scale(values, *args)
+
+        monkeypatch.setattr(metrics.Scratch, "take", spy_take)
+        monkeypatch.setattr(quantizers, "recon_codes", spy_recon)
+        monkeypatch.setattr(quantizers, "_scale_decoded", spy_scale)
         scratch = metrics.Scratch()
-        first = TestWithinLayerPeak._peak(lambda: _score(a, pa, scratch))
-        second = TestWithinLayerPeak._peak(lambda: _score(b, pb, scratch))
+
+        def quantize_and_score(layer):
+            for method in ("rtn", "if4"):
+                _score(layer, quantize_layer(layer, method, cfg, scratch)[0], scratch)
+
+        first = TestWithinLayerPeak._peak(lambda: quantize_and_score(a))
+        held = len(taken)
+        second = TestWithinLayerPeak._peak(lambda: quantize_and_score(b))
+        assert {id(o) for o in taken[held:]} <= {id(o) for o in taken[:held]}
         assert first - second >= 8 * a.rows * a.cols
+        assert blocks["quantize"] and blocks["decode"]
+        assert len({id(o) for o in blocks["quantize"] + blocks["decode"]}) == 1
 
     def test_big_small_big_layers_score_as_on_a_fresh_scratch(self):
         cfg = AaacConfig.for_format(NVFP4)
@@ -487,7 +525,7 @@ class TestScratch:
         for i, (rows, cols, tokens) in enumerate([(48, 512, 32), (8, 128, 8), (40, 768, 48)]):
             b = synth_layer(SynthSpec("mixture", rows, cols, tokens, seed=i), name=f"l{i}")
             for method in ("rtn", "if4"):
-                p, _ = quantize_layer(b, method, cfg)
+                p, _ = quantize_layer(b, method, cfg, scratch)
                 assert _score(b, p, scratch) == _score(b, p, metrics.Scratch())
                 # The W4A8 result survives the scoring that borrows its work arrays.
                 x_out = simulate_w4a8(b.activations, scratch)
@@ -546,6 +584,6 @@ class TestWithinLayerPeak:
         assert b.rows * b.cols >= 4 * grids.BLOCK
         layer = 4 * b.rows * b.cols
         cfg = AaacConfig.for_format(fmt)
-        p, _ = quantize_layer(b, method, cfg)
-        assert self._peak(lambda: quantize_layer(b, method, cfg)) < 3.0 * layer
+        p, _ = quantize_layer(b, method, cfg, metrics.Scratch())
+        assert self._peak(lambda: quantize_layer(b, method, cfg, metrics.Scratch())) < 3.0 * layer
         assert self._peak(lambda: _score(b, p, metrics.Scratch())) < 4.5 * layer

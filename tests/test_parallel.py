@@ -56,9 +56,9 @@ def spy(monkeypatch, tmp_path):
     calls.mkdir()
     real = metrics.quantize_layer
 
-    def quantize_layer(bundle, method, cfg, col_importance=None):
+    def quantize_layer(bundle, method, cfg, scratch, col_importance=None):
         (calls / f"{method}.{bundle.name}.{os.getpid()}").touch()
-        return real(bundle, method, cfg, col_importance)
+        return real(bundle, method, cfg, scratch, col_importance)
 
     monkeypatch.setattr(metrics, "quantize_layer", quantize_layer)
 
@@ -245,10 +245,10 @@ class TestForkedFailures:
     def test_dead_worker_is_an_aaacq_error(self, monkeypatch, archive, tmp_path, capsys):
         parent, real = os.getpid(), metrics.quantize_layer
 
-        def dies_in_a_worker(bundle, method, cfg, col_importance=None):
+        def dies_in_a_worker(bundle, method, cfg, scratch, col_importance=None):
             if os.getpid() != parent:
                 os._exit(3)
-            return real(bundle, method, cfg, col_importance)
+            return real(bundle, method, cfg, scratch, col_importance)
 
         monkeypatch.setattr(metrics, "quantize_layer", dies_in_a_worker)
         with pytest.raises(AaacqError, match="worker process died"):

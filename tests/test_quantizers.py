@@ -592,7 +592,7 @@ class TestDequantize:
         cfg = AaacConfig(fmt=base, group_size=16 if fmt == "nvfp4" else 128, sel_size=16)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            packed, _ = quantize_layer(bundle, method, cfg)
+            packed, _ = quantize_layer(bundle, method, cfg, Scratch())
             w_hat = reconstruct(packed)
         t0, t1, sel, codes, scales = unpack(packed)
         exact = np.where(sel.repeat(packed.sel_size, axis=1), t1[codes], t0[codes]).astype(float)

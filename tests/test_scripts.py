@@ -1,7 +1,9 @@
 """Experiment scripts run end to end on a tiny input."""
 
 import importlib.util
+import py_compile
 import re
+import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -37,8 +39,8 @@ def test_command_cost_prints_one_median_line_per_tree(tmp_path, capsys):
     assert cost.main(["--runs", "2", tree, tree, "--", "synth", "--out", str(out),
                       "-N", "2", "-K", "16", "-T", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2 and out.is_file()
-    for line in lines:
+    assert len(lines) == 4 and out.is_file()
+    for line in lines[:2]:
         assert line.startswith(f"{tree}: median of 2: ")
         # Each figure is its median, then its least and greatest value over the runs.
         figures = re.findall(r"([\d.]+) ([A-Za-z -]+?) \(([\d.]+)-([\d.]+)\)", line)
@@ -46,3 +48,31 @@ def test_command_cost_prints_one_median_line_per_tree(tmp_path, capsys):
                                                        "start-up CPU-s"]
         for median, _, least, greatest in figures:
             assert float(least) <= float(median) <= float(greatest)
+    # Then, per tree, its modules with current cached bytecode before and after
+    # the runs: the runs import every module, so after them all are current
+    # unless bytecode is not written.
+    modules = len(list((SCRIPTS.parent / "src" / "aaacq").glob("*.py")))
+    for line in lines[2:]:
+        match = re.fullmatch(rf"{re.escape(tree)}: src/aaacq bytecode up to date for "
+                             rf"(\d+) of {modules} modules before the runs, (\d+) after", line)
+        assert match and int(match[1]) <= modules
+        if not sys.dont_write_bytecode:
+            assert int(match[2]) == modules
+
+
+def test_command_cost_tells_stale_bytecode_from_current(tmp_path):
+    spec = importlib.util.spec_from_file_location("command_cost", SCRIPTS / "command_cost.py")
+    cost = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cost)
+    package = tmp_path / "src" / "aaacq"
+    package.mkdir(parents=True)
+    for name in ("a", "b", "c"):
+        (package / f"{name}.py").write_text(f"NAME = {name!r}\n")
+    assert cost._bytecode(str(tmp_path)) == (0, 3)
+    py_compile.compile(str(package / "a.py"), doraise=True)
+    py_compile.compile(str(package / "b.py"), doraise=True,
+                       invalidation_mode=py_compile.PycInvalidationMode.CHECKED_HASH)
+    assert cost._bytecode(str(tmp_path)) == (2, 3)
+    (package / "a.py").write_text("NAME = 'changed'\n")  # a new size: stale whatever the mtime
+    (package / "b.py").write_text("NAME = 'B'\n")  # the same size, a new hash
+    assert cost._bytecode(str(tmp_path)) == (0, 3)

@@ -10,10 +10,11 @@ import weakref
 
 import numpy as np
 import pytest
+from test_metrics import _owner
 
 from aaacq import codebooks, grids, metrics, packfmt, tensors
 from aaacq.cli import main
-from aaacq.codebooks import AaacConfig, layer_importance, learn
+from aaacq.codebooks import AaacConfig, calibration, importance, learn
 from aaacq.errors import ValidationError
 from aaacq.grids import INT4, NVFP4
 from aaacq.packfmt import PackReader, layer_to_bytes, model_to_bytes
@@ -115,10 +116,11 @@ def test_archive_and_in_memory_bundles_give_the_same_packs_and_reports(
     with TensorArchive(path) as archive:
         for layer, bundle in zip(archive.layers, memory):
             for method in metrics.METHODS:
-                packs = [metrics.quantize_layer(b, method, cfg)[0] for b in (archive.load(layer), bundle)]
-                assert layer_to_bytes("w", packs[0]) == layer_to_bytes("w", packs[1]), method
                 scratch = metrics.Scratch()
-                rows = [metrics.score(b, packs[1], *metrics.calibration(b, scratch), scratch)
+                packs = [metrics.quantize_layer(b, method, cfg, scratch)[0]
+                         for b in (archive.load(layer), bundle)]
+                assert layer_to_bytes("w", packs[0]) == layer_to_bytes("w", packs[1]), method
+                rows = [metrics.score(b, packs[1], *calibration(b, scratch), scratch)
                         for b in (archive.load(layer), bundle)]
                 assert rows[0] == rows[1], method
         got = metrics.compare(archive.layers, metrics.METHODS, cfg, load=archive.load)
@@ -199,7 +201,7 @@ class TestBlockReads:
         bundle = synth_layer(SynthSpec("mixture", 256, 2048, 64, seed=0), name="l")
         path = tmp_path / "a.safetensors"
         save_tensor_archive(path, [bundle])
-        imp = layer_importance(bundle)
+        imp = importance(bundle.activations)
         learn(synth_layer(SynthSpec("mixture", 8, 256, 8, seed=1)), cfg)  # first-call imports
         with TensorArchive(path) as archive:
             tracemalloc.start()
@@ -226,18 +228,45 @@ def _write_archive(path, layers):
     })
 
 
-def test_no_command_reads_a_whole_weight_tensor(tmp_path, monkeypatch):
+def test_no_command_reads_more_than_a_row_block(tmp_path, monkeypatch):
+    # Blocks of two rows of 64: each layer's 4 weight rows and 8 calibration
+    # rows are several blocks.  Every read of either lands in a buffer of the
+    # scratch it is read on; rtn, if4 and eval read all on one scratch.
+    monkeypatch.setattr(grids, "BLOCK", 128)
     arch, pack = tmp_path / "a.safetensors", tmp_path / "m.aaacq"
     _write_archive(arch, _four_layers(np.random.default_rng(6)))
+    handed, reads = {}, []  # every buffer a scratch hands out, by id, with its scratch
+    take, read = grids.Scratch.take, tensors._ArchiveBundle._read_rows
 
-    def whole(bundle):
-        raise AssertionError(f"layer {bundle.name!r} read whole")
+    def spy_take(self, name, shape, dtype=np.float64):
+        out = take(self, name, shape, dtype)
+        handed[id(_owner(out))] = (_owner(out), self)
+        return out
 
-    monkeypatch.setattr(tensors._ArchiveBundle, "weights", property(whole))
-    for method in metrics.METHODS:
-        assert run("quantize", arch, "--out", pack, "--method", method, "--threads", "1") == 0
-    assert run("eval", pack, arch, "--w4a8", "--out", tmp_path / "r.txt") == 0
-    assert run("compare", arch, "--threads", "1", "--out", tmp_path / "c.txt") == 0
+    def spy_read(self, t, rows, scratch, out=None):
+        got = read(self, t, rows, scratch, out)
+        weights = t is self._layer.weight
+        n, cols = self.shape if weights else self.activation_shape
+        a, b, _ = rows.indices(n)
+        block = grids.row_blocks(n, cols)[0]
+        on_scratch = handed.get(id(_owner(got)), (None, None))[1] is scratch
+        reads.append((weights, b - a <= block.stop - block.start and on_scratch, scratch))
+        return got
+
+    monkeypatch.setattr(grids.Scratch, "take", spy_take)
+    monkeypatch.setattr(tensors._ArchiveBundle, "_read_rows", spy_read)
+    for argv, calibrated in [
+        *[(("quantize", arch, "--out", pack, "--method", m, "--threads", "1"), m == "aaac")
+          for m in metrics.METHODS],
+        (("eval", pack, arch, "--w4a8", "--out", tmp_path / "r.txt"), True),
+        (("compare", arch, "--threads", "1", "--out", tmp_path / "c.txt"), True),
+    ]:
+        reads.clear()
+        assert run(*argv) == 0
+        assert reads and all(fits for _, fits, _ in reads), argv
+        assert {weights for weights, _, _ in reads} == {True, not calibrated}, argv
+        if argv[0] == "eval" or "rtn" in argv or "if4" in argv:
+            assert len({id(scratch) for _, _, scratch in reads}) == 1, argv
 
 
 class TestCalibrationReads:
@@ -252,26 +281,26 @@ class TestCalibrationReads:
 
     def test_a_bundle_caches_no_calibration(self, archive):
         bundle = archive.load(archive.layers[0])
-        first = bundle.activations
-        gone = weakref.ref(first)
-        again = bundle.activations
-        assert again is not first and np.array_equal(again, first)
+        first = calibration(bundle, grids.Scratch())[0]
+        gone = weakref.ref(_owner(first))  # the buffer of a scratch dropped on return
+        again = calibration(bundle, grids.Scratch())[0]
+        assert _owner(again) is not _owner(first) and np.array_equal(again, first)
         del first, again
         assert gone() is None
 
     def test_a_learn_holds_none_once_importance_is_computed(self, archive, monkeypatch):
         reads, passes = [], []
-        read, make_pass = tensors._ArchiveBundle._read, codebooks._Pass
+        read, make_pass = tensors._ArchiveBundle.read_activations, codebooks._Pass
 
-        def spy_read(self, t, out):
-            reads.append(weakref.ref(out))
-            return read(self, t, out)
+        def spy_read(self, out, scratch):
+            reads.append(weakref.ref(_owner(out)))
+            return read(self, out, scratch)
 
         def spy_pass(*args, **kwargs):
             passes.append([ref() is None for ref in reads])
             return make_pass(*args, **kwargs)
 
-        monkeypatch.setattr(tensors._ArchiveBundle, "_read", spy_read)
+        monkeypatch.setattr(tensors._ArchiveBundle, "read_activations", spy_read)
         monkeypatch.setattr(codebooks, "_Pass", spy_pass)
         learn(archive.load(archive.layers[0]), AaacConfig.for_format(NVFP4))
         # One read of the calibration, gone before the first pass is made.
@@ -414,7 +443,7 @@ def test_dequantize_writes_in_archive_order(tmp_path):
     layers = []
     for name in ("b", "a", "a.b"):
         bundle = LayerBundle(name, rng.standard_normal((2, 32)).astype(np.float32))
-        layers.append((name, metrics.quantize_layer(bundle, "rtn", cfg)[0]))
+        layers.append((name, metrics.quantize_layer(bundle, "rtn", cfg, metrics.Scratch())[0]))
     pack, got, want = tmp_path / "m.aaacq", tmp_path / "got.safetensors", tmp_path / "want.safetensors"
     pack.write_bytes(model_to_bytes(layers))
     assert run("dequantize", pack, "--out", got) == 0

@@ -44,9 +44,15 @@ def write_raw_archive(path, entries, payload: bytes):
 
 
 def in_memory(bundle):
-    """An archive bundle's layer read whole into a bundle of its own arrays,
-    which outlives the archive."""
-    return LayerBundle(bundle.name, bundle.weights, bundle.activations)
+    """An archive bundle's layer read into a bundle of its own float32 arrays,
+    which outlives the archive: the weights as one block of all their rows,
+    the activations widened into float64 and narrowed back, both exact."""
+    scratch, x = grids.Scratch(), None
+    if bundle.activation_shape is not None:
+        x = np.empty(bundle.activation_shape)
+        bundle.read_activations(x, scratch)
+        x = x.astype(np.float32)
+    return LayerBundle(bundle.name, bundle.weight_rows(slice(0, bundle.rows), scratch).copy(), x)
 
 
 def load_bundles(path, order=lambda layers: layers):
@@ -158,26 +164,34 @@ class TestArchiveIO:
         want = (bf16_bits.astype(np.uint32) << 16).view(np.float32)
         assert np.array_equal(tensors["b"], want)
 
-    def test_bf16_load_peaks_at_6_1_bytes_a_weight(self, tmp_path):
-        # The layer's 4-byte float32 widening and one row block's 2-byte
-        # patterns, no more: each block is widened in place in reused buffers.
+    def test_bf16_row_blocks_peak_at_7_1_bytes_a_block_weight(self, tmp_path):
+        # Every row block of a BF16 layer read on one scratch holds the
+        # block's 4-byte float32 widening, its 2-byte patterns and its 1-byte
+        # finite check, no more: each block reuses the first one's buffers.
         rows, cols = 512, 1024
         w = np.random.default_rng(0).standard_normal((rows, cols)).astype(np.float32)
         bits = (w.view(np.uint32) >> 16).astype("<u2")
+        want = (bits.astype(np.uint32) << 16).view(np.float32)
         path = tmp_path / "bf16.safetensors"
         write_raw_archive(path, {"l.weight": {"dtype": "BF16", "shape": [rows, cols],
                                               "data_offsets": [0, bits.nbytes]}}, bits.tobytes())
+        blocks = grids.row_blocks(rows, cols)
+        assert len(blocks) == 8
         with TensorArchive(path) as archive:
-            archive.load(archive.layers[0]).weights  # first-call allocations are not the load's
-        with TensorArchive(path) as archive:  # whose read buffers are
+            bundle = archive.load(archive.layers[0])
+            bundle.weight_rows(blocks[0], grids.Scratch())  # first-call allocations are not the reads'
+            scratch = grids.Scratch()
             tracemalloc.start()
             try:
-                weights = archive.load(archive.layers[0]).weights
-                peak = tracemalloc.get_traced_memory()[1]
+                peak = 0
+                for r in blocks:
+                    block = bundle.weight_rows(r, scratch)
+                    peak = max(peak, tracemalloc.get_traced_memory()[1])
+                    assert np.array_equal(block, want[r])
+                    tracemalloc.reset_peak()  # the check's temporaries are not the read's
             finally:
                 tracemalloc.stop()
-        assert np.array_equal(weights.view(np.uint32), bits.astype(np.uint32) << 16)
-        assert peak <= 6.1 * rows * cols
+        assert peak <= 7.1 * grids.BLOCK
 
     @pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
     def test_activations_widen_into_float64_a_row_block_at_a_time(
@@ -199,10 +213,10 @@ class TestArchiveIO:
             bundle = archive.load(archive.layers[0])
             assert bundle.activation_shape == (5, 16)
             out = np.full((5, 16), np.nan)
-            bundle.read_activations(out)
+            bundle.read_activations(out, grids.Scratch())
             assert np.array_equal(out, want.astype(np.float64))
-            assert np.array_equal(bundle.activations, want)
-            assert bundle.activations.dtype == np.float32
+            assert np.array_equal(in_memory(bundle).activations, want)
+            assert in_memory(bundle).activations.dtype == np.float32
 
     def test_a_non_finite_activation_in_the_last_row_block_fails_its_read(
             self, tmp_path, monkeypatch):
@@ -213,8 +227,8 @@ class TestArchiveIO:
         write_tensors(path, {"q.weight": np.ones((2, 16), np.float32), "q.calib": x})
         with TensorArchive(path) as archive:
             bundle = archive.load(archive.layers[0])
-            for read in (lambda: bundle.activations,
-                         lambda: bundle.read_activations(np.empty((5, 16)))):
+            for read in (lambda: in_memory(bundle),
+                         lambda: bundle.read_activations(np.empty((5, 16)), grids.Scratch())):
                 with pytest.raises(ValidationError, match="layer 'q': activations contain non-finite"):
                     read()
 
@@ -245,8 +259,9 @@ class TestArchiveIO:
                              "q.calib": np.ones((4, 16), np.float32)})
         with TensorArchive(path) as archive:
             bundle = archive.load(archive.layers[0])
-            assert bundle.weight_rows(slice(2, 5)).shape == (3, 16)
-        for read in (lambda: bundle.weight_rows(slice(0, 8)), lambda: bundle.activations):
+            assert bundle.weight_rows(slice(2, 5), grids.Scratch()).shape == (3, 16)
+        for read in (lambda: bundle.weight_rows(slice(0, 8), grids.Scratch()),
+                     lambda: bundle.read_activations(np.empty((4, 16)), grids.Scratch())):
             with pytest.raises(ValueError, match="closed"):
                 read()
 
