@@ -137,10 +137,9 @@ def cmd_quantize(args) -> int:
             # Each task reads its own layer, on its worker's buffers of the one
             # scratch; packs are written in layer order as they arrive.
             _parallel_map(
-                lambda layer: (layer.name,
-                               _quantize_layer(archive.load(layer), args.method, cfg, scratch)),
-                archive.layers, threads, fork=metrics.runs_forked([args.method]),
-                consume=consume,
+                lambda bundle: (bundle.name, _quantize_layer(bundle, args.method, cfg, scratch)),
+                [archive.load(layer) for layer in archive.layers], threads,
+                fork=metrics.runs_forked([args.method]), consume=consume,
             )
     _log(
         f"quantized {len(archive.layers)} layers with {args.method} "
@@ -229,14 +228,10 @@ def cmd_compare(args) -> int:
     if not methods:
         raise ValidationError("no methods given")
     started = time.perf_counter()
-    if args.archive:
-        with tensors.TensorArchive(args.archive) as archive:
-            layers = archive.layers
-            report = metrics.compare(layers, methods, cfg, threads, load=archive.load)
-    else:
-        layers = _pinned_suite(args.seed)
-        report = metrics.compare(layers, methods, cfg, threads)
-    _log(f"compared {len(layers)} layers in {time.perf_counter() - started:.2f}s")
+    with tensors.TensorArchive(args.archive) if args.archive else contextlib.nullcontext() as archive:
+        bundles = [archive.load(layer) for layer in archive.layers] if archive else _pinned_suite(args.seed)
+        report = metrics.compare(bundles, methods, cfg, threads)
+    _log(f"compared {len(bundles)} layers in {time.perf_counter() - started:.2f}s")
     _emit_report(report, args)
     return 0
 

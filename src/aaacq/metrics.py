@@ -448,31 +448,28 @@ def report(rows) -> EvalReport:
     return EvalReport(rows=tuple(rows), aggregates=aggregates, recovery=recovery)
 
 
-def compare(
-    bundles: list, methods, cfg: AaacConfig, threads: int = 1, load=lambda layer: layer
-) -> EvalReport:
+def compare(bundles: list, methods, cfg: AaacConfig, threads: int = 1) -> EvalReport:
     """Quantize every layer with every requested method and `report` the packs' metrics.
 
     Each row scores the packed layer `quantize` would write, decoded the way
-    `eval` decodes it.  One task per layer loads it with `load`, reads its
-    calibration once into the worker's activations buffer, computes its
-    importance there and runs every method, on one of `threads` workers
-    (forked when `runs_forked(methods)`); the report is the same either way.
-    Each worker quantizes and scores on its own buffers of one `Scratch`,
-    dropped on return.
+    `eval` decodes it.  One task per bundle reads its calibration once into
+    the worker's activations buffer, computes its importance there and runs
+    every method, on one of `threads` workers (forked when
+    `runs_forked(methods)`); the report is the same either way.  Each worker
+    quantizes and scores on its own buffers of one `Scratch`, dropped on
+    return.
     """
     methods = sorted({m.lower() for m in methods})
     for m in methods:
         if m not in METHODS:
             raise ValidationError(f"unknown method {m!r}; supported: {list(METHODS)}")
 
-    for layer in bundles:
-        check_header(layer.name, cfg.group_size, cfg.sel_size)
+    for bundle in bundles:
+        check_header(bundle.name, cfg.group_size, cfg.sel_size)
 
     scratch = Scratch()
 
-    def layer_rows(layer):
-        bundle = load(layer)
+    def layer_rows(bundle):
         with naming_layer(bundle.name):
             x, imp = calibration(bundle, scratch)
             return [_run_method(bundle, m, cfg, imp, x, scratch) for m in methods]

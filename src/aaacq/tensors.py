@@ -7,16 +7,18 @@ is widened to float32 on load.  Layers pair by name convention: a 2-D tensor
 `<layer>.weight` optionally joined by `<layer>.calib` activations with the
 same number of input columns.
 
-Reading never holds the whole file.  `TensorArchive` checks the header and
-the pairing once, and its layer bundles read their tensors with positional
-reads at their offsets (not `mmap`, whose pages would count toward the
-reader's resident memory), only when asked for, and never kept, a row
-block at a time on the block buffers of the caller's `grids.Scratch`: the
-weights into its float32 block (`weight_rows`), the calibration tensor
-into the caller's float64 array (`read_activations`).  The archive itself
-holds no buffers.  `read_tensors` reads every tensor whole, unpaired.
-`stream_tensors` writes the header first and then one tensor at a time, a
-row block at a time.
+Reading never holds the whole file.  Every tensor is widened one way, by
+`_read_rows`: a block of its rows (of its last dimension) with one
+positional read at its offset (not `mmap`, whose pages would count toward
+the reader's resident memory).  `TensorArchive` checks the header and the
+pairing once, and its layer bundles read their tensors only when asked
+for, and never keep them, a row block at a time on the block buffers of
+the caller's `grids.Scratch`: the weights into its float32 block
+(`weight_rows`), the calibration tensor into the caller's float64 array
+(`read_activations`).  The archive itself holds no buffers.
+`read_tensors` reads every tensor, unpaired, into a float32 array of its
+own, a row block at a time.  `stream_tensors` writes the header first and
+then one tensor at a time, a row block at a time.
 """
 
 from __future__ import annotations
@@ -130,14 +132,6 @@ class LayerEntry:
     weight: TensorEntry
     calib: TensorEntry | None
 
-    @property
-    def rows(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.weight.shape[1]
-
 
 def pread_into(fd: int, buf, offset: int) -> int:
     """Fill the writable buffer `buf` from `fd` at `offset`; returns the bytes read.
@@ -217,18 +211,23 @@ def _parse_header(path, fd: int) -> dict[str, TensorEntry]:
     return entries
 
 
-def _pread_tensor(path, fd: int, t: TensorEntry, buf: np.ndarray, skip: int = 0) -> None:
-    """Fill the C-contiguous `buf` with the bytes of tensor `t` from `skip` bytes on."""
-    if pread_into(fd, buf, t.offset + skip) < buf.nbytes:
+def _read_rows(fd: int, path, t: TensorEntry, a: int, out: np.ndarray, scratch: Scratch):
+    """Widen rows `a` to `a + len(out)` of tensor `t`, seen as rows of its
+    last dimension, into `out`, a C-contiguous float32 or float64 array of
+    those rows, with one positional read at `fd`; F16 and BF16 go through
+    `scratch`'s buffers.  Returns `out`."""
+    raw = out
+    if _DTYPES[t.dtype] != out.dtype:
+        raw = scratch.take("raw", out.shape, _DTYPES[t.dtype])
+    if pread_into(fd, raw, t.offset + a * out.shape[1] * raw.itemsize) < raw.nbytes:
         raise FormatError(f"{path}: file ends inside tensor {t.name!r} at byte {t.offset}")
-
-
-def _read_tensor(path, fd: int, t: TensorEntry) -> np.ndarray:
-    """One tensor read at its offset and widened to a float32 array of its own."""
-    raw = np.empty(t.nbytes // _DTYPES[t.dtype].itemsize, dtype=_DTYPES[t.dtype])
-    _pread_tensor(path, fd, t, raw)
-    arr = bf16_decode(raw) if t.dtype == "BF16" else raw.astype(np.float32, copy=False)
-    return arr.reshape(t.shape)
+    if t.dtype == "BF16":
+        wide = out if out.dtype == np.float32 else scratch.take("rows", out.shape, np.float32)
+        bf16_decode(raw, out=wide)
+        raw = wide
+    if raw is not out:
+        np.copyto(out, raw)
+    return out
 
 
 def _pair_layers(path, entries: dict[str, TensorEntry]) -> list[LayerEntry]:
@@ -264,17 +263,25 @@ class ScannedFile:
     """A file opened unbuffered, whose layers `_scan(fd)` lists (`layers`) from
     its headers, closing the file if it raises.  Layers are then read with
     positional reads at `fd`, so threads and forked workers can each read
-    their own from the one open file.  Close it, or use it as a context manager."""
+    their own from the one open file.  Close it, or use it as a context manager;
+    once it is closed, `fd` refuses every read."""
 
     def __init__(self, path):
         self.path = path
         self._file = open(path, "rb", buffering=0)
-        self.fd = self._file.fileno()
         try:
             self.layers = self._scan(self.fd)
         except BaseException:
             self._file.close()
             raise
+
+    @property
+    def fd(self) -> int:
+        """The open file's descriptor.  Once the file is closed this raises
+        `ValueError`: the number may already name another file."""
+        if self._file.closed:
+            raise ValueError(f"{self.path}: read after the file was closed")
+        return self._file.fileno()
 
     def close(self) -> None:
         self._file.close()
@@ -294,12 +301,6 @@ class TensorArchive(ScannedFile):
     def _scan(self, fd: int) -> list[LayerEntry]:
         return _pair_layers(self.path, _parse_header(self.path, fd))
 
-    def _open_fd(self, t: TensorEntry) -> int:
-        # A closed descriptor's number may already name another file.
-        if self._file.closed:
-            raise ValueError(f"{self.path}: tensor {t.name!r} read after the archive was closed")
-        return self.fd
-
     def load(self, layer: LayerEntry) -> LayerBundle:
         """One layer's bundle, checked as `LayerBundle` checks its arrays: the
         shapes now, the values as they are read.  Calibration tensors may carry
@@ -310,11 +311,11 @@ class TensorArchive(ScannedFile):
 class _ArchiveBundle(LayerBundle):
     """A layer of an open `TensorArchive`, read only as it is asked for.
 
-    `weight_rows` reads just those rows with one positional read into the
-    caller's scratch, widens BF16 and F16 there and checks the block finite
-    before returning it.  `read_activations` reads the calibration tensor
-    the same way, one row block of tokens at a time, into the caller's
-    float64 array.  Nothing is kept between reads.
+    `weight_rows` reads just those rows through `_read_rows` into the
+    caller's scratch and checks the block finite before returning it.
+    `read_activations` reads the calibration tensor the same way, one row
+    block of tokens at a time, into the caller's float64 array.  Nothing is
+    kept between reads.
     """
 
     def __init__(self, archive: TensorArchive, layer: LayerEntry):
@@ -327,43 +328,32 @@ class _ArchiveBundle(LayerBundle):
 
     def read_activations(self, out: np.ndarray, scratch: Scratch) -> None:
         for r in row_blocks(*out.shape):
-            self._read_rows(self._layer.calib, r, scratch, out[r])
+            self._read(self._layer.calib, r.start, out[r], scratch, "activations")
 
     def weight_rows(self, rows: slice, scratch: Scratch) -> np.ndarray:
-        return self._read_rows(self._layer.weight, rows, scratch)
-
-    def _read_rows(self, t: TensorEntry, rows: slice, scratch: Scratch,
-                   out: np.ndarray | None = None) -> np.ndarray:
-        """Rows `rows` of the weights or activations `t`, widened into `out`
-        (float32 or float64), by default the float32 block buffer of `scratch`."""
-        weights = t is self._layer.weight
-        n, cols = self.shape if weights else self.activation_shape
-        a, b, step = rows.indices(n)
+        a, b, step = rows.indices(self.shape[0])
         if step != 1:
             raise ValueError(f"rows must be a slice of step 1, got {rows}")
-        if out is None:
-            out = scratch.take("rows", (b - a, cols), np.float32)
-        raw = out
-        if _DTYPES[t.dtype] != out.dtype:
-            raw = scratch.take("raw", out.shape, _DTYPES[t.dtype])
-        archive = self._archive
-        _pread_tensor(archive.path, archive._open_fd(t), t, raw, a * cols * raw.itemsize)
-        if t.dtype == "BF16":
-            wide = out if out.dtype == np.float32 else scratch.take("rows", out.shape, np.float32)
-            bf16_decode(raw, out=wide)
-            raw = wide
-        if raw is not out:
-            np.copyto(out, raw)
-        _check_finite(self.name, "weights" if weights else "activations", out,
-                      scratch.take("finite", out.shape, np.bool_))
+        out = scratch.take("rows", (b - a, self.shape[1]), np.float32)
+        return self._read(self._layer.weight, a, out, scratch, "weights")
+
+    def _read(self, t: TensorEntry, a: int, out: np.ndarray, scratch: Scratch, what: str):
+        _read_rows(self._archive.fd, self._archive.path, t, a, out, scratch)
+        _check_finite(self.name, what, out, scratch.take("finite", out.shape, np.bool_))
         return out
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:
     """Read all tensors from a safetensors container, widened to float32."""
     with open(path, "rb", buffering=0) as fh:
-        fd = fh.fileno()
-        return {name: _read_tensor(path, fd, t) for name, t in _parse_header(path, fd).items()}
+        fd, scratch, tensors = fh.fileno(), Scratch(), {}
+        for name, t in _parse_header(path, fd).items():
+            tensors[name] = np.empty(t.shape, np.float32)
+            # A 0-d tensor is one row of one value.
+            rows = tensors[name].reshape(math.prod(t.shape[:-1]), t.shape[-1] if t.shape else 1)
+            for r in row_blocks(*rows.shape):
+                _read_rows(fd, path, t, r.start, rows[r], scratch)
+        return tensors
 
 
 def stream_tensors(fh, shapes: dict[str, tuple[int, ...]], produce) -> None:
@@ -394,7 +384,7 @@ def stream_tensors(fh, shapes: dict[str, tuple[int, ...]], produce) -> None:
         shape = tuple(shapes[name])
         rows, done = shape[0] if shape else 1, 0  # a 0-d tensor is one block of one "row"
         for block in produce(name):
-            arr = np.ascontiguousarray(block, dtype="<f4")
+            arr = np.asarray(block, dtype="<f4", order="C")
             done += arr.shape[0] if arr.ndim else 1
             if arr.shape[1:] != shape[1:] or arr.ndim != len(shape) or done > rows:
                 raise ValidationError(
@@ -413,13 +403,24 @@ def write_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def save_tensor_archive(path, bundles: list[LayerBundle]) -> None:
-    """Write bundles back into a safetensors container."""
-    tensors: dict[str, np.ndarray] = {}
+    """Write bundles back into a safetensors container, each read through
+    its interface: the weights a row block at a time, the activations whole."""
+    parts, scratch = {}, Scratch()
     for b in bundles:
-        tensors[b.name + _WEIGHT_SUFFIX] = b.weights
-        if b.activations is not None:
-            tensors[b.name + _CALIB_SUFFIX] = b.activations
-    write_tensors(path, tensors)
+        parts[b.name + _WEIGHT_SUFFIX] = (b, b.shape)
+        if b.activation_shape is not None:
+            parts[b.name + _CALIB_SUFFIX] = (b, b.activation_shape)
+
+    def produce(name):
+        b, shape = parts[name]
+        if name.endswith(_WEIGHT_SUFFIX):
+            return (b.weight_rows(r, scratch) for r in row_blocks(*shape))
+        x = np.empty(shape)
+        b.read_activations(x, scratch)
+        return [x]
+
+    with open(path, "wb") as fh:
+        stream_tensors(fh, {name: shape for name, (_, shape) in parts.items()}, produce)
 
 
 # ---------------------------------------------------------------------------

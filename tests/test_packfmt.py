@@ -634,6 +634,18 @@ class TestContainer:
         with pytest.raises(CorruptionError):
             read_blob(tmp_path / "m.aaacq", raw)
 
+    def test_a_read_after_close_raises_though_the_descriptor_is_reused(self, tmp_path):
+        rng = np.random.default_rng(18)
+        p = pack(*random_layer(rng, 1, 32, 16, 16, 16), kind="int4", group_size=16, sel_size=16)
+        path = tmp_path / "m.aaacq"
+        path.write_bytes(model_to_bytes([("a", p)]))
+        with PackReader(path) as reader:
+            fd, (entry,) = reader.fd, reader.layers
+        with open(path, "rb", buffering=0) as again:
+            assert again.fileno() == fd  # the closed number now names the new handle
+            with pytest.raises(ValueError, match="closed"):
+                reader.read(entry)
+
     def test_rtn_layer_stored_with_base_tables(self):
         # One decode path: a fixed-grid layer stores the base table twice
         # with all selection bits clear.

@@ -76,3 +76,22 @@ def test_command_cost_tells_stale_bytecode_from_current(tmp_path):
     (package / "a.py").write_text("NAME = 'changed'\n")  # a new size: stale whatever the mtime
     (package / "b.py").write_text("NAME = 'B'\n")  # the same size, a new hash
     assert cost._bytecode(str(tmp_path)) == (0, 3)
+
+
+def test_src_lines_counts_lines_and_code_lines_per_module(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location("src_lines", SCRIPTS / "src_lines.py")
+    count = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(count)
+    package = tmp_path / "src" / "aaacq"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(
+        '"""A module\ndocstring."""\n\n# a comment\nX = 1  # code, then a comment\n\n\n'
+        'def f():\n    """One line."""\n    return """two\nlines"""\n')
+    (package / "b.py").write_text("Y = 2\n")
+    assert count.main([str(tmp_path)]) == 0
+    # a.py: `X = 1`, `def f():` and the two lines of its returned string.
+    assert capsys.readouterr().out.splitlines() == [
+        f"{package / 'a.py'}: 11 lines, 4 code lines",
+        f"{package / 'b.py'}: 1 lines, 1 code lines",
+        f"{tmp_path}: 12 lines, 5 code lines",
+    ]

@@ -3,6 +3,7 @@ at a time, whole outputs only, archive order."""
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tracemalloc
@@ -123,8 +124,10 @@ def test_archive_and_in_memory_bundles_give_the_same_packs_and_reports(
                 rows = [metrics.score(b, packs[1], *calibration(b, scratch), scratch)
                         for b in (archive.load(layer), bundle)]
                 assert rows[0] == rows[1], method
-        got = metrics.compare(archive.layers, metrics.METHODS, cfg, load=archive.load)
-    assert got.to_json() == metrics.compare(memory, metrics.METHODS, cfg).to_json()
+        bundles = [archive.load(layer) for layer in archive.layers]
+        want = metrics.compare(memory, metrics.METHODS, cfg).to_json()
+        for threads in (1, 2):
+            assert metrics.compare(bundles, metrics.METHODS, cfg, threads).to_json() == want, threads
 
 
 class TestBlockReads:
@@ -236,25 +239,23 @@ def test_no_command_reads_more_than_a_row_block(tmp_path, monkeypatch):
     arch, pack = tmp_path / "a.safetensors", tmp_path / "m.aaacq"
     _write_archive(arch, _four_layers(np.random.default_rng(6)))
     handed, reads = {}, []  # every buffer a scratch hands out, by id, with its scratch
-    take, read = grids.Scratch.take, tensors._ArchiveBundle._read_rows
+    take, read = grids.Scratch.take, tensors._read_rows
 
     def spy_take(self, name, shape, dtype=np.float64):
         out = take(self, name, shape, dtype)
         handed[id(_owner(out))] = (_owner(out), self)
         return out
 
-    def spy_read(self, t, rows, scratch, out=None):
-        got = read(self, t, rows, scratch, out)
-        weights = t is self._layer.weight
-        n, cols = self.shape if weights else self.activation_shape
-        a, b, _ = rows.indices(n)
-        block = grids.row_blocks(n, cols)[0]
+    def spy_read(fd, path, t, a, out, scratch):
+        got = read(fd, path, t, a, out, scratch)
+        block = grids.row_blocks(math.prod(t.shape[:-1]), t.shape[-1])[0]
         on_scratch = handed.get(id(_owner(got)), (None, None))[1] is scratch
-        reads.append((weights, b - a <= block.stop - block.start and on_scratch, scratch))
+        reads.append((t.name.endswith(".weight"),
+                      len(got) <= block.stop - block.start and on_scratch, scratch))
         return got
 
     monkeypatch.setattr(grids.Scratch, "take", spy_take)
-    monkeypatch.setattr(tensors._ArchiveBundle, "_read_rows", spy_read)
+    monkeypatch.setattr(tensors, "_read_rows", spy_read)
     for argv, calibrated in [
         *[(("quantize", arch, "--out", pack, "--method", m, "--threads", "1"), m == "aaac")
           for m in metrics.METHODS],

@@ -258,12 +258,72 @@ class TestArchiveIO:
         write_tensors(path, {"q.weight": np.ones((8, 16), np.float32),
                              "q.calib": np.ones((4, 16), np.float32)})
         with TensorArchive(path) as archive:
-            bundle = archive.load(archive.layers[0])
+            bundle, fd = archive.load(archive.layers[0]), archive.fd
             assert bundle.weight_rows(slice(2, 5), grids.Scratch()).shape == (3, 16)
-        for read in (lambda: bundle.weight_rows(slice(0, 8), grids.Scratch()),
-                     lambda: bundle.read_activations(np.empty((4, 16)), grids.Scratch())):
-            with pytest.raises(ValueError, match="closed"):
-                read()
+        with open(path, "rb", buffering=0) as again:
+            assert again.fileno() == fd  # the closed number now names the new handle
+            for read in (lambda: bundle.weight_rows(slice(0, 8), grids.Scratch()),
+                         lambda: bundle.read_activations(np.empty((4, 16)), grids.Scratch())):
+                with pytest.raises(ValueError, match="closed"):
+                    read()
+
+    @pytest.mark.parametrize("dtype", ["F32", "F16", "BF16"])
+    def test_read_tensors_round_trips_every_shape(self, tmp_path, monkeypatch, dtype):
+        # Blocks of four values: the larger tensors are several row blocks.
+        monkeypatch.setattr(grids, "BLOCK", 4)
+        shapes = [(), (0,), (3, 0), (2, 0, 4), (3, 4, 0), (2, 3, 2)]
+        rng = np.random.default_rng(7)
+        entries, chunks, offset, want = {}, [], 0, {}
+        for i, shape in enumerate(shapes):
+            x = rng.standard_normal(shape).astype(np.float32)
+            raw = {"F32": x, "F16": x.astype("<f2"),
+                   "BF16": (x.view(np.uint32) >> 16).astype("<u2")}[dtype]
+            want[f"t{i}"] = {"F32": x, "F16": raw.astype(np.float32),
+                             "BF16": (raw.astype(np.uint32) << 16).view(np.float32)}[dtype]
+            entries[f"t{i}"] = {"dtype": dtype, "shape": list(shape),
+                                "data_offsets": [offset, offset + raw.nbytes]}
+            chunks.append(raw.tobytes())
+            offset += raw.nbytes
+        path = tmp_path / "a.safetensors"
+        write_raw_archive(path, entries, b"".join(chunks))
+        got = read_tensors(path)
+        assert list(got) == list(want)
+        for name, x in want.items():
+            assert got[name].dtype == np.float32 and got[name].shape == x.shape
+            assert np.array_equal(got[name], x)
+
+    def test_a_0_d_tensor_round_trips(self, tmp_path):
+        path = tmp_path / "a.safetensors"
+        write_tensors(path, {"s": np.float32(2.5), "v": np.arange(3, dtype=np.float32)})
+        got = read_tensors(path)
+        assert got["s"].shape == () and got["s"] == 2.5
+        assert np.array_equal(got["v"], np.arange(3))
+
+    def test_save_writes_archive_bundles_as_their_in_memory_copies(self, tmp_path, monkeypatch):
+        # BF16 weights and a calibration tensor with a batch dimension, in
+        # blocks of two rows of 16.
+        monkeypatch.setattr(grids, "BLOCK", 32)
+        rng = np.random.default_rng(8)
+        bits = (rng.standard_normal((5, 16)).astype(np.float32).view(np.uint32) >> 16).astype("<u2")
+        x = rng.standard_normal((2, 3, 16)).astype(np.float32)
+        path = tmp_path / "a.safetensors"
+        write_raw_archive(path, {
+            "q.weight": {"dtype": "BF16", "shape": [5, 16], "data_offsets": [0, bits.nbytes]},
+            "q.calib": {"dtype": "F32", "shape": [2, 3, 16],
+                        "data_offsets": [bits.nbytes, bits.nbytes + x.nbytes]},
+            # A layer without calibration, on the same bytes.
+            "r.weight": {"dtype": "BF16", "shape": [5, 16], "data_offsets": [0, bits.nbytes]},
+        }, bits.tobytes() + x.tobytes())
+        with TensorArchive(path) as archive:
+            bundles = [archive.load(layer) for layer in archive.layers]
+            save_tensor_archive(tmp_path / "archive.safetensors", bundles)
+            save_tensor_archive(tmp_path / "memory.safetensors", [in_memory(b) for b in bundles])
+        written = (tmp_path / "archive.safetensors").read_bytes()
+        assert written == (tmp_path / "memory.safetensors").read_bytes()
+        got = read_tensors(tmp_path / "archive.safetensors")
+        w = (bits.astype(np.uint32) << 16).view(np.float32)
+        assert np.array_equal(got["q.weight"], w) and np.array_equal(got["r.weight"], w)
+        assert np.array_equal(got["q.calib"], x.reshape(6, 16)) and "r.calib" not in got
 
     def test_unsupported_dtype(self, tmp_path):
         path = tmp_path / "a.safetensors"
