@@ -114,4 +114,11 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # so that a reader gone shows here, not at exit
+    except BrokenPipeError:
+        # The reader took what it wanted (`| head -1`): the rest goes nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    raise SystemExit(status)

@@ -32,9 +32,10 @@ sums come with its assignment step, which has every value's code under
 both tables already.  The errors are `.sum()`s of each table's members in
 member order, and numpy's float64 `.sum()` of a contiguous array follows a
 pairwise tree that depends only on its length, so the sums of the tree's
-leaves, combined in tree order, are the whole sum (`_leaves`, `_fold`).
-Each block's terms are split by table, which keeps member order, and
-streamed into each table's leaf buffer (`_Sum`); the assignment step's
+leaves, combined in tree order, are the whole sum (`grids.pairwise_leaves`,
+`pairwise_fold`).  Each block's terms are split by table, which keeps
+member order, and streamed into each table's leaf buffer
+(`grids.PairwiseSum`); the assignment step's
 objective is streamed the same way.  The tests pin these properties of
 numpy, and `np.quantile`'s linear method, which `init_tables` follows on a
 sorted copy; `learn` sorts the layer in place for it instead and then
@@ -67,7 +68,8 @@ import numpy as np
 from . import grids
 from .errors import ValidationError
 from .grids import (
-    BaseFormat, Scratch, check_groups, check_scale_mode, compute_scales, round_bf16, row_blocks,
+    BaseFormat, PairwiseSum, Scratch, check_groups, check_scale_mode, compute_scales, round_bf16,
+    row_blocks,
 )
 from .quantizers import _CodeTables, check_table, normalize, recon_codes
 from .tensors import LayerBundle
@@ -263,64 +265,6 @@ def _sorted_quantiles(w, q) -> np.ndarray:
 # Passes over the layout
 # ---------------------------------------------------------------------------
 
-def _halve(n: int) -> int:
-    """Where numpy's pairwise float sum splits `n` values: half, down to a multiple of 8."""
-    h = n // 2
-    return h - h % 8
-
-
-def _leaves(a: int, b: int) -> list:
-    """The leaves of the pairwise sum of `x[a:b]`: its tree's nodes of at most `grids.BLOCK` values.
-
-    numpy sums a contiguous float64 array along a tree that depends only on
-    its length, so `_fold` of the leaves' `.sum()`s is the whole `.sum()`.
-    """
-    if b - a <= grids.BLOCK:
-        return [(a, b)]
-    m = a + _halve(b - a)
-    return _leaves(a, m) + _leaves(m, b)
-
-
-def _fold(n: int, sums) -> float:
-    """`x.sum()` of `n` float64 values, combined in tree order from the iterator
-    `sums` over the `.sum()`s of its `_leaves`."""
-    if n <= grids.BLOCK:
-        return next(sums)
-    h = _halve(n)
-    return _fold(h, sums) + _fold(n - h, sums)
-
-
-class _Sum:
-    """The `.sum()` of `n` float64 values fed in order, a piece at a time.
-
-    Each of the `_leaves` is summed where it lies when one piece holds all
-    of it, else once the pieces have filled `buf` with it, and the leaves'
-    sums are folded in tree order.
-    """
-
-    def __init__(self, n: int, buf: np.ndarray):
-        self.n, self.buf, self.fill = n, buf, 0
-        self.sizes = [b - a for a, b in _leaves(0, n)]
-        self.sums = []
-
-    def feed(self, x: np.ndarray) -> None:
-        while x.size:
-            size = self.sizes[len(self.sums)]
-            if not self.fill and x.size >= size:
-                self.sums.append(x[:size].sum())
-                x = x[size:]
-                continue
-            k = min(size - self.fill, x.size)
-            self.buf[self.fill:self.fill + k] = x[:k]
-            self.fill, x = self.fill + k, x[k:]
-            if self.fill == size:
-                self.sums.append(self.buf[:size].sum())
-                self.fill = 0
-
-    def total(self) -> float:
-        return float(_fold(self.n, iter(self.sums))) if self.n else 0.0
-
-
 class _Pass:
     """Passes over a layer's values, a block of whole rows at a time.
 
@@ -328,19 +272,19 @@ class _Pass:
     order, a layer's selection groups, and each group belongs to one table
     of a stack.  No codes are stored between passes: each block looks up
     every value's code under its group's table, an index into the flat
-    stack, in the stack's compact code tables (`code_tables`).  Their
-    `keys` hold each value's compact bucket plus its table's first, written
-    under table 0 when the pass is made and moved between tables by
-    `split`.  Stacks of more than 128 entries in all (`kmeans_update`'s
-    large tables, or two large ones handed to `select_tables`) have no code
-    tables: each value is searched by `recon_codes` under its own table.
+    stack, in the stack's compact code tables (`code_tables`), which put
+    every value under table 0 when the pass is made and move the groups
+    between tables (`_CodeTables.split`).  Stacks of more than 128 entries
+    in all (`kmeans_update`'s large tables, or two large ones handed to
+    `select_tables`) have no code tables: each value is searched by
+    `recon_codes` under the table `code_tables` names for it.
 
     A call takes the Lloyd sums of the next step, `v * i` and the importance
     `i` added into complex128 sums, and, when asked, the weighted squared
     error under the tables, with each table's members' terms streamed into
-    one `_Sum`, in the orders the module docstring gives.  The imaginary half of the
-    block holds the importances tiled over a block's rows, written once;
-    when the layer fits one block, its real half too.
+    one `grids.PairwiseSum`, in the orders the module docstring gives.  The
+    imaginary half of the block holds the importances tiled over a block's
+    rows, written once; when the layer fits one block, its real half too.
 
     Its blocks are `grids.row_blocks`, as ranges of the flat values, each
     read once a pass through `values`.  A block's buffers take 34 bytes a
@@ -364,69 +308,48 @@ class _Pass:
             np.multiply(self.values(0, width), self.z.imag, out=self.z.real)
         self.dead = self.imp.reshape(-1, sel_size).sum(axis=1) == 0
         self.code_tables = _CodeTables(self.blocks, self.values)
-        self.tables = self.leaf = None
+        self.leaf = None
 
     def values(self, a: int, b: int) -> np.ndarray:
         """The normalized values of block `(a, b)`, 1-D float64."""
         return self._flat[a:b]
 
     def _look_up(self, tables: np.ndarray) -> np.ndarray:
-        """Writes the code tables of `tables` (float64, one per row), unless
-        they hold them already, and returns the flat stack.  A stack of more
-        than 128 entries has none, and its codes take `found` as intp."""
-        if tables is not self.tables:
-            # The tables are sorted: they need no check.
-            self.written = self.code_tables.write(tables)
-            dtype = np.uint8 if self.written else np.intp
-            if self.found.dtype != dtype:
-                self.found = np.empty(self.found.shape, dtype=dtype)
-            self.tables = tables
-        return self.tables.reshape(-1)
+        """Has `code_tables` hold `tables` (float64, one per row), which
+        writes their code tables unless it holds them already, and returns
+        the flat stack.  A stack of more than 128 entries has none, and its
+        codes take `found` as intp."""
+        # The tables are sorted: they need no check.
+        dtype = np.uint8 if self.code_tables.write(tables) else np.intp
+        if self.found.dtype != dtype:
+            self.found = np.empty(self.found.shape, dtype=dtype)
+        return tables.reshape(-1)
 
-    def _codes(self, v, index, out) -> np.ndarray:
-        """The codes of a block's values `v` at the compact buckets `index`, into `out` and as intp."""
+    def _codes(self, v, a: int, table, out) -> np.ndarray:
+        """The codes of a block's values `v`, the layer's from `a` on, under
+        each one's own table (None) or under table `table`, into `out` and
+        as intp.  The block's float buffer is free until they are found."""
         out = out[: v.size]
-        if self.written:
-            self.code_tables.look_up(self.tables, v, index, out)
-        else:  # no code tables: each value searched under its table
-            which = index // self.code_tables.stride
-            for j, t in enumerate(self.tables):
-                here = which == j
+        if self.code_tables.look_up(v, a, table, out, self.x) is None:
+            # No code tables: each value searched under its table.
+            for j, t, here in self.code_tables.members(a, a + v.size, table):
                 out[here] = recon_codes(t, v[here]) + j * t.size
         c = self.codes[: v.size]
         c[...] = out
         return c
 
-    def _under(self, a: int, b: int, j: int) -> np.ndarray:
-        """The compact buckets of values `a:b` under table `j`, in the block's
-        float buffer, which is free until the codes are found."""
-        keys, stride = self.code_tables.keys, self.code_tables.stride
-        index = self.x.view(keys.dtype)[: b - a]
-        np.bitwise_and(keys[a:b], stride - 1, out=index)
-        if j:
-            index |= j * stride
-        return index
-
-    def split(self, part) -> None:
-        """Puts each value under the table of its group, `part`: one table
-        index per group."""
-        keys, stride = self.code_tables.keys, self.code_tables.stride
-        keys &= stride - 1
-        keys = keys.reshape(-1, self.sel)
-        keys |= part.reshape(-1, 1).astype(keys.dtype) * stride
-
     def __call__(self, part, tables, error: bool = True, sums: bool = True):
         """(The members' weighted squared error under `tables`, summed per
         table's members then added, or None; the Lloyd sums, or None).
 
-        `part` is the table index of each group, 0 or 1, which `split` put
-        there; only the error reads it."""
+        `part` is the table index of each group, 0 or 1, which
+        `code_tables.split` put there; only the error reads it."""
         flat = self._look_up(tables)
         acc = np.zeros(flat.size, dtype=np.complex128) if sums else None
         totals = self._sums(part) if error else None
         for a, b in self.blocks:
             v = self.values(a, b)
-            c = self._codes(v, self.code_tables.keys[a:b], self.found[0])
+            c = self._codes(v, a, None, self.found[0])
             if sums:
                 self._add(v, c, acc)
             if error:
@@ -442,13 +365,13 @@ class _Pass:
         np.add.at(acc, c, z)
 
     def _sums(self, part) -> list:
-        """One `_Sum` per table of the members' errors, over reused leaf buffers."""
+        """One `PairwiseSum` per table of the members' errors, over reused leaf buffers."""
         n, k = self.shape
         ones = int(np.count_nonzero(part)) * self.sel
-        return [_Sum(c, buf) for c, buf in zip((n * k - ones, ones), self._leaf_buffers(2))]
+        return [PairwiseSum(c, buf) for c, buf in zip((n * k - ones, ones), self._leaf_buffers(2))]
 
     def _leaf_buffers(self, n: int) -> np.ndarray:
-        """`n` leaf buffers of a `_Sum`, reused from pass to pass."""
+        """`n` leaf buffers of a `PairwiseSum`, reused from pass to pass."""
         if self.leaf is None or len(self.leaf) < n:
             self.leaf = np.empty((n, min(grids.BLOCK, self.shape[0] * self.shape[1])))
         return self.leaf
@@ -476,19 +399,19 @@ def _assign(run: _Pass, tables, codes=None):
     A group takes the table with lower weighted squared error (ties keep
     table 0), or lower unweighted error when its columns carry no
     importance; the objective is the `.sum()` of every group's weighted
-    error under its table, in row-major order, streamed into a `_Sum` a
-    block of rows at a time, as no layer-wide array holds it.  With `codes`, each
-    value's code under its group's table goes there; without, the Lloyd
-    sums of the first inner step, the pass the values would take next, are
-    taken from the same codes.  A group's sum lies within one row, so the
-    blocks do not change it.  The unweighted errors are formed only when
-    some group carries no importance.
+    error under its table, in row-major order, streamed into a `PairwiseSum`
+    a block of rows at a time, as no layer-wide array holds it.  With
+    `codes`, each value's code under its group's table goes there; without,
+    the Lloyd sums of the first inner step, the pass the values would take
+    next, are taken from the same codes.  A group's sum lies within one row,
+    so the blocks do not change it.  The unweighted errors are formed only
+    when some group carries no importance.
     """
     s, (n, k) = run.sel, run.shape
     m = tables.shape[1]
     flat = run._look_up(np.asarray(tables, dtype=np.float64))
     sigma = np.empty((n, k // s), dtype=np.uint8)
-    objective = _Sum(sigma.size, run._leaf_buffers(1)[0])
+    objective = PairwiseSum(sigma.size, run._leaf_buffers(1)[0])
     acc = None if codes is not None else np.zeros(flat.size, dtype=np.complex128)
     shape = (-1, k // s, s)
     any_dead = run.dead.any()
@@ -496,7 +419,7 @@ def _assign(run: _Pass, tables, codes=None):
         rows, v = slice(a // k, b // k), run.values(a, b)
         e_w, e_u = [], []
         for j in (0, 1):
-            c = run._codes(v, run._under(a, b, j), run.found[j])
+            c = run._codes(v, a, j, run.found[j])
             d = flat.take(c, out=run.x[: b - a], mode="clip")  # "clip" writes straight to `out=`
             np.subtract(v, d, out=d)
             np.square(d, out=d)
@@ -650,7 +573,7 @@ def learn(
     for r in range(cfg.n_outer):
         _, sums, sigma, objective = _assign(run, tables)
         trace += [objective]
-        run.split(sigma)
+        run.code_tables.split(sigma, sel)
         errors = None if full_trace else (cfg.n_inner - 1,) if r + 1 == cfg.n_outer else ()
         for tables, error in _lloyd_steps(run, sigma.reshape(-1), tables, sums, cfg.n_inner, errors):
             trace += [np.nan if error is None else error]

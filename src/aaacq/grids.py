@@ -1,5 +1,6 @@
 """Fixed 4-bit base grids, per-group scales, low-precision rounding helpers,
-and the row blocks that layers are worked in, with their reused buffers.
+and the row blocks that layers are worked in, with their reused buffers and
+their exact sums.
 
 Two base formats are supported: the 15-value signed E2M1 grid used by NVFP4
 (groups of 16) and the symmetric signed integer grid {-8..7} used by INT4
@@ -222,11 +223,70 @@ def row_blocks(rows: int, cols: int) -> list:
     """Row slices cutting a (rows, cols) layer into blocks of `BLOCK // cols`
     rows but at least one, the last what is left; none without values.  Work
     by row gives the same bytes in any blocks, and so do sums split at leaves
-    of `BLOCK` values down to 128, below which numpy's pairwise sum differs."""
+    of `BLOCK` values down to 128, below which numpy's pairwise sum differs
+    (`PairwiseSum`)."""
     if not rows * cols:
         return []
     step = max(1, BLOCK // cols)
     return [slice(a, min(a + step, rows)) for a in range(0, rows, step)]
+
+
+def pairwise_half(n: int) -> int:
+    """Where numpy's pairwise float sum splits `n` values: half, down to a multiple of 8."""
+    h = n // 2
+    return h - h % 8
+
+
+def pairwise_leaves(a: int, b: int) -> list:
+    """The leaves of the pairwise sum of `x[a:b]`: its tree's nodes of at most `BLOCK` values.
+
+    numpy sums a contiguous float64 array along a tree that depends only on
+    its length, so `pairwise_fold` of the leaves' `.sum()`s is the whole `.sum()`.
+    """
+    if b - a <= BLOCK:
+        return [(a, b)]
+    m = a + pairwise_half(b - a)
+    return pairwise_leaves(a, m) + pairwise_leaves(m, b)
+
+
+def pairwise_fold(n: int, sums) -> float:
+    """`x.sum()` of `n` float64 values, combined in tree order from the iterator
+    `sums` over the `.sum()`s of its `pairwise_leaves`."""
+    if n <= BLOCK:
+        return next(sums)
+    h = pairwise_half(n)
+    return pairwise_fold(h, sums) + pairwise_fold(n - h, sums)
+
+
+class PairwiseSum:
+    """The `.sum()` of `n` float64 values fed in order, a piece at a time.
+
+    Each of the `pairwise_leaves` is summed where it lies when one piece
+    holds all of it, else once the pieces have filled `buf` with it, and the
+    leaves' sums are folded in tree order.
+    """
+
+    def __init__(self, n: int, buf: np.ndarray):
+        self.n, self.buf, self.fill = n, buf, 0
+        self.sizes = [b - a for a, b in pairwise_leaves(0, n)]
+        self.sums = []
+
+    def feed(self, x: np.ndarray) -> None:
+        while x.size:
+            size = self.sizes[len(self.sums)]
+            if not self.fill and x.size >= size:
+                self.sums.append(x[:size].sum())
+                x = x[size:]
+                continue
+            k = min(size - self.fill, x.size)
+            self.buf[self.fill:self.fill + k] = x[:k]
+            self.fill, x = self.fill + k, x[k:]
+            if self.fill == size:
+                self.sums.append(self.buf[:size].sum())
+                self.fill = 0
+
+    def total(self) -> float:
+        return float(pairwise_fold(self.n, iter(self.sums))) if self.n else 0.0
 
 
 def _by_row_blocks(shape, fn) -> list:

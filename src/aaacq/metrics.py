@@ -22,12 +22,10 @@ exactly zero, so recovery over a layer suite reduces to
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,6 +176,8 @@ class EvalReport:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
+        import csv  # imported here, as only `--csv` reports need it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["layer", "method", "mse", "weighted_err", "output_mse", "bpw"])
@@ -264,8 +264,10 @@ def _run_forked(index: int):
     return fn(items[index])
 
 
+# The pools' modules are imported where they are used: multiprocessing adds
+# about 15 ms to every command, and concurrent.futures, which also loads
+# logging, queue and traceback, 5-8 ms.
 def _fork_map(fn, items: list, workers: int):
-    # Imported here: loading multiprocessing adds about 15 ms to every command.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -282,6 +284,8 @@ def _fork_map(fn, items: list, workers: int):
 
 
 def _thread_map(fn, items: list, workers: int):
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items)
 

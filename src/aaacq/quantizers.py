@@ -352,8 +352,11 @@ class _CodeTables:
     `layout` holds each half's spans `(first, end, base)`: buckets
     `first:end` lie from byte `base` of a table's stretch on, and table
     `j`'s stretch starts at `j * stride`.  `keys` holds each value's compact
-    bucket under table 0.  `write` writes a stack's code tables over the
-    last one's, and `look_up` gathers codes from them.
+    bucket plus its table's first, `j * stride` for table `j`: table 0
+    for every value until `split` moves them.  No other code reads or
+    writes them.  `write` holds a stack and writes its code tables over the
+    last one's, `look_up` gathers a block's codes from them, and `members`
+    splits a block by table for a stack that has none.
     """
 
     def __init__(self, blocks: list, read):
@@ -382,21 +385,49 @@ class _CodeTables:
                 self.keys[a + c:a + c + key.size] = np.where(
                     key == 0, zero[half], np.where(key < end[half], key + shift[half], at))
         self.lut = np.zeros(2 * self.stride, dtype=np.uint8)
+        self.tables, self.written = None, False
+
+    def split(self, part: np.ndarray, size: int) -> None:
+        """Puts each group of `size` consecutive values under its table in
+        `part`, one table index per group."""
+        self.keys &= self.stride - 1
+        keys = self.keys.reshape(-1, size)
+        keys |= part.reshape(-1, 1).astype(keys.dtype) * self.stride
 
     def write(self, tables: np.ndarray) -> bool:
-        """Writes the code tables of `tables`, sorted float64 rows, and
-        returns True; or returns False for a stack of more than `_PAIRS`
-        entries, which has none."""
-        if tables.size > _PAIRS:
-            return False
-        self.lut[:] = 0  # marks every bucket that the new tables' cuts leave unwritten
-        _write_code_tables(self.lut, tables.tolist(), self.layout, self.stride)
-        return True
+        """Holds the stack `tables`, sorted float64 rows, and writes its
+        code tables over the last one's, unless it holds that very array
+        already.  Returns whether the stack has code tables: one of more
+        than `_PAIRS` entries has none."""
+        if tables is not self.tables:
+            self.tables, self.written = tables, tables.size <= _PAIRS
+            if self.written:
+                self.lut[:] = 0  # marks every bucket that the new tables' cuts leave unwritten
+                _write_code_tables(self.lut, tables.tolist(), self.layout, self.stride)
+        return self.written
 
-    def look_up(self, tables: np.ndarray, values: np.ndarray, index, out=None) -> np.ndarray:
-        """`recon_codes` of 1-D `values` under the stack `tables` that `write`
-        wrote last, at their compact buckets `index`, as `_recon_lookup`."""
-        return _recon_lookup(self.lut, tables, values, index, out, self.stride)
+    def look_up(self, values: np.ndarray, a: int, table, out: np.ndarray, work: np.ndarray):
+        """`recon_codes` of the 1-D `values`, the layer's from `a` on, under
+        the stack held, into the uint8 `out`, as `_recon_lookup`: each value
+        under its own table when `table` is None, else under table `table`,
+        whose compact buckets are formed in `work`, a C-contiguous buffer of
+        at least `keys`' bytes a value.  None, `out` untouched, when the
+        stack has no code tables (`members`)."""
+        if not self.written:
+            return None
+        index = self.keys[a:a + values.size]
+        if table is not None:
+            index = np.bitwise_and(index, self.stride - 1, out=work.view(index.dtype)[:values.size])
+            if table:
+                index |= table * self.stride
+        return _recon_lookup(self.lut, self.tables, values, index, out, self.stride)
+
+    def members(self, a: int, b: int, table) -> list:
+        """`(j, table j, where values a:b lie under it)` for each table of the
+        stack held: each value under its own table when `table` is None,
+        else every one under table `table`."""
+        which = self.keys[a:b] // self.stride if table is None else np.full(b - a, table)
+        return [(j, t, which == j) for j, t in enumerate(self.tables)]
 
 
 def _write_code_tables(lut, rows: list, layout, stride: int) -> None:

@@ -517,6 +517,13 @@ def _python(*argv, **env_vars):
     return proc
 
 
+def test_importing_the_cli_loads_neither_pools_nor_csv():
+    # Only a command on several workers needs concurrent.futures (which also
+    # loads logging, queue and traceback), and only a CSV report needs csv.
+    show = "import sys, aaacq.cli; print(*sorted({'concurrent.futures', 'csv'} & set(sys.modules)))"
+    assert _python("-c", show).stdout.split() == []
+
+
 # Runs `aaacq.cli.main(argv)` with OpenBLAS first set to two threads, as a
 # multi-core machine would start it, and logs the count each quantize or
 # score task sees, forked workers' included.

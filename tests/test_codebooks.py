@@ -387,11 +387,11 @@ def lookup(values, tables, member1=None, sel_size=1):
     flat = np.ascontiguousarray(values).reshape(-1)
     code_tables = quantizers._CodeTables([(0, flat.size)] if flat.size else [], lambda a, b: flat[a:b])
     stack = np.atleast_2d(np.asarray(tables, dtype=np.float64))
-    index, stride = code_tables.keys, code_tables.stride
     if member1 is not None:
-        index = index | np.repeat(np.asarray(member1, dtype=index.dtype), sel_size) * stride
+        code_tables.split(np.asarray(member1), sel_size)
     assert code_tables.write(stack)
-    return code_tables.look_up(stack, flat, index).reshape(values.shape)
+    out = np.empty(flat.size, dtype=np.uint8)
+    return code_tables.look_up(flat, 0, None, out, None).reshape(values.shape)
 
 
 class TestCompactLookup:
@@ -478,7 +478,7 @@ class TestCompactLookup:
                   np.linspace(-6, 6, 16)]
         for table in tables:
             assert code_tables.write(table[np.newaxis])
-            got = code_tables.look_up(table[np.newaxis], values, code_tables.keys)
+            got = code_tables.look_up(values, 0, None, np.empty(values.size, np.uint8), None)
             assert got.tolist() == recon_codes(table, values).tolist()
 
     def test_decreasing_table_is_rejected(self):
@@ -498,6 +498,39 @@ class TestCompactLookup:
         want = np.where(np.repeat(member1, 4), brute_force(tables[1], values) + m,
                         brute_force(tables[0], values))
         assert got.tolist() == want.tolist()
+
+    @given(block_code_cases(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_moved_groups_read_their_tables_codes(self, case, data):
+        # The compact buckets are built over blocks that tile the values,
+        # then groups of 4 move between the stack's two tables, and back.
+        # Any range a:b reads each value's code under its own table, or
+        # every value's under a chosen one, plus that table's offset.
+        tables, values, member1 = case
+        # A group of signed zeros and subnormals always, beside the case's own.
+        values = np.concatenate([[0.0, -0.0, 2.0 ** -1074, -(2.0 ** -1060)], values])
+        member1 = np.concatenate([[data.draw(st.booleans())], member1])
+        n, m = values.size, tables.shape[1]
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=3)))
+        code_tables = quantizers._CodeTables(list(zip([0] + cuts, cuts + [n])), lambda a, b: values[a:b])
+        moved = data.draw(st.sampled_from([np.zeros_like(member1), ~member1]))
+        for part in (moved, member1):
+            code_tables.split(part.astype(np.uint8), 4)
+        assert code_tables.write(tables)
+        under = [recon_codes(t, values) + j * m for j, t in enumerate(tables)]
+        own = np.where(np.repeat(member1, 4), under[1], under[0])
+        a = data.draw(st.integers(0, n))
+        b = data.draw(st.integers(a, n))
+        work, out = np.empty(n), np.empty(n, dtype=np.uint8)
+        got = code_tables.look_up(values[a:b], a, None, out[:b - a], work)
+        assert got.tolist() == own[a:b].tolist()
+        for j in (0, 1):
+            got = code_tables.look_up(values[a:b], a, j, out[:b - a], work)
+            assert got.tolist() == under[j][a:b].tolist()
+        # The fallback's split names the same tables.
+        which = [here for _, _, here in code_tables.members(a, b, None)]
+        assert which[1].tolist() == np.repeat(member1, 4)[a:b].tolist()
+        assert (which[0] == ~which[1]).all()
 
 
 @st.composite
@@ -593,13 +626,13 @@ class TestMovedTables:
 
     def test_learn_inner_steps_search_a_small_share(self, searched, monkeypatch):
         written = []
-        write = quantizers._CodeTables.write
+        write = quantizers._write_code_tables
 
-        def counted(code_tables, tables):
-            written.append(tables.shape)
-            return write(code_tables, tables)
+        def counted(lut, rows, layout, stride):
+            written.append((len(rows), len(rows[0])))
+            return write(lut, rows, layout, stride)
 
-        monkeypatch.setattr(quantizers._CodeTables, "write", counted)
+        monkeypatch.setattr(quantizers, "_write_code_tables", counted)
         bundle = make_bundle(1, rows=64, cols=512)
         learn(bundle, AaacConfig.for_format(NVFP4, n_outer=2, n_inner=4))
         # Every pass looks every value up afresh, from code tables built
@@ -648,10 +681,10 @@ class TestInnerPass:
     def test_folded_leaf_sums_equal_the_whole_sum(self, n):
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
-        leaves = codebooks._leaves(0, n)
+        leaves = grids.pairwise_leaves(0, n)
         assert [a for a, _ in leaves] == [0] + [b for _, b in leaves[:-1]]
         assert leaves[-1][1] == n and all(b - a <= grids.BLOCK for a, b in leaves)
-        got = codebooks._fold(n, iter([x[a:b].sum() for a, b in leaves]))
+        got = grids.pairwise_fold(n, iter([x[a:b].sum() for a, b in leaves]))
         assert float(got).hex() == float(x.sum()).hex()
 
     def test_blockwise_add_at_equals_bincount(self):
@@ -750,7 +783,7 @@ class TestInnerPass:
         tables = np.stack(init_tables(w, 16))
         run = codebooks._Pass(w, imp, sel)
         part = member1.astype(np.uint8).ravel()
-        run.split(part)
+        run.code_tables.split(part, sel)
         assert len(run.blocks) == (1 if rows == 4 else 5)
         if rows == 72:  # every non-empty table's members span several leaves
             in_table1 = int(member1.sum()) * sel

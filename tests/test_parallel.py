@@ -200,7 +200,7 @@ class TestWorkerCount:
     @pytest.fixture(autouse=True)
     def recorder(self, monkeypatch):
         Recorder.sizes = []
-        monkeypatch.setattr(metrics, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorder)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
 
     def test_pools_start_no_more_workers_than_tasks(self):

@@ -395,7 +395,7 @@ class TestCodeTables:
         occupied = compact >= 0
         assert np.array_equal(code_tables.lut[compact[occupied]], quantizers.code_table(table)[occupied])
         assert (code_tables.lut[marked:] == 0).all()
-        got = code_tables.look_up(table[np.newaxis], values, code_tables.keys)
+        got = code_tables.look_up(values, 0, None, np.empty(values.size, np.uint8), None)
         assert got.tolist() == quantizers._recon_exact(table, values).tolist()
 
     @pytest.mark.parametrize("gap", [2.0 ** -1074 * k for k in (29, 71, 120, 401, 3001)]

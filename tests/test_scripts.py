@@ -1,8 +1,10 @@
 """Experiment scripts run end to end on a tiny input."""
 
 import importlib.util
+import os
 import py_compile
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -58,6 +60,20 @@ def test_command_cost_prints_one_median_line_per_tree(tmp_path, capsys):
         assert match and int(match[1]) <= modules
         if not sys.dont_write_bytecode:
             assert int(match[2]) == modules
+
+
+def test_command_cost_exits_quietly_when_its_reader_has_gone(tmp_path):
+    # As under `command_cost.py ... | head -1`, once `head` has exited.
+    tree = str(SCRIPTS.parent)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, str(SCRIPTS / "command_cost.py"), "--runs", "1", tree, tree,
+                               "--", "synth", "--out", str(tmp_path / "s.safetensors"), "-N", "2", "-K", "16",
+                               "-T", "2"], stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_command_cost_tells_stale_bytecode_from_current(tmp_path):
